@@ -1,55 +1,59 @@
 package sched
 
-// Incremental and rack-hierarchical scheduling rounds for PolluxSched.
+// One scheduling round for PolluxSched.
 //
-// The paper's scheduler re-optimizes every job's placement with a fresh
-// cluster-wide GA each interval; at the 16–64 node exhibit scale that is
-// fine, but each round costs O(population × generations × jobs × nodes)
-// fitness cells and the same order of rng draws, which dominates wall
-// clock at the 512–1024 node scale. Two observations make rounds cheap:
+// The paper re-optimizes every job's placement with one cluster-wide GA
+// each interval (Sec. 4.2.1). That is still what a default round does, but
+// it is the widest setting of one procedure, not a separate one:
 //
-//  1. Incremental rounds. Between rounds most jobs are unchanged: the
-//     committed row, the fitted model, and the demand of a queued or
-//     steadily-running job are all the same as last interval, and a row
-//     that does not move contributes a constant to the Eqn. 14 objective.
-//     So each round computes a dirty set — jobs whose model, phase, or
-//     demand changed since the last committed matrix, their placement
-//     neighbors, and a bounded batch of queued jobs competing for freed
-//     capacity — and re-places only those against the residual capacity,
-//     carrying every clean row forward verbatim. A FullEvery cadence
-//     forces periodic full re-optimizations so incremental never drifts
-//     far from the global optimum.
+//	dirtySet   which jobs to re-place (view indices, "sub")
+//	newRound   the round's data: view, speedup tables, Eqn. 16 weights
+//	solve      residual capacity and blocked nodes left by the clean rows,
+//	           a node-level GA (solveNodes) for the sub rows, compose with
+//	           the clean rows, carry the population as next round's seeds
+//	commit     remember rows and job signatures for the next dirty set
 //
-//  2. Hierarchical decomposition. With racks of RackSize nodes, a coarse
-//     GA assigns each re-placed job GPU counts per rack (racks as
-//     super-nodes, priced by the Sec. 3.2 rack-locality extension via
-//     speedupTable.SpeedupRack), then an independent small GA per rack
-//     refines node placements. The search space drops from O(nodes) to
-//     O(racks) + O(nodes/rack) per matrix row.
+// A default round has every job dirty and solves them on one rack that
+// spans all nodes. Two options narrow it, because a round costs
+// O(population × generations × jobs × nodes) fitness cells and the same
+// order of rng draws, which dominates wall clock at 512–1024 nodes:
 //
-// Both paths are opt-in (PolluxOptions.Incremental / RackSize): the
-// default full re-optimization stays bit-identical to the historical
-// scheduler, which every fixed-seed baseline trace depends on.
+//  1. Incremental. Between rounds most jobs are unchanged: the committed
+//     row, the fitted model, and the demand of a queued or steadily
+//     running job are the same as last interval, and a row that does not
+//     move contributes a constant to the Eqn. 14 objective. The dirty set
+//     is then the jobs whose model, phase, or demand changed since the
+//     last committed matrix, their placement neighbors, and a bounded
+//     batch of queued jobs competing for freed capacity; every clean row
+//     carries forward verbatim. A FullEvery cadence forces periodic
+//     all-dirty rounds so incremental never drifts far from the global
+//     optimum. Without Incremental every job is dirty every round.
+//
+//  2. RackSize. With racks of RackSize nodes, a coarse GA first assigns
+//     each sub job GPU counts per rack (racks as super-nodes, priced by
+//     the Sec. 3.2 rack-locality extension via speedupTable.SpeedupRack),
+//     then solveNodes runs once per rack on that rack's columns, with the
+//     coarse shares in other racks as fixed context. The search space
+//     drops from O(nodes) to O(racks) + O(nodes/rack) per matrix row.
+//
+// solveNodes holds the only node-level Eqn. 14 fitness. What keeps the
+// default round bit-identical to the historical flat scheduler is data it
+// reads, not a mode: dense mutation exactly when a solve covers the whole
+// view on one rack, the current allocation seeded first only when the
+// view has a full-length one, and the whole final population carried in
+// GA order when it fits seedCellBudget.
 
 import (
-	"repro/internal/core"
+	"slices"
+
 	"repro/internal/ga"
 )
-
-// jobSig is the per-job change signature for dirty detection: a refit
-// (Params or φt move), an exploration-cap change, or a demand change all
-// alter it.
-type jobSig struct {
-	model   core.Model
-	gpuCap  int
-	minGPUs int
-}
 
 // incState is the cross-round dirty-set state: the committed matrix and
 // job signatures as of the last Schedule call, keyed by stable job ID.
 type incState struct {
 	ids   []int
-	sigs  []jobSig
+	sigs  []SigSnapshot
 	rows  ga.Matrix   // committed rows aligned with ids
 	index map[int]int // job ID → position in ids (lookups only)
 	cap   []int
@@ -61,80 +65,13 @@ type incState struct {
 // champion-only as matrices grow.
 const seedCellBudget = 16 << 20
 
-// scheduleIncremental is Schedule for Incremental/RackSize mode: decide
-// full vs. incremental, solve, compose, and commit the dirty-set state.
-func (p *Pollux) scheduleIncremental(v *ClusterView) ga.Matrix {
-	nJobs := len(v.Jobs)
-	nodes := len(v.Capacity)
-
-	full := p.inc == nil || !sameCapacity(p.inc.cap, v.Capacity) ||
-		v.Current == nil || len(v.Current) != nJobs ||
-		(p.opts.FullEvery > 0 && p.sinceFull >= p.opts.FullEvery)
-
-	if !full {
-		sub := p.dirtySet(v)
-		switch {
-		case sub == nil:
-			full = true // dirty majority: a full round does less redundant work
-		case len(sub) == 0:
-			// Nothing changed anywhere: carry the allocation forward
-			// without running any GA.
-			p.lastStats.Full = false
-			p.lastStats.Skipped = true
-			p.lastStats.Sub = 0
-			out := v.Current.Clone()
-			p.commitState(v, out)
-			p.sinceFull++
-			return out
-		default:
-			p.lastStats.Full = false
-			p.lastStats.Sub = len(sub)
-			if out := p.solveSub(v, sub); out != nil {
-				p.commitState(v, out)
-				p.sinceFull++
-				return out
-			}
-			// The composed matrix failed the defensive feasibility
-			// check; fall through to a full round.
-			full = true
-		}
+// allJobs is the dirty set of a full round: every view index.
+func allJobs(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-
-	p.sinceFull = 0
-	p.lastStats.Full = true
-	p.lastStats.Skipped = false
-	p.lastStats.Sub = nJobs
-	var out ga.Matrix
-	if p.hierarchical(nodes) {
-		all := make([]int, nJobs)
-		for i := range all {
-			all[i] = i
-		}
-		out = p.solveSub(v, all)
-	}
-	if out == nil {
-		out = p.scheduleFlat(v)
-	}
-	p.commitState(v, out)
-	return out
-}
-
-// hierarchical reports whether rack decomposition applies: it needs at
-// least two racks to decompose.
-func (p *Pollux) hierarchical(nodes int) bool {
-	return p.opts.RackSize > 0 && nodes >= 2*p.opts.RackSize
-}
-
-func sameCapacity(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return all
 }
 
 // commitState records the committed matrix and job signatures for the
@@ -144,30 +81,37 @@ func (p *Pollux) commitState(v *ClusterView, out ga.Matrix) {
 	jobs := v.Jobs
 	st := &incState{
 		ids:   make([]int, len(jobs)),
-		sigs:  make([]jobSig, len(jobs)),
+		sigs:  make([]SigSnapshot, len(jobs)),
 		rows:  out.Clone(),
 		index: make(map[int]int, len(jobs)),
 		cap:   append([]int(nil), v.Capacity...),
 	}
 	for i, j := range jobs {
 		st.ids[i] = j.ID
-		st.sigs[i] = jobSig{model: j.Model, gpuCap: j.GPUCap, minGPUs: j.MinGPUs}
+		st.sigs[i] = SigSnapshot{Model: j.Model, GPUCap: j.GPUCap, MinGPUs: j.MinGPUs}
 		st.index[j.ID] = i
 	}
 	p.inc = st
 }
 
 // dirtySet returns the view indices to re-place this round, in view
-// order: jobs whose signature changed (agent refit, demand change), jobs
-// whose live allocation no longer matches the committed row (restart or
-// external change), new jobs, clean jobs with GPUs on affected nodes
-// (placement neighbors of changes and departures, one hop), and up to
-// QueuedPerRound clean queued jobs competing for freed capacity. An
-// empty set means nothing changed at all. A nil return means the dirty
-// jobs are the majority, so the caller should run a full round instead.
+// order. It is every job unless Incremental is set and the committed state
+// still describes this cluster and view; then it is the jobs whose
+// signature changed (agent refit, demand change), jobs whose live
+// allocation no longer matches the committed row (restart or external
+// change), new jobs, clean jobs with GPUs on affected nodes (placement
+// neighbors of changes and departures, one hop), and up to queuedPerRound
+// clean queued jobs competing for freed capacity. An empty set means
+// nothing changed at all. When more than 3/4 of the jobs are dirty the
+// set widens to all of them: a full round does less redundant work.
 func (p *Pollux) dirtySet(v *ClusterView) []int {
 	st := p.inc
 	jobs := v.Jobs
+	if !p.opts.Incremental || st == nil || !slices.Equal(st.cap, v.Capacity) ||
+		len(v.Current) != len(jobs) ||
+		(p.opts.FullEvery > 0 && p.sinceFull >= p.opts.FullEvery) {
+		return allJobs(len(jobs))
+	}
 	dirty := make([]bool, len(jobs))
 	affected := make([]bool, len(v.Capacity))
 	anyChange := false
@@ -185,10 +129,10 @@ func (p *Pollux) dirtySet(v *ClusterView) []int {
 		switch {
 		case !ok:
 			dirty[i] = true // arrival
-		case st.sigs[pi] != (jobSig{model: j.Model, gpuCap: j.GPUCap, minGPUs: j.MinGPUs}):
+		case st.sigs[pi] != (SigSnapshot{Model: j.Model, GPUCap: j.GPUCap, MinGPUs: j.MinGPUs}):
 			dirty[i] = true // refit or demand change
 			markRow(st.rows[pi])
-		case !samePlacementRow(v.Current[i], st.rows[pi]):
+		case !slices.Equal(v.Current[i], st.rows[pi]):
 			dirty[i] = true // restarted or moved outside the scheduler
 			markRow(st.rows[pi])
 		}
@@ -214,7 +158,7 @@ func (p *Pollux) dirtySet(v *ClusterView) []int {
 			if PlacementOf(v.Current[i]).GPUs == 0 {
 				// Clean queued job: a bounded batch per round may compete
 				// for the capacity this round frees.
-				if p.opts.QueuedPerRound < 0 || queued < p.opts.QueuedPerRound {
+				if queued < queuedPerRound {
 					queued++
 					dirty[i] = true
 				}
@@ -232,18 +176,65 @@ func (p *Pollux) dirtySet(v *ClusterView) []int {
 		}
 	}
 	if 4*len(sub) > 3*len(jobs) {
-		return nil
+		return allJobs(len(jobs))
 	}
 	return sub
 }
 
-// solveSub re-places the sub jobs (view indices, ascending) against the
-// residual capacity left by the clean rows, which carry forward
-// verbatim; a full round passes every index. Clean rows contribute a
-// constant to Eqn. 14, so optimizing the sub rows alone optimizes the
-// full objective over this round's allowed moves. Returns the composed
-// full matrix, or nil if it fails the defensive feasibility check.
-func (p *Pollux) solveSub(v *ClusterView, sub []int) ga.Matrix {
+// round is the data of one Schedule call. newRound fills the part that
+// depends only on the view; solve fills the rest for the jobs it
+// re-places.
+type round struct {
+	p *Pollux
+	v *ClusterView
+	// Per view index: speedup tables and Eqn. 16 weights, with their sum.
+	tables  []*speedupTable
+	weights []float64
+	sumW    float64
+
+	sub     []int     // view indices being re-placed, ascending
+	cur     ga.Matrix // per sub job: its current row (zeros when the view has none)
+	running []bool    // per sub job: it holds GPUs now, so moving it costs RestartPenalty
+	// Per node: the capacity the clean rows leave, and whether a clean
+	// distributed job sits there (Sec. 4.2.1 then forbids a second one).
+	residual []int
+	blocked  []bool
+}
+
+// newRound builds the per-job speedup tables and Eqn. 16 weights. The
+// weight sum is accumulated in job order in its own loop, matching the
+// historical computation bit for bit.
+func (p *Pollux) newRound(v *ClusterView) *round {
+	r := &round{
+		p:       p,
+		v:       v,
+		tables:  make([]*speedupTable, len(v.Jobs)),
+		weights: make([]float64, len(v.Jobs)),
+	}
+	maxK := v.TotalGPUs()
+	for i, j := range v.Jobs {
+		r.tables[i] = p.cachedTable(j, maxK, len(v.Capacity))
+		r.weights[i] = p.weight(j.GPUTime)
+	}
+	for _, w := range r.weights {
+		r.sumW += w
+	}
+	if r.sumW == 0 {
+		r.sumW = 1
+	}
+	return r
+}
+
+// solve re-places the sub jobs (view indices, ascending) against the
+// residual capacity left by the clean rows, which carry forward verbatim.
+// Clean rows contribute a constant to Eqn. 14, so optimizing the sub rows
+// alone optimizes the full objective over this round's allowed moves.
+// With racks set the sub rows come from the coarse-then-per-rack solve,
+// otherwise from one solveNodes over all nodes. It returns the composed
+// full matrix and carries the population into the next round, or returns
+// nil if the composition fails the defensive feasibility check.
+func (r *round) solve(sub []int, racks bool) ga.Matrix {
+	p, v := r.p, r.v
 	jobs := v.Jobs
 	nodes := len(v.Capacity)
 	inSub := make([]bool, len(jobs))
@@ -251,64 +242,62 @@ func (p *Pollux) solveSub(v *ClusterView, sub []int) ga.Matrix {
 		inSub[i] = true
 	}
 
-	// Residual capacity and interference context from the clean rows.
-	residual := append([]int(nil), v.Capacity...)
-	distBlocked := make([]bool, nodes)
+	r.residual = append([]int(nil), v.Capacity...)
+	r.blocked = make([]bool, nodes)
 	for i := range jobs {
-		if inSub[i] || v.Current == nil || i >= len(v.Current) {
+		if inSub[i] || i >= len(v.Current) {
 			continue
 		}
 		row := v.Current[i]
-		span := 0
-		for _, g := range row {
-			if g > 0 {
-				span++
-			}
-		}
+		span := PlacementOf(row).Nodes
 		for n, g := range row {
 			if g > 0 {
-				residual[n] -= g
+				// Clamped defensively: the live matrix may be over capacity.
+				r.residual[n] = max(0, r.residual[n]-g)
 				if span > 1 {
-					distBlocked[n] = true
+					r.blocked[n] = true
 				}
 			}
 		}
 	}
-	for n := range residual {
-		if residual[n] < 0 {
-			residual[n] = 0 // defensive: live matrix over capacity
-		}
-	}
 
-	tables, weights, sumW := p.roundTables(v)
-
-	// Current rows and placements of the sub jobs, for restart penalties
-	// and seeding.
-	cur := make(ga.Matrix, len(sub))
-	curPl := make([]core.Placement, len(sub))
+	r.sub = sub
+	r.cur = make(ga.Matrix, len(sub))
+	r.running = make([]bool, len(sub))
 	zero := make([]int, nodes)
 	for si, i := range sub {
-		if v.Current != nil && i < len(v.Current) {
-			cur[si] = v.Current[i]
-		} else {
-			cur[si] = zero
+		r.cur[si] = zero
+		if i < len(v.Current) {
+			r.cur[si] = v.Current[i]
 		}
-		curPl[si] = PlacementOf(cur[si])
+		r.running[si] = PlacementOf(r.cur[si]).GPUs > 0
 	}
 
 	var rows ga.Matrix
 	var pop []ga.Matrix
-	if p.hierarchical(nodes) {
-		rows = p.solveHier(v, sub, residual, distBlocked, tables, weights, sumW, cur, curPl)
+	if racks {
+		rows = r.solveRacks()
 	} else {
-		rows, pop = p.solveFlatSub(v, sub, residual, distBlocked, tables, weights, sumW, cur, curPl)
+		mem := make([]member, len(sub))
+		for si := range mem {
+			mem[si] = member{si: si, cur: r.cur[si]}
+		}
+		// Always seed the currently applied allocation when there is one:
+		// keeping everything in place must be representable so restarts
+		// stay justified.
+		var seeds []ga.Matrix
+		if len(v.Current) == len(jobs) {
+			seeds = append(seeds, r.cur)
+		}
+		seeds = append(seeds, r.subSeeds()...)
+		rows, pop = r.solveNodes(mem, 0, nodes, seeds, p.opts.Population, p.opts.Generations)
 	}
 
 	// Compose: clean rows verbatim, sub rows from the solver.
 	compose := func(subRows ga.Matrix) ga.Matrix {
 		out := ga.NewMatrix(len(jobs), nodes)
 		for i := range jobs {
-			if !inSub[i] && v.Current != nil && i < len(v.Current) {
+			if !inSub[i] && i < len(v.Current) {
 				copy(out[i], v.Current[i])
 			}
 		}
@@ -318,26 +307,31 @@ func (p *Pollux) solveSub(v *ClusterView, sub []int) ga.Matrix {
 		return out
 	}
 	out := compose(rows)
-	if !feasibleComposed(out, v.Capacity, !p.opts.DisableInterferenceAvoidance) {
+	whole := !racks && len(sub) == len(jobs) // repaired GA output as it stands
+	if !whole && !feasibleComposed(out, v.Capacity, !p.opts.DisableInterferenceAvoidance) {
 		return nil
 	}
 
-	// Seed carryover: compose the leading sub-population members (best
-	// first) into full matrices for the next round, within the cell
-	// budget — at least the champion always carries.
-	keep := 1
-	if cells := len(jobs) * nodes; cells > 0 {
-		keep = max(1, seedCellBudget/cells)
-	}
-	carried := []ga.Matrix{out.Clone()}
-	for _, m := range pop {
-		if len(carried) >= keep {
-			break
+	// Seed carryover, within the cell budget. A whole-view population
+	// that fits carries as it stands, in GA order; otherwise the champion
+	// carries first and the other members (best first) follow while the
+	// budget lasts.
+	keep := max(1, seedCellBudget/max(1, len(jobs)*nodes))
+	var carried []ga.Matrix
+	if whole && len(pop) <= keep {
+		for _, m := range pop {
+			carried = append(carried, m.Clone())
 		}
-		if m.Equal(rows) {
-			continue // the champion is already carried
+	} else {
+		carried = append(carried, out.Clone())
+		for _, m := range pop {
+			if len(carried) >= keep {
+				break
+			}
+			if !m.Equal(rows) { // the champion is already carried
+				carried = append(carried, compose(m))
+			}
 		}
-		carried = append(carried, compose(m))
 	}
 	p.prevPop = carried
 	p.prevJobs = make([]int, len(jobs))
@@ -347,65 +341,88 @@ func (p *Pollux) solveSub(v *ClusterView, sub []int) ga.Matrix {
 	return out
 }
 
-// solveFlatSub runs one GA over the sub rows × all nodes. Used when rack
-// decomposition is off (or the cluster is below two racks); the win over
-// a full round is the smaller row count. Returns the best sub-row matrix
-// and the GA's final population (borrowed, sorted best-first).
-func (p *Pollux) solveFlatSub(v *ClusterView, sub []int, residual []int, distBlocked []bool,
-	tables []*speedupTable, weights []float64, sumW float64, cur ga.Matrix, curPl []core.Placement) (ga.Matrix, []ga.Matrix) {
-	fitness := func(m ga.Matrix) float64 {
-		total := 0.0
-		for si, i := range sub {
-			pl := PlacementOf(m[si])
-			s := tables[i].Speedup(pl.GPUs, pl.Nodes)
-			if curPl[si].GPUs > 0 && !samePlacementRow(m[si], cur[si]) {
-				s -= p.opts.RestartPenalty
-			}
-			total += weights[i] * s
-		}
-		return total / sumW
-	}
-	prob := ga.Problem{
-		Capacity:              residual,
-		Jobs:                  len(sub),
-		Fitness:               fitness,
-		InterferenceAvoidance: !p.opts.DisableInterferenceAvoidance,
-		DistBlocked:           distBlocked,
-	}
-	seeds := append([]ga.Matrix{cur}, p.subSeeds(v, sub)...)
-	g := ga.New(prob, ga.Options{
-		Population:     p.opts.Population,
-		Workers:        p.opts.Workers,
-		SparseMutation: true,
-	}, p.rng, seeds)
-	best, _ := g.Run(p.opts.Generations)
-	p.addStats(g.Stats())
-	return best.Clone(), g.Population()
-}
-
-// subSeeds projects the carried population onto the sub jobs' rows, by
-// job ID as in remapSeeds, so seeds survive arrivals, departures, and
-// sparse or reordered IDs.
-func (p *Pollux) subSeeds(v *ClusterView, sub []int) []ga.Matrix {
+// subSeeds projects the carried population onto the sub jobs' rows by
+// job ID, so seeds survive arrivals, departures, and sparse or reordered
+// IDs; jobs the carried population does not know start with zero rows.
+func (r *round) subSeeds() []ga.Matrix {
+	p := r.p
 	if p.prevPop == nil {
 		return nil
 	}
-	nodes := len(v.Capacity)
+	nodes := len(r.v.Capacity)
 	prevIndex := make(map[int]int, len(p.prevJobs))
 	for i, id := range p.prevJobs {
 		prevIndex[id] = i
 	}
 	seeds := make([]ga.Matrix, 0, len(p.prevPop))
 	for _, prev := range p.prevPop {
-		m := ga.NewMatrix(len(sub), nodes)
-		for si, i := range sub {
-			if pi, ok := prevIndex[v.Jobs[i].ID]; ok && pi < len(prev) && len(prev[pi]) == nodes {
+		m := ga.NewMatrix(len(r.sub), nodes)
+		for si, i := range r.sub {
+			if pi, ok := prevIndex[r.v.Jobs[i].ID]; ok && pi < len(prev) && len(prev[pi]) == nodes {
 				copy(m[si], prev[pi])
 			}
 		}
 		seeds = append(seeds, m)
 	}
 	return seeds
+}
+
+// member is one job of a node-level solve.
+type member struct {
+	si  int   // the job's index in the round's sub
+	cur []int // its current row over the solve's columns
+	// Fixed context from the coarse rack pass, zero on a single-rack
+	// solve: GPUs, estimated nodes and racks the job holds outside the
+	// solve's columns, and whether those outside shares differ from the
+	// current allocation (which forces a restart whatever happens here).
+	otherK, otherNodes, otherRacks int
+	otherChanged                   bool
+}
+
+// solveNodes runs the node-level GA for the members over node columns
+// [n0, n1) and returns the best member-row matrix and the final
+// population (both borrowed from the GA, best first). A solve that covers
+// the whole view on one rack mutates densely, as the historical flat
+// scheduler did; any narrower one samples mutations sparsely.
+func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize, gens int) (ga.Matrix, []ga.Matrix) {
+	p := r.p
+	extraSpan := make([]int, len(mem))
+	for mi := range mem {
+		extraSpan[mi] = mem[mi].otherNodes
+	}
+	fitness := func(m ga.Matrix) float64 {
+		total := 0.0
+		for mi := range mem {
+			c := &mem[mi]
+			local := PlacementOf(m[mi])
+			racks := c.otherRacks
+			if local.GPUs > 0 {
+				racks++
+			}
+			i := r.sub[c.si]
+			s := r.tables[i].SpeedupRack(local.GPUs+c.otherK, local.Nodes+c.otherNodes, racks)
+			if r.running[c.si] && (c.otherChanged || !slices.Equal(m[mi], c.cur)) {
+				s -= p.opts.RestartPenalty
+			}
+			total += r.weights[i] * s
+		}
+		return total / r.sumW
+	}
+	g := ga.New(ga.Problem{
+		Capacity:              r.residual[n0:n1],
+		Jobs:                  len(mem),
+		Fitness:               fitness,
+		InterferenceAvoidance: !p.opts.DisableInterferenceAvoidance,
+		DistBlocked:           r.blocked[n0:n1],
+		ExtraSpan:             extraSpan,
+	}, ga.Options{
+		Population:     popSize,
+		Workers:        p.opts.Workers,
+		SparseMutation: len(mem) < len(r.v.Jobs) || n1-n0 < len(r.v.Capacity),
+	}, p.rng, seeds)
+	best, _ := g.Run(gens)
+	p.addStats(g.Stats())
+	return best, g.Population()
 }
 
 // feasibleComposed is ga.Feasible with per-job spans precomputed once:
@@ -447,12 +464,12 @@ func feasibleComposed(m ga.Matrix, capacity []int, avoidance bool) bool {
 	return true
 }
 
-// solveHier is the two-level solve: a coarse GA assigns each sub job GPU
-// counts per rack, then an independent small GA per rack refines node
-// placements within the coarse assignment. Returns the sub-row matrix
-// (len(sub) × nodes).
-func (p *Pollux) solveHier(v *ClusterView, sub []int, residual []int, distBlocked []bool,
-	tables []*speedupTable, weights []float64, sumW float64, cur ga.Matrix, curPl []core.Placement) ga.Matrix {
+// solveRacks is the two-level solve: a coarse GA assigns each sub job GPU
+// counts per rack, then solveNodes refines node placements rack by rack
+// within the coarse assignment. Returns the sub-row matrix (len(sub) ×
+// nodes) and records the number of racks refined.
+func (r *round) solveRacks() ga.Matrix {
+	p, v, sub := r.p, r.v, r.sub
 	nodes := len(v.Capacity)
 	size := p.opts.RackSize
 	racks := (nodes + size - 1) / size
@@ -461,38 +478,36 @@ func (p *Pollux) solveHier(v *ClusterView, sub []int, residual []int, distBlocke
 	rackNodes := make([]int, racks) // nodes per rack
 	rackMaxPer := make([]int, racks)
 	for n := 0; n < nodes; n++ {
-		r := n / size
-		rackCap[r] += residual[n]
-		rackNodes[r]++
-		if v.Capacity[n] > rackMaxPer[r] {
-			rackMaxPer[r] = v.Capacity[n]
-		}
+		rk := n / size
+		rackCap[rk] += r.residual[n]
+		rackNodes[rk]++
+		rackMaxPer[rk] = max(rackMaxPer[rk], v.Capacity[n])
 	}
 
 	// The coarse fitness fans out over workers; allocate the cross-rack
 	// table layers serially first.
 	for _, i := range sub {
-		tables[i].ensureRack(p.opts.RackPenalty)
+		r.tables[i].ensureRack()
 	}
 
-	// estNodes estimates the nodes g GPUs occupy in rack r when packed
+	// estNodes estimates the nodes g GPUs occupy in rack rk when packed
 	// densely (the refinement pass prefers dense packings, so this is
 	// the span the coarse pass should price).
-	estNodes := func(r, g int) int {
+	estNodes := func(rk, g int) int {
 		if g <= 0 {
 			return 0
 		}
-		per := rackMaxPer[r]
+		per := rackMaxPer[rk]
 		if per <= 0 {
-			return rackNodes[r]
+			return rackNodes[rk]
 		}
-		return min((g+per-1)/per, rackNodes[r])
+		return min((g+per-1)/per, rackNodes[rk])
 	}
 
 	// Current coarse assignment: sub jobs' rows aggregated by rack.
 	curCoarse := ga.NewMatrix(len(sub), racks)
 	for si := range sub {
-		for n, g := range cur[si] {
+		for n, g := range r.cur[si] {
 			if g > 0 {
 				curCoarse[si][n/size] += g
 			}
@@ -503,20 +518,20 @@ func (p *Pollux) solveHier(v *ClusterView, sub []int, residual []int, distBlocke
 		total := 0.0
 		for si, i := range sub {
 			k, nd, spanned := 0, 0, 0
-			for r, g := range m[si] {
+			for rk, g := range m[si] {
 				if g > 0 {
 					k += g
-					nd += estNodes(r, g)
+					nd += estNodes(rk, g)
 					spanned++
 				}
 			}
-			s := tables[i].SpeedupRack(k, nd, spanned)
-			if curPl[si].GPUs > 0 && !samePlacementRow(m[si], curCoarse[si]) {
+			s := r.tables[i].SpeedupRack(k, nd, spanned)
+			if r.running[si] && !slices.Equal(m[si], curCoarse[si]) {
 				s -= p.opts.RestartPenalty
 			}
-			total += weights[i] * s
+			total += r.weights[i] * s
 		}
-		return total / sumW
+		return total / r.sumW
 	}
 	// Interference is a node-granularity constraint; at rack granularity
 	// it would forbid valid placements, so the coarse pass skips it and
@@ -538,132 +553,61 @@ func (p *Pollux) solveHier(v *ClusterView, sub []int, residual []int, distBlocke
 	spannedRacks := make([]int, len(sub))
 	estSpan := make([]int, len(sub)) // estimated nodes across all racks
 	for si := range sub {
-		for r, g := range coarse[si] {
+		for rk, g := range coarse[si] {
 			if g > 0 {
 				totalK[si] += g
 				spannedRacks[si]++
-				estSpan[si] += estNodes(r, g)
+				estSpan[si] += estNodes(rk, g)
 			}
 		}
 	}
 
 	rows := ga.NewMatrix(len(sub), nodes)
-	refined := 0
-	for r := 0; r < racks; r++ {
-		if p.refineRack(v, sub, r, coarse, cur, curPl, curCoarse, residual, distBlocked,
-			tables, weights, sumW, totalK, spannedRacks, estSpan, estNodes, rows) {
-			refined++
-		}
-	}
-	p.lastStats.Racks = refined
-	return rows
-}
-
-// refineRack runs the within-rack GA for rack r over the jobs the coarse
-// pass assigned GPUs there, writing their node placements into rows.
-// Reports whether the rack had any members to refine.
-func (p *Pollux) refineRack(v *ClusterView, sub []int, r int, coarse, cur ga.Matrix,
-	curPl []core.Placement, curCoarse ga.Matrix, residual []int, distBlocked []bool,
-	tables []*speedupTable, weights []float64, sumW float64,
-	totalK, spannedRacks, estSpan []int, estNodes func(int, int) int, rows ga.Matrix) bool {
-	size := p.opts.RackSize
-	nodes := len(v.Capacity)
-	n0 := r * size
-	n1 := min(n0+size, nodes)
-	width := n1 - n0
-
-	var members []int // indices into sub
-	for si := range sub {
-		if coarse[si][r] > 0 {
-			members = append(members, si)
-		}
-	}
-	if len(members) == 0 {
-		return false
-	}
-
-	localCap := residual[n0:n1]
-	blocked := distBlocked[n0:n1]
-
-	// Fixed cross-rack context per member: GPUs and estimated nodes the
-	// coarse assignment places in other racks, and whether those other-
-	// rack shares differ from the current allocation (which forces a
-	// restart regardless of the local outcome).
-	otherK := make([]int, len(members))
-	extraNodes := make([]int, len(members))
-	otherRacks := make([]int, len(members))
-	otherChanged := make([]bool, len(members))
-	curLocal := make(ga.Matrix, len(members))
-	for mi, si := range members {
-		local := coarse[si][r]
-		otherK[mi] = totalK[si] - local
-		extraNodes[mi] = estSpan[si] - estNodes(r, local)
-		otherRacks[mi] = spannedRacks[si] - 1
-		for rr := range coarse[si] {
-			if rr != r && coarse[si][rr] != curCoarse[si][rr] {
-				otherChanged[mi] = true
-				break
+	p.lastStats.Racks = 0
+	for rk := 0; rk < racks; rk++ {
+		n0 := rk * size
+		n1 := min(n0+size, nodes)
+		// The rack's members are the jobs the coarse pass gave GPUs here.
+		var mem []member
+		for si := range sub {
+			local := coarse[si][rk]
+			if local <= 0 {
+				continue
 			}
-		}
-		curLocal[mi] = cur[si][n0:n1]
-	}
-
-	fitness := func(m ga.Matrix) float64 {
-		total := 0.0
-		for mi, si := range members {
-			localK, localN := 0, 0
-			for _, g := range m[mi] {
-				if g > 0 {
-					localK += g
-					localN++
+			c := member{
+				si:         si,
+				cur:        r.cur[si][n0:n1],
+				otherK:     totalK[si] - local,
+				otherNodes: estSpan[si] - estNodes(rk, local),
+				otherRacks: spannedRacks[si] - 1,
+			}
+			for rr := range coarse[si] {
+				if rr != rk && coarse[si][rr] != curCoarse[si][rr] {
+					c.otherChanged = true
+					break
 				}
 			}
-			k := localK + otherK[mi]
-			span := localN + extraNodes[mi]
-			rk := otherRacks[mi]
-			if localK > 0 {
-				rk++
-			}
-			s := tables[sub[si]].SpeedupRack(k, span, rk)
-			if curPl[si].GPUs > 0 && (otherChanged[mi] || !samePlacementRow(m[mi], curLocal[mi])) {
-				s -= p.opts.RestartPenalty
-			}
-			total += weights[sub[si]] * s
+			mem = append(mem, c)
 		}
-		return total / sumW
-	}
-
-	// Seeds: the current local segments, and the coarse shares packed
-	// densely onto the rack's freest nodes.
-	seedCur := make(ga.Matrix, len(members))
-	for mi := range members {
-		seedCur[mi] = curLocal[mi]
-	}
-	seedPack := ga.NewMatrix(len(members), width)
-	free := append([]int(nil), localCap...)
-	for mi, si := range members {
-		if row := packJob(free, coarse[si][r]); row != nil {
-			copy(seedPack[mi], row)
+		if len(mem) == 0 {
+			continue
 		}
+		// Seeds: the current local segments, and the coarse shares packed
+		// densely onto the rack's freest nodes.
+		seedCur := make(ga.Matrix, len(mem))
+		seedPack := ga.NewMatrix(len(mem), n1-n0)
+		free := append([]int(nil), r.residual[n0:n1]...)
+		for mi, c := range mem {
+			seedCur[mi] = c.cur
+			if row := packJob(free, coarse[c.si][rk]); row != nil {
+				copy(seedPack[mi], row)
+			}
+		}
+		best, _ := r.solveNodes(mem, n0, n1, []ga.Matrix{seedCur, seedPack}, refinePop, refineGens)
+		for mi, c := range mem {
+			copy(rows[c.si][n0:n1], best[mi])
+		}
+		p.lastStats.Racks++
 	}
-
-	rg := ga.New(ga.Problem{
-		Capacity:              localCap,
-		Jobs:                  len(members),
-		Fitness:               fitness,
-		InterferenceAvoidance: !p.opts.DisableInterferenceAvoidance,
-		DistBlocked:           blocked,
-		ExtraSpan:             extraNodes,
-	}, ga.Options{
-		Population:     p.opts.RefinePop,
-		Workers:        p.opts.Workers,
-		SparseMutation: true,
-	}, p.rng, []ga.Matrix{seedCur, seedPack})
-	best, _ := rg.Run(p.opts.RefineGens)
-	p.addStats(rg.Stats())
-
-	for mi, si := range members {
-		copy(rows[si][n0:n1], best[mi])
-	}
-	return true
+	return rows
 }

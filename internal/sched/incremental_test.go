@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -68,7 +69,7 @@ func TestIncrementalDirtyOnModelChange(t *testing.T) {
 	// the applied allocation.
 	changed := 0
 	for j := range out {
-		if !samePlacementRow(out[j], first[j]) {
+		if !slices.Equal(out[j], first[j]) {
 			changed++
 		}
 	}
@@ -356,31 +357,28 @@ func TestRemapSeedsSparseIDsBitStable(t *testing.T) {
 
 	// New view: shuffled order, one departure (907), one arrival (999999).
 	jobs := []JobView{{ID: 500000}, {ID: 42}, {ID: 999999}, {ID: 13}}
-	seeds := p.remapSeeds(jobs, nodes)
-	if len(seeds) != 2 {
-		t.Fatalf("%d seeds, want 2", len(seeds))
-	}
+	r := &round{p: p, v: &ClusterView{Capacity: make([]int, nodes), Jobs: jobs}}
 	zero := make([]int, nodes)
-	for pi, seed := range seeds {
-		for i, j := range jobs {
-			want := zero
-			if j.ID != 999999 {
-				want = rowFor(j.ID + pi)
-			}
-			if !samePlacementRow(seed[i], want) {
-				t.Errorf("seed %d job %d row = %v, want %v", pi, j.ID, seed[i], want)
-			}
+	// Every job (a full round), then a sub-problem (IDs 500000 and 13):
+	// both must project the same ID-keyed rows.
+	for _, sub := range [][]int{{0, 1, 2, 3}, {0, 3}} {
+		r.sub = sub
+		seeds := r.subSeeds()
+		if len(seeds) != 2 {
+			t.Fatalf("sub %v: %d seeds, want 2", sub, len(seeds))
 		}
-	}
-
-	// subSeeds must project the same rows onto a sub-problem.
-	v := &ClusterView{Capacity: make([]int, nodes), Jobs: jobs}
-	sub := []int{0, 3} // IDs 500000 and 13
-	subSeeds := p.subSeeds(v, sub)
-	for pi, seed := range subSeeds {
-		for si, i := range sub {
-			if want := rowFor(jobs[i].ID + pi); !samePlacementRow(seed[si], want) {
-				t.Errorf("subSeed %d job %d row = %v, want %v", pi, jobs[i].ID, seed[si], want)
+		for pi, seed := range seeds {
+			if len(seed) != len(sub) {
+				t.Fatalf("sub %v: seed %d has %d rows", sub, pi, len(seed))
+			}
+			for si, i := range sub {
+				want := zero
+				if jobs[i].ID != 999999 {
+					want = rowFor(jobs[i].ID + pi)
+				}
+				if !slices.Equal(seed[si], want) {
+					t.Errorf("sub %v: seed %d job %d row = %v, want %v", sub, pi, jobs[i].ID, seed[si], want)
+				}
 			}
 		}
 	}
@@ -419,8 +417,8 @@ func TestSpeedupTableTriangular(t *testing.T) {
 func TestSpeedupRack(t *testing.T) {
 	model := models.ByName("resnet18").GoodputModel(0.5)
 	tab := newSpeedupTable(model, 16, 16, 8)
-	tab.ensureRack(2)
-	tab.ensureRack(2) // idempotent
+	tab.ensureRack()
+	tab.ensureRack() // idempotent
 
 	//pollux:floateq-ok a single-rack span must reduce to the identical two-tier cell
 	if got, want := tab.SpeedupRack(8, 2, 1), tab.Speedup(8, 2); got != want {
@@ -436,5 +434,33 @@ func TestSpeedupRack(t *testing.T) {
 	}
 	if s := tab.SpeedupRack(8, 4, 5); s != 0 {
 		t.Errorf("more racks than nodes should score 0, got %v", s)
+	}
+}
+
+// TestRackSizeAloneStaysFull pins the documented meaning of RackSize
+// without Incremental (pollux-sim -racksize N): every round re-places every
+// job, hierarchically. The dirty set used to be consulted regardless of
+// Incremental, so rounds after the first silently went partial.
+func TestRackSizeAloneStaysFull(t *testing.T) {
+	v := viewWith(10, 8, 4)
+	p := NewPollux(PolluxOptions{Population: 20, Generations: 10, RackSize: 4}, 31)
+	for r := 0; r < 4; r++ {
+		v.Current = p.Schedule(v)
+		st := p.LastRoundStats()
+		if !st.Full || st.Skipped || st.Sub != len(v.Jobs) {
+			t.Fatalf("round %d is not a full re-optimization: %+v", r, st)
+		}
+		if st.Racks == 0 {
+			t.Fatalf("round %d did not decompose by rack: %+v", r, st)
+		}
+		if !ga.Feasible(v.Current, v.Capacity, true) {
+			t.Fatalf("round %d infeasible: %v", r, v.Current)
+		}
+		if r == 1 {
+			v.Jobs[3].Model.Phi *= 1.5 // one refit: a partial round if the dirty set were consulted
+		}
+	}
+	if p.inc != nil {
+		t.Error("dirty-set state kept although Incremental is off")
 	}
 }

@@ -51,30 +51,14 @@ type PolluxOptions struct {
 	// optimum. Zero takes the default of 10; negative means never force
 	// one (for experiments isolating the incremental path).
 	FullEvery int
-	// QueuedPerRound caps how many clean zero-allocation (queued) jobs
-	// are pulled into each incremental round to compete for freed
-	// capacity, in snapshot order. Zero takes the default of 64; negative
-	// means unlimited.
-	QueuedPerRound int
 	// RackSize, when > 0, enables hierarchical decomposition for
 	// clusters of at least two racks: a coarse GA assigns jobs to racks
 	// of RackSize contiguous nodes (priced by the Sec. 3.2 rack-locality
 	// extension), then small per-rack GAs refine node placements,
 	// cutting the per-round search space from O(nodes) to
-	// O(racks) + O(nodes/rack).
+	// O(racks) + O(nodes/rack). Without Incremental every round is a full
+	// hierarchical one.
 	RackSize int
-	// RackPenalty scales the fitted node-tier sync parameters into the
-	// derived cross-rack tier (core.DeriveRackParams): cross-rack hops
-	// cost RackPenalty× the intra-rack ones. Zero takes the default of
-	// 2; a negative value means an explicit factor of zero (rack spans
-	// priced like node spans).
-	RackPenalty float64
-	// RefinePop and RefineGens size the per-rack refinement GAs; they
-	// default to 16 and 10. The coarse rack-assignment pass uses the
-	// main Population/Generations (its matrices are racks wide, not
-	// nodes, so it is cheap regardless).
-	RefinePop  int
-	RefineGens int
 }
 
 func (o *PolluxOptions) defaults() {
@@ -99,23 +83,25 @@ func (o *PolluxOptions) defaults() {
 	} else if o.FullEvery < 0 {
 		o.FullEvery = -1 // never force a full round
 	}
-	if o.QueuedPerRound == 0 {
-		o.QueuedPerRound = 64
-	} else if o.QueuedPerRound < 0 {
-		o.QueuedPerRound = -1 // unlimited
-	}
-	if o.RackPenalty < 0 {
-		o.RackPenalty = 0
-	} else if o.RackPenalty == 0 {
-		o.RackPenalty = 2
-	}
-	if o.RefinePop <= 0 {
-		o.RefinePop = 16
-	}
-	if o.RefineGens <= 0 {
-		o.RefineGens = 10
-	}
 }
+
+// Fixed settings of incremental and hierarchical rounds. No caller ever
+// chose other values, so they are not options.
+const (
+	// queuedPerRound caps how many clean queued (zero-allocation) jobs
+	// join each incremental round's dirty set, in snapshot order, to
+	// compete for the capacity the round frees.
+	queuedPerRound = 64
+	// rackPenalty scales the fitted node-tier sync parameters into the
+	// derived cross-rack tier (core.DeriveRackParams): a cross-rack hop
+	// costs this many intra-rack ones.
+	rackPenalty = 2
+	// refinePop and refineGens size the per-rack refinement GAs. The
+	// coarse rack pass runs at the main Population/Generations: its
+	// matrices are racks wide, not nodes, so it is cheap regardless.
+	refinePop  = 16
+	refineGens = 10
+)
 
 // Pollux is the co-adaptive scheduler (Sec. 4.2). It keeps its GA
 // population between scheduling intervals to bootstrap the next
@@ -244,71 +230,61 @@ func newSpeedupTable(model core.Model, gpuCap, maxK, nodes int) *speedupTable {
 	return t
 }
 
-// Speedup returns SPEEDUP for (K GPUs, N nodes), honoring the exploration
-// cap: allocations beyond the cap score zero, which makes them strictly
-// worse than pausing plus reallocating those GPUs elsewhere. Placements
-// with more nodes than GPUs are invalid and likewise score zero. It is
-// safe for concurrent use.
-func (t *speedupTable) Speedup(k, n int) float64 {
-	if k <= 0 || t.denom <= 0 {
-		return 0
-	}
-	if k > t.kCap || n > t.nodes || n > k {
-		return 0
-	}
-	idx := t.offs[k] + n
-	if bits := atomic.LoadUint64(&t.cells[idx]); bits != unsetCell {
-		return math.Float64frombits(bits)
-	}
-	v := 0.0
-	if _, num, ok := t.model.OptimalBatch(core.Placement{GPUs: k, Nodes: n}); ok {
-		v = num / t.denom
-	}
-	atomic.StoreUint64(&t.cells[idx], math.Float64bits(v))
-	return v
-}
-
 // ensureRack allocates the cross-rack layer and the derived rack-aware
 // θsys before the coarse pass fans fitness workers out; it must be called
 // serially (the layer itself is then filled with the same atomic
-// protocol as cells). The penalty factor is fixed per Pollux instance, so
-// an existing layer is always current.
-func (t *speedupTable) ensureRack(factor float64) {
+// protocol as cells). rackPenalty is a constant, so an existing layer is
+// always current.
+func (t *speedupTable) ensureRack() {
 	if t.rackCells != nil {
 		return
 	}
-	t.rackParams = core.DeriveRackParams(t.model.Params, factor)
+	t.rackParams = core.DeriveRackParams(t.model.Params, rackPenalty)
 	t.rackCells = make([]uint64, len(t.cells))
 	for i := range t.rackCells {
 		t.rackCells[i] = unsetCell
 	}
 }
 
-// SpeedupRack is Speedup for a placement spanning the given number of
-// racks, against the same single-GPU denominator. racks <= 1 reduces to
-// the two-tier table; ensureRack must have been called before any
-// multi-rack lookup.
+// Speedup returns SPEEDUP for (K GPUs, N nodes) on one rack.
+func (t *speedupTable) Speedup(k, n int) float64 { return t.SpeedupRack(k, n, 1) }
+
+// SpeedupRack returns SPEEDUP for K GPUs on N nodes spanning the given
+// number of racks, honoring the exploration cap: allocations beyond the
+// cap score zero, which makes them strictly worse than pausing plus
+// reallocating those GPUs elsewhere. Placements with more nodes than GPUs
+// or more racks than nodes are invalid and likewise score zero. racks <= 1
+// reads the two-tier cells; ensureRack must have been called before any
+// multi-rack lookup. It is safe for concurrent use.
 func (t *speedupTable) SpeedupRack(k, n, racks int) float64 {
-	if racks <= 1 {
-		return t.Speedup(k, n)
-	}
 	if k <= 0 || t.denom <= 0 {
 		return 0
 	}
-	if k > t.kCap || n > t.nodes || n > k || racks > n {
+	if k > t.kCap || n > t.nodes || n > k || (racks > 1 && racks > n) {
 		return 0
 	}
+	cells := t.cells
+	if racks > 1 {
+		cells = t.rackCells
+	}
 	idx := t.offs[k] + n
-	if bits := atomic.LoadUint64(&t.rackCells[idx]); bits != unsetCell {
+	if bits := atomic.LoadUint64(&cells[idx]); bits != unsetCell {
 		return math.Float64frombits(bits)
 	}
+	var num float64
+	var ok bool
+	if racks > 1 {
+		// Racks: 2 stands in for any multi-rack span — the derived TSync
+		// tier is the same for all of them (see rackCells).
+		_, num, ok = t.model.OptimalBatchRack(t.rackParams, core.RackPlacement{GPUs: k, Nodes: n, Racks: 2})
+	} else {
+		_, num, ok = t.model.OptimalBatch(core.Placement{GPUs: k, Nodes: n})
+	}
 	v := 0.0
-	// Racks: 2 stands in for any multi-rack span — the derived TSync
-	// tier is the same for all of them (see rackCells).
-	if _, num, ok := t.model.OptimalBatchRack(t.rackParams, core.RackPlacement{GPUs: k, Nodes: n, Racks: 2}); ok {
+	if ok {
 		v = num / t.denom
 	}
-	atomic.StoreUint64(&t.rackCells[idx], math.Float64bits(v))
+	atomic.StoreUint64(&cells[idx], math.Float64bits(v))
 	return v
 }
 
@@ -348,11 +324,10 @@ func (p *Pollux) pruneTables(jobs []JobView) {
 	}
 }
 
-// Schedule computes the round's allocation matrix (Eqn. 14). In the
-// default configuration every round is a full re-optimization
-// (scheduleFlat, bit-identical to the historical behavior); with
-// Incremental or RackSize set, rounds go through the dirty-set and
-// rack-hierarchical paths in incremental.go.
+// Schedule computes the round's allocation matrix (Eqn. 14). Every
+// configuration takes this one path (see incremental.go): pick the jobs to
+// re-place, solve for them against what the others leave free, commit.
+// The default re-places every job every round.
 func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 	nJobs := len(v.Jobs)
 	p.lastStats = RoundStats{Jobs: nJobs, Sub: nJobs, Full: true}
@@ -363,89 +338,40 @@ func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 		return ga.NewMatrix(0, len(v.Capacity))
 	}
 	p.pruneTables(v.Jobs)
-	if p.opts.Incremental || p.opts.RackSize > 0 {
-		return p.scheduleIncremental(v)
-	}
-	return p.scheduleFlat(v)
-}
 
-// roundTables builds the per-job speedup tables and Eqn. 16 weights for
-// one round. The weight sum is accumulated in job order, matching the
-// historical two-loop computation bit for bit.
-func (p *Pollux) roundTables(v *ClusterView) (tables []*speedupTable, weights []float64, sumW float64) {
-	jobs := v.Jobs
-	maxK := v.TotalGPUs()
-	tables = make([]*speedupTable, len(jobs))
-	weights = make([]float64, len(jobs))
-	for i, j := range jobs {
-		tables[i] = p.cachedTable(j, maxK, len(v.Capacity))
-		weights[i] = p.weight(j.GPUTime)
-	}
-	for _, w := range weights {
-		sumW += w
-	}
-	if sumW == 0 {
-		sumW = 1
-	}
-	return tables, weights, sumW
-}
-
-// scheduleFlat is the paper's full re-optimization: one GA over every
-// job × every node, carrying the whole population to the next interval.
-func (p *Pollux) scheduleFlat(v *ClusterView) ga.Matrix {
-	jobs := v.Jobs
-	nJobs := len(jobs)
-	tables, weights, sumW := p.roundTables(v)
-
-	// Restart detection against the currently applied allocation.
-	curPlacement := make([]core.Placement, nJobs)
-	for i := range jobs {
-		if v.Current != nil && i < len(v.Current) {
-			curPlacement[i] = PlacementOf(v.Current[i])
+	sub := p.dirtySet(v)
+	var out ga.Matrix
+	if len(sub) == 0 {
+		// Nothing changed anywhere: carry the allocation forward without
+		// running any GA.
+		out = v.Current.Clone()
+	} else {
+		racks := p.opts.RackSize > 0 && len(v.Capacity) >= 2*p.opts.RackSize // it takes two racks to decompose
+		r := p.newRound(v)
+		out = r.solve(sub, racks)
+		// A nil result failed the defensive feasibility check: widen to
+		// every job, then to a single rack, whose result is repaired GA
+		// output and needs no check.
+		if out == nil && len(sub) < nJobs {
+			sub = allJobs(nJobs)
+			out = r.solve(sub, racks)
+		}
+		if out == nil {
+			out = r.solve(sub, false)
 		}
 	}
-
-	fitness := func(m ga.Matrix) float64 {
-		total := 0.0
-		for i := range m {
-			pl := PlacementOf(m[i])
-			s := tables[i].Speedup(pl.GPUs, pl.Nodes)
-			if curPlacement[i].GPUs > 0 && !samePlacementRow(m[i], v.Current[i]) {
-				s -= p.opts.RestartPenalty
-			}
-			total += weights[i] * s
-		}
-		return total / sumW
+	p.lastStats.Sub = len(sub)
+	p.lastStats.Full = len(sub) == nJobs
+	p.lastStats.Skipped = len(sub) == 0
+	if p.lastStats.Full {
+		p.sinceFull = 0
+	} else {
+		p.sinceFull++
 	}
-
-	prob := ga.Problem{
-		Capacity:              v.Capacity,
-		Jobs:                  nJobs,
-		Fitness:               fitness,
-		InterferenceAvoidance: !p.opts.DisableInterferenceAvoidance,
+	if p.opts.Incremental {
+		p.commitState(v, out)
 	}
-
-	seeds := p.remapSeeds(jobs, len(v.Capacity))
-	// Always seed the currently applied allocation: keeping everything
-	// in place must be representable so restarts stay justified.
-	if v.Current != nil && len(v.Current) == nJobs {
-		seeds = append([]ga.Matrix{v.Current}, seeds...)
-	}
-	g := ga.New(prob, ga.Options{Population: p.opts.Population, Workers: p.opts.Workers}, p.rng, seeds)
-	best, _ := g.Run(p.opts.Generations)
-
-	// Save the population for the next interval.
-	pop := g.Population()
-	p.prevPop = make([]ga.Matrix, len(pop))
-	for i, m := range pop {
-		p.prevPop[i] = m.Clone()
-	}
-	p.prevJobs = make([]int, nJobs)
-	for i, j := range jobs {
-		p.prevJobs[i] = j.ID
-	}
-	p.addStats(g.Stats())
-	return best.Clone()
+	return out
 }
 
 // addStats folds one GA's fitness-work counters into the round stats.
@@ -547,39 +473,4 @@ func (p *Pollux) weight(gpuTime float64) float64 {
 		return 1
 	}
 	return math.Pow(p.opts.GPUTimeThres/gpuTime, p.opts.Lambda)
-}
-
-// remapSeeds rebuilds the previous population for the current job set:
-// rows follow their job IDs; new jobs start with zero rows.
-func (p *Pollux) remapSeeds(jobs []JobView, nodes int) []ga.Matrix {
-	if p.prevPop == nil {
-		return nil
-	}
-	prevIndex := make(map[int]int, len(p.prevJobs))
-	for i, id := range p.prevJobs {
-		prevIndex[id] = i
-	}
-	seeds := make([]ga.Matrix, 0, len(p.prevPop))
-	for _, prev := range p.prevPop {
-		m := ga.NewMatrix(len(jobs), nodes)
-		for i, j := range jobs {
-			if pi, ok := prevIndex[j.ID]; ok && pi < len(prev) && len(prev[pi]) == nodes {
-				copy(m[i], prev[pi])
-			}
-		}
-		seeds = append(seeds, m)
-	}
-	return seeds
-}
-
-func samePlacementRow(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

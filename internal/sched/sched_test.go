@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -187,7 +188,7 @@ func TestPolluxPopulationCarryOver(t *testing.T) {
 	// keep their placement.
 	same := 0
 	for j := range second {
-		if samePlacementRow(second[j], first[j]) {
+		if slices.Equal(second[j], first[j]) {
 			same++
 		}
 	}

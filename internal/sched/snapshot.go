@@ -70,7 +70,9 @@ type IncSnapshot struct {
 	Cap  []int
 }
 
-// SigSnapshot is the serializable form of a job's change signature.
+// SigSnapshot is a job's change signature for dirty detection, stored and
+// serialized as is: a refit (Params or φt move), an exploration-cap change,
+// or a demand change all alter it.
 type SigSnapshot struct {
 	Model   core.Model
 	GPUCap  int
@@ -115,11 +117,9 @@ func (p *Pollux) Snapshot() *PolluxSnapshot {
 	if p.inc != nil {
 		inc := &IncSnapshot{
 			IDs:  append([]int(nil), p.inc.ids...),
+			Sigs: append([]SigSnapshot(nil), p.inc.sigs...),
 			Rows: p.inc.rows.Clone(),
 			Cap:  append([]int(nil), p.inc.cap...),
-		}
-		for _, sig := range p.inc.sigs {
-			inc.Sigs = append(inc.Sigs, SigSnapshot{Model: sig.model, GPUCap: sig.gpuCap, MinGPUs: sig.minGPUs})
 		}
 		s.Inc = inc
 	}
@@ -148,7 +148,7 @@ func (p *Pollux) Restore(s *PolluxSnapshot) error {
 		}
 		copy(t.cells, ts.Cells)
 		if ts.RackCells != nil {
-			t.ensureRack(p.opts.RackPenalty)
+			t.ensureRack()
 			if len(ts.RackCells) != len(t.rackCells) {
 				return fmt.Errorf("sched: snapshot rack layer for job %d has %d cells, dimensions imply %d", ts.JobID, len(ts.RackCells), len(t.rackCells))
 			}
@@ -164,15 +164,13 @@ func (p *Pollux) Restore(s *PolluxSnapshot) error {
 		}
 		inc = &incState{
 			ids:   append([]int(nil), s.Inc.IDs...),
+			sigs:  append([]SigSnapshot(nil), s.Inc.Sigs...),
 			rows:  s.Inc.Rows.Clone(),
 			index: make(map[int]int, len(s.Inc.IDs)),
 			cap:   append([]int(nil), s.Inc.Cap...),
 		}
 		for i, id := range s.Inc.IDs {
 			inc.index[id] = i
-		}
-		for _, sig := range s.Inc.Sigs {
-			inc.sigs = append(inc.sigs, jobSig{model: sig.Model, gpuCap: sig.GPUCap, minGPUs: sig.MinGPUs})
 		}
 	}
 
