@@ -21,9 +21,10 @@
 // -incremental switches Pollux to incremental scheduling rounds (only
 // jobs whose fitted model, phase, or GPU demand changed are re-placed;
 // -fullevery forces a periodic full re-optimization) and -racksize
-// enables the hierarchical rack-then-node GA decomposition; both keep
-// the default flat full rounds when unset, preserving the fixed-seed
-// baselines bit for bit.
+// enables the hierarchical rack-then-node GA decomposition (on its own,
+// every round is a full hierarchical one); both keep the default flat
+// full rounds when unset, preserving the fixed-seed baselines bit for
+// bit.
 //
 // -scale presets the cluster shape (-jobs/-hours/-nodes/-gpus/-tick) from
 // the shared quick/full experiment scales (internal/cliutil), so a single
@@ -80,7 +81,7 @@ func main() {
 	fullEvery := flag.Int("fullevery", 0,
 		"with -incremental: force a full re-optimization every N rounds (0 = default cadence, negative = never)")
 	rackSize := flag.Int("racksize", 0,
-		"Pollux only: nodes per rack for hierarchical rack-then-node GA decomposition (0 = flat)")
+		"Pollux only: nodes per rack for hierarchical rack-then-node GA decomposition (0 = flat); without -incremental every round is a full hierarchical one")
 	engine := flag.String("engine", sim.EngineEvent,
 		"simulation engine: event (discrete-event), tick (fixed-step), or replay (testbed control path on virtual time)")
 	overRPC := flag.Bool("rpc", false, "with -engine replay: drive the agent boundary over a loopback net/rpc socket")

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestGainIdentityAtM0(t *testing.T) {
@@ -79,7 +81,7 @@ func TestGainBoundsProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(300)); err != nil {
 		t.Error(err)
 	}
 }
@@ -98,7 +100,7 @@ func TestGainFormEquivalenceProperty(t *testing.T) {
 		b := GainFromMoments(sigmaSq, muSq, m0, m)
 		return math.Abs(a-b) < 1e-9*math.Max(1, a)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(300)); err != nil {
 		t.Error(err)
 	}
 }
@@ -136,7 +138,7 @@ func TestAdaScaleBetweenConstantAndLinearProperty(t *testing.T) {
 		lr := LearningRate(eta0, Gain(phi, m0, m))
 		return lr >= eta0-1e-12 && lr <= LinearScale(eta0, m0, m)+1e-9
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(300)); err != nil {
 		t.Error(err)
 	}
 }

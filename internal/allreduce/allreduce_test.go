@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 // runGroup executes one all-reduce across k goroutines and returns each
@@ -156,7 +158,7 @@ func TestRingProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(50)); err != nil {
 		t.Error(err)
 	}
 }

@@ -87,7 +87,9 @@ func (c *ReplayConfig) defaults() {
 		c.ReportEvery = 30
 	}
 	if c.RestartDelay < 0 {
-		c.RestartDelay = 0
+		// Explicit zero pause. It stays negative on its way to the
+		// trainers: a 0 would read as "take the default" there.
+		c.RestartDelay = -1
 	} else if c.RestartDelay == 0 {
 		c.RestartDelay = 30
 	}
@@ -324,8 +326,8 @@ func (r *replayRun) drive(checkpointAt *float64) (cutSched float64, err error) {
 func (r *replayRun) result() ReplayResult {
 	var res ReplayResult
 	var tputSum, goodSum, runSum float64
-	type tenantAccum struct{ goodSum, runTime float64 }
-	tenantRates := make(map[string]*tenantAccum)
+	goodSums := make([]float64, 0, len(r.tasks))
+	runTimes := make([]float64, 0, len(r.tasks))
 	for _, t := range r.tasks {
 		res.Records = append(res.Records, metrics.JobRecord{
 			Submit:   t.wj.Submit,
@@ -337,37 +339,11 @@ func (r *replayRun) result() ReplayResult {
 		tputSum += t.tr.tputSum
 		goodSum += t.tr.goodSum
 		runSum += t.tr.runTime
-		if t.wj.Tenant != "" {
-			ta := tenantRates[t.wj.Tenant]
-			if ta == nil {
-				ta = &tenantAccum{}
-				tenantRates[t.wj.Tenant] = ta
-			}
-			ta.goodSum += t.tr.goodSum
-			ta.runTime += t.tr.runTime
-		}
+		goodSums = append(goodSums, t.tr.goodSum)
+		runTimes = append(runTimes, t.tr.runTime)
 	}
 	res.Summary = metrics.Summarize(res.Records)
-	res.PerTenant = metrics.SummarizeTenants(res.Records)
-	feStats := r.fe.Stats()
-	//pollux:order-ok each iteration fills only its own tenant's summary; Rounds is a pure accessor
-	for tenant, ts := range res.PerTenant {
-		if st, ok := feStats[tenant]; ok {
-			ts.Submitted = st.Submitted
-			ts.Admitted = st.Admitted
-			ts.Rejected = st.Rejected
-			if rounds := r.fe.Rounds(); rounds > 0 {
-				ts.AvgQueueDepth = st.QueueDepthSum / float64(rounds)
-			}
-		} else {
-			ts.Submitted = ts.Summary.Total
-			ts.Admitted = ts.Summary.Total
-		}
-		if ta := tenantRates[tenant]; ta != nil && ta.runTime > 0 {
-			ts.AvgGoodput = ta.goodSum / ta.runTime
-		}
-		res.PerTenant[tenant] = ts
-	}
+	res.PerTenant = metrics.SummarizeRunTenants(res.Records, goodSums, runTimes, r.fe)
 	res.Admissions = r.fe.Decisions()
 	if runSum > 0 {
 		res.AvgThroughput = tputSum / runSum

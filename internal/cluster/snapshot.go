@@ -195,9 +195,6 @@ func (t *Trainer) restore(tr Transport, snap *TrainerSnapshot) error {
 	if t.ReportEvery <= 0 {
 		t.ReportEvery = 30
 	}
-	if t.RestartDelay == 0 {
-		t.RestartDelay = 30
-	}
 	t.transport = tr
 	t.submit = snap.Submit
 	t.src = detrand.Restore(snap.RNG)

@@ -152,14 +152,25 @@ func (t *Trainer) clock() (eventsim.Clock, error) {
 	return &eventsim.Wall{Compression: t.Compression}, nil
 }
 
+// restartDelay resolves the RestartDelay convention where the pause is
+// charged and leaves the field as configured: a resolved explicit zero
+// written back would read as "take the default" at the next begin or
+// restore.
+func (t *Trainer) restartDelay() float64 {
+	switch {
+	case t.RestartDelay < 0:
+		return 0
+	case t.RestartDelay == 0:
+		return 30
+	}
+	return t.RestartDelay
+}
+
 // begin initializes the control loop against a transport and sends the
 // initial report.
 func (t *Trainer) begin(tr Transport, submit float64) error {
 	if t.ReportEvery <= 0 {
 		t.ReportEvery = 30
-	}
-	if t.RestartDelay == 0 {
-		t.RestartDelay = 30
 	}
 	t.transport = tr
 	t.submit = submit
@@ -221,7 +232,7 @@ func (t *Trainer) tick() (bool, error) {
 	if alloc.Generation != t.lastGen {
 		t.lastGen = alloc.Generation
 		if pl.GPUs > 0 {
-			t.restartUntil = t.simNow + t.RestartDelay
+			t.restartUntil = t.simNow + t.restartDelay()
 		}
 	}
 

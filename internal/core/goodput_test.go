@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func refModel(phi float64) Model {
@@ -68,7 +70,7 @@ func TestEfficiencyProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(500)); err != nil {
 		t.Error(err)
 	}
 }
@@ -103,7 +105,7 @@ func TestGoodputNeverExceedsThroughput(t *testing.T) {
 		m := lo + rng.Intn(hi-lo+1)
 		return g.Goodput(pl, m) <= g.Throughput(pl, m)+1e-9
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(500)); err != nil {
 		t.Error(err)
 	}
 }
@@ -200,7 +202,7 @@ func TestSpeedupSublinearProperty(t *testing.T) {
 		s := g.Speedup(Placement{k, nodes})
 		return s <= float64(k)+1e-6
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(300)); err != nil {
 		t.Error(err)
 	}
 }

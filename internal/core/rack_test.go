@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 var refRack = RackParams{
@@ -99,7 +101,7 @@ func TestRackTIterBetweenMaxAndSum(t *testing.T) {
 		ti := p.TIter(pl, m)
 		return ti >= math.Max(tg, ts)-1e-9 && ti <= tg+ts+1e-9
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(300)); err != nil {
 		t.Error(err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 // refParams is a plausible θsys used across tests: ~50ms constant grad
@@ -129,7 +131,7 @@ func TestTIterBetweenMaxAndSum(t *testing.T) {
 		hi := tg + ts
 		return ti >= lo-1e-9 && ti <= hi+1e-9
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(500)); err != nil {
 		t.Error(err)
 	}
 }
@@ -194,7 +196,7 @@ func TestThroughputMonotoneInBatch(t *testing.T) {
 		m := 32 + rng.Intn(4096)
 		return p.Throughput(pl, float64(m+64)) >= p.Throughput(pl, float64(m))-1e-9
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(500)); err != nil {
 		t.Error(err)
 	}
 }
@@ -212,7 +214,7 @@ func TestThroughputMonotoneInGPUsNoRetrogression(t *testing.T) {
 		b := p.Throughput(Placement{k + 1, 1}, m)
 		return b >= a-1e-9
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(500)); err != nil {
 		t.Error(err)
 	}
 }

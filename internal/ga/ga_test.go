@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestNewMatrixZero(t *testing.T) {
@@ -142,7 +144,7 @@ func TestRepairProperty(t *testing.T) {
 		RepairInterference(m, rng)
 		return Feasible(m, capacity, true)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(300)); err != nil {
 		t.Error(err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 // synthGrad draws a batch-mean gradient estimate over batch examples from
@@ -250,14 +252,19 @@ func TestTrackerConstantStreamProperty(t *testing.T) {
 		want := ev / sq
 		return math.Abs(tr.NoiseScale()-want) < 1e-9*math.Max(1, want)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(100)); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: the replica estimator's expected values are exact for K
-// identical-mean Gaussian replicas — checked via a large-sample average at
-// randomized parameters.
+// Property: the replica estimator is unbiased for K identical-mean
+// Gaussian replicas at randomized parameters. The band is the sample's own
+// standard error, not a fixed fraction of the true value: at the noisy end
+// of the parameter range (small |G|², large per-example variance, two
+// small replicas) one estimate's deviation is dozens of times |G|², so any
+// fixed relative band is a coin flip there. Six standard errors of the
+// mean holds at every parameter draw, and a biased estimator is off by
+// far more over this many repetitions.
 func TestFromReplicasUnbiasedProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -266,7 +273,7 @@ func TestFromReplicasUnbiasedProperty(t *testing.T) {
 		k := 2 + rng.Intn(6)
 		perRepl := 8 << rng.Intn(4)
 		mu := makeMu(16, sqNorm)
-		var sumSq, sumVar float64
+		var sumSq, sumSq2, sumVar, sumVar2 float64
 		const reps = 600
 		for i := 0; i < reps; i++ {
 			local := make([][]float64, k)
@@ -278,14 +285,18 @@ func TestFromReplicasUnbiasedProperty(t *testing.T) {
 				return false
 			}
 			sumSq += e.SqNorm
+			sumSq2 += e.SqNorm * e.SqNorm
 			sumVar += e.ExampleVar
+			sumVar2 += e.ExampleVar * e.ExampleVar
 		}
-		meanSq := sumSq / reps
-		meanVar := sumVar / reps
-		return math.Abs(meanSq-sqNorm)/sqNorm < 0.35 &&
-			math.Abs(meanVar-exVar)/exVar < 0.35
+		within := func(sum, sum2, want float64) bool {
+			mean := sum / reps
+			stderr := math.Sqrt((sum2/reps - mean*mean) / (reps - 1))
+			return math.Abs(mean-want) <= 6*stderr
+		}
+		return within(sumSq, sumSq2, sqNorm) && within(sumVar, sumVar2, exVar)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(20)); err != nil {
 		t.Error(err)
 	}
 }

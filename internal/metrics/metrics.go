@@ -9,6 +9,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/admit"
 )
 
 // Summary aggregates one scheduling run.
@@ -182,6 +184,51 @@ func SummarizeTenants(records []JobRecord) map[string]TenantSummary {
 					ts.SLOMet++
 				}
 			}
+		}
+		out[tenant] = ts
+	}
+	return out
+}
+
+// SummarizeRunTenants is SummarizeTenants for a finished run: besides the
+// JCT statistics it fills each tenant's admission counters and mean queue
+// depth from the run's serving front end (nil means none: every job was
+// implicitly admitted) and its goodput rate from the per-job goodput sums
+// and running times, aligned with records and accumulated in that order.
+// The simulator and the replay testbed both end a run here.
+func SummarizeRunTenants(records []JobRecord, goodSum, runTime []float64, fe *admit.FrontEnd) map[string]TenantSummary {
+	out := SummarizeTenants(records)
+	type accum struct{ goodSum, runTime float64 }
+	rates := make(map[string]*accum)
+	for i, r := range records {
+		if r.Tenant == "" {
+			continue
+		}
+		ta := rates[r.Tenant]
+		if ta == nil {
+			ta = &accum{}
+			rates[r.Tenant] = ta
+		}
+		ta.goodSum += goodSum[i]
+		ta.runTime += runTime[i]
+	}
+	feStats := fe.Stats()
+	// Each iteration fills only its own tenant's summary, so map order
+	// does not matter.
+	for tenant, ts := range out {
+		if st, ok := feStats[tenant]; ok {
+			ts.Submitted = st.Submitted
+			ts.Admitted = st.Admitted
+			ts.Rejected = st.Rejected
+			if rounds := fe.Rounds(); rounds > 0 {
+				ts.AvgQueueDepth = st.QueueDepthSum / float64(rounds)
+			}
+		} else {
+			ts.Submitted = ts.Summary.Total
+			ts.Admitted = ts.Summary.Total
+		}
+		if ta := rates[tenant]; ta != nil && ta.runTime > 0 {
+			ts.AvgGoodput = ta.goodSum / ta.runTime
 		}
 		out[tenant] = ts
 	}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestPercentileBasics(t *testing.T) {
@@ -87,7 +89,7 @@ func TestPercentileProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(200)); err != nil {
 		t.Error(err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestGoldenSectionMaxQuadratic(t *testing.T) {
@@ -78,7 +80,7 @@ func TestGoldenSectionMaxProperty(t *testing.T) {
 		x, _ := GoldenSectionMax(f, lo, hi, 1e-10)
 		return math.Abs(x-peak) < 1e-4
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(200)); err != nil {
 		t.Error(err)
 	}
 }
@@ -139,7 +141,7 @@ func TestGoldenSectionMaxIntProperty(t *testing.T) {
 		//pollux:floateq-ok both sides evaluate f at the same integer argument, so equality is exact
 		return x == bx && fx == bfx
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(100)); err != nil {
 		t.Error(err)
 	}
 }

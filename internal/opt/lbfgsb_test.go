@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func unbounded(n int) Bounds {
@@ -144,7 +146,7 @@ func TestLBFGSBPropertyInBoxAndImproves(t *testing.T) {
 		b.Clamp(clamped)
 		return res.F <= f(clamped)+1e-12
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(100)); err != nil {
 		t.Error(err)
 	}
 }
@@ -188,7 +190,7 @@ func TestLBFGSBPropertySeparableQuadraticExact(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, testutil.QuickConfig(60)); err != nil {
 		t.Error(err)
 	}
 }

@@ -59,8 +59,8 @@ type incState struct {
 	cap   []int
 }
 
-// seedCellBudget bounds the matrix cells carried over as GA seeds after
-// an incremental round: at mega scale a full population of job × node
+// seedCellBudget bounds the matrix cells carried over as GA seeds from
+// one round to the next: at mega scale a full population of job × node
 // matrices is hundreds of MB, so carryover degrades gracefully toward
 // champion-only as matrices grow.
 const seedCellBudget = 16 << 20

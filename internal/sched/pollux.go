@@ -346,7 +346,8 @@ func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 		// running any GA.
 		out = v.Current.Clone()
 	} else {
-		racks := p.opts.RackSize > 0 && len(v.Capacity) >= 2*p.opts.RackSize // it takes two racks to decompose
+		// It takes at least two racks to decompose.
+		racks := p.opts.RackSize > 0 && len(v.Capacity) >= 2*p.opts.RackSize
 		r := p.newRound(v)
 		out = r.solve(sub, racks)
 		// A nil result failed the defensive feasibility check: widen to

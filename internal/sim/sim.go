@@ -587,8 +587,8 @@ func (c *Cluster) result() Result {
 	var res Result
 	var effSum, runSum, tputSum, goodSum float64
 	perModel := make(map[string][]metrics.JobRecord)
-	type tenantAccum struct{ goodSum, runTime float64 }
-	tenantRates := make(map[string]*tenantAccum)
+	goodSums := make([]float64, 0, len(c.jobs))
+	runTimes := make([]float64, 0, len(c.jobs))
 	for _, j := range c.jobs {
 		rec := metrics.JobRecord{
 			Submit:   j.wj.Submit,
@@ -603,15 +603,8 @@ func (c *Cluster) result() Result {
 		runSum += j.runTime
 		tputSum += j.tputSum
 		goodSum += j.goodSum
-		if j.wj.Tenant != "" {
-			ta := tenantRates[j.wj.Tenant]
-			if ta == nil {
-				ta = &tenantAccum{}
-				tenantRates[j.wj.Tenant] = ta
-			}
-			ta.goodSum += j.goodSum
-			ta.runTime += j.runTime
-		}
+		goodSums = append(goodSums, j.goodSum)
+		runTimes = append(runTimes, j.runTime)
 	}
 	res.Summary = metrics.Summarize(res.Records)
 	res.PerModel = make(map[string]metrics.Summary, len(perModel))
@@ -619,27 +612,7 @@ func (c *Cluster) result() Result {
 	for name, recs := range perModel {
 		res.PerModel[name] = metrics.Summarize(recs)
 	}
-	res.PerTenant = metrics.SummarizeTenants(res.Records)
-	feStats := c.fe.Stats()
-	//pollux:order-ok each iteration fills only its own tenant's summary; Rounds is a pure accessor
-	for tenant, ts := range res.PerTenant {
-		if st, ok := feStats[tenant]; ok {
-			ts.Submitted = st.Submitted
-			ts.Admitted = st.Admitted
-			ts.Rejected = st.Rejected
-			if rounds := c.fe.Rounds(); rounds > 0 {
-				ts.AvgQueueDepth = st.QueueDepthSum / float64(rounds)
-			}
-		} else {
-			// No front end: every generated job was implicitly admitted.
-			ts.Submitted = ts.Summary.Total
-			ts.Admitted = ts.Summary.Total
-		}
-		if ta := tenantRates[tenant]; ta != nil && ta.runTime > 0 {
-			ts.AvgGoodput = ta.goodSum / ta.runTime
-		}
-		res.PerTenant[tenant] = ts
-	}
+	res.PerTenant = metrics.SummarizeRunTenants(res.Records, goodSums, runTimes, c.fe)
 	res.Admissions = c.fe.Decisions()
 	res.CostNodeSeconds = c.nodeSeconds
 	res.Events = c.events
