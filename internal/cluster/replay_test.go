@@ -256,10 +256,9 @@ func TestAdmissionParitySimVsReplay(t *testing.T) {
 }
 
 // TestReplayNegativeRestartDelayIsFree: a negative ReplayConfig.RestartDelay
-// is an explicit zero pause. It used to be normalized to 0 and then read as
-// "take the default" by the trainers, so free restarts could not be
-// expressed in replay. A one-job trace restarts at least once (its first
-// allocation), so without the pause it finishes strictly earlier.
+// is an explicit zero pause all the way to the trainers, and the zero value
+// is exactly the 30 s default. A one-job trace restarts at least once (its
+// first allocation), so without the pause it finishes strictly earlier.
 func TestReplayNegativeRestartDelayIsFree(t *testing.T) {
 	tr := smallTrace(3, 10)
 	if len(tr.Jobs) == 0 {

@@ -439,8 +439,7 @@ func TestSpeedupRack(t *testing.T) {
 
 // TestRackSizeAloneStaysFull pins the documented meaning of RackSize
 // without Incremental (pollux-sim -racksize N): every round re-places every
-// job, hierarchically. The dirty set used to be consulted regardless of
-// Incremental, so rounds after the first silently went partial.
+// job, hierarchically, and the dirty set is never consulted.
 func TestRackSizeAloneStaysFull(t *testing.T) {
 	v := viewWith(10, 8, 4)
 	p := NewPollux(PolluxOptions{Population: 20, Generations: 10, RackSize: 4}, 31)
