@@ -21,8 +21,8 @@
 //
 // -checkpoint names a state file the daemon atomically rewrites every
 // -checkpoint-interval simulated seconds (after the round that crosses
-// the mark): the full service state — job registry, latest reports,
-// committed allocations, bound placements, admission counters — plus the
+// the mark): the full service state — job registry, latest reports, the
+// placement ledger's rows and generations, admission counters — plus the
 // Pollux policy's caches, GA seeds, and RNG position. -restore loads that
 // file on startup and resumes the round cadence where the saved daemon
 // stopped; agents reconnect and keep reporting as if the restart never
@@ -37,6 +37,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -52,10 +53,12 @@ import (
 const schedInterval = 60
 
 // checkpointKind tags the daemon's checkpoint files; checkpointVersion is
-// the current format.
+// the current format. Version 2 stores each job's allocation row once; a
+// version-1 file, which repeats the rows in a list version 2 dropped,
+// still restores.
 const (
 	checkpointKind    = "sched-service"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // daemonCheckpoint is the pollux-sched state file body: the cluster shape
@@ -98,8 +101,7 @@ func main() {
 	for i := range capacity {
 		capacity[i] = *gpus
 	}
-	state := cluster.NewState(capacity)
-	svc := cluster.NewService(state)
+	svc := cluster.NewService(cluster.NewState(capacity))
 
 	pollux := sched.NewPollux(sched.PolluxOptions{
 		Population: *population, Generations: *generations,
@@ -107,21 +109,10 @@ func main() {
 
 	start := 0.0
 	if *restore {
-		var dc daemonCheckpoint
-		if _, err := checkpoint.Read(*ckptPath, checkpointKind, checkpointVersion, &dc); err != nil {
+		var err error
+		if start, err = restoreCheckpoint(*ckptPath, *nodes, *gpus, svc, pollux); err != nil {
 			log.Fatalf("pollux-sched: restore: %v", err)
 		}
-		if dc.Nodes != *nodes || dc.GPUs != *gpus {
-			log.Fatalf("pollux-sched: checkpoint is for a %dx%d cluster, this daemon runs %dx%d",
-				dc.Nodes, dc.GPUs, *nodes, *gpus)
-		}
-		if err := svc.RestoreSnapshot(dc.Service); err != nil {
-			log.Fatalf("pollux-sched: restore: %v", err)
-		}
-		if err := pollux.Restore(dc.Policy); err != nil {
-			log.Fatalf("pollux-sched: restore: %v", err)
-		}
-		start = dc.NextSched
 		log.Printf("pollux-sched: restored from %s, resuming at t=%.0fs", *ckptPath, start)
 	}
 
@@ -142,7 +133,7 @@ func main() {
 	var reg *status.Registry
 	if *statusAddr != "" {
 		reg = status.New(policy.Name())
-		reg.SetSource(func() status.Cluster { return clusterStatus(svc) })
+		reg.SetSource(svc.Status)
 		sl, err := net.Listen("tcp", *statusAddr)
 		if err != nil {
 			log.Fatalf("pollux-sched: status listener: %v", err)
@@ -183,28 +174,27 @@ func main() {
 			if n == 0 {
 				return
 			}
-			usage := state.Usage()
-			used := 0
-			for _, u := range usage {
-				used += u
-			}
-			log.Printf("t=%.0fs scheduled %d jobs; GPUs in use %d/%d %v", now, n, used, *nodes**gpus, usage)
+			st := svc.Status()
+			log.Printf("t=%.0fs scheduled %d jobs; GPUs in use %d/%d %v", now, n, st.GPUsUsed, st.GPUsTotal, st.Usage)
 		})
 }
 
-// clusterStatus adapts the service's status view for the HTTP registry.
-func clusterStatus(svc *cluster.Service) status.Cluster {
-	s := svc.Status()
-	c := status.Cluster{
-		Nodes: s.Nodes, GPUsTotal: s.GPUsTotal, GPUsUsed: s.GPUsUsed, Usage: s.Usage,
-		Jobs: s.Jobs, Running: s.Running, Pending: s.Pending, Done: s.Done,
-		Admission: s.Admission, Priority: s.Priority,
+// restoreCheckpoint loads the state file, of the current format version
+// or an older one, into a fresh service and policy for a nodes x gpus
+// cluster and returns the time the next scheduling round was due.
+func restoreCheckpoint(path string, nodes, gpus int, svc *cluster.Service, pollux *sched.Pollux) (float64, error) {
+	var dc daemonCheckpoint
+	if _, err := checkpoint.Read(path, checkpointKind, checkpointVersion, &dc); err != nil {
+		return 0, err
 	}
-	for _, t := range s.Tenants {
-		c.Tenants = append(c.Tenants, status.Tenant{
-			Name: t.Name, Submitted: t.Submitted, Admitted: t.Admitted,
-			Rejected: t.Rejected, AvgQueueDepth: t.AvgQueueDepth,
-		})
+	if dc.Nodes != nodes || dc.GPUs != gpus {
+		return 0, fmt.Errorf("checkpoint is for a %dx%d cluster, this daemon runs %dx%d", dc.Nodes, dc.GPUs, nodes, gpus)
 	}
-	return c
+	if err := svc.RestoreSnapshot(dc.Service); err != nil {
+		return 0, err
+	}
+	if err := pollux.Restore(dc.Policy); err != nil {
+		return 0, err
+	}
+	return dc.NextSched, nil
 }

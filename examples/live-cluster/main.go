@@ -27,8 +27,7 @@ import (
 
 func main() {
 	// 4 nodes x 4 GPUs.
-	state := cluster.NewState([]int{4, 4, 4, 4})
-	svc := cluster.NewService(state)
+	svc := cluster.NewService(cluster.NewState([]int{4, 4, 4, 4}))
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -101,8 +100,7 @@ monitor:
 			for i, j := range jobs {
 				line += fmt.Sprintf("%s %3.0f%% m=%-5d  ", j.name, 100*trainers[i].Progress(), trainers[i].Batch())
 			}
-			usage := state.Usage()
-			fmt.Printf("%s gpus/node=%v\n", line, usage)
+			fmt.Printf("%s gpus/node=%v\n", line, svc.Status().Usage)
 		}
 	}
 

@@ -154,3 +154,73 @@ func TestServiceSnapshotShapeMismatchFailsLoudly(t *testing.T) {
 		t.Errorf("restore into matching shape failed: %v", err)
 	}
 }
+
+// TestRestoreSnapshotRejectsCorruptSnapshots: a snapshot whose rows or
+// registry cannot be what a Service wrote is refused with an error that
+// names the fault, and the service it was offered to is left untouched.
+func TestRestoreSnapshotRejectsCorruptSnapshots(t *testing.T) {
+	good := func() *ServiceSnapshot {
+		return &ServiceSnapshot{
+			Capacity: []int{4, 4},
+			Order:    []string{"a", "b"},
+			Jobs: []JobSnapshot{
+				{Report: Report{Job: "a", UserGPUs: 3}, HasAlloc: true, Row: []int{3, 0}, Generation: 2},
+				{Report: Report{Job: "b", UserGPUs: 2}, HasAlloc: true, Row: []int{1, 1}, Generation: 5},
+			},
+		}
+	}
+	cases := []struct {
+		name    string
+		corrupt func(*ServiceSnapshot)
+		want    string
+	}{
+		{"short row", func(s *ServiceSnapshot) { s.Jobs[1].Row = []int{1} }, "has 1 nodes"},
+		{"long row", func(s *ServiceSnapshot) { s.Jobs[0].Row = []int{3, 0, 0} }, "has 3 nodes"},
+		{"negative row", func(s *ServiceSnapshot) { s.Jobs[0].Row = []int{-1, 0} }, "-1 GPUs"},
+		{"oversubscribed node", func(s *ServiceSnapshot) { s.Jobs[1].Row = []int{2, 1} }, "oversubscribed"},
+		{"name registered twice", func(s *ServiceSnapshot) {
+			s.Order[1] = "a"
+			s.Jobs[1].Report.Job = "a"
+		}, "twice"},
+		{"report under another name", func(s *ServiceSnapshot) { s.Jobs[1].Report.Job = "c" }, "registered as"},
+		{"jobs and order misaligned", func(s *ServiceSnapshot) { s.Order = s.Order[:1] }, "misaligned"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := NewService(NewState([]int{4, 4}))
+			if err := svc.SubmitReport(Report{Job: "resident", UserGPUs: 1}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.ScheduleOnce(sched.NewTiresias(), 0); err != nil {
+				t.Fatal(err)
+			}
+			before := svc.Snapshot()
+
+			snap := good()
+			tc.corrupt(snap)
+			err := svc.RestoreSnapshot(snap)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got error %v, want one naming %q", err, tc.want)
+			}
+			if after := svc.Snapshot(); !reflect.DeepEqual(before, after) {
+				t.Errorf("refused restore changed the service:\n%+v\nto\n%+v", before, after)
+			}
+		})
+	}
+
+	// The uncorrupted snapshot restores, rows and generations included,
+	// and replaces what the service held.
+	svc := NewService(NewState([]int{4, 4}))
+	if err := svc.SubmitReport(Report{Job: "resident"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.RestoreSnapshot(good()); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Snapshot(); !reflect.DeepEqual(got, good()) {
+		t.Errorf("restored service snapshots as %+v, want %+v", got, good())
+	}
+	if st := svc.Status(); st.GPUsUsed != 5 || st.Running != 2 || st.Jobs != 2 {
+		t.Errorf("status after restore: %+v", st)
+	}
+}

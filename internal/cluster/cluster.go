@@ -13,7 +13,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -21,142 +21,95 @@ import (
 	"repro/internal/sched"
 )
 
-// State tracks node capacity and live job placements. It is the
-// "API server" of the toy cluster: all placement changes go through it,
-// and it enforces GPU capacity invariants.
+// State is the placement ledger, the "API server" of the toy cluster: the
+// one place a job's allocation row is stored. It owns the per-node
+// capacity, each job's row with its generation counter, and the running
+// per-node usage totals every install is checked against. A Service
+// built over it guards its job registry with the same lock, so a
+// scheduling round, a report and a status read each see the registry and
+// the ledger together.
 type State struct {
 	mu       sync.Mutex
 	capacity []int
-	placed   map[string][]int // job -> per-node GPUs
+	usage    []int // per-node sum of all rows
+	rows     map[string]*placement
+}
+
+// placement is one job's ledger entry. The generation counts the row's
+// changes, so a polling trainer detects a re-allocation and checkpoints.
+type placement struct {
+	row []int
+	gen int
 }
 
 // NewState creates a cluster with the given per-node GPU capacities.
 func NewState(capacity []int) *State {
-	c := make([]int, len(capacity))
-	copy(c, capacity)
-	return &State{capacity: c, placed: make(map[string][]int)}
-}
-
-// Capacity returns a copy of per-node GPU capacities.
-func (s *State) Capacity() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int, len(s.capacity))
-	copy(out, s.capacity)
-	return out
-}
-
-// Snapshot returns the per-node capacities and every job's placement
-// under a single lock acquisition. The scheduling round snapshots the
-// whole cluster at once instead of taking one lock round-trip per job
-// (Capacity plus a Placement call each), so the view it hands the policy
-// is consistent: no placement can change between two reads.
-func (s *State) Snapshot() (capacity []int, placed map[string][]int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	capacity = make([]int, len(s.capacity))
-	copy(capacity, s.capacity)
-	placed = make(map[string][]int, len(s.placed))
-	for job, row := range s.placed {
-		placed[job] = append([]int(nil), row...)
+	return &State{
+		capacity: slices.Clone(capacity),
+		usage:    make([]int, len(capacity)),
+		rows:     make(map[string]*placement),
 	}
-	return capacity, placed
 }
 
-// Placement returns the job's current allocation (copy) and whether the
-// job is known.
-func (s *State) Placement(job string) ([]int, bool) {
+// Allocation returns a copy of the job's row and its generation; a job
+// the ledger has never held a row for reads as all zeros at generation 0.
+func (s *State) Allocation(job string) Allocation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	row, ok := s.placed[job]
-	if !ok {
-		return nil, false
+	if p := s.rows[job]; p != nil {
+		return Allocation{Row: slices.Clone(p.row), Generation: p.gen}
 	}
-	out := make([]int, len(row))
-	copy(out, row)
-	return out, true
+	return Allocation{Row: make([]int, len(s.capacity))}
 }
 
-// Bind applies a new allocation for a job, replacing any previous one.
-// It fails if the allocation would oversubscribe any node.
-func (s *State) Bind(job string, row []int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(row) != len(s.capacity) {
-		return fmt.Errorf("cluster: allocation has %d nodes, cluster has %d", len(row), len(s.capacity))
+// install is the ledger's one write path: it replaces the rows of the
+// named jobs (those flagged in changed, or all of them when changed is
+// nil) and advances their generations. The new rows are checked against
+// the usage totals first, so rows held by jobs outside the call count,
+// and a refused install leaves the ledger as it was. Each job may be
+// named once. The caller holds s.mu.
+func (s *State) install(jobs []string, rows ga.Matrix, changed []bool) error {
+	if len(jobs) != len(rows) {
+		return fmt.Errorf("cluster: %d jobs but %d rows", len(jobs), len(rows))
 	}
-	for n := range s.capacity {
-		used := 0
-		for j, r := range s.placed {
-			if j != job {
-				used += r[n]
+	usage := slices.Clone(s.usage)
+	for i, job := range jobs {
+		if changed != nil && !changed[i] {
+			continue
+		}
+		if len(rows[i]) != len(s.capacity) {
+			return fmt.Errorf("cluster: allocation for %q has %d nodes, cluster has %d", job, len(rows[i]), len(s.capacity))
+		}
+		for n, g := range rows[i] {
+			if g < 0 {
+				return fmt.Errorf("cluster: allocation for %q has %d GPUs on node %d", job, g, n)
+			}
+			usage[n] += g
+		}
+		if p := s.rows[job]; p != nil {
+			for n, g := range p.row {
+				usage[n] -= g
 			}
 		}
-		if used+row[n] > s.capacity[n] {
-			return fmt.Errorf("cluster: node %d oversubscribed: %d + %d > %d", n, used, row[n], s.capacity[n])
-		}
 	}
-	cp := make([]int, len(row))
-	copy(cp, row)
-	s.placed[job] = cp
-	return nil
-}
-
-// Evict removes a job's placement entirely.
-func (s *State) Evict(job string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.placed, job)
-}
-
-// Jobs lists currently placed job names, sorted: callers iterate the
-// result, and handing them map order would leak nondeterminism.
-func (s *State) Jobs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.placed))
-	for j := range s.placed {
-		out = append(out, j)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Usage returns per-node GPU usage.
-func (s *State) Usage() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int, len(s.capacity))
-	for _, row := range s.placed {
-		for n, g := range row {
-			out[n] += g
-		}
-	}
-	return out
-}
-
-// ApplyMatrix binds an allocation matrix for the named jobs atomically
-// with respect to capacity checking: it validates the whole matrix first.
-func (s *State) ApplyMatrix(jobs []string, m ga.Matrix) error {
-	if len(jobs) != len(m) {
-		return fmt.Errorf("cluster: %d jobs but %d rows", len(jobs), len(m))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for n := range s.capacity {
-		total := 0
-		for j := range m {
-			total += m[j][n]
-		}
-		if total > s.capacity[n] {
-			return fmt.Errorf("cluster: matrix oversubscribes node %d", n)
+	for n, u := range usage {
+		if u > s.capacity[n] {
+			return fmt.Errorf("cluster: node %d oversubscribed: %d > %d", n, u, s.capacity[n])
 		}
 	}
 	for i, job := range jobs {
-		cp := make([]int, len(m[i]))
-		copy(cp, m[i])
-		s.placed[job] = cp
+		if changed != nil && !changed[i] {
+			continue
+		}
+		p := s.rows[job]
+		if p == nil {
+			p = &placement{row: make([]int, len(s.capacity))}
+			s.rows[job] = p
+		}
+		copy(p.row, rows[i])
+		p.gen++
 	}
+	s.usage = usage
 	return nil
 }
 

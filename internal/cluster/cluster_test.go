@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -11,69 +14,107 @@ import (
 	"repro/internal/sched"
 )
 
-func TestStateBindAndEvict(t *testing.T) {
+// install calls the ledger's install under its lock, as Commit does.
+func install(s *State, jobs []string, m ga.Matrix, changed []bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.install(jobs, m, changed)
+}
+
+// bind installs one job's row.
+func bind(s *State, job string, row []int) error {
+	return install(s, []string{job}, ga.Matrix{row}, nil)
+}
+
+func usageOf(s *State) []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.usage)
+}
+
+func TestLedgerInstallReplacesAndReleases(t *testing.T) {
 	s := NewState([]int{4, 4})
-	if err := s.Bind("a", []int{2, 0}); err != nil {
+	if err := bind(s, "a", []int{2, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Bind("b", []int{2, 2}); err != nil {
+	if err := bind(s, "b", []int{2, 2}); err != nil {
 		t.Fatal(err)
 	}
-	u := s.Usage()
-	if u[0] != 4 || u[1] != 2 {
+	if u := usageOf(s); u[0] != 4 || u[1] != 2 {
 		t.Errorf("usage = %v, want [4 2]", u)
 	}
-	// Over capacity on node 0.
-	if err := s.Bind("c", []int{1, 0}); err == nil {
+	// Over capacity on node 0, and refused whole: c gets no entry.
+	if err := bind(s, "c", []int{1, 1}); err == nil {
 		t.Error("oversubscription not rejected")
 	}
-	// Rebinding a replaces the old placement, not adds to it.
-	if err := s.Bind("a", []int{0, 1}); err != nil {
+	if a := s.Allocation("c"); a.Generation != 0 || a.Row[1] != 0 {
+		t.Errorf("refused install left %+v behind", a)
+	}
+	// Rebinding a replaces the old row, not adds to it.
+	if err := bind(s, "a", []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	u = s.Usage()
-	if u[0] != 2 || u[1] != 3 {
+	if u := usageOf(s); u[0] != 2 || u[1] != 3 {
 		t.Errorf("usage after rebind = %v, want [2 3]", u)
 	}
-	s.Evict("a")
-	if _, ok := s.Placement("a"); ok {
-		t.Error("evicted job still placed")
-	}
-	if len(s.Jobs()) != 1 {
-		t.Errorf("jobs = %v, want just b", s.Jobs())
-	}
-}
-
-func TestStateBindWrongShape(t *testing.T) {
-	s := NewState([]int{4})
-	if err := s.Bind("a", []int{1, 1}); err == nil {
-		t.Error("wrong-shape allocation accepted")
-	}
-}
-
-func TestStatePlacementIsCopy(t *testing.T) {
-	s := NewState([]int{4})
-	s.Bind("a", []int{2})
-	row, _ := s.Placement("a")
-	row[0] = 99
-	again, _ := s.Placement("a")
-	if again[0] != 2 {
-		t.Error("Placement leaked internal state")
-	}
-}
-
-func TestApplyMatrixValidatesWholeMatrix(t *testing.T) {
-	s := NewState([]int{4, 4})
-	m := ga.Matrix{{3, 0}, {3, 0}} // node 0 oversubscribed in aggregate
-	if err := s.ApplyMatrix([]string{"a", "b"}, m); err == nil {
-		t.Error("aggregate oversubscription accepted")
-	}
-	ok := ga.Matrix{{3, 0}, {1, 4}}
-	if err := s.ApplyMatrix([]string{"a", "b"}, ok); err != nil {
+	// An all-zero row gives the GPUs back and still counts as a change.
+	if err := bind(s, "a", []int{0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if u := s.Usage(); u[0] != 4 || u[1] != 4 {
-		t.Errorf("usage = %v", u)
+	if u := usageOf(s); u[0] != 2 || u[1] != 2 {
+		t.Errorf("usage after release = %v, want [2 2]", u)
+	}
+	if a := s.Allocation("a"); a.Generation != 3 {
+		t.Errorf("generation = %d after three installs, want 3", a.Generation)
+	}
+}
+
+func TestLedgerRejectsMalformedRows(t *testing.T) {
+	s := NewState([]int{4})
+	if err := bind(s, "a", []int{1, 1}); err == nil {
+		t.Error("wrong-shape allocation accepted")
+	}
+	if err := bind(s, "a", []int{-1}); err == nil {
+		t.Error("negative allocation accepted")
+	}
+}
+
+func TestAllocationIsCopy(t *testing.T) {
+	s := NewState([]int{4})
+	bind(s, "a", []int{2})
+	s.Allocation("a").Row[0] = 99
+	if again := s.Allocation("a"); again.Row[0] != 2 {
+		t.Error("Allocation leaked internal state")
+	}
+}
+
+func TestInstallValidatesAgainstWholeLedger(t *testing.T) {
+	s := NewState([]int{4, 4})
+	m := ga.Matrix{{3, 0}, {3, 0}} // node 0 oversubscribed in aggregate
+	if err := install(s, []string{"a", "b"}, m, nil); err == nil {
+		t.Error("aggregate oversubscription accepted")
+	}
+	ok := ga.Matrix{{3, 0}, {1, 2}}
+	if err := install(s, []string{"a", "b"}, ok, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A job outside the matrix holds node 1's last two GPUs: a matrix
+	// that fits on its own but not beside that row is refused.
+	if err := bind(s, "outside", []int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := install(s, []string{"a", "b"}, ga.Matrix{{3, 0}, {1, 3}}, nil); err == nil {
+		t.Error("matrix oversubscribing a node used by a job outside it accepted")
+	}
+	if u := usageOf(s); u[0] != 4 || u[1] != 4 {
+		t.Errorf("usage = %v after a refused install, want [4 4]", u)
+	}
+	// Only flagged rows are rebound and only their generations advance.
+	if err := install(s, []string{"a", "b"}, ga.Matrix{{9, 9}, {0, 2}}, []bool{false, true}); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := s.Allocation("a"), s.Allocation("b"); a.Row[0] != 3 || a.Generation != 1 || b.Row[0] != 0 || b.Generation != 2 {
+		t.Errorf("after a partial install a = %+v, b = %+v", a, b)
 	}
 }
 
@@ -121,8 +162,12 @@ func TestServiceReportAllocateRoundTrip(t *testing.T) {
 	if err := svc.SubmitReport(rep, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := state.Placement("job-0"); ok {
+	done := state.Allocation("job-0")
+	if sched.PlacementOf(done.Row).GPUs != 0 {
 		t.Error("done job still placed")
+	}
+	if done.Generation != alloc.Generation+1 {
+		t.Errorf("generation %d after Done, want %d", done.Generation, alloc.Generation+1)
 	}
 }
 
@@ -233,26 +278,214 @@ func TestTrainerCompressionValidation(t *testing.T) {
 	}
 }
 
-func TestStateSnapshotConsistentAndCopied(t *testing.T) {
-	s := NewState([]int{4, 4})
-	s.Bind("a", []int{2, 0})
-	s.Bind("b", []int{0, 3})
-	capacity, placed := s.Snapshot()
-	if capacity[0] != 4 || capacity[1] != 4 {
-		t.Errorf("capacity = %v", capacity)
+// TestRoundAndAllocationRowsAreCopies: the rows Round hands the policy
+// and GetAllocation hands a trainer are copies of the ledger's, so
+// neither reader can move a placement by writing to what it was given.
+func TestRoundAndAllocationRowsAreCopies(t *testing.T) {
+	svc := NewService(NewState([]int{4, 4}))
+	if err := svc.SubmitReport(Report{Job: "a", UserGPUs: 2}, nil); err != nil {
+		t.Fatal(err)
 	}
-	if len(placed) != 2 || placed["a"][0] != 2 || placed["b"][1] != 3 {
-		t.Errorf("placed = %v", placed)
+	if _, err := svc.ScheduleOnce(sched.NewTiresias(), 0); err != nil {
+		t.Fatal(err)
 	}
-	// Mutating the snapshot must not touch the state.
-	capacity[0] = 99
-	placed["a"][0] = 99
-	again, _ := s.Placement("a")
-	if again[0] != 2 {
-		t.Error("Snapshot leaked internal placement state")
+	var want Allocation
+	svc.GetAllocation("a", &want)
+	if sched.PlacementOf(want.Row).GPUs != 2 {
+		t.Fatalf("row = %v, want 2 GPUs", want.Row)
 	}
-	if s.Capacity()[0] != 4 {
-		t.Error("Snapshot leaked internal capacity state")
+
+	view := svc.Round(60)
+	if !slices.Equal(view.Current[0], want.Row) {
+		t.Fatalf("Round's row = %v, GetAllocation's = %v", view.Current[0], want.Row)
+	}
+	var got Allocation
+	svc.GetAllocation("a", &got)
+	for n := range want.Row {
+		view.Current[0][n] = 99
+		view.Capacity[n] = 99
+		got.Row[n] = 99
+	}
+	svc.GetAllocation("a", &got)
+	if !slices.Equal(got.Row, want.Row) {
+		t.Errorf("row = %v after writing to the copies, want %v", got.Row, want.Row)
+	}
+	if again := svc.Round(120); !slices.Equal(again.Current[0], want.Row) || again.Capacity[0] != 4 {
+		t.Errorf("Round after writing to the copies: row %v capacity %v", again.Current[0], again.Capacity)
+	}
+}
+
+// TestServiceStatusCounts: every registered job is in exactly one of
+// Running, Pending and Done, and GPUsUsed is what the running jobs hold,
+// before a round, after it and after a Done report.
+func TestServiceStatusCounts(t *testing.T) {
+	svc := NewService(NewState([]int{4, 4}))
+	names := []string{"a", "b", "c", "d"}
+	for _, name := range names {
+		// Four GPUs each: two fit, two queue.
+		if err := svc.SubmitReport(Report{Job: name, UserGPUs: 4}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, running, pending, done int) {
+		t.Helper()
+		st := svc.Status()
+		if st.Jobs != len(names) || st.Running+st.Pending+st.Done != st.Jobs {
+			t.Errorf("%s: %d running + %d pending + %d done != %d jobs", when, st.Running, st.Pending, st.Done, st.Jobs)
+		}
+		if st.Running != running || st.Pending != pending || st.Done != done {
+			t.Errorf("%s: running/pending/done = %d/%d/%d, want %d/%d/%d", when, st.Running, st.Pending, st.Done, running, pending, done)
+		}
+		held, usage := 0, 0
+		for _, name := range names {
+			var a Allocation
+			svc.GetAllocation(name, &a)
+			held += sched.PlacementOf(a.Row).GPUs
+		}
+		for _, u := range st.Usage {
+			usage += u
+		}
+		if st.GPUsUsed != held || usage != held || st.GPUsTotal != 8 || st.Nodes != 2 {
+			t.Errorf("%s: GPUsUsed %d, usage %v, rows hold %d of %d on %d nodes", when, st.GPUsUsed, st.Usage, held, st.GPUsTotal, st.Nodes)
+		}
+	}
+	check("before any round", 0, 4, 0)
+	if _, err := svc.ScheduleOnce(sched.NewTiresias(), 0); err != nil {
+		t.Fatal(err)
+	}
+	check("after a round", 2, 2, 0)
+	if err := svc.SubmitReport(Report{Job: "a", Done: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("after a Done report", 1, 2, 1)
+	if _, err := svc.ScheduleOnce(sched.NewTiresias(), 60); err != nil {
+		t.Fatal(err)
+	}
+	check("after the next round", 2, 1, 1)
+}
+
+// finishesMidRound reports a job Done after the wrapped policy has
+// placed it and before runtime.Step commits the result.
+type finishesMidRound struct {
+	sched.Policy
+	svc *Service
+	job string
+}
+
+func (p finishesMidRound) Schedule(v *sched.ClusterView) ga.Matrix {
+	m := p.Policy.Schedule(v)
+	p.svc.SubmitReport(Report{Job: p.job, Done: true}, nil)
+	return m
+}
+
+// TestCommitDropsJobDoneMidRound: a job that reports Done while the
+// policy is optimizing keeps the all-zero row its report installed;
+// Commit does not rebind the GPUs the round had given it.
+func TestCommitDropsJobDoneMidRound(t *testing.T) {
+	svc := NewService(NewState([]int{4}))
+	for _, name := range []string{"a", "b"} {
+		if err := svc.SubmitReport(Report{Job: name, UserGPUs: 2}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.ScheduleOnce(finishesMidRound{sched.NewTiresias(), svc, "a"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if a := svc.state.Allocation("a"); a.Row[0] != 0 || a.Generation != 1 {
+		t.Errorf("job done mid-round holds %+v, want no GPUs at generation 1", a)
+	}
+	if st := svc.Status(); st.GPUsUsed != 2 || st.Running != 1 || st.Done != 1 {
+		t.Errorf("status after the round: %+v", st)
+	}
+}
+
+// TestServiceConcurrentReadersDuringRounds runs Done reports, allocation
+// polls and status reads against scheduling rounds (under -race in CI).
+// At every instant usage stays within capacity and a Done job holds no
+// row; a Done report that lands while the policy is optimizing must not
+// be rebound by that round's Commit.
+func TestServiceConcurrentReadersDuringRounds(t *testing.T) {
+	capacity := []int{4, 4, 4, 4}
+	svc := NewService(NewState(capacity))
+	const jobs = 48
+	name := func(i int) string { return fmt.Sprintf("job-%02d", i) }
+	for i := 0; i < jobs; i++ {
+		if err := svc.SubmitReport(Report{Job: name(i), UserGPUs: 1 + i%4}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	invariants := func() {
+		svc.state.mu.Lock()
+		defer svc.state.mu.Unlock()
+		sum := make([]int, len(capacity))
+		for job, p := range svc.state.rows {
+			held := sched.PlacementOf(p.row).GPUs
+			if svc.reports[job].Done && held != 0 {
+				t.Errorf("done job %s holds %d GPUs", job, held)
+			}
+			for n, g := range p.row {
+				sum[n] += g
+			}
+		}
+		for n, c := range capacity {
+			if sum[n] != svc.state.usage[n] || sum[n] > c {
+				t.Errorf("node %d: rows sum to %d, usage total %d, capacity %d", n, sum[n], svc.state.usage[n], c)
+			}
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // trainers finishing, first to last
+		defer wg.Done()
+		for i := 0; i < jobs; i++ {
+			if err := svc.SubmitReport(Report{Job: name(i), Done: true}, nil); err != nil {
+				t.Error(err)
+			}
+			invariants()
+		}
+	}()
+	go func() { // trainers polling
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var a Allocation
+			svc.GetAllocation(name(i%jobs), &a)
+			if len(a.Row) != len(capacity) {
+				t.Errorf("allocation row has %d nodes", len(a.Row))
+			}
+		}
+	}()
+	go func() { // the status endpoint
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := svc.Status()
+			if st.Running+st.Pending+st.Done != st.Jobs || st.GPUsUsed > st.GPUsTotal {
+				t.Errorf("status %+v does not add up", st)
+			}
+		}
+	}()
+	for now := 0.0; svc.Status().Done < jobs; now += 60 {
+		if _, err := svc.ScheduleOnce(sched.NewTiresias(), now); err != nil {
+			t.Error(err)
+		}
+		invariants()
+	}
+	close(stop)
+	wg.Wait()
+	invariants()
+	if st := svc.Status(); st.GPUsUsed != 0 || st.Done != jobs {
+		t.Errorf("after every job finished: %+v", st)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 
 	"repro/internal/admit"
@@ -52,18 +53,20 @@ type Allocation struct {
 	Generation int
 }
 
-// Service is the net/rpc-exposed scheduler endpoint.
+// Service is the net/rpc-exposed scheduler endpoint. Its job registry
+// (reports, order) is guarded by state.mu, the ledger's lock.
 type Service struct {
-	mu      sync.Mutex
 	state   *State
 	reports map[string]Report
-	allocs  map[string]Allocation
-	order   []string       // registration order for stable scheduling
-	ids     map[string]int // stable scheduler-visible job IDs
+	// order is the registration order. A job's position in it is its
+	// scheduler-visible ID: assigned once and never reused, because Pollux
+	// carries GA population rows and speedup tables across rounds keyed by
+	// job ID, so IDs must not shift when earlier jobs finish.
+	order []string
 
 	// schedMu serializes scheduling rounds: Round and Commit communicate
 	// through roundJobs, so overlapping ScheduleOnce calls must not
-	// interleave (reports keep flowing under mu while a round runs).
+	// interleave (reports keep flowing under state.mu while a round runs).
 	schedMu sync.Mutex
 	// roundJobs is the job snapshot of the scheduling round in flight,
 	// set by Round and consumed by Commit (see runtime.Step).
@@ -78,12 +81,7 @@ type Service struct {
 
 // NewService wraps cluster state in an RPC service.
 func NewService(state *State) *Service {
-	return &Service{
-		state:   state,
-		reports: make(map[string]Report),
-		allocs:  make(map[string]Allocation),
-		ids:     make(map[string]int),
-	}
+	return &Service{state: state, reports: make(map[string]Report)}
 }
 
 // SetFrontEnd installs the admit front end ahead of any traffic. The
@@ -118,33 +116,23 @@ func (s *Service) SubmitReport(r Report, _ *struct{}) error {
 	if r.Job == "" {
 		return fmt.Errorf("cluster: report without job name")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.state.mu.Lock()
+	defer s.state.mu.Unlock()
 	if _, seen := s.reports[r.Job]; !seen {
 		s.order = append(s.order, r.Job)
-		// The ID is assigned once and never reused: Pollux carries GA
-		// population rows and speedup tables across rounds keyed by job
-		// ID, so IDs must not shift when earlier jobs finish.
-		s.ids[r.Job] = len(s.order) - 1
 	}
 	s.reports[r.Job] = r
 	if r.Done {
-		s.state.Evict(r.Job)
-		cur := s.allocs[r.Job]
-		s.allocs[r.Job] = Allocation{Row: make([]int, len(s.state.Capacity())), Generation: cur.Generation + 1}
+		// A finished job gives its GPUs back: an all-zero row, whose new
+		// generation tells a still-polling trainer.
+		return s.state.install([]string{r.Job}, ga.NewMatrix(1, len(s.state.capacity)), nil)
 	}
 	return nil
 }
 
 // GetAllocation returns the job's current allocation.
 func (s *Service) GetAllocation(job string, reply *Allocation) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a, ok := s.allocs[job]
-	if !ok {
-		a = Allocation{Row: make([]int, len(s.state.Capacity()))}
-	}
-	*reply = Allocation{Row: append([]int(nil), a.Row...), Generation: a.Generation}
+	*reply = s.state.Allocation(job)
 	return nil
 }
 
@@ -160,15 +148,14 @@ func (s *Service) ScheduleOnce(policy sched.Policy, now float64) (int, error) {
 
 // Round snapshots the scheduler inputs for runtime.Step: every reported,
 // unfinished job's goodput function and accounting in registration
-// order, plus the placements currently in effect (one State.Snapshot,
-// not a lock round-trip per job).
+// order, plus the rows the ledger holds for them, all under one hold of
+// the lock so no report or placement can change between two reads.
 func (s *Service) Round(now float64) *sched.ClusterView {
-	capacity, placed := s.state.Snapshot()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.state.mu.Lock()
+	defer s.state.mu.Unlock()
 	var jobs []string
-	view := &sched.ClusterView{Now: now, Capacity: capacity}
-	for _, name := range s.order {
+	view := &sched.ClusterView{Now: now, Capacity: slices.Clone(s.state.capacity)}
+	for id, name := range s.order {
 		r := s.reports[name]
 		if r.Done {
 			continue
@@ -179,7 +166,7 @@ func (s *Service) Round(now float64) *sched.ClusterView {
 			minGPUs = (r.UserBatch + r.MaxBatchPerGPU - 1) / r.MaxBatchPerGPU
 		}
 		view.Jobs = append(view.Jobs, sched.JobView{
-			ID:       s.ids[name],
+			ID:       id,
 			Submit:   r.Submit,
 			Tenant:   r.Tenant,
 			Deadline: r.Deadline,
@@ -198,52 +185,35 @@ func (s *Service) Round(now float64) *sched.ClusterView {
 			RemainingIters: r.RemainingIters,
 		})
 	}
-	view.Current = ga.NewMatrix(len(jobs), len(capacity))
+	view.Current = ga.NewMatrix(len(jobs), len(s.state.capacity))
 	for i, name := range jobs {
-		if row, ok := placed[name]; ok {
-			copy(view.Current[i], row)
+		if p := s.state.rows[name]; p != nil {
+			copy(view.Current[i], p.row)
 		}
 	}
 	s.roundJobs = jobs
 	return view
 }
 
-// Commit atomically installs the validated allocation matrix for the
-// last Round's jobs and bumps the allocation generation of every row
-// that changed, so trainers detect the re-allocation and checkpoint. A
-// job that reported Done while the policy was optimizing was already
-// evicted by SubmitReport; its row is dropped here rather than rebound,
-// which would leak a placement for a job that will never report again.
-// The Done filter, the matrix application, and the generation bumps all
-// happen under one hold of s.mu (SubmitReport takes the same lock), so
-// no Done report can slip in between the filter and the bind.
+// Commit installs the validated allocation matrix for the last Round's
+// jobs in the ledger, which rebinds the rows that changed and bumps their
+// generations, so trainers detect the re-allocation and checkpoint. A
+// job that reported Done while the policy was optimizing already gave
+// its GPUs back in SubmitReport; its row is dropped here rather than
+// rebound, which would leak a placement for a job that will never report
+// again. The Done filter and the install happen under one hold of the
+// lock (SubmitReport takes the same one), so no Done report can slip in
+// between them.
 func (s *Service) Commit(m ga.Matrix, changed []bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	jobs := make([]string, 0, len(s.roundJobs))
-	rows := make(ga.Matrix, 0, len(m))
-	live := make([]int, 0, len(m)) // indices into the round's ordering
+	s.state.mu.Lock()
+	defer s.state.mu.Unlock()
+	live := slices.Clone(changed)
 	for i, name := range s.roundJobs {
 		if s.reports[name].Done {
-			continue
+			live[i] = false
 		}
-		jobs = append(jobs, name)
-		rows = append(rows, m[i])
-		live = append(live, i)
 	}
-
-	if err := s.state.ApplyMatrix(jobs, rows); err != nil {
-		return err
-	}
-
-	for k, name := range jobs {
-		if !changed[live[k]] {
-			continue
-		}
-		cur := s.allocs[name]
-		s.allocs[name] = Allocation{Row: append([]int(nil), rows[k]...), Generation: cur.Generation + 1}
-	}
-	return nil
+	return s.state.install(s.roundJobs, m, live)
 }
 
 // RunRounds drives scheduling rounds every interval simulated seconds on

@@ -2,10 +2,9 @@ package cluster
 
 // Snapshot/restore for the cluster service and its trainers: the state a
 // long-lived pollux-sched (or a mid-trace replay) needs to resume exactly
-// where it stopped — the job registry in registration order, the pending
-// reports, the committed allocation rows with their generations, the
-// placements bound in cluster State, the admit front end, and each live
-// trainer's full control-loop state.
+// where it stopped — the job registry in registration order, the latest
+// reports, the ledger's allocation rows with their generations, the admit
+// front end, and each live trainer's full control-loop state.
 //
 // As everywhere in the checkpoint machinery, keyed collections are
 // flattened to slices in a deterministic order (here: the service's own
@@ -15,17 +14,18 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/admit"
 	"repro/internal/agent"
 	"repro/internal/detrand"
+	"repro/internal/ga"
 )
 
 // JobSnapshot is one registered job's service-side state: its latest
-// report and, when an allocation row has been committed for it, that row
-// and its generation counter. Jobs appear in registration order, which
-// defines their stable scheduler-visible IDs.
+// report and, when the ledger holds a row for it, that row and its
+// generation counter. Jobs appear in registration order, which defines
+// their stable scheduler-visible IDs.
 type JobSnapshot struct {
 	Report     Report
 	HasAlloc   bool  `json:",omitempty"`
@@ -33,17 +33,12 @@ type JobSnapshot struct {
 	Generation int   `json:",omitempty"`
 }
 
-// PlacedJob is one bound placement in cluster State, sorted by job name.
-type PlacedJob struct {
-	Job string
-	Row []int
-}
-
 // ServiceSnapshot is the full serializable state of a Service and its
-// cluster State.
+// cluster State. Each job's row is stored once, in Jobs. Snapshots from
+// before the single ledger repeated the rows in a second list keyed by
+// job name; decoding drops it.
 type ServiceSnapshot struct {
 	Capacity []int
-	Placed   []PlacedJob   `json:",omitempty"`
 	Jobs     []JobSnapshot `json:",omitempty"` // registration order
 	Order    []string      `json:",omitempty"`
 	FrontEnd *admit.FrontEndState
@@ -54,80 +49,80 @@ type ServiceSnapshot struct {
 func (s *Service) Snapshot() *ServiceSnapshot {
 	s.schedMu.Lock()
 	defer s.schedMu.Unlock()
-	capacity, placed := s.state.Snapshot()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.state.mu.Lock()
+	defer s.state.mu.Unlock()
 
 	snap := &ServiceSnapshot{
-		Capacity: capacity,
-		Order:    append([]string(nil), s.order...),
+		Capacity: slices.Clone(s.state.capacity),
+		Order:    slices.Clone(s.order),
 		FrontEnd: s.fe.State(),
-	}
-	names := make([]string, 0, len(placed))
-	for job := range placed {
-		names = append(names, job)
-	}
-	sort.Strings(names)
-	for _, job := range names {
-		snap.Placed = append(snap.Placed, PlacedJob{Job: job, Row: placed[job]})
 	}
 	for _, name := range s.order {
 		js := JobSnapshot{Report: s.reports[name]}
-		if a, ok := s.allocs[name]; ok {
+		if p := s.state.rows[name]; p != nil {
 			js.HasAlloc = true
-			js.Row = append([]int(nil), a.Row...)
-			js.Generation = a.Generation
+			js.Row = slices.Clone(p.row)
+			js.Generation = p.gen
 		}
 		snap.Jobs = append(snap.Jobs, js)
 	}
 	return snap
 }
 
-// RestoreSnapshot applies a saved state to a freshly constructed Service
-// whose State was built with the same capacity and whose front end was
-// rebuilt from the same admit.Options. A cluster-shape or front-end
-// mismatch fails loudly and leaves the service unusable rather than
-// silently starting fresh.
+// RestoreSnapshot replaces the state of a Service whose State was built
+// with the same capacity and whose front end was rebuilt from the same
+// admit.Options. Every check runs before anything is replaced: a
+// cluster-shape or front-end mismatch, a misaligned or repeated job name,
+// a row of the wrong length and rows that oversubscribe a node each fail
+// with their own error and leave the service as it was.
 func (s *Service) RestoreSnapshot(snap *ServiceSnapshot) error {
 	s.schedMu.Lock()
 	defer s.schedMu.Unlock()
-	cur := s.state.Capacity()
-	if len(cur) != len(snap.Capacity) {
-		return fmt.Errorf("cluster: snapshot has %d nodes, service has %d", len(snap.Capacity), len(cur))
+	s.state.mu.Lock()
+	defer s.state.mu.Unlock()
+	if len(s.state.capacity) != len(snap.Capacity) {
+		return fmt.Errorf("cluster: snapshot has %d nodes, service has %d", len(snap.Capacity), len(s.state.capacity))
 	}
-	for n := range cur {
-		if cur[n] != snap.Capacity[n] {
-			return fmt.Errorf("cluster: snapshot capacity %v does not match service capacity %v", snap.Capacity, cur)
-		}
+	if !slices.Equal(s.state.capacity, snap.Capacity) {
+		return fmt.Errorf("cluster: snapshot capacity %v does not match service capacity %v", snap.Capacity, s.state.capacity)
 	}
 	if len(snap.Jobs) != len(snap.Order) {
 		return fmt.Errorf("cluster: snapshot misaligned: %d jobs for %d order entries", len(snap.Jobs), len(snap.Order))
 	}
-	if err := s.fe.RestoreState(snap.FrontEnd); err != nil {
-		return err
-	}
-	for _, p := range snap.Placed {
-		if err := s.state.Bind(p.Job, p.Row); err != nil {
-			return fmt.Errorf("cluster: snapshot placement for %q does not fit: %w", p.Job, err)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.order = append([]string(nil), snap.Order...)
-	s.reports = make(map[string]Report, len(snap.Jobs))
-	s.allocs = make(map[string]Allocation, len(snap.Jobs))
-	s.ids = make(map[string]int, len(snap.Order))
+	reports := make(map[string]Report, len(snap.Jobs))
+	var held []string // jobs with a ledger row, and those rows
+	var rows ga.Matrix
 	for i, name := range snap.Order {
-		s.ids[name] = i
 		js := snap.Jobs[i]
 		if js.Report.Job != name {
 			return fmt.Errorf("cluster: snapshot job %d reports as %q but is registered as %q", i, js.Report.Job, name)
 		}
-		s.reports[name] = js.Report
+		if _, dup := reports[name]; dup {
+			return fmt.Errorf("cluster: snapshot registers job %q twice", name)
+		}
+		reports[name] = js.Report
 		if js.HasAlloc {
-			s.allocs[name] = Allocation{Row: append([]int(nil), js.Row...), Generation: js.Generation}
+			held = append(held, name)
+			rows = append(rows, js.Row)
 		}
 	}
+	// The rows go through the install Commit uses, into a ledger of their
+	// own, so one that does not fit is refused before this one changes.
+	ledger := NewState(snap.Capacity)
+	if err := ledger.install(held, rows, nil); err != nil {
+		return fmt.Errorf("cluster: snapshot rows do not fit: %w", err)
+	}
+	if err := s.fe.RestoreState(snap.FrontEnd); err != nil {
+		return err
+	}
+	for i, name := range snap.Order {
+		if p := ledger.rows[name]; p != nil { // the install counted one change
+			p.gen = snap.Jobs[i].Generation
+		}
+	}
+	s.state.usage, s.state.rows = ledger.usage, ledger.rows
+	s.order = slices.Clone(snap.Order)
+	s.reports = reports
 	return nil
 }
 

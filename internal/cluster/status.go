@@ -1,72 +1,45 @@
 package cluster
 
-import "sort"
+import (
+	"slices"
+	"sort"
 
-// TenantStatus is one tenant's admission counters for the status
-// endpoint, with the queue-depth sum already averaged over rounds.
-type TenantStatus struct {
-	Name          string
-	Submitted     int
-	Admitted      int
-	Rejected      int
-	AvgQueueDepth float64
-}
+	"repro/internal/sched"
+	"repro/internal/status"
+)
 
-// ServiceStatus is a read-only point-in-time view of the service for the
+// Status assembles a read-only point-in-time view of the service for the
 // HTTP status endpoint: cluster occupancy, job-queue depths, and the
-// front end's per-tenant admission counters. It is assembled under the
-// report lock only — never the scheduling lock — so serving it cannot
-// delay or reorder scheduling rounds.
-type ServiceStatus struct {
-	Nodes     int
-	GPUsTotal int
-	GPUsUsed  int
-	Usage     []int
-
-	// Jobs counts every registered job; Running those holding GPUs,
-	// Pending those admitted but currently allocated none (the queue
-	// depth), Done those that reported completion.
-	Jobs    int
-	Running int
-	Pending int
-	Done    int
-
-	// Admission and Priority name the front end's policies ("always" /
-	// "constant" without one); Tenants is sorted by name.
-	Admission string
-	Priority  string
-	Tenants   []TenantStatus
-}
-
-// Status assembles the service's current status view.
-func (s *Service) Status() ServiceStatus {
-	capacity := s.state.Capacity()
-	usage := s.state.Usage()
-	st := ServiceStatus{
-		Nodes: len(capacity),
-		Usage: usage,
+// front end's per-tenant admission counters. Occupancy and queue depths
+// come from one hold of the ledger's lock — never the scheduling lock —
+// so they agree with each other and serving them cannot delay or reorder
+// scheduling rounds. Of the registered jobs, Running hold GPUs, Pending
+// are admitted but currently allocated none (the queue depth) and Done
+// reported completion.
+func (s *Service) Status() status.Cluster {
+	s.state.mu.Lock()
+	st := status.Cluster{
+		Nodes: len(s.state.capacity),
+		Usage: slices.Clone(s.state.usage),
+		Jobs:  len(s.order),
 	}
-	for _, c := range capacity {
+	for n, c := range s.state.capacity {
 		st.GPUsTotal += c
+		st.GPUsUsed += s.state.usage[n]
 	}
-	for _, u := range usage {
-		st.GPUsUsed += u
-	}
-
-	s.mu.Lock()
 	for _, name := range s.order {
-		st.Jobs++
+		p := s.state.rows[name]
 		switch {
 		case s.reports[name].Done:
 			st.Done++
-		case gpusOf(s.allocs[name].Row) > 0:
+		case p != nil && sched.PlacementOf(p.row).GPUs > 0:
 			st.Running++
 		default:
 			st.Pending++
 		}
 	}
 	fe := s.fe
-	s.mu.Unlock()
+	s.state.mu.Unlock()
 
 	st.Admission = fe.AdmissionName()
 	st.Priority = fe.PriorityName()
@@ -79,7 +52,7 @@ func (s *Service) Status() ServiceStatus {
 	sort.Strings(names)
 	for _, name := range names {
 		ts := stats[name]
-		t := TenantStatus{
+		t := status.Tenant{
 			Name:      name,
 			Submitted: ts.Submitted,
 			Admitted:  ts.Admitted,
@@ -91,13 +64,4 @@ func (s *Service) Status() ServiceStatus {
 		st.Tenants = append(st.Tenants, t)
 	}
 	return st
-}
-
-// gpusOf sums an allocation row.
-func gpusOf(row []int) int {
-	total := 0
-	for _, g := range row {
-		total += g
-	}
-	return total
 }

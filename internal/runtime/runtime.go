@@ -13,6 +13,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/admit"
 	"repro/internal/ga"
@@ -79,26 +80,13 @@ func Step(b Backend, fe *admit.FrontEnd, policy sched.Policy, now float64) (int,
 	}
 	changed := make([]bool, len(m))
 	for i := range m {
-		changed[i] = !EqualRow(view.Current[i], m[i])
+		changed[i] = !slices.Equal(view.Current[i], m[i])
 	}
 	if err := b.Commit(m, changed); err != nil {
 		return 0, err
 	}
 	fe.ObserveRound(view, m)
 	return len(view.Jobs), nil
-}
-
-// EqualRow reports whether two allocation rows are identical.
-func EqualRow(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // CheckCapacity verifies that the matrix does not oversubscribe any node

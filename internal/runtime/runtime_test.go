@@ -99,15 +99,6 @@ func TestCheckCapacityShape(t *testing.T) {
 	}
 }
 
-func TestEqualRow(t *testing.T) {
-	if !EqualRow([]int{1, 2}, []int{1, 2}) {
-		t.Error("equal rows reported unequal")
-	}
-	if EqualRow([]int{1, 2}, []int{2, 1}) || EqualRow([]int{1}, []int{1, 0}) {
-		t.Error("unequal rows reported equal")
-	}
-}
-
 // firstWins allocates every GPU of node 0 to the first snapshot row —
 // order-sensitive on purpose, to observe the front end's permutation.
 type firstWins struct{}
@@ -145,10 +136,8 @@ func TestStepFrontEndPermutation(t *testing.T) {
 	// The policy gave node 0 to its first row = job 2 after the SLO sort;
 	// the commit must land on backend row 2, with rows 0 and 2 changed.
 	want := ga.Matrix{{0, 0}, {0, 0}, {4, 0}}
-	for i := range want {
-		if !EqualRow(b.committed[i], want[i]) {
-			t.Fatalf("committed = %v, want %v", b.committed, want)
-		}
+	if !b.committed.Equal(want) {
+		t.Fatalf("committed = %v, want %v", b.committed, want)
 	}
 	wantChanged := []bool{true, false, true}
 	for i := range wantChanged {

@@ -466,31 +466,22 @@ func (c *Cluster) Round(now float64) *sched.ClusterView {
 	return view
 }
 
-// Commit installs the validated allocation matrix on the last Round's
-// jobs. applyAlloc diffs each row itself, so the changed flags are not
-// consulted; interference is recomputed once per round, as the tick
-// engines always have.
+// Commit installs the rows of the validated allocation matrix that
+// changed on the last Round's jobs; interference is recomputed once per
+// round, as the tick engines always have.
 func (c *Cluster) Commit(m ga.Matrix, changed []bool) error {
 	for i, j := range c.roundAct {
-		c.applyAlloc(j, m[i])
+		if changed[i] {
+			c.applyAlloc(j, m[i])
+		}
 	}
 	c.recomputeInterference()
 	return nil
 }
 
-// applyAlloc installs a new allocation row on a job, charging the
-// checkpoint-restart delay when the placement changes.
+// applyAlloc installs a changed allocation row on a job and charges the
+// checkpoint-restart delay.
 func (c *Cluster) applyAlloc(j *jobState, row []int) {
-	same := true
-	for n := range row {
-		if row[n] != j.alloc[n] {
-			same = false
-			break
-		}
-	}
-	if same {
-		return
-	}
 	copy(j.alloc, row)
 	j.pl = sched.PlacementOf(row)
 	c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventAllocate, Placement: j.pl})

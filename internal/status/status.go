@@ -32,8 +32,8 @@ type Tenant struct {
 }
 
 // Cluster is the cluster-occupancy half of a status snapshot, assembled
-// on demand by the daemon's source callback (cluster.Service.Status
-// adapts directly). Queue depths live here: Pending is the number of
+// on demand by the daemon's source callback (cluster.Service.Status is
+// one). Queue depths live here: Pending is the number of
 // admitted jobs the last committed allocation left without GPUs.
 type Cluster struct {
 	Nodes     int
