@@ -599,9 +599,7 @@ func (r *round) solveRacks() ga.Matrix {
 		free := append([]int(nil), r.residual[n0:n1]...)
 		for mi, c := range mem {
 			seedCur[mi] = c.cur
-			if row := packJob(free, coarse[c.si][rk]); row != nil {
-				copy(seedPack[mi], row)
-			}
+			packJob(seedPack[mi], free, coarse[c.si][rk])
 		}
 		best, _ := r.solveNodes(mem, n0, n1, []ga.Matrix{seedCur, seedPack}, refinePop, refineGens)
 		for mi, c := range mem {

@@ -97,35 +97,32 @@ func PlacementOf(row []int) core.Placement {
 
 // packJob places g GPUs for one job onto the nodes with the most free
 // GPUs, minimizing the number of nodes spanned (the co-location preference
-// shared by all three schedulers). It mutates free and returns the
-// per-node allocation, or nil if fewer than g GPUs are free in total.
-func packJob(free []int, g int) []int {
+// shared by all three schedulers). It adds the placement to row (the
+// job's all-zero row of the matrix being built) and takes it from free;
+// when fewer than g GPUs are free in total it touches neither and
+// reports false.
+func packJob(row, free []int, g int) bool {
 	total := 0
 	for _, f := range free {
 		total += f
 	}
 	if g <= 0 || total < g {
-		return nil
+		return false
 	}
-	row := make([]int, len(free))
 	// Repeatedly take from the node with the most free GPUs.
-	remaining := g
-	for remaining > 0 {
-		best := -1
+	for g > 0 {
+		best := 0
 		for n, f := range free {
-			if f > 0 && (best < 0 || f > free[best]) {
+			if f > free[best] {
 				best = n
 			}
 		}
-		take := free[best]
-		if take > remaining {
-			take = remaining
-		}
+		take := min(free[best], g)
 		row[best] += take
 		free[best] -= take
-		remaining -= take
+		g -= take
 	}
-	return row
+	return true
 }
 
 // packAll builds an allocation matrix by packing per-job GPU counts in
@@ -142,14 +139,7 @@ func packAll(capacity []int, demands []int) ga.Matrix {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return demands[order[a]] > demands[order[b]] })
 	for _, j := range order {
-		if demands[j] <= 0 {
-			continue
-		}
-		row := packJob(free, demands[j])
-		if row == nil {
-			continue
-		}
-		copy(m[j], row)
+		packJob(m[j], free, demands[j])
 	}
 	return m
 }

@@ -27,8 +27,8 @@ func TestPlacementOf(t *testing.T) {
 
 func TestPackJobCoLocates(t *testing.T) {
 	free := []int{4, 4, 4}
-	row := packJob(free, 4)
-	if row == nil {
+	row := make([]int, len(free))
+	if !packJob(row, free, 4) {
 		t.Fatal("pack failed")
 	}
 	if PlacementOf(row).Nodes != 1 {
@@ -41,7 +41,8 @@ func TestPackJobCoLocates(t *testing.T) {
 
 func TestPackJobSpans(t *testing.T) {
 	free := []int{2, 3, 1}
-	row := packJob(free, 5)
+	row := make([]int, len(free))
+	packJob(row, free, 5)
 	pl := PlacementOf(row)
 	if pl.GPUs != 5 {
 		t.Fatalf("packed %d GPUs, want 5", pl.GPUs)
@@ -53,7 +54,8 @@ func TestPackJobSpans(t *testing.T) {
 
 func TestPackJobInsufficient(t *testing.T) {
 	free := []int{1, 1}
-	if row := packJob(free, 3); row != nil {
+	row := make([]int, len(free))
+	if packJob(row, free, 3) || row[0] != 0 || row[1] != 0 {
 		t.Errorf("pack should fail: %v", row)
 	}
 	if free[0] != 1 || free[1] != 1 {

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ga"
 )
@@ -40,31 +40,20 @@ func (t *Tiresias) queueOf(attained float64) int {
 
 // Schedule allocates user-requested GPU counts in discretized-LAS order.
 func (t *Tiresias) Schedule(v *ClusterView) ga.Matrix {
-	order := make([]int, len(v.Jobs))
-	for i := range order {
-		order[i] = i
-	}
-	// Within a queue the stable sort keeps the snapshot order, which is
+	free := slices.Clone(v.Capacity)
+	m := ga.NewMatrix(len(v.Jobs), len(v.Capacity))
+	// Queue by queue, and within a queue in snapshot order, which is
 	// submission order in every deployment (traces are submit-sorted and
 	// the testbed registers trainers as they arrive) — unless an admit
 	// front end reordered the snapshot, in which case its priority (e.g.
-	// earliest SLO deadline first) decides within-queue order.
-	sort.SliceStable(order, func(a, b int) bool {
-		qa := t.queueOf(v.Jobs[order[a]].GPUTime)
-		qb := t.queueOf(v.Jobs[order[b]].GPUTime)
-		return qa < qb
-	})
-
-	free := make([]int, len(v.Capacity))
-	copy(free, v.Capacity)
-	m := ga.NewMatrix(len(v.Jobs), len(v.Capacity))
-	for _, i := range order {
-		g := v.Jobs[i].UserGPUs
-		row := packJob(free, g)
-		if row == nil {
-			continue // does not fit; let smaller jobs backfill
+	// earliest SLO deadline first) decides within-queue order. A job that
+	// does not fit is skipped, so smaller jobs backfill.
+	for q := 0; q <= len(t.QueueThresholds); q++ {
+		for i := range v.Jobs {
+			if t.queueOf(v.Jobs[i].GPUTime) == q {
+				packJob(m[i], free, v.Jobs[i].UserGPUs)
+			}
 		}
-		copy(m[i], row)
 	}
 	return m
 }
