@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/par"
@@ -47,9 +48,7 @@ func (m Matrix) Clone() Matrix {
 		return Matrix{}
 	}
 	c := NewMatrix(len(m), len(m[0]))
-	for j := range m {
-		copy(c[j], m[j])
-	}
+	c.CopyFrom(m)
 	return c
 }
 
@@ -73,31 +72,24 @@ func (m Matrix) JobNodes(j int) int {
 	return n
 }
 
-// NodeUsage returns the total GPUs allocated on node n across all jobs.
-func (m Matrix) NodeUsage(n int) int {
-	sum := 0
-	for j := range m {
-		sum += m[j][n]
+// tally adds every row into usage (per-node GPU totals, one entry per
+// capacity node) and sets span[j] to the number of nodes row j holds GPUs
+// on: the one whole-matrix pass feasibility and repair need, row by row.
+func (m Matrix) tally(usage, span []int) {
+	for j, row := range m {
+		span[j] = 0
+		for n, g := range row[:len(usage)] {
+			usage[n] += g
+			if g > 0 {
+				span[j]++
+			}
+		}
 	}
-	return sum
 }
 
 // Equal reports whether two matrices have identical entries.
 func (m Matrix) Equal(o Matrix) bool {
-	if len(m) != len(o) {
-		return false
-	}
-	for j := range m {
-		if len(m[j]) != len(o[j]) {
-			return false
-		}
-		for n := range m[j] {
-			if m[j][n] != o[j][n] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(m, o, slices.Equal[[]int])
 }
 
 // Problem describes one cluster-wide allocation optimization.
@@ -185,6 +177,10 @@ type GA struct {
 	next       []Matrix
 	nextScores []float64
 
+	// Repair scratch (see repair), so repairing an offspring allocates
+	// nothing: the matrix's tally and the candidates of the node in hand.
+	usage, span, cand []int
+
 	stats Stats
 }
 
@@ -212,7 +208,7 @@ func (g *GA) Stats() Stats { return g.stats }
 // carried-over current allocation beats an all-paused search there).
 func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 	opts.defaults()
-	g := &GA{prob: prob, opts: opts, rng: rng}
+	g := &GA{prob: prob, opts: opts, rng: rng, usage: make([]int, len(prob.Capacity)), span: make([]int, prob.Jobs)}
 	g.pop = make([]Matrix, 0, opts.Population)
 	seedSlots := opts.Population - 1
 	if opts.Population == 1 {
@@ -449,11 +445,14 @@ func (g *GA) tournament() int {
 }
 
 // repair restores feasibility: per-node GPU capacity first, then (if
-// enabled) the interference-avoidance constraint.
+// enabled) the interference-avoidance constraint. One pass over the rows
+// feeds both: capacity repair keeps the spans current as it empties cells.
 func (g *GA) repair(m Matrix) {
-	RepairCapacity(m, g.prob.Capacity, g.rng)
+	clear(g.usage)
+	m.tally(g.usage, g.span)
+	g.cand = repairCapacity(m, g.prob.Capacity, g.rng, g.usage, g.span, g.cand)
 	if g.prob.InterferenceAvoidance {
-		RepairInterferenceSub(m, g.rng, g.prob.DistBlocked, g.prob.ExtraSpan)
+		g.cand = repairInterference(m, g.rng, g.prob.DistBlocked, g.prob.ExtraSpan, g.span, g.cand)
 	}
 }
 
@@ -463,9 +462,17 @@ func (g *GA) repair(m Matrix) {
 // node) is computed once per node and maintained in place as jobs hit
 // zero, so repair is linear in jobs + excess rather than quadratic.
 func RepairCapacity(m Matrix, capacity []int, rng *rand.Rand) {
-	var cand []int
+	usage, span := make([]int, len(capacity)), make([]int, len(m))
+	m.tally(usage, span)
+	repairCapacity(m, capacity, rng, usage, span, nil)
+}
+
+// repairCapacity is RepairCapacity given m's tally. Repairing node n
+// writes only column n, so the usage of later nodes stays valid; span is
+// kept current as cells reach zero. cand is scratch, returned for reuse.
+func repairCapacity(m Matrix, capacity []int, rng *rand.Rand, usage, span, cand []int) []int {
 	for n := range capacity {
-		over := m.NodeUsage(n) - capacity[n]
+		over := usage[n] - capacity[n]
 		if over <= 0 {
 			continue
 		}
@@ -483,31 +490,25 @@ func RepairCapacity(m Matrix, capacity []int, rng *rand.Rand) {
 			if m[j][n] == 0 {
 				cand[i] = cand[len(cand)-1]
 				cand = cand[:len(cand)-1]
+				span[j]--
 			}
 		}
 	}
+	return cand
 }
 
 // RepairInterference removes distributed jobs (spanning > 1 node) from
 // nodes shared with other distributed jobs, until each node hosts at most
-// one distributed job (Sec. 4.2.1, interference avoidance). Per-job node
-// counts are maintained incrementally, so the repair is a single pass
-// over the nodes instead of the former rescan-until-stable loop whose
-// every sweep recomputed JobNodes per (node, job) pair — O(nodes × jobs ×
-// nodes) per sweep, a measured hotspot on 64-node traces.
+// one distributed job (Sec. 4.2.1, interference avoidance), in a single
+// pass over the nodes with per-job node counts maintained as it goes.
 //
-// Correctness hinges on the span recheck being live at every eviction:
-// zeroing job i's allocation on node n shrinks i's span, and a job whose
-// span has dropped to a single node no longer interferes (Sec. 4.2.1 —
-// only distributed jobs sharing a node interfere), so it must never be
-// evicted. Each node's candidate list is therefore built from the live
-// span counts at the moment the node is processed, never carried over,
-// and an eviction updates the count in place. One pass suffices: later
-// evictions only shrink spans, which cannot re-create a violation on an
-// already-processed node. For inputs where no eviction occurs the rng is
-// never touched, and in general the draw sequence is identical to the
-// old stable-scan's first sweep (its later sweeps never drew), so fixed-
-// seed GA traces are unchanged.
+// A job whose span has dropped to one node no longer interferes and must
+// never be evicted, so each node's candidate list is built from the live
+// counts when the node is processed and an eviction updates the count in
+// place; evictions only shrink spans, so one pass suffices (see "One-pass
+// interference repair" in docs/architecture.md). The rng is drawn only
+// where a node must choose whom to evict, in the order the
+// rescan-until-stable oracle in the tests draws.
 func RepairInterference(m Matrix, rng *rand.Rand) {
 	RepairInterferenceSub(m, rng, nil, nil)
 }
@@ -521,18 +522,25 @@ func RepairInterference(m Matrix, rng *rand.Rand) {
 // Either may be nil; with both nil this is exactly RepairInterference,
 // rng draw sequence included.
 func RepairInterferenceSub(m Matrix, rng *rand.Rand, blocked []bool, extraSpan []int) {
-	if len(m) == 0 {
-		return
-	}
-	nodes := len(m[0])
 	span := make([]int, len(m))
 	for j := range m {
 		span[j] = m.JobNodes(j)
-		if extraSpan != nil {
+	}
+	repairInterference(m, rng, blocked, extraSpan, span, nil)
+}
+
+// repairInterference is RepairInterferenceSub given the rows' node counts
+// in span, which it widens by extraSpan. dist is scratch, returned for reuse.
+func repairInterference(m Matrix, rng *rand.Rand, blocked []bool, extraSpan, span, dist []int) []int {
+	if len(m) == 0 {
+		return dist
+	}
+	if extraSpan != nil {
+		for j := range span {
 			span[j] += extraSpan[j]
 		}
 	}
-	var dist []int
+	nodes := len(m[0])
 	for n := 0; n < nodes; n++ {
 		if blocked != nil && blocked[n] {
 			// The outside distributed job keeps the node; every
@@ -566,6 +574,7 @@ func RepairInterferenceSub(m Matrix, rng *rand.Rand, blocked []bool, extraSpan [
 			dist = append(dist[:i], dist[i+1:]...)
 		}
 	}
+	return dist
 }
 
 // Feasible reports whether m satisfies node capacities and, optionally,
@@ -579,28 +588,33 @@ func Feasible(m Matrix, capacity []int, avoidance bool) bool {
 // RepairInterferenceSub: no distributed GPUs on blocked nodes, and spans
 // widened by extraSpan. Either may be nil.
 func FeasibleSub(m Matrix, capacity []int, avoidance bool, blocked []bool, extraSpan []int) bool {
-	for n := range capacity {
-		if m.NodeUsage(n) > capacity[n] {
+	usage, span := make([]int, len(capacity)), make([]int, len(m))
+	m.tally(usage, span)
+	for n, c := range capacity {
+		if usage[n] > c {
 			return false
 		}
 	}
-	if avoidance {
-		span := make([]int, len(m))
-		for j := range m {
-			span[j] = m.JobNodes(j)
-			if extraSpan != nil {
-				span[j] += extraSpan[j]
-			}
+	if !avoidance {
+		return true
+	}
+	// Only distributed rows are walked again. hosts marks the nodes where a
+	// distributed job sits: the blocked ones, then each one found.
+	hosts := make([]bool, len(capacity))
+	copy(hosts, blocked)
+	for j, row := range m {
+		if extraSpan != nil {
+			span[j] += extraSpan[j]
 		}
-		for n := range capacity {
-			dist := 0
-			for j := range m {
-				if m[j][n] > 0 && span[j] > 1 {
-					dist++
+		if span[j] <= 1 {
+			continue
+		}
+		for n, g := range row[:len(capacity)] {
+			if g > 0 {
+				if hosts[n] {
+					return false
 				}
-			}
-			if dist > 1 || (dist > 0 && blocked != nil && blocked[n]) {
-				return false
+				hosts[n] = true
 			}
 		}
 	}

@@ -41,9 +41,10 @@ type Backend interface {
 // priority ordering, policy optimization, matrix validation, placement
 // diff, commit. fe is the deployment's admit front end; nil means no
 // front end (the snapshot order reaches the policy untouched). It
-// returns the number of jobs scheduled. A malformed or oversubscribing
-// policy result aborts the round with an error before any row is
-// applied, so a failed round never leaves the backend half-committed.
+// returns the number of jobs scheduled. A malformed, negative or
+// oversubscribing policy result aborts the round with an error before
+// any row is applied, so a failed round never leaves the backend
+// half-committed.
 func Step(b Backend, fe *admit.FrontEnd, policy sched.Policy, now float64) (int, error) {
 	view := b.Round(now)
 	if len(view.Jobs) == 0 {
@@ -89,21 +90,24 @@ func Step(b Backend, fe *admit.FrontEnd, policy sched.Policy, now float64) (int,
 	return len(view.Jobs), nil
 }
 
-// CheckCapacity verifies that the matrix does not oversubscribe any node
-// in aggregate. Rows must all have one entry per capacity node.
+// CheckCapacity verifies, in one pass over the rows, that each has one
+// non-negative entry per node and that together they oversubscribe none.
 func CheckCapacity(capacity []int, m ga.Matrix) error {
+	usage := make([]int, len(capacity))
 	for i, row := range m {
 		if len(row) != len(capacity) {
 			return fmt.Errorf("row %d has %d nodes, cluster has %d", i, len(row), len(capacity))
 		}
+		for n, g := range row {
+			if g < 0 {
+				return fmt.Errorf("row %d node %d negative: %d", i, n, g)
+			}
+			usage[n] += g
+		}
 	}
 	for n, c := range capacity {
-		total := 0
-		for _, row := range m {
-			total += row[n]
-		}
-		if total > c {
-			return fmt.Errorf("node %d oversubscribed: %d > %d", n, total, c)
+		if usage[n] > c {
+			return fmt.Errorf("node %d oversubscribed: %d > %d", n, usage[n], c)
 		}
 	}
 	return nil

@@ -1,13 +1,15 @@
 package runtime
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/admit"
-
 	"repro/internal/ga"
 	"repro/internal/sched"
+	"repro/internal/testutil"
 )
 
 // fakeBackend is a minimal two-node deployment for exercising Step.
@@ -90,15 +92,6 @@ func TestStepRejectsOversubscription(t *testing.T) {
 	}
 }
 
-func TestCheckCapacityShape(t *testing.T) {
-	if err := CheckCapacity([]int{4, 4}, ga.Matrix{{1, 1, 1}}); err == nil {
-		t.Error("wrong-shaped row accepted")
-	}
-	if err := CheckCapacity([]int{4, 4}, ga.Matrix{{4, 0}, {0, 4}}); err != nil {
-		t.Errorf("exact-fit matrix rejected: %v", err)
-	}
-}
-
 // firstWins allocates every GPU of node 0 to the first snapshot row —
 // order-sensitive on purpose, to observe the front end's permutation.
 type firstWins struct{}
@@ -151,5 +144,124 @@ func TestStepFrontEndPermutation(t *testing.T) {
 	}
 	if got := fe.Stats()[""].QueueDepthSum; got != 2 {
 		t.Errorf("queue depth sum = %v, want 2 (jobs 0 and 1 unallocated)", got)
+	}
+}
+
+// checkOracle is the independent statement of what CheckCapacity accepts:
+// every row one entry per node, no negative entry, and no column summing
+// past its node's capacity. It walks column by column on purpose.
+func checkOracle(capacity []int, m ga.Matrix) bool {
+	for _, row := range m {
+		if len(row) != len(capacity) {
+			return false
+		}
+		for _, g := range row {
+			if g < 0 {
+				return false
+			}
+		}
+	}
+	for n, c := range capacity {
+		total := 0
+		for _, row := range m {
+			total += row[n]
+		}
+		if total > c {
+			return false
+		}
+	}
+	return true
+}
+
+func TestCheckCapacityTable(t *testing.T) {
+	capacity := []int{4, 4}
+	for _, c := range []struct {
+		name string
+		m    ga.Matrix
+		want string // substring of the error; "" accepts
+	}{
+		{"empty", ga.Matrix{}, ""},
+		{"exact fit", ga.Matrix{{4, 0}, {0, 4}}, ""},
+		{"exact fit shared", ga.Matrix{{1, 2}, {3, 2}}, ""},
+		{"long row", ga.Matrix{{1, 1, 1}}, "row 0 has 3 nodes"},
+		{"short row", ga.Matrix{{1, 1}, {1}}, "row 1 has 1 nodes"},
+		{"nil row", ga.Matrix{{1, 1}, nil}, "row 1 has 0 nodes"},
+		{"over by one", ga.Matrix{{2, 0}, {3, 0}}, "node 0 oversubscribed: 5 > 4"},
+		{"over on last node", ga.Matrix{{0, 4}, {0, 1}}, "node 1 oversubscribed: 5 > 4"},
+		// The negative entry makes the column sum fit; the rows without it
+		// hold 6 GPUs on a 4-GPU node.
+		{"negative hides oversubscription", ga.Matrix{{-2, 0}, {3, 0}, {3, 0}}, "row 0 node 0 negative"},
+		{"negative alone", ga.Matrix{{0, 0}, {0, -1}}, "row 1 node 1 negative"},
+	} {
+		err := CheckCapacity(capacity, c.m)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+		if (err == nil) != checkOracle(capacity, c.m) {
+			t.Errorf("%s: CheckCapacity and the column-sum oracle disagree (err = %v)", c.name, err)
+		}
+	}
+}
+
+func TestStepRejectsNegativeCell(t *testing.T) {
+	b := &fakeBackend{view: view(3, ga.NewMatrix(3, 2))}
+	_, err := Step(b, nil, fixedPolicy{ga.Matrix{{-2, 0}, {3, 0}, {3, 0}}}, 0)
+	if err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("err = %v, want a negative-cell error", err)
+	}
+	if b.committed != nil {
+		t.Error("Commit called despite a negative cell")
+	}
+}
+
+// TestCheckCapacityMatchesOracle compares the one-pass check with the
+// column-sum oracle on random matrices of every shape the round can see:
+// empty, a single row, filled exactly to capacity, one GPU over, and
+// unconstrained ones with the occasional negative or ragged row.
+func TestCheckCapacityMatchesOracle(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := make([]int, 1+rng.Intn(6))
+		for n := range capacity {
+			capacity[n] = rng.Intn(9)
+		}
+		var m ga.Matrix
+		switch kind := rng.Intn(5); kind {
+		case 0: // empty
+			m = ga.Matrix{}
+		case 1: // single row
+			m = ga.NewMatrix(1, len(capacity))
+			for n, c := range capacity {
+				m[0][n] = rng.Intn(c + 2)
+			}
+		case 2, 3: // exact fit, then one over
+			m = ga.NewMatrix(1+rng.Intn(5), len(capacity))
+			for n, c := range capacity {
+				for ; c > 0; c-- {
+					m[rng.Intn(len(m))][n]++
+				}
+			}
+			if kind == 3 {
+				m[rng.Intn(len(m))][rng.Intn(len(capacity))]++
+			}
+		default:
+			m = ga.NewMatrix(rng.Intn(6), len(capacity))
+			for _, row := range m {
+				for n := range row {
+					row[n] = rng.Intn(4) - rng.Intn(8)/7
+				}
+			}
+			if len(m) > 0 && rng.Intn(4) == 0 {
+				i := rng.Intn(len(m))
+				m[i] = m[i][:rng.Intn(len(capacity))]
+			}
+		}
+		return (CheckCapacity(capacity, m) == nil) == checkOracle(capacity, m)
+	}
+	if err := quick.Check(prop, testutil.QuickConfig(2000)); err != nil {
+		t.Error(err)
 	}
 }

@@ -6,57 +6,70 @@ package sched
 // each interval (Sec. 4.2.1). That is still what a default round does, but
 // it is the widest setting of one procedure, not a separate one:
 //
+//	newRound   the view and the placement of every current row
 //	dirtySet   which jobs to re-place (view indices, "sub")
-//	newRound   the round's data: view, speedup tables, Eqn. 16 weights
+//	price      speedup tables and Eqn. 16 weights
 //	solve      residual capacity and blocked nodes left by the clean rows,
 //	           a node-level GA (solveNodes) for the sub rows, compose with
-//	           the clean rows, carry the population as next round's seeds
-//	commit     remember rows and job signatures for the next dirty set
+//	           the clean rows, keep the population as next round's seeds
+//	           and the rows and job signatures for the next dirty set
 //
 // A default round has every job dirty and solves them on one rack that
-// spans all nodes. Two options narrow it, because a round costs
-// O(population × generations × jobs × nodes) fitness cells and the same
-// order of rng draws, which dominates wall clock at 512–1024 nodes:
+// spans all nodes. Two options (see PolluxOptions) narrow it, because a
+// round costs O(population × generations × jobs × nodes) fitness cells
+// and as many rng draws, which dominates wall clock at 512–1024 nodes:
 //
-//  1. Incremental. Between rounds most jobs are unchanged: the committed
-//     row, the fitted model, and the demand of a queued or steadily
-//     running job are the same as last interval, and a row that does not
-//     move contributes a constant to the Eqn. 14 objective. The dirty set
-//     is then the jobs whose model, phase, or demand changed since the
-//     last committed matrix, their placement neighbors, and a bounded
-//     batch of queued jobs competing for freed capacity; every clean row
-//     carries forward verbatim. A FullEvery cadence forces periodic
-//     all-dirty rounds so incremental never drifts far from the global
-//     optimum. Without Incremental every job is dirty every round.
+//  1. Incremental. A row that does not move contributes a constant to
+//     Eqn. 14, so only the jobs whose model, phase or demand changed since
+//     the last committed matrix, their placement neighbors and a bounded
+//     batch of queued jobs are re-placed; clean rows carry forward
+//     verbatim, and FullEvery forces periodic all-dirty rounds.
 //
-//  2. RackSize. With racks of RackSize nodes, a coarse GA first assigns
-//     each sub job GPU counts per rack (racks as super-nodes, priced by
-//     the Sec. 3.2 rack-locality extension via speedupTable.SpeedupRack),
-//     then solveNodes runs once per rack on that rack's columns, with the
-//     coarse shares in other racks as fixed context. The search space
-//     drops from O(nodes) to O(racks) + O(nodes/rack) per matrix row.
+//  2. RackSize. A coarse GA first assigns each sub job GPU counts per rack
+//     (racks as super-nodes, priced by speedupTable.SpeedupRack), then
+//     solveNodes runs once per rack with the shares in other racks as
+//     fixed context: O(racks) + O(nodes/rack) per matrix row, not O(nodes).
 //
-// solveNodes holds the only node-level Eqn. 14 fitness. What keeps the
-// default round bit-identical to the historical flat scheduler is data it
-// reads, not a mode: dense mutation exactly when a solve covers the whole
-// view on one rack, the current allocation seeded first only when the
-// view has a full-length one, and the whole final population carried in
-// GA order when it fits seedCellBudget.
+// solveNodes holds the only node-level Eqn. 14 fitness. The default round
+// stays bit-identical to the historical flat scheduler through data it
+// reads, not a mode: when mutation is dense, what is seeded first, and
+// what carries over (docs/architecture.md, "One scheduling round").
+//
+// Ownership. The scheduler keeps the matrix it last returned exactly once,
+// built by round.own: incState.rows and the champion seed prevPop[0] are
+// that one matrix. Its rows are never written once built and never alias
+// caller memory: a clean job's row is the previous round's row (the slice
+// is reused, no cell copied), a re-placed job's row an allocation of its
+// own, so no surviving row pins a whole-matrix backing array. The view's
+// Current and the matrix Schedule returns belong to the caller. Every
+// whole-matrix pass is row by row and happens once a round; the budget is
+// in docs/architecture.md. A skipped round keeps the state it has.
 
 import (
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/ga"
 )
 
 // incState is the cross-round dirty-set state: the committed matrix and
-// job signatures as of the last Schedule call, keyed by stable job ID.
+// job signatures as of the last round that solved anything, keyed by
+// stable job ID.
 type incState struct {
 	ids   []int
 	sigs  []SigSnapshot
-	rows  ga.Matrix   // committed rows aligned with ids
+	rows  ga.Matrix   // committed rows aligned with ids; see round.own
 	index map[int]int // job ID → position in ids (lookups only)
 	cap   []int
+}
+
+// newIncState indexes committed rows by job ID; it keeps the slices given.
+func newIncState(ids []int, sigs []SigSnapshot, rows ga.Matrix, capacity []int) *incState {
+	st := &incState{ids: ids, sigs: sigs, rows: rows, index: make(map[int]int, len(ids)), cap: capacity}
+	for i, id := range ids {
+		st.index[id] = i
+	}
+	return st
 }
 
 // seedCellBudget bounds the matrix cells carried over as GA seeds from
@@ -74,24 +87,9 @@ func allJobs(n int) []int {
 	return all
 }
 
-// commitState records the committed matrix and job signatures for the
-// next round's dirty-set computation. The matrix is cloned: the caller
-// owns the returned allocation.
-func (p *Pollux) commitState(v *ClusterView, out ga.Matrix) {
-	jobs := v.Jobs
-	st := &incState{
-		ids:   make([]int, len(jobs)),
-		sigs:  make([]SigSnapshot, len(jobs)),
-		rows:  out.Clone(),
-		index: make(map[int]int, len(jobs)),
-		cap:   append([]int(nil), v.Capacity...),
-	}
-	for i, j := range jobs {
-		st.ids[i] = j.ID
-		st.sigs[i] = SigSnapshot{Model: j.Model, GPUCap: j.GPUCap, MinGPUs: j.MinGPUs}
-		st.index[j.ID] = i
-	}
-	p.inc = st
+// sigOf is the job's change signature, which dirtySet compares.
+func sigOf(j JobView) SigSnapshot {
+	return SigSnapshot{Model: j.Model, GPUCap: j.GPUCap, MinGPUs: j.MinGPUs}
 }
 
 // dirtySet returns the view indices to re-place this round, in view
@@ -104,7 +102,8 @@ func (p *Pollux) commitState(v *ClusterView, out ga.Matrix) {
 // clean queued jobs competing for freed capacity. An empty set means
 // nothing changed at all. When more than 3/4 of the jobs are dirty the
 // set widens to all of them: a full round does less redundant work.
-func (p *Pollux) dirtySet(v *ClusterView) []int {
+func (r *round) dirtySet() []int {
+	p, v := r.p, r.v
 	st := p.inc
 	jobs := v.Jobs
 	if !p.opts.Incremental || st == nil || !slices.Equal(st.cap, v.Capacity) ||
@@ -122,14 +121,18 @@ func (p *Pollux) dirtySet(v *ClusterView) []int {
 			}
 		}
 	}
-	live := make(map[int]bool, len(jobs))
+	r.kept = make(ga.Matrix, len(jobs))
+	seen := make([]bool, len(st.ids)) // committed positions still in the view
 	for i, j := range jobs {
-		live[j.ID] = true
 		pi, ok := st.index[j.ID]
+		if ok {
+			seen[pi] = true
+			r.kept[i] = st.rows[pi]
+		}
 		switch {
 		case !ok:
 			dirty[i] = true // arrival
-		case st.sigs[pi] != (SigSnapshot{Model: j.Model, GPUCap: j.GPUCap, MinGPUs: j.MinGPUs}):
+		case st.sigs[pi] != sigOf(j):
 			dirty[i] = true // refit or demand change
 			markRow(st.rows[pi])
 		case !slices.Equal(v.Current[i], st.rows[pi]):
@@ -142,8 +145,8 @@ func (p *Pollux) dirtySet(v *ClusterView) []int {
 		}
 	}
 	// Departed jobs free their nodes for neighbors to claim.
-	for pi, id := range st.ids {
-		if !live[id] {
+	for pi, live := range seen {
+		if !live {
 			anyChange = true
 			markRow(st.rows[pi])
 		}
@@ -155,7 +158,7 @@ func (p *Pollux) dirtySet(v *ClusterView) []int {
 	queued := 0
 	for i := range jobs {
 		if !dirty[i] {
-			if PlacementOf(v.Current[i]).GPUs == 0 {
+			if r.placed[i].GPUs == 0 {
 				// Clean queued job: a bounded batch per round may compete
 				// for the capacity this round frees.
 				if queued < queuedPerRound {
@@ -181,36 +184,47 @@ func (p *Pollux) dirtySet(v *ClusterView) []int {
 	return sub
 }
 
-// round is the data of one Schedule call. newRound fills the part that
-// depends only on the view; solve fills the rest for the jobs it
+// round is the data of one Schedule call: newRound fills what dirtySet
+// reads, price the tables and weights, solve the rest for the jobs it
 // re-places.
 type round struct {
 	p *Pollux
 	v *ClusterView
+	// placed summarizes each job's current row (zero where the view has
+	// none): is the job queued, running, distributed.
+	placed []core.Placement
+	// kept holds the committed row of each job dirtySet found in the
+	// committed state; nil on a round that consulted none.
+	kept ga.Matrix
 	// Per view index: speedup tables and Eqn. 16 weights, with their sum.
 	tables  []*speedupTable
 	weights []float64
 	sumW    float64
 
-	sub     []int     // view indices being re-placed, ascending
-	cur     ga.Matrix // per sub job: its current row (zeros when the view has none)
-	running []bool    // per sub job: it holds GPUs now, so moving it costs RestartPenalty
+	sub []int     // view indices being re-placed, ascending
+	cur ga.Matrix // per sub job: its current row (zeros when the view has none)
 	// Per node: the capacity the clean rows leave, and whether a clean
 	// distributed job sits there (Sec. 4.2.1 then forbids a second one).
 	residual []int
 	blocked  []bool
 }
 
-// newRound builds the per-job speedup tables and Eqn. 16 weights. The
+// newRound summarizes the view's current rows.
+func (p *Pollux) newRound(v *ClusterView) *round {
+	r := &round{p: p, v: v, placed: make([]core.Placement, len(v.Jobs))}
+	for i, row := range v.Current[:min(len(v.Jobs), len(v.Current))] {
+		r.placed[i] = PlacementOf(row)
+	}
+	return r
+}
+
+// price builds the per-job speedup tables and Eqn. 16 weights. The
 // weight sum is accumulated in job order in its own loop, matching the
 // historical computation bit for bit.
-func (p *Pollux) newRound(v *ClusterView) *round {
-	r := &round{
-		p:       p,
-		v:       v,
-		tables:  make([]*speedupTable, len(v.Jobs)),
-		weights: make([]float64, len(v.Jobs)),
-	}
+func (r *round) price() {
+	p, v := r.p, r.v
+	r.tables = make([]*speedupTable, len(v.Jobs))
+	r.weights = make([]float64, len(v.Jobs))
 	maxK := v.TotalGPUs()
 	for i, j := range v.Jobs {
 		r.tables[i] = p.cachedTable(j, maxK, len(v.Capacity))
@@ -222,7 +236,6 @@ func (p *Pollux) newRound(v *ClusterView) *round {
 	if r.sumW == 0 {
 		r.sumW = 1
 	}
-	return r
 }
 
 // solve re-places the sub jobs (view indices, ascending) against the
@@ -231,7 +244,7 @@ func (p *Pollux) newRound(v *ClusterView) *round {
 // alone optimizes the full objective over this round's allowed moves.
 // With racks set the sub rows come from the coarse-then-per-rack solve,
 // otherwise from one solveNodes over all nodes. It returns the composed
-// full matrix and carries the population into the next round, or returns
+// full matrix and keeps what the next round needs (see keep), or returns
 // nil if the composition fails the defensive feasibility check.
 func (r *round) solve(sub []int, racks bool) ga.Matrix {
 	p, v := r.p, r.v
@@ -245,16 +258,15 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 	r.residual = append([]int(nil), v.Capacity...)
 	r.blocked = make([]bool, nodes)
 	for i := range jobs {
-		if inSub[i] || i >= len(v.Current) {
-			continue
+		if inSub[i] || r.placed[i].Nodes == 0 {
+			continue // a row with no positive cell leaves every node as it is
 		}
-		row := v.Current[i]
-		span := PlacementOf(row).Nodes
-		for n, g := range row {
+		dist := r.placed[i].Nodes > 1
+		for n, g := range v.Current[i] {
 			if g > 0 {
 				// Clamped defensively: the live matrix may be over capacity.
 				r.residual[n] = max(0, r.residual[n]-g)
-				if span > 1 {
+				if dist {
 					r.blocked[n] = true
 				}
 			}
@@ -263,14 +275,12 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 
 	r.sub = sub
 	r.cur = make(ga.Matrix, len(sub))
-	r.running = make([]bool, len(sub))
 	zero := make([]int, nodes)
 	for si, i := range sub {
 		r.cur[si] = zero
 		if i < len(v.Current) {
 			r.cur[si] = v.Current[i]
 		}
-		r.running[si] = PlacementOf(r.cur[si]).GPUs > 0
 	}
 
 	var rows ga.Matrix
@@ -293,52 +303,80 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 		rows, pop = r.solveNodes(mem, 0, nodes, seeds, p.opts.Population, p.opts.Generations)
 	}
 
-	// Compose: clean rows verbatim, sub rows from the solver.
-	compose := func(subRows ga.Matrix) ga.Matrix {
-		out := ga.NewMatrix(len(jobs), nodes)
-		for i := range jobs {
-			if !inSub[i] && i < len(v.Current) {
-				copy(out[i], v.Current[i])
-			}
+	// Compose the caller's matrix: clean rows verbatim (an all-zero one is
+	// already there), sub rows from the solver.
+	out := ga.NewMatrix(len(jobs), nodes)
+	for i := range jobs {
+		if !inSub[i] && r.placed[i] != (core.Placement{}) {
+			copy(out[i], v.Current[i])
 		}
-		for si, i := range sub {
-			copy(out[i], subRows[si])
-		}
-		return out
 	}
-	out := compose(rows)
+	for si, i := range sub {
+		copy(out[i], rows[si])
+	}
 	whole := !racks && len(sub) == len(jobs) // repaired GA output as it stands
-	if !whole && !feasibleComposed(out, v.Capacity, !p.opts.DisableInterferenceAvoidance) {
+	if !whole && !ga.Feasible(out, v.Capacity, !p.opts.DisableInterferenceAvoidance) {
 		return nil
 	}
+	r.keep(rows, pop, whole)
+	return out
+}
 
-	// Seed carryover, within the cell budget. A whole-view population
-	// that fits carries as it stands, in GA order; otherwise the champion
-	// carries first and the other members (best first) follow while the
-	// budget lasts.
-	keep := max(1, seedCellBudget/max(1, len(jobs)*nodes))
+// own builds a matrix the scheduler keeps out of one solver result (see
+// Ownership above): a clean job's row is its committed row as it stands
+// (it equals the view's, or the job would be dirty), a sub job's a copy.
+func (r *round) own(subRows ga.Matrix) ga.Matrix {
+	m := make(ga.Matrix, len(r.v.Jobs))
+	copy(m, r.kept)
+	for si, i := range r.sub {
+		m[i] = slices.Clone(subRows[si])
+	}
+	return m
+}
+
+// keep carries the round's result into the next one: the GA seeds within
+// the cell budget and, with Incremental, the committed matrix and job
+// signatures the next dirty set compares against. A whole-view population
+// that fits carries as it stands, in GA order; otherwise the champion
+// carries first and the other members (best first) follow while the
+// budget lasts.
+func (r *round) keep(rows ga.Matrix, pop []ga.Matrix, whole bool) {
+	p, jobs := r.p, r.v.Jobs
+	budget := max(1, seedCellBudget/max(1, len(jobs)*len(r.v.Capacity)))
 	var carried []ga.Matrix
-	if whole && len(pop) <= keep {
+	var committed ga.Matrix
+	if whole && len(pop) <= budget {
 		for _, m := range pop {
 			carried = append(carried, m.Clone())
 		}
 	} else {
-		carried = append(carried, out.Clone())
+		committed = r.own(rows)
+		carried = append(carried, committed)
 		for _, m := range pop {
-			if len(carried) >= keep {
+			if len(carried) >= budget {
 				break
 			}
 			if !m.Equal(rows) { // the champion is already carried
-				carried = append(carried, compose(m))
+				carried = append(carried, r.own(m))
 			}
 		}
 	}
-	p.prevPop = carried
-	p.prevJobs = make([]int, len(jobs))
+	ids := make([]int, len(jobs))
 	for i, j := range jobs {
-		p.prevJobs[i] = j.ID
+		ids[i] = j.ID
 	}
-	return out
+	p.prevPop, p.prevJobs = carried, ids
+	if !p.opts.Incremental {
+		return
+	}
+	if committed == nil {
+		committed = r.own(rows)
+	}
+	sigs := make([]SigSnapshot, len(jobs))
+	for i, j := range jobs {
+		sigs[i] = sigOf(j)
+	}
+	p.inc = newIncState(ids, sigs, committed, append([]int(nil), r.v.Capacity...))
 }
 
 // subSeeds projects the carried population onto the sub jobs' rows by
@@ -401,7 +439,7 @@ func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize,
 			}
 			i := r.sub[c.si]
 			s := r.tables[i].SpeedupRack(local.GPUs+c.otherK, local.Nodes+c.otherNodes, racks)
-			if r.running[c.si] && (c.otherChanged || !slices.Equal(m[mi], c.cur)) {
+			if r.placed[i].GPUs > 0 && (c.otherChanged || !slices.Equal(m[mi], c.cur)) { // running: a move restarts it
 				s -= p.opts.RestartPenalty
 			}
 			total += r.weights[i] * s
@@ -423,45 +461,6 @@ func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize,
 	best, _ := g.Run(gens)
 	p.addStats(g.Stats())
 	return best, g.Population()
-}
-
-// feasibleComposed is ga.Feasible with per-job spans precomputed once:
-// the generic check recomputes JobNodes per (node, job) pair, which is
-// O(jobs × nodes²) — minutes at 512 nodes × 10k jobs, where this pass
-// is O(jobs × nodes).
-func feasibleComposed(m ga.Matrix, capacity []int, avoidance bool) bool {
-	usage := make([]int, len(capacity))
-	span := make([]int, len(m))
-	for j := range m {
-		for n, g := range m[j] {
-			if g > 0 {
-				usage[n] += g
-				span[j]++
-			}
-		}
-	}
-	for n := range capacity {
-		if usage[n] > capacity[n] {
-			return false
-		}
-	}
-	if avoidance {
-		distOn := make([]int, len(capacity))
-		for j := range m {
-			if span[j] <= 1 {
-				continue
-			}
-			for n, g := range m[j] {
-				if g > 0 {
-					distOn[n]++
-					if distOn[n] > 1 {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
 }
 
 // solveRacks is the two-level solve: a coarse GA assigns each sub job GPU
@@ -526,7 +525,7 @@ func (r *round) solveRacks() ga.Matrix {
 				}
 			}
 			s := r.tables[i].SpeedupRack(k, nd, spanned)
-			if r.running[si] && !slices.Equal(m[si], curCoarse[si]) {
+			if r.placed[i].GPUs > 0 && !slices.Equal(m[si], curCoarse[si]) {
 				s -= p.opts.RestartPenalty
 			}
 			total += r.weights[i] * s

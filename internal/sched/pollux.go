@@ -117,6 +117,8 @@ type Pollux struct {
 	src *detrand.Source
 	rng *rand.Rand
 
+	// Outside the whole-population carry, prevPop[0] is the committed
+	// matrix that inc.rows also names (see incremental.go).
 	prevPop  []ga.Matrix
 	prevJobs []int // job IDs aligned with prevPop rows
 
@@ -126,7 +128,7 @@ type Pollux struct {
 	tables map[int]*speedupTable
 
 	// inc is the dirty-set state for Incremental mode (see
-	// incremental.go); nil until the first incremental round commits.
+	// incremental.go); nil until the first incremental round solves.
 	inc *incState
 	// sinceFull counts incremental rounds since the last full
 	// re-optimization, driving the FullEvery cadence.
@@ -326,8 +328,8 @@ func (p *Pollux) pruneTables(jobs []JobView) {
 
 // Schedule computes the round's allocation matrix (Eqn. 14). Every
 // configuration takes this one path (see incremental.go): pick the jobs to
-// re-place, solve for them against what the others leave free, commit.
-// The default re-places every job every round.
+// re-place, solve for them against what the others leave free, keep what
+// the next round needs. The default re-places every job every round.
 func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 	nJobs := len(v.Jobs)
 	p.lastStats = RoundStats{Jobs: nJobs, Sub: nJobs, Full: true}
@@ -339,16 +341,17 @@ func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 	}
 	p.pruneTables(v.Jobs)
 
-	sub := p.dirtySet(v)
+	r := p.newRound(v)
+	sub := r.dirtySet()
 	var out ga.Matrix
 	if len(sub) == 0 {
 		// Nothing changed anywhere: carry the allocation forward without
-		// running any GA.
+		// running any GA. The committed state already describes it.
 		out = v.Current.Clone()
 	} else {
 		// It takes at least two racks to decompose.
 		racks := p.opts.RackSize > 0 && len(v.Capacity) >= 2*p.opts.RackSize
-		r := p.newRound(v)
+		r.price()
 		out = r.solve(sub, racks)
 		// A nil result failed the defensive feasibility check: widen to
 		// every job, then to a single rack, whose result is repaired GA
@@ -368,9 +371,6 @@ func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 		p.sinceFull = 0
 	} else {
 		p.sinceFull++
-	}
-	if p.opts.Incremental {
-		p.commitState(v, out)
 	}
 	return out
 }

@@ -16,6 +16,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -88,9 +89,7 @@ func (p *Pollux) Snapshot() *PolluxSnapshot {
 		SinceFull: p.sinceFull,
 		LastStats: p.lastStats,
 	}
-	if p.prevJobs != nil {
-		s.PrevJobs = append([]int(nil), p.prevJobs...)
-	}
+	s.PrevJobs = append([]int(nil), p.prevJobs...)
 	for _, m := range p.prevPop {
 		s.PrevPop = append(s.PrevPop, m.Clone())
 	}
@@ -115,13 +114,12 @@ func (p *Pollux) Snapshot() *PolluxSnapshot {
 		s.Tables = append(s.Tables, ts)
 	}
 	if p.inc != nil {
-		inc := &IncSnapshot{
+		s.Inc = &IncSnapshot{
 			IDs:  append([]int(nil), p.inc.ids...),
 			Sigs: append([]SigSnapshot(nil), p.inc.sigs...),
 			Rows: p.inc.rows.Clone(),
 			Cap:  append([]int(nil), p.inc.cap...),
 		}
-		s.Inc = inc
 	}
 	return s
 }
@@ -133,11 +131,9 @@ func (p *Pollux) Snapshot() *PolluxSnapshot {
 // cluster or a hand-edited file) fail loudly and leave the receiver
 // unchanged.
 func (p *Pollux) Restore(s *PolluxSnapshot) error {
-	if len(s.PrevPop) > 0 {
-		for i, m := range s.PrevPop {
-			if len(m) != len(s.PrevJobs) {
-				return fmt.Errorf("sched: snapshot population matrix %d has %d rows for %d carried jobs", i, len(m), len(s.PrevJobs))
-			}
+	for i, m := range s.PrevPop {
+		if len(m) != len(s.PrevJobs) {
+			return fmt.Errorf("sched: snapshot population matrix %d has %d rows for %d carried jobs", i, len(m), len(s.PrevJobs))
 		}
 	}
 	tables := make(map[int]*speedupTable, len(s.Tables))
@@ -162,25 +158,20 @@ func (p *Pollux) Restore(s *PolluxSnapshot) error {
 			return fmt.Errorf("sched: snapshot incremental state misaligned: %d ids, %d sigs, %d rows",
 				len(s.Inc.IDs), len(s.Inc.Sigs), len(s.Inc.Rows))
 		}
-		inc = &incState{
-			ids:   append([]int(nil), s.Inc.IDs...),
-			sigs:  append([]SigSnapshot(nil), s.Inc.Sigs...),
-			rows:  s.Inc.Rows.Clone(),
-			index: make(map[int]int, len(s.Inc.IDs)),
-			cap:   append([]int(nil), s.Inc.Cap...),
+		// Row by row: later rounds reuse these rows in the matrices they
+		// keep (see incremental.go), so none may pin a shared backing array.
+		rows := make(ga.Matrix, len(s.Inc.Rows))
+		for i, row := range s.Inc.Rows {
+			rows[i] = slices.Clone(row)
 		}
-		for i, id := range s.Inc.IDs {
-			inc.index[id] = i
-		}
+		inc = newIncState(append([]int(nil), s.Inc.IDs...), append([]SigSnapshot(nil), s.Inc.Sigs...),
+			rows, append([]int(nil), s.Inc.Cap...))
 	}
 
 	src := detrand.Restore(s.RNG)
 	p.src = src
 	p.rng = rand.New(src)
-	p.prevJobs = nil
-	if s.PrevJobs != nil {
-		p.prevJobs = append([]int(nil), s.PrevJobs...)
-	}
+	p.prevJobs = append([]int(nil), s.PrevJobs...)
 	p.prevPop = nil
 	for _, m := range s.PrevPop {
 		p.prevPop = append(p.prevPop, m.Clone())
