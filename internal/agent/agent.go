@@ -7,7 +7,8 @@
 package agent
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -190,15 +191,13 @@ func (a *Agent) samplesLocked() []core.Sample {
 			TIter:     e.sumTIter / float64(e.count),
 		})
 	}
-	sort.Slice(samples, func(i, j int) bool {
-		si, sj := samples[i], samples[j]
-		if si.Placement.GPUs != sj.Placement.GPUs {
-			return si.Placement.GPUs < sj.Placement.GPUs
-		}
-		if si.Placement.Nodes != sj.Placement.Nodes {
-			return si.Placement.Nodes < sj.Placement.Nodes
-		}
-		return si.Batch < sj.Batch
+	// The keys are distinct map keys, so the order is total.
+	slices.SortFunc(samples, func(a, b core.Sample) int {
+		return cmp.Or(
+			cmp.Compare(a.Placement.GPUs, b.Placement.GPUs),
+			cmp.Compare(a.Placement.Nodes, b.Placement.Nodes),
+			cmp.Compare(a.Batch, b.Batch),
+		)
 	})
 	return samples
 }

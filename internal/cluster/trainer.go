@@ -244,8 +244,7 @@ func (t *Trainer) tick() (bool, error) {
 	if t.simNow >= t.nextReport {
 		phi := t.Spec.Phi(t.Progress()) * (1 + 0.05*(t.rng.Float64()*2-1))
 		t.ag.SetPhi(phi)
-		// Shared batched-refit helper; a single agent runs inline.
-		agent.RefitAll([]*agent.Agent{t.ag}, 1)
+		t.ag.Refit()
 		if t.FixedBatch == 0 && pl.GPUs > 0 {
 			b, _ := t.ag.TuneBatch(pl)
 			t.mu.Lock()

@@ -46,3 +46,16 @@ func BenchmarkFitThroughputModel(b *testing.B) {
 		Fit(samples, Params{}, Exploration{MaxGPUs: 16, MaxNodes: 4})
 	}
 }
+
+// BenchmarkFitWarmTail is the fit a trace spends its time in: a full Fit,
+// warm-started from the previous one, after one more batch size arrived on
+// the large placement of a tailSamples profile.
+func BenchmarkFitWarmTail(b *testing.B) {
+	samples, _, explored := tailSamples(rand.New(rand.NewSource(1)))
+	prev := Fit(samples[:len(samples)-1], Params{}, explored)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Fit(samples, prev, explored)
+	}
+}

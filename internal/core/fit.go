@@ -93,11 +93,16 @@ func RMSLE(p Params, samples []Sample) float64 {
 }
 
 // RMSLEGrad returns the analytic gradient of RMSLE with respect to the
-// θsys vector (Params.Vector order). Supplying it to the optimizer avoids
-// the 14 objective evaluations a central-difference numerical gradient
-// costs per iteration; fitting is the simulator's dominant expense, so
-// this matters. At the (measure-zero) kinks of TIter the subgradient 0 is
-// used for the sync parameters, matching the frozen-bounds behaviour.
+// θsys vector (Params.Vector order). At the (measure-zero) kinks of TIter
+// the subgradient 0 is used for the sync parameters, matching the
+// frozen-bounds behaviour.
+//
+// It is self-contained, so one call costs a whole loss evaluation (two
+// math.Pow and two math.Log per multi-GPU sample) before the gradient's own
+// two Pow and three logarithms. The fit does not pay that: rmsleLoss.Grad
+// computes these same expressions from what its Value already evaluated.
+// RMSLEGrad stays as the reference the tests hold that objective to, bit
+// for bit.
 func RMSLEGrad(p Params, samples []Sample) []float64 {
 	grad := make([]float64, 7)
 	if len(samples) == 0 {
@@ -192,14 +197,18 @@ func RMSLEGrad(p Params, samples []Sample) []float64 {
 // points so fits are stable across refits. With no samples, Fit returns an
 // optimistic default consistent with the priors.
 func Fit(samples []Sample, prev Params, explored Exploration) Params {
-	bounds := explored.fitBounds()
 	if len(samples) == 0 {
-		def := defaultParams(samples)
-		v := def.Vector()
-		bounds.Clamp(v)
+		v := defaultParams(samples).Vector()
+		explored.fitBounds().Clamp(v)
 		return ParamsFromVector(v)
 	}
-	loss, lossGrad := rmsleLoss(samples)
+	return ParamsFromVector(fit(newRMSLELoss(samples), samples, prev, explored).X)
+}
+
+// fit is Fit's multi-start descent over a non-empty sample set, on loss as
+// the objective for that set's RMSLE.
+func fit(loss opt.Objective, samples []Sample, prev Params, explored Exploration) opt.Result {
+	bounds := explored.fitBounds()
 
 	// Fits run every agent interval for every job in the cluster, so the
 	// start list is kept short: a warm start from the previous fit plus a
@@ -238,8 +247,7 @@ func Fit(samples []Sample, prev Params, explored Exploration) Params {
 		starts = append(starts, h)
 	}
 
-	res := opt.MultiStartGrad(loss, lossGrad, starts, bounds, opt.LBFGSBOptions{MaxIter: 150})
-	return ParamsFromVector(res.X)
+	return opt.MultiStartGrad(loss, starts, bounds, opt.LBFGSBOptions{MaxIter: 150})
 }
 
 // FitWarm refines an existing fit against an unchanged configuration set:
@@ -257,38 +265,161 @@ func FitWarm(samples []Sample, prev Params, explored Exploration) Params {
 	if prev == (Params{}) || len(samples) == 0 {
 		return Fit(samples, prev, explored)
 	}
-	bounds := explored.fitBounds()
-	loss, lossGrad := rmsleLoss(samples)
-	pv := prev.Vector()
-	bounds.Clamp(pv)
-	res := opt.MultiStartGrad(loss, lossGrad, [][]float64{pv}, bounds, opt.LBFGSBOptions{MaxIter: 60})
-	return ParamsFromVector(res.X)
+	return ParamsFromVector(fitWarm(newRMSLELoss(samples), prev, explored).X)
 }
 
-// rmsleLoss builds the RMSLE objective and its analytic gradient over a
-// fixed sample set. The observation logs are constant across the thousands
-// of loss evaluations of one fit; precomputing them halves the log calls
-// in the hot loop while producing bitwise-identical values to RMSLE.
-func rmsleLoss(samples []Sample) (loss func([]float64) float64, grad func([]float64) []float64) {
-	logObs := make([]float64, len(samples))
+// fitWarm is FitWarm's single descent from a non-zero prev.
+func fitWarm(loss opt.Objective, prev Params, explored Exploration) opt.Result {
+	bounds := explored.fitBounds()
+	pv := prev.Vector()
+	bounds.Clamp(pv)
+	return opt.MultiStartGrad(loss, [][]float64{pv}, bounds, opt.LBFGSBOptions{MaxIter: 60})
+}
+
+// rmsleLoss is the fit's objective (an opt.Objective): RMSLE over a fixed
+// sample set, and its gradient at the point last evaluated. Value keeps
+// each sample's Tgrad, Tsync, prediction, log error and r^γ; Grad finishes
+// RMSLEGrad's expressions from them, which is why it may only follow a
+// Value — the optimizer asks for gradients nowhere else. An evaluation
+// point then costs two math.Pow and one math.Log per multi-GPU sample in
+// Value, and two Pow and three logarithms more only where a gradient is
+// taken. Operands and summation order are those of RMSLE and RMSLEGrad, so
+// both results repeat theirs bit for bit.
+type rmsleLoss struct {
+	samples []Sample
+	logObs  []float64 // ln of each observation, constant over the fit
+
+	p     Params  // θsys of the last Value
+	rmsle float64 // its result
+	// Per-sample terms of the last Value. rg is r^γ, set only where both
+	// tg and ts are nonzero.
+	tg, ts, pred, d, rg []float64
+}
+
+func newRMSLELoss(samples []Sample) *rmsleLoss {
+	n := len(samples)
+	buf := make([]float64, 6*n)
+	l := &rmsleLoss{
+		samples: samples,
+		logObs:  buf[:n],
+		tg:      buf[n : 2*n],
+		ts:      buf[2*n : 3*n],
+		pred:    buf[3*n : 4*n],
+		d:       buf[4*n : 5*n],
+		rg:      buf[5*n:],
+	}
 	for i, s := range samples {
-		logObs[i] = math.Log(math.Max(s.TIter, 1e-12))
+		l.logObs[i] = math.Log(math.Max(s.TIter, 1e-12))
 	}
-	n := float64(len(samples))
-	loss = func(v []float64) float64 {
-		p := ParamsFromVector(v)
-		sum := 0.0
-		for i, s := range samples {
-			pred := p.TIter(s.Placement, float64(s.Batch))
-			d := math.Log(math.Max(pred, 1e-12)) - logObs[i]
-			sum += d * d
+	return l
+}
+
+// Value returns RMSLE(ParamsFromVector(v), samples).
+func (l *rmsleLoss) Value(v []float64) float64 {
+	p := ParamsFromVector(v)
+	l.p = p
+	g := p.Gamma
+	if g < 1 {
+		g = 1
+	}
+	sum := 0.0
+	for i, s := range l.samples {
+		tg := p.TGrad(float64(s.Batch), s.Placement.GPUs)
+		ts := p.TSync(s.Placement)
+		// Params.TIter, keeping r^γ.
+		pred := tg
+		switch {
+		case ts == 0:
+		case tg == 0:
+			pred = ts
+		default:
+			hi, lo := tg, ts
+			if lo > hi {
+				hi, lo = lo, hi
+			}
+			rg := math.Pow(lo/hi, g)
+			l.rg[i] = rg
+			pred = hi * math.Pow(1+rg, 1/g)
 		}
-		return math.Sqrt(sum / n)
+		d := math.Log(math.Max(pred, 1e-12)) - l.logObs[i]
+		l.tg[i], l.ts[i], l.pred[i], l.d[i] = tg, ts, pred, d
+		sum += d * d
 	}
-	grad = func(v []float64) []float64 {
-		return RMSLEGrad(ParamsFromVector(v), samples)
+	l.rmsle = math.Sqrt(sum / float64(len(l.samples)))
+	return l.rmsle
+}
+
+// Grad writes RMSLEGrad at the point of the last Value into grad.
+func (l *rmsleLoss) Grad(grad []float64) {
+	for i := range grad {
+		grad[i] = 0
 	}
-	return loss, grad
+	if l.rmsle == 0 {
+		return
+	}
+	g := l.p.Gamma
+	if g < 1 {
+		g = 1
+	}
+	for i, s := range l.samples {
+		tg, ts, pred, d := l.tg[i], l.ts[i], l.pred[i], l.d[i]
+		if pred <= 1e-12 {
+			continue
+		}
+		// The partials of ln(pred); RMSLEGrad derives them.
+		var dTg, dTs, dG float64
+		switch {
+		case ts == 0:
+			dTg = 1 / tg
+			if g == 1 {
+				dTs = 1 / tg
+			}
+		case tg == 0:
+			dTs = 1 / ts
+			if g == 1 {
+				dTg = 1 / ts
+			}
+		default:
+			hi, lo := tg, ts
+			if lo > hi {
+				hi, lo = lo, hi
+			}
+			r := lo / hi
+			rg := l.rg[i]
+			a := 1 + rg
+			scale := math.Pow(a, -(g-1)/g) / pred
+			dHi := scale
+			dLo := math.Pow(r, g-1) * scale
+			if tg >= ts {
+				dTg, dTs = dHi, dLo
+			} else {
+				dTg, dTs = dLo, dHi
+			}
+			lnHi, lnLo := math.Log(hi), math.Log(lo)
+			dG = -(g*lnHi+math.Log1p(rg))/(g*g) + (lnHi+rg*lnLo)/(g*a)
+		}
+
+		k := s.Placement.GPUs
+		grad[0] += d * dTg
+		grad[1] += d * dTg * float64(s.Batch) / float64(k)
+		if k > 1 {
+			extra := float64(k - 2)
+			if s.Placement.Nodes == 1 {
+				grad[2] += d * dTs
+				grad[3] += d * dTs * extra
+			} else {
+				grad[4] += d * dTs
+				grad[5] += d * dTs * extra
+			}
+		}
+		if l.p.Gamma >= 1 {
+			grad[6] += d * dG
+		}
+	}
+	inv := 1 / (l.rmsle * float64(len(l.samples)))
+	for i := range grad {
+		grad[i] *= inv
+	}
 }
 
 // defaultParams derives a heuristic starting point from the samples: the

@@ -36,6 +36,6 @@ func BenchmarkLBFGSBQuadratic(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LBFGSB(f, nil, x0, bounds, LBFGSBOptions{MaxIter: 100})
+		MultiStart(f, [][]float64{x0}, bounds, LBFGSBOptions{MaxIter: 100})
 	}
 }

@@ -48,8 +48,8 @@ type LBFGSBOptions struct {
 	// FuncTol terminates when the relative improvement in f falls below
 	// it. Default 1e-12.
 	FuncTol float64
-	// GradEps is the step used for numerical gradients when no analytic
-	// gradient is supplied. Default 1e-6.
+	// GradEps is the step of MultiStart's central-difference gradients.
+	// Default 1e-6.
 	GradEps float64
 }
 
@@ -79,17 +79,34 @@ type Result struct {
 	Evals int       // objective evaluations performed
 }
 
+// Objective is a function LBFGSB minimizes. Value evaluates it at x; Grad
+// writes into g the gradient at the point of the most recent Value call.
+// LBFGSB only ever asks for a gradient where it has just evaluated (the
+// start, then each accepted line-search point), so an implementation can
+// keep the intermediate terms of Value and finish the gradient from them
+// without comparing points. Calling Grad before any Value is a bug in the
+// caller.
+type Objective interface {
+	Value(x []float64) float64
+	Grad(g []float64)
+}
+
 // NumGrad computes a central-difference numerical gradient of f at x,
 // respecting the box: coordinates at a bound use a one-sided difference.
 // The returned eval count is the number of calls made to f.
 func NumGrad(f func([]float64) float64, x []float64, b Bounds, eps float64) (grad []float64, evals int) {
-	n := len(x)
-	grad = make([]float64, n)
-	xw := make([]float64, n)
+	grad = make([]float64, len(x))
+	xw := make([]float64, len(x))
 	copy(xw, x)
-	for i := 0; i < n; i++ {
-		h := eps * math.Max(1, math.Abs(x[i]))
-		lo, hi := x[i]-h, x[i]+h
+	return grad, numGrad(f, xw, b, eps, grad)
+}
+
+// numGrad is NumGrad into the caller's buffer. It perturbs x one coordinate
+// at a time and puts each back before it returns.
+func numGrad(f func([]float64) float64, x []float64, b Bounds, eps float64, grad []float64) (evals int) {
+	for i, xi := range x {
+		h := eps * math.Max(1, math.Abs(xi))
+		lo, hi := xi-h, xi+h
 		if lo < b.Lower[i] {
 			lo = b.Lower[i]
 		}
@@ -101,25 +118,46 @@ func NumGrad(f func([]float64) float64, x []float64, b Bounds, eps float64) (gra
 			grad[i] = 0
 			continue
 		}
-		xw[i] = hi
-		fhi := f(xw)
-		xw[i] = lo
-		flo := f(xw)
-		xw[i] = x[i]
+		x[i] = hi
+		fhi := f(x)
+		x[i] = lo
+		flo := f(x)
+		x[i] = xi
 		grad[i] = (fhi - flo) / (hi - lo)
 		evals += 2
 	}
-	return grad, evals
+	return evals
 }
 
-// LBFGSB minimizes f subject to box constraints using a projected L-BFGS
-// iteration with Armijo backtracking along the projected path. If grad is
-// nil, central-difference numerical gradients are used. x0 is not modified.
+// numeric is the Objective of a plain function: Grad is the central
+// difference of NumGrad inside the box, taken at its own copy of the point
+// Value last saw.
+type numeric struct {
+	f         func([]float64) float64
+	b         Bounds
+	eps       float64
+	x         []float64
+	gradEvals int // calls to f made by Grad
+}
+
+func (o *numeric) Value(x []float64) float64 {
+	o.x = append(o.x[:0], x...)
+	return o.f(x)
+}
+
+func (o *numeric) Grad(g []float64) {
+	o.gradEvals += numGrad(o.f, o.x, o.b, o.eps, g)
+}
+
+// LBFGSB minimizes obj subject to box constraints using a projected L-BFGS
+// iteration with Armijo backtracking along the projected path. x0 is not
+// modified. Every vector the iteration needs is carved from one workspace
+// allocated up front, so an iteration allocates nothing of its own.
 //
 // This is a deliberately compact reimplementation of the behaviour Pollux
 // relies on from L-BFGS-B: minimize a smooth loss over a box, with some
 // coordinates possibly frozen (lower == upper).
-func LBFGSB(f func([]float64) float64, grad func([]float64) []float64, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
+func LBFGSB(obj Objective, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
 	opts.defaults()
 	n := len(x0)
 	if len(b.Lower) != n || len(b.Upper) != n {
@@ -129,30 +167,28 @@ func LBFGSB(f func([]float64) float64, grad func([]float64) []float64, x0 []floa
 	copy(x, x0)
 	b.Clamp(x)
 
-	evals := 0
-	eval := func(v []float64) float64 {
-		evals++
-		return f(v)
+	// The (s, y) correction pairs live in a ring of History+1 slots: the
+	// candidate pair of an iteration is written into the free slot, and
+	// keeping it drops the oldest pair once History are held.
+	slots := opts.History + 1
+	work := make([]float64, (4+2*slots)*n+opts.History)
+	carve := func(k int) []float64 {
+		v := work[:k:k]
+		work = work[k:]
+		return v
 	}
-	gradient := func(v []float64) []float64 {
-		if grad != nil {
-			return grad(v)
-		}
-		g, e := NumGrad(f, v, b, opts.GradEps)
-		evals += e
-		return g
+	g, gNew, dir, xNew := carve(n), carve(n), carve(n), carve(n)
+	alphas := carve(opts.History)
+	ss, ys := carve(slots*n), carve(slots*n)
+	pair := func(i int) (s, y []float64) {
+		o := (i % slots) * n
+		return ss[o : o+n], ys[o : o+n]
 	}
+	oldest, held := 0, 0 // pairs oldest .. oldest+held-1, newest last
 
-	fx := eval(x)
-	g := gradient(x)
-
-	// L-BFGS history ring buffers.
-	type pair struct{ s, y []float64 }
-	hist := make([]pair, 0, opts.History)
-
-	dir := make([]float64, n)
-	xNew := make([]float64, n)
-	gNew := make([]float64, n)
+	fx := obj.Value(x)
+	obj.Grad(g)
+	evals := 1
 
 	iter := 0
 	for ; iter < opts.MaxIter; iter++ {
@@ -162,25 +198,24 @@ func LBFGSB(f func([]float64) float64, grad func([]float64) []float64, x0 []floa
 
 		// Two-loop recursion for dir = -H*g.
 		copy(dir, g)
-		alphas := make([]float64, len(hist))
-		for i := len(hist) - 1; i >= 0; i-- {
-			p := hist[i]
-			rho := 1 / dot(p.y, p.s)
-			alphas[i] = rho * dot(p.s, dir)
-			axpy(dir, p.y, -alphas[i])
+		for i := held - 1; i >= 0; i-- {
+			s, y := pair(oldest + i)
+			rho := 1 / dot(y, s)
+			alphas[i] = rho * dot(s, dir)
+			axpy(dir, y, -alphas[i])
 		}
-		if len(hist) > 0 {
-			last := hist[len(hist)-1]
-			scale := dot(last.s, last.y) / dot(last.y, last.y)
+		if held > 0 {
+			s, y := pair(oldest + held - 1)
+			scale := dot(s, y) / dot(y, y)
 			for i := range dir {
 				dir[i] *= scale
 			}
 		}
-		for i := 0; i < len(hist); i++ {
-			p := hist[i]
-			rho := 1 / dot(p.y, p.s)
-			beta := rho * dot(p.y, dir)
-			axpy(dir, p.s, alphas[i]-beta)
+		for i := 0; i < held; i++ {
+			s, y := pair(oldest + i)
+			rho := 1 / dot(y, s)
+			beta := rho * dot(y, dir)
+			axpy(dir, s, alphas[i]-beta)
 		}
 		for i := range dir {
 			dir[i] = -dir[i]
@@ -200,37 +235,39 @@ func LBFGSB(f func([]float64) float64, grad func([]float64) []float64, x0 []floa
 		// Backtracking line search along the projected path
 		// P(x + t*dir). If the quasi-Newton direction stalls, retry
 		// once with projected steepest descent.
-		fNew, improved := lineSearch(eval, x, dir, g, fx, xNew, b)
+		fNew, tried, improved := lineSearch(obj, x, dir, g, fx, xNew, b)
+		evals += tried
 		if !improved {
 			for i := range dir {
 				dir[i] = -g[i]
 			}
 			projectDirection(dir, x, b)
-			fNew, improved = lineSearch(eval, x, dir, g, fx, xNew, b)
+			fNew, tried, improved = lineSearch(obj, x, dir, g, fx, xNew, b)
+			evals += tried
 			if improved {
-				hist = hist[:0] // quasi-Newton model was bad; reset
+				held = 0 // quasi-Newton model was bad; reset
 			}
 		}
 		if !improved {
 			break
 		}
 
-		gn := gradient(xNew)
-		copy(gNew, gn)
+		// The line search returns on the evaluation it accepts, so xNew is
+		// the point of the most recent Value.
+		obj.Grad(gNew)
 
 		// Update history with s = xNew - x, y = gNew - g.
-		s := make([]float64, n)
-		y := make([]float64, n)
+		s, y := pair(oldest + held)
 		for i := range s {
 			s[i] = xNew[i] - x[i]
 			y[i] = gNew[i] - g[i]
 		}
 		if sy := dot(s, y); sy > 1e-12 {
-			if len(hist) == opts.History {
-				copy(hist, hist[1:])
-				hist = hist[:opts.History-1]
+			if held == opts.History {
+				oldest = (oldest + 1) % slots
+			} else {
+				held++
 			}
-			hist = append(hist, pair{s, y})
 		}
 
 		rel := math.Abs(fx-fNew) / math.Max(1, math.Abs(fx))
@@ -242,8 +279,8 @@ func LBFGSB(f func([]float64) float64, grad func([]float64) []float64, x0 []floa
 			// quasi-Newton direction was degenerate (its useful component
 			// got projected away at an active bound), not that we have
 			// converged. Reset to steepest descent and keep going.
-			if projGradNorm(x, g, b) > math.Sqrt(opts.GradTol) && len(hist) > 0 {
-				hist = hist[:0]
+			if projGradNorm(x, g, b) > math.Sqrt(opts.GradTol) && held > 0 {
+				held = 0
 				continue
 			}
 			iter++
@@ -255,8 +292,9 @@ func LBFGSB(f func([]float64) float64, grad func([]float64) []float64, x0 []floa
 
 // lineSearch backtracks along the projected path P(x + t*dir) until the
 // Armijo condition holds, measured against the actual projected
-// displacement. On success the accepted point is left in xNew.
-func lineSearch(eval func([]float64) float64, x, dir, g []float64, fx float64, xNew []float64, b Bounds) (fNew float64, ok bool) {
+// displacement. On success the accepted point is left in xNew and was the
+// last one evaluated; evals is the number of Value calls made.
+func lineSearch(obj Objective, x, dir, g []float64, fx float64, xNew []float64, b Bounds) (fNew float64, evals int, ok bool) {
 	const c1 = 1e-4
 	t := 1.0
 	for ls := 0; ls < 40; ls++ {
@@ -273,19 +311,20 @@ func lineSearch(eval func([]float64) float64, x, dir, g []float64, fx float64, x
 			}
 		}
 		if !moved {
-			return fx, false
+			return fx, evals, false
 		}
-		fNew = eval(xNew)
+		fNew = obj.Value(xNew)
+		evals++
 		dec := 0.0
 		for i := range xNew {
 			dec += g[i] * (xNew[i] - x[i])
 		}
 		if fNew <= fx+c1*dec && fNew < fx {
-			return fNew, true
+			return fNew, evals, true
 		}
 		t *= 0.5
 	}
-	return fx, false
+	return fx, evals, false
 }
 
 // projectDirection zeroes components of dir that point outside the box at
@@ -335,21 +374,26 @@ func axpy(dst, a []float64, scale float64) {
 	}
 }
 
-// MultiStart runs LBFGSB from each starting point and returns the best
-// result. Throughput-model fitting uses a handful of heuristic starts to
-// avoid poor local minima in the RMSLE landscape.
+// MultiStart runs LBFGSB on f from each starting point, with
+// central-difference gradients of step opts.GradEps, and returns the best
+// result. Evals counts the gradients' evaluations of f as well.
 func MultiStart(f func([]float64) float64, starts [][]float64, b Bounds, opts LBFGSBOptions) Result {
-	return MultiStartGrad(f, nil, starts, b, opts)
+	opts.defaults()
+	obj := &numeric{f: f, b: b, eps: opts.GradEps}
+	best := MultiStartGrad(obj, starts, b, opts)
+	best.Evals += obj.gradEvals
+	return best
 }
 
-// MultiStartGrad is MultiStart with an analytic gradient. A nil grad
-// falls back to central-difference numerical gradients. The returned
-// Evals is the total across all starts.
-func MultiStartGrad(f func([]float64) float64, grad func([]float64) []float64, starts [][]float64, b Bounds, opts LBFGSBOptions) Result {
+// MultiStartGrad runs LBFGSB from each starting point and returns the best
+// result. Throughput-model fitting uses a handful of heuristic starts to
+// avoid poor local minima in the RMSLE landscape. The returned Evals is
+// the total across all starts.
+func MultiStartGrad(obj Objective, starts [][]float64, b Bounds, opts LBFGSBOptions) Result {
 	best := Result{F: math.Inf(1)}
 	evals := 0
 	for _, s := range starts {
-		r := LBFGSB(f, grad, s, b, opts)
+		r := LBFGSB(obj, s, b, opts)
 		evals += r.Evals
 		if r.F < best.F {
 			best = r

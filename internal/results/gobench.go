@@ -1,9 +1,10 @@
 // go test -bench output as a results Report, so the headline Go
 // benchmarks gate through the same baseline pipeline as the exhibit
 // sweeps: deterministic custom metrics (fitness cells per round, fixed-
-// seed JCTs) compare exactly, while wall-clock measurements (ns/op,
-// us/round, allocations) are recorded as Volatile — archived for trend
-// inspection, never compared.
+// seed JCTs, allocs/op of a single-goroutine benchmark) compare exactly,
+// while wall-clock measurements and byte counts (ns/op, us/round, B/op)
+// are recorded as Volatile — archived for trend inspection, never
+// compared.
 //
 // The flow mirrors the exhibit gate: CI runs the benchmarks with a fixed
 // iteration count (-benchtime Nx, so per-iteration custom metrics are
@@ -15,8 +16,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // GoBenchScale is the Report.Scale of parsed benchmark output; it keeps
@@ -26,13 +29,14 @@ const GoBenchScale = "gobench"
 // volatileGoBenchUnits are the per-iteration measurements that vary run
 // to run on an unchanged tree. Everything else a benchmark reports via
 // b.ReportMetric is presumed deterministic for a fixed seed and
-// iteration count, and gates exactly.
+// iteration count, and gates exactly. That includes allocs/op, which
+// only -benchmem or b.ReportAllocs emits: CI asks for it on benchmarks
+// that run on one goroutine, where the count repeats.
 var volatileGoBenchUnits = map[string]bool{
-	"ns/op":     true,
-	"B/op":      true,
-	"allocs/op": true,
-	"MB/s":      true,
-	"us/round":  true, // BenchmarkReplayRound's wall-clock per-round cost
+	"ns/op":    true,
+	"B/op":     true,
+	"MB/s":     true,
+	"us/round": true, // BenchmarkReplayRound's wall-clock per-round cost
 }
 
 // ParseGoBench reads `go test -bench` output and returns one Record per
@@ -40,12 +44,15 @@ var volatileGoBenchUnits = map[string]bool{
 // in output order. Non-benchmark lines (test chatter, the goos/pkg
 // header, PASS) are ignored. An input with no benchmark lines is an
 // error — it usually means a bad -bench filter produced an empty gate.
+// So is a result line the JSON report could not carry unchanged: one that
+// is not valid UTF-8, or a value that is not a finite number.
 func ParseGoBench(r io.Reader) (Report, error) {
 	rep := Report{Scale: GoBenchScale}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		fields := strings.Fields(line)
 		// A result line is "BenchmarkName[-P] N value unit [value unit]...".
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
@@ -59,10 +66,13 @@ func ParseGoBench(r io.Reader) (Report, error) {
 				name = name[:i] // strip the -GOMAXPROCS suffix
 			}
 		}
+		if !utf8.ValidString(line) {
+			return Report{}, fmt.Errorf("results: %q: result line is not valid UTF-8", name)
+		}
 		rec := Record{Exhibit: name, Scale: GoBenchScale}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 				return Report{}, fmt.Errorf("results: %s: bad value %q", name, fields[i])
 			}
 			unit := fields[i+1]

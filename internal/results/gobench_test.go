@@ -12,6 +12,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkPolluxScheduleIncremental/full-8         	       2	 555514208 ns/op	  40304640 cells/round
 BenchmarkPolluxScheduleIncremental/incremental-8  	       2	  55824410 ns/op	   7714560 cells/round
 BenchmarkReplayRound/local	       1	1200000 ns/op	 83.5 us/round	 3600 avgJCT-s
+BenchmarkFitWarmTail-2          	      20	   3729690 ns/op	    7536 B/op	      10 allocs/op
 PASS
 ok  	repro/internal/sched	4.765s
 `
@@ -24,8 +25,8 @@ func TestParseGoBench(t *testing.T) {
 	if rep.Scale != GoBenchScale {
 		t.Errorf("scale = %q, want %q", rep.Scale, GoBenchScale)
 	}
-	if len(rep.Records) != 3 {
-		t.Fatalf("%d records, want 3: %+v", len(rep.Records), rep.Records)
+	if len(rep.Records) != 4 {
+		t.Fatalf("%d records, want 4: %+v", len(rep.Records), rep.Records)
 	}
 	full := rep.Records[0]
 	if full.Exhibit != "BenchmarkPolluxScheduleIncremental/full" {
@@ -51,6 +52,13 @@ func TestParseGoBench(t *testing.T) {
 	}
 	if jct, ok := replay.Metric("avgJCT-s"); !ok || jct.Volatile || jct.Value != 3600 {
 		t.Errorf("avgJCT-s = %+v, want deterministic 3600", jct)
+	}
+	fit := rep.Records[3]
+	if a, ok := fit.Metric("allocs/op"); !ok || a.Volatile || a.Value != 10 {
+		t.Errorf("allocs/op = %+v, want deterministic 10 (-benchmem counts gate exactly)", a)
+	}
+	if b, ok := fit.Metric("B/op"); !ok || !b.Volatile {
+		t.Errorf("B/op = %+v, want volatile", b)
 	}
 }
 

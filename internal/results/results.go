@@ -38,7 +38,7 @@ type Metric struct {
 	RelTol float64 `json:"relTol,omitempty"`
 	AbsTol float64 `json:"absTol,omitempty"`
 	// Volatile marks a measurement that varies run to run on an unchanged
-	// tree — wall-clock times, allocation counts. The gate still checks
+	// tree — wall-clock times, bytes allocated. The gate still checks
 	// the metric exists (so a benchmark cannot silently stop reporting)
 	// but never compares its value, and Canonical zeroes it so baselines
 	// stay bit-reproducible.

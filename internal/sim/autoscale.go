@@ -155,13 +155,12 @@ func runAutoscaleTick(spec *models.Spec, scaler sched.Autoscaler, cfg AutoscaleC
 			restartUntil = now + cfg.RestartDelay
 		}
 
-		// Agent profiling and tuning. The batched-refit helper is shared
-		// with the cluster engines: with this scenario's single agent it
-		// runs the (possibly warm-started) fit inline when one is due.
+		// Agent profiling and tuning: Refit runs the (possibly
+		// warm-started) fit when one is due.
 		if now >= nextAgent {
 			phi := spec.Phi(frac) * (1 + cfg.NoiseFrac*(rng.Float64()*2-1))
 			ag.SetPhi(phi)
-			agent.RefitAll([]*agent.Agent{ag}, 1)
+			ag.Refit()
 			pl := placement(nodesReady)
 			if cfg.AdaptBatchGoodput {
 				batch, _ = ag.TuneBatch(pl)

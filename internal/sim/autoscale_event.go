@@ -142,8 +142,7 @@ func runAutoscaleEvent(spec *models.Spec, scaler sched.Autoscaler, cfg Autoscale
 		case asAgent:
 			phi := spec.Phi(progress/total) * (1 + cfg.NoiseFrac*(rng.Float64()*2-1))
 			ag.SetPhi(phi)
-			// Shared batched-refit helper; a single agent runs inline.
-			agent.RefitAll([]*agent.Agent{ag}, 1)
+			ag.Refit()
 			pl := placement(nodesReady)
 			if cfg.AdaptBatchGoodput {
 				batch, _ = ag.TuneBatch(pl)
