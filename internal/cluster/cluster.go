@@ -28,17 +28,23 @@ import (
 // built over it guards its job registry with the same lock, so a
 // scheduling round, a report and a status read each see the registry and
 // the ledger together.
+//
+// A row in the ledger is an immutable value: install replaces a job's row
+// with the slice it is given and nothing ever writes a cell of an installed
+// row, so a round's view and the scheduler may hold the same slice outside
+// the lock (docs/architecture.md, "Pass budget and ownership").
 type State struct {
 	mu       sync.Mutex
 	capacity []int
 	usage    []int // per-node sum of all rows
 	rows     map[string]*placement
+	zero     []int // the all-zero row every job without GPUs shares
 }
 
 // placement is one job's ledger entry. The generation counts the row's
 // changes, so a polling trainer detects a re-allocation and checkpoints.
 type placement struct {
-	row []int
+	row []int // never written; a change installs another slice
 	gen int
 }
 
@@ -48,6 +54,7 @@ func NewState(capacity []int) *State {
 		capacity: slices.Clone(capacity),
 		usage:    make([]int, len(capacity)),
 		rows:     make(map[string]*placement),
+		zero:     make([]int, len(capacity)),
 	}
 }
 
@@ -59,7 +66,7 @@ func (s *State) Allocation(job string) Allocation {
 	if p := s.rows[job]; p != nil {
 		return Allocation{Row: slices.Clone(p.row), Generation: p.gen}
 	}
-	return Allocation{Row: make([]int, len(s.capacity))}
+	return Allocation{Row: slices.Clone(s.zero)}
 }
 
 // install is the ledger's one write path: it replaces the rows of the
@@ -67,7 +74,8 @@ func (s *State) Allocation(job string) Allocation {
 // nil) and advances their generations. The new rows are checked against
 // the usage totals first, so rows held by jobs outside the call count,
 // and a refused install leaves the ledger as it was. Each job may be
-// named once. The caller holds s.mu.
+// named once. The ledger keeps the slices it is given, so the caller must
+// never write them again. The caller holds s.mu.
 func (s *State) install(jobs []string, rows ga.Matrix, changed []bool) error {
 	if len(jobs) != len(rows) {
 		return fmt.Errorf("cluster: %d jobs but %d rows", len(jobs), len(rows))
@@ -103,10 +111,10 @@ func (s *State) install(jobs []string, rows ga.Matrix, changed []bool) error {
 		}
 		p := s.rows[job]
 		if p == nil {
-			p = &placement{row: make([]int, len(s.capacity))}
+			p = &placement{}
 			s.rows[job] = p
 		}
-		copy(p.row, rows[i])
+		p.row = rows[i]
 		p.gen++
 	}
 	s.usage = usage

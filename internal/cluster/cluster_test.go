@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ga"
 	"repro/internal/models"
 	"repro/internal/sched"
+	"repro/internal/testutil"
 )
 
 // install calls the ledger's install under its lock, as Commit does.
@@ -278,40 +280,119 @@ func TestTrainerCompressionValidation(t *testing.T) {
 	}
 }
 
-// TestRoundAndAllocationRowsAreCopies: the rows Round hands the policy
-// and GetAllocation hands a trainer are copies of the ledger's, so
-// neither reader can move a placement by writing to what it was given.
-func TestRoundAndAllocationRowsAreCopies(t *testing.T) {
-	svc := NewService(NewState([]int{4, 4}))
-	if err := svc.SubmitReport(Report{Job: "a", UserGPUs: 2}, nil); err != nil {
-		t.Fatal(err)
+// journaling is the policy handed to the service in
+// TestPublishedRowsAreNeverWritten: it journals every row that crosses
+// Schedule, in either direction, and keeps the last view and result.
+type journaling struct {
+	sched.Policy
+	journal *testutil.RowJournal
+	view    *sched.ClusterView
+	m       ga.Matrix
+}
+
+func (p *journaling) Schedule(v *sched.ClusterView) ga.Matrix {
+	p.journal.See(v.Current)
+	p.view, p.m = v, p.Policy.Schedule(v)
+	p.journal.See(p.m)
+	return p.m
+}
+
+// TestPublishedRowsAreNeverWritten pins the ownership rule of allocation
+// rows on the ledger's side, over steady service rounds with a refit, a
+// Done report and an arrival before each and a checkpoint restored into a
+// fresh service and scheduler half way: a row that has been in the ledger,
+// in a round's view or in a Schedule result is never written afterwards.
+// What the ledger shares it shares by identity — a view's row is the
+// ledger's slice, the committed row is the policy's slice, every job
+// without GPUs reads the one zero row — and what leaves through
+// GetAllocation, or as the view's Capacity and Usage, is a copy.
+// internal/sched has the same test over the scheduler's kept state.
+func TestPublishedRowsAreNeverWritten(t *testing.T) {
+	const nodes, jobs, rounds, restoreAt = 16, 96, 20, 10
+	l := newSteadyLoad(t, nodes, jobs, 5)
+	var journal testutil.RowJournal
+	policy := &journaling{Policy: l.pollux, journal: &journal}
+	l.policy = policy
+	ledgerRow := func(name string) []int {
+		l.svc.state.mu.Lock()
+		defer l.svc.state.mu.Unlock()
+		if p := l.svc.state.rows[name]; p != nil {
+			return p.row
+		}
+		return nil
 	}
-	if _, err := svc.ScheduleOnce(sched.NewTiresias(), 0); err != nil {
-		t.Fatal(err)
+	for r := 0; r < rounds; r++ {
+		if r == restoreAt {
+			sb, _ := json.Marshal(l.svc.Snapshot())
+			pb, _ := json.Marshal(l.pollux.Snapshot())
+			var ss ServiceSnapshot
+			var ps sched.PolluxSnapshot
+			if err := json.Unmarshal(sb, &ss); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(pb, &ps); err != nil {
+				t.Fatal(err)
+			}
+			l.svc = NewService(NewState(ss.Capacity))
+			if err := l.svc.RestoreSnapshot(&ss); err != nil {
+				t.Fatal(err)
+			}
+			for i := range ss.Jobs { // the snapshot stays the caller's
+				for n := range ss.Jobs[i].Row {
+					ss.Jobs[i].Row[n] = -1
+				}
+			}
+			l.pollux = sched.NewPollux(megaOptions, 0)
+			if err := l.pollux.Restore(&ps); err != nil {
+				t.Fatal(err)
+			}
+			policy.Policy = l.pollux
+		}
+		done := l.churn(t)
+		if row := ledgerRow(done); !ga.SameRow(row, l.svc.state.zero) {
+			t.Errorf("round %d: finished job %s holds %v, not the ledger's zero row", r, done, row)
+		}
+		before := make(ga.Matrix, len(l.live))
+		for i, rep := range l.live {
+			before[i] = ledgerRow(rep.Job)
+		}
+		l.schedule(t)
+		for i, rep := range l.live { // live is the round's job order
+			switch {
+			case before[i] == nil && !ga.SameRow(policy.view.Current[i], l.svc.state.zero):
+				t.Errorf("round %d: arrival %s was shown %v, not the ledger's zero row", r, rep.Job, policy.view.Current[i])
+			case before[i] != nil && !ga.SameRow(policy.view.Current[i], before[i]):
+				t.Errorf("round %d: %s was shown a copy of its ledger row", r, rep.Job)
+			}
+			if row := ledgerRow(rep.Job); row != nil && !ga.SameRow(row, policy.m[i]) {
+				t.Errorf("round %d: the ledger holds a copy of the row returned for %s", r, rep.Job)
+			}
+		}
+		journal.See(before)
+		l.svc.state.mu.Lock()
+		for _, p := range l.svc.state.rows {
+			journal.See([][]int{p.row})
+		}
+		l.svc.state.mu.Unlock()
+		journal.Check(t, fmt.Sprintf("round %d", r))
 	}
-	var want Allocation
-	svc.GetAllocation("a", &want)
-	if sched.PlacementOf(want.Row).GPUs != 2 {
-		t.Fatalf("row = %v, want 2 GPUs", want.Row)
+	if journal.Len() < 2*rounds {
+		t.Errorf("only %d rows journaled over %d rounds", journal.Len(), rounds)
 	}
 
-	view := svc.Round(60)
-	if !slices.Equal(view.Current[0], want.Row) {
-		t.Fatalf("Round's row = %v, GetAllocation's = %v", view.Current[0], want.Row)
+	// The copies: a trainer and a policy may write what they were given.
+	name := l.live[0].Job
+	want := l.svc.state.Allocation(name)
+	view := l.svc.Round(l.now)
+	got := l.svc.state.Allocation(name)
+	for n := range got.Row {
+		got.Row[n], view.Capacity[n], view.Usage[n] = 99, 99, 99
 	}
-	var got Allocation
-	svc.GetAllocation("a", &got)
-	for n := range want.Row {
-		view.Current[0][n] = 99
-		view.Capacity[n] = 99
-		got.Row[n] = 99
+	if a := l.svc.state.Allocation(name); !slices.Equal(a.Row, want.Row) {
+		t.Errorf("row = %v after writing to GetAllocation's reply, want %v", a.Row, want.Row)
 	}
-	svc.GetAllocation("a", &got)
-	if !slices.Equal(got.Row, want.Row) {
-		t.Errorf("row = %v after writing to the copies, want %v", got.Row, want.Row)
-	}
-	if again := svc.Round(120); !slices.Equal(again.Current[0], want.Row) || again.Capacity[0] != 4 {
-		t.Errorf("Round after writing to the copies: row %v capacity %v", again.Current[0], again.Capacity)
+	if again := l.svc.Round(l.now); again.Capacity[0] != 4 || !slices.Equal(again.Usage, usageOf(l.svc.state)) || slices.Contains(again.Usage, 99) {
+		t.Errorf("Round after writing to the view's copies: capacity %v usage %v", again.Capacity, again.Usage)
 	}
 }
 

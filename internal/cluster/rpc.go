@@ -69,8 +69,10 @@ type Service struct {
 	// interleave (reports keep flowing under state.mu while a round runs).
 	schedMu sync.Mutex
 	// roundJobs is the job snapshot of the scheduling round in flight,
-	// set by Round and consumed by Commit (see runtime.Step).
-	roundJobs []string
+	// set by Round and consumed by Commit (see runtime.Step); registered
+	// is len(order) as that Round saw it, which sizes the next snapshot.
+	roundJobs  []string
+	registered int
 
 	// fe is the admit front end (nil = admit everything, snapshot order).
 	// It is guarded by schedMu: admission decisions and scheduling rounds
@@ -125,7 +127,7 @@ func (s *Service) SubmitReport(r Report, _ *struct{}) error {
 	if r.Done {
 		// A finished job gives its GPUs back: an all-zero row, whose new
 		// generation tells a still-polling trainer.
-		return s.state.install([]string{r.Job}, ga.NewMatrix(1, len(s.state.capacity)), nil)
+		return s.state.install([]string{r.Job}, ga.Matrix{s.state.zero}, nil)
 	}
 	return nil
 }
@@ -148,13 +150,25 @@ func (s *Service) ScheduleOnce(policy sched.Policy, now float64) (int, error) {
 
 // Round snapshots the scheduler inputs for runtime.Step: every reported,
 // unfinished job's goodput function and accounting in registration
-// order, plus the rows the ledger holds for them, all under one hold of
-// the lock so no report or placement can change between two reads.
+// order, plus the rows the ledger holds for them and its usage totals, all
+// under one hold of the lock so no report or placement can change between
+// two reads. view.Current is a slice of row headers, not a copy: each row
+// is the ledger's own slice (the shared zero row for a job it holds
+// nothing for), which stays valid outside the lock because installed rows
+// are never written.
 func (s *Service) Round(now float64) *sched.ClusterView {
 	s.state.mu.Lock()
 	defer s.state.mu.Unlock()
-	var jobs []string
-	view := &sched.ClusterView{Now: now, Capacity: slices.Clone(s.state.capacity)}
+	// The live jobs are among last round's and those registered since.
+	n := len(s.roundJobs) + len(s.order) - s.registered
+	jobs := make([]string, 0, n)
+	view := &sched.ClusterView{
+		Now:      now,
+		Capacity: slices.Clone(s.state.capacity),
+		Usage:    slices.Clone(s.state.usage),
+		Jobs:     make([]sched.JobView, 0, n),
+		Current:  make(ga.Matrix, 0, n),
+	}
 	for id, name := range s.order {
 		r := s.reports[name]
 		if r.Done {
@@ -184,14 +198,14 @@ func (s *Service) Round(now float64) *sched.ClusterView {
 			MinGPUs:        minGPUs,
 			RemainingIters: r.RemainingIters,
 		})
-	}
-	view.Current = ga.NewMatrix(len(jobs), len(s.state.capacity))
-	for i, name := range jobs {
+		row := s.state.zero
 		if p := s.state.rows[name]; p != nil {
-			copy(view.Current[i], p.row)
+			row = p.row
 		}
+		//pollux:aliasret-ok rows are immutable once installed: install replaces a job's slice and never writes one, so the view may read this row after the lock is released
+		view.Current = append(view.Current, row)
 	}
-	s.roundJobs = jobs
+	s.roundJobs, s.registered = jobs, len(s.order)
 	return view
 }
 

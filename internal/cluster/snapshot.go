@@ -103,7 +103,7 @@ func (s *Service) RestoreSnapshot(snap *ServiceSnapshot) error {
 		reports[name] = js.Report
 		if js.HasAlloc {
 			held = append(held, name)
-			rows = append(rows, js.Row)
+			rows = append(rows, slices.Clone(js.Row)) // the ledger keeps the slice
 		}
 	}
 	// The rows go through the install Commit uses, into a ledger of their
@@ -123,6 +123,7 @@ func (s *Service) RestoreSnapshot(snap *ServiceSnapshot) error {
 	s.state.usage, s.state.rows = ledger.usage, ledger.rows
 	s.order = slices.Clone(snap.Order)
 	s.reports = reports
+	s.roundJobs, s.registered = nil, 0
 	return nil
 }
 

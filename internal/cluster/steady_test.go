@@ -1,0 +1,196 @@
+package cluster
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/models"
+	"repro/internal/sched"
+)
+
+// megaOptions are the mega preset's incremental rack rounds, the options
+// benchmark/svcload.go runs svc_round_inc256 under, on one goroutine so
+// that allocation counts repeat.
+var megaOptions = sched.PolluxOptions{Population: 20, Generations: 10, Incremental: true, FullEvery: -1, RackSize: 16, Workers: 1}
+
+// steadyLoad is the svc_round_inc256 workload of benchmark/svcload.go at a
+// chosen size: a Service holding a steady population of live jobs,
+// scheduled by Pollux once per simulated minute, with one refit, one
+// finished job and one arrival before every round.
+type steadyLoad struct {
+	svc    *Service
+	pollux *sched.Pollux
+	policy sched.Policy // what schedule hands the service; pollux when nil
+	rng    *rand.Rand
+	zoo    []*models.Spec
+	gpus   int
+	live   []Report
+	serial int
+	now    float64
+}
+
+// newSteadyLoad registers the jobs and runs the cold round, which places
+// the whole population from nothing.
+func newSteadyLoad(tb testing.TB, nodes, jobs int, seed int64) *steadyLoad {
+	capacity := make([]int, nodes)
+	for n := range capacity {
+		capacity[n] = 4
+	}
+	l := &steadyLoad{
+		svc:    NewService(NewState(capacity)),
+		pollux: sched.NewPollux(megaOptions, seed),
+		rng:    rand.New(rand.NewSource(seed)),
+		zoo:    models.Zoo(),
+		gpus:   4 * nodes,
+	}
+	for i := 0; i < jobs; i++ {
+		l.live = append(l.live, l.newJob())
+		l.submit(tb, l.live[i])
+	}
+	l.schedule(tb)
+	return l
+}
+
+func (l *steadyLoad) newJob() Report {
+	spec := l.zoo[l.serial%len(l.zoo)]
+	model := spec.GoodputModel(0.1 + 0.8*l.rng.Float64())
+	userGPUs := 1 + l.rng.Intn(4)
+	r := Report{
+		Job:            fmt.Sprintf("job-%06d", l.serial),
+		Phi:            model.Phi,
+		M0:             spec.M0,
+		MaxBatchPerGPU: spec.MaxBatchPerGPU,
+		MaxBatchGlobal: spec.MaxBatchGlobal,
+		GPUCap:         min(4<<l.rng.Intn(4), l.gpus),
+		GPUTime:        5 * 3600 * l.rng.Float64(),
+		Submit:         l.now,
+		UserGPUs:       userGPUs,
+		UserBatch:      spec.M0 * userGPUs,
+		RemainingIters: 1e4,
+	}
+	copy(r.Params[:], spec.Truth.Vector())
+	l.serial++
+	return r
+}
+
+func (l *steadyLoad) submit(tb testing.TB, r Report) {
+	tb.Helper()
+	if err := l.svc.SubmitReport(r, nil); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func (l *steadyLoad) schedule(tb testing.TB) {
+	tb.Helper()
+	policy := l.policy
+	if policy == nil {
+		policy = l.pollux
+	}
+	if n, err := l.svc.ScheduleOnce(policy, l.now); err != nil || n != len(l.live) {
+		tb.Fatalf("round at t=%.0f: scheduled %d of %d jobs: %v", l.now, n, len(l.live), err)
+	}
+	l.now += 60
+}
+
+// churn is what happens between two rounds: a refit moves one job's noise
+// scale, one job finishes (churn returns its name) and one arrives, at
+// the end of the registration order like every arrival.
+func (l *steadyLoad) churn(tb testing.TB) (finished string) {
+	tb.Helper()
+	k := l.rng.Intn(len(l.live))
+	l.live[k].Phi *= 1.25
+	l.submit(tb, l.live[k])
+	d := l.rng.Intn(len(l.live))
+	l.live[d].Done = true
+	l.submit(tb, l.live[d])
+	finished = l.live[d].Job
+	l.live = append(slices.Delete(l.live, d, d+1), l.newJob())
+	l.submit(tb, l.live[len(l.live)-1])
+	return finished
+}
+
+// BenchmarkServiceRoundSteady times one steady scheduling round of the
+// service (runtime.Step: snapshot, dirty set, rack GAs, validation, diff,
+// commit) at 64 nodes × 1280 jobs under the mega preset; the churn
+// between rounds is outside the timer. A steady round re-places a few
+// dozen jobs, so its allocations are row headers, per-job bookkeeping and
+// the sub-problem GAs. CI gates allocs/op exactly (bench/baselines/
+// gobench.json, at -benchtime 20x): one whole-matrix allocation coming
+// back moves it.
+func BenchmarkServiceRoundSteady(b *testing.B) {
+	l := newSteadyLoad(b, 64, 1280, 1)
+	for i := 0; i < 10; i++ { // reach the steady state
+		l.churn(b)
+		l.schedule(b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l.churn(b)
+		b.StartTimer()
+		l.schedule(b)
+	}
+}
+
+// TestSharedRowsUnderConcurrentReaders runs allocation polls, service
+// snapshots and status reads against 50 churning rounds whose views share
+// the ledger's rows (under -race in CI). The readers touch rows only under
+// the ledger's lock and the round reads them outside it; that is sound
+// only because no installed row is ever written, which is what the race
+// detector checks here.
+func TestSharedRowsUnderConcurrentReaders(t *testing.T) {
+	const nodes, jobs, rounds = 16, 96, 50
+	l := newSteadyLoad(t, nodes, jobs, 3)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(read func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					read(i)
+				}
+			}
+		}()
+	}
+	reader(func(i int) { // trainers polling, finished jobs included
+		var a Allocation
+		l.svc.GetAllocation(fmt.Sprintf("job-%06d", i%(jobs+rounds)), &a)
+		if len(a.Row) != nodes {
+			t.Errorf("allocation row has %d nodes", len(a.Row))
+		}
+		for n := range a.Row {
+			a.Row[n] = -1 // a copy: the trainer may do as it likes with it
+		}
+	})
+	reader(func(int) { // the checkpointer
+		snap := l.svc.Snapshot()
+		for _, js := range snap.Jobs {
+			if js.HasAlloc && len(js.Row) != nodes {
+				t.Errorf("snapshot row of %s has %d nodes", js.Report.Job, len(js.Row))
+			}
+		}
+	})
+	reader(func(int) { // the status endpoint
+		if st := l.svc.Status(); st.Running+st.Pending+st.Done != st.Jobs || st.GPUsUsed > st.GPUsTotal {
+			t.Errorf("status %+v does not add up", st)
+		}
+	})
+	for r := 0; r < rounds; r++ {
+		l.churn(t)
+		l.schedule(t)
+	}
+	close(stop)
+	wg.Wait()
+	if st := l.svc.Status(); st.Done != rounds || st.Jobs != jobs+rounds {
+		t.Errorf("after %d rounds: %+v", rounds, st)
+	}
+}

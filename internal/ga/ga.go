@@ -92,6 +92,20 @@ func (m Matrix) Equal(o Matrix) bool {
 	return slices.EqualFunc(m, o, slices.Equal[[]int])
 }
 
+// SameRow reports whether a and b are one slice: the same cells in memory,
+// not merely equal ones. A row that has crossed an API is never written
+// again (see docs/architecture.md, "Pass budget and ownership"), so two
+// holders of one slice know the row is unchanged without reading a cell.
+func SameRow(a, b []int) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// EqualRows reports whether two rows hold equal cells, by identity when
+// they are one slice and cell by cell otherwise.
+func EqualRows(a, b []int) bool {
+	return SameRow(a, b) || slices.Equal(a, b)
+}
+
 // Problem describes one cluster-wide allocation optimization.
 type Problem struct {
 	// Capacity[n] is the number of GPUs on node n.

@@ -18,11 +18,14 @@ import (
 //   - returning a guarded field directly (`return s.placed`) — the copy
 //     idioms (`append([]T(nil), s.f...)`, make+copy) are calls, not
 //     field selectors, and pass untouched;
-//   - re-storing an uncopied row while ranging a guarded field
-//     (`for job, row := range s.placed { placed[job] = row }`) — the
-//     exact shallow-copy bug PR 7 fixed by hand in cluster.Snapshot:
-//     the outer container is fresh but every row still aliases guarded
-//     memory.
+//   - storing an uncopied element of a guarded container outside the
+//     struct: while ranging it (`for job, row := range s.placed {
+//     placed[job] = row }` — the exact shallow-copy bug PR 7 fixed by
+//     hand in cluster.Snapshot: the outer container is fresh but every
+//     row still aliases guarded memory), or after reading one element,
+//     through any number of field steps and locals
+//     (`view.Current[i] = s.state.rows[name].row`, or `p := s.rows[k]`
+//     ... `out = append(out, p.row)`).
 //
 // The analyzer is deliberately field-grained and conservative: it does
 // not prove which mutex guards which field (a struct with any mutex
@@ -32,7 +35,7 @@ import (
 // the justification documents the sharing contract.
 var AliasRet = &Analyzer{
 	Name:      "aliasret",
-	Doc:       "flags returning (or re-storing a row of) a map/slice/pointer field of a mutex-guarded struct without a copy (cross-package facts; the cluster.Snapshot shallow-row discipline)",
+	Doc:       "flags returning a map/slice/pointer field of a mutex-guarded struct, or storing an element of one outside the struct, without a copy (cross-package facts; the cluster.Snapshot shallow-row discipline)",
 	Directive: "aliasret-ok",
 	Run:       runAliasRet,
 }
@@ -148,7 +151,40 @@ func runAliasRet(pass *Pass) error {
 		return nil, ""
 	}
 
-	// Phase 2: flag direct returns and aliased row re-stores.
+	// elems maps a local bound to an element of a guarded container to how
+	// it got there, so a leak through a local (`p := s.rows[k]` ...
+	// `dst[i] = p.row`) is followed to the store.
+	elems := map[types.Object]*guardedElem{}
+	// elemOf resolves an alias-typed expression that reaches into a
+	// guarded container: a selector/index chain over a guarded field with
+	// at least one index step (s.rows[k], s.rows[k].row), or a chain
+	// rooted at a local already bound to such an element (row, p.row).
+	elemOf := func(e ast.Expr) *guardedElem {
+		if t := info.TypeOf(e); t == nil || !aliasType(t) {
+			return nil
+		}
+		indexed := false
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.IndexExpr:
+				indexed, e = true, x.X
+			case *ast.SelectorExpr:
+				if fact, display := guardedSel(x); fact != nil {
+					if !indexed {
+						return nil // the field itself: the return check's business
+					}
+					return &guardedElem{display, rootObject(info, x), "after reading an element of"}
+				}
+				e = x.X
+			case *ast.Ident:
+				return elems[info.ObjectOf(x)]
+			default:
+				return nil
+			}
+		}
+	}
+
+	// Phase 2: flag direct returns and stores of uncopied elements.
 	for _, f := range pass.Files {
 		if pass.isTestFile(f.Pos()) {
 			continue
@@ -168,7 +204,18 @@ func runAliasRet(pass *Pass) error {
 					pass.Reportf(sel.Pos(), "returning mutex-guarded field %s (guarded by %q) without a copy: the caller holds an alias it can use outside the lock — return a copy (or justify with //pollux:aliasret-ok <reason>)", display, fact.Guard)
 				}
 			case *ast.RangeStmt:
-				checkGuardedRange(pass, n, guardedSel)
+				// `for k, row := range s.guarded`: row is an element.
+				sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				if fact, display := guardedSel(sel); fact != nil {
+					if id, ok := n.Value.(*ast.Ident); ok && info.ObjectOf(id) != nil {
+						elems[info.ObjectOf(id)] = &guardedElem{display, rootObject(info, sel), "while ranging"}
+					}
+				}
+			case *ast.AssignStmt:
+				checkElemStores(pass, n, elems, elemOf)
 			}
 			return true
 		})
@@ -176,53 +223,60 @@ func runAliasRet(pass *Pass) error {
 	return nil
 }
 
-// checkGuardedRange flags `for k, row := range s.guarded { dst[k] = row }`
-// — storing an uncopied row of a guarded container into anything not
-// rooted at the guarded struct itself.
-func checkGuardedRange(pass *Pass, rs *ast.RangeStmt, guardedSel func(*ast.SelectorExpr) (*GuardedFieldFact, string)) {
+// guardedElem records that a value is an element of the guarded container
+// field display, reached from the receiver recv, and how: the value
+// variable of a range over the field, or a read of one element.
+type guardedElem struct {
+	display string
+	recv    types.Object
+	how     string
+}
+
+// rootObject is the object at the base of a selector/index chain.
+func rootObject(info *types.Info, e ast.Expr) types.Object {
+	if root := rootIdent(e); root != nil {
+		return info.ObjectOf(root)
+	}
+	return nil
+}
+
+// checkElemStores flags storing an uncopied element of a guarded container
+// — `dst[k] = row` while ranging it, `dst[i] = s.rows[k].row`, or the
+// same through append or a local — into anything not rooted at the guarded
+// struct itself. Assigning an element to a plain local is not yet a leak:
+// the local is followed instead.
+func checkElemStores(pass *Pass, as *ast.AssignStmt, elems map[types.Object]*guardedElem, elemOf func(ast.Expr) *guardedElem) {
 	info := pass.TypesInfo
-	sel, ok := ast.Unparen(rs.X).(*ast.SelectorExpr)
-	if !ok {
+	if len(as.Lhs) != len(as.Rhs) {
 		return
 	}
-	fact, display := guardedSel(sel)
-	if fact == nil {
-		return
-	}
-	valID, ok := rs.Value.(*ast.Ident)
-	if !ok || valID.Name == "_" {
-		return
-	}
-	valObj := info.ObjectOf(valID)
-	if valObj == nil || !aliasType(valObj.Type()) {
-		return
-	}
-	recvRoot := rootIdent(sel)
-	var recvObj types.Object
-	if recvRoot != nil {
-		recvObj = info.ObjectOf(recvRoot)
-	}
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
+	for i, rhs := range as.Rhs {
+		stored, appended := []ast.Expr{rhs}, false
+		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isBuiltin(info, call.Fun, "append") && !call.Ellipsis.IsValid() && len(call.Args) > 1 {
+			stored, appended = call.Args[1:], true // append(dst, row) stores row; append(dst, row...) copies it
 		}
-		for i, rhs := range as.Rhs {
-			id, ok := ast.Unparen(rhs).(*ast.Ident)
-			if !ok || info.ObjectOf(id) != valObj {
+		for _, e := range stored {
+			el := elemOf(e)
+			if el == nil {
 				continue
 			}
-			lhsRoot := rootIdent(as.Lhs[i])
-			if lhsRoot != nil && recvObj != nil && info.ObjectOf(lhsRoot) == recvObj {
+			lhs := ast.Unparen(as.Lhs[i])
+			if id, ok := lhs.(*ast.Ident); ok && !appended {
+				if obj := info.ObjectOf(id); obj != nil {
+					elems[obj] = el
+				}
+				continue
+			}
+			if el.recv != nil && rootObject(info, lhs) == el.recv {
 				continue // re-store inside the same guarded struct
 			}
-			if pass.exempt(rhs.Pos(), "aliasret-ok") {
+			if pass.exempt(e.Pos(), "aliasret-ok") {
 				continue
 			}
-			pass.Reportf(rhs.Pos(), "storing %q uncopied while ranging mutex-guarded field %s: every stored row still aliases guarded memory (the cluster.Snapshot shallow-copy bug) — copy the row first, e.g. append([]T(nil), %s...) (or justify with //pollux:aliasret-ok <reason>)", valID.Name, display, valID.Name)
+			name := types.ExprString(e)
+			pass.Reportf(e.Pos(), "storing %q uncopied %s mutex-guarded field %s: every stored row still aliases guarded memory (the cluster.Snapshot shallow-copy bug) — copy the row first, e.g. append([]T(nil), %s...) (or justify with //pollux:aliasret-ok <reason>)", name, el.how, el.display, name)
 		}
-		return true
-	})
+	}
 }
 
 // fieldOwner finds the named struct type that declares fieldVar,

@@ -35,8 +35,10 @@
 //     transitively — handed to another goroutine is flagged at the call
 //     site; parameters that merely retain the rng are recorded as facts.
 //   - aliasret: fields of map/slice/pointer type in a mutex-guarded
-//     struct are facts; returning (or re-storing a row of) such a field
-//     without a copy leaks guarded state past the lock.
+//     struct are facts; returning such a field, or storing one of its
+//     elements outside the struct (while ranging it, or after a lookup
+//     and any field steps), without a copy leaks guarded state past the
+//     lock.
 //
 // A finding is suppressed by a justification comment on the flagged line
 // or the line above:

@@ -74,3 +74,85 @@ type Unguarded struct {
 func (u *Unguarded) All() map[string][]int {
 	return u.Rows
 }
+
+// Ledger mirrors cluster.State after the single ledger: the guarded map
+// holds entries, and the row sits one field below the lookup.
+type Ledger struct {
+	Mu      sync.Mutex
+	Entries map[string]*Entry
+	Zero    []int
+}
+
+// Entry is one job's ledger entry.
+type Entry struct {
+	Row []int
+	Gen int
+}
+
+// View is what a round hands a policy; it outlives the lock.
+type View struct {
+	Current [][]int
+	Gens    []int
+}
+
+// ViewShared is cluster.Service.Round sharing ledger rows with the view:
+// a map lookup, then a field, stored outside the struct.
+func (l *Ledger) ViewShared(names []string) *View {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	v := &View{Current: make([][]int, len(names))}
+	for i, name := range names {
+		v.Current[i] = l.Entries[name].Row // want `storing "l\.Entries\[name\]\.Row" uncopied after reading an element of mutex-guarded field Ledger\.Entries`
+	}
+	return v
+}
+
+// ViewSharedViaLocals is the same leak through an entry local, a row
+// local and append.
+func (l *Ledger) ViewSharedViaLocals(names []string) *View {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	v := &View{}
+	for _, name := range names {
+		row := l.Zero
+		if p := l.Entries[name]; p != nil {
+			row = p.Row
+			v.Gens = append(v.Gens, p.Gen) // a value: copies by assignment
+		}
+		v.Current = append(v.Current, row) // want `storing "row" uncopied after reading an element of mutex-guarded field Ledger\.Entries`
+	}
+	return v
+}
+
+// ViewCopied clones each row on its way out: the copy idioms are calls.
+func (l *Ledger) ViewCopied(names []string) *View {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	v := &View{Current: make([][]int, len(names))}
+	for i, name := range names {
+		if p := l.Entries[name]; p != nil {
+			v.Current[i] = append([]int(nil), p.Row...)
+		}
+	}
+	return v
+}
+
+// Rename moves an entry inside the same guarded struct: not a leak.
+func (l *Ledger) Rename(from, to string) {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	p := l.Entries[from]
+	l.Entries[to] = p
+}
+
+// ViewImmutable shares rows on purpose and says why it is sound.
+func (l *Ledger) ViewImmutable(names []string) *View {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	v := &View{Current: make([][]int, len(names))}
+	for i, name := range names {
+		//pollux:aliasret-ok rows are immutable once installed: a change replaces the entry's slice and never writes one
+		v.Current[i] = l.Entries[name].Row
+	}
+	return v
+}

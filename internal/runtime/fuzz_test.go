@@ -8,18 +8,27 @@ import (
 	"repro/internal/sched"
 )
 
-// stepCase is one decoded fuzz input: a cluster, a job count, and what a
-// policy returned for them.
+// stepCase is one decoded fuzz input: a cluster, a job count, what a
+// policy returned for them, and the allocation it was shown.
 type stepCase struct {
 	frontEnd bool
 	capacity []int
 	jobs     int
 	result   ga.Matrix
+	// current is a valid allocation (the backend's contract); with usage
+	// set the view carries its column sums, so Step validates by delta.
+	current ga.Matrix
+	usage   bool
 }
 
 // decodeStepCase reads a case off the bytes; missing bytes read as zero.
 // The result may have the wrong number of rows, rows of the wrong width
-// (a width byte of 7 mod 8 picks one), and entries in [-8, 7].
+// (a width byte of 7 mod 8 picks one), and entries in [-8, 7]. After it
+// come the usage switch, the current rows (each cell at most what the
+// earlier rows leave free) and one byte per result row that may replace it
+// by a slice already in play: its own current row, another job's current
+// row, or the next result row — the sharing an identity test must not
+// mistake for "unchanged".
 func decodeStepCase(data []byte) stepCase {
 	next := func() byte {
 		if len(data) == 0 {
@@ -46,6 +55,25 @@ func decodeStepCase(data []byte) stepCase {
 			c.result[i][n] = int(int8(next())) >> 4
 		}
 	}
+	c.usage = next()&1 == 1
+	c.current = ga.NewMatrix(c.jobs, len(c.capacity))
+	free := append([]int(nil), c.capacity...)
+	for _, row := range c.current {
+		for n := range row {
+			row[n] = int(next()) % (free[n] + 1)
+			free[n] -= row[n]
+		}
+	}
+	for i := range c.result {
+		switch share := next() % 4; {
+		case share == 1 && i < c.jobs:
+			c.result[i] = c.current[i]
+		case share == 2 && c.jobs > 0:
+			c.result[i] = c.current[(i+1)%c.jobs]
+		case share == 3:
+			c.result[i] = c.result[(i+1)%len(c.result)]
+		}
+	}
 	return c
 }
 
@@ -68,14 +96,24 @@ func (b *recordingBackend) Commit(m ga.Matrix, _ []bool) error {
 // never half-commits: either Step reports an error and Commit was never
 // called, or Commit was called exactly once, with a matrix that has a row
 // per job and passes the column-sum oracle. A result the oracle accepts
-// is committed. With the front end on, the rows reach the backend
-// un-permuted, which moves rows and leaves every column sum as it was.
+// is committed, whether Step validated the whole matrix or, given the
+// view's usage totals, only the rows that changed. With the front end
+// on, the rows reach the backend un-permuted, which moves rows and leaves
+// every column sum as it was.
 // The seed corpus under testdata/fuzz runs on every plain `go test`.
 func FuzzStepValidation(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeStepCase(data)
-		v := &sched.ClusterView{Capacity: c.capacity, Current: ga.NewMatrix(c.jobs, len(c.capacity))}
+		v := &sched.ClusterView{Capacity: c.capacity, Current: c.current}
+		if c.usage {
+			v.Usage = make([]int, len(c.capacity))
+			for _, row := range c.current {
+				for n, g := range row {
+					v.Usage[n] += g
+				}
+			}
+		}
 		for i := 0; i < c.jobs; i++ {
 			// Later jobs are due sooner, so the SLO stage reverses them.
 			v.Jobs = append(v.Jobs, sched.JobView{ID: i, Deadline: float64(1000 - 100*i)})

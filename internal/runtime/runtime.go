@@ -13,7 +13,6 @@ package runtime
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/admit"
 	"repro/internal/ga"
@@ -23,17 +22,28 @@ import (
 // Backend exposes one deployment's job population to the shared
 // scheduling round: the simulator's in-memory job states, or the
 // testbed's RPC-attached agents.
+//
+// Allocation rows cross this interface as immutable values. A row the
+// backend puts in view.Current, and a row of the matrix Commit receives,
+// is never written again by anyone — backend, Step or policy — so all
+// three may hold the same slice and "unchanged" is slice identity. A
+// backend that keeps rows between rounds (the service's ledger) stores the
+// committed slice itself and hands that slice out next round; one that
+// rebuilds the view each round (the simulator) copies into state of its
+// own and shares nothing.
 type Backend interface {
 	// Round snapshots the scheduler inputs at simulated time now:
 	// per-node capacity, the active jobs in a deterministic order, and
 	// the allocation matrix currently in effect (rows aligned with
-	// Jobs, never nil for an active job).
+	// Jobs, never nil for an active job, each valid for the cluster on
+	// its own). A backend that tracks per-node usage sets view.Usage.
 	Round(now float64) *sched.ClusterView
 	// Commit installs an allocation matrix that Step has already
 	// validated against the round's capacity, rows aligned with the
 	// last Round's jobs; changed[i] reports whether row i differs from
 	// the snapshot's Current row (so backends can skip no-op rebinds
-	// and charge checkpoint-restart only on real moves).
+	// and charge checkpoint-restart only on real moves). An unchanged
+	// m[i] is often view.Current[i] itself.
 	Commit(m ga.Matrix, changed []bool) error
 }
 
@@ -45,6 +55,13 @@ type Backend interface {
 // oversubscribing policy result aborts the round with an error before
 // any row is applied, so a failed round never leaves the backend
 // half-committed.
+//
+// The diff comes first and tests slice identity before cells, so a row
+// the policy handed back costs nothing. Validation then reads only the
+// changed rows: with view.Usage the capacity check is usage minus the
+// changed current rows plus the changed new ones, which accepts and
+// refuses what CheckCapacity over the whole matrix would; a backend
+// without usage totals gets that whole-matrix pass.
 func Step(b Backend, fe *admit.FrontEnd, policy sched.Policy, now float64) (int, error) {
 	view := b.Round(now)
 	if len(view.Jobs) == 0 {
@@ -59,29 +76,38 @@ func Step(b Backend, fe *admit.FrontEnd, policy sched.Policy, now float64) (int,
 		return 0, fmt.Errorf("runtime: policy %s returned %d rows for %d jobs",
 			policy.Name(), len(m), len(view.Jobs))
 	}
-	if err := CheckCapacity(view.Capacity, m); err != nil {
+	changed := make([]bool, len(m))
+	for i := range m {
+		changed[i] = !ga.EqualRows(view.Current[i], m[i])
+	}
+	usage := make([]int, len(view.Capacity))
+	pick := []bool(nil) // without usage totals every row is read
+	if view.Usage != nil {
+		pick = changed
+		copy(usage, view.Usage)
+		for i, row := range view.Current {
+			if changed[i] {
+				for n, g := range row {
+					usage[n] -= g
+				}
+			}
+		}
+	}
+	if err := checkRows(view.Capacity, usage, m, pick); err != nil {
 		return 0, fmt.Errorf("runtime: policy %s: %w", policy.Name(), err)
 	}
 	if perm != nil {
-		orig := make(ga.Matrix, len(m))
+		// view.Jobs, view.Current and the diff were permuted alongside;
+		// restore the backend's row order.
+		orig, current := make(ga.Matrix, len(m)), make(ga.Matrix, len(m))
+		jobs, moved := make([]sched.JobView, len(m)), make([]bool, len(m))
 		for i, p := range perm {
 			orig[p] = m[i]
-		}
-		m = orig
-		// view.Current rows were permuted alongside view.Jobs; restore
-		// the backend's row order for the placement diff below.
-		current := make(ga.Matrix, len(view.Current))
-		jobs := make([]sched.JobView, len(view.Jobs))
-		for i, p := range perm {
 			current[p] = view.Current[i]
 			jobs[p] = view.Jobs[i]
+			moved[p] = changed[i]
 		}
-		view.Current = current
-		view.Jobs = jobs
-	}
-	changed := make([]bool, len(m))
-	for i := range m {
-		changed[i] = !slices.Equal(view.Current[i], m[i])
+		m, view.Current, view.Jobs, changed = orig, current, jobs, moved
 	}
 	if err := b.Commit(m, changed); err != nil {
 		return 0, err
@@ -93,8 +119,17 @@ func Step(b Backend, fe *admit.FrontEnd, policy sched.Policy, now float64) (int,
 // CheckCapacity verifies, in one pass over the rows, that each has one
 // non-negative entry per node and that together they oversubscribe none.
 func CheckCapacity(capacity []int, m ga.Matrix) error {
-	usage := make([]int, len(capacity))
+	return checkRows(capacity, make([]int, len(capacity)), m, nil)
+}
+
+// checkRows adds the rows of m flagged in pick (every row when pick is
+// nil) to usage, refusing one that has not exactly one non-negative entry
+// per node, and then refuses any node whose usage exceeds its capacity.
+func checkRows(capacity, usage []int, m ga.Matrix, pick []bool) error {
 	for i, row := range m {
+		if pick != nil && !pick[i] {
+			continue
+		}
 		if len(row) != len(capacity) {
 			return fmt.Errorf("row %d has %d nodes, cluster has %d", i, len(row), len(capacity))
 		}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -263,5 +264,91 @@ func TestCheckCapacityMatchesOracle(t *testing.T) {
 	}
 	if err := quick.Check(prop, testutil.QuickConfig(2000)); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStepDeltaValidationMatchesCheckCapacity: given the view's usage
+// totals Step validates only the rows that changed, and must accept and
+// refuse exactly what CheckCapacity over the whole proposed matrix does,
+// with the same error, and flag exactly the rows whose cells differ. The
+// current allocation is valid, as a backend's is; the proposal mixes every
+// way a row can come back: the view's own slice, an equal copy, a new row,
+// a prefix of the current row (its first cell, not its length), a
+// negative cell, another job's current row, a slice returned for an
+// earlier job too, and a row that fits only if the unchanged rows are
+// left out of the sum.
+func TestStepDeltaValidationMatchesCheckCapacity(t *testing.T) {
+	refusals, acceptances := 0, 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nodes, jobs := 1+rng.Intn(5), 1+rng.Intn(6)
+		capacity, free := make([]int, nodes), make([]int, nodes)
+		for n := range capacity {
+			capacity[n] = rng.Intn(7)
+			free[n] = capacity[n]
+		}
+		current, usage := ga.NewMatrix(jobs, nodes), make([]int, nodes)
+		for _, row := range current {
+			for n := range row {
+				if rng.Intn(3) == 0 {
+					row[n] = rng.Intn(free[n] + 1)
+					free[n] -= row[n]
+					usage[n] += row[n]
+				}
+			}
+		}
+		proposed := make(ga.Matrix, jobs)
+		for i := range proposed {
+			switch kind := rng.Intn(12); {
+			case kind < 4:
+				proposed[i] = current[i]
+			case kind == 4:
+				proposed[i] = append([]int(nil), current[i]...)
+			case kind == 5:
+				proposed[i] = make([]int, nodes)
+				for n := range proposed[i] {
+					proposed[i][n] = rng.Intn(3)
+				}
+			case kind == 6:
+				proposed[i] = current[i][:rng.Intn(nodes)]
+			case kind == 7:
+				proposed[i] = append([]int(nil), current[i]...)
+				proposed[i][rng.Intn(nodes)] = -1 - rng.Intn(2)
+			case kind == 8:
+				proposed[i] = current[rng.Intn(jobs)]
+			case kind == 9 && i > 0:
+				proposed[i] = proposed[rng.Intn(i)]
+			default: // one GPU more than the other jobs leave on a node
+				proposed[i] = make([]int, nodes)
+				n := rng.Intn(nodes)
+				proposed[i][n] = free[n] + current[i][n] + 1
+			}
+		}
+
+		want := CheckCapacity(capacity, proposed)
+		v := view(jobs, current)
+		v.Capacity, v.Usage = capacity, slices.Clone(usage)
+		b := &fakeBackend{view: v}
+		_, err := Step(b, nil, fixedPolicy{proposed}, 0)
+		if want != nil {
+			refusals++
+			return err != nil && b.committed == nil && strings.HasSuffix(err.Error(), ": "+want.Error())
+		}
+		acceptances++
+		if err != nil || len(b.committed) != jobs {
+			return false
+		}
+		for i := range proposed {
+			if !ga.SameRow(b.committed[i], proposed[i]) || b.changed[i] == slices.Equal(current[i], proposed[i]) {
+				return false
+			}
+		}
+		return slices.Equal(v.Usage, usage) // the view's totals are not Step's scratch
+	}
+	if err := quick.Check(prop, testutil.QuickConfig(3000)); err != nil {
+		t.Error(err)
+	}
+	if refusals < 300 || acceptances < 300 {
+		t.Errorf("%d refusals and %d acceptances: the cases do not cover both sides", refusals, acceptances)
 	}
 }

@@ -35,15 +35,21 @@ package sched
 // reads, not a mode: when mutation is dense, what is seeded first, and
 // what carries over (docs/architecture.md, "One scheduling round").
 //
-// Ownership. The scheduler keeps the matrix it last returned exactly once,
-// built by round.own: incState.rows and the champion seed prevPop[0] are
-// that one matrix. Its rows are never written once built and never alias
-// caller memory: a clean job's row is the previous round's row (the slice
-// is reused, no cell copied), a re-placed job's row an allocation of its
-// own, so no surviving row pins a whole-matrix backing array. The view's
-// Current and the matrix Schedule returns belong to the caller. Every
-// whole-matrix pass is row by row and happens once a round; the budget is
-// in docs/architecture.md. A skipped round keeps the state it has.
+// Ownership. An allocation row is an immutable value: once it is in a
+// view's Current, in a matrix Schedule returned or in the state kept here,
+// nobody writes a cell of it again, and a change is a new slice. So rows
+// are shared, not copied. The matrix a round returns is composed of row
+// headers (round.compose): a clean job's row is the view's own slice, a
+// re-placed job's row is the view's slice again when the solver reproduced
+// it and one fresh slice of its own otherwise, so no surviving row pins a
+// solver's backing array. That same matrix is the committed state,
+// incState.rows and the champion seed prevPop[0]. With a backend that
+// installs rows by reference (cluster.State) the ledger's row, the next
+// view's Current[i] and the row kept here are then one slice, and every
+// "did it change" question — here, in runtime.Step, in the ledger — is
+// answered by slice identity (ga.SameRow) before any cell is read. The
+// passes that remain on a steady round are in docs/architecture.md. A
+// skipped round keeps the state it has.
 
 import (
 	"slices"
@@ -56,16 +62,17 @@ import (
 // job signatures as of the last round that solved anything, keyed by
 // stable job ID.
 type incState struct {
-	ids   []int
-	sigs  []SigSnapshot
-	rows  ga.Matrix   // committed rows aligned with ids; see round.own
-	index map[int]int // job ID → position in ids (lookups only)
-	cap   []int
+	ids    []int
+	sigs   []SigSnapshot
+	rows   ga.Matrix        // committed rows aligned with ids; see Ownership
+	placed []core.Placement // each row's summary, so an unchanged row is not re-read
+	index  map[int]int      // job ID → position in ids (lookups only)
+	cap    []int
 }
 
 // newIncState indexes committed rows by job ID; it keeps the slices given.
-func newIncState(ids []int, sigs []SigSnapshot, rows ga.Matrix, capacity []int) *incState {
-	st := &incState{ids: ids, sigs: sigs, rows: rows, index: make(map[int]int, len(ids)), cap: capacity}
+func newIncState(ids []int, sigs []SigSnapshot, rows ga.Matrix, placed []core.Placement, capacity []int) *incState {
+	st := &incState{ids: ids, sigs: sigs, rows: rows, placed: placed, index: make(map[int]int, len(ids)), cap: capacity}
 	for i, id := range ids {
 		st.index[id] = i
 	}
@@ -121,21 +128,19 @@ func (r *round) dirtySet() []int {
 			}
 		}
 	}
-	r.kept = make(ga.Matrix, len(jobs))
 	seen := make([]bool, len(st.ids)) // committed positions still in the view
 	for i, j := range jobs {
-		pi, ok := st.index[j.ID]
-		if ok {
+		pi := r.at[i]
+		if pi >= 0 {
 			seen[pi] = true
-			r.kept[i] = st.rows[pi]
 		}
 		switch {
-		case !ok:
+		case pi < 0:
 			dirty[i] = true // arrival
 		case st.sigs[pi] != sigOf(j):
 			dirty[i] = true // refit or demand change
 			markRow(st.rows[pi])
-		case !slices.Equal(v.Current[i], st.rows[pi]):
+		case !ga.EqualRows(v.Current[i], st.rows[pi]):
 			dirty[i] = true // restarted or moved outside the scheduler
 			markRow(st.rows[pi])
 		}
@@ -191,11 +196,10 @@ type round struct {
 	p *Pollux
 	v *ClusterView
 	// placed summarizes each job's current row (zero where the view has
-	// none): is the job queued, running, distributed.
+	// none): is the job queued, running, distributed. at is the job's
+	// position in the committed state, -1 for a job it does not know.
 	placed []core.Placement
-	// kept holds the committed row of each job dirtySet found in the
-	// committed state; nil on a round that consulted none.
-	kept ga.Matrix
+	at     []int
 	// Per view index: speedup tables and Eqn. 16 weights, with their sum.
 	tables  []*speedupTable
 	weights []float64
@@ -209,11 +213,27 @@ type round struct {
 	blocked  []bool
 }
 
-// newRound summarizes the view's current rows.
+// newRound finds each job in the committed state and summarizes the view's
+// current rows, reading only those that are not the committed slice.
 func (p *Pollux) newRound(v *ClusterView) *round {
-	r := &round{p: p, v: v, placed: make([]core.Placement, len(v.Jobs))}
-	for i, row := range v.Current[:min(len(v.Jobs), len(v.Current))] {
-		r.placed[i] = PlacementOf(row)
+	r := &round{p: p, v: v, placed: make([]core.Placement, len(v.Jobs)), at: make([]int, len(v.Jobs))}
+	var index map[int]int
+	if p.inc != nil {
+		index = p.inc.index
+	}
+	for i, j := range v.Jobs {
+		pi, ok := index[j.ID]
+		if !ok {
+			pi = -1
+		}
+		r.at[i] = pi
+		switch {
+		case i >= len(v.Current):
+		case ok && ga.SameRow(v.Current[i], p.inc.rows[pi]):
+			r.placed[i] = p.inc.placed[pi]
+		default:
+			r.placed[i] = PlacementOf(v.Current[i])
+		}
 	}
 	return r
 }
@@ -245,7 +265,7 @@ func (r *round) price() {
 // With racks set the sub rows come from the coarse-then-per-rack solve,
 // otherwise from one solveNodes over all nodes. It returns the composed
 // full matrix and keeps what the next round needs (see keep), or returns
-// nil if the composition fails the defensive feasibility check.
+// nil if the composition would fail the defensive feasibility check.
 func (r *round) solve(sub []int, racks bool) ga.Matrix {
 	p, v := r.p, r.v
 	jobs := v.Jobs
@@ -255,6 +275,9 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 		inSub[i] = true
 	}
 
+	// clash: the clean rows alone overdraw a node, or two distributed ones
+	// share one, so no choice of sub rows makes the round feasible.
+	avoid, clash := !p.opts.DisableInterferenceAvoidance, false
 	r.residual = append([]int(nil), v.Capacity...)
 	r.blocked = make([]bool, nodes)
 	for i := range jobs {
@@ -265,6 +288,7 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 		for n, g := range v.Current[i] {
 			if g > 0 {
 				// Clamped defensively: the live matrix may be over capacity.
+				clash = clash || g > r.residual[n] || (avoid && dist && r.blocked[n])
 				r.residual[n] = max(0, r.residual[n]-g)
 				if dist {
 					r.blocked[n] = true
@@ -303,61 +327,56 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 		rows, pop = r.solveNodes(mem, 0, nodes, seeds, p.opts.Population, p.opts.Generations)
 	}
 
-	// Compose the caller's matrix: clean rows verbatim (an all-zero one is
-	// already there), sub rows from the solver.
-	out := ga.NewMatrix(len(jobs), nodes)
-	for i := range jobs {
-		if !inSub[i] && r.placed[i] != (core.Placement{}) {
-			copy(out[i], v.Current[i])
-		}
-	}
-	for si, i := range sub {
-		copy(out[i], rows[si])
-	}
+	// The composition is feasible when the clean rows do not clash among
+	// themselves and the sub rows fit what they leave; nothing re-reads the
+	// clean rows to find that out.
 	whole := !racks && len(sub) == len(jobs) // repaired GA output as it stands
-	if !whole && !ga.Feasible(out, v.Capacity, !p.opts.DisableInterferenceAvoidance) {
+	if !whole && (clash || !ga.FeasibleSub(rows, r.residual, avoid, r.blocked, nil)) {
 		return nil
 	}
-	r.keep(rows, pop, whole)
+	out := r.compose(rows)
+	r.keep(out, rows, pop, whole)
 	return out
 }
 
-// own builds a matrix the scheduler keeps out of one solver result (see
-// Ownership above): a clean job's row is its committed row as it stands
-// (it equals the view's, or the job would be dirty), a sub job's a copy.
-func (r *round) own(subRows ga.Matrix) ga.Matrix {
+// compose builds a full matrix of row headers around one solver result
+// (see Ownership above): a clean job's row is the view's, a sub job's is
+// its current row when the solver reproduced it and else a copy of the
+// solver's, which borrows its rows from the GA.
+func (r *round) compose(subRows ga.Matrix) ga.Matrix {
 	m := make(ga.Matrix, len(r.v.Jobs))
-	copy(m, r.kept)
+	copy(m, r.v.Current)
 	for si, i := range r.sub {
-		m[i] = slices.Clone(subRows[si])
+		m[i] = r.cur[si]
+		if !slices.Equal(subRows[si], m[i]) {
+			m[i] = slices.Clone(subRows[si])
+		}
 	}
 	return m
 }
 
 // keep carries the round's result into the next one: the GA seeds within
-// the cell budget and, with Incremental, the committed matrix and job
-// signatures the next dirty set compares against. A whole-view population
-// that fits carries as it stands, in GA order; otherwise the champion
-// carries first and the other members (best first) follow while the
-// budget lasts.
-func (r *round) keep(rows ga.Matrix, pop []ga.Matrix, whole bool) {
+// the cell budget and, with Incremental, the committed matrix (out itself)
+// and job signatures the next dirty set compares against. A whole-view
+// population that fits carries as it stands, in GA order; otherwise the
+// champion carries first and the other members (best first) follow while
+// the budget lasts.
+func (r *round) keep(out, rows ga.Matrix, pop []ga.Matrix, whole bool) {
 	p, jobs := r.p, r.v.Jobs
 	budget := max(1, seedCellBudget/max(1, len(jobs)*len(r.v.Capacity)))
 	var carried []ga.Matrix
-	var committed ga.Matrix
 	if whole && len(pop) <= budget {
 		for _, m := range pop {
 			carried = append(carried, m.Clone())
 		}
 	} else {
-		committed = r.own(rows)
-		carried = append(carried, committed)
+		carried = append(carried, out)
 		for _, m := range pop {
 			if len(carried) >= budget {
 				break
 			}
 			if !m.Equal(rows) { // the champion is already carried
-				carried = append(carried, r.own(m))
+				carried = append(carried, r.compose(m))
 			}
 		}
 	}
@@ -369,14 +388,15 @@ func (r *round) keep(rows ga.Matrix, pop []ga.Matrix, whole bool) {
 	if !p.opts.Incremental {
 		return
 	}
-	if committed == nil {
-		committed = r.own(rows)
-	}
 	sigs := make([]SigSnapshot, len(jobs))
 	for i, j := range jobs {
 		sigs[i] = sigOf(j)
 	}
-	p.inc = newIncState(ids, sigs, committed, append([]int(nil), r.v.Capacity...))
+	placed := r.placed // a clean row's summary stands; the round is over
+	for _, i := range r.sub {
+		placed[i] = PlacementOf(out[i])
+	}
+	p.inc = newIncState(ids, sigs, out, placed, append([]int(nil), r.v.Capacity...))
 }
 
 // subSeeds projects the carried population onto the sub jobs' rows by

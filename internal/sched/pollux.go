@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -346,8 +347,9 @@ func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 	var out ga.Matrix
 	if len(sub) == 0 {
 		// Nothing changed anywhere: carry the allocation forward without
-		// running any GA. The committed state already describes it.
-		out = v.Current.Clone()
+		// running any GA, as the view's own rows. The committed state
+		// already describes it.
+		out = slices.Clone(v.Current)
 	} else {
 		// It takes at least two racks to decompose.
 		racks := p.opts.RackSize > 0 && len(v.Capacity) >= 2*p.opts.RackSize

@@ -60,8 +60,16 @@ type ClusterView struct {
 	Capacity []int // GPUs per node
 	Jobs     []JobView
 	// Current is the allocation matrix in effect, with rows aligned to
-	// Jobs (used for restart penalties and placement stability).
+	// Jobs (used for restart penalties and placement stability). Its rows
+	// are immutable values shared with whoever built the view — a live
+	// backend hands out its ledger's own slices — so a policy may read
+	// them, keep them and return them, and must never write one. The
+	// backend in turn never writes a row after handing it out.
 	Current ga.Matrix
+	// Usage is the per-node sum of Current's rows when the backend keeps
+	// that total anyway (the service's ledger does); nil otherwise. With
+	// it runtime.Step validates a result from the changed rows alone.
+	Usage []int
 }
 
 // TotalGPUs returns the cluster GPU count.
@@ -80,6 +88,12 @@ type Policy interface {
 	// AdaptsBatchSize reports whether jobs under this policy re-tune
 	// their batch size during training (true only for Pollux).
 	AdaptsBatchSize() bool
+	// Schedule returns one row per job of the view. Rows are immutable
+	// once returned: the caller installs the changed ones by reference, so
+	// the policy may keep a returned row but must never write it again (a
+	// change is a new slice). Returning v.Current[i] itself says "job i
+	// stays", and costs the round nothing for that job. A row cut from a
+	// larger backing array keeps that array alive while it is installed.
 	Schedule(v *ClusterView) ga.Matrix
 }
 

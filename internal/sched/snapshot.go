@@ -160,12 +160,12 @@ func (p *Pollux) Restore(s *PolluxSnapshot) error {
 		}
 		// Row by row: later rounds reuse these rows in the matrices they
 		// keep (see incremental.go), so none may pin a shared backing array.
-		rows := make(ga.Matrix, len(s.Inc.Rows))
+		rows, placed := make(ga.Matrix, len(s.Inc.Rows)), make([]core.Placement, len(s.Inc.Rows))
 		for i, row := range s.Inc.Rows {
-			rows[i] = slices.Clone(row)
+			rows[i], placed[i] = slices.Clone(row), PlacementOf(row)
 		}
 		inc = newIncState(append([]int(nil), s.Inc.IDs...), append([]SigSnapshot(nil), s.Inc.Sigs...),
-			rows, append([]int(nil), s.Inc.Cap...))
+			rows, placed, append([]int(nil), s.Inc.Cap...))
 	}
 
 	src := detrand.Restore(s.RNG)
