@@ -118,7 +118,13 @@ func TestReplayVsSimParitySmallShort(t *testing.T) {
 // live control path (Service, reports, runtime.Step) instead of the
 // simulator's in-memory jobs. Like the tick-vs-event check, the engines
 // draw different rng sequences (per-trainer rngs, 5 s profiling steps),
-// so metrics agree statistically; the bar is 5% on JCT and goodput.
+// so metrics agree statistically; the bar is 5% on JCT and goodput, on the
+// mean over config and policy seeds 1–4. One seed is one draw from the
+// spread between two trajectories: under Pollux the engines were 0.2–1.8%
+// apart on JCT per seed while every refit crawled a little way from its warm
+// start, and are 1.0–4.3% apart with PR 17's fit, which converges (goodput
+// up to 3.3% and 4.2%) — with the means of the two engines 0.4% and 0.9%
+// apart (EXPERIMENTS.md, "θsys fit in scaled variables and log space").
 func TestReplayVsSimParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full cross-engine comparison")
@@ -135,29 +141,39 @@ func TestReplayVsSimParity(t *testing.T) {
 		"tiresias": func(seed int64) sched.Policy { return sched.NewTiresias() },
 	}
 	const tol = 0.05
+	seeds := []int64{1, 2, 3, 4}
 	for name, mk := range policies {
 		t.Run(name, func(t *testing.T) {
-			simRes := sim.NewCluster(tr, mk(1), sim.Config{
-				Nodes: 16, GPUsPerNode: 4, Tick: 1,
-				UseTunedConfig: true, Seed: 1,
-			}).Run()
-			repRes, err := Replay(tr, mk(1), ReplayConfig{
-				Nodes: 16, GPUsPerNode: 4, UseTunedConfig: true, Seed: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
+			var simJCT, repJCT, simGoodput, repGoodput float64
+			for _, seed := range seeds {
+				simRes := sim.NewCluster(tr, mk(seed), sim.Config{
+					Nodes: 16, GPUsPerNode: 4, Tick: 1,
+					UseTunedConfig: true, Seed: seed,
+				}).Run()
+				repRes, err := Replay(tr, mk(seed), ReplayConfig{
+					Nodes: 16, GPUsPerNode: 4, UseTunedConfig: true, Seed: seed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if simRes.Summary.Completed != repRes.Summary.Completed {
+					t.Errorf("seed %d completed: sim %d vs replay %d", seed,
+						simRes.Summary.Completed, repRes.Summary.Completed)
+				}
+				t.Logf("seed %d: avg JCT sim %.1f replay %.1f (%+.1f%%), goodput %.1f vs %.1f (%+.1f%%)", seed,
+					simRes.Summary.AvgJCT, repRes.Summary.AvgJCT, 100*(repRes.Summary.AvgJCT/simRes.Summary.AvgJCT-1),
+					simRes.AvgGoodput, repRes.AvgGoodput, 100*(repRes.AvgGoodput/simRes.AvgGoodput-1))
+				n := float64(len(seeds))
+				simJCT += simRes.Summary.AvgJCT / n
+				repJCT += repRes.Summary.AvgJCT / n
+				simGoodput += simRes.AvgGoodput / n
+				repGoodput += repRes.AvgGoodput / n
 			}
-			if simRes.Summary.Completed != repRes.Summary.Completed {
-				t.Errorf("completed: sim %d vs replay %d",
-					simRes.Summary.Completed, repRes.Summary.Completed)
+			if d := relDiff(repJCT, simJCT); d > tol {
+				t.Errorf("mean avg JCT diverges %.1f%%: sim %v vs replay %v", 100*d, simJCT, repJCT)
 			}
-			if d := relDiff(repRes.Summary.AvgJCT, simRes.Summary.AvgJCT); d > tol {
-				t.Errorf("avg JCT diverges %.1f%%: sim %v vs replay %v",
-					100*d, simRes.Summary.AvgJCT, repRes.Summary.AvgJCT)
-			}
-			if d := relDiff(repRes.AvgGoodput, simRes.AvgGoodput); d > tol {
-				t.Errorf("avg goodput diverges %.1f%%: sim %v vs replay %v",
-					100*d, simRes.AvgGoodput, repRes.AvgGoodput)
+			if d := relDiff(repGoodput, simGoodput); d > tol {
+				t.Errorf("mean avg goodput diverges %.1f%%: sim %v vs replay %v", 100*d, simGoodput, repGoodput)
 			}
 		})
 	}

@@ -38,13 +38,25 @@ func BenchmarkSpeedup(b *testing.B) {
 	}
 }
 
+// reportFitCost reports what one such fit costs the optimizer, every start
+// counted. Both counts are deterministic, so bench/baselines/gobench.json
+// gates the iteration budget exactly, next to allocs/op.
+func reportFitCost(b *testing.B, samples []Sample, prev Params, explored Exploration) {
+	r := fit(newRMSLELoss(samples), samples, prev, explored)
+	b.ReportMetric(float64(r.Iters), "iters/op")
+	b.ReportMetric(float64(r.Evals), "evals/op")
+}
+
 func BenchmarkFitThroughputModel(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	samples := genSamples(rng, refParams, 0.05, 4, allPlacements)
+	explored := Exploration{MaxGPUs: 16, MaxNodes: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Fit(samples, Params{}, Exploration{MaxGPUs: 16, MaxNodes: 4})
+		Fit(samples, Params{}, explored)
 	}
+	b.StopTimer()
+	reportFitCost(b, samples, Params{}, explored)
 }
 
 // BenchmarkFitWarmTail is the fit a trace spends its time in: a full Fit,
@@ -58,4 +70,6 @@ func BenchmarkFitWarmTail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Fit(samples, prev, explored)
 	}
+	b.StopTimer()
+	reportFitCost(b, samples, prev, explored)
 }

@@ -126,7 +126,7 @@ func TestFitWithPrevSeedIsStable(t *testing.T) {
 func TestRMSLEZeroForExactModel(t *testing.T) {
 	samples := genSamples(rand.New(rand.NewSource(1)), refParams, 0, 4, allPlacements)
 	if r := RMSLE(refParams, samples); r > 1e-12 {
-		t.Errorf("RMSLE of truth on clean data = %v, want 0", r)
+		t.Errorf("RMSLE of truth on clean data = %v, want rounding noise", r)
 	}
 	if r := RMSLE(refParams, nil); r != 0 {
 		t.Errorf("RMSLE with no samples = %v, want 0", r)

@@ -169,9 +169,10 @@ func LBFGSB(obj Objective, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
 
 	// The (s, y) correction pairs live in a ring of History+1 slots: the
 	// candidate pair of an iteration is written into the free slot, and
-	// keeping it drops the oldest pair once History are held.
+	// keeping it drops the oldest pair once History are held. rhos holds
+	// 1/(y·s) of each held pair, computed once when the pair is kept.
 	slots := opts.History + 1
-	work := make([]float64, (4+2*slots)*n+opts.History)
+	work := make([]float64, (4+2*slots)*n+opts.History+slots)
 	carve := func(k int) []float64 {
 		v := work[:k:k]
 		work = work[k:]
@@ -179,11 +180,12 @@ func LBFGSB(obj Objective, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
 	}
 	g, gNew, dir, xNew := carve(n), carve(n), carve(n), carve(n)
 	alphas := carve(opts.History)
-	ss, ys := carve(slots*n), carve(slots*n)
+	ss, ys, rhos := carve(slots*n), carve(slots*n), carve(slots)
 	pair := func(i int) (s, y []float64) {
 		o := (i % slots) * n
 		return ss[o : o+n], ys[o : o+n]
 	}
+	rho := func(i int) float64 { return rhos[i%slots] }
 	oldest, held := 0, 0 // pairs oldest .. oldest+held-1, newest last
 
 	fx := obj.Value(x)
@@ -200,8 +202,7 @@ func LBFGSB(obj Objective, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
 		copy(dir, g)
 		for i := held - 1; i >= 0; i-- {
 			s, y := pair(oldest + i)
-			rho := 1 / dot(y, s)
-			alphas[i] = rho * dot(s, dir)
+			alphas[i] = rho(oldest+i) * dot(s, dir)
 			axpy(dir, y, -alphas[i])
 		}
 		if held > 0 {
@@ -213,8 +214,7 @@ func LBFGSB(obj Objective, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
 		}
 		for i := 0; i < held; i++ {
 			s, y := pair(oldest + i)
-			rho := 1 / dot(y, s)
-			beta := rho * dot(y, dir)
+			beta := rho(oldest+i) * dot(y, dir)
 			axpy(dir, s, alphas[i]-beta)
 		}
 		for i := range dir {
@@ -263,6 +263,7 @@ func LBFGSB(obj Objective, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
 			y[i] = gNew[i] - g[i]
 		}
 		if sy := dot(s, y); sy > 1e-12 {
+			rhos[(oldest+held)%slots] = 1 / sy
 			if held == opts.History {
 				oldest = (oldest + 1) % slots
 			} else {
@@ -387,18 +388,19 @@ func MultiStart(f func([]float64) float64, starts [][]float64, b Bounds, opts LB
 
 // MultiStartGrad runs LBFGSB from each starting point and returns the best
 // result. Throughput-model fitting uses a handful of heuristic starts to
-// avoid poor local minima in the RMSLE landscape. The returned Evals is
-// the total across all starts.
+// avoid poor local minima in the RMSLE landscape. The returned Iters and
+// Evals are the totals across all starts: what the answer cost.
 func MultiStartGrad(obj Objective, starts [][]float64, b Bounds, opts LBFGSBOptions) Result {
 	best := Result{F: math.Inf(1)}
-	evals := 0
+	iters, evals := 0, 0
 	for _, s := range starts {
 		r := LBFGSB(obj, s, b, opts)
+		iters += r.Iters
 		evals += r.Evals
 		if r.F < best.F {
 			best = r
 		}
 	}
-	best.Evals = evals
+	best.Iters, best.Evals = iters, evals
 	return best
 }

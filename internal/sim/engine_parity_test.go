@@ -14,7 +14,8 @@ import (
 // semantics, different clock. The two draw different random-number
 // sequences (the tick engine profiles one observation per tick, the
 // event engine one per segment), so metrics agree statistically rather
-// than bitwise; the acceptance bar is 5% on the standard 16-node trace.
+// than bitwise; the acceptance bar is 5% on the standard 16-node trace,
+// on the mean over paritySeeds.
 
 // standardTrace is the paper-shaped 16-node evaluation workload used by
 // the cross-engine parity checks.
@@ -25,11 +26,38 @@ func standardTrace() workload.Trace {
 	})
 }
 
-func parityConfig(engine string) Config {
+func parityConfig(engine string, seed int64) Config {
 	return Config{
 		Nodes: 16, GPUsPerNode: 4, Tick: 1,
-		UseTunedConfig: true, Seed: 1, Engine: engine,
+		UseTunedConfig: true, Seed: seed, Engine: engine,
 	}
+}
+
+// paritySeeds are the config and policy seeds the statistical parity checks
+// average over. A single seed is one draw from the spread between two
+// trajectories, not the agreement of two engines: before PR 17 the checks
+// passed at seed 1 only because seed 1 had been drawn (tick vs event under
+// Pollux: JCT 5.2% apart at seed 3; full vs incremental goodput 13.2% at
+// seed 4), and with PR 17's θsys fit seed 1 itself puts incremental goodput
+// 11.0% from full. The means over the four seeds agree before and after
+// (tick vs event JCT 2.1% and 2.1%, goodput 2.0% and 3.1%); which seeds sit
+// at the edge of a band moves with any change to the fit, because the old
+// fit crawled a little way from its warm start at every refit and the new
+// one converges (EXPERIMENTS.md, "θsys fit in scaled variables and log
+// space").
+var paritySeeds = []int64{1, 2, 3, 4}
+
+// parityMeans is the mean over paritySeeds of the metrics parity is judged on.
+type parityMeans struct {
+	jct, goodput, efficiency, nodeSeconds float64
+}
+
+func (m *parityMeans) add(r Result) {
+	n := float64(len(paritySeeds))
+	m.jct += r.Summary.AvgJCT / n
+	m.goodput += r.AvgGoodput / n
+	m.efficiency += r.Summary.AvgEfficiency / n
+	m.nodeSeconds += r.CostNodeSeconds / n
 }
 
 func relDiff(a, b float64) float64 {
@@ -54,28 +82,30 @@ func TestEngineParityOnStandardTrace(t *testing.T) {
 	const tol = 0.05
 	for name, mk := range policies {
 		t.Run(name, func(t *testing.T) {
-			tick := NewCluster(tr, mk(1), parityConfig(EngineTick)).Run()
-			event := NewCluster(tr, mk(1), parityConfig(EngineEvent)).Run()
-
-			if tick.Summary.Completed != event.Summary.Completed {
-				t.Errorf("completed: tick %d vs event %d",
-					tick.Summary.Completed, event.Summary.Completed)
+			var tick, event parityMeans
+			for _, seed := range paritySeeds {
+				tickRes := NewCluster(tr, mk(seed), parityConfig(EngineTick, seed)).Run()
+				eventRes := NewCluster(tr, mk(seed), parityConfig(EngineEvent, seed)).Run()
+				if tickRes.Summary.Completed != eventRes.Summary.Completed {
+					t.Errorf("seed %d completed: tick %d vs event %d", seed, tickRes.Summary.Completed, eventRes.Summary.Completed)
+				}
+				t.Logf("seed %d: avg JCT tick %.1f event %.1f (%+.1f%%), goodput %.1f vs %.1f (%+.1f%%)", seed,
+					tickRes.Summary.AvgJCT, eventRes.Summary.AvgJCT, 100*(eventRes.Summary.AvgJCT/tickRes.Summary.AvgJCT-1),
+					tickRes.AvgGoodput, eventRes.AvgGoodput, 100*(eventRes.AvgGoodput/tickRes.AvgGoodput-1))
+				tick.add(tickRes)
+				event.add(eventRes)
 			}
-			if d := relDiff(event.Summary.AvgJCT, tick.Summary.AvgJCT); d > tol {
-				t.Errorf("avg JCT diverges %.1f%%: tick %v vs event %v",
-					100*d, tick.Summary.AvgJCT, event.Summary.AvgJCT)
+			if d := relDiff(event.jct, tick.jct); d > tol {
+				t.Errorf("mean avg JCT diverges %.1f%%: tick %v vs event %v", 100*d, tick.jct, event.jct)
 			}
-			if d := relDiff(event.AvgGoodput, tick.AvgGoodput); d > tol {
-				t.Errorf("avg goodput diverges %.1f%%: tick %v vs event %v",
-					100*d, tick.AvgGoodput, event.AvgGoodput)
+			if d := relDiff(event.goodput, tick.goodput); d > tol {
+				t.Errorf("mean avg goodput diverges %.1f%%: tick %v vs event %v", 100*d, tick.goodput, event.goodput)
 			}
-			if d := relDiff(event.Summary.AvgEfficiency, tick.Summary.AvgEfficiency); d > tol {
-				t.Errorf("avg efficiency diverges %.1f%%: tick %v vs event %v",
-					100*d, tick.Summary.AvgEfficiency, event.Summary.AvgEfficiency)
+			if d := relDiff(event.efficiency, tick.efficiency); d > tol {
+				t.Errorf("mean avg efficiency diverges %.1f%%: tick %v vs event %v", 100*d, tick.efficiency, event.efficiency)
 			}
-			if d := relDiff(event.CostNodeSeconds, tick.CostNodeSeconds); d > tol {
-				t.Errorf("node-seconds diverge %.1f%%: tick %v vs event %v",
-					100*d, tick.CostNodeSeconds, event.CostNodeSeconds)
+			if d := relDiff(event.nodeSeconds, tick.nodeSeconds); d > tol {
+				t.Errorf("mean node-seconds diverge %.1f%%: tick %v vs event %v", 100*d, tick.nodeSeconds, event.nodeSeconds)
 			}
 		})
 	}
