@@ -4,20 +4,38 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+
+	"repro/internal/detrand"
 )
 
+// BenchmarkGAStep is one steady generation at three shapes: tiny (what
+// the standard 16-node trace mostly schedules, where the fixed cost per
+// offspring is everything), std, and full32 (the svc_round_full32 shape,
+// where the cost per cell is). One goroutine and a counting rng source, so
+// allocs/op and draws/op repeat exactly at a fixed -benchtime Nx and CI
+// gates both: an allocation per offspring or an rng draw per cell coming
+// back moves them.
 func BenchmarkGAStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	prob := Problem{
-		Capacity:              []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4},
-		Jobs:                  30,
-		Fitness:               simpleFitness,
-		InterferenceAvoidance: true,
-	}
-	g := New(prob, Options{Population: 50}, rng, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Step()
+	for _, leg := range []struct {
+		name        string
+		jobs, nodes int
+	}{{"tiny", 2, 16}, {"std", 30, 16}, {"full32", 96, 32}} {
+		b.Run(leg.name, func(b *testing.B) {
+			capacity := make([]int, leg.nodes)
+			for n := range capacity {
+				capacity[n] = 4
+			}
+			src := detrand.NewSource(1)
+			prob := Problem{Capacity: capacity, Jobs: leg.jobs, Fitness: simpleFitness, InterferenceAvoidance: true}
+			g := New(prob, Options{Population: 50, Workers: 1}, rand.New(src), nil)
+			g.Run(2) // fill the buffer pool
+			start := src.State().Draws
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Step()
+			}
+			b.ReportMetric(float64(src.State().Draws-start)/float64(b.N), "draws/op")
+		})
 	}
 }
 

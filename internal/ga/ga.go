@@ -11,11 +11,11 @@
 package ga
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -74,7 +74,7 @@ func (m Matrix) JobNodes(j int) int {
 
 // tally adds every row into usage (per-node GPU totals, one entry per
 // capacity node) and sets span[j] to the number of nodes row j holds GPUs
-// on: the one whole-matrix pass feasibility and repair need, row by row.
+// on: the one whole-matrix pass a feasibility check needs, row by row.
 func (m Matrix) tally(usage, span []int) {
 	for j, row := range m {
 		span[j] = 0
@@ -84,6 +84,52 @@ func (m Matrix) tally(usage, span []int) {
 				span[j]++
 			}
 		}
+	}
+}
+
+// occupancy is what repair reads instead of the matrix's columns: the tally
+// of one row-major pass plus, per node, the rows holding GPUs there in
+// ascending order. Node n's list is rows[n*jobs:][:count[n]], a fixed
+// stride, so the next pass resets every list by clearing the counts.
+// Repair only lowers cells, so a list taken before it stays, in the same
+// order, a superset of the rows still on the node: a reader that filters by
+// the live cell sees exactly what a scan of the column would.
+type occupancy struct {
+	usage, count, span []int
+	rows, cand         []int32 // cand: the candidates of the node in hand
+}
+
+// newOccupancy cuts the scratch for a jobs × nodes problem from two arrays,
+// so that a GA costs two allocations whatever its shape.
+func newOccupancy(jobs, nodes int) occupancy {
+	ints, rows := make([]int, 2*nodes+jobs), make([]int32, jobs*nodes+jobs)
+	return occupancy{
+		usage: ints[:nodes], count: ints[nodes : 2*nodes], span: ints[2*nodes:],
+		rows: rows[:jobs*nodes], cand: rows[jobs*nodes:],
+	}
+}
+
+// occupants returns node n's list as of the last tally.
+func (o *occupancy) occupants(n int) []int32 {
+	return o.rows[n*len(o.span):][:o.count[n]]
+}
+
+// tally is Matrix.tally into o.usage and o.span, recording the occupants.
+func (o *occupancy) tally(m Matrix) {
+	usage, count, jobs := o.usage, o.count[:len(o.usage)], len(o.span)
+	clear(usage)
+	clear(count)
+	for j, row := range m {
+		span := 0
+		for n, g := range row[:len(usage)] {
+			usage[n] += g
+			if g > 0 {
+				span++
+				o.rows[n*jobs+count[n]] = int32(j)
+				count[n]++
+			}
+		}
+		o.span[j] = span
 	}
 }
 
@@ -145,15 +191,6 @@ type Options struct {
 	// *rand.Rand is never shared — and every offspring is scored into a
 	// fixed slot, so results are bit-identical to Workers: 1.
 	Workers int
-	// SparseMutation samples the gaps between mutated cells geometrically
-	// instead of flipping one Bernoulli(1/N) coin per cell, turning the
-	// O(jobs × nodes) rng scan per offspring into O(expected mutations) —
-	// the scan is the measured mutation hotspot at 512+ nodes. The
-	// per-cell mutation distribution is identical, but the rng draw
-	// SEQUENCE is not, so it is opt-in: the incremental/hierarchical
-	// scheduler paths enable it, while the default dense scan keeps every
-	// fixed-seed baseline trace bit-stable.
-	SparseMutation bool
 }
 
 func (o *Options) defaults() {
@@ -192,8 +229,11 @@ type GA struct {
 	nextScores []float64
 
 	// Repair scratch (see repair), so repairing an offspring allocates
-	// nothing: the matrix's tally and the candidates of the node in hand.
-	usage, span, cand []int
+	// nothing.
+	occ occupancy
+	// lnGap is ln(1 − 1/N), the scale of the gaps between mutated cells
+	// (not finite, and not read, at N ≤ 1).
+	lnGap float64
 
 	stats Stats
 }
@@ -222,7 +262,8 @@ func (g *GA) Stats() Stats { return g.stats }
 // carried-over current allocation beats an all-paused search there).
 func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 	opts.defaults()
-	g := &GA{prob: prob, opts: opts, rng: rng, usage: make([]int, len(prob.Capacity)), span: make([]int, prob.Jobs)}
+	nodes := len(prob.Capacity)
+	g := &GA{prob: prob, opts: opts, rng: rng, occ: newOccupancy(prob.Jobs, nodes), lnGap: math.Log(1 - 1/float64(nodes))}
 	g.pop = make([]Matrix, 0, opts.Population)
 	seedSlots := opts.Population - 1
 	if opts.Population == 1 {
@@ -232,7 +273,7 @@ func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 		if len(g.pop) >= seedSlots {
 			break
 		}
-		if len(s) != prob.Jobs || (prob.Jobs > 0 && len(s[0]) != len(prob.Capacity)) {
+		if len(s) != prob.Jobs || (prob.Jobs > 0 && len(s[0]) != nodes) {
 			continue
 		}
 		c := s.Clone()
@@ -240,12 +281,14 @@ func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 		g.pop = append(g.pop, c)
 	}
 	if len(g.pop) < opts.Population {
-		g.pop = append(g.pop, NewMatrix(prob.Jobs, len(prob.Capacity)))
+		g.pop = append(g.pop, NewMatrix(prob.Jobs, nodes))
 	}
 	for len(g.pop) < opts.Population {
-		m := NewMatrix(prob.Jobs, len(prob.Capacity))
-		for j := 0; j < prob.Jobs; j++ {
-			n := rng.Intn(len(prob.Capacity))
+		m := NewMatrix(prob.Jobs, nodes)
+		// Without nodes (a cluster that lost them all) every member is the
+		// all-paused matrix of zero-width rows.
+		for j := 0; j < prob.Jobs && nodes > 0; j++ {
+			n := rng.Intn(nodes)
 			if cap := prob.Capacity[n]; cap > 0 {
 				m[j][n] = 1 + rng.Intn(cap)
 			}
@@ -265,6 +308,13 @@ func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 func (g *GA) evalScores(ms []Matrix, out []float64) {
 	g.stats.FitnessCalls += int64(len(ms))
 	g.stats.CellsScored += int64(len(ms)) * int64(g.prob.Jobs) * int64(len(g.prob.Capacity))
+	if g.opts.Workers == 1 {
+		// Inline, so a one-worker generation allocates no closure either.
+		for i, m := range ms {
+			out[i] = g.prob.Fitness(m)
+		}
+		return
+	}
 	par.For(g.opts.Workers, len(ms), func(i int) {
 		out[i] = g.prob.Fitness(ms[i])
 	})
@@ -286,8 +336,8 @@ func (g *GA) buf() Matrix {
 // buffers come from the free pool and evicted members return to it, so a
 // steady-state generation allocates nothing; every reused buffer is fully
 // overwritten (mutation copies the parent first, crossover copies every
-// row), and the rng draw sequence is identical to the historical
-// clone-per-offspring implementation, so fixed-seed traces are unchanged.
+// row), so the generation draws and decides as one that clones every
+// offspring would (stepOracle in the tests).
 func (g *GA) Step() {
 	pop := g.pop
 	g.off = g.off[:0]
@@ -312,7 +362,7 @@ func (g *GA) Step() {
 
 	// Survivor selection: keep the best Population among old + new. The
 	// candidate order (population, then offspring) and the stable sort
-	// reproduce the historical tie-breaking exactly.
+	// break ties in favour of the incumbents, oldest first.
 	if cap(g.offScores) < len(g.off) {
 		g.offScores = make([]float64, len(g.off))
 	}
@@ -336,7 +386,7 @@ func (g *GA) Step() {
 		}
 		return g.off[i-len(pop)]
 	}
-	sort.SliceStable(g.idx, func(a, b int) bool { return score(g.idx[a]) > score(g.idx[b]) })
+	slices.SortStableFunc(g.idx, func(a, b int) int { return cmp.Compare(score(b), score(a)) })
 
 	keep := min(g.opts.Population, total)
 	g.next = g.next[:0]
@@ -384,31 +434,11 @@ func (g *GA) Population() []Matrix {
 
 // mutate applies the paper's mutation: each element with probability 1/N
 // (N = number of nodes) is set to a uniform random integer in [0, cap_n].
+// It visits only the mutated cells, drawing the gaps between them from the
+// geometric distribution one Bernoulli(1/N) coin per cell would produce
+// (floor(ln U / ln(1-p)) with U uniform in (0,1]): O(jobs) expected draws
+// per offspring where the coins cost jobs × nodes.
 func (g *GA) mutate(m Matrix) {
-	nodes := len(g.prob.Capacity)
-	if nodes == 0 {
-		return
-	}
-	if g.opts.SparseMutation {
-		g.mutateSparse(m)
-		return
-	}
-	p := 1.0 / float64(nodes)
-	for j := range m {
-		for n := range m[j] {
-			if g.rng.Float64() < p {
-				m[j][n] = g.rng.Intn(g.prob.Capacity[n] + 1)
-			}
-		}
-	}
-}
-
-// mutateSparse realizes the same per-cell Bernoulli(1/N) mutation by
-// drawing the gaps between hits from the matching geometric distribution
-// (floor(ln U / ln(1-p)) with U uniform in (0,1]), visiting only the
-// mutated cells. With jobs×nodes cells and hit rate 1/nodes that is
-// O(jobs) expected draws per offspring instead of O(jobs × nodes).
-func (g *GA) mutateSparse(m Matrix) {
 	nodes := len(g.prob.Capacity)
 	total := len(m) * nodes
 	if total == 0 {
@@ -421,10 +451,9 @@ func (g *GA) mutateSparse(m Matrix) {
 		}
 		return
 	}
-	ln1p := math.Log(1 - 1.0/float64(nodes))
 	for i := 0; ; i++ {
 		u := 1 - g.rng.Float64() // (0,1], so Log is finite
-		i += int(math.Log(u) / ln1p)
+		i += int(math.Log(u) / g.lnGap)
 		if i >= total {
 			return
 		}
@@ -462,40 +491,37 @@ func (g *GA) tournament() int {
 // enabled) the interference-avoidance constraint. One pass over the rows
 // feeds both: capacity repair keeps the spans current as it empties cells.
 func (g *GA) repair(m Matrix) {
-	clear(g.usage)
-	m.tally(g.usage, g.span)
-	g.cand = repairCapacity(m, g.prob.Capacity, g.rng, g.usage, g.span, g.cand)
+	g.occ.tally(m)
+	g.occ.repairCapacity(m, g.prob.Capacity, g.rng)
 	if g.prob.InterferenceAvoidance {
-		g.cand = repairInterference(m, g.rng, g.prob.DistBlocked, g.prob.ExtraSpan, g.span, g.cand)
+		g.occ.repairInterference(m, g.rng, g.prob.DistBlocked, g.prob.ExtraSpan)
 	}
 }
 
 // RepairCapacity decrements random positive elements within over-capacity
 // columns until every node's allocation fits its GPU capacity, as in the
 // paper's repair operation. The candidate set (jobs with GPUs on the
-// node) is computed once per node and maintained in place as jobs hit
+// node) is taken once per node and maintained in place as jobs hit
 // zero, so repair is linear in jobs + excess rather than quadratic.
 func RepairCapacity(m Matrix, capacity []int, rng *rand.Rand) {
-	usage, span := make([]int, len(capacity)), make([]int, len(m))
-	m.tally(usage, span)
-	repairCapacity(m, capacity, rng, usage, span, nil)
+	o := newOccupancy(len(m), len(capacity))
+	o.tally(m)
+	o.repairCapacity(m, capacity, rng)
 }
 
 // repairCapacity is RepairCapacity given m's tally. Repairing node n
-// writes only column n, so the usage of later nodes stays valid; span is
-// kept current as cells reach zero. cand is scratch, returned for reuse.
-func repairCapacity(m Matrix, capacity []int, rng *rand.Rand, usage, span, cand []int) []int {
-	for n := range capacity {
-		over := usage[n] - capacity[n]
+// writes only column n, so the usage of later nodes stays valid and every
+// occupant listed for n still holds GPUs there; span is kept current as
+// cells reach zero.
+func (o *occupancy) repairCapacity(m Matrix, capacity []int, rng *rand.Rand) {
+	for n, c := range capacity {
+		over := o.usage[n] - c
 		if over <= 0 {
 			continue
 		}
-		cand = cand[:0]
-		for j := range m {
-			if m[j][n] > 0 {
-				cand = append(cand, j)
-			}
-		}
+		// A copy: shedding reorders it, and interference repair reads the
+		// list in row order.
+		cand := append(o.cand[:0], o.occupants(n)...)
 		for ; over > 0; over-- {
 			// Shed one GPU from a random job still on this node.
 			i := rng.Intn(len(cand))
@@ -504,11 +530,10 @@ func repairCapacity(m Matrix, capacity []int, rng *rand.Rand, usage, span, cand 
 			if m[j][n] == 0 {
 				cand[i] = cand[len(cand)-1]
 				cand = cand[:len(cand)-1]
-				span[j]--
+				o.span[j]--
 			}
 		}
 	}
-	return cand
 }
 
 // RepairInterference removes distributed jobs (spanning > 1 node) from
@@ -517,12 +542,13 @@ func repairCapacity(m Matrix, capacity []int, rng *rand.Rand, usage, span, cand 
 // pass over the nodes with per-job node counts maintained as it goes.
 //
 // A job whose span has dropped to one node no longer interferes and must
-// never be evicted, so each node's candidate list is built from the live
-// counts when the node is processed and an eviction updates the count in
-// place; evictions only shrink spans, so one pass suffices (see "One-pass
-// interference repair" in docs/architecture.md). The rng is drawn only
-// where a node must choose whom to evict, in the order the
-// rescan-until-stable oracle in the tests draws.
+// never be evicted, so each node's candidate list is filtered from its
+// occupants by the live cells and counts when the node is processed and an
+// eviction updates the count in place; evictions only shrink spans, so one
+// pass suffices (see "One-pass interference repair" in
+// docs/architecture.md). The rng is drawn only where a node must choose
+// whom to evict, in the order the rescan-until-stable oracle in the tests
+// draws.
 func RepairInterference(m Matrix, rng *rand.Rand) {
 	RepairInterferenceSub(m, rng, nil, nil)
 }
@@ -536,33 +562,32 @@ func RepairInterference(m Matrix, rng *rand.Rand) {
 // Either may be nil; with both nil this is exactly RepairInterference,
 // rng draw sequence included.
 func RepairInterferenceSub(m Matrix, rng *rand.Rand, blocked []bool, extraSpan []int) {
-	span := make([]int, len(m))
-	for j := range m {
-		span[j] = m.JobNodes(j)
+	if len(m) == 0 {
+		return
 	}
-	repairInterference(m, rng, blocked, extraSpan, span, nil)
+	o := newOccupancy(len(m), len(m[0]))
+	o.tally(m)
+	o.repairInterference(m, rng, blocked, extraSpan)
 }
 
-// repairInterference is RepairInterferenceSub given the rows' node counts
-// in span, which it widens by extraSpan. dist is scratch, returned for reuse.
-func repairInterference(m Matrix, rng *rand.Rand, blocked []bool, extraSpan, span, dist []int) []int {
-	if len(m) == 0 {
-		return dist
-	}
+// repairInterference is RepairInterferenceSub given m's tally, whose spans
+// it widens by extraSpan.
+func (o *occupancy) repairInterference(m Matrix, rng *rand.Rand, blocked []bool, extraSpan []int) {
+	span := o.span
 	if extraSpan != nil {
 		for j := range span {
 			span[j] += extraSpan[j]
 		}
 	}
-	nodes := len(m[0])
-	for n := 0; n < nodes; n++ {
+	for n, c := range o.count {
+		occupants := o.occupants(n)
 		if blocked != nil && blocked[n] {
 			// The outside distributed job keeps the node; every
 			// distributed sub-problem job leaves it. There is no choice
 			// to randomize (all must go), so eviction runs in row order
 			// and the rng is untouched. Evicting j changes only j's own
 			// span, so one pass with live span checks suffices.
-			for j := range m {
+			for _, j := range occupants {
 				if m[j][n] > 0 && span[j] > 1 {
 					m[j][n] = 0
 					span[j]--
@@ -570,8 +595,11 @@ func repairInterference(m Matrix, rng *rand.Rand, blocked []bool, extraSpan, spa
 			}
 			continue
 		}
-		dist = dist[:0]
-		for j := range m {
+		if c < 2 {
+			continue // nobody to share the node with
+		}
+		dist := o.cand[:0]
+		for _, j := range occupants {
 			if m[j][n] > 0 && span[j] > 1 {
 				dist = append(dist, j)
 			}
@@ -579,7 +607,7 @@ func repairInterference(m Matrix, rng *rand.Rand, blocked []bool, extraSpan, spa
 		for len(dist) > 1 {
 			// Evict a random distributed job from this node, keeping the
 			// others. Everything still listed spans > 1 node right now:
-			// the list was built from the live counts and an eviction
+			// the list was filtered by the live counts and an eviction
 			// shrinks only the evicted job's own span.
 			i := rng.Intn(len(dist))
 			j := dist[i]
@@ -588,7 +616,6 @@ func repairInterference(m Matrix, rng *rand.Rand, blocked []bool, extraSpan, spa
 			dist = append(dist[:i], dist[i+1:]...)
 		}
 	}
-	return dist
 }
 
 // Feasible reports whether m satisfies node capacities and, optionally,

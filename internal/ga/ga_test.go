@@ -1,6 +1,8 @@
 package ga
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -332,11 +334,18 @@ func repairCapacityColumns(m Matrix, capacity []int, rng *rand.Rand) {
 // rng's next draw must agree, which pins the eviction decisions and the
 // draw sequence that fixed-seed GA traces depend on. The GA's repair also
 // runs the interference pass on the spans capacity repair kept current,
-// checked against the exported pair.
+// under random DistBlocked and ExtraSpan on every other such iteration,
+// checked against the column-scan oracle of each repair, and so does the
+// exported pair; the GA's occupant lists live in one scratch cut to each
+// iteration's shape, so every tally starts from the lists, counts and
+// spans of a differently shaped problem.
 func TestRepairCapacityDrawOrderPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	const maxJobs, maxNodes = 12, 8
+	shared := newOccupancy(maxJobs, maxNodes)
+	shared.rows = shared.rows[:cap(shared.rows)] // one array, cut anew per shape
 	for iter := 0; iter < 400; iter++ {
-		jobs, nodes := 1+rng.Intn(12), 1+rng.Intn(8)
+		jobs, nodes := 1+rng.Intn(maxJobs), 1+rng.Intn(maxNodes)
 		capacity := make([]int, nodes)
 		for n := range capacity {
 			capacity[n] = rng.Intn(5)
@@ -361,40 +370,96 @@ func TestRepairCapacityDrawOrderPinned(t *testing.T) {
 			t.Fatalf("iter %d: rng drew a different number of times (next draw %d, oracle %d)", iter, a, b)
 		}
 
-		// The GA's repair, on scratch reused from the previous iteration's
-		// differently shaped problem where it fits.
 		avoidance := iter%2 == 0
-		g := &GA{
-			prob:  Problem{Capacity: capacity, Jobs: jobs, InterferenceAvoidance: avoidance},
-			rng:   rand.New(rand.NewSource(seed)),
-			usage: make([]int, nodes),
-			span:  make([]int, jobs),
+		var blocked []bool
+		var extraSpan []int
+		if iter%4 == 0 {
+			blocked, extraSpan = make([]bool, nodes), make([]int, jobs)
+			for n := range blocked {
+				blocked[n] = rng.Intn(4) == 0
+			}
+			for j := range extraSpan {
+				extraSpan[j] = rng.Intn(2)
+			}
 		}
-		wantRng = rand.New(rand.NewSource(seed))
-		viaGA, viaFuncs := in.Clone(), in.Clone()
-		for rep := 0; rep < 2; rep++ { // the second call sees dirty scratch
+		g := &GA{
+			prob: Problem{Capacity: capacity, Jobs: jobs, InterferenceAvoidance: avoidance, DistBlocked: blocked, ExtraSpan: extraSpan},
+			rng:  rand.New(rand.NewSource(seed)),
+			occ: occupancy{
+				usage: shared.usage[:nodes], count: shared.count[:nodes], span: shared.span[:jobs],
+				rows: shared.rows[:jobs*nodes], cand: shared.rows[jobs*nodes:][:jobs],
+			},
+		}
+		gotRng, wantRng = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		viaGA, viaFuncs, viaOracles := in.Clone(), in.Clone(), in.Clone()
+		for rep := 0; rep < 2; rep++ { // the second call sees its own dirty scratch
 			g.repair(viaGA)
-			repairCapacityColumns(viaFuncs, capacity, wantRng)
+			RepairCapacity(viaFuncs, capacity, gotRng)
+			repairCapacityColumns(viaOracles, capacity, wantRng)
 			if avoidance {
-				RepairInterference(viaFuncs, wantRng)
+				RepairInterferenceSub(viaFuncs, gotRng, blocked, extraSpan)
+				repairInterferenceScan(viaOracles, wantRng, blocked, extraSpan)
 			}
-			if !viaGA.Equal(viaFuncs) {
-				t.Fatalf("iter %d rep %d: GA repair diverges from the exported repairs\nin   %v\ngot  %v\nwant %v",
-					iter, rep, in, viaGA, viaFuncs)
+			if !viaGA.Equal(viaOracles) || !viaFuncs.Equal(viaOracles) {
+				t.Fatalf("iter %d rep %d: repair diverges from the column-scan oracles\nin       %v\nGA       %v\nexported %v\nwant     %v",
+					iter, rep, in, viaGA, viaFuncs, viaOracles)
 			}
-			if a, b := g.rng.Int63(), wantRng.Int63(); a != b {
-				t.Fatalf("iter %d rep %d: GA repair drew a different number of times", iter, rep)
+			if a, b, c := g.rng.Int63(), gotRng.Int63(), wantRng.Int63(); a != c || b != c {
+				t.Fatalf("iter %d rep %d: repair drew a different number of times than the oracles", iter, rep)
+			}
+			if avoidance && !FeasibleSub(viaGA, capacity, true, blocked, extraSpan) {
+				t.Fatalf("iter %d rep %d: repaired matrix infeasible: %v", iter, rep, viaGA)
 			}
 			// Overload it again for the second repetition.
-			for _, m := range []Matrix{viaGA, viaFuncs} {
+			for _, m := range []Matrix{viaGA, viaFuncs, viaOracles} {
 				m[0][0] += 3
 			}
 		}
 	}
 }
 
-// TestGARepairAllocatesNothing pins the point of the per-GA scratch: once
-// the candidate list has grown, repairing an offspring allocates nothing.
+// repairInterferenceScan is the former one-pass RepairInterferenceSub, which
+// found each node's candidates by scanning its column through every row.
+// It is the oracle for the occupant lists under DistBlocked and ExtraSpan,
+// where the rescan-until-stable one (repairInterferenceStable) has no say.
+func repairInterferenceScan(m Matrix, rng *rand.Rand, blocked []bool, extraSpan []int) {
+	if len(m) == 0 {
+		return
+	}
+	span := make([]int, len(m))
+	for j := range m {
+		span[j] = m.JobNodes(j)
+		if extraSpan != nil {
+			span[j] += extraSpan[j]
+		}
+	}
+	for n := range m[0] {
+		if blocked != nil && blocked[n] {
+			for j := range m {
+				if m[j][n] > 0 && span[j] > 1 {
+					m[j][n] = 0
+					span[j]--
+				}
+			}
+			continue
+		}
+		var dist []int
+		for j := range m {
+			if m[j][n] > 0 && span[j] > 1 {
+				dist = append(dist, j)
+			}
+		}
+		for len(dist) > 1 {
+			i := rng.Intn(len(dist))
+			m[dist[i]][n] = 0
+			span[dist[i]]--
+			dist = append(dist[:i], dist[i+1:]...)
+		}
+	}
+}
+
+// TestGARepairAllocatesNothing pins the point of the per-GA scratch:
+// repairing an offspring allocates nothing.
 func TestGARepairAllocatesNothing(t *testing.T) {
 	prob := Problem{Capacity: []int{4, 4, 4, 4}, Jobs: 12, Fitness: simpleFitness, InterferenceAvoidance: true}
 	g := New(prob, Options{Population: 4, Workers: 1}, rand.New(rand.NewSource(3)), nil)
@@ -897,44 +962,85 @@ func TestRepairInterferenceSubNilMatchesBase(t *testing.T) {
 	}
 }
 
-func TestSparseMutationSameDistribution(t *testing.T) {
-	// The geometric-gap sampler must realize the same per-cell mutation
-	// rate (1/N) as the dense Bernoulli scan. Count mutated cells over
-	// many offspring for both modes and compare against the binomial
-	// expectation. Capacities are large so a mutation draw almost never
-	// reproduces the old value.
-	count := func(sparse bool) int {
-		rng := rand.New(rand.NewSource(55))
-		prob := Problem{Capacity: []int{100, 100, 100, 100, 100, 100, 100, 100}, Jobs: 8, Fitness: simpleFitness}
-		g := &GA{prob: prob, opts: Options{SparseMutation: sparse}, rng: rng}
-		mut := 0
-		for trial := 0; trial < 2000; trial++ {
-			m := NewMatrix(prob.Jobs, len(prob.Capacity))
-			for j := range m {
-				for n := range m[j] {
-					m[j][n] = -1 // sentinel no rng draw can produce
-				}
+// mutateDense is the former GA.mutate, one Bernoulli(1/N) coin per cell:
+// the paper's operator as written, kept as the distribution oracle for the
+// gap-sampling one.
+func mutateDense(m Matrix, capacity []int, rng *rand.Rand) {
+	p := 1.0 / float64(len(capacity))
+	for j := range m {
+		for n := range m[j] {
+			if rng.Float64() < p {
+				m[j][n] = rng.Intn(capacity[n] + 1)
 			}
-			g.mutate(m)
-			for j := range m {
-				for n := range m[j] {
-					if m[j][n] != -1 {
-						mut++
+		}
+	}
+}
+
+// TestSparseMutationSameDistribution holds the geometric-gap sampler to the
+// per-cell distribution of the dense scan: every cell is hit at rate 1/N
+// wherever it sits in the matrix, and a hit is uniform over [0, cap_n].
+// Both operators are counted over the same number of offspring and each
+// count is held to its binomial expectation within 5σ; N = 1 (every cell
+// mutates) and N = 2 (half of them) are the edges of the gap formula.
+func TestSparseMutationSameDistribution(t *testing.T) {
+	const jobs, trials = 6, 4000
+	for _, capacity := range [][]int{{3}, {2, 5}, {4, 1, 3, 0, 4, 2, 6, 4}} {
+		nodes := len(capacity)
+		prob := Problem{Capacity: capacity, Jobs: jobs, Fitness: simpleFitness}
+		// Population 1 is the zero matrix alone: New draws nothing.
+		g := New(prob, Options{Population: 1, Workers: 1}, rand.New(rand.NewSource(55)), nil)
+		denseRng := rand.New(rand.NewSource(55))
+		operators := []struct {
+			name   string
+			mutate func(Matrix)
+		}{
+			{"sparse", g.mutate},
+			{"dense", func(m Matrix) { mutateDense(m, capacity, denseRng) }},
+		}
+		for _, op := range operators {
+			hits := NewMatrix(jobs, nodes)
+			values := make([][]int, nodes) // values[n][v]: hits on node n that drew v
+			for n, c := range capacity {
+				values[n] = make([]int, c+1)
+			}
+			m := NewMatrix(jobs, nodes)
+			for trial := 0; trial < trials; trial++ {
+				for _, row := range m {
+					for n := range row {
+						row[n] = -1 // sentinel no rng draw can produce
+					}
+				}
+				op.mutate(m)
+				for j, row := range m {
+					for n, v := range row {
+						if v != -1 {
+							hits[j][n]++
+							values[n][v]++
+						}
 					}
 				}
 			}
-		}
-		return mut
-	}
-	dense, sparse := count(false), count(true)
-	// 2000 trials × 64 cells × 1/8 = 16000 expected mutations; σ ≈ 118.
-	// Accept ±5σ ≈ ±600 for each mode.
-	for _, c := range []struct {
-		name string
-		n    int
-	}{{"dense", dense}, {"sparse", sparse}} {
-		if c.n < 15400 || c.n > 16600 {
-			t.Errorf("%s mutation count = %d, want ≈16000 (rate 1/N violated)", c.name, c.n)
+			within := func(what string, got, n int, p float64) {
+				t.Helper()
+				mean, sigma := float64(n)*p, math.Sqrt(float64(n)*p*(1-p))
+				if math.Abs(float64(got)-mean) > 5*sigma {
+					t.Errorf("N=%d %s: %s = %d, want %.0f ± %.0f", nodes, op.name, what, got, mean, 5*sigma)
+				}
+			}
+			for j, row := range hits {
+				for n, h := range row {
+					within(fmt.Sprintf("hits on cell (%d,%d)", j, n), h, trials, 1/float64(nodes))
+				}
+			}
+			for n, hist := range values {
+				onNode := 0
+				for _, c := range hist {
+					onNode += c
+				}
+				for v, c := range hist {
+					within(fmt.Sprintf("node %d value %d", n, v), c, onNode, 1/float64(len(hist)))
+				}
+			}
 		}
 	}
 }
@@ -944,7 +1050,7 @@ func TestSparseMutationSingleNode(t *testing.T) {
 	// dense scan.
 	rng := rand.New(rand.NewSource(56))
 	prob := Problem{Capacity: []int{50}, Jobs: 5, Fitness: simpleFitness}
-	g := &GA{prob: prob, opts: Options{SparseMutation: true}, rng: rng}
+	g := New(prob, Options{Population: 1, Workers: 1}, rng, nil)
 	m := NewMatrix(5, 1)
 	for j := range m {
 		m[j][0] = -1
@@ -965,7 +1071,7 @@ func TestSparseMutationGAFeasibleAndImproves(t *testing.T) {
 		Fitness:               simpleFitness,
 		InterferenceAvoidance: true,
 	}
-	g := New(prob, Options{Population: 30, SparseMutation: true}, rng, nil)
+	g := New(prob, Options{Population: 30}, rng, nil)
 	_, before := g.Best()
 	best, after := g.Run(40)
 	if after < before {
@@ -973,6 +1079,23 @@ func TestSparseMutationGAFeasibleAndImproves(t *testing.T) {
 	}
 	if !Feasible(best, prob.Capacity, true) {
 		t.Errorf("best matrix infeasible: %v", best)
+	}
+}
+
+// TestNewWithoutNodes is the regression test for a problem with jobs and
+// no nodes, which is what a cluster that lost every node hands the
+// scheduler: New used to panic in rng.Intn(0) while filling the random
+// population. Every member is the all-paused matrix of zero-width rows, and
+// generations run on it.
+func TestNewWithoutNodes(t *testing.T) {
+	prob := Problem{Jobs: 3, Fitness: simpleFitness, InterferenceAvoidance: true}
+	g := New(prob, Options{Population: 6, Workers: 1}, rand.New(rand.NewSource(59)), nil)
+	best, f := g.Run(3)
+	if len(g.Population()) != 6 {
+		t.Fatalf("population size = %d, want 6", len(g.Population()))
+	}
+	if len(best) != 3 || len(best[0]) != 0 || f != 0 {
+		t.Errorf("best = %v with fitness %v, want three zero-width rows scoring 0", best, f)
 	}
 }
 

@@ -16,8 +16,8 @@ package sched
 //
 // A default round has every job dirty and solves them on one rack that
 // spans all nodes. Two options (see PolluxOptions) narrow it, because a
-// round costs O(population × generations × jobs × nodes) fitness cells
-// and as many rng draws, which dominates wall clock at 512–1024 nodes:
+// round costs O(population × generations × jobs × nodes) fitness cells,
+// which dominates wall clock at 512–1024 nodes:
 //
 //  1. Incremental. A row that does not move contributes a constant to
 //     Eqn. 14, so only the jobs whose model, phase or demand changed since
@@ -31,9 +31,9 @@ package sched
 //     fixed context: O(racks) + O(nodes/rack) per matrix row, not O(nodes).
 //
 // solveNodes holds the only node-level Eqn. 14 fitness. The default round
-// stays bit-identical to the historical flat scheduler through data it
-// reads, not a mode: when mutation is dense, what is seeded first, and
-// what carries over (docs/architecture.md, "One scheduling round").
+// differs from a narrowed one through data it reads, not a mode: what is
+// seeded first and what carries over (docs/architecture.md, "One
+// scheduling round").
 //
 // Ownership. An allocation row is an immutable value: once it is in a
 // view's Current, in a matrix Schedule returned or in the state kept here,
@@ -439,9 +439,7 @@ type member struct {
 
 // solveNodes runs the node-level GA for the members over node columns
 // [n0, n1) and returns the best member-row matrix and the final
-// population (both borrowed from the GA, best first). A solve that covers
-// the whole view on one rack mutates densely, as the historical flat
-// scheduler did; any narrower one samples mutations sparsely.
+// population (both borrowed from the GA, best first).
 func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize, gens int) (ga.Matrix, []ga.Matrix) {
 	p := r.p
 	extraSpan := make([]int, len(mem))
@@ -473,11 +471,7 @@ func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize,
 		InterferenceAvoidance: !p.opts.DisableInterferenceAvoidance,
 		DistBlocked:           r.blocked[n0:n1],
 		ExtraSpan:             extraSpan,
-	}, ga.Options{
-		Population:     popSize,
-		Workers:        p.opts.Workers,
-		SparseMutation: len(mem) < len(r.v.Jobs) || n1-n0 < len(r.v.Capacity),
-	}, p.rng, seeds)
+	}, ga.Options{Population: popSize, Workers: p.opts.Workers}, p.rng, seeds)
 	best, _ := g.Run(gens)
 	p.addStats(g.Stats())
 	return best, g.Population()
@@ -559,11 +553,7 @@ func (r *round) solveRacks() ga.Matrix {
 		Capacity: rackCap,
 		Jobs:     len(sub),
 		Fitness:  coarseFitness,
-	}, ga.Options{
-		Population:     p.opts.Population,
-		Workers:        p.opts.Workers,
-		SparseMutation: true,
-	}, p.rng, []ga.Matrix{curCoarse})
+	}, ga.Options{Population: p.opts.Population, Workers: p.opts.Workers}, p.rng, []ga.Matrix{curCoarse})
 	coarse, _ := cg.Run(p.opts.Generations)
 	p.addStats(cg.Stats())
 

@@ -44,8 +44,8 @@ type PolluxOptions struct {
 	// Incremental enables dirty-set scheduling rounds: only jobs whose
 	// fitted model, phase, or demand changed since the last committed
 	// matrix — plus their placement neighbors — are re-placed; clean rows
-	// carry forward verbatim. Off by default: the default full
-	// re-optimization keeps every fixed-seed baseline trace bit-stable.
+	// carry forward verbatim. Off by default: the paper re-optimizes every
+	// job every interval.
 	Incremental bool
 	// FullEvery forces a full re-optimization every FullEvery-th
 	// incremental round so incremental never drifts from the global

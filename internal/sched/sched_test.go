@@ -173,6 +173,33 @@ func TestPolluxEmptyCluster(t *testing.T) {
 	}
 }
 
+// TestPolluxJobsWithoutNodes is the regression test for a view that still
+// has jobs after the cluster lost every node: ga.New panicked in
+// rng.Intn(0). Every configuration must pause every job, and schedule
+// normally once nodes are back.
+func TestPolluxJobsWithoutNodes(t *testing.T) {
+	for _, opts := range []PolluxOptions{
+		{Population: 10, Generations: 5},
+		{Population: 10, Generations: 5, Incremental: true},
+		{Population: 10, Generations: 5, Incremental: true, RackSize: 2},
+	} {
+		p := NewPollux(opts, 4)
+		v := viewWith(3, 0, 4)
+		for round := 0; round < 2; round++ {
+			m := p.Schedule(v)
+			if len(m) != 3 || len(m[0]) != 0 {
+				t.Fatalf("%+v round %d: allocation = %v, want three zero-width rows", opts, round, m)
+			}
+			v.Current = m
+		}
+		back := viewWith(3, 4, 4)
+		m := p.Schedule(back)
+		if !ga.Feasible(m, back.Capacity, true) || m.JobGPUs(0)+m.JobGPUs(1)+m.JobGPUs(2) == 0 {
+			t.Errorf("%+v: allocation once nodes are back = %v", opts, m)
+		}
+	}
+}
+
 func TestPolluxPopulationCarryOver(t *testing.T) {
 	v := viewWith(4, 4, 4)
 	p := NewPollux(PolluxOptions{Population: 20, Generations: 10}, 5)
