@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -18,8 +21,9 @@ var megaOptions = sched.PolluxOptions{Population: 20, Generations: 10, Increment
 
 // steadyLoad is the svc_round_inc256 workload of benchmark/svcload.go at a
 // chosen size: a Service holding a steady population of live jobs,
-// scheduled by Pollux once per simulated minute, with one refit, one
-// finished job and one arrival before every round.
+// scheduled by Pollux once per simulated minute, with every live job
+// re-reporting and one refit, one finished job and one arrival before every
+// round.
 type steadyLoad struct {
 	svc    *Service
 	pollux *sched.Pollux
@@ -95,21 +99,93 @@ func (l *steadyLoad) schedule(tb testing.TB) {
 	l.now += 60
 }
 
-// churn is what happens between two rounds: a refit moves one job's noise
-// scale, one job finishes (churn returns its name) and one arrives, at
-// the end of the registration order like every arrival.
+// churn is the traffic between two rounds, that of svc_round_inc256: a
+// refit moves one job's noise scale, one job finishes (churn returns its
+// name), every live job reports its attained service, and one job arrives,
+// at the end of the registration order like every arrival.
 func (l *steadyLoad) churn(tb testing.TB) (finished string) {
 	tb.Helper()
-	k := l.rng.Intn(len(l.live))
-	l.live[k].Phi *= 1.25
-	l.submit(tb, l.live[k])
+	l.live[l.rng.Intn(len(l.live))].Phi *= 1.25
 	d := l.rng.Intn(len(l.live))
 	l.live[d].Done = true
-	l.submit(tb, l.live[d])
+	for i := range l.live {
+		r := &l.live[i]
+		r.GPUTime += 60 * float64(r.UserGPUs)
+		l.submit(tb, *r)
+	}
 	finished = l.live[d].Job
 	l.live = append(slices.Delete(l.live, d, d+1), l.newJob())
 	l.submit(tb, l.live[len(l.live)-1])
 	return finished
+}
+
+// steadyDigest runs the steady load for the given number of rounds and
+// returns the SHA-256 over what each round left behind — every live job's
+// ledger row and generation, and the round's RoundStats — closed by the
+// scheduler's rng draw count and the job IDs of its committed matrix.
+func steadyDigest(t *testing.T, nodes, jobs, rounds int, seed int64) string {
+	l := newSteadyLoad(t, nodes, jobs, seed)
+	h := sha256.New()
+	put := func(x int64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(x))
+		h.Write(b[:])
+	}
+	flag := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for r := 0; r < rounds; r++ {
+		l.churn(t)
+		l.schedule(t)
+		for _, rep := range l.live {
+			var a Allocation
+			l.svc.GetAllocation(rep.Job, &a)
+			h.Write([]byte(rep.Job))
+			put(int64(a.Generation))
+			for _, g := range a.Row {
+				put(int64(g))
+			}
+		}
+		st := l.pollux.LastRoundStats()
+		put(int64(st.Jobs))
+		put(int64(st.Sub))
+		put(int64(st.Racks))
+		put(flag(st.Full))
+		put(flag(st.Skipped))
+		put(st.FitnessCalls)
+		put(st.FitnessCells)
+	}
+	snap := l.pollux.Snapshot()
+	put(int64(snap.RNG.Draws))
+	for _, id := range snap.Inc.IDs {
+		put(int64(id))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSteadyServiceDigestPinned holds the service and the scheduler
+// together to the trajectories recorded before reports became view entries
+// and the scheduler kept one record per job (PR 21): the same rows, at the
+// same generations, from the same work and the same rng draws, under the
+// traffic svc_round_inc256 runs. Like the digests of internal/sched, they
+// hold for the toolchain and architecture of the checked-in baselines.
+func TestSteadyServiceDigestPinned(t *testing.T) {
+	for _, c := range []struct {
+		nodes, jobs, rounds int
+		seed                int64
+		want                string
+	}{
+		{64, 1280, 60, 1, "bdbb48920be65292e298228d45f7b35ab0e78122e7dff7974a8ac97e90cdded8"},
+		{64, 1280, 60, 2, "144c947a17319e9352b6a22f644fcb6098c2e1ef62dbeef914b97823cbf43fef"},
+		{16, 40, 200, 3, "f226b2482f4f3a9200a6d6bf168bf1eba9ec3391084c1bea3e7fcabf52aa4401"},
+	} {
+		if got := steadyDigest(t, c.nodes, c.jobs, c.rounds, c.seed); got != c.want {
+			t.Errorf("%dx%d, seed %d, %d rounds: digest %s, want %s", c.nodes, c.jobs, c.seed, c.rounds, got, c.want)
+		}
+	}
 }
 
 // BenchmarkServiceRoundSteady times one steady scheduling round of the
