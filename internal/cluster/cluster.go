@@ -44,7 +44,8 @@ type State struct {
 // placement is one job's ledger entry. The generation counts the row's
 // changes, so a polling trainer detects a re-allocation and checkpoints.
 type placement struct {
-	row []int // never written; a change installs another slice
+	job string
+	row []int // nil until the first install; never written, a change installs another slice
 	gen int
 }
 
@@ -63,41 +64,46 @@ func NewState(capacity []int) *State {
 func (s *State) Allocation(job string) Allocation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p := s.rows[job]; p != nil {
+	if p := s.rows[job]; p != nil && p.row != nil {
 		return Allocation{Row: slices.Clone(p.row), Generation: p.gen}
 	}
 	return Allocation{Row: slices.Clone(s.zero)}
 }
 
+// at returns the job's ledger entry, which holds no row until one is
+// installed. The caller holds s.mu.
+func (s *State) at(job string) *placement {
+	p := s.rows[job]
+	if p == nil {
+		p = &placement{job: job}
+		s.rows[job] = p
+	}
+	return p
+}
+
 // install is the ledger's one write path: it replaces the rows of the
-// named jobs (those flagged in changed, or all of them when changed is
-// nil) and advances their generations. The new rows are checked against
-// the usage totals first, so rows held by jobs outside the call count,
-// and a refused install leaves the ledger as it was. Each job may be
-// named once. The ledger keeps the slices it is given, so the caller must
-// never write them again. The caller holds s.mu.
-func (s *State) install(jobs []string, rows ga.Matrix, changed []bool) error {
-	if len(jobs) != len(rows) {
-		return fmt.Errorf("cluster: %d jobs but %d rows", len(jobs), len(rows))
+// given entries and advances their generations. The new rows are checked
+// against the usage totals first, so rows held by jobs outside the call
+// count, and a refused install leaves the ledger as it was. Each entry may
+// be given once. The ledger keeps the slices it is given, so the caller
+// must never write them again. The caller holds s.mu.
+func (s *State) install(ps []*placement, rows ga.Matrix) error {
+	if len(ps) != len(rows) {
+		return fmt.Errorf("cluster: %d jobs but %d rows", len(ps), len(rows))
 	}
 	usage := slices.Clone(s.usage)
-	for i, job := range jobs {
-		if changed != nil && !changed[i] {
-			continue
-		}
+	for i, p := range ps {
 		if len(rows[i]) != len(s.capacity) {
-			return fmt.Errorf("cluster: allocation for %q has %d nodes, cluster has %d", job, len(rows[i]), len(s.capacity))
+			return fmt.Errorf("cluster: allocation for %q has %d nodes, cluster has %d", p.job, len(rows[i]), len(s.capacity))
 		}
 		for n, g := range rows[i] {
 			if g < 0 {
-				return fmt.Errorf("cluster: allocation for %q has %d GPUs on node %d", job, g, n)
+				return fmt.Errorf("cluster: allocation for %q has %d GPUs on node %d", p.job, g, n)
 			}
 			usage[n] += g
 		}
-		if p := s.rows[job]; p != nil {
-			for n, g := range p.row {
-				usage[n] -= g
-			}
+		for n, g := range p.row {
+			usage[n] -= g
 		}
 	}
 	for n, u := range usage {
@@ -105,15 +111,7 @@ func (s *State) install(jobs []string, rows ga.Matrix, changed []bool) error {
 			return fmt.Errorf("cluster: node %d oversubscribed: %d > %d", n, u, s.capacity[n])
 		}
 	}
-	for i, job := range jobs {
-		if changed != nil && !changed[i] {
-			continue
-		}
-		p := s.rows[job]
-		if p == nil {
-			p = &placement{}
-			s.rows[job] = p
-		}
+	for i, p := range ps {
 		p.row = rows[i]
 		p.gen++
 	}

@@ -12,15 +12,27 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/ga"
 	"repro/internal/models"
+	"repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/testutil"
 )
 
-// install calls the ledger's install under its lock, as Commit does.
+// install calls the ledger's install under its lock, as Commit does, for
+// the named jobs flagged in changed (all of them when it is nil).
 func install(s *State, jobs []string, m ga.Matrix, changed []bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.install(jobs, m, changed)
+	if len(jobs) != len(m) {
+		return fmt.Errorf("%d jobs but %d rows", len(jobs), len(m))
+	}
+	var ps []*placement
+	var rows ga.Matrix
+	for i, job := range jobs {
+		if changed == nil || changed[i] {
+			ps, rows = append(ps, s.at(job)), append(rows, m[i])
+		}
+	}
+	return s.install(ps, rows)
 }
 
 // bind installs one job's row.
@@ -459,6 +471,64 @@ func (p finishesMidRound) Schedule(v *sched.ClusterView) ga.Matrix {
 	return m
 }
 
+// TestDoneIsTerminal: a report that arrives for a job after its Done
+// report (a late or duplicated delivery) is dropped, so the job is in no
+// later view, its row stays the zero row its Done report installed, the
+// usage totals are what the other jobs hold and its generation moved once.
+func TestDoneIsTerminal(t *testing.T) {
+	svc := NewService(NewState([]int{4, 4}))
+	submit := func(r Report) {
+		t.Helper()
+		if err := svc.SubmitReport(r, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		submit(Report{Job: name, UserGPUs: 2})
+	}
+	var journal testutil.RowJournal
+	policy := &journaling{Policy: sched.NewTiresias(), journal: &journal}
+	step := func(now float64, want int) {
+		t.Helper()
+		if n, err := runtime.Step(svc, nil, policy, now); err != nil || n != want {
+			t.Fatalf("round at t=%.0f scheduled %d jobs, want %d: %v", now, n, want, err)
+		}
+	}
+	step(0, 3)
+	placed := svc.state.Allocation("b")
+	if PlacementOf(placed.Row).GPUs != 2 {
+		t.Fatalf("b was placed as %+v", placed)
+	}
+	submit(Report{Job: "b", Done: true})
+	submit(Report{Job: "b", UserGPUs: 2}) // sent before the Done report, delivered after it
+	for _, now := range []float64{60, 120} {
+		step(now, 2)
+		for _, j := range policy.view.Jobs {
+			if j.ID == 1 {
+				t.Errorf("round at t=%.0f schedules the finished job", now)
+			}
+		}
+	}
+	if a := svc.state.Allocation("b"); PlacementOf(a.Row).GPUs != 0 || a.Generation != placed.Generation+1 {
+		t.Errorf("finished job holds %+v, want no GPUs at generation %d", a, placed.Generation+1)
+	}
+	others := make([]int, 2)
+	for _, name := range []string{"a", "c"} {
+		for n, g := range svc.state.Allocation(name).Row {
+			others[n] += g
+		}
+	}
+	if u := usageOf(svc.state); !slices.Equal(u, others) {
+		t.Errorf("usage = %v, the other jobs hold %v", u, others)
+	}
+	if st := svc.Status(); st.Done != 1 || st.Running != 2 || st.GPUsUsed != 4 {
+		t.Errorf("status: %+v", st)
+	}
+	if snap := svc.Snapshot(); !snap.Jobs[1].Report.Done || !ga.SameRow(svc.jobs["b"].p.row, svc.state.zero) {
+		t.Errorf("the stale report replaced the Done one: %+v", snap.Jobs[1])
+	}
+}
+
 // TestCommitDropsJobDoneMidRound: a job that reports Done while the
 // policy is optimizing keeps the all-zero row its report installed;
 // Commit does not rebind the GPUs the round had given it.
@@ -501,7 +571,7 @@ func TestServiceConcurrentReadersDuringRounds(t *testing.T) {
 		sum := make([]int, len(capacity))
 		for job, p := range svc.state.rows {
 			held := sched.PlacementOf(p.row).GPUs
-			if svc.reports[job].Done && held != 0 {
+			if svc.jobs[job].done && held != 0 {
 				t.Errorf("done job %s holds %d GPUs", job, held)
 			}
 			for n, g := range p.row {

@@ -53,26 +53,82 @@ type Allocation struct {
 	Generation int
 }
 
+// job is one registered job's entry: its latest report, held as the
+// scheduler input a round copies out (view.ID is the registration index),
+// and its entry in the ledger. A report is stored in no other form;
+// Snapshot converts back.
+type job struct {
+	view sched.JobView
+	done bool
+	p    *placement
+}
+
+// set stores a report in the entry as the scheduler reads it; the ID stays.
+func (j *job) set(r *Report) {
+	v := &j.view
+	v.Submit, v.Tenant, v.Deadline = r.Submit, r.Tenant, r.Deadline
+	v.Model = core.Model{
+		Params:         core.ParamsFromVector(r.Params[:]),
+		Phi:            r.Phi,
+		M0:             r.M0,
+		MaxBatchPerGPU: r.MaxBatchPerGPU,
+		MaxBatchGlobal: r.MaxBatchGlobal,
+	}
+	v.GPUCap, v.GPUTime = r.GPUCap, r.GPUTime
+	v.UserGPUs, v.UserBatch, v.RemainingIters = r.UserGPUs, r.UserBatch, r.RemainingIters
+	v.MinGPUs = 0
+	if r.UserBatch > 0 && r.MaxBatchPerGPU > 0 {
+		v.MinGPUs = (r.UserBatch + r.MaxBatchPerGPU - 1) / r.MaxBatchPerGPU
+	}
+	j.done = r.Done
+}
+
+// report is the inverse of set: the job's latest report.
+func (j *job) report() Report {
+	v := &j.view
+	r := Report{
+		Job:            j.p.job,
+		Phi:            v.Model.Phi,
+		M0:             v.Model.M0,
+		MaxBatchPerGPU: v.Model.MaxBatchPerGPU,
+		MaxBatchGlobal: v.Model.MaxBatchGlobal,
+		GPUCap:         v.GPUCap,
+		GPUTime:        v.GPUTime,
+		Submit:         v.Submit,
+		UserGPUs:       v.UserGPUs,
+		UserBatch:      v.UserBatch,
+		RemainingIters: v.RemainingIters,
+		Tenant:         v.Tenant,
+		Deadline:       v.Deadline,
+		Done:           j.done,
+	}
+	copy(r.Params[:], v.Model.Params.Vector())
+	return r
+}
+
 // Service is the net/rpc-exposed scheduler endpoint. Its job registry
-// (reports, order) is guarded by state.mu, the ledger's lock.
+// (jobs, order, live, round) is guarded by state.mu, the ledger's lock.
 type Service struct {
-	state   *State
-	reports map[string]Report
-	// order is the registration order. A job's position in it is its
+	state *State
+	// jobs finds an entry by name: the one lookup a report pays. order is
+	// the registration order. A job's position in it is its
 	// scheduler-visible ID: assigned once and never reused, because Pollux
 	// carries GA population rows and speedup tables across rounds keyed by
 	// job ID, so IDs must not shift when earlier jobs finish.
-	order []string
+	jobs  map[string]*job
+	order []*job
+	// live is the unfinished jobs in registration order, which is what a
+	// round schedules: SubmitReport appends an arrival, Round drops the
+	// entries that reported Done since the last one. Its first round
+	// entries are the jobs of the scheduling round in flight, in row order
+	// (set by Round, read by Commit; see runtime.Step).
+	live  []*job
+	round int
 
 	// schedMu serializes scheduling rounds: Round and Commit communicate
-	// through roundJobs, so overlapping ScheduleOnce calls must not
+	// through live and round, so overlapping ScheduleOnce calls must not
 	// interleave (reports keep flowing under state.mu while a round runs).
 	schedMu sync.Mutex
-	// roundJobs is the job snapshot of the scheduling round in flight,
-	// set by Round and consumed by Commit (see runtime.Step); registered
-	// is len(order) as that Round saw it, which sizes the next snapshot.
-	roundJobs  []string
-	registered int
 
 	// fe is the admit front end (nil = admit everything, snapshot order).
 	// It is guarded by schedMu: admission decisions and scheduling rounds
@@ -83,7 +139,7 @@ type Service struct {
 
 // NewService wraps cluster state in an RPC service.
 func NewService(state *State) *Service {
-	return &Service{state: state, reports: make(map[string]Report)}
+	return &Service{state: state, jobs: make(map[string]*job)}
 }
 
 // SetFrontEnd installs the admit front end ahead of any traffic. The
@@ -113,21 +169,32 @@ func (s *Service) AdmitJob(r admit.Request) bool {
 	return s.fe.Arrive(r)
 }
 
-// SubmitReport receives an agent report. Reply is unused.
+// SubmitReport receives an agent report. Reply is unused. Done is
+// terminal: a report for a job that already reported Done (a late or
+// duplicated delivery) is dropped, since no trainer is left to finish the
+// job a second time.
 func (s *Service) SubmitReport(r Report, _ *struct{}) error {
 	if r.Job == "" {
 		return fmt.Errorf("cluster: report without job name")
 	}
 	s.state.mu.Lock()
 	defer s.state.mu.Unlock()
-	if _, seen := s.reports[r.Job]; !seen {
-		s.order = append(s.order, r.Job)
+	j := s.jobs[r.Job]
+	switch {
+	case j == nil:
+		j = &job{p: s.state.at(r.Job)}
+		j.view.ID = len(s.order)
+		s.jobs[r.Job] = j
+		s.order = append(s.order, j)
+		s.live = append(s.live, j)
+	case j.done:
+		return nil
 	}
-	s.reports[r.Job] = r
+	j.set(&r)
 	if r.Done {
 		// A finished job gives its GPUs back: an all-zero row, whose new
 		// generation tells a still-polling trainer.
-		return s.state.install([]string{r.Job}, ga.Matrix{s.state.zero}, nil)
+		return s.state.install([]*placement{j.p}, ga.Matrix{s.state.zero})
 	}
 	return nil
 }
@@ -149,63 +216,41 @@ func (s *Service) ScheduleOnce(policy sched.Policy, now float64) (int, error) {
 }
 
 // Round snapshots the scheduler inputs for runtime.Step: every reported,
-// unfinished job's goodput function and accounting in registration
-// order, plus the rows the ledger holds for them and its usage totals, all
-// under one hold of the lock so no report or placement can change between
-// two reads. view.Current is a slice of row headers, not a copy: each row
-// is the ledger's own slice (the shared zero row for a job it holds
-// nothing for), which stays valid outside the lock because installed rows
-// are never written.
+// unfinished job's goodput function and accounting in registration order,
+// plus the rows the ledger holds for them and its usage totals, all under
+// one hold of the lock so no report or placement can change between two
+// reads. It is one pass over the live list, which it compacts on the way:
+// a JobView copy per job, because reports keep flowing into the entries
+// while the policy reads the view, and a row header. view.Current is not a
+// copy: each row is the ledger's own slice (the shared zero row for a job
+// it holds nothing for), which stays valid outside the lock because
+// installed rows are never written.
 func (s *Service) Round(now float64) *sched.ClusterView {
 	s.state.mu.Lock()
 	defer s.state.mu.Unlock()
-	// The live jobs are among last round's and those registered since.
-	n := len(s.roundJobs) + len(s.order) - s.registered
-	jobs := make([]string, 0, n)
 	view := &sched.ClusterView{
 		Now:      now,
 		Capacity: slices.Clone(s.state.capacity),
 		Usage:    slices.Clone(s.state.usage),
-		Jobs:     make([]sched.JobView, 0, n),
-		Current:  make(ga.Matrix, 0, n),
+		Jobs:     make([]sched.JobView, 0, len(s.live)),
+		Current:  make(ga.Matrix, 0, len(s.live)),
 	}
-	for id, name := range s.order {
-		r := s.reports[name]
-		if r.Done {
+	n := 0
+	for _, j := range s.live {
+		if j.done {
 			continue
 		}
-		jobs = append(jobs, name)
-		minGPUs := 0
-		if r.UserBatch > 0 && r.MaxBatchPerGPU > 0 {
-			minGPUs = (r.UserBatch + r.MaxBatchPerGPU - 1) / r.MaxBatchPerGPU
-		}
-		view.Jobs = append(view.Jobs, sched.JobView{
-			ID:       id,
-			Submit:   r.Submit,
-			Tenant:   r.Tenant,
-			Deadline: r.Deadline,
-			Model: core.Model{
-				Params:         core.ParamsFromVector(r.Params[:]),
-				Phi:            r.Phi,
-				M0:             r.M0,
-				MaxBatchPerGPU: r.MaxBatchPerGPU,
-				MaxBatchGlobal: r.MaxBatchGlobal,
-			},
-			GPUCap:         r.GPUCap,
-			GPUTime:        r.GPUTime,
-			UserGPUs:       r.UserGPUs,
-			UserBatch:      r.UserBatch,
-			MinGPUs:        minGPUs,
-			RemainingIters: r.RemainingIters,
-		})
-		row := s.state.zero
-		if p := s.state.rows[name]; p != nil {
-			row = p.row
+		s.live[n] = j
+		n++
+		view.Jobs = append(view.Jobs, j.view)
+		row := j.p.row
+		if row == nil {
+			row = s.state.zero
 		}
 		//pollux:aliasret-ok rows are immutable once installed: install replaces a job's slice and never writes one, so the view may read this row after the lock is released
 		view.Current = append(view.Current, row)
 	}
-	s.roundJobs, s.registered = jobs, len(s.order)
+	s.live, s.round = s.live[:n], n
 	return view
 }
 
@@ -221,13 +266,22 @@ func (s *Service) Round(now float64) *sched.ClusterView {
 func (s *Service) Commit(m ga.Matrix, changed []bool) error {
 	s.state.mu.Lock()
 	defer s.state.mu.Unlock()
-	live := slices.Clone(changed)
-	for i, name := range s.roundJobs {
-		if s.reports[name].Done {
-			live[i] = false
+	if len(m) != s.round || len(changed) != s.round {
+		return fmt.Errorf("cluster: %d rows and %d flags for a round of %d jobs", len(m), len(changed), s.round)
+	}
+	n := 0
+	for _, c := range changed {
+		if c {
+			n++
 		}
 	}
-	return s.state.install(s.roundJobs, m, live)
+	ps, rows := make([]*placement, 0, n), make(ga.Matrix, 0, n)
+	for i, j := range s.live[:s.round] {
+		if changed[i] && !j.done {
+			ps, rows = append(ps, j.p), append(rows, m[i])
+		}
+	}
+	return s.state.install(ps, rows)
 }
 
 // RunRounds drives scheduling rounds every interval simulated seconds on

@@ -54,16 +54,16 @@ func (s *Service) Snapshot() *ServiceSnapshot {
 
 	snap := &ServiceSnapshot{
 		Capacity: slices.Clone(s.state.capacity),
-		Order:    slices.Clone(s.order),
 		FrontEnd: s.fe.State(),
 	}
-	for _, name := range s.order {
-		js := JobSnapshot{Report: s.reports[name]}
-		if p := s.state.rows[name]; p != nil {
+	for _, j := range s.order {
+		js := JobSnapshot{Report: j.report()}
+		if j.p.row != nil {
 			js.HasAlloc = true
-			js.Row = slices.Clone(p.row)
-			js.Generation = p.gen
+			js.Row = slices.Clone(j.p.row)
+			js.Generation = j.p.gen
 		}
+		snap.Order = append(snap.Order, j.p.job)
 		snap.Jobs = append(snap.Jobs, js)
 	}
 	return snap
@@ -89,41 +89,48 @@ func (s *Service) RestoreSnapshot(snap *ServiceSnapshot) error {
 	if len(snap.Jobs) != len(snap.Order) {
 		return fmt.Errorf("cluster: snapshot misaligned: %d jobs for %d order entries", len(snap.Jobs), len(snap.Order))
 	}
-	reports := make(map[string]Report, len(snap.Jobs))
-	var held []string // jobs with a ledger row, and those rows
+	// The registry and a ledger of its own are built beside the ones in
+	// service, and the rows go through the install Commit uses, so a
+	// snapshot that does not fit is refused before anything changes.
+	ledger := NewState(snap.Capacity)
+	jobs := make(map[string]*job, len(snap.Jobs))
+	order := make([]*job, len(snap.Jobs))
+	var live []*job
+	var held []*placement // entries with a ledger row, and those rows
 	var rows ga.Matrix
 	for i, name := range snap.Order {
-		js := snap.Jobs[i]
+		js := &snap.Jobs[i]
 		if js.Report.Job != name {
 			return fmt.Errorf("cluster: snapshot job %d reports as %q but is registered as %q", i, js.Report.Job, name)
 		}
-		if _, dup := reports[name]; dup {
+		if jobs[name] != nil {
 			return fmt.Errorf("cluster: snapshot registers job %q twice", name)
 		}
-		reports[name] = js.Report
+		j := &job{p: ledger.at(name)}
+		j.view.ID = i
+		j.set(&js.Report)
+		jobs[name], order[i] = j, j
+		if !j.done {
+			live = append(live, j)
+		}
 		if js.HasAlloc {
-			held = append(held, name)
+			held = append(held, j.p)
 			rows = append(rows, slices.Clone(js.Row)) // the ledger keeps the slice
 		}
 	}
-	// The rows go through the install Commit uses, into a ledger of their
-	// own, so one that does not fit is refused before this one changes.
-	ledger := NewState(snap.Capacity)
-	if err := ledger.install(held, rows, nil); err != nil {
+	if err := ledger.install(held, rows); err != nil {
 		return fmt.Errorf("cluster: snapshot rows do not fit: %w", err)
 	}
 	if err := s.fe.RestoreState(snap.FrontEnd); err != nil {
 		return err
 	}
-	for i, name := range snap.Order {
-		if p := ledger.rows[name]; p != nil { // the install counted one change
-			p.gen = snap.Jobs[i].Generation
+	for i, j := range order {
+		if snap.Jobs[i].HasAlloc { // the install counted one change
+			j.p.gen = snap.Jobs[i].Generation
 		}
 	}
 	s.state.usage, s.state.rows = ledger.usage, ledger.rows
-	s.order = slices.Clone(snap.Order)
-	s.reports = reports
-	s.roundJobs, s.registered = nil, 0
+	s.jobs, s.order, s.live, s.round = jobs, order, live, 0
 	return nil
 }
 

@@ -15,7 +15,8 @@ import (
 // so they agree with each other and serving them cannot delay or reorder
 // scheduling rounds. Of the registered jobs, Running hold GPUs, Pending
 // are admitted but currently allocated none (the queue depth) and Done
-// reported completion.
+// reported completion: those are the jobs that have left the live list or
+// are about to, so the hold costs the live jobs only.
 func (s *Service) Status() status.Cluster {
 	s.state.mu.Lock()
 	st := status.Cluster{
@@ -27,17 +28,16 @@ func (s *Service) Status() status.Cluster {
 		st.GPUsTotal += c
 		st.GPUsUsed += s.state.usage[n]
 	}
-	for _, name := range s.order {
-		p := s.state.rows[name]
+	for _, j := range s.live {
 		switch {
-		case s.reports[name].Done:
-			st.Done++
-		case p != nil && sched.PlacementOf(p.row).GPUs > 0:
+		case j.done: // until the next round drops it
+		case sched.PlacementOf(j.p.row).GPUs > 0:
 			st.Running++
 		default:
 			st.Pending++
 		}
 	}
+	st.Done = st.Jobs - st.Running - st.Pending
 	fe := s.fe
 	s.state.mu.Unlock()
 

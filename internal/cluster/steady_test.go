@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/sched"
+	"repro/internal/status"
 )
 
 // megaOptions are the mega preset's incremental rack rounds, the options
@@ -168,7 +169,7 @@ func steadyDigest(t *testing.T, nodes, jobs, rounds int, seed int64) string {
 
 // TestSteadyServiceDigestPinned holds the service and the scheduler
 // together to the trajectories recorded before reports became view entries
-// and the scheduler kept one record per job (PR 21): the same rows, at the
+// and the scheduler kept one record per job (PR 19): the same rows, at the
 // same generations, from the same work and the same rng draws, under the
 // traffic svc_round_inc256 runs. Like the digests of internal/sched, they
 // hold for the toolchain and architecture of the checked-in baselines.
@@ -190,12 +191,13 @@ func TestSteadyServiceDigestPinned(t *testing.T) {
 
 // BenchmarkServiceRoundSteady times one steady scheduling round of the
 // service (runtime.Step: snapshot, dirty set, rack GAs, validation, diff,
-// commit) at 64 nodes × 1280 jobs under the mega preset; the churn
-// between rounds is outside the timer. A steady round re-places a few
-// dozen jobs, so its allocations are row headers, per-job bookkeeping and
-// the sub-problem GAs. CI gates allocs/op exactly (bench/baselines/
-// gobench.json, at -benchtime 20x): one whole-matrix allocation coming
-// back moves it.
+// commit) at 64 nodes × 1280 jobs under the mega preset; the traffic
+// between rounds, every live job re-reporting, is outside the timer. A
+// steady round re-places a few dozen jobs, so its allocations are the
+// view, row headers, a handful of per-job slices and the sub-problem GAs.
+// CI gates allocs/op exactly (bench/baselines/gobench.json, at -benchtime
+// 20x): one whole-matrix allocation, or one allocation per job or per
+// report, coming back moves it.
 func BenchmarkServiceRoundSteady(b *testing.B) {
 	l := newSteadyLoad(b, 64, 1280, 1)
 	for i := 0; i < 10; i++ { // reach the steady state
@@ -209,6 +211,23 @@ func BenchmarkServiceRoundSteady(b *testing.B) {
 		l.churn(b)
 		b.StartTimer()
 		l.schedule(b)
+	}
+}
+
+// BenchmarkServiceSubmitReport times a live job re-reporting, which is
+// most of a service's traffic: one lookup by name and the conversion of
+// the report into the view entry the next round copies. CI gates its
+// allocs/op at 0.
+func BenchmarkServiceSubmitReport(b *testing.B) {
+	l := newSteadyLoad(b, 64, 1280, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &l.live[i%len(l.live)]
+		r.GPUTime += 60 * float64(r.UserGPUs)
+		if err := l.svc.SubmitReport(*r, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -266,7 +285,44 @@ func TestSharedRowsUnderConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if st := l.svc.Status(); st.Done != rounds || st.Jobs != jobs+rounds {
-		t.Errorf("after %d rounds: %+v", rounds, st)
+	// The counts come from the live list: a finished job is Done from its
+	// report on, before any round has dropped its entry, and a restored
+	// service counts what the saved one did.
+	held := func(job string) bool {
+		var a Allocation
+		l.svc.GetAllocation(job, &a)
+		return PlacementOf(a.Row).GPUs > 0
+	}
+	want := l.svc.Status()
+	running := 0
+	for _, rep := range l.live {
+		if held(rep.Job) {
+			running++
+		}
+	}
+	if want.Done != rounds || want.Jobs != jobs+rounds || want.Running != running || want.Pending != jobs-running {
+		t.Errorf("after %d rounds with %d of %d live jobs running: %+v", rounds, running, jobs, want)
+	}
+	last := l.live[0]
+	if held(last.Job) {
+		want.Running--
+	} else {
+		want.Pending--
+	}
+	want.Done++
+	last.Done = true
+	l.submit(t, last)
+	same := func(a, b status.Cluster) bool {
+		return a.Jobs == b.Jobs && a.Running == b.Running && a.Pending == b.Pending && a.Done == b.Done
+	}
+	if st := l.svc.Status(); !same(st, want) {
+		t.Errorf("after %s reported Done: %+v, want the counts of %+v", last.Job, st, want)
+	}
+	restored := NewService(NewState(l.svc.Snapshot().Capacity))
+	if err := restored.RestoreSnapshot(l.svc.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if st := restored.Status(); !same(st, want) {
+		t.Errorf("restored service: %+v, want the counts of %+v", st, want)
 	}
 }

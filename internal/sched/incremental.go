@@ -6,13 +6,13 @@ package sched
 // each interval (Sec. 4.2.1). That is still what a default round does, but
 // it is the widest setting of one procedure, not a separate one:
 //
-//	newRound   the view and the placement of every current row
+//	newRound   each view job's record, and the placement of its current row
 //	dirtySet   which jobs to re-place (view indices, "sub")
-//	price      speedup tables and Eqn. 16 weights
 //	solve      residual capacity and blocked nodes left by the clean rows,
-//	           a node-level GA (solveNodes) for the sub rows, compose with
-//	           the clean rows, keep the population as next round's seeds
-//	           and the rows and job signatures for the next dirty set
+//	           speedup tables and Eqn. 16 weights of the sub jobs (price), a
+//	           node-level GA (solveNodes) for the sub rows, compose with the
+//	           clean rows, keep the population as next round's seeds and the
+//	           rows and job signatures for the next dirty set
 //
 // A default round has every job dirty and solves them on one rack that
 // spans all nodes. Two options (see PolluxOptions) narrow it, because a
@@ -58,25 +58,32 @@ import (
 	"repro/internal/ga"
 )
 
-// incState is the cross-round dirty-set state: the committed matrix and
-// job signatures as of the last round that solved anything, keyed by
-// stable job ID.
-type incState struct {
-	ids    []int
-	sigs   []SigSnapshot
-	rows   ga.Matrix        // committed rows aligned with ids; see Ownership
-	placed []core.Placement // each row's summary, so an unchanged row is not re-read
-	index  map[int]int      // job ID → position in ids (lookups only)
-	cap    []int
+// jobRec is what Pollux carries about one job from one round to the next.
+// A record lives from the round the job arrives in until the first solved
+// round without it, so nothing is kept for a job outside the last view.
+type jobRec struct {
+	id int
+	// pos is the job's row in the last solved round's matrices (prevPop,
+	// inc.rows) and its index in Pollux.recs; -1 until the round the job
+	// arrived in is kept.
+	pos int
+	// sig is the job's signature as of the committed matrix (Incremental
+	// only). placed summarizes its row: the committed row between rounds,
+	// the view's current row from newRound on, so that a row is read only
+	// when it is not the slice already summarized.
+	sig    SigSnapshot
+	placed core.Placement
+	// table memoizes the job's SPEEDUP; nil until a round re-places it.
+	table *speedupTable
 }
 
-// newIncState indexes committed rows by job ID; it keeps the slices given.
-func newIncState(ids []int, sigs []SigSnapshot, rows ga.Matrix, placed []core.Placement, capacity []int) *incState {
-	st := &incState{ids: ids, sigs: sigs, rows: rows, placed: placed, index: make(map[int]int, len(ids)), cap: capacity}
-	for i, id := range ids {
-		st.index[id] = i
-	}
-	return st
+// incState is the cross-round dirty-set state: the committed matrix as of
+// the last round that solved anything, its rows in the order of
+// Pollux.recs (whose records hold the per-job part, signature and
+// placement), and the capacity it was solved for.
+type incState struct {
+	rows ga.Matrix // see Ownership
+	cap  []int
 }
 
 // seedCellBudget bounds the matrix cells carried over as GA seeds from
@@ -94,9 +101,14 @@ func allJobs(n int) []int {
 	return all
 }
 
-// sigOf is the job's change signature, which dirtySet compares.
-func sigOf(j JobView) SigSnapshot {
+// sigOf is the job's change signature; differs compares a kept one with
+// the job as it is now, which is what makes a job dirty.
+func sigOf(j *JobView) SigSnapshot {
 	return SigSnapshot{Model: j.Model, GPUCap: j.GPUCap, MinGPUs: j.MinGPUs}
+}
+
+func (s *SigSnapshot) differs(j *JobView) bool {
+	return s.Model != j.Model || s.GPUCap != j.GPUCap || s.MinGPUs != j.MinGPUs
 }
 
 // dirtySet returns the view indices to re-place this round, in view
@@ -128,21 +140,16 @@ func (r *round) dirtySet() []int {
 			}
 		}
 	}
-	seen := make([]bool, len(st.ids)) // committed positions still in the view
-	for i, j := range jobs {
-		pi := r.at[i]
-		if pi >= 0 {
-			seen[pi] = true
-		}
+	for i, rec := range r.recs {
 		switch {
-		case pi < 0:
+		case rec.pos < 0:
 			dirty[i] = true // arrival
-		case st.sigs[pi] != sigOf(j):
+		case rec.sig.differs(&jobs[i]):
 			dirty[i] = true // refit or demand change
-			markRow(st.rows[pi])
-		case !ga.EqualRows(v.Current[i], st.rows[pi]):
+			markRow(st.rows[rec.pos])
+		case !ga.EqualRows(v.Current[i], st.rows[rec.pos]):
 			dirty[i] = true // restarted or moved outside the scheduler
-			markRow(st.rows[pi])
+			markRow(st.rows[rec.pos])
 		}
 		if dirty[i] {
 			anyChange = true
@@ -150,7 +157,7 @@ func (r *round) dirtySet() []int {
 		}
 	}
 	// Departed jobs free their nodes for neighbors to claim.
-	for pi, live := range seen {
+	for pi, live := range r.seen {
 		if !live {
 			anyChange = true
 			markRow(st.rows[pi])
@@ -163,7 +170,7 @@ func (r *round) dirtySet() []int {
 	queued := 0
 	for i := range jobs {
 		if !dirty[i] {
-			if r.placed[i].GPUs == 0 {
+			if r.recs[i].placed.GPUs == 0 {
 				// Clean queued job: a bounded batch per round may compete
 				// for the capacity this round frees.
 				if queued < queuedPerRound {
@@ -190,71 +197,91 @@ func (r *round) dirtySet() []int {
 }
 
 // round is the data of one Schedule call: newRound fills what dirtySet
-// reads, price the tables and weights, solve the rest for the jobs it
-// re-places.
+// reads, solve the rest for the jobs it re-places.
 type round struct {
 	p *Pollux
 	v *ClusterView
-	// placed summarizes each job's current row (zero where the view has
-	// none): is the job queued, running, distributed. at is the job's
-	// position in the committed state, -1 for a job it does not know.
-	placed []core.Placement
-	at     []int
-	// Per view index: speedup tables and Eqn. 16 weights, with their sum.
-	tables  []*speedupTable
-	weights []float64
-	sumW    float64
+	// recs is each view job's record, a fresh one for a job the last solved
+	// round did not have; its placed summarizes the job's current row (zero
+	// where the view has none): is the job queued, running, distributed.
+	// seen flags the positions of the last solved round that are in this
+	// view; the others departed.
+	recs []*jobRec
+	seen []bool
 
 	sub []int     // view indices being re-placed, ascending
 	cur ga.Matrix // per sub job: its current row (zeros when the view has none)
+	// Per sub job: speedup table, Eqn. 16 weight, and whether it holds GPUs
+	// now (so that moving it costs a restart); sumW is the weight of all jobs.
+	tables  []*speedupTable
+	weights []float64
+	running []bool
+	sumW    float64
 	// Per node: the capacity the clean rows leave, and whether a clean
 	// distributed job sits there (Sec. 4.2.1 then forbids a second one).
 	residual []int
 	blocked  []bool
 }
 
-// newRound finds each job in the committed state and summarizes the view's
-// current rows, reading only those that are not the committed slice.
+// newRound finds each job's record and summarizes the view's current rows,
+// reading only those that are not the committed slice. A view mostly
+// repeats the last one's order, so the record is looked for right after
+// the previous job's, and by ID only where it is not there: after a
+// departure, at an arrival, under a front end that reorders.
 func (p *Pollux) newRound(v *ClusterView) *round {
-	r := &round{p: p, v: v, placed: make([]core.Placement, len(v.Jobs)), at: make([]int, len(v.Jobs))}
-	var index map[int]int
-	if p.inc != nil {
-		index = p.inc.index
-	}
-	for i, j := range v.Jobs {
-		pi, ok := index[j.ID]
-		if !ok {
-			pi = -1
+	r := &round{p: p, v: v, recs: make([]*jobRec, len(v.Jobs)), seen: make([]bool, len(p.recs))}
+	next := 0
+	for i := range v.Jobs {
+		id := v.Jobs[i].ID
+		var rec *jobRec
+		if next < len(p.recs) && p.recs[next].id == id {
+			rec = p.recs[next]
+		} else if rec = p.byID[id]; rec == nil {
+			rec = &jobRec{id: id, pos: -1}
 		}
-		r.at[i] = pi
+		if rec.pos >= 0 {
+			r.seen[rec.pos], next = true, rec.pos+1
+		}
+		r.recs[i] = rec
 		switch {
 		case i >= len(v.Current):
-		case ok && ga.SameRow(v.Current[i], p.inc.rows[pi]):
-			r.placed[i] = p.inc.placed[pi]
+			rec.placed = core.Placement{}
+		case p.inc != nil && rec.pos >= 0 && ga.SameRow(v.Current[i], p.inc.rows[rec.pos]):
 		default:
-			r.placed[i] = PlacementOf(v.Current[i])
+			rec.placed = PlacementOf(v.Current[i])
 		}
 	}
 	return r
 }
 
-// price builds the per-job speedup tables and Eqn. 16 weights. The
-// weight sum is accumulated in job order in its own loop, matching the
+// price fetches what the fitness functions read about the sub jobs: the
+// current row, the speedup table, the Eqn. 16 weight. The weight sum is
+// over all jobs and accumulated in job order in its own loop, matching the
 // historical computation bit for bit.
-func (r *round) price() {
+func (r *round) price(sub []int) {
 	p, v := r.p, r.v
-	r.tables = make([]*speedupTable, len(v.Jobs))
-	r.weights = make([]float64, len(v.Jobs))
-	maxK := v.TotalGPUs()
-	for i, j := range v.Jobs {
-		r.tables[i] = p.cachedTable(j, maxK, len(v.Capacity))
-		r.weights[i] = p.weight(j.GPUTime)
-	}
-	for _, w := range r.weights {
-		r.sumW += w
+	r.sumW = 0
+	for i := range v.Jobs {
+		r.sumW += p.weight(v.Jobs[i].GPUTime)
 	}
 	if r.sumW == 0 {
 		r.sumW = 1
+	}
+	r.sub = sub
+	r.cur = make(ga.Matrix, len(sub))
+	r.tables = make([]*speedupTable, len(sub))
+	r.weights = make([]float64, len(sub))
+	r.running = make([]bool, len(sub))
+	zero := make([]int, len(v.Capacity))
+	maxK := v.TotalGPUs()
+	for si, i := range sub {
+		r.cur[si] = zero
+		if i < len(v.Current) {
+			r.cur[si] = v.Current[i]
+		}
+		r.tables[si] = r.recs[i].cachedTable(&v.Jobs[i], maxK, len(v.Capacity))
+		r.weights[si] = p.weight(v.Jobs[i].GPUTime)
+		r.running[si] = r.recs[i].placed.GPUs > 0
 	}
 }
 
@@ -281,10 +308,10 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 	r.residual = append([]int(nil), v.Capacity...)
 	r.blocked = make([]bool, nodes)
 	for i := range jobs {
-		if inSub[i] || r.placed[i].Nodes == 0 {
+		if inSub[i] || r.recs[i].placed.Nodes == 0 {
 			continue // a row with no positive cell leaves every node as it is
 		}
-		dist := r.placed[i].Nodes > 1
+		dist := r.recs[i].placed.Nodes > 1
 		for n, g := range v.Current[i] {
 			if g > 0 {
 				// Clamped defensively: the live matrix may be over capacity.
@@ -297,15 +324,7 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 		}
 	}
 
-	r.sub = sub
-	r.cur = make(ga.Matrix, len(sub))
-	zero := make([]int, nodes)
-	for si, i := range sub {
-		r.cur[si] = zero
-		if i < len(v.Current) {
-			r.cur[si] = v.Current[i]
-		}
-	}
+	r.price(sub)
 
 	var rows ga.Matrix
 	var pop []ga.Matrix
@@ -380,23 +399,29 @@ func (r *round) keep(out, rows ga.Matrix, pop []ga.Matrix, whole bool) {
 			}
 		}
 	}
-	ids := make([]int, len(jobs))
-	for i, j := range jobs {
-		ids[i] = j.ID
+	// The view's records become the scheduler's, in the view's order: the
+	// departed ones leave the ID map and the arrivals join it.
+	old := p.recs
+	p.prevPop, p.recs = carried, r.recs
+	for pi, live := range r.seen {
+		if !live {
+			delete(p.byID, old[pi].id)
+		}
 	}
-	p.prevPop, p.prevJobs = carried, ids
+	for i, rec := range r.recs {
+		if rec.pos < 0 {
+			p.byID[rec.id] = rec
+		}
+		rec.pos = i
+	}
 	if !p.opts.Incremental {
 		return
 	}
-	sigs := make([]SigSnapshot, len(jobs))
-	for i, j := range jobs {
-		sigs[i] = sigOf(j)
-	}
-	placed := r.placed // a clean row's summary stands; the round is over
+	// A job outside sub has the signature and the row it had.
 	for _, i := range r.sub {
-		placed[i] = PlacementOf(out[i])
+		r.recs[i].sig, r.recs[i].placed = sigOf(&jobs[i]), PlacementOf(out[i])
 	}
-	p.inc = newIncState(ids, sigs, out, placed, append([]int(nil), r.v.Capacity...))
+	p.inc = &incState{rows: out, cap: append([]int(nil), r.v.Capacity...)}
 }
 
 // subSeeds projects the carried population onto the sub jobs' rows by
@@ -408,15 +433,11 @@ func (r *round) subSeeds() []ga.Matrix {
 		return nil
 	}
 	nodes := len(r.v.Capacity)
-	prevIndex := make(map[int]int, len(p.prevJobs))
-	for i, id := range p.prevJobs {
-		prevIndex[id] = i
-	}
 	seeds := make([]ga.Matrix, 0, len(p.prevPop))
 	for _, prev := range p.prevPop {
 		m := ga.NewMatrix(len(r.sub), nodes)
 		for si, i := range r.sub {
-			if pi, ok := prevIndex[r.v.Jobs[i].ID]; ok && pi < len(prev) && len(prev[pi]) == nodes {
+			if pi := r.recs[i].pos; pi >= 0 && pi < len(prev) && len(prev[pi]) == nodes {
 				copy(m[si], prev[pi])
 			}
 		}
@@ -455,12 +476,11 @@ func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize,
 			if local.GPUs > 0 {
 				racks++
 			}
-			i := r.sub[c.si]
-			s := r.tables[i].SpeedupRack(local.GPUs+c.otherK, local.Nodes+c.otherNodes, racks)
-			if r.placed[i].GPUs > 0 && (c.otherChanged || !slices.Equal(m[mi], c.cur)) { // running: a move restarts it
+			s := r.tables[c.si].SpeedupRack(local.GPUs+c.otherK, local.Nodes+c.otherNodes, racks)
+			if r.running[c.si] && (c.otherChanged || !slices.Equal(m[mi], c.cur)) { // a move restarts it
 				s -= p.opts.RestartPenalty
 			}
-			total += r.weights[i] * s
+			total += r.weights[c.si] * s
 		}
 		return total / r.sumW
 	}
@@ -499,8 +519,8 @@ func (r *round) solveRacks() ga.Matrix {
 
 	// The coarse fitness fans out over workers; allocate the cross-rack
 	// table layers serially first.
-	for _, i := range sub {
-		r.tables[i].ensureRack()
+	for _, t := range r.tables {
+		t.ensureRack()
 	}
 
 	// estNodes estimates the nodes g GPUs occupy in rack rk when packed
@@ -529,7 +549,7 @@ func (r *round) solveRacks() ga.Matrix {
 
 	coarseFitness := func(m ga.Matrix) float64 {
 		total := 0.0
-		for si, i := range sub {
+		for si := range sub {
 			k, nd, spanned := 0, 0, 0
 			for rk, g := range m[si] {
 				if g > 0 {
@@ -538,11 +558,11 @@ func (r *round) solveRacks() ga.Matrix {
 					spanned++
 				}
 			}
-			s := r.tables[i].SpeedupRack(k, nd, spanned)
-			if r.placed[i].GPUs > 0 && !slices.Equal(m[si], curCoarse[si]) {
+			s := r.tables[si].SpeedupRack(k, nd, spanned)
+			if r.running[si] && !slices.Equal(m[si], curCoarse[si]) {
 				s -= p.opts.RestartPenalty
 			}
-			total += r.weights[i] * s
+			total += r.weights[si] * s
 		}
 		return total / r.sumW
 	}

@@ -310,25 +310,33 @@ func TestHierarchicalCutsFitnessWork(t *testing.T) {
 	}
 }
 
-func TestPruneTablesLargeNSparseIDs(t *testing.T) {
-	p := NewPollux(PolluxOptions{}, 1)
+// TestRecordsDropDepartedLargeNSparseIDs: after a round over a seventh of
+// a large population with sparse IDs, records and speedup tables are left
+// for the jobs of that view and for no other.
+func TestRecordsDropDepartedLargeNSparseIDs(t *testing.T) {
+	p := NewPollux(PolluxOptions{Population: 2, Generations: 1}, 1)
 	model := models.ByName("resnet18").GoodputModel(0.5)
 	const n = 5000
+	v := &ClusterView{Capacity: []int{4, 4}}
 	for i := 0; i < n; i++ {
-		p.tables[i*97+13] = newSpeedupTable(model, 4, 4, 2)
+		v.Jobs = append(v.Jobs, JobView{ID: i*97 + 13, Model: model, GPUCap: 4})
+	}
+	p.Schedule(v)
+	if len(p.recs) != n || len(p.byID) != n {
+		t.Fatalf("%d records, %d by ID, want %d", len(p.recs), len(p.byID), n)
 	}
 	// Every 7th job is still in the view; the rest finished.
-	var live []JobView
+	live := &ClusterView{Capacity: v.Capacity}
 	for i := 0; i < n; i += 7 {
-		live = append(live, JobView{ID: i*97 + 13})
+		live.Jobs = append(live.Jobs, v.Jobs[i])
 	}
-	p.pruneTables(live)
-	if len(p.tables) != len(live) {
-		t.Fatalf("%d tables survive, want %d", len(p.tables), len(live))
+	p.Schedule(live)
+	if len(p.recs) != len(live.Jobs) || len(p.byID) != len(live.Jobs) {
+		t.Fatalf("%d records, %d by ID survive, want %d", len(p.recs), len(p.byID), len(live.Jobs))
 	}
-	for _, j := range live {
-		if _, ok := p.tables[j.ID]; !ok {
-			t.Fatalf("table for live job %d evicted", j.ID)
+	for i, j := range live.Jobs {
+		if rec := p.byID[j.ID]; rec == nil || rec != p.recs[i] || rec.pos != i || rec.table == nil {
+			t.Fatalf("live job %d has record %+v", j.ID, rec)
 		}
 	}
 }
@@ -346,18 +354,21 @@ func TestRemapSeedsSparseIDsBitStable(t *testing.T) {
 		}
 		return row
 	}
-	p.prevJobs = prevIDs
+	carried := &PolluxSnapshot{PrevJobs: prevIDs}
 	for pi := 0; pi < 2; pi++ {
 		m := make(ga.Matrix, len(prevIDs))
 		for i, id := range prevIDs {
 			m[i] = rowFor(id + pi)
 		}
-		p.prevPop = append(p.prevPop, m)
+		carried.PrevPop = append(carried.PrevPop, m)
+	}
+	if err := p.Restore(carried); err != nil {
+		t.Fatal(err)
 	}
 
 	// New view: shuffled order, one departure (907), one arrival (999999).
 	jobs := []JobView{{ID: 500000}, {ID: 42}, {ID: 999999}, {ID: 13}}
-	r := &round{p: p, v: &ClusterView{Capacity: make([]int, nodes), Jobs: jobs}}
+	r := p.newRound(&ClusterView{Capacity: make([]int, nodes), Jobs: jobs})
 	zero := make([]int, nodes)
 	// Every job (a full round), then a sub-problem (IDs 500000 and 13):
 	// both must project the same ID-keyed rows.

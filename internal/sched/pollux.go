@@ -106,9 +106,9 @@ const (
 
 // Pollux is the co-adaptive scheduler (Sec. 4.2). It keeps its GA
 // population between scheduling intervals to bootstrap the next
-// optimization, keyed by job ID so rows survive arrivals and departures,
-// and likewise carries each job's memoized SPEEDUP table across intervals
-// until the job's reported model changes.
+// optimization, and one record per job (see jobRec) so rows survive
+// arrivals and departures and each job's memoized SPEEDUP table carries
+// across intervals until the job's reported model changes.
 type Pollux struct {
 	opts PolluxOptions
 	// src is the counting source behind rng: it draws exactly like the
@@ -120,13 +120,13 @@ type Pollux struct {
 
 	// Outside the whole-population carry, prevPop[0] is the committed
 	// matrix that inc.rows also names (see incremental.go).
-	prevPop  []ga.Matrix
-	prevJobs []int // job IDs aligned with prevPop rows
-
-	// tables caches per-job speedup tables across scheduling intervals,
-	// keyed by job ID. An entry is reused only while the job's reported
-	// model and the table dimensions are unchanged (see cachedTable).
-	tables map[int]*speedupTable
+	prevPop []ga.Matrix
+	// recs holds the record of every job in the last round that solved
+	// anything, in that round's view order, which is the row order of
+	// prevPop's matrices and of inc.rows: recs[i].pos == i. byID finds a
+	// record where a view's order differs from it (see newRound).
+	recs []*jobRec
+	byID map[int]*jobRec
 
 	// inc is the dirty-set state for Incremental mode (see
 	// incremental.go); nil until the first incremental round solves.
@@ -166,10 +166,10 @@ func NewPollux(opts PolluxOptions, seed int64) *Pollux {
 	opts.defaults()
 	src := detrand.NewSource(seed)
 	return &Pollux{
-		opts:   opts,
-		src:    src,
-		rng:    rand.New(src),
-		tables: make(map[int]*speedupTable),
+		opts: opts,
+		src:  src,
+		rng:  rand.New(src),
+		byID: make(map[int]*jobRec),
 	}
 }
 
@@ -291,8 +291,8 @@ func (t *speedupTable) SpeedupRack(k, n, racks int) float64 {
 	return v
 }
 
-// cachedTable returns the cross-round speedup table for a job, reusing the
-// previous interval's table (with every cell already computed for the
+// cachedTable returns the job's cross-round speedup table, reusing the
+// one its record holds (with every cell already computed for the
 // placements the GA visited) when the job's reported model, exploration
 // cap, and table dimensions are unchanged. Any change — an agent refit, a
 // noise-scale update, a new cluster size — produces a model or dimension
@@ -300,31 +300,15 @@ func (t *speedupTable) SpeedupRack(k, n, racks int) float64 {
 // so a job actively making progress (whose noise scale moves every agent
 // round) rebuilds each interval; the cache pays off for paused and queued
 // jobs — exactly the rows that pile up when the cluster is backlogged,
-// which is when the GA is most expensive.
-func (p *Pollux) cachedTable(j JobView, maxK, nodes int) *speedupTable {
-	if t, ok := p.tables[j.ID]; ok &&
-		t.model == j.Model && t.gpuCap == j.GPUCap && t.maxK == maxK && t.nodes == nodes {
-		return t
+// which is when the GA is most expensive. Only a round that re-places the
+// job asks: the table is a pure function of its arguments, so when it is
+// built changes no value.
+func (rec *jobRec) cachedTable(j *JobView, maxK, nodes int) *speedupTable {
+	if t := rec.table; t == nil ||
+		t.model != j.Model || t.gpuCap != j.GPUCap || t.maxK != maxK || t.nodes != nodes {
+		rec.table = newSpeedupTable(j.Model, j.GPUCap, maxK, nodes)
 	}
-	t := newSpeedupTable(j.Model, j.GPUCap, maxK, nodes)
-	p.tables[j.ID] = t
-	return t
-}
-
-// pruneTables drops cached speedup tables for jobs no longer in the view.
-func (p *Pollux) pruneTables(jobs []JobView) {
-	if len(p.tables) <= len(jobs) {
-		return
-	}
-	live := make(map[int]bool, len(jobs))
-	for _, j := range jobs {
-		live[j.ID] = true
-	}
-	for id := range p.tables {
-		if !live[id] {
-			delete(p.tables, id)
-		}
-	}
+	return rec.table
 }
 
 // Schedule computes the round's allocation matrix (Eqn. 14). Every
@@ -335,12 +319,10 @@ func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 	nJobs := len(v.Jobs)
 	p.lastStats = RoundStats{Jobs: nJobs, Sub: nJobs, Full: true}
 	if nJobs == 0 {
-		p.prevPop, p.prevJobs = nil, nil
-		p.inc = nil
-		p.pruneTables(nil)
+		p.prevPop, p.recs, p.inc = nil, nil, nil
+		clear(p.byID)
 		return ga.NewMatrix(0, len(v.Capacity))
 	}
-	p.pruneTables(v.Jobs)
 
 	r := p.newRound(v)
 	sub := r.dirtySet()
@@ -353,7 +335,6 @@ func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 	} else {
 		// It takes at least two racks to decompose.
 		racks := p.opts.RackSize > 0 && len(v.Capacity) >= 2*p.opts.RackSize
-		r.price()
 		out = r.solve(sub, racks)
 		// A nil result failed the defensive feasibility check: widen to
 		// every job, then to a single rack, whose result is repaired GA
@@ -404,8 +385,8 @@ func (p *Pollux) ClusterUtility(v *ClusterView, nodes, generations int) float64 
 	}
 
 	tables := make([]*speedupTable, len(v.Jobs))
-	for i, j := range v.Jobs {
-		tables[i] = newSpeedupTable(j.Model, j.GPUCap, totalGPUs, nodes)
+	for i := range v.Jobs {
+		tables[i] = newSpeedupTable(v.Jobs[i].Model, v.Jobs[i].GPUCap, totalGPUs, nodes)
 	}
 	fitness := func(m ga.Matrix) float64 {
 		total := 0.0

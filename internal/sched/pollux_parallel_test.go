@@ -73,24 +73,24 @@ func TestSpeedupTableCachedAcrossRounds(t *testing.T) {
 	v := viewWith(3, 4, 4)
 	p := NewPollux(PolluxOptions{Population: 10, Generations: 5}, 8)
 	p.Schedule(v)
-	first := p.tables[v.Jobs[0].ID]
+	first := p.byID[v.Jobs[0].ID].table
 	if first == nil {
 		t.Fatal("no speedup table cached after Schedule")
 	}
 	// Unchanged model: the table (with its computed cells) is reused.
 	p.Schedule(v)
-	if p.tables[v.Jobs[0].ID] != first {
+	if p.byID[v.Jobs[0].ID].table != first {
 		t.Error("speedup table rebuilt despite unchanged model")
 	}
 	// A model refit (here: the reported noise scale moves) invalidates
 	// exactly that job's table.
-	keep := p.tables[v.Jobs[1].ID]
+	keep := p.byID[v.Jobs[1].ID].table
 	v.Jobs[0].Model.Phi *= 2
 	p.Schedule(v)
-	if p.tables[v.Jobs[0].ID] == first {
+	if p.byID[v.Jobs[0].ID].table == first {
 		t.Error("speedup table not invalidated by model change")
 	}
-	if p.tables[v.Jobs[1].ID] != keep {
+	if p.byID[v.Jobs[1].ID].table != keep {
 		t.Error("unrelated job's table invalidated")
 	}
 }
@@ -99,18 +99,18 @@ func TestSpeedupTablePrunedForDepartedJobs(t *testing.T) {
 	v := viewWith(4, 4, 4)
 	p := NewPollux(PolluxOptions{Population: 10, Generations: 5}, 9)
 	p.Schedule(v)
-	if len(p.tables) != 4 {
-		t.Fatalf("cached tables = %d, want 4", len(p.tables))
+	if len(p.Snapshot().Tables) != 4 {
+		t.Fatalf("cached tables = %d, want 4", len(p.Snapshot().Tables))
 	}
 	small := viewWith(2, 4, 4) // jobs 2 and 3 departed
 	p.Schedule(small)
-	if len(p.tables) != 2 {
-		t.Errorf("cached tables after departures = %d, want 2", len(p.tables))
+	if len(p.Snapshot().Tables) != 2 || len(p.byID) != 2 {
+		t.Errorf("cached tables after departures = %d over %d records, want 2", len(p.Snapshot().Tables), len(p.byID))
 	}
 	empty := &ClusterView{Capacity: v.Capacity}
 	p.Schedule(empty)
-	if len(p.tables) != 0 {
-		t.Errorf("cached tables after empty view = %d, want 0", len(p.tables))
+	if len(p.Snapshot().Tables) != 0 || len(p.byID) != 0 {
+		t.Errorf("cached tables after empty view = %d over %d records, want 0", len(p.Snapshot().Tables), len(p.byID))
 	}
 }
 

@@ -4,7 +4,9 @@ package sched
 // scheduler service needs to survive a restart without perturbing a single
 // downstream decision — the counting-RNG state, the carried GA population
 // keyed by job ID, the memoized speedup tables, the incremental dirty-set
-// state, and the round counters.
+// state, and the round counters. The scheduler holds the per-job part of
+// all of that in one record per job (jobRec); the format predates the
+// records and spreads them over PrevJobs, Tables and Inc again.
 //
 // The snapshot structs deliberately contain no maps: every keyed
 // collection is flattened to a slice sorted by its key, so the canonical
@@ -62,8 +64,8 @@ type TableSnapshot struct {
 	RackCells []uint64 `json:",omitempty"`
 }
 
-// IncSnapshot serializes the incremental dirty-set state (incState); the
-// ID index is rebuilt from IDs at restore.
+// IncSnapshot serializes the incremental dirty-set state: incState and the
+// signatures of the job records, whose IDs repeat PrevJobs.
 type IncSnapshot struct {
 	IDs  []int
 	Sigs []SigSnapshot
@@ -89,19 +91,21 @@ func (p *Pollux) Snapshot() *PolluxSnapshot {
 		SinceFull: p.sinceFull,
 		LastStats: p.lastStats,
 	}
-	s.PrevJobs = append([]int(nil), p.prevJobs...)
+	var withTable []*jobRec
+	for _, rec := range p.recs {
+		s.PrevJobs = append(s.PrevJobs, rec.id)
+		if rec.table != nil {
+			withTable = append(withTable, rec)
+		}
+	}
 	for _, m := range p.prevPop {
 		s.PrevPop = append(s.PrevPop, m.Clone())
 	}
-	ids := make([]int, 0, len(p.tables))
-	for id := range p.tables {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		t := p.tables[id]
+	sort.SliceStable(withTable, func(a, b int) bool { return withTable[a].id < withTable[b].id })
+	for _, rec := range withTable {
+		t := rec.table
 		ts := TableSnapshot{
-			JobID:  id,
+			JobID:  rec.id,
 			Model:  t.model,
 			GPUCap: t.gpuCap,
 			MaxK:   t.maxK,
@@ -115,10 +119,13 @@ func (p *Pollux) Snapshot() *PolluxSnapshot {
 	}
 	if p.inc != nil {
 		s.Inc = &IncSnapshot{
-			IDs:  append([]int(nil), p.inc.ids...),
-			Sigs: append([]SigSnapshot(nil), p.inc.sigs...),
+			IDs:  append([]int(nil), s.PrevJobs...),
+			Sigs: make([]SigSnapshot, len(p.recs)),
 			Rows: p.inc.rows.Clone(),
 			Cap:  append([]int(nil), p.inc.cap...),
+		}
+		for i, rec := range p.recs {
+			s.Inc.Sigs[i] = rec.sig
 		}
 	}
 	return s
@@ -136,7 +143,11 @@ func (p *Pollux) Restore(s *PolluxSnapshot) error {
 			return fmt.Errorf("sched: snapshot population matrix %d has %d rows for %d carried jobs", i, len(m), len(s.PrevJobs))
 		}
 	}
-	tables := make(map[int]*speedupTable, len(s.Tables))
+	recs, byID := make([]*jobRec, len(s.PrevJobs)), make(map[int]*jobRec, len(s.PrevJobs))
+	for i, id := range s.PrevJobs {
+		recs[i] = &jobRec{id: id, pos: i}
+		byID[id] = recs[i]
+	}
 	for _, ts := range s.Tables {
 		t := newSpeedupTable(ts.Model, ts.GPUCap, ts.MaxK, ts.Nodes)
 		if len(ts.Cells) != len(t.cells) {
@@ -150,7 +161,9 @@ func (p *Pollux) Restore(s *PolluxSnapshot) error {
 			}
 			copy(t.rackCells, ts.RackCells)
 		}
-		tables[ts.JobID] = t
+		if rec := byID[ts.JobID]; rec != nil { // a table is kept for a carried job only
+			rec.table = t
+		}
 	}
 	var inc *incState
 	if s.Inc != nil {
@@ -158,25 +171,26 @@ func (p *Pollux) Restore(s *PolluxSnapshot) error {
 			return fmt.Errorf("sched: snapshot incremental state misaligned: %d ids, %d sigs, %d rows",
 				len(s.Inc.IDs), len(s.Inc.Sigs), len(s.Inc.Rows))
 		}
+		if !slices.Equal(s.Inc.IDs, s.PrevJobs) {
+			return fmt.Errorf("sched: snapshot incremental state and carried population name different jobs")
+		}
 		// Row by row: later rounds reuse these rows in the matrices they
 		// keep (see incremental.go), so none may pin a shared backing array.
-		rows, placed := make(ga.Matrix, len(s.Inc.Rows)), make([]core.Placement, len(s.Inc.Rows))
+		inc = &incState{rows: make(ga.Matrix, len(s.Inc.Rows)), cap: append([]int(nil), s.Inc.Cap...)}
 		for i, row := range s.Inc.Rows {
-			rows[i], placed[i] = slices.Clone(row), PlacementOf(row)
+			inc.rows[i] = slices.Clone(row)
+			recs[i].sig, recs[i].placed = s.Inc.Sigs[i], PlacementOf(row)
 		}
-		inc = newIncState(append([]int(nil), s.Inc.IDs...), append([]SigSnapshot(nil), s.Inc.Sigs...),
-			rows, placed, append([]int(nil), s.Inc.Cap...))
 	}
 
 	src := detrand.Restore(s.RNG)
 	p.src = src
 	p.rng = rand.New(src)
-	p.prevJobs = append([]int(nil), s.PrevJobs...)
 	p.prevPop = nil
 	for _, m := range s.PrevPop {
 		p.prevPop = append(p.prevPop, m.Clone())
 	}
-	p.tables = tables
+	p.recs, p.byID = recs, byID
 	p.inc = inc
 	p.sinceFull = s.SinceFull
 	p.lastStats = s.LastStats
