@@ -297,7 +297,7 @@ func BenchmarkReplayRound(b *testing.B) {
 			name = "rpc"
 		}
 		b.Run(name, func(b *testing.B) {
-			var res cluster.ReplayResult
+			var res sim.Result
 			for i := 0; i < b.N; i++ {
 				var err error
 				res, err = cluster.Replay(tr, sched.NewTiresias(), cluster.ReplayConfig{

@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exhibits := fs.String("exhibits", "all", "comma-separated exhibit ids, or 'all'")
 	gobench := fs.String("gobench", "",
 		"gate `go test -bench` output ('-' for stdin) instead of running a sweep; pair with -baseline bench/baselines/gobench.json")
-	exp := fs.String("exp", "", "deprecated alias for -exhibits")
 	jsonOut := fs.String("json", "", "write the sweep report as JSON ('-' for stdout)")
 	mdOut := fs.String("md", "", "write a per-exhibit headline-metric markdown table ('-' for stdout)")
 	baselinePath := fs.String("baseline", "", "baseline JSON to gate against; exits 1 on out-of-tolerance metrics")
@@ -99,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Gate mode for Go benchmark output: the report comes from a
 		// `go test -bench` run instead of an exhibit sweep, so the shared
 		// -json/-baseline/-update-baseline plumbing below applies as-is.
-		if *exhibits != "all" || *exp != "" {
+		if *exhibits != "all" {
 			fmt.Fprintln(stderr, "pollux-bench: -gobench and -exhibits are mutually exclusive")
 			return 2
 		}
@@ -119,16 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 
-		filter := *exhibits
-		if *exp != "" {
-			if *exhibits != "all" {
-				fmt.Fprintln(stderr, "pollux-bench: -exp is a deprecated alias for -exhibits; pass only one")
-				return 2
-			}
-			filter = *exp
-		}
 		var ids []string
-		ids, subset, err = resolveExhibits(filter)
+		ids, subset, err = resolveExhibits(*exhibits)
 		if err != nil {
 			fmt.Fprintln(stderr, "pollux-bench:", err)
 			return 2

@@ -210,6 +210,8 @@ func main() {
 		os.Exit(2)
 	}
 
+	header := fmt.Sprintf("policy=%s engine=%s jobs=%d cluster=%dx%d GPUs seed=%d configs=%s",
+		p.Name(), *engine, *jobs, *nodes, *gpus, *seed, configName(*user))
 	if *engine == engineReplay {
 		// The testbed control path has no interference injection or
 		// event logging; reject the flags rather than silently produce
@@ -235,20 +237,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "replay:", err)
 			os.Exit(1)
 		}
-		s := rep.Summary
-		fmt.Printf("policy=%s engine=replay jobs=%d cluster=%dx%d GPUs seed=%d configs=%s rpc=%v\n",
-			p.Name(), *jobs, *nodes, *gpus, *seed, configName(*user), *overRPC)
-		fmt.Print(metrics.Table(
-			[]string{"completed", "avg JCT", "p50 JCT", "p99 JCT", "makespan", "avg tput", "avg goodput"},
-			[][]string{{
-				fmt.Sprintf("%d/%d", s.Completed, s.Total),
-				metrics.Hours(s.AvgJCT), metrics.Hours(s.P50JCT), metrics.Hours(s.P99JCT),
-				metrics.Hours(s.Makespan),
-				fmt.Sprintf("%.0f ex/s", rep.AvgThroughput),
-				fmt.Sprintf("%.0f ex/s", rep.AvgGoodput),
-			}},
-		))
-		printTenants(rep.PerTenant)
+		printRun(fmt.Sprintf("%s rpc=%v", header, *overRPC), rep, 0)
 		return
 	}
 
@@ -290,10 +279,15 @@ func main() {
 		}
 	}
 	res := sim.NewCluster(trace, p, cfg).Run()
+	printRun(header, res, *events)
+}
+
+// printRun prints one run of any engine: header, summary row, per-model and
+// per-tenant breakdowns, and the last events of the log when asked for.
+func printRun(header string, res sim.Result, events int) {
 	s := res.Summary
 
-	fmt.Printf("policy=%s engine=%s jobs=%d cluster=%dx%d GPUs seed=%d configs=%s\n",
-		p.Name(), *engine, *jobs, *nodes, *gpus, *seed, configName(*user))
+	fmt.Println(header)
 	fmt.Print(metrics.Table(
 		[]string{"completed", "avg JCT", "p50 JCT", "p99 JCT", "makespan", "stat.eff", "avg tput", "avg goodput"},
 		[][]string{{
@@ -309,8 +303,8 @@ func main() {
 	fmt.Print(metrics.Table([]string{"model", "done", "avg JCT", "p99 JCT"}, perModelRows(res)))
 	printTenants(res.PerTenant)
 
-	if *events > 0 {
-		start := len(res.Events) - *events
+	if events > 0 {
+		start := len(res.Events) - events
 		if start < 0 {
 			start = 0
 		}

@@ -24,9 +24,9 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/eventsim"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -96,24 +96,6 @@ func (c *ReplayConfig) defaults() {
 	if c.MaxTime <= 0 {
 		c.MaxTime = 14 * 24 * 3600
 	}
-}
-
-// ReplayResult aggregates one replay run, shaped like the simulator's
-// Result so the two engines' outputs diff directly.
-type ReplayResult struct {
-	Summary metrics.Summary
-	// Records are per-job completion records aligned with the trace.
-	Records []metrics.JobRecord
-	// AvgThroughput and AvgGoodput are example-rate means over all
-	// job-running time.
-	AvgThroughput float64
-	AvgGoodput    float64
-	// PerTenant breaks the run down by tenant for multi-tenant traces
-	// (nil for single-tenant runs); Admissions is the front end's
-	// decision log in arrival order (nil without a front end) — shaped
-	// like the simulator's fields so parity asserts compare directly.
-	PerTenant  map[string]metrics.TenantSummary
-	Admissions []admit.Decision
 }
 
 // replayTask pairs a trace job with its live trainer.
@@ -322,34 +304,14 @@ func (r *replayRun) drive(checkpointAt *float64) (cutSched float64, err error) {
 	return cutSched, runErr
 }
 
-// result aggregates the run into a ReplayResult.
-func (r *replayRun) result() ReplayResult {
-	var res ReplayResult
-	var tputSum, goodSum, runSum float64
-	goodSums := make([]float64, 0, len(r.tasks))
-	runTimes := make([]float64, 0, len(r.tasks))
-	for _, t := range r.tasks {
-		res.Records = append(res.Records, metrics.JobRecord{
-			Submit:   t.wj.Submit,
-			Finish:   t.finish,
-			Tenant:   t.wj.Tenant,
-			Deadline: t.wj.Deadline,
-			Rejected: t.rejected,
-		})
-		tputSum += t.tr.tputSum
-		goodSum += t.tr.goodSum
-		runSum += t.tr.runTime
-		goodSums = append(goodSums, t.tr.goodSum)
-		runTimes = append(runTimes, t.tr.runTime)
+// result aggregates the run the way the simulator aggregates its own.
+func (r *replayRun) result() sim.Result {
+	outcomes := make([]sim.Outcome, len(r.tasks))
+	for i, t := range r.tasks {
+		// A trainer that never came up holds the zero job: no running time.
+		outcomes[i] = sim.Outcome{Trace: t.wj, Finish: t.finish, Rejected: t.rejected, Job: &t.tr.job}
 	}
-	res.Summary = metrics.Summarize(res.Records)
-	res.PerTenant = metrics.SummarizeRunTenants(res.Records, goodSums, runTimes, r.fe)
-	res.Admissions = r.fe.Decisions()
-	if runSum > 0 {
-		res.AvgThroughput = tputSum / runSum
-		res.AvgGoodput = goodSum / runSum
-	}
-	return res
+	return sim.Summarize(outcomes, r.fe)
 }
 
 // seedFresh pushes the trace's arrival events and the first scheduling
@@ -365,16 +327,16 @@ func (r *replayRun) seedFresh() {
 
 // Replay runs the trace through the live-testbed control path on virtual
 // time and returns its completion statistics.
-func Replay(trace workload.Trace, policy sched.Policy, cfg ReplayConfig) (ReplayResult, error) {
+func Replay(trace workload.Trace, policy sched.Policy, cfg ReplayConfig) (sim.Result, error) {
 	cfg.defaults()
 	r, err := newReplayRun(trace, policy, cfg)
 	if err != nil {
-		return ReplayResult{}, err
+		return sim.Result{}, err
 	}
 	defer r.close()
 	r.seedFresh()
 	if _, err := r.drive(nil); err != nil {
-		return ReplayResult{}, err
+		return sim.Result{}, err
 	}
 	return r.result(), nil
 }
@@ -436,36 +398,36 @@ func ReplayToCheckpoint(trace workload.Trace, policy sched.Policy, cfg ReplayCon
 // instead of silently starting fresh. The returned Result covers the
 // whole run, pre- and post-checkpoint, and is bit-identical to the
 // straight-through Replay of the same trace.
-func ResumeReplay(trace workload.Trace, policy sched.Policy, cfg ReplayConfig, ck *ReplayCheckpoint) (ReplayResult, error) {
+func ResumeReplay(trace workload.Trace, policy sched.Policy, cfg ReplayConfig, ck *ReplayCheckpoint) (sim.Result, error) {
 	cp, ok := policy.(PolicyCheckpointer)
 	if !ok {
-		return ReplayResult{}, fmt.Errorf("cluster: policy %q does not support checkpointing", policy.Name())
+		return sim.Result{}, fmt.Errorf("cluster: policy %q does not support checkpointing", policy.Name())
 	}
 	cfg.defaults()
 	if !reflect.DeepEqual(cfg, ck.Config) {
-		return ReplayResult{}, fmt.Errorf("cluster: replay config %+v does not match checkpoint config %+v", cfg, ck.Config)
+		return sim.Result{}, fmt.Errorf("cluster: replay config %+v does not match checkpoint config %+v", cfg, ck.Config)
 	}
 	if len(trace.Jobs) != ck.Jobs {
-		return ReplayResult{}, fmt.Errorf("cluster: trace has %d jobs, checkpoint was taken with %d", len(trace.Jobs), ck.Jobs)
+		return sim.Result{}, fmt.Errorf("cluster: trace has %d jobs, checkpoint was taken with %d", len(trace.Jobs), ck.Jobs)
 	}
 	r, err := newReplayRun(trace, policy, cfg)
 	if err != nil {
-		return ReplayResult{}, err
+		return sim.Result{}, err
 	}
 	defer r.close()
 	if len(ck.Tasks) != len(r.tasks) {
-		return ReplayResult{}, fmt.Errorf("cluster: checkpoint has %d tasks, trace builds %d", len(ck.Tasks), len(r.tasks))
+		return sim.Result{}, fmt.Errorf("cluster: checkpoint has %d tasks, trace builds %d", len(ck.Tasks), len(r.tasks))
 	}
 	if err := r.svc.RestoreSnapshot(ck.Service); err != nil {
-		return ReplayResult{}, err
+		return sim.Result{}, err
 	}
 	if err := cp.Restore(ck.Policy); err != nil {
-		return ReplayResult{}, err
+		return sim.Result{}, err
 	}
 	for i, ts := range ck.Tasks {
 		t := r.tasks[i]
 		if ts.Job != t.wj.ID {
-			return ReplayResult{}, fmt.Errorf("cluster: checkpoint task %d is job %d, trace has job %d", i, ts.Job, t.wj.ID)
+			return sim.Result{}, fmt.Errorf("cluster: checkpoint task %d is job %d, trace has job %d", i, ts.Job, t.wj.ID)
 		}
 		switch {
 		case !ts.Arrived:
@@ -477,10 +439,10 @@ func ResumeReplay(trace workload.Trace, policy sched.Policy, cfg ReplayConfig, c
 			r.done++
 		default:
 			if ts.Trainer == nil {
-				return ReplayResult{}, fmt.Errorf("cluster: checkpoint task %d arrived but has no trainer state", i)
+				return sim.Result{}, fmt.Errorf("cluster: checkpoint task %d arrived but has no trainer state", i)
 			}
 			if err := t.tr.restore(r.trans, ts.Trainer); err != nil {
-				return ReplayResult{}, err
+				return sim.Result{}, err
 			}
 			if ts.Finished {
 				t.finish = ts.Finish
@@ -497,7 +459,7 @@ func ResumeReplay(trace workload.Trace, policy sched.Policy, cfg ReplayConfig, c
 	}
 	r.q.Push(eventsim.Event{Time: ck.NextSched, Class: eventsim.ClassCluster, Kind: kindSched})
 	if _, err := r.drive(nil); err != nil {
-		return ReplayResult{}, err
+		return sim.Result{}, err
 	}
 	return r.result(), nil
 }

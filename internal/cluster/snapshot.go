@@ -20,6 +20,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/detrand"
 	"repro/internal/ga"
+	"repro/internal/sim"
 )
 
 // JobSnapshot is one registered job's service-side state: its latest
@@ -153,6 +154,7 @@ type TrainerSnapshot struct {
 	NextReport   float64
 	LastGen      int
 
+	EffSum  float64
 	TputSum float64
 	GoodSum float64
 	RunTime float64
@@ -167,19 +169,20 @@ func (t *Trainer) Snapshot() *TrainerSnapshot {
 	return &TrainerSnapshot{
 		Job:          t.Job,
 		Submit:       t.submit,
-		Progress:     t.progress,
-		GPUTime:      t.gpuTime,
-		Batch:        t.batch,
+		Progress:     t.job.Progress,
+		GPUTime:      t.job.GPUTime,
+		Batch:        t.job.Batch,
 		Done:         t.done,
 		RNG:          t.src.State(),
-		Agent:        t.ag.Snapshot(),
+		Agent:        t.job.Agent.Snapshot(),
 		SimNow:       t.simNow,
-		RestartUntil: t.restartUntil,
+		RestartUntil: t.job.RestartUntil,
 		NextReport:   t.nextReport,
 		LastGen:      t.lastGen,
-		TputSum:      t.tputSum,
-		GoodSum:      t.goodSum,
-		RunTime:      t.runTime,
+		EffSum:       t.job.EffSum,
+		TputSum:      t.job.TputSum,
+		GoodSum:      t.job.GoodSum,
+		RunTime:      t.job.RunTime,
 	}
 }
 
@@ -201,19 +204,20 @@ func (t *Trainer) restore(tr Transport, snap *TrainerSnapshot) error {
 	t.transport = tr
 	t.submit = snap.Submit
 	t.src = detrand.Restore(snap.RNG)
-	t.rng = rand.New(t.src)
-	t.ag = ag
 	t.simNow = snap.SimNow
-	t.restartUntil = snap.RestartUntil
 	t.nextReport = snap.NextReport
 	t.lastGen = snap.LastGen
-	t.tputSum = snap.TputSum
-	t.goodSum = snap.GoodSum
-	t.runTime = snap.RunTime
 	t.mu.Lock()
-	t.progress = snap.Progress
-	t.gpuTime = snap.GPUTime
-	t.batch = snap.Batch
+	t.job = sim.NewJob(t.Spec, rand.New(t.src), sim.DefaultNoiseFrac)
+	t.job.Agent = ag
+	t.job.Batch = snap.Batch
+	t.job.RestartUntil = snap.RestartUntil
+	t.job.Progress = snap.Progress
+	t.job.GPUTime = snap.GPUTime
+	t.job.EffSum = snap.EffSum
+	t.job.TputSum = snap.TputSum
+	t.job.GoodSum = snap.GoodSum
+	t.job.RunTime = snap.RunTime
 	t.done = snap.Done
 	t.mu.Unlock()
 	return nil

@@ -5,12 +5,11 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/agent"
-	"repro/internal/core"
 	"repro/internal/detrand"
 	"repro/internal/eventsim"
 	"repro/internal/models"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // trainerTick is the simulated seconds per control-loop step: the cadence
@@ -45,7 +44,9 @@ func (l Local) GetAllocation(job string) (Allocation, error) {
 // allocation, advances ground-truth training, profiles noisy
 // observations into its PolluxAgent, and reports the fitted goodput
 // function back to the scheduler — the full Sec. 4.3 agent loop. The
-// loop runs on the eventsim kernel: Run paces it against the wall clock
+// training itself is a sim.Job, the one the simulator's engines run,
+// stepped at trainerTick under the cluster clamp rule. The loop runs on
+// the eventsim kernel: Run paces it against the wall clock
 // under a compression factor (the live deployment), while the replay
 // engine drives many trainers' events through one shared queue on
 // virtual time (see Replay).
@@ -89,34 +90,30 @@ type Trainer struct {
 	Tenant   string
 	Deadline float64
 
-	mu       sync.Mutex
-	progress float64
-	gpuTime  float64
-	batch    int
-	done     bool
+	// mu orders the driving goroutine's writes to job and done with the
+	// accessors below, which any goroutine may call; the zero job of a
+	// trainer that has not begun reads as no progress at batch 0.
+	mu   sync.Mutex
+	job  sim.Job
+	done bool
 
-	// Control-loop state, touched only by the driving goroutine. The rng
-	// is backed by src, a counting source whose (seed, draws) state makes
-	// the trainer checkpointable without changing a single draw.
-	transport    Transport
-	submit       float64
-	src          *detrand.Source
-	rng          *rand.Rand
-	ag           *agent.Agent
-	simNow       float64
-	restartUntil float64
-	nextReport   float64
-	lastGen      int
-
-	// Accumulated run metrics for replay summaries.
-	tputSum, goodSum, runTime float64
+	// Control-loop state, touched only by the driving goroutine. The job's
+	// rng is backed by src, a counting source whose (seed, draws) state
+	// makes the trainer checkpointable without changing a single draw. The
+	// job's RestartUntil is on the trainer's own clock, like simNow.
+	transport  Transport
+	submit     float64
+	src        *detrand.Source
+	simNow     float64
+	nextReport float64
+	lastGen    int
 }
 
 // Progress returns the fraction of total work completed, in [0, 1].
 func (t *Trainer) Progress() float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := t.progress / t.Spec.TotalWork()
+	p := t.job.Progress / t.Spec.TotalWork()
 	if p > 1 {
 		p = 1
 	}
@@ -127,7 +124,7 @@ func (t *Trainer) Progress() float64 {
 func (t *Trainer) Batch() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.batch
+	return t.job.Batch
 }
 
 // Done reports completion.
@@ -175,44 +172,32 @@ func (t *Trainer) begin(tr Transport, submit float64) error {
 	t.transport = tr
 	t.submit = submit
 	t.src = detrand.NewSource(t.Seed)
-	t.rng = rand.New(t.src)
-	t.ag = agent.New(t.Spec.M0, t.Spec.Eta0, t.Spec.MaxBatchPerGPU, t.Spec.MaxBatchGlobal)
 	t.mu.Lock()
-	t.batch = t.Spec.M0
+	t.job = sim.NewJob(t.Spec, rand.New(t.src), sim.DefaultNoiseFrac)
 	if t.FixedBatch > 0 {
-		t.batch = t.FixedBatch
+		t.job.Batch = t.FixedBatch
 	}
 	t.mu.Unlock()
 	t.lastGen = -1
 	t.simNow = 0
-	t.restartUntil = 0
 	t.nextReport = 0
 	return t.report(false)
 }
 
 // report sends the agent's current goodput function and accounting.
 func (t *Trainer) report(done bool) error {
-	model := t.ag.Report()
+	model := t.job.Agent.Report()
 	var vec [7]float64
 	copy(vec[:], model.Params.Vector())
-	t.mu.Lock()
-	gpuTime := t.gpuTime
-	progress := t.progress
-	t.mu.Unlock()
 	remIters := 0.0
 	if t.UserBatch > 0 {
-		frac := progress / t.Spec.TotalWork()
-		if frac > 1 {
-			frac = 1
-		}
-		eff := core.Efficiency(t.Spec.Phi(frac), t.Spec.M0, t.UserBatch)
-		remIters = (t.Spec.TotalWork() - progress) / (eff * float64(t.UserBatch))
+		remIters = t.job.RemainingIters(t.UserBatch)
 	}
 	return t.transport.SubmitReport(Report{
 		Job: t.Job, Params: vec, Phi: model.Phi,
 		M0: model.M0, MaxBatchPerGPU: model.MaxBatchPerGPU,
 		MaxBatchGlobal: model.MaxBatchGlobal,
-		GPUCap:         t.ag.GPUCap(), GPUTime: gpuTime,
+		GPUCap:         t.job.Agent.GPUCap(), GPUTime: t.job.GPUTime,
 		UserGPUs: t.UserGPUs, UserBatch: t.UserBatch, RemainingIters: remIters,
 		Tenant: t.Tenant, Deadline: t.Deadline,
 		Submit: t.submit, Done: done,
@@ -229,26 +214,28 @@ func (t *Trainer) tick() (bool, error) {
 		return false, err
 	}
 	pl := sched.PlacementOf(alloc.Row)
+	t.mu.Lock()
+	t.job.Placement = pl
 	if alloc.Generation != t.lastGen {
 		t.lastGen = alloc.Generation
 		if pl.GPUs > 0 {
-			t.restartUntil = t.simNow + t.restartDelay()
+			t.job.RestartUntil = t.simNow + t.restartDelay()
 		}
 	}
-
-	if pl.GPUs > 0 && t.simNow >= t.restartUntil {
-		t.step(pl, trainerTick)
+	if m := t.job.ClusterBatch(); m > 0 && t.simNow >= t.job.RestartUntil {
+		t.job.Step(m, 0, trainerTick)
+		t.done = t.job.Finished()
 	}
+	t.mu.Unlock()
 	t.simNow += trainerTick
 
 	if t.simNow >= t.nextReport {
-		phi := t.Spec.Phi(t.Progress()) * (1 + 0.05*(t.rng.Float64()*2-1))
-		t.ag.SetPhi(phi)
-		t.ag.Refit()
+		t.job.ObservePhi()
+		t.job.Agent.Refit()
 		if t.FixedBatch == 0 && pl.GPUs > 0 {
-			b, _ := t.ag.TuneBatch(pl)
+			b, _ := t.job.Agent.TuneBatch(pl)
 			t.mu.Lock()
-			t.batch = b
+			t.job.Batch = b
 			t.mu.Unlock()
 		}
 		if err := t.report(false); err != nil {
@@ -257,7 +244,7 @@ func (t *Trainer) tick() (bool, error) {
 		t.nextReport += t.ReportEvery
 	}
 
-	if t.Done() {
+	if t.done {
 		return true, t.report(true)
 	}
 	return false, nil
@@ -296,33 +283,4 @@ func (t *Trainer) Run(network, addr string, submit float64) (float64, error) {
 		return true
 	})
 	return t.simNow, runErr
-}
-
-// step advances one tick of simulated training.
-func (t *Trainer) step(pl core.Placement, dt float64) {
-	t.mu.Lock()
-	m := t.batch
-	t.mu.Unlock()
-	if maxFit := pl.GPUs * t.Spec.MaxBatchPerGPU; m > maxFit {
-		m = maxFit
-	}
-	if m < t.Spec.M0 {
-		return
-	}
-	tIter := t.Spec.Truth.TIter(pl, float64(m))
-	tput := float64(m) / tIter
-	eff := core.Efficiency(t.Spec.Phi(t.Progress()), t.Spec.M0, m)
-	t.ag.RecordSample(pl, m, tIter*(1+0.05*(t.rng.Float64()*2-1)))
-
-	t.tputSum += tput * dt
-	t.goodSum += tput * eff * dt
-	t.runTime += dt
-
-	t.mu.Lock()
-	t.progress += tput * eff * dt
-	t.gpuTime += float64(pl.GPUs) * dt
-	if t.progress >= t.Spec.TotalWork() {
-		t.done = true
-	}
-	t.mu.Unlock()
 }

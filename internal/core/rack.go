@@ -21,12 +21,6 @@ type RackPlacement struct {
 	Racks int
 }
 
-// Valid reports whether the placement is physically meaningful.
-func (p RackPlacement) Valid() bool {
-	return p.GPUs >= 1 && p.Nodes >= 1 && p.Nodes <= p.GPUs &&
-		p.Racks >= 1 && p.Racks <= p.Nodes
-}
-
 // Flat drops rack information, mapping onto the paper's two-tier model.
 func (p RackPlacement) Flat() Placement {
 	return Placement{GPUs: p.GPUs, Nodes: p.Nodes}
@@ -37,24 +31,6 @@ type RackParams struct {
 	Params
 	AlphaSyncRack float64 // constant sync time when spanning racks (s)
 	BetaSyncRack  float64 // per-extra-replica retrogression across racks (s)
-}
-
-// Vector flattens the 9 parameters in canonical order (the 7 base
-// parameters followed by the rack pair).
-func (p RackParams) Vector() []float64 {
-	return append(p.Params.Vector(), p.AlphaSyncRack, p.BetaSyncRack)
-}
-
-// RackParamsFromVector is the inverse of RackParams.Vector.
-func RackParamsFromVector(v []float64) RackParams {
-	if len(v) != 9 {
-		panic("core: rack θsys vector must have 9 elements")
-	}
-	return RackParams{
-		Params:        ParamsFromVector(v[:7]),
-		AlphaSyncRack: v[7],
-		BetaSyncRack:  v[8],
-	}
 }
 
 // TSync returns the three-tier synchronization time: zero for one GPU,
@@ -133,89 +109,4 @@ func (g Model) OptimalBatchRack(rp RackParams, pl RackPlacement) (m int, goodput
 		return rp.Throughput(pl, float64(b)) * Efficiency(g.Phi, g.M0, b)
 	}, lo, hi)
 	return m, goodput, true
-}
-
-// RackSample is one observed (placement, batch, iteration time) triple
-// with rack information.
-type RackSample struct {
-	Placement RackPlacement
-	Batch     int
-	TIter     float64
-}
-
-// RackExploration extends Exploration with the rack span, freezing the
-// rack parameters at zero until a multi-rack placement has been observed.
-type RackExploration struct {
-	Exploration
-	MaxRacks int
-}
-
-// Observe widens the exploration extent.
-func (e *RackExploration) Observe(pl RackPlacement) {
-	e.Exploration.Observe(pl.Flat())
-	if pl.Racks > e.MaxRacks {
-		e.MaxRacks = pl.Racks
-	}
-}
-
-func (e RackExploration) fitBounds() opt.Bounds {
-	base := e.Exploration.fitBounds()
-	lo := append(base.Lower, 0, 0)
-	hi := append(base.Upper, 100, 10)
-	if e.MaxRacks <= 1 {
-		lo[7], hi[7] = 0, 0
-		lo[8], hi[8] = 0, 0
-	}
-	if e.MaxGPUs <= 2 {
-		lo[8], hi[8] = 0, 0
-	}
-	return opt.Bounds{Lower: lo, Upper: hi}
-}
-
-// RackRMSLE is the fitting loss for the rack-aware model.
-func RackRMSLE(p RackParams, samples []RackSample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range samples {
-		pred := p.TIter(s.Placement, float64(s.Batch))
-		d := math.Log(math.Max(pred, 1e-12)) - math.Log(math.Max(s.TIter, 1e-12))
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(samples)))
-}
-
-// FitRack estimates the 9-parameter rack-aware θsys by RMSLE minimization
-// under the exploration priors, mirroring Fit.
-func FitRack(samples []RackSample, prev RackParams, explored RackExploration) RackParams {
-	bounds := explored.fitBounds()
-	if len(samples) == 0 {
-		flat := make([]Sample, 0)
-		def := defaultParams(flat)
-		v := append(def.Vector(), 0, 0)
-		bounds.Clamp(v)
-		return RackParamsFromVector(v)
-	}
-
-	loss := func(v []float64) float64 {
-		return RackRMSLE(RackParamsFromVector(v), samples)
-	}
-
-	flat := make([]Sample, len(samples))
-	for i, s := range samples {
-		flat[i] = Sample{Placement: s.Placement.Flat(), Batch: s.Batch, TIter: s.TIter}
-	}
-	starts := make([][]float64, 0, 2)
-	if prev != (RackParams{}) {
-		pv := prev.Vector()
-		bounds.Clamp(pv)
-		starts = append(starts, pv)
-	}
-	dv := append(defaultParams(flat).Vector(), 0.01, 0.001)
-	bounds.Clamp(dv)
-	starts = append(starts, dv)
-
-	res := opt.MultiStart(loss, starts, bounds, opt.LBFGSBOptions{MaxIter: 200})
-	return RackParamsFromVector(res.X)
 }

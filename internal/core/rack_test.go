@@ -15,34 +15,6 @@ var refRack = RackParams{
 	BetaSyncRack:  0.010,
 }
 
-func TestRackPlacementValid(t *testing.T) {
-	cases := []struct {
-		pl   RackPlacement
-		want bool
-	}{
-		{RackPlacement{GPUs: 1, Nodes: 1, Racks: 1}, true},
-		{RackPlacement{GPUs: 8, Nodes: 2, Racks: 2}, true},
-		{RackPlacement{GPUs: 8, Nodes: 2, Racks: 3}, false}, // more racks than nodes
-		{RackPlacement{GPUs: 8, Nodes: 2, Racks: 0}, false},
-		{RackPlacement{GPUs: 1, Nodes: 2, Racks: 1}, false},
-	}
-	for _, c := range cases {
-		if got := c.pl.Valid(); got != c.want {
-			t.Errorf("%+v.Valid() = %v, want %v", c.pl, got, c.want)
-		}
-	}
-}
-
-func TestRackVectorRoundTrip(t *testing.T) {
-	v := refRack.Vector()
-	if len(v) != 9 {
-		t.Fatalf("vector len = %d, want 9", len(v))
-	}
-	if RackParamsFromVector(v) != refRack {
-		t.Error("round trip mismatch")
-	}
-}
-
 func TestRackTSyncTiers(t *testing.T) {
 	// Single GPU: no sync.
 	if ts := refRack.TSync(RackPlacement{GPUs: 1, Nodes: 1, Racks: 1}); ts != 0 {
@@ -104,94 +76,6 @@ func TestRackTIterBetweenMaxAndSum(t *testing.T) {
 	if err := quick.Check(prop, testutil.QuickConfig(300)); err != nil {
 		t.Error(err)
 	}
-}
-
-func genRackSamples(rng *rand.Rand, truth RackParams, noise float64) []RackSample {
-	var out []RackSample
-	pls := []RackPlacement{
-		{GPUs: 1, Nodes: 1, Racks: 1},
-		{GPUs: 2, Nodes: 1, Racks: 1},
-		{GPUs: 4, Nodes: 1, Racks: 1},
-		{GPUs: 8, Nodes: 2, Racks: 1},
-		{GPUs: 16, Nodes: 4, Racks: 1},
-		{GPUs: 16, Nodes: 4, Racks: 2},
-		{GPUs: 32, Nodes: 8, Racks: 2},
-		{GPUs: 32, Nodes: 8, Racks: 4},
-	}
-	for _, pl := range pls {
-		for _, m := range []int{128, 256, 512, 1024, 2048} {
-			ti := truth.TIter(pl, float64(m))
-			if noise > 0 {
-				ti *= 1 + noise*(rng.Float64()*2-1)
-			}
-			out = append(out, RackSample{Placement: pl, Batch: m, TIter: ti})
-		}
-	}
-	return out
-}
-
-func TestFitRackRecoversCleanData(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	samples := genRackSamples(rng, refRack, 0)
-	explored := RackExploration{
-		Exploration: Exploration{MaxGPUs: 32, MaxNodes: 8},
-		MaxRacks:    4,
-	}
-	got := FitRack(samples, RackParams{}, explored)
-	if r := RackRMSLE(got, samples); r > 0.03 {
-		t.Errorf("RMSLE = %v, want < 0.03", r)
-	}
-	// Held-out cross-rack prediction.
-	pl := RackPlacement{GPUs: 24, Nodes: 6, Racks: 3}
-	want := refRack.TIter(pl, 1536)
-	pred := got.TIter(pl, 1536)
-	if math.Abs(pred-want)/want > 0.2 {
-		t.Errorf("held-out TIter: pred %v vs truth %v", pred, want)
-	}
-}
-
-func TestFitRackFreezesRackParamsUntilExplored(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	truth := refRack
-	// Only single-rack samples observed.
-	var samples []RackSample
-	for _, s := range genRackSamples(rng, truth, 0) {
-		if s.Placement.Racks == 1 {
-			samples = append(samples, s)
-		}
-	}
-	explored := RackExploration{
-		Exploration: Exploration{MaxGPUs: 16, MaxNodes: 4},
-		MaxRacks:    1,
-	}
-	got := FitRack(samples, RackParams{}, explored)
-	if got.AlphaSyncRack != 0 || got.BetaSyncRack != 0 {
-		t.Errorf("rack params not frozen: %+v", got)
-	}
-}
-
-func TestFitRackEmptySamples(t *testing.T) {
-	got := FitRack(nil, RackParams{}, RackExploration{})
-	if got.AlphaSyncRack != 0 || got.AlphaSyncNode != 0 {
-		t.Errorf("empty fit should honor priors: %+v", got)
-	}
-}
-
-func TestRackExplorationObserve(t *testing.T) {
-	var e RackExploration
-	e.Observe(RackPlacement{GPUs: 8, Nodes: 4, Racks: 2})
-	if e.MaxGPUs != 8 || e.MaxNodes != 4 || e.MaxRacks != 2 {
-		t.Errorf("explored = %+v", e)
-	}
-}
-
-func TestRackParamsFromVectorPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on short vector")
-		}
-	}()
-	RackParamsFromVector(make([]float64, 7))
 }
 
 func TestDeriveRackParams(t *testing.T) {

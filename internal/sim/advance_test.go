@@ -22,7 +22,7 @@ func singleJobCluster(engine string) (*Cluster, *jobState) {
 	j := c.jobs[0]
 	j.submitted = true
 	j.alloc[0] = 4
-	j.pl = sched.PlacementOf(j.alloc)
+	j.Placement = sched.PlacementOf(j.alloc)
 	return c, j
 }
 
@@ -33,27 +33,27 @@ func singleJobCluster(engine string) (*Cluster, *jobState) {
 func TestClosedFormAdvanceIsAdditive(t *testing.T) {
 	one, jOne := singleJobCluster(EngineEvent)
 	many, jMany := singleJobCluster(EngineEvent)
-	one.recomputeRate(jOne)
-	many.recomputeRate(jMany)
+	jOne.freeze(jOne.ClusterBatch(), 0, one.cfg.AgentInterval)
+	jMany.freeze(jMany.ClusterBatch(), 0, many.cfg.AgentInterval)
 	if jOne.rate.good <= 0 {
 		t.Fatal("job has no training rate")
 	}
 
-	one.advanceJobTo(jOne, 300)
+	jOne.advanceTo(300, one.cfg.Tick)
 	for step := 1; step <= 100; step++ {
-		many.advanceJobTo(jMany, float64(step)*3)
+		jMany.advanceTo(float64(step)*3, many.cfg.Tick)
 	}
 
-	if d := math.Abs(jOne.progress/jMany.progress - 1); d > 1e-9 {
+	if d := math.Abs(jOne.Progress/jMany.Progress - 1); d > 1e-9 {
 		t.Errorf("single jump progress %v vs subdivided %v (rel diff %v)",
-			jOne.progress, jMany.progress, d)
+			jOne.Progress, jMany.Progress, d)
 	}
 	//pollux:floateq-ok run time accumulates the same exact tick deltas either way; equality is exact by construction
-	if jOne.runTime != jMany.runTime {
-		t.Errorf("runTime: single %v vs subdivided %v", jOne.runTime, jMany.runTime)
+	if jOne.RunTime != jMany.RunTime {
+		t.Errorf("runTime: single %v vs subdivided %v", jOne.RunTime, jMany.RunTime)
 	}
-	if d := math.Abs(jOne.gpuTime/jMany.gpuTime - 1); d > 1e-9 {
-		t.Errorf("gpuTime: single %v vs subdivided %v", jOne.gpuTime, jMany.gpuTime)
+	if d := math.Abs(jOne.GPUTime/jMany.GPUTime - 1); d > 1e-9 {
+		t.Errorf("gpuTime: single %v vs subdivided %v", jOne.GPUTime, jMany.GPUTime)
 	}
 }
 
@@ -66,22 +66,22 @@ func TestClosedFormAdvanceMatchesTickAccumulation(t *testing.T) {
 	ev, jEv := singleJobCluster(EngineEvent)
 	tk, jTk := singleJobCluster(EngineTick)
 
-	ev.recomputeRate(jEv)
-	ev.advanceJobTo(jEv, 30)
+	jEv.freeze(jEv.ClusterBatch(), 0, ev.cfg.AgentInterval)
+	jEv.advanceTo(30, ev.cfg.Tick)
 
 	for tk.now = 0; tk.now < 30; tk.now += tk.cfg.Tick {
 		tk.advance(tk.cfg.Tick)
 	}
 
-	if jEv.progress <= 0 || jTk.progress <= 0 {
-		t.Fatalf("no progress: event %v tick %v", jEv.progress, jTk.progress)
+	if jEv.Progress <= 0 || jTk.Progress <= 0 {
+		t.Fatalf("no progress: event %v tick %v", jEv.Progress, jTk.Progress)
 	}
-	if d := math.Abs(jEv.progress/jTk.progress - 1); d > 0.005 {
+	if d := math.Abs(jEv.Progress/jTk.Progress - 1); d > 0.005 {
 		t.Errorf("closed-form progress %v vs tick accumulation %v (rel diff %v)",
-			jEv.progress, jTk.progress, d)
+			jEv.Progress, jTk.Progress, d)
 	}
-	if d := math.Abs(jEv.runTime - jTk.runTime); d > 1e-9 {
-		t.Errorf("runTime: event %v vs tick %v", jEv.runTime, jTk.runTime)
+	if d := math.Abs(jEv.RunTime - jTk.RunTime); d > 1e-9 {
+		t.Errorf("runTime: event %v vs tick %v", jEv.RunTime, jTk.RunTime)
 	}
 }
 
@@ -90,26 +90,26 @@ func TestClosedFormAdvanceMatchesTickAccumulation(t *testing.T) {
 // time.
 func TestClosedFormAdvanceExcludesRestartPause(t *testing.T) {
 	c, j := singleJobCluster(EngineEvent)
-	c.recomputeRate(j)
+	j.freeze(j.ClusterBatch(), 0, c.cfg.AgentInterval)
 	good := j.rate.good
 
-	j.restartUntil = 100
-	c.advanceJobTo(j, 300)
+	j.RestartUntil = 100
+	j.advanceTo(300, c.cfg.Tick)
 
-	if j.runTime != 200 {
-		t.Errorf("runTime = %v, want 200 (300s minus 100s pause)", j.runTime)
+	if j.RunTime != 200 {
+		t.Errorf("runTime = %v, want 200 (300s minus 100s pause)", j.RunTime)
 	}
-	if d := math.Abs(j.progress - good*200); d > 1e-6 {
-		t.Errorf("progress = %v, want rate*200 = %v", j.progress, good*200)
+	if d := math.Abs(j.Progress - good*200); d > 1e-6 {
+		t.Errorf("progress = %v, want rate*200 = %v", j.Progress, good*200)
 	}
 
 	// A pause covering the whole interval freezes the job entirely.
 	c2, j2 := singleJobCluster(EngineEvent)
-	c2.recomputeRate(j2)
-	j2.restartUntil = 1000
-	c2.advanceJobTo(j2, 300)
-	if j2.progress != 0 || j2.runTime != 0 {
-		t.Errorf("paused job advanced: progress=%v runTime=%v", j2.progress, j2.runTime)
+	j2.freeze(j2.ClusterBatch(), 0, c2.cfg.AgentInterval)
+	j2.RestartUntil = 1000
+	j2.advanceTo(300, c2.cfg.Tick)
+	if j2.Progress != 0 || j2.RunTime != 0 {
+		t.Errorf("paused job advanced: progress=%v runTime=%v", j2.Progress, j2.RunTime)
 	}
 	if j2.lastT != 300 {
 		t.Errorf("paused job lastT = %v, want re-anchored to 300", j2.lastT)
@@ -121,28 +121,28 @@ func TestClosedFormAdvanceExcludesRestartPause(t *testing.T) {
 // computed from the jumped noise scale with no boundary-straddling error.
 func TestEventEngineSnapsDecayBoundaries(t *testing.T) {
 	c, j := singleJobCluster(EngineEvent)
-	c.recomputeRate(j)
+	j.freeze(j.ClusterBatch(), 0, c.cfg.AgentInterval)
 	if j.rate.good <= 0 {
 		t.Fatal("no rate")
 	}
-	total := j.spec.TotalWork()
-	if len(j.spec.Decays) == 0 {
+	total := j.Spec.TotalWork()
+	if len(j.Spec.Decays) == 0 {
 		t.Fatal("spec has no decay milestones")
 	}
-	first := j.spec.Decays[0].Progress * total
+	first := j.Spec.Decays[0].Progress * total
 
 	// The milestone target is the first decay boundary, not completion.
 	//pollux:floateq-ok the target is computed from the same decay-boundary product; any difference is a real bug
-	if got := nextMilestoneTarget(j.spec, j.progress); got != first {
-		t.Errorf("nextMilestoneTarget = %v, want first decay boundary %v", got, first)
+	if got := j.nextMilestone(); got != first {
+		t.Errorf("nextMilestone = %v, want first decay boundary %v", got, first)
 	}
 
 	// Far-future milestones are not pushed: they are guaranteed to be
 	// superseded at the next rate refresh, so pushing them would only
 	// accumulate dead events on long traces.
 	var q eventsim.Queue
-	c.schedulePrediction(&q, j)
-	if wantT := (first - j.progress) / j.rate.good; wantT > c.cfg.AgentInterval {
+	j.predict(&q, c.now, c.cfg.AgentInterval, j.wj.ID, evMilestone)
+	if wantT := (first - j.Progress) / j.rate.good; wantT > c.cfg.AgentInterval {
 		if q.Len() != 0 {
 			t.Errorf("milestone %vs away pushed despite refresh horizon %vs", wantT, c.cfg.AgentInterval)
 		}
@@ -150,8 +150,8 @@ func TestEventEngineSnapsDecayBoundaries(t *testing.T) {
 
 	// Start the job just below the boundary: the milestone is now within
 	// the refresh horizon and must land exactly on it.
-	j.progress = first - j.rate.good*c.cfg.AgentInterval/2
-	c.schedulePrediction(&q, j)
+	j.Progress = first - j.rate.good*c.cfg.AgentInterval/2
+	j.predict(&q, c.now, c.cfg.AgentInterval, j.wj.ID, evMilestone)
 	e, ok := q.Pop()
 	if !ok {
 		t.Fatal("no milestone scheduled for near boundary")
@@ -160,7 +160,7 @@ func TestEventEngineSnapsDecayBoundaries(t *testing.T) {
 	if j.predTarget != first {
 		t.Errorf("predTarget = %v, want first decay boundary %v", j.predTarget, first)
 	}
-	wantT := c.now + (first-j.progress)/j.rate.good
+	wantT := c.now + (first-j.Progress)/j.rate.good
 	if math.Abs(e.Time-wantT) > 1e-9*math.Max(wantT, 1) {
 		t.Errorf("milestone time %v, want %v", e.Time, wantT)
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/agent"
 	"repro/internal/core"
+	"repro/internal/eventsim"
 	"repro/internal/models"
 	"repro/internal/sched"
 )
@@ -53,7 +53,7 @@ func (c *AutoscaleConfig) defaults() {
 		c.MinNodes = 1
 	}
 	if c.MaxNodes < c.MinNodes {
-		c.MaxNodes = 16
+		c.MaxNodes = max(16, c.MinNodes)
 	}
 	if c.Interval <= 0 {
 		c.Interval = 60
@@ -74,7 +74,7 @@ func (c *AutoscaleConfig) defaults() {
 	if c.NoiseFrac < 0 {
 		c.NoiseFrac = 0
 	} else if c.NoiseFrac == 0 {
-		c.NoiseFrac = 0.05
+		c.NoiseFrac = DefaultNoiseFrac
 	}
 	if c.Tick <= 0 {
 		c.Tick = 1
@@ -116,133 +116,219 @@ type AutoscaleResult struct {
 // the original fixed-step loop.
 func RunAutoscale(spec *models.Spec, scaler sched.Autoscaler, cfg AutoscaleConfig) AutoscaleResult {
 	cfg.defaults()
-	if cfg.Engine == EngineTick {
-		return runAutoscaleTick(spec, scaler, cfg)
+	r := &autoscaleRun{
+		cfg:    cfg,
+		scaler: scaler,
+		job:    NewJob(spec, rand.New(rand.NewSource(cfg.Seed)), cfg.NoiseFrac),
+		paid:   cfg.MinNodes,
 	}
-	return runAutoscaleEvent(spec, scaler, cfg)
+	r.place(cfg.MinNodes)
+	if cfg.Engine == EngineTick {
+		r.runTick()
+	} else {
+		r.runEvent()
+	}
+	if !r.res.Completed {
+		r.res.CompletionTime = cfg.MaxTime
+	}
+	return r.res
 }
 
-// runAutoscaleTick is the fixed-step single-job autoscaling loop, kept as
-// the parity oracle for runAutoscaleEvent.
-func runAutoscaleTick(spec *models.Spec, scaler sched.Autoscaler, cfg AutoscaleConfig) AutoscaleResult {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ag := agent.New(spec.M0, spec.Eta0, spec.MaxBatchPerGPU, spec.MaxBatchGlobal)
+// autoscaleRun is what the two single-job loops share: the job, and the
+// nodes it trains on, pays for and waits for. The loops differ only in how
+// time passes between the four things that happen — provisioning
+// completion, agent round, scaling decision, sample — which they run in
+// that order at one instant.
+type autoscaleRun struct {
+	cfg    AutoscaleConfig
+	scaler sched.Autoscaler
+	job    Job
+	res    AutoscaleResult
 
-	var res AutoscaleResult
-	nodesReady := cfg.MinNodes // nodes currently usable
-	nodesPaid := cfg.MinNodes  // nodes being paid for (incl. provisioning)
-	provisionAt := -1.0        // when provisioning nodes become ready
-	provisioning := 0
+	ready        int     // nodes the job trains on
+	paid         int     // nodes being paid for (ready + provisioning)
+	provisioning int     // nodes requested and not yet ready
+	provisionAt  float64 // when they become ready
+}
 
-	batch := spec.M0
-	progress := 0.0
-	restartUntil := 0.0
-	nextDecision := 0.0
-	nextAgent := 0.0
-	nextSample := 0.0
+// place puts the job on n whole nodes.
+func (r *autoscaleRun) place(n int) {
+	r.ready = n
+	r.job.Placement = core.Placement{GPUs: n * r.cfg.GPUsPerNode, Nodes: n}
+}
 
-	placement := func(n int) core.Placement {
-		return core.Placement{GPUs: n * cfg.GPUsPerNode, Nodes: n}
+// provisioned lets requested nodes that are due join the job, at the cost
+// of a restart, and reports whether any did. The due check matters when
+// scale-ups overlap (ProvisionDelay > Interval): a later request pushes
+// provisionAt out, and the earlier request's completion must not promote
+// the combined batch early.
+func (r *autoscaleRun) provisioned(now float64) bool {
+	if r.provisioning == 0 || now < r.provisionAt {
+		return false
 	}
+	r.place(r.ready + r.provisioning)
+	r.provisioning = 0
+	r.job.RestartUntil = now + r.cfg.RestartDelay
+	return true
+}
 
-	for now := 0.0; now < cfg.MaxTime; now += cfg.Tick {
-		frac := progress / spec.TotalWork()
+// agentRound is agent profiling and tuning: Refit runs the (possibly
+// warm-started) fit when one is due.
+func (r *autoscaleRun) agentRound() {
+	j := &r.job
+	j.ObservePhi()
+	j.Agent.Refit()
+	if r.cfg.AdaptBatchGoodput {
+		j.Batch, _ = j.Agent.TuneBatch(j.Placement)
+	} else {
+		j.Batch = sched.ThroughputOptimalBatch(j.Agent.Report(), j.Placement)
+	}
+}
 
-		// Finish provisioning.
-		if provisioning > 0 && now >= provisionAt {
-			nodesReady += provisioning
-			provisioning = 0
-			restartUntil = now + cfg.RestartDelay
+// decide runs one autoscaling decision. Nodes it requests are paid for at
+// once and join after ProvisionDelay; nodes it releases go immediately, at
+// the cost of a restart.
+func (r *autoscaleRun) decide(now float64) (requested, released bool) {
+	cfg, ag := r.cfg, r.job.Agent
+	want := r.scaler.DesiredNodes(ag.Report(), cfg.GPUsPerNode)
+	if cfg.RespectExploreCap {
+		if cap := ag.GPUCap() / cfg.GPUsPerNode; want > cap && cap >= cfg.MinNodes {
+			want = cap
 		}
+	}
+	if want < cfg.MinNodes {
+		want = cfg.MinNodes
+	}
+	if want > cfg.MaxNodes {
+		want = cfg.MaxNodes
+	}
+	switch {
+	case want > r.ready+r.provisioning:
+		add := want - r.ready - r.provisioning
+		r.provisioning += add
+		r.paid += add
+		r.provisionAt = now + cfg.ProvisionDelay
+		return true, false
+	case want < r.ready:
+		r.place(want)
+		r.paid = want + r.provisioning
+		r.job.RestartUntil = now + cfg.RestartDelay
+		return false, true
+	}
+	return false, false
+}
 
-		// Agent profiling and tuning: Refit runs the (possibly
-		// warm-started) fit when one is due.
+// sample records one point of the Fig. 10 time series.
+func (r *autoscaleRun) sample(now float64) {
+	j := &r.job
+	r.res.Points = append(r.res.Points, AutoscalePoint{
+		Time: now, Nodes: r.paid, Batch: j.Batch, Efficiency: j.Efficiency(j.SingleJobBatch()),
+	})
+}
+
+// runTick is the fixed-step loop, kept as the parity oracle for runEvent.
+func (r *autoscaleRun) runTick() {
+	cfg, j := r.cfg, &r.job
+	nextAgent, nextDecision, nextSample := 0.0, 0.0, 0.0
+	for now := 0.0; now < cfg.MaxTime; now += cfg.Tick {
+		r.provisioned(now)
 		if now >= nextAgent {
-			phi := spec.Phi(frac) * (1 + cfg.NoiseFrac*(rng.Float64()*2-1))
-			ag.SetPhi(phi)
-			ag.Refit()
-			pl := placement(nodesReady)
-			if cfg.AdaptBatchGoodput {
-				batch, _ = ag.TuneBatch(pl)
-			} else {
-				batch = sched.ThroughputOptimalBatch(ag.Report(), pl)
-			}
+			r.agentRound()
 			nextAgent += cfg.AgentInterval
 		}
-
-		// Autoscaling decision.
 		if now >= nextDecision {
-			model := ag.Report()
-			want := scaler.DesiredNodes(model, cfg.GPUsPerNode)
-			if cfg.RespectExploreCap {
-				if cap := ag.GPUCap() / cfg.GPUsPerNode; want > cap && cap >= cfg.MinNodes {
-					want = cap
-				}
-			}
-			if want < cfg.MinNodes {
-				want = cfg.MinNodes
-			}
-			if want > cfg.MaxNodes {
-				want = cfg.MaxNodes
-			}
-			if want > nodesReady+provisioning {
-				add := want - nodesReady - provisioning
-				provisioning += add
-				nodesPaid += add
-				provisionAt = now + cfg.ProvisionDelay
-			} else if want < nodesReady {
-				nodesReady = want
-				nodesPaid = want + provisioning
-				restartUntil = now + cfg.RestartDelay
-			}
+			r.decide(now)
 			nextDecision += cfg.Interval
 		}
-
-		// Record the time series.
-		pl := placement(nodesReady)
-		eff := core.Efficiency(spec.Phi(frac), spec.M0, clampBatch(spec, batch, pl))
 		if now >= nextSample {
-			res.Points = append(res.Points, AutoscalePoint{
-				Time: now, Nodes: nodesPaid, Batch: batch, Efficiency: eff,
-			})
+			r.sample(now)
 			nextSample += cfg.SamplePeriod
 		}
-
 		// Pay for all held nodes.
-		res.CostNodeSeconds += float64(nodesPaid) * cfg.Tick
-
-		// Train.
-		if now >= restartUntil {
-			m := clampBatch(spec, batch, pl)
-			tIter := spec.Truth.TIter(pl, float64(m))
-			tput := float64(m) / tIter
-			progress += tput * eff * cfg.Tick
-			noisy := tIter * (1 + cfg.NoiseFrac*(rng.Float64()*2-1))
-			ag.RecordSample(pl, m, noisy)
-			if progress >= spec.TotalWork() {
-				res.CompletionTime = now + cfg.Tick
-				res.Completed = true
-				break
+		r.res.CostNodeSeconds += float64(r.paid) * cfg.Tick
+		if now >= j.RestartUntil {
+			j.Step(j.SingleJobBatch(), 0, cfg.Tick)
+			if j.Finished() {
+				r.res.CompletionTime, r.res.Completed = now+cfg.Tick, true
+				return
 			}
 		}
 	}
-	if !res.Completed {
-		res.CompletionTime = cfg.MaxTime
-	}
-	return res
 }
 
-// clampBatch restricts a batch to the placement's memory and the model's
-// limits, never below m0.
-func clampBatch(spec *models.Spec, batch int, pl core.Placement) int {
-	if max := pl.GPUs * spec.MaxBatchPerGPU; batch > max {
-		batch = max
+// Event kinds of runEvent, in intra-instant execution order (matching the
+// fixed-step loop's per-tick sequence).
+const (
+	asProvision = iota // requested nodes join the cluster
+	asAgent            // agent profiling/tuning round
+	asDecision         // autoscaler decision round
+	asSample           // time-series sample for the Fig. 10 plot
+	asMilestone        // predicted decay crossing or training completion
+)
+
+// runEvent is the discrete-event loop: progress advances in closed form
+// between events, and the rate is re-frozen (and the next milestone
+// predicted again) at every event that can change it.
+func (r *autoscaleRun) runEvent() {
+	cfg, j := r.cfg, &r.job
+	var q eventsim.Queue
+	cluster := func(t float64, kind int) {
+		q.Push(eventsim.Event{Time: t, Class: eventsim.ClassCluster, Kind: kind})
 	}
-	if spec.MaxBatchGlobal > 0 && batch > spec.MaxBatchGlobal {
-		batch = spec.MaxBatchGlobal
+	refresh := func(now float64) {
+		j.freeze(j.SingleJobBatch(), 0, cfg.AgentInterval)
+		j.predict(&q, now, cfg.AgentInterval, 0, asMilestone)
 	}
-	if batch < spec.M0 {
-		batch = spec.M0
+	cluster(0, asAgent)
+	cluster(0, asDecision)
+	cluster(0, asSample)
+
+	lastCost := 0.0 // time the node-seconds integral was advanced to
+	pay := func(t float64) {
+		r.res.CostNodeSeconds += float64(r.paid) * (t - lastCost)
+		lastCost = t
 	}
-	return batch
+	eventsim.Drive(&q, eventsim.Virtual{}, 0, func(e eventsim.Event) bool {
+		now := e.Time
+		if now > cfg.MaxTime {
+			return false
+		}
+		pay(now)
+		j.advanceTo(now, cfg.Tick)
+
+		switch e.Kind {
+		case asProvision:
+			if r.provisioned(now) {
+				refresh(now)
+			}
+		case asAgent:
+			r.agentRound()
+			refresh(now)
+			cluster(now+cfg.AgentInterval, asAgent)
+		case asDecision:
+			switch requested, released := r.decide(now); {
+			case requested:
+				cluster(r.provisionAt, asProvision)
+			case released:
+				refresh(now)
+			}
+			cluster(now+cfg.Interval, asDecision)
+		case asSample:
+			r.sample(now)
+			cluster(now+cfg.SamplePeriod, asSample)
+		case asMilestone:
+			if !j.reach(e, cfg.Tick) {
+				break
+			}
+			if j.Finished() {
+				r.res.CompletionTime, r.res.Completed = now, true
+				return false
+			}
+			refresh(now) // phi jumps at the decay boundary
+		}
+		return true
+	})
+	if !r.res.Completed && lastCost < cfg.MaxTime {
+		pay(cfg.MaxTime)
+	}
 }

@@ -123,29 +123,42 @@ func TestAutoscaleEfficiencyHigherForGoodput(t *testing.T) {
 
 func TestAutoscaleRespectsNodeBounds(t *testing.T) {
 	spec := scaledDownImagenet()
-	cfg := autoscaleCfg(true)
-	cfg.MinNodes, cfg.MaxNodes = 2, 6
-	res := RunAutoscale(spec, sched.NewGoodputAutoscaler(2, 6, 0.55, 0.75), cfg)
-	for _, p := range res.Points {
-		if p.Nodes < 2 || p.Nodes > 6 {
-			t.Errorf("t=%v nodes=%d outside [2, 6]", p.Time, p.Nodes)
+	for _, c := range []struct{ cfgMin, cfgMax, lo, hi int }{
+		{2, 6, 2, 6},
+		// A maximum left unset defaults to 16 but never below the minimum.
+		{20, 0, 20, 20},
+	} {
+		cfg := autoscaleCfg(true)
+		cfg.MinNodes, cfg.MaxNodes = c.cfgMin, c.cfgMax
+		res := RunAutoscale(spec, sched.NewGoodputAutoscaler(c.lo, c.hi, 0.55, 0.75), cfg)
+		for _, p := range res.Points {
+			if p.Nodes < c.lo || p.Nodes > c.hi {
+				t.Errorf("MinNodes %d MaxNodes %d: t=%v nodes=%d outside [%d, %d]",
+					c.cfgMin, c.cfgMax, p.Time, p.Nodes, c.lo, c.hi)
+			}
 		}
 	}
 }
 
+// TestClampBatch: the two clamp rules agree on a batch too large for the
+// placement's memory and differ on one below m0, which single-job
+// autoscaling raises to m0 and the cluster cannot run.
 func TestClampBatch(t *testing.T) {
 	spec := models.ByName("resnet50")
-	pl := placementFor(2, 4)
-	if got := clampBatch(spec, 1<<20, pl); got != 8*spec.MaxBatchPerGPU {
-		t.Errorf("clamp to memory: %d, want %d", got, 8*spec.MaxBatchPerGPU)
+	j := NewJob(spec, nil, 0)
+	j.Placement = core.Placement{GPUs: 8, Nodes: 2}
+	j.Batch = 1 << 20
+	if got, want := j.SingleJobBatch(), 8*spec.MaxBatchPerGPU; got != want {
+		t.Errorf("single-job clamp to memory: %d, want %d", got, want)
 	}
-	if got := clampBatch(spec, 1, pl); got != spec.M0 {
-		t.Errorf("clamp up to m0: %d, want %d", got, spec.M0)
+	if got, want := j.ClusterBatch(), 8*spec.MaxBatchPerGPU; got != want {
+		t.Errorf("cluster clamp to memory: %d, want %d", got, want)
 	}
-}
-
-func placementFor(nodes, perNode int) (pl core.Placement) {
-	pl.GPUs = nodes * perNode
-	pl.Nodes = nodes
-	return pl
+	j.Batch = 1
+	if got := j.SingleJobBatch(); got != spec.M0 {
+		t.Errorf("single-job clamp up to m0: %d, want %d", got, spec.M0)
+	}
+	if got := j.ClusterBatch(); got != 0 {
+		t.Errorf("cluster rule ran a batch below m0 at %d", got)
+	}
 }

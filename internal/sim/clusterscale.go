@@ -71,9 +71,9 @@ func (c *Cluster) autoscaleTick() {
 	for _, j := range act {
 		view.Jobs = append(view.Jobs, sched.JobView{
 			ID:      j.wj.ID,
-			Model:   j.agent.Report(),
-			GPUCap:  j.agent.GPUCap(),
-			GPUTime: j.gpuTime,
+			Model:   j.Agent.Report(),
+			GPUCap:  j.Agent.GPUCap(),
+			GPUTime: j.GPUTime,
 		})
 	}
 	want := pollux.DesiredClusterNodes(view, as.MinNodes, as.MaxNodes, as.LowUtil, as.HighUtil)
@@ -97,9 +97,9 @@ func (c *Cluster) autoscaleTick() {
 				}
 			}
 			if changed {
-				j.pl = sched.PlacementOf(j.alloc)
-				if j.pl.GPUs > 0 {
-					j.restartUntil = c.now + c.cfg.RestartDelay
+				j.Placement = sched.PlacementOf(j.alloc)
+				if j.Placement.GPUs > 0 {
+					j.RestartUntil = c.now + c.cfg.RestartDelay
 				}
 			}
 		}

@@ -1,12 +1,6 @@
 package sim
 
-import (
-	"math"
-
-	"repro/internal/core"
-	"repro/internal/eventsim"
-	"repro/internal/models"
-)
+import "repro/internal/eventsim"
 
 // Event kinds for the cluster event engine, in intra-instant execution
 // order within each eventsim class. At one timestamp the agent round runs
@@ -23,19 +17,6 @@ const (
 	evRestart   // checkpoint-restart delay expiry
 	evMilestone // predicted decay-boundary crossing or job finish
 )
-
-// jobRate is a job's training rate frozen at the most recent event. The
-// engine advances progress in closed form, progress += good * dt, between
-// events; every cluster event recomputes the rate from the job's current
-// state, so the rate is piecewise-constant over intervals of at most
-// AgentInterval.
-type jobRate struct {
-	m     int     // effective batch size after placement clamping
-	tIter float64 // true seconds per iteration (incl. interference)
-	tput  float64 // examples per second
-	eff   float64 // statistical efficiency at the freeze point
-	good  float64 // goodput = tput * eff, in m0-equivalent examples/s
-}
 
 // runEvent is the discrete-event engine: the clock jumps between pending
 // events — job arrivals, agent report/tune rounds, scheduling rounds,
@@ -76,7 +57,6 @@ func (c *Cluster) runEvent() Result {
 			// matching submitArrivals' trace order, so the admission
 			// stage sees arrivals identically under both paths.
 			c.submitJob(j)
-			j.lastT = c.now
 
 		case evAgent:
 			// Cluster events pop before job events at equal timestamps,
@@ -116,30 +96,23 @@ func (c *Cluster) runEvent() Result {
 			})
 
 		case evRestart:
-			// Semantically redundant: advanceJobTo already excludes the
+			// Semantically redundant: Job.advanceTo already excludes the
 			// pause window from every segment, and the rate is unchanged
 			// across it (progress was frozen), so this re-anchor changes
 			// nothing. It is kept as an explicit event so restart-delay
 			// expiries appear on the timeline like every other state
 			// boundary; the cost is one heap entry per re-allocation.
-			c.advanceJobTo(byID[e.Job], c.now)
+			byID[e.Job].advanceTo(c.now, cfg.Tick)
 
 		case evMilestone:
 			j := byID[e.Job]
-			if e.Version != j.version || j.done {
+			if j.done || !j.reach(e, cfg.Tick) {
 				break // stale prediction, superseded by a later event
 			}
-			c.advanceJobTo(j, c.now)
-			// The event time was computed so the frozen rate lands exactly
-			// on the target; snap away the floating-point residue.
-			j.progress = j.predTarget
-			if j.predTarget >= j.spec.TotalWork() {
-				c.finishJob(j)
+			if j.Finished() {
+				c.finishJob(j, c.now)
 			} else {
-				// Learning-rate decay boundary: phi jumps here, so the
-				// rate and the next milestone must be recomputed.
-				c.recomputeRate(j)
-				c.schedulePrediction(&q, j)
+				c.refreshPrediction(&q, j) // decay boundary: phi jumped
 			}
 		}
 
@@ -170,109 +143,16 @@ func (c *Cluster) integrateCost(t float64) {
 func (c *Cluster) advanceAll() {
 	for _, j := range c.jobs {
 		if j.submitted && !j.done {
-			c.advanceJobTo(j, c.now)
+			j.advanceTo(c.now, c.cfg.Tick)
 		}
 	}
 }
 
-// advanceJobTo advances one job's progress and accounting in closed form
-// from its frozen rate, excluding any portion of the interval spent in a
-// checkpoint-restart pause. The whole segment is profiled as the
-// equivalent number of per-tick observations the tick engine would have
-// recorded, with the measurement noise of their mean (one uniform draw
-// scaled by 1/sqrt(n) has the same variance as the mean of n draws), so
-// the agent sees statistically identical profiling either way.
-func (c *Cluster) advanceJobTo(j *jobState, t float64) {
-	if t <= j.lastT {
-		return
-	}
-	start := j.lastT
-	if j.restartUntil > start {
-		start = j.restartUntil
-		if start >= t {
-			j.lastT = t
-			return
-		}
-	}
-	dt := t - start
-	if j.rate.good > 0 {
-		j.progress += j.rate.good * dt
-		j.gpuTime += float64(j.pl.GPUs) * dt
-		j.effSum += j.rate.eff * dt
-		j.tputSum += j.rate.tput * dt
-		j.goodSum += j.rate.good * dt
-		j.exampleSum += j.rate.tput * dt
-		j.runTime += dt
-		n := observationCount(dt, c.cfg.Tick)
-		noisy := j.rate.tIter * (1 + c.cfg.NoiseFrac*(c.rng.Float64()*2-1)/sqrtN(n))
-		j.agent.RecordSampleN(j.pl, j.rate.m, noisy, n)
-	}
-	j.lastT = t
-}
-
-// recomputeRate freezes the job's current training rate, applying the
-// same placement clamping and interference slowdown as the tick engine's
-// per-tick advance. The statistical efficiency drifts with progress as
-// the noise scale grows, so instead of the left-endpoint value the rate
-// uses a midpoint estimate: efficiency evaluated at the progress the job
-// will have reached half a refresh interval ahead (rates are re-frozen
-// at least every AgentInterval), clamped at the next decay boundary so
-// the jump there is never smeared backwards.
-func (c *Cluster) recomputeRate(j *jobState) {
-	j.rate = jobRate{}
-	if !j.submitted || j.done || j.pl.GPUs == 0 {
-		return
-	}
-	m := j.batch
-	if maxFit := j.pl.GPUs * j.spec.MaxBatchPerGPU; m > maxFit {
-		m = maxFit
-	}
-	if m < j.spec.M0 {
-		return // cannot run: initial batch does not fit
-	}
-	tIter := j.spec.Truth.TIter(j.pl, float64(m))
-	if j.interfered && c.cfg.InterferenceSlowdown > 0 {
-		tIter /= 1 - c.cfg.InterferenceSlowdown
-	}
-	tput := float64(m) / tIter
-	eff := midpointEfficiency(j.spec, m, tput, j.progress, c.cfg.AgentInterval)
-	j.rate = jobRate{m: m, tIter: tIter, tput: tput, eff: eff, good: tput * eff}
-}
-
-// midpointEfficiency returns the statistical efficiency to freeze into a
-// training rate for batch m at the given progress: evaluated at the
-// progress the job will have reached half a refresh interval ahead
-// (rates are re-frozen at least every agentInterval), clamped at total
-// work and at the next decay boundary so the phi jump there is never
-// smeared backwards. Shared by the cluster and single-job event engines
-// so the closed-form advance cannot drift between them.
-func midpointEfficiency(spec *models.Spec, m int, tput, progress, agentInterval float64) float64 {
-	total := spec.TotalWork()
-	eff := core.Efficiency(spec.Phi(progress/total), spec.M0, m)
-	mid := progress + tput*eff*agentInterval/2
-	if mid > total {
-		mid = total
-	}
-	for _, d := range spec.Decays {
-		if pd := d.Progress * total; pd > progress && mid > pd {
-			mid = pd
-		}
-	}
-	return core.Efficiency(spec.Phi(mid/total), spec.M0, m)
-}
-
-// nextMilestoneTarget returns the next progress milestone for the
-// closed-form prediction: the nearer of the next learning-rate decay
-// boundary and job completion.
-func nextMilestoneTarget(spec *models.Spec, progress float64) float64 {
-	total := spec.TotalWork()
-	target := total
-	for _, d := range spec.Decays {
-		if pd := d.Progress * total; pd > progress && pd < target {
-			target = pd
-		}
-	}
-	return target
+// refreshPrediction re-freezes one job's rate under the cluster's clamp
+// rule and its current interference, and predicts its next milestone.
+func (c *Cluster) refreshPrediction(q *eventsim.Queue, j *jobState) {
+	j.freeze(j.ClusterBatch(), j.slowdown, c.cfg.AgentInterval)
+	j.predict(q, c.now, c.cfg.AgentInterval, j.wj.ID, evMilestone)
 }
 
 // refreshPredictions re-freezes rates and reschedules milestone events
@@ -284,80 +164,13 @@ func (c *Cluster) refreshPredictions(q *eventsim.Queue) {
 		if !j.submitted || j.done {
 			continue
 		}
-		c.recomputeRate(j)
-		c.schedulePrediction(q, j)
+		c.refreshPrediction(q, j)
 		//pollux:floateq-ok identity check against a stored copy of the same value; any difference means a fresh restart event
-		if j.restartUntil > c.now && j.restartUntil != j.restartEv {
-			j.restartEv = j.restartUntil
+		if j.RestartUntil > c.now && j.RestartUntil != j.restartEv {
+			j.restartEv = j.RestartUntil
 			q.Push(eventsim.Event{
-				Time: j.restartUntil, Class: eventsim.ClassJob, Job: j.wj.ID, Kind: evRestart,
+				Time: j.RestartUntil, Class: eventsim.ClassJob, Job: j.wj.ID, Kind: evRestart,
 			})
 		}
 	}
-}
-
-// schedulePrediction computes, in closed form from the frozen rate, the
-// job's next progress milestone — the nearer of the next learning-rate
-// decay boundary and job completion — and schedules it. Any previously
-// scheduled milestone is invalidated by the version bump.
-func (c *Cluster) schedulePrediction(q *eventsim.Queue, j *jobState) {
-	j.version++
-	if j.rate.good <= 0 {
-		return // paused or unallocated: nothing will happen on its own
-	}
-	target := nextMilestoneTarget(j.spec, j.progress)
-	start := c.now
-	if j.restartUntil > start {
-		start = j.restartUntil
-	}
-	t := start + (target-j.progress)/j.rate.good
-	// A milestone beyond the next rate refresh (at most AgentInterval
-	// away) is guaranteed to be superseded before it can fire; pushing
-	// it would only pile dead events into the heap on long traces. The
-	// refresh reschedules it once it is near enough.
-	if t > c.now+c.cfg.AgentInterval {
-		return
-	}
-	j.predTarget = target
-	q.Push(eventsim.Event{
-		Time:    t,
-		Class:   eventsim.ClassJob,
-		Job:     j.wj.ID,
-		Kind:    evMilestone,
-		Version: j.version,
-	})
-}
-
-// observationCount converts an advanced segment into the number of
-// per-tick profiling observations the tick engine would have made.
-func observationCount(dt, tick float64) int {
-	if tick <= 0 {
-		tick = 1
-	}
-	n := int(dt/tick + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-func sqrtN(n int) float64 {
-	if n <= 1 {
-		return 1
-	}
-	return math.Sqrt(float64(n))
-}
-
-// finishJob completes a job at the current instant and releases its
-// resources. Interference flags of co-located jobs are refreshed at the
-// next scheduling round, exactly as in the tick engine.
-func (c *Cluster) finishJob(j *jobState) {
-	j.done = true
-	j.finish = c.now
-	c.record(Event{Time: j.finish, Job: j.wj.ID, Kind: EventFinish})
-	for n := range j.alloc {
-		j.alloc[n] = 0
-	}
-	j.pl = core.Placement{}
-	j.rate = jobRate{}
 }

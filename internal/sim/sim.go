@@ -156,46 +156,27 @@ func (c *Config) defaults() {
 	}
 }
 
-// jobState is the simulator's private view of one job.
+// jobState is the cluster simulator's holder of one job: the trace entry,
+// where it stands with admission and the scheduler, and the allocation row
+// its Job's placement was derived from.
 type jobState struct {
+	Job
 	wj       workload.Job
-	spec     *models.Spec
-	agent    *agent.Agent
 	useTuned bool
 
-	batch int
 	alloc []int
-	pl    core.Placement
 
-	submitted    bool
-	rejected     bool // turned away by the admission stage; implies done
-	done         bool
-	finish       float64
-	restartUntil float64
-	interfered   bool
+	submitted bool
+	rejected  bool // turned away by the admission stage; implies done
+	done      bool
+	finish    float64
+	// slowdown is cfg.InterferenceSlowdown while the job shares a node
+	// with another distributed job (Sec. 5.3.2), else 0.
+	slowdown float64
 
-	progress float64 // m0-equivalent examples completed
-	gpuTime  float64 // GPU-seconds consumed
-
-	// accumulated metrics over running time
-	effSum, runTime  float64
-	tputSum, goodSum float64
-	exampleSum       float64
-
-	// Event-engine state (engine_event.go). lastT is the time training
-	// state was last advanced to; rate is the training rate frozen at the
-	// last event; version invalidates stale milestone predictions;
-	// predTarget is the progress value the pending milestone aims at;
-	// restartEv is the restart expiry already scheduled as an event.
-	lastT      float64
-	rate       jobRate
-	version    uint64
-	predTarget float64
-	restartEv  float64
-}
-
-func (j *jobState) progressFrac() float64 {
-	return j.progress / j.spec.TotalWork()
+	// restartEv is the restart expiry the event engine has already
+	// scheduled as an event.
+	restartEv float64
 }
 
 // fixedBatch returns the baseline batch size for this job (tuned or user).
@@ -206,7 +187,7 @@ func (j *jobState) fixedBatch() (gpus, batch int) {
 	return j.wj.UserGPUs, j.wj.UserBatch
 }
 
-// Result aggregates one run.
+// Result aggregates one run, of any engine.
 type Result struct {
 	Summary metrics.Summary
 	// PerJob finishing records aligned with the trace order.
@@ -217,6 +198,7 @@ type Result struct {
 	AvgGoodput    float64
 	// CostNodeSeconds integrates the paid cluster size over the run
 	// (meaningful under cluster autoscaling; otherwise nodes x makespan).
+	// The replay testbed has a fixed cluster and leaves it zero.
 	CostNodeSeconds float64
 	// PerModel breaks JCT statistics down by zoo model, mirroring the
 	// paper's per-category discussion (Small/Medium/Large/XLarge map
@@ -234,11 +216,61 @@ type Result struct {
 	Events []Event
 }
 
+// Outcome is how one trace job ended: its finish time (zero when it did
+// not finish), whether admission turned it away, and the job itself, whose
+// sums are zero when it never ran.
+type Outcome struct {
+	Trace    workload.Job
+	Finish   float64
+	Rejected bool
+	Job      *Job
+}
+
+// Summarize builds a run's Result from its jobs' outcomes, in trace order,
+// and the front end's counters (nil without one). CostNodeSeconds and
+// Events are the engine's to fill in.
+func Summarize(outcomes []Outcome, fe *admit.FrontEnd) Result {
+	var res Result
+	var effSum, runSum, tputSum, goodSum float64
+	perModel := make(map[string][]metrics.JobRecord)
+	goodSums := make([]float64, len(outcomes))
+	runTimes := make([]float64, len(outcomes))
+	for i, o := range outcomes {
+		rec := metrics.JobRecord{
+			Submit:   o.Trace.Submit,
+			Finish:   o.Finish,
+			Tenant:   o.Trace.Tenant,
+			Deadline: o.Trace.Deadline,
+			Rejected: o.Rejected,
+		}
+		res.Records = append(res.Records, rec)
+		perModel[o.Trace.Model] = append(perModel[o.Trace.Model], rec)
+		effSum += o.Job.EffSum
+		runSum += o.Job.RunTime
+		tputSum += o.Job.TputSum
+		goodSum += o.Job.GoodSum
+		goodSums[i], runTimes[i] = o.Job.GoodSum, o.Job.RunTime
+	}
+	res.Summary = metrics.Summarize(res.Records)
+	res.PerModel = make(map[string]metrics.Summary, len(perModel))
+	//pollux:order-ok keyed write per model name; Summarize is a pure function of recs
+	for name, recs := range perModel {
+		res.PerModel[name] = metrics.Summarize(recs)
+	}
+	res.PerTenant = metrics.SummarizeRunTenants(res.Records, goodSums, runTimes, fe)
+	res.Admissions = fe.Decisions()
+	if runSum > 0 {
+		res.Summary.AvgEfficiency = effSum / runSum
+		res.AvgThroughput = tputSum / runSum
+		res.AvgGoodput = goodSum / runSum
+	}
+	return res
+}
+
 // Cluster simulates one trace under one policy.
 type Cluster struct {
 	cfg    Config
 	policy sched.Policy
-	rng    *rand.Rand
 	jobs   []*jobState
 	now    float64
 	fe     *admit.FrontEnd // nil when cfg.FrontEnd is nil
@@ -266,7 +298,7 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 	if err != nil {
 		panic(fmt.Sprintf("sim: %v", err))
 	}
-	c := &Cluster{cfg: cfg, policy: policy, rng: rng, fe: fe, activeNodes: cfg.Nodes}
+	c := &Cluster{cfg: cfg, policy: policy, fe: fe, activeNodes: cfg.Nodes}
 	if cfg.Autoscale != nil {
 		c.activeNodes = cfg.Autoscale.MinNodes
 	}
@@ -280,15 +312,13 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 			useTuned = rng.Float64() < cfg.TunedFraction
 		}
 		js := &jobState{
+			Job:      NewJob(spec, rng, cfg.NoiseFrac), // Pollux starts every job at m0 on 1 GPU
 			wj:       wj,
-			spec:     spec,
 			useTuned: useTuned,
-			agent:    agent.New(spec.M0, spec.Eta0, spec.MaxBatchPerGPU, spec.MaxBatchGlobal),
 			alloc:    make([]int, cfg.Nodes),
 		}
-		_, js.batch = js.fixedBatch()
-		if policy.AdaptsBatchSize() {
-			js.batch = spec.M0 // Pollux starts every job at m0 on 1 GPU
+		if !policy.AdaptsBatchSize() {
+			_, js.Batch = js.fixedBatch()
 		}
 		c.jobs = append(c.jobs, js)
 	}
@@ -392,27 +422,25 @@ func (c *Cluster) active() []*jobState {
 func (c *Cluster) agentTick() {
 	var run []*jobState
 	for _, j := range c.active() {
-		if j.pl.GPUs == 0 {
+		if j.Placement.GPUs == 0 {
 			continue
 		}
-		phi := j.spec.Phi(j.progressFrac())
-		phi *= 1 + c.cfg.NoiseFrac*(c.rng.Float64()*2-1)
-		j.agent.SetPhi(phi)
+		j.ObservePhi()
 		run = append(run, j)
 	}
 	agents := make([]*agent.Agent, len(run))
 	for i, j := range run {
-		agents[i] = j.agent
+		agents[i] = j.Agent
 	}
 	agent.RefitAll(agents, c.cfg.RefitWorkers)
 	if !c.policy.AdaptsBatchSize() {
 		return
 	}
 	for _, j := range run {
-		prev := j.batch
-		j.batch, _ = j.agent.TuneBatch(j.pl)
-		if j.batch != prev {
-			c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventBatchChange, Batch: j.batch})
+		prev := j.Batch
+		j.Batch, _ = j.Agent.TuneBatch(j.Placement)
+		if j.Batch != prev {
+			c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventBatchChange, Batch: j.Batch})
 		}
 	}
 }
@@ -446,21 +474,18 @@ func (c *Cluster) Round(now float64) *sched.ClusterView {
 	for i, j := range act {
 		copy(view.Current[i], j.alloc)
 		gpus, batch := j.fixedBatch()
-		minGPUs := (batch + j.spec.MaxBatchPerGPU - 1) / j.spec.MaxBatchPerGPU
-		eff := core.Efficiency(j.spec.Phi(j.progressFrac()), j.spec.M0, batch)
-		remIters := (j.spec.TotalWork() - j.progress) / (eff * float64(batch))
 		view.Jobs = append(view.Jobs, sched.JobView{
 			ID:             j.wj.ID,
 			Submit:         j.wj.Submit,
 			Tenant:         j.wj.Tenant,
 			Deadline:       j.wj.Deadline,
-			Model:          j.agent.Report(),
-			GPUCap:         j.agent.GPUCap(),
+			Model:          j.Agent.Report(),
+			GPUCap:         j.Agent.GPUCap(),
 			UserGPUs:       gpus,
 			UserBatch:      batch,
-			MinGPUs:        minGPUs,
-			RemainingIters: remIters,
-			GPUTime:        j.gpuTime,
+			MinGPUs:        j.MinGPUs(batch),
+			RemainingIters: j.RemainingIters(batch),
+			GPUTime:        j.GPUTime,
 		})
 	}
 	return view
@@ -483,13 +508,13 @@ func (c *Cluster) Commit(m ga.Matrix, changed []bool) error {
 // checkpoint-restart delay.
 func (c *Cluster) applyAlloc(j *jobState, row []int) {
 	copy(j.alloc, row)
-	j.pl = sched.PlacementOf(row)
-	c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventAllocate, Placement: j.pl})
-	if j.pl.GPUs > 0 {
-		j.restartUntil = c.now + c.cfg.RestartDelay
+	j.Placement = sched.PlacementOf(row)
+	c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventAllocate, Placement: j.Placement})
+	if j.Placement.GPUs > 0 {
+		j.RestartUntil = c.now + c.cfg.RestartDelay
 		// Re-clamp the batch: the new placement may not fit the old one.
 		if c.policy.AdaptsBatchSize() {
-			j.batch, _ = j.agent.TuneBatch(j.pl)
+			j.Batch, _ = j.Agent.TuneBatch(j.Placement)
 		}
 	}
 }
@@ -500,8 +525,8 @@ func (c *Cluster) recomputeInterference() {
 	type nodeInfo struct{ distJobs []*jobState }
 	nodes := make([]nodeInfo, c.cfg.Nodes)
 	for _, j := range c.active() {
-		j.interfered = false
-		if j.pl.Nodes <= 1 {
+		j.slowdown = 0
+		if j.Placement.Nodes <= 1 {
 			continue
 		}
 		for n, g := range j.alloc {
@@ -513,7 +538,7 @@ func (c *Cluster) recomputeInterference() {
 	for _, ni := range nodes {
 		if len(ni.distJobs) > 1 {
 			for _, j := range ni.distJobs {
-				j.interfered = true
+				j.slowdown = c.cfg.InterferenceSlowdown
 			}
 		}
 	}
@@ -530,88 +555,42 @@ func (c *Cluster) capacity() []int {
 // advance progresses every running job by dt seconds of training.
 func (c *Cluster) advance(dt float64) {
 	for _, j := range c.active() {
-		if j.pl.GPUs == 0 || c.now < j.restartUntil {
+		if j.Placement.GPUs == 0 || c.now < j.RestartUntil {
 			continue
 		}
-		m := j.batch
-		// Defensive clamp: a baseline job whose fixed batch does not
-		// fit its allocation trains at the largest feasible batch.
-		if maxFit := j.pl.GPUs * j.spec.MaxBatchPerGPU; m > maxFit {
-			m = maxFit
-		}
-		if m < j.spec.M0 {
+		m := j.ClusterBatch()
+		if m == 0 {
 			continue // cannot run: initial batch does not fit
 		}
-		tIter := j.spec.Truth.TIter(j.pl, float64(m))
-		if j.interfered && c.cfg.InterferenceSlowdown > 0 {
-			tIter /= 1 - c.cfg.InterferenceSlowdown
-		}
-		tput := float64(m) / tIter
-		eff := core.Efficiency(j.spec.Phi(j.progressFrac()), j.spec.M0, m)
-		good := tput * eff
-
-		j.progress += good * dt
-		j.gpuTime += float64(j.pl.GPUs) * dt
-		j.effSum += eff * dt
-		j.tputSum += tput * dt
-		j.goodSum += good * dt
-		j.exampleSum += tput * dt
-		j.runTime += dt
-
-		// Profile the observation the agent would have measured.
-		noisy := tIter * (1 + c.cfg.NoiseFrac*(c.rng.Float64()*2-1))
-		j.agent.RecordSample(j.pl, m, noisy)
-
-		if j.progress >= j.spec.TotalWork() {
-			j.done = true
-			j.finish = c.now + dt
-			c.record(Event{Time: j.finish, Job: j.wj.ID, Kind: EventFinish})
-			for n := range j.alloc {
-				j.alloc[n] = 0
-			}
-			j.pl = core.Placement{}
+		j.Step(m, j.slowdown, dt)
+		if j.Finished() {
+			c.finishJob(j, c.now+dt)
 		}
 	}
 }
 
+// finishJob completes a job at time t and releases its resources.
+// Interference flags of co-located jobs are refreshed at the next
+// scheduling round.
+func (c *Cluster) finishJob(j *jobState, t float64) {
+	j.done = true
+	j.finish = t
+	c.record(Event{Time: j.finish, Job: j.wj.ID, Kind: EventFinish})
+	for n := range j.alloc {
+		j.alloc[n] = 0
+	}
+	j.Placement = core.Placement{}
+	j.rate = jobRate{}
+}
+
 func (c *Cluster) result() Result {
-	var res Result
-	var effSum, runSum, tputSum, goodSum float64
-	perModel := make(map[string][]metrics.JobRecord)
-	goodSums := make([]float64, 0, len(c.jobs))
-	runTimes := make([]float64, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		rec := metrics.JobRecord{
-			Submit:   j.wj.Submit,
-			Finish:   j.finish,
-			Tenant:   j.wj.Tenant,
-			Deadline: j.wj.Deadline,
-			Rejected: j.rejected,
-		}
-		res.Records = append(res.Records, rec)
-		perModel[j.spec.Name] = append(perModel[j.spec.Name], rec)
-		effSum += j.effSum
-		runSum += j.runTime
-		tputSum += j.tputSum
-		goodSum += j.goodSum
-		goodSums = append(goodSums, j.goodSum)
-		runTimes = append(runTimes, j.runTime)
+	outcomes := make([]Outcome, len(c.jobs))
+	for i, j := range c.jobs {
+		outcomes[i] = Outcome{Trace: j.wj, Finish: j.finish, Rejected: j.rejected, Job: &j.Job}
 	}
-	res.Summary = metrics.Summarize(res.Records)
-	res.PerModel = make(map[string]metrics.Summary, len(perModel))
-	//pollux:order-ok keyed write per model name; Summarize is a pure function of recs
-	for name, recs := range perModel {
-		res.PerModel[name] = metrics.Summarize(recs)
-	}
-	res.PerTenant = metrics.SummarizeRunTenants(res.Records, goodSums, runTimes, c.fe)
-	res.Admissions = c.fe.Decisions()
+	res := Summarize(outcomes, c.fe)
 	res.CostNodeSeconds = c.nodeSeconds
 	res.Events = c.events
-	if runSum > 0 {
-		res.Summary.AvgEfficiency = effSum / runSum
-		res.AvgThroughput = tputSum / runSum
-		res.AvgGoodput = goodSum / runSum
-	}
 	return res
 }
 

@@ -117,18 +117,18 @@ func TestRestartDelayPausesProgress(t *testing.T) {
 	c.agentTick()
 	c.scheduleTick()
 	for _, j := range c.active() {
-		if j.pl.GPUs > 0 && j.restartUntil < c.now+119 {
-			t.Errorf("job %d restartUntil = %v, want >= now+120", j.wj.ID, j.restartUntil)
+		if j.Placement.GPUs > 0 && j.RestartUntil < c.now+119 {
+			t.Errorf("job %d restartUntil = %v, want >= now+120", j.wj.ID, j.RestartUntil)
 		}
 	}
 	before := make(map[int]float64)
 	for _, j := range c.active() {
-		before[j.wj.ID] = j.progress
+		before[j.wj.ID] = j.Progress
 	}
 	c.advance(cfg.Tick)
 	for _, j := range c.active() {
 		//pollux:floateq-ok progress must be left untouched during the restart pause; any change is a real bug
-		if j.progress != before[j.wj.ID] {
+		if j.Progress != before[j.wj.ID] {
 			t.Errorf("job %d progressed during restart delay", j.wj.ID)
 		}
 	}
@@ -148,7 +148,7 @@ func TestNoRestartDelayWhenAllocationUnchanged(t *testing.T) {
 	c.now += 200
 	c.scheduleTick()
 	for _, j := range c.active() {
-		if j.pl.GPUs > 0 && j.restartUntil > c.now {
+		if j.Placement.GPUs > 0 && j.RestartUntil > c.now {
 			t.Errorf("job %d penalized without reallocation", j.wj.ID)
 		}
 	}
