@@ -12,10 +12,10 @@
 //	             [-checkpoint sched.ckpt] [-checkpoint-interval 600]
 //	             [-restore]
 //
-// Scheduling rounds fire every 60 simulated seconds on the shared
-// eventsim kernel, paced by a wall clock under -compression (simulated
-// seconds per wall-clock second; 300 means five rounds per wall
-// second). Use the same compression for the paired `pollux-agent`
+// Scheduling rounds fire every sim.SchedInterval (60) simulated seconds
+// on the shared eventsim kernel, paced by a wall clock under -compression
+// (simulated seconds per wall-clock second; 300 means five rounds per
+// wall second). Use the same compression for the paired `pollux-agent`
 // processes — both default to 300 — so scheduler and trainers advance
 // simulated time at the same rate.
 //
@@ -46,11 +46,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/eventsim"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/status"
 )
-
-// schedInterval is the simulated-seconds scheduling period (Sec. 5.1).
-const schedInterval = 60
 
 // checkpointKind tags the daemon's checkpoint files; checkpointVersion is
 // the current format. Version 2 stores each job's allocation row once; a
@@ -148,7 +146,7 @@ func main() {
 	}
 
 	nextCkpt := start + *ckptInterval
-	svc.RunRounds(policy, schedInterval, &eventsim.Wall{Compression: *compression}, start, nil,
+	svc.RunRounds(policy, &eventsim.Wall{Compression: *compression}, start, nil,
 		func(now float64, n int, err error) {
 			if reg != nil {
 				reg.ObserveRound(now, n, policy.LastLatencySeconds(), pollux.LastRoundStats(), err)
@@ -161,7 +159,7 @@ func main() {
 				nextCkpt = now + *ckptInterval
 				dc := daemonCheckpoint{
 					Nodes: *nodes, GPUs: *gpus,
-					NextSched: now + schedInterval,
+					NextSched: now + sim.SchedInterval,
 					Service:   svc.Snapshot(),
 					Policy:    pollux.Snapshot(),
 				}

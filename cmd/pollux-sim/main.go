@@ -26,10 +26,11 @@
 // full rounds when unset, preserving the fixed-seed baselines bit for
 // bit.
 //
-// -scale presets the cluster shape (-jobs/-hours/-nodes/-gpus/-tick) from
-// the shared quick/full experiment scales (internal/cliutil), so a single
-// simulation matches what pollux-bench sweeps; explicitly-set shape flags
-// win over the preset.
+// -scale presets the cluster shape (-jobs/-hours/-nodes/-gpus/-tick) and
+// Pollux's GA budget (population x generations) from the shared quick/full
+// experiment scales (internal/cliutil), so a single simulation matches what
+// pollux-bench sweeps; explicitly-set shape flags win over the preset.
+// Without -scale Pollux runs at the full scale's 50 x 30.
 //
 // -tenants generates a multi-tenant trace (overriding -jobs), and the
 // -admission/-priority/-quota/-bucket-* flags install the serving front
@@ -124,12 +125,14 @@ func main() {
 		os.Exit(2)
 	}
 
+	polluxPop, polluxGens := 50, 30
 	if sweep.ScaleName != "" {
 		sc, err := sweep.Scale()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		polluxPop, polluxGens = sc.PolluxPop, sc.PolluxGens
 		// The preset fills the cluster shape; flags the user set
 		// explicitly keep their values.
 		explicit := map[string]bool{}
@@ -195,7 +198,7 @@ func main() {
 	switch *policy {
 	case "pollux":
 		p = sched.NewPollux(sched.PolluxOptions{
-			Population: 50, Generations: 30,
+			Population: polluxPop, Generations: polluxGens,
 			DisableInterferenceAvoidance: *noAvoid,
 			Incremental:                  *incremental,
 			FullEvery:                    *fullEvery,

@@ -35,7 +35,7 @@ func main() {
 	goodCfg := base
 	goodCfg.AdaptBatchGoodput = true
 	goodCfg.RespectExploreCap = true
-	good := sim.RunAutoscale(&spec, sched.NewGoodputAutoscaler(1, 16, 0.55, 0.75), goodCfg)
+	good := sim.RunAutoscale(&spec, sched.NewGoodputAutoscaler(1, 16), goodCfg)
 
 	thr := sim.RunAutoscale(&spec, sched.NewThroughputAutoscaler(1, 16, 0.9), base)
 

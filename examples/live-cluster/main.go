@@ -37,12 +37,12 @@ func main() {
 	go cluster.Serve(svc, ln)
 	fmt.Printf("PolluxSched listening on %s (4 nodes x 4 GPUs)\n\n", ln.Addr())
 
-	// Scheduler control loop: one GA pass per simulated minute, paced by
+	// Scheduler control loop: one GA pass per sim.SchedInterval, paced by
 	// the same wall-clock compression as the trainers (the shared
 	// eventsim kernel under a Wall clock, exactly like pollux-sched).
 	stop := make(chan struct{})
 	policy := sched.NewPollux(sched.PolluxOptions{Population: 20, Generations: 10}, 1)
-	go svc.RunRounds(policy, 60, &eventsim.Wall{Compression: 150}, 0, stop,
+	go svc.RunRounds(policy, &eventsim.Wall{Compression: 150}, 0, stop,
 		func(now float64, n int, err error) {
 			if err != nil {
 				log.Println("schedule:", err)

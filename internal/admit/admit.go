@@ -72,20 +72,18 @@ const (
 // front end at all" — every deployment treats a nil *Options (and a nil
 // *FrontEnd) as admit-everything, keep-snapshot-order.
 //
-// The explicit-zero-value convention of sched.PolluxOptions and
-// cluster.Trainer applies from day one: wherever 0 selects a default, a
-// negative value means an explicit zero, and values that can express
-// "explicitly zero" on their own (map entries, DisableAdmission) are
-// never rewritten by defaulting.
+// BucketCapacity, BucketRefill and DefaultQuota follow the explicit-zero
+// convention pollux-vet's zerodefault check polices (as do
+// sched.PolluxOptions.FullEvery and cluster.Trainer.Compression): 0
+// selects the default and a negative value means an explicit zero, which
+// the -bucket-capacity, -bucket-refill and -default-quota flags pass
+// through. A Quotas entry expresses "explicitly zero" by being present
+// and is never rewritten by defaulting.
 type Options struct {
 	// Admission selects the admission policy: "" or "always" admits
 	// everything; "token-bucket" rate-limits arrivals; "quota" caps
 	// admitted jobs per tenant.
 	Admission string
-	// DisableAdmission turns the admission stage off even when Admission
-	// is set — the explicit off-switch, so a populated Options can be
-	// toggled without clearing its policy fields.
-	DisableAdmission bool
 
 	// BucketCapacity and BucketRefill shape the token bucket
 	// (Admission == "token-bucket"): the bucket starts full at Capacity
@@ -157,10 +155,6 @@ func New(opts *Options) (*FrontEnd, error) {
 			opts.Priority, PriorityConstant, PrioritySLO)
 	}
 
-	if opts.DisableAdmission {
-		f.admitter = AlwaysAdmit{}
-		return f, nil
-	}
 	switch opts.Admission {
 	case "", AdmitAlways:
 		f.admitter = AlwaysAdmit{}

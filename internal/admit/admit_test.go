@@ -52,8 +52,7 @@ func TestNewRejectsUnknownPolicies(t *testing.T) {
 
 // TestExplicitZeroNotRewritten pins the PR 2/PR 4 convention on the new
 // option struct: defaulting replaces only true zero values, never an
-// explicit zero (negative numerics, present-with-zero map entries,
-// DisableAdmission).
+// explicit zero (negative numerics, present-with-zero map entries).
 func TestExplicitZeroNotRewritten(t *testing.T) {
 	// Explicit-zero capacity: every arrival rejected, including the first.
 	f := mustNew(t, &Options{Admission: AdmitTokenBucket, BucketCapacity: -1, BucketRefill: 0.25})
@@ -90,16 +89,6 @@ func TestExplicitZeroNotRewritten(t *testing.T) {
 	}
 	if f.Arrive(req(1, "unlisted", 0)) {
 		t.Error("explicit-zero DefaultQuota admitted an unlisted tenant")
-	}
-
-	// DisableAdmission overrides a configured (and otherwise rejecting)
-	// policy without clearing its fields.
-	f = mustNew(t, &Options{Admission: AdmitTokenBucket, BucketCapacity: -1, DisableAdmission: true})
-	if !f.Arrive(req(0, "a", 0)) {
-		t.Error("DisableAdmission did not disable the admission stage")
-	}
-	if f.AdmissionName() != AdmitAlways {
-		t.Errorf("disabled admission reports policy %q, want %q", f.AdmissionName(), AdmitAlways)
 	}
 }
 

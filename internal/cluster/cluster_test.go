@@ -256,7 +256,7 @@ func TestTrainerRunsToCompletionOverRPC(t *testing.T) {
 	stop := make(chan struct{})
 	go svc.RunRounds(
 		sched.NewPollux(sched.PolluxOptions{Population: 10, Generations: 5}, 3),
-		60, eventsim.Virtual{}, 0, stop, nil)
+		eventsim.Virtual{}, 0, stop, nil)
 	defer close(stop)
 
 	simSecs, err := tr.Run("tcp", ln.Addr().String(), 0)

@@ -40,21 +40,13 @@ const (
 )
 
 // ReplayConfig controls one replay run. The zero value takes the
-// simulator's defaults: a 16x4 cluster, 60 s scheduling rounds, 30 s
-// reports and restart pauses, a 14-day horizon.
+// simulator's defaults: a 16x4 cluster and sim.DefaultMaxTime. Rounds,
+// reports and restart pauses keep the simulator's timing (sim.SchedInterval,
+// sim.AgentInterval, sim.RestartDelay).
 type ReplayConfig struct {
 	Nodes       int // default 16
 	GPUsPerNode int // default 4
-	// SchedInterval is the scheduling period (default 60 s);
-	// ReportEvery the trainer report/tune period (default 30 s).
-	SchedInterval float64
-	ReportEvery   float64
-	// RestartDelay is the checkpoint-restart pause charged when a
-	// trainer's allocation changes. The zero value takes the 30 s
-	// default and a negative value means an explicit zero pause,
-	// matching sim.Config.RestartDelay so parity configs line up.
-	RestartDelay float64
-	// MaxTime caps the replay (default 14 days).
+	// MaxTime caps the replay (default sim.DefaultMaxTime).
 	MaxTime float64
 	Seed    int64
 	// UseTunedConfig selects each job's tuned rather than user
@@ -80,21 +72,8 @@ func (c *ReplayConfig) defaults() {
 	if c.GPUsPerNode <= 0 {
 		c.GPUsPerNode = 4
 	}
-	if c.SchedInterval <= 0 {
-		c.SchedInterval = 60
-	}
-	if c.ReportEvery <= 0 {
-		c.ReportEvery = 30
-	}
-	if c.RestartDelay < 0 {
-		// Explicit zero pause. It stays negative on its way to the
-		// trainers: a 0 would read as "take the default" there.
-		c.RestartDelay = -1
-	} else if c.RestartDelay == 0 {
-		c.RestartDelay = 30
-	}
 	if c.MaxTime <= 0 {
-		c.MaxTime = 14 * 24 * 3600
+		c.MaxTime = sim.DefaultMaxTime
 	}
 }
 
@@ -211,8 +190,7 @@ func newReplayRun(trace workload.Trace, policy sched.Policy, cfg ReplayConfig) (
 			// Each trainer owns its rng, exactly as a live agent
 			// process would; draws happen only inside its own events,
 			// so the global draw order is fixed by the kernel.
-			Seed:        cfg.Seed + int64(wj.ID),
-			ReportEvery: cfg.ReportEvery, RestartDelay: cfg.RestartDelay,
+			Seed:     cfg.Seed + int64(wj.ID),
 			UserGPUs: gpus, UserBatch: batch,
 			Tenant: wj.Tenant, Deadline: wj.Deadline,
 		}}
@@ -259,7 +237,7 @@ func (r *replayRun) drive(checkpointAt *float64) (cutSched float64, err error) {
 				return false
 			}
 			r.q.Push(eventsim.Event{
-				Time: e.Time + cfg.SchedInterval, Class: eventsim.ClassCluster, Kind: kindSched,
+				Time: e.Time + sim.SchedInterval, Class: eventsim.ClassCluster, Kind: kindSched,
 			})
 
 		case kindArrive:

@@ -276,35 +276,3 @@ func TestAdmissionParitySimVsReplay(t *testing.T) {
 		}
 	}
 }
-
-// TestReplayNegativeRestartDelayIsFree: a negative ReplayConfig.RestartDelay
-// is an explicit zero pause all the way to the trainers, and the zero value
-// is exactly the 30 s default. A one-job trace restarts at least once (its
-// first allocation), so without the pause it finishes strictly earlier.
-func TestReplayNegativeRestartDelayIsFree(t *testing.T) {
-	tr := smallTrace(3, 10)
-	if len(tr.Jobs) == 0 {
-		t.Skip("trace empty after filtering")
-	}
-	tr.Jobs = tr.Jobs[:1]
-	finish := func(delay float64) float64 {
-		cfg := smallReplayCfg(3)
-		cfg.RestartDelay = delay
-		res, err := Replay(tr, sched.NewTiresias(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Summary.Completed != 1 {
-			t.Fatalf("RestartDelay %v: job did not complete: %+v", delay, res.Summary)
-		}
-		return res.Records[0].Finish
-	}
-	def, explicit30, free := finish(0), finish(30), finish(-1)
-	//pollux:floateq-ok the zero value must take exactly the 30 s default
-	if def != explicit30 {
-		t.Errorf("default finish %v differs from explicit 30 s finish %v", def, explicit30)
-	}
-	if free >= def {
-		t.Errorf("negative RestartDelay finished at %v, not before the default's %v", free, def)
-	}
-}

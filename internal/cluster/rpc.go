@@ -13,6 +13,7 @@ import (
 	"repro/internal/ga"
 	"repro/internal/runtime"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // Report is what a PolluxAgent sends the scheduler at each reporting
@@ -284,17 +285,17 @@ func (s *Service) Commit(m ga.Matrix, changed []bool) error {
 	return s.state.install(ps, rows)
 }
 
-// RunRounds drives scheduling rounds every interval simulated seconds on
-// the eventsim kernel until stop is closed. The first round fires at
-// start (zero for a fresh daemon; a restored daemon passes the next
-// round time its checkpoint recorded, so the cadence survives a
+// RunRounds drives scheduling rounds every sim.SchedInterval simulated
+// seconds on the eventsim kernel until stop is closed. The first round
+// fires at start (zero for a fresh daemon; a restored daemon passes the
+// next round time its checkpoint recorded, so the cadence survives a
 // restart). The clock paces the rounds: a Wall clock with a compression
 // factor yields the live scheduler loop (pollux-sched, the live-cluster
 // example), a Virtual clock runs rounds back to back. Round failures (a
 // malformed policy result, say) are reported through onRound and the
 // loop keeps serving, matching the resilience of the old hand-rolled
 // daemon loops; onRound may be nil.
-func (s *Service) RunRounds(policy sched.Policy, interval float64, clock eventsim.Clock, start float64, stop <-chan struct{}, onRound func(now float64, scheduled int, err error)) {
+func (s *Service) RunRounds(policy sched.Policy, clock eventsim.Clock, start float64, stop <-chan struct{}, onRound func(now float64, scheduled int, err error)) {
 	var q eventsim.Queue
 	q.Push(eventsim.Event{Time: start, Class: eventsim.ClassCluster})
 	eventsim.Drive(&q, clock, start, func(e eventsim.Event) bool {
@@ -307,7 +308,7 @@ func (s *Service) RunRounds(policy sched.Policy, interval float64, clock eventsi
 		if onRound != nil {
 			onRound(e.Time, n, err)
 		}
-		q.Push(eventsim.Event{Time: e.Time + interval, Class: eventsim.ClassCluster})
+		q.Push(eventsim.Event{Time: e.Time + sim.SchedInterval, Class: eventsim.ClassCluster})
 		return true
 	})
 }

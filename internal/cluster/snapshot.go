@@ -198,9 +198,6 @@ func (t *Trainer) restore(tr Transport, snap *TrainerSnapshot) error {
 	if err != nil {
 		return fmt.Errorf("cluster: trainer %q: %w", t.Job, err)
 	}
-	if t.ReportEvery <= 0 {
-		t.ReportEvery = 30
-	}
 	t.transport = tr
 	t.submit = snap.Submit
 	t.src = detrand.Restore(snap.RNG)
@@ -208,7 +205,7 @@ func (t *Trainer) restore(tr Transport, snap *TrainerSnapshot) error {
 	t.nextReport = snap.NextReport
 	t.lastGen = snap.LastGen
 	t.mu.Lock()
-	t.job = sim.NewJob(t.Spec, rand.New(t.src), sim.DefaultNoiseFrac)
+	t.job = sim.NewJob(t.Spec, rand.New(t.src))
 	t.job.Agent = ag
 	t.job.Batch = snap.Batch
 	t.job.RestartUntil = snap.RestartUntil

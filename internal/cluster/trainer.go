@@ -64,14 +64,7 @@ type Trainer struct {
 	// all, as fast as the host allows. Mutually exclusive with a
 	// nonzero Compression.
 	DisableCompression bool
-	// ReportEvery is the simulated-seconds interval between reports
-	// (default 30, as in the paper).
-	ReportEvery float64
-	// RestartDelay is the simulated checkpoint-restart pause. The zero
-	// value takes the 30 s default; a negative value means an explicit
-	// zero pause (the sim.Config.RestartDelay convention).
-	RestartDelay float64
-	Seed         int64
+	Seed               int64
 
 	// FixedBatch pins the training batch size for jobs scheduled by the
 	// non-batch-adaptive baselines; 0 (the default) lets the agent
@@ -149,31 +142,14 @@ func (t *Trainer) clock() (eventsim.Clock, error) {
 	return &eventsim.Wall{Compression: t.Compression}, nil
 }
 
-// restartDelay resolves the RestartDelay convention where the pause is
-// charged and leaves the field as configured: a resolved explicit zero
-// written back would read as "take the default" at the next begin or
-// restore.
-func (t *Trainer) restartDelay() float64 {
-	switch {
-	case t.RestartDelay < 0:
-		return 0
-	case t.RestartDelay == 0:
-		return 30
-	}
-	return t.RestartDelay
-}
-
 // begin initializes the control loop against a transport and sends the
 // initial report.
 func (t *Trainer) begin(tr Transport, submit float64) error {
-	if t.ReportEvery <= 0 {
-		t.ReportEvery = 30
-	}
 	t.transport = tr
 	t.submit = submit
 	t.src = detrand.NewSource(t.Seed)
 	t.mu.Lock()
-	t.job = sim.NewJob(t.Spec, rand.New(t.src), sim.DefaultNoiseFrac)
+	t.job = sim.NewJob(t.Spec, rand.New(t.src))
 	if t.FixedBatch > 0 {
 		t.job.Batch = t.FixedBatch
 	}
@@ -205,8 +181,9 @@ func (t *Trainer) report(done bool) error {
 }
 
 // tick runs one control-loop step: poll the allocation, detect
-// re-allocation and charge the checkpoint-restart pause, advance one
-// trainerTick of training, and report/re-tune on the reporting cadence.
+// re-allocation and charge the checkpoint-restart pause (sim.RestartDelay),
+// advance one trainerTick of training, and report/re-tune every
+// sim.AgentInterval.
 // It returns whether the job completed (the final Done report included).
 func (t *Trainer) tick() (bool, error) {
 	alloc, err := t.transport.GetAllocation(t.Job)
@@ -219,7 +196,7 @@ func (t *Trainer) tick() (bool, error) {
 	if alloc.Generation != t.lastGen {
 		t.lastGen = alloc.Generation
 		if pl.GPUs > 0 {
-			t.job.RestartUntil = t.simNow + t.restartDelay()
+			t.job.RestartUntil = t.simNow + sim.RestartDelay
 		}
 	}
 	if m := t.job.ClusterBatch(); m > 0 && t.simNow >= t.job.RestartUntil {
@@ -241,7 +218,7 @@ func (t *Trainer) tick() (bool, error) {
 		if err := t.report(false); err != nil {
 			return false, err
 		}
-		t.nextReport += t.ReportEvery
+		t.nextReport += sim.AgentInterval
 	}
 
 	if t.done {

@@ -87,7 +87,7 @@ var lnPredFloor = math.Log(predFloor)
 // The log-space residual of an exact model is rounding noise of ~1e-16, not
 // 0, and the gradient divides by the loss: normalised, that noise would be a
 // direction of unit size. It is also the smallest decrease the optimizer's
-// FuncTol (relative to max(1, f)) can tell from none.
+// funcTol (relative to max(1, f)) can tell from none.
 const exactFit = 1e-12
 
 // lnTIter returns ln Params.TIter for a sample whose Tgrad and Tsync are tg

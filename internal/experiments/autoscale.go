@@ -26,7 +26,7 @@ func Fig10(sc Scale) Outcome {
 	goodCfg := cfg
 	goodCfg.AdaptBatchGoodput = true
 	goodCfg.RespectExploreCap = true
-	good := sim.RunAutoscale(&spec, sched.NewGoodputAutoscaler(1, 16, 0.55, 0.75), goodCfg)
+	good := sim.RunAutoscale(&spec, sched.NewGoodputAutoscaler(1, 16), goodCfg)
 
 	thrCfg := cfg
 	thr := sim.RunAutoscale(&spec, sched.NewThroughputAutoscaler(1, 16, 0.9), thrCfg)

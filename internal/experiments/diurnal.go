@@ -58,25 +58,12 @@ func Diurnal64(sc Scale) Outcome {
 			Poisson: true,
 		})
 	}
-	cfg := sim.Config{
-		Nodes: nodes, GPUsPerNode: perNode,
-		Tick: sc.Tick, UseTunedConfig: true,
-		Parallel: sc.Parallel, RefitWorkers: sc.RefitWorkers,
-		// A one-day drain past the submission window bounds the run.
-		MaxTime: (days + 1) * 24 * 3600,
-	}
+	cfg := sc.simConfig()
+	cfg.Nodes, cfg.GPUsPerNode = nodes, perNode
+	// A one-day drain past the submission window bounds the run.
+	cfg.MaxTime = (days + 1) * 24 * 3600
 
-	factories := []policyFactory{
-		{"Pollux", func(seed int64) sched.Policy {
-			return sched.NewPollux(sched.PolluxOptions{
-				Population: sc.PolluxPop, Generations: sc.PolluxGens,
-			}, seed)
-		}},
-		{"Tiresias+TunedJobs", func(seed int64) sched.Policy {
-			return sched.NewTiresias()
-		}},
-	}
-	for _, f := range factories {
+	for _, f := range []policyFactory{sc.pollux(sched.PolluxOptions{}), tiresias} {
 		sum := sim.RunSeeds(seeds, genTrace, f.make, cfg)
 		o.Rows = append(o.Rows, []string{
 			f.name,

@@ -77,17 +77,7 @@ func Fairness(sc Scale) Outcome {
 	cfg := sc.simConfig()
 	cfg.FrontEnd = feOpts
 
-	factories := []policyFactory{
-		{"Pollux", func(seed int64) sched.Policy {
-			return sched.NewPollux(sched.PolluxOptions{
-				Population: sc.PolluxPop, Generations: sc.PolluxGens,
-			}, seed)
-		}},
-		{"Tiresias+TunedJobs", func(seed int64) sched.Policy {
-			return sched.NewTiresias()
-		}},
-	}
-	for _, f := range factories {
+	for _, f := range []policyFactory{sc.pollux(sched.PolluxOptions{}), tiresias} {
 		full := sim.RunSeedsFull(seeds, genTrace, f.make, cfg)
 		perRun := make([]map[string]metrics.TenantSummary, len(full))
 		for i, res := range full {

@@ -16,19 +16,26 @@ type policyFactory struct {
 	make func(seed int64) sched.Policy
 }
 
+// pollux returns the factory of Pollux schedulers at the scale's GA budget,
+// with the exhibit's own options on top.
+func (sc Scale) pollux(opts sched.PolluxOptions) policyFactory {
+	opts.Population, opts.Generations = sc.PolluxPop, sc.PolluxGens
+	return policyFactory{"Pollux", func(seed int64) sched.Policy {
+		return sched.NewPollux(opts, seed)
+	}}
+}
+
+var tiresias = policyFactory{"Tiresias+TunedJobs", func(seed int64) sched.Policy {
+	return sched.NewTiresias()
+}}
+
 func (sc Scale) factories() []policyFactory {
 	return []policyFactory{
-		{"Pollux", func(seed int64) sched.Policy {
-			return sched.NewPollux(sched.PolluxOptions{
-				Population: sc.PolluxPop, Generations: sc.PolluxGens,
-			}, seed)
-		}},
+		sc.pollux(sched.PolluxOptions{}),
 		{"Optimus+Oracle", func(seed int64) sched.Policy {
 			return sched.NewOptimus(sc.GPUsPerNode)
 		}},
-		{"Tiresias+TunedJobs", func(seed int64) sched.Policy {
-			return sched.NewTiresias()
-		}},
+		tiresias,
 	}
 }
 
@@ -186,13 +193,8 @@ func Table3(sc Scale) Outcome {
 	type r struct{ avg, p50, p99 float64 }
 	var base r
 	for _, lambda := range []float64{0, 0.5, 1.0} {
-		l := lambda
-		sum := sim.RunSeeds(sc.Seeds, sc.genTrace(sc.Jobs), func(seed int64) sched.Policy {
-			return sched.NewPollux(sched.PolluxOptions{
-				Population: sc.PolluxPop, Generations: sc.PolluxGens,
-				Lambda: l,
-			}, seed)
-		}, sc.simConfig())
+		sum := sim.RunSeeds(sc.Seeds, sc.genTrace(sc.Jobs),
+			sc.pollux(sched.PolluxOptions{Lambda: lambda}).make, sc.simConfig())
 		cur := r{sum.AvgJCT, sum.P50JCT, sum.P99JCT}
 		if lambda == 0 {
 			base = cur
@@ -225,12 +227,7 @@ func Fig9(sc Scale) Outcome {
 		RelTol:   simRelTol,
 	}
 	mk := func(disable bool) func(seed int64) sched.Policy {
-		return func(seed int64) sched.Policy {
-			return sched.NewPollux(sched.PolluxOptions{
-				Population: sc.PolluxPop, Generations: sc.PolluxGens,
-				DisableInterferenceAvoidance: disable,
-			}, seed)
-		}
+		return sc.pollux(sched.PolluxOptions{DisableInterferenceAvoidance: disable}).make
 	}
 	var baseOn float64
 	for _, slow := range []float64{0, 0.25, 0.5} {

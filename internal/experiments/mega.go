@@ -146,11 +146,8 @@ func Mega(sc Scale) Outcome {
 			GPUsPerNode: perNode, MaxGPUs: 64,
 		})
 	}
-	cfg := sim.Config{
-		Nodes: simNodes, GPUsPerNode: perNode,
-		Tick: sc.Tick, UseTunedConfig: true,
-		Parallel: sc.Parallel, RefitWorkers: sc.RefitWorkers,
-	}
+	cfg := sc.simConfig()
+	cfg.Nodes, cfg.GPUsPerNode = simNodes, perNode
 	sum := sim.RunSeeds(seeds, genTrace, func(seed int64) sched.Policy {
 		return sched.NewPollux(sched.PolluxOptions{
 			Population: megaPop, Generations: megaGens,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gns"
 	"repro/internal/models"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -162,12 +163,13 @@ func Fig3() Outcome {
 	spec := models.ByName("resnet50")
 	rng := rand.New(rand.NewSource(7))
 
-	// Observations over a grid of placements and batch sizes, 5% noise.
+	// Observations over a grid of placements and batch sizes, with the
+	// simulator's measurement noise.
 	var samples []core.Sample
 	for _, k := range []int{1, 2, 4, 8, 12, 16, 24, 32} {
 		pl := packed(k, 4)
 		for m := 128; m <= k*spec.MaxBatchPerGPU && m <= 8192; m *= 2 {
-			ti := spec.Truth.TIter(pl, float64(m)) * (1 + 0.05*(rng.Float64()*2-1))
+			ti := spec.Truth.TIter(pl, float64(m)) * (1 + sim.NoiseFrac*(rng.Float64()*2-1))
 			samples = append(samples, core.Sample{Placement: pl, Batch: m, TIter: ti})
 		}
 	}

@@ -184,7 +184,6 @@ type Problem struct {
 // generations per 60 s scheduling interval.
 type Options struct {
 	Population int // default 100
-	Tournament int // tournament size for parent selection, default 3
 	// Workers bounds the goroutines evaluating Fitness concurrently;
 	// default GOMAXPROCS. Only fitness evaluation fans out — mutation,
 	// crossover, and repair stay on the caller's goroutine so the single
@@ -196,9 +195,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Population <= 0 {
 		o.Population = 100
-	}
-	if o.Tournament <= 0 {
-		o.Tournament = 3
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -474,11 +470,14 @@ func (g *GA) crossoverInto(c, a, b Matrix) {
 	}
 }
 
-// tournament returns the index of the fittest among Tournament randomly
+// tournamentSize is how many members compete to become a parent.
+const tournamentSize = 3
+
+// tournament returns the index of the fittest among tournamentSize randomly
 // chosen population members.
 func (g *GA) tournament() int {
 	best := g.rng.Intn(len(g.pop))
-	for i := 1; i < g.opts.Tournament; i++ {
+	for i := 1; i < tournamentSize; i++ {
 		c := g.rng.Intn(len(g.pop))
 		if g.scores[c] > g.scores[best] {
 			best = c

@@ -15,10 +15,14 @@ import (
 //	if o.X == 0 { o.X = d }
 //
 // makes an explicit X: 0 indistinguishable from "unset": the caller
-// cannot ask for zero. PR 2 hit this twice (RestartPenalty: 0 silently
-// became 0.25; GPUTimeThres: 0 silently became 4 GPU-hours). The rewrite
-// is allowed only when the function also provides an escape for explicit
-// zero, detected as either
+// cannot ask for zero. PR 2 hit this twice, on two sched.PolluxOptions
+// fields no caller went on to set, which are constants now. The sites that
+// still rewrite a zero, each with its escape, are
+// sched.PolluxOptions.FullEvery (negative: never force a full round),
+// admit.Options.BucketCapacity, BucketRefill and DefaultQuota (negative:
+// explicit zero, resolved in admit.New) and cluster.Trainer.Compression
+// (its DisableCompression twin). The rewrite is allowed only when the
+// function also provides an escape for explicit zero, detected as either
 //
 //   - a negative-sentinel branch on the same field (o.X < 0 or o.X <= 0
 //     handled somewhere in the function: "negative means explicit zero"),

@@ -40,36 +40,26 @@ func (b Bounds) contains(x []float64) bool {
 type LBFGSBOptions struct {
 	// MaxIter bounds the number of outer iterations. Default 200.
 	MaxIter int
-	// History is the number of (s, y) correction pairs kept. Default 8.
-	History int
-	// GradTol terminates when the infinity-norm of the projected gradient
-	// falls below it. Default 1e-8.
-	GradTol float64
-	// FuncTol terminates when the relative improvement in f falls below
-	// it. Default 1e-12.
-	FuncTol float64
-	// GradEps is the step of MultiStart's central-difference gradients.
-	// Default 1e-6.
-	GradEps float64
 }
 
 func (o *LBFGSBOptions) defaults() {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 200
 	}
-	if o.History <= 0 {
-		o.History = 8
-	}
-	if o.GradTol <= 0 {
-		o.GradTol = 1e-8
-	}
-	if o.FuncTol <= 0 {
-		o.FuncTol = 1e-12
-	}
-	if o.GradEps <= 0 {
-		o.GradEps = 1e-6
-	}
 }
+
+// The minimizer's fixed settings.
+const (
+	// history is the number of (s, y) correction pairs kept.
+	history = 8
+	// gradTol terminates when the infinity-norm of the projected gradient
+	// falls below it.
+	gradTol float64 = 1e-8
+	// funcTol terminates when the relative improvement in f falls below it.
+	funcTol float64 = 1e-12
+	// gradEps is the step of MultiStart's central-difference gradients.
+	gradEps float64 = 1e-6
+)
 
 // Result reports the outcome of a minimization.
 type Result struct {
@@ -130,12 +120,11 @@ func numGrad(f func([]float64) float64, x []float64, b Bounds, eps float64, grad
 }
 
 // numeric is the Objective of a plain function: Grad is the central
-// difference of NumGrad inside the box, taken at its own copy of the point
-// Value last saw.
+// difference of NumGrad, of step gradEps, inside the box, taken at its own
+// copy of the point Value last saw.
 type numeric struct {
 	f         func([]float64) float64
 	b         Bounds
-	eps       float64
 	x         []float64
 	gradEvals int // calls to f made by Grad
 }
@@ -146,7 +135,7 @@ func (o *numeric) Value(x []float64) float64 {
 }
 
 func (o *numeric) Grad(g []float64) {
-	o.gradEvals += numGrad(o.f, o.x, o.b, o.eps, g)
+	o.gradEvals += numGrad(o.f, o.x, o.b, gradEps, g)
 }
 
 // LBFGSB minimizes obj subject to box constraints using a projected L-BFGS
@@ -167,19 +156,19 @@ func LBFGSB(obj Objective, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
 	copy(x, x0)
 	b.Clamp(x)
 
-	// The (s, y) correction pairs live in a ring of History+1 slots: the
+	// The (s, y) correction pairs live in a ring of history+1 slots: the
 	// candidate pair of an iteration is written into the free slot, and
-	// keeping it drops the oldest pair once History are held. rhos holds
+	// keeping it drops the oldest pair once history are held. rhos holds
 	// 1/(y·s) of each held pair, computed once when the pair is kept.
-	slots := opts.History + 1
-	work := make([]float64, (4+2*slots)*n+opts.History+slots)
+	slots := history + 1
+	work := make([]float64, (4+2*slots)*n+history+slots)
 	carve := func(k int) []float64 {
 		v := work[:k:k]
 		work = work[k:]
 		return v
 	}
 	g, gNew, dir, xNew := carve(n), carve(n), carve(n), carve(n)
-	alphas := carve(opts.History)
+	alphas := carve(history)
 	ss, ys, rhos := carve(slots*n), carve(slots*n), carve(slots)
 	pair := func(i int) (s, y []float64) {
 		o := (i % slots) * n
@@ -194,7 +183,7 @@ func LBFGSB(obj Objective, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
 
 	iter := 0
 	for ; iter < opts.MaxIter; iter++ {
-		if projGradNorm(x, g, b) < opts.GradTol {
+		if projGradNorm(x, g, b) < gradTol {
 			break
 		}
 
@@ -264,7 +253,7 @@ func LBFGSB(obj Objective, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
 		}
 		if sy := dot(s, y); sy > 1e-12 {
 			rhos[(oldest+held)%slots] = 1 / sy
-			if held == opts.History {
+			if held == history {
 				oldest = (oldest + 1) % slots
 			} else {
 				held++
@@ -275,12 +264,12 @@ func LBFGSB(obj Objective, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
 		copy(x, xNew)
 		copy(g, gNew)
 		fx = fNew
-		if rel < opts.FuncTol {
+		if rel < funcTol {
 			// A vanishing step with a large projected gradient means the
 			// quasi-Newton direction was degenerate (its useful component
 			// got projected away at an active bound), not that we have
 			// converged. Reset to steepest descent and keep going.
-			if projGradNorm(x, g, b) > math.Sqrt(opts.GradTol) && held > 0 {
+			if projGradNorm(x, g, b) > math.Sqrt(gradTol) && held > 0 {
 				held = 0
 				continue
 			}
@@ -376,11 +365,10 @@ func axpy(dst, a []float64, scale float64) {
 }
 
 // MultiStart runs LBFGSB on f from each starting point, with
-// central-difference gradients of step opts.GradEps, and returns the best
+// central-difference gradients of step gradEps, and returns the best
 // result. Evals counts the gradients' evaluations of f as well.
 func MultiStart(f func([]float64) float64, starts [][]float64, b Bounds, opts LBFGSBOptions) Result {
-	opts.defaults()
-	obj := &numeric{f: f, b: b, eps: opts.GradEps}
+	obj := &numeric{f: f, b: b}
 	best := MultiStartGrad(obj, starts, b, opts)
 	best.Evals += obj.gradEvals
 	return best

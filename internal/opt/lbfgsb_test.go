@@ -22,7 +22,7 @@ func unbounded(n int) Bounds {
 // minimize runs one LBFGSB descent on f with central-difference gradients,
 // the route MultiStart takes.
 func minimize(f func([]float64) float64, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
-	return LBFGSB(&numeric{f: f, b: b, eps: 1e-6}, x0, b, opts)
+	return LBFGSB(&numeric{f: f, b: b}, x0, b, opts)
 }
 
 // pairObjective adapts a (value, gradient) pair of closures: the gradient

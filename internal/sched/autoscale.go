@@ -15,30 +15,23 @@ type Autoscaler interface {
 
 // GoodputAutoscaler is Pollux's cloud auto-scaling policy: it provisions
 // nodes so that cluster UTILITY (Eqn. 17 — the mean speedup per GPU) stays
-// within [LowUtil, HighUtil], using binary search under the assumption
+// within [lowUtil, highUtil], using binary search under the assumption
 // that utility decreases with cluster size. Because speedup depends on
 // statistical efficiency, the desired size grows as the gradient noise
 // scale grows, provisioning GPUs when large batches become effective.
 type GoodputAutoscaler struct {
 	MinNodes, MaxNodes int
-	LowUtil, HighUtil  float64
 }
 
 // NewGoodputAutoscaler uses sensible defaults when bounds are zero.
-func NewGoodputAutoscaler(minNodes, maxNodes int, lowUtil, highUtil float64) *GoodputAutoscaler {
+func NewGoodputAutoscaler(minNodes, maxNodes int) *GoodputAutoscaler {
 	if minNodes <= 0 {
 		minNodes = 1
 	}
 	if maxNodes < minNodes {
 		maxNodes = minNodes
 	}
-	if lowUtil <= 0 {
-		lowUtil = 0.55
-	}
-	if highUtil <= lowUtil {
-		highUtil = 0.75
-	}
-	return &GoodputAutoscaler{MinNodes: minNodes, MaxNodes: maxNodes, LowUtil: lowUtil, HighUtil: highUtil}
+	return &GoodputAutoscaler{MinNodes: minNodes, MaxNodes: maxNodes}
 }
 
 func (a *GoodputAutoscaler) Name() string { return "pollux-goodput" }
@@ -54,25 +47,24 @@ func (a *GoodputAutoscaler) utility(model core.Model, n, gpusPerNode int) float6
 }
 
 // DesiredNodes binary-searches for the cluster size whose utility is
-// closest to the midpoint of [LowUtil, HighUtil].
+// closest to utilTarget.
 func (a *GoodputAutoscaler) DesiredNodes(model core.Model, gpusPerNode int) int {
-	target := (a.LowUtil + a.HighUtil) / 2
 	lo, hi := a.MinNodes, a.MaxNodes
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if a.utility(model, mid, gpusPerNode) >= target {
+		if a.utility(model, mid, gpusPerNode) >= utilTarget {
 			// Utility still high: can afford more nodes.
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	// lo is the first size with utility < target (or MaxNodes); compare
+	// lo is the first size with utility < utilTarget (or MaxNodes); compare
 	// with its predecessor for the closest fit.
 	best := lo
 	if lo > a.MinNodes {
-		du := diff(a.utility(model, lo, gpusPerNode), target)
-		dd := diff(a.utility(model, lo-1, gpusPerNode), target)
+		du := diff(a.utility(model, lo, gpusPerNode), utilTarget)
+		dd := diff(a.utility(model, lo-1, gpusPerNode), utilTarget)
 		if dd < du {
 			best = lo - 1
 		}

@@ -191,7 +191,7 @@ func TestOptimusRemainingDecreasesWithGPUs(t *testing.T) {
 
 func TestGoodputAutoscalerGrowsWithPhi(t *testing.T) {
 	spec := models.ByName("resnet50")
-	a := NewGoodputAutoscaler(1, 16, 0.55, 0.75)
+	a := NewGoodputAutoscaler(1, 16)
 	early := a.DesiredNodes(spec.GoodputModel(0.05), 4)
 	late := a.DesiredNodes(spec.GoodputModel(0.95), 4)
 	if late <= early {
@@ -204,7 +204,7 @@ func TestGoodputAutoscalerGrowsWithPhi(t *testing.T) {
 
 func TestGoodputAutoscalerRespectsBounds(t *testing.T) {
 	spec := models.ByName("resnet50")
-	a := NewGoodputAutoscaler(3, 5, 0.55, 0.75)
+	a := NewGoodputAutoscaler(3, 5)
 	for _, p := range []float64{0, 0.5, 1} {
 		n := a.DesiredNodes(spec.GoodputModel(p), 4)
 		if n < 3 || n > 5 {
@@ -222,7 +222,7 @@ func TestThroughputAutoscalerConstantOverTraining(t *testing.T) {
 		t.Errorf("throughput-based scaler changed size: %d -> %d", early, late)
 	}
 	// And it scales out aggressively from the start (Fig. 10a).
-	goodput := NewGoodputAutoscaler(1, 16, 0.55, 0.75)
+	goodput := NewGoodputAutoscaler(1, 16)
 	if early <= goodput.DesiredNodes(spec.GoodputModel(0.05), 4) {
 		t.Errorf("throughput scaler (%d nodes) should exceed goodput scaler early", early)
 	}

@@ -54,7 +54,7 @@ func TestClusterUtilityClampsToCapacity(t *testing.T) {
 func TestDesiredClusterNodesEmptyViewReturnsMin(t *testing.T) {
 	p := NewPollux(PolluxOptions{Population: 10, Generations: 5}, 45)
 	v := &ClusterView{Capacity: []int{4, 4, 4, 4}}
-	if n := p.DesiredClusterNodes(v, 2, 4, 0.55, 0.75); n != 2 {
+	if n := p.DesiredClusterNodes(v, 2, 4); n != 2 {
 		t.Errorf("empty cluster desired nodes = %d, want min 2", n)
 	}
 }
@@ -62,7 +62,7 @@ func TestDesiredClusterNodesEmptyViewReturnsMin(t *testing.T) {
 func TestDesiredClusterNodesWithinBounds(t *testing.T) {
 	v := viewWith(6, 8, 4)
 	p := NewPollux(PolluxOptions{Population: 20, Generations: 10}, 46)
-	n := p.DesiredClusterNodes(v, 2, 6, 0.55, 0.75)
+	n := p.DesiredClusterNodes(v, 2, 6)
 	if n < 2 || n > 6 {
 		t.Errorf("desired nodes = %d, want in [2, 6]", n)
 	}

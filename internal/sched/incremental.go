@@ -478,7 +478,7 @@ func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize,
 			}
 			s := r.tables[c.si].SpeedupRack(local.GPUs+c.otherK, local.Nodes+c.otherNodes, racks)
 			if r.running[c.si] && (c.otherChanged || !slices.Equal(m[mi], c.cur)) { // a move restarts it
-				s -= p.opts.RestartPenalty
+				s -= restartPenalty
 			}
 			total += r.weights[c.si] * s
 		}
@@ -560,7 +560,7 @@ func (r *round) solveRacks() ga.Matrix {
 			}
 			s := r.tables[si].SpeedupRack(k, nd, spanned)
 			if r.running[si] && !slices.Equal(m[si], curCoarse[si]) {
-				s -= p.opts.RestartPenalty
+				s -= restartPenalty
 			}
 			total += r.weights[si] * s
 		}

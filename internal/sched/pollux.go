@@ -12,27 +12,16 @@ import (
 )
 
 // PolluxOptions tunes PolluxSched. Zero values take the paper's defaults
-// (Sec. 5.1): 100 generations over a population of 100 each interval,
-// restart penalty 0.25, GPU-time threshold 4 GPU-hours with λ = 0.5, and
-// interference avoidance enabled.
+// (Sec. 5.1): 100 generations over a population of 100 each interval and
+// interference avoidance enabled; the restart penalty and the GPU-time
+// threshold are the constants below.
 type PolluxOptions struct {
 	Population  int
 	Generations int
-	// RestartPenalty is the per-job fitness penalty for re-allocations
-	// (Eqn. 14). The zero value takes the 0.25 default; set
-	// DisableRestartPenalty to make restarts genuinely free.
-	RestartPenalty float64
-	// DisableRestartPenalty forces a zero restart penalty. Without it an
-	// explicit RestartPenalty: 0 is indistinguishable from the zero value
-	// and was silently rewritten to the default.
-	DisableRestartPenalty bool
-	// GPUTimeThres is in GPU-seconds; weights decay for jobs beyond it
-	// (Eqn. 16). Lambda is the decay exponent; Lambda = 0 disables
-	// weighting entirely (all weights 1). The zero value takes the
-	// 4-GPU-hour default; a negative value means an explicit zero
-	// threshold (every job with nonzero GPU time decays).
-	GPUTimeThres float64
-	Lambda       float64
+	// Lambda is the decay exponent of the Eqn. 16 job weights beyond
+	// gpuTimeThres; 0 (the default) disables weighting entirely (all
+	// weights 1).
+	Lambda float64
 	// DisableInterferenceAvoidance turns off the Sec. 4.2.1 constraint
 	// (used by the Fig. 9 ablation).
 	DisableInterferenceAvoidance bool
@@ -69,22 +58,27 @@ func (o *PolluxOptions) defaults() {
 	if o.Generations <= 0 {
 		o.Generations = 100
 	}
-	if o.DisableRestartPenalty {
-		o.RestartPenalty = 0
-	} else if o.RestartPenalty == 0 {
-		o.RestartPenalty = 0.25
-	}
-	if o.GPUTimeThres < 0 {
-		o.GPUTimeThres = 0
-	} else if o.GPUTimeThres == 0 {
-		o.GPUTimeThres = 4 * 3600 // 4 GPU-hours
-	}
 	if o.FullEvery == 0 {
 		o.FullEvery = 10
 	} else if o.FullEvery < 0 {
 		o.FullEvery = -1 // never force a full round
 	}
 }
+
+// The paper's fixed scheduling parameters (Sec. 4.2.1, 4.2.2, 5.1).
+const (
+	// restartPenalty is what a re-allocation costs a running job's
+	// fitness term (Eqn. 14).
+	restartPenalty float64 = 0.25
+	// gpuTimeThres is the attained service, in GPU-seconds, beyond which a
+	// job's weight decays (Eqn. 16): 4 GPU-hours.
+	gpuTimeThres float64 = 4 * 3600
+	// lowUtil and highUtil are the band Sec. 4.2.2 keeps UTILITY (Eqn. 17)
+	// within; both autoscalers steer towards its midpoint, utilTarget.
+	lowUtil    float64 = 0.55
+	highUtil   float64 = 0.75
+	utilTarget         = (lowUtil + highUtil) / 2
+)
 
 // Fixed settings of incremental and hierarchical rounds. No caller ever
 // chose other values, so they are not options.
@@ -419,7 +413,7 @@ func utilityPopulation(configured int) int {
 // decreases with size) for the node count whose utility is closest to the
 // midpoint of [lowUtil, highUtil]. The view's Capacity must describe the
 // cluster at its maximum size.
-func (p *Pollux) DesiredClusterNodes(v *ClusterView, minNodes, maxNodes int, lowUtil, highUtil float64) int {
+func (p *Pollux) DesiredClusterNodes(v *ClusterView, minNodes, maxNodes int) int {
 	if maxNodes > len(v.Capacity) {
 		maxNodes = len(v.Capacity)
 	}
@@ -430,11 +424,10 @@ func (p *Pollux) DesiredClusterNodes(v *ClusterView, minNodes, maxNodes int, low
 		return minNodes
 	}
 	const searchGens = 10
-	target := (lowUtil + highUtil) / 2
 	lo, hi := minNodes, maxNodes
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if p.ClusterUtility(v, mid, searchGens) >= target {
+		if p.ClusterUtility(v, mid, searchGens) >= utilTarget {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -442,8 +435,8 @@ func (p *Pollux) DesiredClusterNodes(v *ClusterView, minNodes, maxNodes int, low
 	}
 	best := lo
 	if lo > minNodes {
-		du := diff(p.ClusterUtility(v, lo, searchGens), target)
-		dd := diff(p.ClusterUtility(v, lo-1, searchGens), target)
+		du := diff(p.ClusterUtility(v, lo, searchGens), utilTarget)
+		dd := diff(p.ClusterUtility(v, lo-1, searchGens), utilTarget)
 		if dd < du {
 			best = lo - 1
 		}
@@ -453,8 +446,8 @@ func (p *Pollux) DesiredClusterNodes(v *ClusterView, minNodes, maxNodes int, low
 
 // weight implements Eqn. 16: w_j = min(1, thres/gputime)^λ.
 func (p *Pollux) weight(gpuTime float64) float64 {
-	if p.opts.Lambda == 0 || gpuTime <= p.opts.GPUTimeThres {
+	if p.opts.Lambda == 0 || gpuTime <= gpuTimeThres {
 		return 1
 	}
-	return math.Pow(p.opts.GPUTimeThres/gpuTime, p.opts.Lambda)
+	return math.Pow(gpuTimeThres/gpuTime, p.opts.Lambda)
 }

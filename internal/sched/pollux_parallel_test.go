@@ -32,43 +32,6 @@ func TestPolluxWorkersDeterminism(t *testing.T) {
 	}
 }
 
-func TestPolluxZeroRestartPenaltyStaysZero(t *testing.T) {
-	p := NewPollux(PolluxOptions{DisableRestartPenalty: true}, 1)
-	if p.opts.RestartPenalty != 0 {
-		t.Errorf("DisableRestartPenalty: penalty = %v, want 0", p.opts.RestartPenalty)
-	}
-	// The zero value still takes the paper default.
-	p = NewPollux(PolluxOptions{}, 1)
-	if p.opts.RestartPenalty != 0.25 {
-		t.Errorf("default penalty = %v, want 0.25", p.opts.RestartPenalty)
-	}
-	// An explicit nonzero penalty is preserved.
-	p = NewPollux(PolluxOptions{RestartPenalty: 0.5}, 1)
-	if p.opts.RestartPenalty != 0.5 {
-		t.Errorf("explicit penalty = %v, want 0.5", p.opts.RestartPenalty)
-	}
-}
-
-func TestPolluxZeroGPUTimeThres(t *testing.T) {
-	// A negative threshold means an explicit zero: with λ > 0 every job
-	// with nonzero GPU time decays, which was previously inexpressible.
-	p := NewPollux(PolluxOptions{GPUTimeThres: -1, Lambda: 0.5}, 1)
-	if p.opts.GPUTimeThres != 0 {
-		t.Errorf("explicit zero threshold = %v, want 0", p.opts.GPUTimeThres)
-	}
-	if w := p.weight(0); w != 1 {
-		t.Errorf("weight at zero GPU time = %v, want 1", w)
-	}
-	if w := p.weight(3600); w != 0 {
-		t.Errorf("weight beyond zero threshold = %v, want 0", w)
-	}
-	// The zero value still takes the 4-GPU-hour default.
-	p = NewPollux(PolluxOptions{}, 1)
-	if p.opts.GPUTimeThres != 4*3600 {
-		t.Errorf("default threshold = %v, want %v", p.opts.GPUTimeThres, 4*3600)
-	}
-}
-
 func TestSpeedupTableCachedAcrossRounds(t *testing.T) {
 	v := viewWith(3, 4, 4)
 	p := NewPollux(PolluxOptions{Population: 10, Generations: 5}, 8)

@@ -33,8 +33,8 @@ func singleJobCluster(engine string) (*Cluster, *jobState) {
 func TestClosedFormAdvanceIsAdditive(t *testing.T) {
 	one, jOne := singleJobCluster(EngineEvent)
 	many, jMany := singleJobCluster(EngineEvent)
-	jOne.freeze(jOne.ClusterBatch(), 0, one.cfg.AgentInterval)
-	jMany.freeze(jMany.ClusterBatch(), 0, many.cfg.AgentInterval)
+	jOne.freeze(jOne.ClusterBatch(), 0, AgentInterval)
+	jMany.freeze(jMany.ClusterBatch(), 0, AgentInterval)
 	if jOne.rate.good <= 0 {
 		t.Fatal("job has no training rate")
 	}
@@ -66,7 +66,7 @@ func TestClosedFormAdvanceMatchesTickAccumulation(t *testing.T) {
 	ev, jEv := singleJobCluster(EngineEvent)
 	tk, jTk := singleJobCluster(EngineTick)
 
-	jEv.freeze(jEv.ClusterBatch(), 0, ev.cfg.AgentInterval)
+	jEv.freeze(jEv.ClusterBatch(), 0, AgentInterval)
 	jEv.advanceTo(30, ev.cfg.Tick)
 
 	for tk.now = 0; tk.now < 30; tk.now += tk.cfg.Tick {
@@ -90,7 +90,7 @@ func TestClosedFormAdvanceMatchesTickAccumulation(t *testing.T) {
 // time.
 func TestClosedFormAdvanceExcludesRestartPause(t *testing.T) {
 	c, j := singleJobCluster(EngineEvent)
-	j.freeze(j.ClusterBatch(), 0, c.cfg.AgentInterval)
+	j.freeze(j.ClusterBatch(), 0, AgentInterval)
 	good := j.rate.good
 
 	j.RestartUntil = 100
@@ -105,7 +105,7 @@ func TestClosedFormAdvanceExcludesRestartPause(t *testing.T) {
 
 	// A pause covering the whole interval freezes the job entirely.
 	c2, j2 := singleJobCluster(EngineEvent)
-	j2.freeze(j2.ClusterBatch(), 0, c2.cfg.AgentInterval)
+	j2.freeze(j2.ClusterBatch(), 0, AgentInterval)
 	j2.RestartUntil = 1000
 	j2.advanceTo(300, c2.cfg.Tick)
 	if j2.Progress != 0 || j2.RunTime != 0 {
@@ -121,7 +121,7 @@ func TestClosedFormAdvanceExcludesRestartPause(t *testing.T) {
 // computed from the jumped noise scale with no boundary-straddling error.
 func TestEventEngineSnapsDecayBoundaries(t *testing.T) {
 	c, j := singleJobCluster(EngineEvent)
-	j.freeze(j.ClusterBatch(), 0, c.cfg.AgentInterval)
+	j.freeze(j.ClusterBatch(), 0, AgentInterval)
 	if j.rate.good <= 0 {
 		t.Fatal("no rate")
 	}
@@ -141,17 +141,17 @@ func TestEventEngineSnapsDecayBoundaries(t *testing.T) {
 	// superseded at the next rate refresh, so pushing them would only
 	// accumulate dead events on long traces.
 	var q eventsim.Queue
-	j.predict(&q, c.now, c.cfg.AgentInterval, j.wj.ID, evMilestone)
-	if wantT := (first - j.Progress) / j.rate.good; wantT > c.cfg.AgentInterval {
+	j.predict(&q, c.now, AgentInterval, j.wj.ID, evMilestone)
+	if wantT := (first - j.Progress) / j.rate.good; wantT > AgentInterval {
 		if q.Len() != 0 {
-			t.Errorf("milestone %vs away pushed despite refresh horizon %vs", wantT, c.cfg.AgentInterval)
+			t.Errorf("milestone %vs away pushed despite refresh horizon %vs", wantT, AgentInterval)
 		}
 	}
 
 	// Start the job just below the boundary: the milestone is now within
 	// the refresh horizon and must land exactly on it.
-	j.Progress = first - j.rate.good*c.cfg.AgentInterval/2
-	j.predict(&q, c.now, c.cfg.AgentInterval, j.wj.ID, evMilestone)
+	j.Progress = first - j.rate.good*AgentInterval/2
+	j.predict(&q, c.now, AgentInterval, j.wj.ID, evMilestone)
 	e, ok := q.Pop()
 	if !ok {
 		t.Fatal("no milestone scheduled for near boundary")

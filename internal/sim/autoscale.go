@@ -13,17 +13,9 @@ import (
 // AutoscaleConfig controls the cloud auto-scaling scenario of Sec. 5.3.3:
 // one large training job whose node count is adjusted over time.
 type AutoscaleConfig struct {
-	GPUsPerNode   int     // default 4
-	MinNodes      int     // default 1
-	MaxNodes      int     // default 16
-	Interval      float64 // autoscaler decision period; default 60 s
-	AgentInterval float64 // default 30 s
-	// ProvisionDelay is how long newly requested nodes take to join;
-	// the zero value takes the 60 s default, a negative value means
-	// instant provisioning. Releases are immediate.
-	ProvisionDelay float64
-	// RestartDelay defaults to 30 s; negative means free restarts.
-	RestartDelay float64
+	GPUsPerNode int // default 4
+	MinNodes    int // default 1
+	MaxNodes    int // default 16
 	// AdaptBatchGoodput selects the goodput-optimal batch each interval
 	// (Pollux); when false the throughput-optimal (maximum feasible)
 	// batch is used (Or et al.).
@@ -31,12 +23,10 @@ type AutoscaleConfig struct {
 	// RespectExploreCap applies Pollux's 2x-lifetime-max exploration cap
 	// to the node count (part of PolluxAgent's design, not Or et al.'s).
 	RespectExploreCap bool
-	// NoiseFrac defaults to 0.05; negative means noise-free profiling.
-	NoiseFrac float64
 	// Tick is the step of the fixed-step engine and the profiling
 	// resolution of the event engine (see sim.Config.Tick).
 	Tick    float64
-	MaxTime float64
+	MaxTime float64 // default DefaultMaxTime
 	Seed    int64
 	// Engine selects EngineEvent (default) or EngineTick, as in Config.
 	Engine string
@@ -55,32 +45,11 @@ func (c *AutoscaleConfig) defaults() {
 	if c.MaxNodes < c.MinNodes {
 		c.MaxNodes = max(16, c.MinNodes)
 	}
-	if c.Interval <= 0 {
-		c.Interval = 60
-	}
-	if c.AgentInterval <= 0 {
-		c.AgentInterval = 30
-	}
-	if c.ProvisionDelay < 0 {
-		c.ProvisionDelay = 0
-	} else if c.ProvisionDelay == 0 {
-		c.ProvisionDelay = 60
-	}
-	if c.RestartDelay < 0 {
-		c.RestartDelay = 0
-	} else if c.RestartDelay == 0 {
-		c.RestartDelay = 30
-	}
-	if c.NoiseFrac < 0 {
-		c.NoiseFrac = 0
-	} else if c.NoiseFrac == 0 {
-		c.NoiseFrac = DefaultNoiseFrac
-	}
 	if c.Tick <= 0 {
 		c.Tick = 1
 	}
 	if c.MaxTime <= 0 {
-		c.MaxTime = 14 * 24 * 3600
+		c.MaxTime = DefaultMaxTime
 	}
 	if c.SamplePeriod <= 0 {
 		c.SamplePeriod = 300
@@ -115,21 +84,30 @@ type AutoscaleResult struct {
 // configured engine selects between the discrete-event loop (default) and
 // the original fixed-step loop.
 func RunAutoscale(spec *models.Spec, scaler sched.Autoscaler, cfg AutoscaleConfig) AutoscaleResult {
+	return newAutoscaleRun(spec, scaler, cfg).run()
+}
+
+func newAutoscaleRun(spec *models.Spec, scaler sched.Autoscaler, cfg AutoscaleConfig) *autoscaleRun {
 	cfg.defaults()
 	r := &autoscaleRun{
-		cfg:    cfg,
-		scaler: scaler,
-		job:    NewJob(spec, rand.New(rand.NewSource(cfg.Seed)), cfg.NoiseFrac),
-		paid:   cfg.MinNodes,
+		cfg:            cfg,
+		scaler:         scaler,
+		job:            NewJob(spec, rand.New(rand.NewSource(cfg.Seed))),
+		provisionDelay: ProvisionDelay,
+		paid:           cfg.MinNodes,
 	}
 	r.place(cfg.MinNodes)
-	if cfg.Engine == EngineTick {
+	return r
+}
+
+func (r *autoscaleRun) run() AutoscaleResult {
+	if r.cfg.Engine == EngineTick {
 		r.runTick()
 	} else {
 		r.runEvent()
 	}
 	if !r.res.Completed {
-		r.res.CompletionTime = cfg.MaxTime
+		r.res.CompletionTime = r.cfg.MaxTime
 	}
 	return r.res
 }
@@ -144,6 +122,9 @@ type autoscaleRun struct {
 	scaler sched.Autoscaler
 	job    Job
 	res    AutoscaleResult
+	// provisionDelay is ProvisionDelay; a field so a test can make
+	// scale-ups overlap.
+	provisionDelay float64
 
 	ready        int     // nodes the job trains on
 	paid         int     // nodes being paid for (ready + provisioning)
@@ -159,7 +140,7 @@ func (r *autoscaleRun) place(n int) {
 
 // provisioned lets requested nodes that are due join the job, at the cost
 // of a restart, and reports whether any did. The due check matters when
-// scale-ups overlap (ProvisionDelay > Interval): a later request pushes
+// scale-ups overlap (provisionDelay > SchedInterval): a later request pushes
 // provisionAt out, and the earlier request's completion must not promote
 // the combined batch early.
 func (r *autoscaleRun) provisioned(now float64) bool {
@@ -168,7 +149,7 @@ func (r *autoscaleRun) provisioned(now float64) bool {
 	}
 	r.place(r.ready + r.provisioning)
 	r.provisioning = 0
-	r.job.RestartUntil = now + r.cfg.RestartDelay
+	r.job.RestartUntil = now + RestartDelay
 	return true
 }
 
@@ -186,7 +167,7 @@ func (r *autoscaleRun) agentRound() {
 }
 
 // decide runs one autoscaling decision. Nodes it requests are paid for at
-// once and join after ProvisionDelay; nodes it releases go immediately, at
+// once and join after provisionDelay; nodes it releases go immediately, at
 // the cost of a restart.
 func (r *autoscaleRun) decide(now float64) (requested, released bool) {
 	cfg, ag := r.cfg, r.job.Agent
@@ -207,12 +188,12 @@ func (r *autoscaleRun) decide(now float64) (requested, released bool) {
 		add := want - r.ready - r.provisioning
 		r.provisioning += add
 		r.paid += add
-		r.provisionAt = now + cfg.ProvisionDelay
+		r.provisionAt = now + r.provisionDelay
 		return true, false
 	case want < r.ready:
 		r.place(want)
 		r.paid = want + r.provisioning
-		r.job.RestartUntil = now + cfg.RestartDelay
+		r.job.RestartUntil = now + RestartDelay
 		return false, true
 	}
 	return false, false
@@ -234,11 +215,11 @@ func (r *autoscaleRun) runTick() {
 		r.provisioned(now)
 		if now >= nextAgent {
 			r.agentRound()
-			nextAgent += cfg.AgentInterval
+			nextAgent += AgentInterval
 		}
 		if now >= nextDecision {
 			r.decide(now)
-			nextDecision += cfg.Interval
+			nextDecision += SchedInterval
 		}
 		if now >= nextSample {
 			r.sample(now)
@@ -276,8 +257,8 @@ func (r *autoscaleRun) runEvent() {
 		q.Push(eventsim.Event{Time: t, Class: eventsim.ClassCluster, Kind: kind})
 	}
 	refresh := func(now float64) {
-		j.freeze(j.SingleJobBatch(), 0, cfg.AgentInterval)
-		j.predict(&q, now, cfg.AgentInterval, 0, asMilestone)
+		j.freeze(j.SingleJobBatch(), 0, AgentInterval)
+		j.predict(&q, now, AgentInterval, 0, asMilestone)
 	}
 	cluster(0, asAgent)
 	cluster(0, asDecision)
@@ -304,7 +285,7 @@ func (r *autoscaleRun) runEvent() {
 		case asAgent:
 			r.agentRound()
 			refresh(now)
-			cluster(now+cfg.AgentInterval, asAgent)
+			cluster(now+AgentInterval, asAgent)
 		case asDecision:
 			switch requested, released := r.decide(now); {
 			case requested:
@@ -312,7 +293,7 @@ func (r *autoscaleRun) runEvent() {
 			case released:
 				refresh(now)
 			}
-			cluster(now+cfg.Interval, asDecision)
+			cluster(now+SchedInterval, asDecision)
 		case asSample:
 			r.sample(now)
 			cluster(now+cfg.SamplePeriod, asSample)

@@ -31,7 +31,7 @@ func autoscaleCfg(goodput bool) AutoscaleConfig {
 
 func TestAutoscaleGoodputCompletes(t *testing.T) {
 	spec := scaledDownImagenet()
-	scaler := sched.NewGoodputAutoscaler(1, 16, 0.55, 0.75)
+	scaler := sched.NewGoodputAutoscaler(1, 16)
 	res := RunAutoscale(spec, scaler, autoscaleCfg(true))
 	if !res.Completed {
 		t.Fatal("goodput autoscaled training did not complete")
@@ -46,7 +46,7 @@ func TestAutoscaleGoodputCompletes(t *testing.T) {
 
 func TestAutoscaleGoodputRampsUp(t *testing.T) {
 	spec := scaledDownImagenet()
-	scaler := sched.NewGoodputAutoscaler(1, 16, 0.55, 0.75)
+	scaler := sched.NewGoodputAutoscaler(1, 16)
 	res := RunAutoscale(spec, scaler, autoscaleCfg(true))
 	if !res.Completed {
 		t.Fatal("did not complete")
@@ -84,7 +84,7 @@ func TestAutoscaleGoodputCheaper(t *testing.T) {
 	// The headline Sec. 5.3.3 result: goodput-based autoscaling is
 	// substantially cheaper, at a modest completion-time cost.
 	spec := scaledDownImagenet()
-	good := RunAutoscale(spec, sched.NewGoodputAutoscaler(1, 16, 0.55, 0.75), autoscaleCfg(true))
+	good := RunAutoscale(spec, sched.NewGoodputAutoscaler(1, 16), autoscaleCfg(true))
 	thr := RunAutoscale(spec, sched.NewThroughputAutoscaler(1, 16, 0.9), autoscaleCfg(false))
 	if !good.Completed || !thr.Completed {
 		t.Fatal("runs did not complete")
@@ -103,7 +103,7 @@ func TestAutoscaleEfficiencyHigherForGoodput(t *testing.T) {
 	// Fig. 10b: Pollux maintains high statistical efficiency; Or et al.
 	// tanks it early with oversized batches.
 	spec := scaledDownImagenet()
-	good := RunAutoscale(spec, sched.NewGoodputAutoscaler(1, 16, 0.55, 0.75), autoscaleCfg(true))
+	good := RunAutoscale(spec, sched.NewGoodputAutoscaler(1, 16), autoscaleCfg(true))
 	thr := RunAutoscale(spec, sched.NewThroughputAutoscaler(1, 16, 0.9), autoscaleCfg(false))
 	avgEff := func(pts []AutoscalePoint) float64 {
 		s := 0.0
@@ -130,7 +130,7 @@ func TestAutoscaleRespectsNodeBounds(t *testing.T) {
 	} {
 		cfg := autoscaleCfg(true)
 		cfg.MinNodes, cfg.MaxNodes = c.cfgMin, c.cfgMax
-		res := RunAutoscale(spec, sched.NewGoodputAutoscaler(c.lo, c.hi, 0.55, 0.75), cfg)
+		res := RunAutoscale(spec, sched.NewGoodputAutoscaler(c.lo, c.hi), cfg)
 		for _, p := range res.Points {
 			if p.Nodes < c.lo || p.Nodes > c.hi {
 				t.Errorf("MinNodes %d MaxNodes %d: t=%v nodes=%d outside [%d, %d]",
@@ -145,7 +145,7 @@ func TestAutoscaleRespectsNodeBounds(t *testing.T) {
 // autoscaling raises to m0 and the cluster cannot run.
 func TestClampBatch(t *testing.T) {
 	spec := models.ByName("resnet50")
-	j := NewJob(spec, nil, 0)
+	j := NewJob(spec, nil)
 	j.Placement = core.Placement{GPUs: 8, Nodes: 2}
 	j.Batch = 1 << 20
 	if got, want := j.SingleJobBatch(), 8*spec.MaxBatchPerGPU; got != want {

@@ -5,41 +5,27 @@ import (
 )
 
 // ClusterAutoscaleConfig enables the Sec. 4.2.2 multi-job cloud
-// autoscaling mode of the simulator: PolluxSched grows or shrinks the
-// cluster so that UTILITY (Eqn. 17) stays within [LowUtil, HighUtil].
+// autoscaling mode of the simulator: every scheduling round PolluxSched
+// grows or shrinks the cluster between MinNodes and MaxNodes so that
+// UTILITY (Eqn. 17) stays within sched's utility band. Requested nodes
+// join after ProvisionDelay.
 type ClusterAutoscaleConfig struct {
 	MinNodes, MaxNodes int
-	LowUtil, HighUtil  float64
-	// Interval between autoscaling decisions; defaults to the scheduling
-	// interval.
-	Interval float64
-	// ProvisionDelay is how long newly requested nodes take to join;
-	// the zero value takes the 60 s default, a negative value means
-	// instant provisioning. Releases are immediate.
-	ProvisionDelay float64
 }
 
-func (a *ClusterAutoscaleConfig) defaults(schedInterval float64) {
+// resolved returns the bounds in force on a cluster of the given size: at
+// least one node, at most all of them.
+func (a ClusterAutoscaleConfig) resolved(nodes int) ClusterAutoscaleConfig {
+	if a.MaxNodes > nodes || a.MaxNodes <= 0 {
+		a.MaxNodes = nodes
+	}
 	if a.MinNodes <= 0 {
 		a.MinNodes = 1
 	}
 	if a.MaxNodes < a.MinNodes {
 		a.MaxNodes = a.MinNodes
 	}
-	if a.LowUtil <= 0 {
-		a.LowUtil = 0.55
-	}
-	if a.HighUtil <= a.LowUtil {
-		a.HighUtil = 0.75
-	}
-	if a.Interval <= 0 {
-		a.Interval = schedInterval
-	}
-	if a.ProvisionDelay < 0 {
-		a.ProvisionDelay = 0
-	} else if a.ProvisionDelay == 0 {
-		a.ProvisionDelay = 60
-	}
+	return a
 }
 
 // autoscaleTick runs one cluster-size decision. Only Pollux policies can
@@ -76,13 +62,13 @@ func (c *Cluster) autoscaleTick() {
 			GPUTime: j.GPUTime,
 		})
 	}
-	want := pollux.DesiredClusterNodes(view, as.MinNodes, as.MaxNodes, as.LowUtil, as.HighUtil)
+	want := pollux.DesiredClusterNodes(view, as.MinNodes, as.MaxNodes)
 
 	switch {
 	case want > c.activeNodes+c.provisioning:
 		add := want - c.activeNodes - c.provisioning
 		c.provisioning += add
-		c.provisionAt = c.now + as.ProvisionDelay
+		c.provisionAt = c.now + ProvisionDelay
 	case want < c.activeNodes:
 		// Release the highest-numbered nodes immediately; evict any
 		// replicas placed there (they will be rescheduled with a
@@ -99,7 +85,7 @@ func (c *Cluster) autoscaleTick() {
 			if changed {
 				j.Placement = sched.PlacementOf(j.alloc)
 				if j.Placement.GPUs > 0 {
-					j.RestartUntil = c.now + c.cfg.RestartDelay
+					j.RestartUntil = c.now + c.restartDelay
 				}
 			}
 		}

@@ -110,12 +110,46 @@ func TestPolluxDesiredClusterNodesGrowsWithLoad(t *testing.T) {
 		return v
 	}
 	p := sched.NewPollux(sched.PolluxOptions{Population: 20, Generations: 10}, 9)
-	small := p.DesiredClusterNodes(mkView(2), 1, 8, 0.55, 0.75)
-	large := p.DesiredClusterNodes(mkView(12), 1, 8, 0.55, 0.75)
+	small := p.DesiredClusterNodes(mkView(2), 1, 8)
+	large := p.DesiredClusterNodes(mkView(12), 1, 8)
 	if large < small {
 		t.Errorf("desired nodes shrank with more jobs: %d -> %d", small, large)
 	}
 	if small < 1 || large > 8 {
 		t.Errorf("bounds violated: %d, %d", small, large)
+	}
+}
+
+// TestSharedAutoscaleConfigIsNotWritten: one ClusterAutoscaleConfig may
+// configure clusters of several sizes, and RunSeedsFull hands one to
+// Parallel goroutines at once, so resolving its bounds against a cluster
+// must not write through the caller's pointer. Not skipped under -short:
+// the race job is what sees the concurrent write.
+func TestSharedAutoscaleConfigIsNotWritten(t *testing.T) {
+	as := &ClusterAutoscaleConfig{MinNodes: 2}
+	for _, nodes := range []int{8, 16} {
+		cfg := fastCfg(24)
+		cfg.Nodes = nodes
+		cfg.Autoscale = as
+		c := NewCluster(workload.Trace{}, fastPollux(24), cfg)
+		if got := c.cfg.Autoscale.MaxNodes; got != nodes {
+			t.Errorf("%d-node cluster may grow to %d nodes, want %d", nodes, got, nodes)
+		}
+	}
+
+	cfg := fastCfg(24)
+	cfg.Autoscale = as
+	cfg.Parallel = 2
+	gen := func(rng *rand.Rand) workload.Trace {
+		return smallOnly(workload.Generate(rng, workload.Options{Jobs: 4, Hours: 0.1}))
+	}
+	for i, res := range RunSeedsFull([]int64{24, 25}, gen, func(seed int64) sched.Policy { return fastPollux(seed) }, cfg) {
+		if res.Summary.Completed != len(res.Records) {
+			t.Errorf("seed %d: completed %d of %d jobs", 24+i, res.Summary.Completed, len(res.Records))
+		}
+	}
+
+	if *as != (ClusterAutoscaleConfig{MinNodes: 2}) {
+		t.Errorf("caller's config was written: %+v", *as)
 	}
 }

@@ -91,7 +91,7 @@ func TestRunDigestsPinned(t *testing.T) {
 		return func() string {
 			scaler := sched.Autoscaler(sched.NewThroughputAutoscaler(1, 16, 0.9))
 			if goodput {
-				scaler = sched.NewGoodputAutoscaler(1, 16, 0.55, 0.75)
+				scaler = sched.NewGoodputAutoscaler(1, 16)
 			}
 			cfg := autoscaleCfg(goodput)
 			cfg.Engine = engine

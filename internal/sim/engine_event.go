@@ -69,7 +69,7 @@ func (c *Cluster) runEvent() Result {
 			c.agentTick()
 			c.refreshPredictions(&q)
 			q.Push(eventsim.Event{
-				Time: c.now + cfg.AgentInterval, Class: eventsim.ClassCluster, Kind: evAgent,
+				Time: c.now + AgentInterval, Class: eventsim.ClassCluster, Kind: evAgent,
 			})
 
 		case evProvision:
@@ -92,7 +92,7 @@ func (c *Cluster) runEvent() Result {
 			c.scheduleTick()
 			c.refreshPredictions(&q)
 			q.Push(eventsim.Event{
-				Time: c.now + cfg.SchedInterval, Class: eventsim.ClassCluster, Kind: evSched,
+				Time: c.now + SchedInterval, Class: eventsim.ClassCluster, Kind: evSched,
 			})
 
 		case evRestart:
@@ -151,8 +151,8 @@ func (c *Cluster) advanceAll() {
 // refreshPrediction re-freezes one job's rate under the cluster's clamp
 // rule and its current interference, and predicts its next milestone.
 func (c *Cluster) refreshPrediction(q *eventsim.Queue, j *jobState) {
-	j.freeze(j.ClusterBatch(), j.slowdown, c.cfg.AgentInterval)
-	j.predict(q, c.now, c.cfg.AgentInterval, j.wj.ID, evMilestone)
+	j.freeze(j.ClusterBatch(), j.slowdown, AgentInterval)
+	j.predict(q, c.now, AgentInterval, j.wj.ID, evMilestone)
 }
 
 // refreshPredictions re-freezes rates and reschedules milestone events

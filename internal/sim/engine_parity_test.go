@@ -180,7 +180,7 @@ func TestEventEngineAdmitsBoundaryAlignedArrival(t *testing.T) {
 	}
 }
 
-// TestEngineParityAutoscaleOverlappingProvisions: with ProvisionDelay
+// TestEngineParityAutoscaleOverlappingProvisions: with a provisioning delay
 // longer than the decision interval, scale-up requests overlap and each
 // batch must only join at its own readiness time — the engines' node
 // trajectories must still agree.
@@ -189,9 +189,10 @@ func TestEngineParityAutoscaleOverlappingProvisions(t *testing.T) {
 	run := func(engine string) AutoscaleResult {
 		cfg := autoscaleCfg(true)
 		cfg.Engine = engine
-		cfg.ProvisionDelay = 150 // > Interval (60 s): requests overlap
 		cfg.SamplePeriod = 60
-		return RunAutoscale(spec, sched.NewGoodputAutoscaler(1, 16, 0.55, 0.75), cfg)
+		r := newAutoscaleRun(spec, sched.NewGoodputAutoscaler(1, 16), cfg)
+		r.provisionDelay = 150 // > SchedInterval: requests overlap
+		return r.run()
 	}
 	tick := run(EngineTick)
 	event := run(EngineEvent)
@@ -232,7 +233,7 @@ func TestEngineParityAutoscale(t *testing.T) {
 		cfg.Engine = engine
 		var scaler sched.Autoscaler
 		if goodput {
-			scaler = sched.NewGoodputAutoscaler(1, 16, 0.55, 0.75)
+			scaler = sched.NewGoodputAutoscaler(1, 16)
 		} else {
 			scaler = sched.NewThroughputAutoscaler(1, 16, 0.9)
 		}

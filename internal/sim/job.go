@@ -10,11 +10,6 @@ import (
 	"repro/internal/models"
 )
 
-// DefaultNoiseFrac is the relative measurement noise on profiled iteration
-// times and noise-scale observations that Config, AutoscaleConfig and the
-// replay trainers all default to.
-const DefaultNoiseFrac = 0.05
-
 // Job is one simulated training job: the ground truth of Sec. 5.3 — on
 // placement (K, N) at batch m it advances at THROUGHPUT_true(K, N, m) x
 // EFFICIENCY_t(m) while its agent profiles noisy iteration times — plus the
@@ -39,10 +34,9 @@ type Job struct {
 	// Sums over running time, the inputs of Summarize.
 	EffSum, TputSum, GoodSum, RunTime float64
 
-	// rng supplies the measurement noise (the cluster simulator shares one
-	// across its jobs, a trainer owns its own); noise is its relative size.
-	rng   *rand.Rand
-	noise float64
+	// rng supplies the measurement noise, of relative size NoiseFrac (the
+	// cluster simulator shares one across its jobs, a trainer owns its own).
+	rng *rand.Rand
 
 	// Closed-form kernel state. lastT is the time training state was last
 	// advanced to; rate is the training rate frozen at the last event;
@@ -68,13 +62,12 @@ type jobRate struct {
 
 // NewJob returns a job of the spec at zero progress with a fresh agent,
 // training at m0 until its holder sets another batch.
-func NewJob(spec *models.Spec, rng *rand.Rand, noiseFrac float64) Job {
+func NewJob(spec *models.Spec, rng *rand.Rand) Job {
 	return Job{
 		Spec:  spec,
 		Agent: agent.New(spec.M0, spec.Eta0, spec.MaxBatchPerGPU, spec.MaxBatchGlobal),
 		Batch: spec.M0,
 		rng:   rng,
-		noise: noiseFrac,
 	}
 }
 
@@ -150,14 +143,14 @@ func (j *Job) Step(m int, slowdown, dt float64) {
 	j.GoodSum += good * dt
 	j.RunTime += dt
 
-	j.Agent.RecordSample(j.Placement, m, tIter*(1+j.noise*(j.rng.Float64()*2-1)))
+	j.Agent.RecordSample(j.Placement, m, tIter*(1+NoiseFrac*(j.rng.Float64()*2-1)))
 }
 
 // ObservePhi hands the agent one noisy observation of the gradient noise
 // scale at the job's current progress. What follows it — which agents
 // refit, and whether the batch is re-tuned — is the holder's.
 func (j *Job) ObservePhi() {
-	phi := j.Spec.Phi(j.Progress/j.Spec.TotalWork()) * (1 + j.noise*(j.rng.Float64()*2-1))
+	phi := j.Spec.Phi(j.Progress/j.Spec.TotalWork()) * (1 + NoiseFrac*(j.rng.Float64()*2-1))
 	j.Agent.SetPhi(phi)
 }
 
@@ -224,7 +217,7 @@ func (j *Job) advanceTo(t, tick float64) {
 		j.GoodSum += j.rate.good * dt
 		j.RunTime += dt
 		n := observationCount(dt, tick)
-		noisy := j.rate.tIter * (1 + j.noise*(j.rng.Float64()*2-1)/math.Sqrt(float64(n)))
+		noisy := j.rate.tIter * (1 + NoiseFrac*(j.rng.Float64()*2-1)/math.Sqrt(float64(n)))
 		j.Agent.RecordSampleN(j.Placement, j.rate.m, noisy, n)
 	}
 	j.lastT = t

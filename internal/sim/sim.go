@@ -40,6 +40,29 @@ const (
 	EngineTick = "tick"
 )
 
+// The control loop's timing and measurement noise, fixed as the paper fixes
+// them. This is their one declaration: the cluster simulator, RunAutoscale,
+// cluster.Replay with its trainers and the pollux-sched daemon all read it.
+const (
+	// SchedInterval is the period of scheduling rounds and of autoscaling
+	// decisions (Sec. 5.1).
+	SchedInterval float64 = 60
+	// AgentInterval is the period at which a job's agent reports its
+	// fitted goodput function and re-tunes the batch size (Sec. 5.1).
+	AgentInterval float64 = 30
+	// RestartDelay is the checkpoint-restart pause a job pays when its
+	// allocation changes (Sec. 5.3).
+	RestartDelay float64 = 30
+	// ProvisionDelay is how long newly requested cloud nodes take to join
+	// under either autoscaling mode; releases are immediate.
+	ProvisionDelay float64 = 60
+	// DefaultMaxTime is the horizon of a run that sets no MaxTime: 14 days.
+	DefaultMaxTime float64 = 14 * 24 * 3600
+	// NoiseFrac is the relative measurement noise on profiled iteration
+	// times and noise-scale observations.
+	NoiseFrac float64 = 0.05
+)
+
 // Config controls one simulation run.
 type Config struct {
 	Nodes       int // number of nodes; default 16
@@ -54,28 +77,16 @@ type Config struct {
 	// engine is an order of magnitude faster because it skips the time
 	// between events.
 	Engine string
-	// SchedInterval is the scheduling period (default 60 s);
-	// AgentInterval the agent report/tune period (default 30 s).
-	SchedInterval float64
-	AgentInterval float64
-	// RestartDelay is the checkpoint-restart pause applied when a job's
-	// allocation changes. The zero value takes the 30 s default; a
-	// negative value means an explicit zero pause (restarts are free).
-	RestartDelay float64
 	// InterferenceSlowdown in [0, 1) slows distributed jobs that share a
 	// node with another distributed job (Sec. 5.3.2); 0 disables.
 	InterferenceSlowdown float64
-	// NoiseFrac is the relative measurement noise on profiled iteration
-	// times and noise-scale observations. The zero value takes the 0.05
-	// default; a negative value means explicitly noise-free profiling.
-	NoiseFrac float64
 	// UseTunedConfig selects each job's tuned (Sec. 5.2) rather than
 	// user (Sec. 5.3.1) configuration for the baselines. TunedFraction
 	// overrides it when in (0,1]: that fraction of jobs (chosen
 	// randomly) is tuned, the rest user-configured (Fig. 7 mixtures).
 	UseTunedConfig bool
 	TunedFraction  float64
-	// MaxTime caps the simulation (default 14 days).
+	// MaxTime caps the simulation (default DefaultMaxTime).
 	MaxTime float64
 	Seed    int64
 	// Parallel bounds how many seeds RunSeeds simulates concurrently
@@ -126,33 +137,17 @@ func (c *Config) defaults() {
 	if c.Engine != EngineEvent && c.Engine != EngineTick {
 		panic(fmt.Sprintf("sim: unknown engine %q (want %q or %q)", c.Engine, EngineEvent, EngineTick))
 	}
-	if c.SchedInterval <= 0 {
-		c.SchedInterval = 60
-	}
-	if c.AgentInterval <= 0 {
-		c.AgentInterval = 30
-	}
-	if c.RestartDelay < 0 {
-		c.RestartDelay = 0
-	} else if c.RestartDelay == 0 {
-		c.RestartDelay = 30
-	}
-	if c.NoiseFrac < 0 {
-		c.NoiseFrac = 0
-	} else if c.NoiseFrac == 0 {
-		c.NoiseFrac = 0.05
-	}
 	if c.MaxTime <= 0 {
-		c.MaxTime = 14 * 24 * 3600
+		c.MaxTime = DefaultMaxTime
 	}
 	if c.RefitWorkers <= 0 {
 		c.RefitWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Autoscale != nil {
-		if c.Autoscale.MaxNodes > c.Nodes || c.Autoscale.MaxNodes <= 0 {
-			c.Autoscale.MaxNodes = c.Nodes
-		}
-		c.Autoscale.defaults(c.SchedInterval)
+		// Resolved on a copy: the caller's struct may configure clusters of
+		// other sizes, concurrently (RunSeedsFull).
+		as := c.Autoscale.resolved(c.Nodes)
+		c.Autoscale = &as
 	}
 }
 
@@ -274,6 +269,8 @@ type Cluster struct {
 	jobs   []*jobState
 	now    float64
 	fe     *admit.FrontEnd // nil when cfg.FrontEnd is nil
+	// restartDelay is RestartDelay; a field so a test can lengthen the pause.
+	restartDelay float64
 
 	// Cluster autoscaling state (Sec. 4.2.2). With autoscaling disabled,
 	// activeNodes stays at cfg.Nodes.
@@ -298,7 +295,7 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 	if err != nil {
 		panic(fmt.Sprintf("sim: %v", err))
 	}
-	c := &Cluster{cfg: cfg, policy: policy, fe: fe, activeNodes: cfg.Nodes}
+	c := &Cluster{cfg: cfg, policy: policy, fe: fe, restartDelay: RestartDelay, activeNodes: cfg.Nodes}
 	if cfg.Autoscale != nil {
 		c.activeNodes = cfg.Autoscale.MinNodes
 	}
@@ -312,7 +309,7 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 			useTuned = rng.Float64() < cfg.TunedFraction
 		}
 		js := &jobState{
-			Job:      NewJob(spec, rng, cfg.NoiseFrac), // Pollux starts every job at m0 on 1 GPU
+			Job:      NewJob(spec, rng), // Pollux starts every job at m0 on 1 GPU
 			wj:       wj,
 			useTuned: useTuned,
 			alloc:    make([]int, cfg.Nodes),
@@ -344,14 +341,14 @@ func (c *Cluster) runTick() Result {
 		c.submitArrivals()
 		if c.now >= nextAgent {
 			c.agentTick()
-			nextAgent += cfg.AgentInterval
+			nextAgent += AgentInterval
 		}
 		if c.now >= nextSched {
 			if cfg.Autoscale != nil {
 				c.autoscaleTick()
 			}
 			c.scheduleTick()
-			nextSched += cfg.SchedInterval
+			nextSched += SchedInterval
 		}
 		c.nodeSeconds += float64(c.activeNodes+c.provisioning) * cfg.Tick
 		c.advance(cfg.Tick)
@@ -511,7 +508,7 @@ func (c *Cluster) applyAlloc(j *jobState, row []int) {
 	j.Placement = sched.PlacementOf(row)
 	c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventAllocate, Placement: j.Placement})
 	if j.Placement.GPUs > 0 {
-		j.RestartUntil = c.now + c.cfg.RestartDelay
+		j.RestartUntil = c.now + c.restartDelay
 		// Re-clamp the batch: the new placement may not fit the old one.
 		if c.policy.AdaptsBatchSize() {
 			j.Batch, _ = j.Agent.TuneBatch(j.Placement)

@@ -108,8 +108,8 @@ func TestClusterNeverOversubscribesGPUs(t *testing.T) {
 func TestRestartDelayPausesProgress(t *testing.T) {
 	tr := smallOnly(smallTrace(3, 8))
 	cfg := fastCfg(3)
-	cfg.RestartDelay = 120
 	c := NewCluster(tr, fastPollux(3), cfg)
+	c.restartDelay = 120
 	// After the first schedule, all newly allocated jobs must be paused
 	// for the restart delay.
 	c.now = tr.Jobs[len(tr.Jobs)-1].Submit + 1
