@@ -26,17 +26,23 @@ import (
 // Allocation rows cross this interface as immutable values. A row the
 // backend puts in view.Current, and a row of the matrix Commit receives,
 // is never written again by anyone — backend, Step or policy — so all
-// three may hold the same slice and "unchanged" is slice identity. A
-// backend that keeps rows between rounds (the service's ledger) stores the
-// committed slice itself and hands that slice out next round; one that
-// rebuilds the view each round (the simulator) copies into state of its
-// own and shares nothing.
+// three may hold the same slice and "unchanged" is slice identity. Both
+// backends (the service's ledger, the simulator's job states) store the
+// committed slice itself and hand that slice out next round.
 type Backend interface {
 	// Round snapshots the scheduler inputs at simulated time now:
 	// per-node capacity, the active jobs in a deterministic order, and
 	// the allocation matrix currently in effect (rows aligned with
 	// Jobs, never nil for an active job, each valid for the cluster on
 	// its own). A backend that tracks per-node usage sets view.Usage.
+	//
+	// The view is valid until the next Round: a backend may refill and
+	// return one ClusterView every time (the simulator does), so Step and
+	// the policy keep rows, never the view or its Jobs. The view is not a
+	// channel back either. With a front end Step replaces view.Jobs and
+	// view.Current by slices of its own, permuted for the policy and
+	// restored before Commit, so a backend that reuses buffers keeps them
+	// itself and never reads the returned view again.
 	Round(now float64) *sched.ClusterView
 	// Commit installs an allocation matrix that Step has already
 	// validated against the round's capacity, rows aligned with the

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ga"
 	"repro/internal/models"
+	"repro/internal/testutil"
 )
 
 func TestTiresiasQueueOf(t *testing.T) {
@@ -98,6 +99,59 @@ func TestTiresiasBackfills(t *testing.T) {
 	}
 	if m.JobGPUs(1) != 2 {
 		t.Error("small job should backfill")
+	}
+}
+
+// TestBaselinesPublishRowsByTheRowRule: a baseline hands back the view's
+// current row for a job its packing leaves where it is, one fresh slice for
+// a job it moves, and one shared zero row for every job it leaves without
+// GPUs — and writes none of them afterwards.
+func TestBaselinesPublishRowsByTheRowRule(t *testing.T) {
+	for _, p := range []Policy{NewTiresias(), NewOptimus(4)} {
+		t.Run(p.Name(), func(t *testing.T) {
+			v := viewWith(6, 2, 4) // 8 GPUs: two jobs run, four queue
+			for i := range v.Jobs {
+				v.Jobs[i].UserGPUs, v.Jobs[i].MinGPUs, v.Jobs[i].Submit = 4, 4, float64(i)
+			}
+			v.Current = nil
+			var journal testutil.RowJournal
+			first := p.Schedule(v)
+			journal.See(first)
+			for i := range first {
+				if got := first.JobGPUs(i); (i < 2) != (got == 4) || (i >= 2) != (got == 0) {
+					t.Fatalf("job %d holds %d GPUs, want 4 for jobs 0 and 1 and none for the rest", i, got)
+				}
+				if i > 2 && !ga.SameRow(first[i], first[2]) {
+					t.Errorf("queued jobs 2 and %d hold two zero rows, want one shared", i)
+				}
+			}
+
+			v.Current = first
+			again := p.Schedule(v)
+			for i := range again {
+				if !ga.SameRow(again[i], first[i]) {
+					t.Errorf("job %d did not move and got another slice than the view's", i)
+				}
+			}
+
+			// Job 1 drops out (the bottom queue, or a batch that needs more
+			// GPUs than exist) and job 2 takes its node.
+			v.Jobs[1].GPUTime, v.Jobs[1].MinGPUs = 20*3600, 16
+			moved := p.Schedule(v)
+			if !ga.SameRow(moved[0], first[0]) {
+				t.Error("the job that stayed got another slice than the view's")
+			}
+			if !ga.SameRow(moved[1], first[2]) {
+				t.Errorf("the job that lost its GPUs got %v, want the shared zero row", moved[1])
+			}
+			if moved.JobGPUs(2) != 4 || ga.SameRow(moved[2], first[1]) {
+				t.Errorf("the job that started got %v, want a slice of its own with 4 GPUs", moved[2])
+			}
+			journal.See(moved)
+			v.Current = moved
+			p.Schedule(v)
+			journal.Check(t, "after three more rounds")
+		})
 	}
 }
 

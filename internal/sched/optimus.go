@@ -16,6 +16,7 @@ import (
 // oracle for the exact number of remaining iterations.
 type Optimus struct {
 	gpusPerNode int
+	pack        packer
 }
 
 // NewOptimus creates the baseline. gpusPerNode is used to predict the
@@ -91,5 +92,5 @@ func (o *Optimus) Schedule(v *ClusterView) ga.Matrix {
 		freeGPUs--
 	}
 
-	return packAll(v.Capacity, demands)
+	return o.pack.packAll(v, demands)
 }

@@ -10,7 +10,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ga"
@@ -54,21 +55,23 @@ type JobView struct {
 }
 
 // ClusterView is a snapshot handed to a policy at each scheduling
-// interval.
+// interval, valid for that Schedule call: a backend may refill the same
+// view next round, so a policy keeps rows (see Current), not the view.
 type ClusterView struct {
 	Now      float64
 	Capacity []int // GPUs per node
 	Jobs     []JobView
 	// Current is the allocation matrix in effect, with rows aligned to
 	// Jobs (used for restart penalties and placement stability). Its rows
-	// are immutable values shared with whoever built the view — a live
-	// backend hands out its ledger's own slices — so a policy may read
+	// are immutable values shared with whoever built the view — a backend
+	// hands out the slices it holds for its jobs — so a policy may read
 	// them, keep them and return them, and must never write one. The
 	// backend in turn never writes a row after handing it out.
 	Current ga.Matrix
 	// Usage is the per-node sum of Current's rows when the backend keeps
-	// that total anyway (the service's ledger does); nil otherwise. With
-	// it runtime.Step validates a result from the changed rows alone.
+	// that total anyway (the service's ledger and the simulator do); nil
+	// otherwise. With it runtime.Step validates a result from the changed
+	// rows alone. Read-only, like the rows.
 	Usage []int
 }
 
@@ -139,21 +142,56 @@ func packJob(row, free []int, g int) bool {
 	return true
 }
 
+// packer builds a baseline policy's matrix under the row rule of
+// round.compose (incremental.go, Ownership): the row published for a job is
+// the view's current row when the packing reproduces it, one fresh slice
+// when it does not, and one shared all-zero row for a job that loses its
+// GPUs. So a steady job costs the round no allocation and runtime.Step
+// answers "did it change" by slice identity. The scratch lives on the
+// policy value, which makes Schedule as non-reentrant as Pollux's.
+type packer struct {
+	free  []int // GPUs still unclaimed per node
+	row   []int // the row being packed; never published
+	zero  []int // published for jobs left without GPUs; never written
+	order []int // packAll's job order
+}
+
+// reset starts a matrix on a cluster of the given capacity.
+func (p *packer) reset(capacity []int) {
+	if len(p.zero) != len(capacity) {
+		p.free, p.row, p.zero = make([]int, len(capacity)), make([]int, len(capacity)), make([]int, len(capacity))
+	}
+	copy(p.free, capacity)
+}
+
+// place packs g GPUs for job i of the view with packJob and returns the
+// row to publish for it.
+func (p *packer) place(v *ClusterView, i, g int) []int {
+	clear(p.row)
+	packed := packJob(p.row, p.free, g)
+	if i < len(v.Current) && slices.Equal(v.Current[i], p.row) {
+		return v.Current[i]
+	}
+	if !packed {
+		return p.zero
+	}
+	return slices.Clone(p.row)
+}
+
 // packAll builds an allocation matrix by packing per-job GPU counts in
 // descending size order (large jobs first reduces fragmentation and node
 // spread). demands maps job index to GPU count; jobs with zero demand get
 // empty rows.
-func packAll(capacity []int, demands []int) ga.Matrix {
-	free := make([]int, len(capacity))
-	copy(free, capacity)
-	m := ga.NewMatrix(len(demands), len(capacity))
-	order := make([]int, len(demands))
-	for i := range order {
-		order[i] = i
+func (p *packer) packAll(v *ClusterView, demands []int) ga.Matrix {
+	p.reset(v.Capacity)
+	m := make(ga.Matrix, len(demands))
+	p.order = p.order[:0]
+	for i := range demands {
+		p.order = append(p.order, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return demands[order[a]] > demands[order[b]] })
-	for _, j := range order {
-		packJob(m[j], free, demands[j])
+	slices.SortStableFunc(p.order, func(a, b int) int { return cmp.Compare(demands[b], demands[a]) })
+	for _, j := range p.order {
+		m[j] = p.place(v, j, demands[j])
 	}
 	return m
 }

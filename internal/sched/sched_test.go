@@ -65,7 +65,7 @@ func TestPackJobInsufficient(t *testing.T) {
 
 func TestPackAllRespectsCapacity(t *testing.T) {
 	capacity := []int{4, 4}
-	m := packAll(capacity, []int{3, 3, 2})
+	m := new(packer).packAll(&ClusterView{Capacity: capacity}, []int{3, 3, 2})
 	if !ga.Feasible(m, capacity, false) {
 		t.Errorf("packAll produced infeasible matrix: %v", m)
 	}
@@ -79,7 +79,7 @@ func TestPackAllRespectsCapacity(t *testing.T) {
 }
 
 func TestPackAllSkipsOversized(t *testing.T) {
-	m := packAll([]int{2}, []int{5, 1})
+	m := new(packer).packAll(&ClusterView{Capacity: []int{2}}, []int{5, 1})
 	if m.JobGPUs(0) != 0 {
 		t.Errorf("oversized job allocated: %v", m[0])
 	}

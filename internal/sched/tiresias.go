@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"slices"
-
-	"repro/internal/ga"
-)
+import "repro/internal/ga"
 
 // Tiresias implements the non-resource-adaptive baseline (Sec. 2.3,
 // Sec. 5.2 "Tiresias+TunedJobs"): a discretized two-dimensional
@@ -18,6 +14,8 @@ type Tiresias struct {
 	// QueueThresholds are attained-service boundaries in GPU-seconds;
 	// defaults are 1 and 10 GPU-hours, giving three queues.
 	QueueThresholds []float64
+
+	pack packer
 }
 
 // NewTiresias creates the baseline with the default queue discretization.
@@ -40,8 +38,8 @@ func (t *Tiresias) queueOf(attained float64) int {
 
 // Schedule allocates user-requested GPU counts in discretized-LAS order.
 func (t *Tiresias) Schedule(v *ClusterView) ga.Matrix {
-	free := slices.Clone(v.Capacity)
-	m := ga.NewMatrix(len(v.Jobs), len(v.Capacity))
+	t.pack.reset(v.Capacity)
+	m := make(ga.Matrix, len(v.Jobs))
 	// Queue by queue, and within a queue in snapshot order, which is
 	// submission order in every deployment (traces are submit-sorted and
 	// the testbed registers trainers as they arrive) — unless an admit
@@ -51,7 +49,7 @@ func (t *Tiresias) Schedule(v *ClusterView) ga.Matrix {
 	for q := 0; q <= len(t.QueueThresholds); q++ {
 		for i := range v.Jobs {
 			if t.queueOf(v.Jobs[i].GPUTime) == q {
-				packJob(m[i], free, v.Jobs[i].UserGPUs)
+				m[i] = t.pack.place(v, i, v.Jobs[i].UserGPUs)
 			}
 		}
 	}

@@ -19,9 +19,9 @@ func singleJobCluster(engine string) (*Cluster, *jobState) {
 	}}}
 	cfg := Config{Nodes: 4, GPUsPerNode: 4, Tick: 1, UseTunedConfig: true, Seed: 42, Engine: engine}
 	c := NewCluster(tr, sched.NewTiresias(), cfg)
+	c.submitArrivals()
 	j := c.jobs[0]
-	j.submitted = true
-	j.alloc[0] = 4
+	c.setRow(j, []int{4, 0, 0, 0})
 	j.Placement = sched.PlacementOf(j.alloc)
 	return c, j
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"repro/internal/sched"
 )
 
@@ -28,12 +30,18 @@ func (a ClusterAutoscaleConfig) resolved(nodes int) ClusterAutoscaleConfig {
 	return a
 }
 
+// clusterSizer is the half of sched.Pollux that cluster autoscaling calls,
+// so a policy wrapped to observe its rounds can still drive it.
+type clusterSizer interface {
+	DesiredClusterNodes(v *sched.ClusterView, minNodes, maxNodes int) int
+}
+
 // autoscaleTick runs one cluster-size decision. Only Pollux policies can
 // drive it (the decision requires the goodput speedup model); other
 // policies leave the cluster at its configured size.
 func (c *Cluster) autoscaleTick() {
 	as := c.cfg.Autoscale
-	pollux, ok := c.policy.(*sched.Pollux)
+	pollux, ok := c.policy.(clusterSizer)
 	if !ok {
 		return
 	}
@@ -75,18 +83,15 @@ func (c *Cluster) autoscaleTick() {
 		// restart).
 		c.activeNodes = want
 		for _, j := range act {
-			changed := false
-			for n := c.activeNodes; n < len(j.alloc); n++ {
-				if j.alloc[n] > 0 {
-					j.alloc[n] = 0
-					changed = true
-				}
+			if sched.PlacementOf(j.alloc[c.activeNodes:]).GPUs == 0 {
+				continue
 			}
-			if changed {
-				j.Placement = sched.PlacementOf(j.alloc)
-				if j.Placement.GPUs > 0 {
-					j.RestartUntil = c.now + c.restartDelay
-				}
+			row := slices.Clone(j.alloc)
+			clear(row[c.activeNodes:])
+			c.setRow(j, row)
+			j.Placement = sched.PlacementOf(row)
+			if j.Placement.GPUs > 0 {
+				j.RestartUntil = c.now + c.restartDelay
 			}
 		}
 		c.recomputeInterference()

@@ -66,6 +66,15 @@ func digestTenantTrace(seed int64) workload.Trace {
 	}))
 }
 
+// digestFrontEnd is the front-end leg's admission and priority stage.
+func digestFrontEnd(c *Config) {
+	c.FrontEnd = &admit.Options{
+		Admission: admit.AdmitQuota,
+		Quotas:    map[string]int{"batch": 4, "burst": 2},
+		Priority:  admit.PrioritySLO,
+	}
+}
+
 // TestRunDigestsPinned pins whole fixed-seed trajectories of every engine
 // in this package: a job's ground truth (true rate, efficiency, the agent's
 // noisy observations) feeds every scheduling decision, so one moved rng
@@ -113,13 +122,13 @@ func TestRunDigestsPinned(t *testing.T) {
 		}, 1), func(c *Config) {
 			c.InterferenceSlowdown = 0.5
 		}), "da25bc787eb87b89"},
-		{"event/frontend", cluster(digestTenantTrace(11), sched.NewTiresias(), func(c *Config) {
-			c.FrontEnd = &admit.Options{
-				Admission: admit.AdmitQuota,
-				Quotas:    map[string]int{"batch": 4, "burst": 2},
-				Priority:  admit.PrioritySLO,
-			}
-		}), "f823393ae858377c"},
+		// The front end rejects over quota and reorders most rounds' views,
+		// swapping slices of its own into the view Round refills and reuses.
+		// Pollux, which keeps rows and per-position state from one round to
+		// the next, is the policy that would notice a view read back; its
+		// digest was recorded at the commit before the view was reused.
+		{"event/frontend", cluster(digestTenantTrace(11), sched.NewTiresias(), digestFrontEnd), "f823393ae858377c"},
+		{"event/frontend-pollux", cluster(digestTenantTrace(11), fastPollux(1), digestFrontEnd), "d8e219cf7a60af85"},
 		{"event/autoscale", cluster(small, fastPollux(1), func(c *Config) {
 			c.Nodes = 8
 			c.Autoscale = &ClusterAutoscaleConfig{MinNodes: 1, MaxNodes: 8}

@@ -141,10 +141,8 @@ func (c *Cluster) integrateCost(t float64) {
 
 // advanceAll brings every active job's training state up to c.now.
 func (c *Cluster) advanceAll() {
-	for _, j := range c.jobs {
-		if j.submitted && !j.done {
-			j.advanceTo(c.now, c.cfg.Tick)
-		}
+	for _, j := range c.active() {
+		j.advanceTo(c.now, c.cfg.Tick)
 	}
 }
 
@@ -160,10 +158,7 @@ func (c *Cluster) refreshPrediction(q *eventsim.Queue, j *jobState) {
 // allocations, batch sizes, restart delays, or interference), and turns
 // freshly charged restart delays into expiry events.
 func (c *Cluster) refreshPredictions(q *eventsim.Queue) {
-	for _, j := range c.jobs {
-		if !j.submitted || j.done {
-			continue
-		}
+	for _, j := range c.active() {
 		c.refreshPrediction(q, j)
 		//pollux:floateq-ok identity check against a stored copy of the same value; any difference means a fresh restart event
 		if j.RestartUntil > c.now && j.RestartUntil != j.restartEv {

@@ -13,9 +13,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 
 	"repro/internal/admit"
 	"repro/internal/agent"
@@ -157,8 +159,12 @@ func (c *Config) defaults() {
 type jobState struct {
 	Job
 	wj       workload.Job
+	idx      int // position in Cluster.jobs, the trace order
 	useTuned bool
 
+	// alloc is the committed row itself: the slice the policy returned, or
+	// the cluster's zero row while the job holds nothing. It is never
+	// written; setRow replaces it.
 	alloc []int
 
 	submitted bool
@@ -280,9 +286,37 @@ type Cluster struct {
 	nodeSeconds  float64
 	lastCost     float64 // event engine: time nodeSeconds was integrated to
 
-	// roundAct is the active-job snapshot of the scheduling round in
-	// flight, set by Round and consumed by Commit (see runtime.Step).
-	roundAct []*jobState
+	// arrivals is jobs by submit time (stable; jobs itself for a
+	// submit-sorted trace) and next the cursor submitArrivals has reached.
+	// live holds the admitted, unfinished jobs in trace order; a finish
+	// only marks its job and sets stale, and active compacts. remaining
+	// counts the jobs not done.
+	arrivals  []*jobState
+	next      int
+	live      []*jobState
+	stale     bool
+	remaining int
+
+	// zero is the row every job without GPUs shares, and usage the per-node
+	// sum of the live jobs' rows, kept current by setRow.
+	zero, usage []int
+
+	// view is the one snapshot Round refills, from viewJobs and viewRows:
+	// a front end swaps slices of its own into the view it is handed, so
+	// the buffers are kept here and the view is never read back. capacity
+	// was built for capNodes active nodes and is replaced, not rewritten,
+	// when that changes.
+	view     sched.ClusterView
+	viewJobs []sched.JobView
+	viewRows ga.Matrix
+	capacity []int
+	capNodes int
+
+	// Scratch: distributed jobs per node (recomputeInterference), and the
+	// running jobs with their agents (agentTick).
+	distJobs []int
+	running  []*jobState
+	agents   []*agent.Agent
 
 	events []Event
 }
@@ -295,7 +329,10 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 	if err != nil {
 		panic(fmt.Sprintf("sim: %v", err))
 	}
-	c := &Cluster{cfg: cfg, policy: policy, fe: fe, restartDelay: RestartDelay, activeNodes: cfg.Nodes}
+	c := &Cluster{
+		cfg: cfg, policy: policy, fe: fe, restartDelay: RestartDelay, activeNodes: cfg.Nodes,
+		zero: make([]int, cfg.Nodes), usage: make([]int, cfg.Nodes), distJobs: make([]int, cfg.Nodes),
+	}
 	if cfg.Autoscale != nil {
 		c.activeNodes = cfg.Autoscale.MinNodes
 	}
@@ -311,13 +348,21 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 		js := &jobState{
 			Job:      NewJob(spec, rng), // Pollux starts every job at m0 on 1 GPU
 			wj:       wj,
+			idx:      len(c.jobs),
 			useTuned: useTuned,
-			alloc:    make([]int, cfg.Nodes),
+			alloc:    c.zero,
 		}
 		if !policy.AdaptsBatchSize() {
 			_, js.Batch = js.fixedBatch()
 		}
 		c.jobs = append(c.jobs, js)
+	}
+	c.remaining = len(c.jobs)
+	c.arrivals = c.jobs
+	bySubmit := func(a, b *jobState) int { return cmp.Compare(a.wj.Submit, b.wj.Submit) }
+	if !slices.IsSortedFunc(c.jobs, bySubmit) {
+		c.arrivals = slices.Clone(c.jobs)
+		slices.SortStableFunc(c.arrivals, bySubmit)
 	}
 	return c
 }
@@ -359,9 +404,11 @@ func (c *Cluster) runTick() Result {
 	return c.result()
 }
 
+// submitArrivals submits every job due by now that an arrival event has
+// not submitted already.
 func (c *Cluster) submitArrivals() {
-	for _, j := range c.jobs {
-		if !j.submitted && j.wj.Submit <= c.now {
+	for ; c.next < len(c.arrivals) && c.arrivals[c.next].wj.Submit <= c.now; c.next++ {
+		if j := c.arrivals[c.next]; !j.submitted {
 			c.submitJob(j)
 		}
 	}
@@ -372,7 +419,9 @@ func (c *Cluster) submitArrivals() {
 // every engine — the same order cluster.Replay presents them — and the
 // request carries the trace's submit time, not the engine's clock, so
 // admission decisions are bit-identical across deployments. A rejected
-// job is terminal: it never becomes active and never finishes.
+// job is terminal: it never becomes active and never finishes. An
+// admitted one joins the live list at its place in the trace, which is
+// the end unless coincident arrivals were submitted out of trace order.
 func (c *Cluster) submitJob(j *jobState) {
 	j.submitted = true
 	c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventSubmit})
@@ -380,28 +429,28 @@ func (c *Cluster) submitJob(j *jobState) {
 	if !c.fe.Arrive(admit.Request{Job: j.wj.ID, Tenant: j.wj.Tenant, Time: j.wj.Submit, GPUs: gpus}) {
 		j.rejected = true
 		j.done = true
+		c.remaining--
 		c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventReject})
+		return
+	}
+	c.live = append(c.live, j)
+	for k := len(c.live) - 1; k > 0 && c.live[k-1].idx > j.idx; k-- {
+		c.live[k-1], c.live[k] = j, c.live[k-1]
 	}
 }
 
-func (c *Cluster) allDone() bool {
-	for _, j := range c.jobs {
-		if !j.done {
-			return false
-		}
-	}
-	return true
-}
+func (c *Cluster) allDone() bool { return c.remaining == 0 }
 
-// active returns submitted, unfinished jobs.
+// active returns the submitted, unfinished jobs in trace order: the live
+// list itself, compacted here when a job has finished since the last
+// call. A loop over it may finish jobs (finishJob only marks) but must not
+// call active again after one.
 func (c *Cluster) active() []*jobState {
-	var out []*jobState
-	for _, j := range c.jobs {
-		if j.submitted && !j.done {
-			out = append(out, j)
-		}
+	if c.stale {
+		c.live = slices.DeleteFunc(c.live, func(j *jobState) bool { return j.done })
+		c.stale = false
 	}
-	return out
+	return c.live
 }
 
 // agentTick refreshes every running job's fitted model, replayed noise
@@ -417,18 +466,15 @@ func (c *Cluster) active() []*jobState {
 //     rng and no shared state, so results are bit-identical to serial;
 //  3. serial: batch re-tuning and event records, again in job order.
 func (c *Cluster) agentTick() {
-	var run []*jobState
+	run, agents := c.running[:0], c.agents[:0]
 	for _, j := range c.active() {
 		if j.Placement.GPUs == 0 {
 			continue
 		}
 		j.ObservePhi()
-		run = append(run, j)
+		run, agents = append(run, j), append(agents, j.Agent)
 	}
-	agents := make([]*agent.Agent, len(run))
-	for i, j := range run {
-		agents[i] = j.Agent
-	}
+	c.running, c.agents = run, agents
 	agent.RefitAll(agents, c.cfg.RefitWorkers)
 	if !c.policy.AdaptsBatchSize() {
 		return
@@ -459,19 +505,23 @@ func (c *Cluster) scheduleTick() {
 
 // Round snapshots the scheduler inputs for runtime.Step: every active
 // job's reported goodput model, fixed configuration, attained service,
-// and current allocation row, in submission order.
+// and current allocation row, in submission order. It refills the one
+// view the cluster keeps, so a steady round allocates nothing: the rows
+// are the jobs' own (see jobState.alloc), the capacity slice changes only
+// with the cluster size, and the usage totals are the cluster's, which
+// Step copies before it subtracts.
 func (c *Cluster) Round(now float64) *sched.ClusterView {
-	act := c.active()
-	c.roundAct = act
-	view := &sched.ClusterView{
-		Now:      now,
-		Capacity: c.capacity(),
-		Current:  ga.NewMatrix(len(act), c.cfg.Nodes),
+	if c.capacity == nil || c.capNodes != c.activeNodes {
+		c.capacity, c.capNodes = make([]int, c.cfg.Nodes), c.activeNodes
+		for n := 0; n < c.activeNodes && n < len(c.capacity); n++ {
+			c.capacity[n] = c.cfg.GPUsPerNode
+		}
 	}
-	for i, j := range act {
-		copy(view.Current[i], j.alloc)
+	jobs, rows := c.viewJobs[:0], c.viewRows[:0]
+	for _, j := range c.active() {
+		rows = append(rows, j.alloc)
 		gpus, batch := j.fixedBatch()
-		view.Jobs = append(view.Jobs, sched.JobView{
+		jobs = append(jobs, sched.JobView{
 			ID:             j.wj.ID,
 			Submit:         j.wj.Submit,
 			Tenant:         j.wj.Tenant,
@@ -485,14 +535,17 @@ func (c *Cluster) Round(now float64) *sched.ClusterView {
 			GPUTime:        j.GPUTime,
 		})
 	}
-	return view
+	c.viewJobs, c.viewRows = jobs, rows
+	c.view = sched.ClusterView{Now: now, Capacity: c.capacity, Jobs: jobs, Current: rows, Usage: c.usage}
+	return &c.view
 }
 
 // Commit installs the rows of the validated allocation matrix that
-// changed on the last Round's jobs; interference is recomputed once per
-// round, as the tick engines always have.
+// changed on the last Round's jobs — nothing finishes between the two, so
+// they are the live list; interference is recomputed once per round, as
+// the tick engines always have.
 func (c *Cluster) Commit(m ga.Matrix, changed []bool) error {
-	for i, j := range c.roundAct {
+	for i, j := range c.live {
 		if changed[i] {
 			c.applyAlloc(j, m[i])
 		}
@@ -501,10 +554,23 @@ func (c *Cluster) Commit(m ga.Matrix, changed []bool) error {
 	return nil
 }
 
-// applyAlloc installs a changed allocation row on a job and charges the
-// checkpoint-restart delay.
+// setRow is the one write path for allocation rows: it replaces the job's
+// slice and moves the usage totals. The old slice is left as it was, since
+// the view, the policy and the front end may still hold it.
+func (c *Cluster) setRow(j *jobState, row []int) {
+	for n, g := range j.alloc {
+		c.usage[n] -= g
+	}
+	for n, g := range row {
+		c.usage[n] += g
+	}
+	j.alloc = row
+}
+
+// applyAlloc installs a changed allocation row on a job, by reference, and
+// charges the checkpoint-restart delay.
 func (c *Cluster) applyAlloc(j *jobState, row []int) {
-	copy(j.alloc, row)
+	c.setRow(j, row)
 	j.Placement = sched.PlacementOf(row)
 	c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventAllocate, Placement: j.Placement})
 	if j.Placement.GPUs > 0 {
@@ -519,34 +585,30 @@ func (c *Cluster) applyAlloc(j *jobState, row []int) {
 // recomputeInterference marks distributed jobs sharing a node with another
 // distributed job. Only called when allocations change.
 func (c *Cluster) recomputeInterference() {
-	type nodeInfo struct{ distJobs []*jobState }
-	nodes := make([]nodeInfo, c.cfg.Nodes)
-	for _, j := range c.active() {
+	clear(c.distJobs)
+	act := c.active()
+	for _, j := range act {
 		j.slowdown = 0
 		if j.Placement.Nodes <= 1 {
 			continue
 		}
 		for n, g := range j.alloc {
 			if g > 0 {
-				nodes[n].distJobs = append(nodes[n].distJobs, j)
+				c.distJobs[n]++
 			}
 		}
 	}
-	for _, ni := range nodes {
-		if len(ni.distJobs) > 1 {
-			for _, j := range ni.distJobs {
+	for _, j := range act {
+		if j.Placement.Nodes <= 1 {
+			continue
+		}
+		for n, g := range j.alloc {
+			if g > 0 && c.distJobs[n] > 1 {
 				j.slowdown = c.cfg.InterferenceSlowdown
+				break
 			}
 		}
 	}
-}
-
-func (c *Cluster) capacity() []int {
-	capacity := make([]int, c.cfg.Nodes)
-	for i := 0; i < c.activeNodes && i < len(capacity); i++ {
-		capacity[i] = c.cfg.GPUsPerNode
-	}
-	return capacity
 }
 
 // advance progresses every running job by dt seconds of training.
@@ -572,10 +634,10 @@ func (c *Cluster) advance(dt float64) {
 func (c *Cluster) finishJob(j *jobState, t float64) {
 	j.done = true
 	j.finish = t
+	c.remaining--
+	c.stale = true
 	c.record(Event{Time: j.finish, Job: j.wj.ID, Kind: EventFinish})
-	for n := range j.alloc {
-		j.alloc[n] = 0
-	}
+	c.setRow(j, c.zero)
 	j.Placement = core.Placement{}
 	j.rate = jobRate{}
 }
