@@ -2,14 +2,14 @@
 // internal/lint analyzers that mechanically enforce the determinism,
 // clock, and option-pattern invariants the exhibit baselines rest on.
 //
-// Five analyzers are package-local — detmap, wallclock, rngshare,
-// zerodefault, floateq — and three are interprocedural, exchanging
-// serialized facts across package boundaries through the unitchecker
-// protocol's .vetx files: clocktaint (transitive wall-clock/global-rand
-// reach), rngescape (*rand.Rand parameters that reach another
-// goroutine), and aliasret (mutex-guarded map/slice/pointer fields
-// returned without a copy). The driver also reports stale //pollux:
-// directives that no longer suppress anything.
+// Three analyzers are package-local — detmap, zerodefault, floateq — and
+// three are interprocedural, exchanging serialized facts across package
+// boundaries through the unitchecker protocol's .vetx files: clocktaint
+// (wall-clock/global-rand use, direct or transitive), rngescape
+// (*rand.Rand handed to another goroutine, at the spawn or through
+// helper parameters), and aliasret (mutex-guarded map/slice/pointer
+// fields returned without a copy). All six always run. The driver also
+// reports stale //pollux: directives that no longer suppress anything.
 //
 // CI runs it as
 //

@@ -8,17 +8,22 @@ import (
 	"strings"
 )
 
-// ClockTaint is the interprocedural closure of WallClock: a function
-// fact "transitively reaches the wall clock or global math/rand",
-// propagated bottom-up through the import DAG via .vetx facts.
+// ClockTaint forbids wall-clock time and global math/rand state in
+// determinism-critical packages, directly or through any chain of
+// helpers: a function fact "transitively reaches the wall clock or
+// global math/rand", propagated bottom-up through the import DAG via
+// .vetx facts.
 //
-// WallClock only sees a *direct* time.Now at the call site, so a
-// one-line helper in a non-critical package —
+// Simulated time flows through eventsim.Clock; randomness flows through
+// a seeded *rand.Rand handed down explicitly. A stray time.Now in a
+// scheduling round breaks bit-reproducible cluster.Replay and fixed-seed
+// traces in ways that only surface as flaky baselines much later — and
+// so does a one-line helper in a non-critical package —
 //
 //	package metrics
 //	func Stamp() int64 { return time.Now().Unix() }
 //
-// — called from internal/sim escapes it entirely. ClockTaint marks
+// — called from internal/sim. ClockTaint flags the direct time.Now, marks
 // Stamp tainted when metrics is analyzed, serializes the fact, and flags
 // the sim call site when sim (analyzed later: the unitchecker protocol
 // visits dependencies first) resolves Stamp through export data. Taint
@@ -28,16 +33,18 @@ import (
 // is exactly such an interface, which is also why the sanctioned Wall
 // clock never leaks taint into its callers.
 //
-// Roots are the WallClock lists: the wall-reading time functions and
-// package-level math/rand draws (seeded-rng constructors and methods on
-// an owned *rand.Rand stay clean). eventsim's clock.go keeps the same
-// allowlist carve-out as WallClock — the Wall clock implementation is
-// wall-clock by design and must not taint Drive loops. A site justified
-// with //pollux:clocktaint-ok (or an existing //pollux:wallclock-ok)
-// neither propagates taint nor reports.
+// Roots are the wall-reading time functions and package-level math/rand
+// draws (seeded-rng constructors and methods on an owned *rand.Rand stay
+// clean). eventsim's clock.go, the Wall clock implementation, is exempt.
+// A site justified with //pollux:clocktaint-ok neither propagates taint
+// nor reports.
+//
+// In any package, test files included, a testing/quick config that
+// leaves Rand nil is flagged too: quick then seeds from time.Now, so a
+// failing case cannot be replayed.
 var ClockTaint = &Analyzer{
 	Name:      "clocktaint",
-	Doc:       "flags calls from determinism-critical packages to functions that transitively reach time.Now/Sleep/... or global math/rand in any package (cross-package facts; subsumes wallclock's local check)",
+	Doc:       "flags time.Now/Sleep/... and global math/rand in determinism-critical packages, directly or through functions that transitively reach them in any package (cross-package facts), and testing/quick configs without a seeded Rand",
 	Directive: "clocktaint-ok",
 	Run:       runClockTaint,
 }
@@ -51,6 +58,20 @@ type ClockTaintFact struct {
 
 // AFact marks ClockTaintFact as a fact type.
 func (*ClockTaintFact) AFact() {}
+
+// wallClockFuncs are the package "time" functions that read or pace the
+// wall clock. time.Unix/Date etc. (pure constructors) stay allowed.
+var wallClockFuncs = map[string]bool{
+	"Now":       true,
+	"Sleep":     true,
+	"After":     true,
+	"AfterFunc": true,
+	"Since":     true,
+	"Until":     true,
+	"Tick":      true,
+	"NewTimer":  true,
+	"NewTicker": true,
+}
 
 // clockRoot returns the display name of a wall-clock/global-rand root
 // function, or "" if fn is not a root.
@@ -71,8 +92,8 @@ func clockRoot(fn *types.Func) string {
 	return ""
 }
 
-// clockAllowed reports whether f is the eventsim clock.go allowlist file
-// (shared carve-out with WallClock).
+// clockAllowed reports whether f is eventsim's clock.go, the one file
+// where wall time may be touched.
 func clockAllowed(pass *Pass, f *ast.File) bool {
 	fname := pass.Fset.File(f.Pos()).Name()
 	return filepath.Base(fname) == "clock.go" && strings.HasSuffix(pass.Pkg.Path(), "eventsim")
@@ -117,15 +138,19 @@ func runClockTaint(pass *Pass) error {
 	}
 
 	tainted := map[*types.Func]*ClockTaintFact{}
-	// taintOf resolves local fixpoint state first, then exported/imported
-	// facts — one lookup path for callees in any package.
-	taintOf := func(fn *types.Func) *ClockTaintFact {
+	// taintOf returns the chain from fn down to a root: [root] for a root
+	// itself, local fixpoint state or an exported/imported fact otherwise
+	// — one lookup path for callees in any package.
+	taintOf := func(fn *types.Func) []string {
+		if root := clockRoot(fn); root != "" {
+			return []string{root}
+		}
 		if f, ok := tainted[fn]; ok {
-			return f
+			return append([]string{funcDisplay(fn)}, f.Path...)
 		}
 		var fact ClockTaintFact
 		if pass.FuncFact(fn, &fact) {
-			return &fact
+			return append([]string{funcDisplay(fn)}, fact.Path...)
 		}
 		return nil
 	}
@@ -137,29 +162,14 @@ func runClockTaint(pass *Pass) error {
 			if found != nil {
 				return false
 			}
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-			if !ok {
-				return true
-			}
-			if root := clockRoot(fn); root != "" {
-				if pass.exempt(id.Pos(), "clocktaint-ok") || pass.exemptQuiet(id.Pos(), "wallclock-ok") {
-					return true
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok {
+					if chain := taintOf(fn); chain != nil && !pass.exempt(id.Pos(), "clocktaint-ok") {
+						found = &ClockTaintFact{Path: chain}
+					}
 				}
-				found = &ClockTaintFact{Path: []string{root}}
-				return false
 			}
-			if t := taintOf(fn); t != nil {
-				if pass.exempt(id.Pos(), "clocktaint-ok") || pass.exemptQuiet(id.Pos(), "wallclock-ok") {
-					return true
-				}
-				found = &ClockTaintFact{Path: append([]string{funcDisplay(fn)}, t.Path...)}
-				return false
-			}
-			return true
+			return found == nil
 		})
 		return found
 	}
@@ -177,33 +187,49 @@ func runClockTaint(pass *Pass) error {
 		}
 	}
 
-	// Diagnostics only in determinism-critical packages, and only for
-	// uses of tainted *functions* — direct root uses are WallClock's.
-	if !critical(pass.Pkg.Path()) {
-		return nil
-	}
+	crit := critical(pass.Pkg.Path())
 	for _, f := range pass.Files {
-		if pass.isTestFile(f.Pos()) || clockAllowed(pass, f) {
-			continue
-		}
+		timeline := crit && !pass.isTestFile(f.Pos()) && !clockAllowed(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
+			switch n := n.(type) {
+			case *ast.CompositeLit: // a testing/quick config without Rand
+				if types.TypeString(pass.TypesInfo.TypeOf(n), nil) != "testing/quick.Config" {
+					return true
+				}
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok && types.ExprString(kv.Key) == "Rand" {
+						return true
+					}
+				}
+				if !pass.exempt(n.Pos(), "clocktaint-ok") {
+					pass.Reportf(n.Pos(), "quick.Config without Rand: testing/quick seeds a nil Rand from time.Now, so a failure cannot be replayed — set Rand to a seeded *rand.Rand, e.g. testutil.QuickConfig (or justify with //pollux:clocktaint-ok <reason>)")
+				}
+			case *ast.CallExpr: // a nil config passed to quick.Check/CheckEqual
+				pkg, name, ok := funcPkg(pass.TypesInfo, n.Fun)
+				if ok && pkg == "testing/quick" && (name == "Check" || name == "CheckEqual") && len(n.Args) > 0 {
+					if last := n.Args[len(n.Args)-1]; pass.TypesInfo.Types[last].IsNil() && !pass.exempt(last.Pos(), "clocktaint-ok") {
+						pass.Reportf(last.Pos(), "nil config passed to quick.%s: testing/quick seeds a nil Rand from time.Now, so a failure cannot be replayed — pass a config with a seeded Rand, e.g. testutil.QuickConfig (or justify with //pollux:clocktaint-ok <reason>)", name)
+					}
+				}
+			case *ast.Ident:
+				fn, ok := pass.TypesInfo.Uses[n].(*types.Func)
+				if !timeline || !ok {
+					return true
+				}
+				chain := taintOf(fn)
+				if chain == nil || pass.exempt(n.Pos(), "clocktaint-ok") {
+					return true
+				}
+				root := chain[len(chain)-1]
+				switch {
+				case len(chain) > 1:
+					pass.Reportf(n.Pos(), "%s transitively reaches %s in determinism-critical package %s (%s): route time through eventsim.Clock and randomness through a seeded *rand.Rand (or justify with //pollux:clocktaint-ok <reason>)", funcDisplay(fn), root, pass.Pkg.Name(), strings.Join(chain, " → "))
+				case strings.HasPrefix(root, "time."):
+					pass.Reportf(n.Pos(), "%s in determinism-critical package %s: wall-clock time must flow through eventsim.Clock (or justify with //pollux:clocktaint-ok <reason>)", root, pass.Pkg.Name())
+				default:
+					pass.Reportf(n.Pos(), "global %s in determinism-critical package %s: draw from a seeded *rand.Rand instead (or justify with //pollux:clocktaint-ok <reason>)", root, pass.Pkg.Name())
+				}
 			}
-			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-			if !ok || clockRoot(fn) != "" {
-				return true
-			}
-			t := taintOf(fn)
-			if t == nil {
-				return true
-			}
-			if pass.exempt(id.Pos(), "clocktaint-ok") || pass.exemptQuiet(id.Pos(), "wallclock-ok") {
-				return true
-			}
-			chain := strings.Join(append([]string{funcDisplay(fn)}, t.Path...), " → ")
-			pass.Reportf(id.Pos(), "%s transitively reaches %s in determinism-critical package %s (%s): route time through eventsim.Clock and randomness through a seeded *rand.Rand (or justify with //pollux:clocktaint-ok <reason>)", funcDisplay(fn), t.Path[len(t.Path)-1], pass.Pkg.Name(), chain)
 			return true
 		})
 	}

@@ -95,7 +95,7 @@ func isMapRange(info *types.Info, rs *ast.RangeStmt) bool {
 	if t == nil {
 		return false
 	}
-	_, ok := t.Underlying().(*types.Map)
+	_, ok := under(t).(*types.Map)
 	return ok
 }
 
@@ -305,7 +305,7 @@ func (d *detmapLoop) keyedOrCountTarget(x ast.Expr, tok token.Token) bool {
 	if !d.pureExpr(ix.X) || !d.pureExpr(ix.Index) {
 		return false
 	}
-	switch t := info.TypeOf(ix.X).Underlying().(type) {
+	switch t := under(info.TypeOf(ix.X)).(type) {
 	case *types.Map, *types.Slice:
 		_ = t
 	case *types.Pointer: // *[N]T
@@ -485,6 +485,6 @@ func isInteger(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	b, ok := t.Underlying().(*types.Basic)
+	b, ok := under(t).(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0
 }

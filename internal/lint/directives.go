@@ -148,16 +148,3 @@ func (p *Pass) exempt(pos token.Pos, name string) bool {
 	}
 	return true
 }
-
-// exemptQuiet is exempt without the missing-reason finding: analyzers
-// use it to honor a sibling analyzer's directive (a justified wall-clock
-// read should not cascade into clocktaint findings) without claiming the
-// sibling's reporting duty.
-func (p *Pass) exemptQuiet(pos token.Pos, name string) bool {
-	d := p.dirs().find(pos, name)
-	if d == nil {
-		return false
-	}
-	d.used = true
-	return true
-}

@@ -28,8 +28,8 @@
 // any //pollux: comment naming an unknown directive, or one whose
 // analyzer ran and suppressed nothing through it (group name
 // "staledirective"). Test-augmented units (ImportPath like "p [p.test]")
-// skip this check — the determinism analyzers deliberately ignore
-// _test.go files, so directive use there is not meaningful.
+// skip this check — most analyzers deliberately ignore _test.go files,
+// so directive use there is not meaningful.
 package driver
 
 import (
@@ -99,20 +99,12 @@ Usage:
 	printflags := flag.Bool("flags", false, "print analyzer flags in JSON")
 	jsonOut := flag.Bool("json", false, "emit JSON output")
 	_ = flag.Int("c", -1, "display offending line with this many lines of context (ignored)")
-	enabled := map[string]*triState{}
-	for _, a := range analyzers {
-		ts := new(triState)
-		enabled[a.Name] = ts
-		flag.Var(ts, a.Name, "enable "+a.Name+" analysis")
-	}
 	flag.Parse()
 
 	if *printflags {
 		printFlags()
 		os.Exit(0)
 	}
-
-	analyzers = selectAnalyzers(analyzers, enabled)
 
 	args := flag.Args()
 	if len(args) == 0 {
@@ -132,9 +124,8 @@ Usage:
 	}
 
 	// Package patterns: re-exec through go vet, which knows how to load
-	// and typecheck packages and call us back per compilation unit.
-	// Tool flags the user set are forwarded (go vet hands them back to us
-	// on each per-unit invocation).
+	// and typecheck packages and call us back per compilation unit
+	// (-json is forwarded; go vet hands it back on each invocation).
 	self, err := os.Executable()
 	if err != nil {
 		log.Fatal(err)
@@ -142,16 +133,6 @@ Usage:
 	vetArgs := []string{"vet", "-vettool=" + self}
 	if *jsonOut {
 		vetArgs = append(vetArgs, "-json")
-	}
-	names := make([]string, 0, len(enabled))
-	for name := range enabled {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if ts := *enabled[name]; ts != unset {
-			vetArgs = append(vetArgs, fmt.Sprintf("-%s=%v", name, ts == setTrue))
-		}
 	}
 	cmd := exec.Command("go", append(vetArgs, args...)...)
 	cmd.Stdout = os.Stdout
@@ -189,29 +170,6 @@ Usage:
 		}
 		log.Fatal(runErr)
 	}
-}
-
-// selectAnalyzers applies vet's flag convention: if any -NAME flag is
-// true, run only those; otherwise if any is false, run all but those.
-func selectAnalyzers(analyzers []*lint.Analyzer, enabled map[string]*triState) []*lint.Analyzer {
-	hasTrue := false
-	for _, ts := range enabled {
-		if *ts == setTrue {
-			hasTrue = true
-		}
-	}
-	var keep []*lint.Analyzer
-	for _, a := range analyzers {
-		switch *enabled[a.Name] {
-		case setTrue:
-			keep = append(keep, a)
-		case unset:
-			if !hasTrue {
-				keep = append(keep, a)
-			}
-		}
-	}
-	return keep
 }
 
 // runConfig analyzes the single compilation unit described by cfgFile
@@ -477,30 +435,6 @@ func (versionFlag) Set(s string) error {
 	}
 	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", prog, string(h.Sum(nil)))
 	os.Exit(0)
-	return nil
-}
-
-// triState distinguishes an unset analyzer flag from an explicit
-// true/false, mirroring vet's per-analyzer selection semantics.
-type triState int
-
-const (
-	unset triState = iota
-	setTrue
-	setFalse
-)
-
-func (ts *triState) IsBoolFlag() bool { return true }
-func (ts *triState) String() string   { return "unset" }
-func (ts *triState) Set(value string) error {
-	switch value {
-	case "true":
-		*ts = setTrue
-	case "false":
-		*ts = setFalse
-	default:
-		return fmt.Errorf("want true or false")
-	}
 	return nil
 }
 

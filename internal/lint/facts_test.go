@@ -16,7 +16,7 @@ func sampleTable() map[string][]Fact {
 			&ClockTaintFact{Path: []string{"clockutil.NowUnix", "time.Now"}},
 		},
 		"param func Spawn#0": {
-			&RngEscapeFact{Goroutine: true, Stored: true, Path: []string{"a go-statement closure"}},
+			&RngEscapeFact{Path: []string{"a closure spawned via a go statement"}},
 		},
 		"field State.placed": {
 			&GuardedFieldFact{Struct: "State", Field: "placed", Guard: "mu"},
@@ -24,7 +24,7 @@ func sampleTable() map[string][]Fact {
 		// One key carrying several fact types exercises the within-key
 		// sort.
 		"method (Timer).Touch": {
-			&RngEscapeFact{Stored: true},
+			&RngEscapeFact{Path: []string{"par.For"}},
 			&ClockTaintFact{Path: []string{"time.Now"}},
 		},
 	}
@@ -154,14 +154,14 @@ func TestDecodeFactsVersionMismatch(t *testing.T) {
 // fixpoint analyzers rely on when they refine a fact in place.
 func TestFactsExportReplaces(t *testing.T) {
 	fs := NewFacts("p")
-	fs.Export("func F", &RngEscapeFact{Stored: true})
-	fs.Export("func F", &RngEscapeFact{Stored: true, Goroutine: true})
+	fs.Export("func F", &RngEscapeFact{Path: []string{"go statement"}})
+	fs.Export("func F", &RngEscapeFact{Path: []string{"par.For"}})
 	fs.Export("func F", &ClockTaintFact{Path: []string{"time.Now"}})
 	if got := len(fs.Exported()["func F"]); got != 2 {
 		t.Fatalf("%d facts on key, want 2 (replace same type, keep other types)", got)
 	}
 	var rng RngEscapeFact
-	if !fs.Lookup("p", "func F", &rng) || !rng.Goroutine {
-		t.Fatalf("lookup returned %+v, want the replaced fact with Goroutine=true", rng)
+	if !fs.Lookup("p", "func F", &rng) || len(rng.Path) != 1 || rng.Path[0] != "par.For" {
+		t.Fatalf("lookup returned %+v, want the replaced fact with Path [par.For]", rng)
 	}
 }

@@ -66,7 +66,7 @@ func isFloat(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	b, ok := t.Underlying().(*types.Basic)
+	b, ok := under(t).(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
 }
 

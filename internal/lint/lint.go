@@ -8,32 +8,29 @@
 // framework (Analyzer, Pass, the vet driver protocol in
 // internal/lint/driver) is reimplemented on the standard library alone.
 //
-// Analyzers:
+// Three analyzers are package-local:
 //
 //   - detmap: range over a map in a determinism-critical package must be
 //     conservatively order-insensitive or justified //pollux:order-ok.
-//   - wallclock: wall-clock time and global math/rand are forbidden in
-//     determinism-critical packages; time flows through eventsim.Clock,
-//     randomness through a seeded *rand.Rand.
-//   - rngshare: a *rand.Rand must not cross a goroutine boundary — not
-//     captured by a `go` closure, not passed into par.For-style helpers.
 //   - zerodefault: a `if o.X == 0 { o.X = d }` defaults() rewrite of a
 //     numeric option field needs a negative-sentinel or Disable* escape.
 //   - floateq: ==/!= on floats, except exact-representable constants and
 //     the x != x NaN idiom.
 //
-// Three analyzers are interprocedural: they exchange serialized facts
-// across package boundaries through the .vetx files of the unitchecker
-// protocol (see facts.go), so a violation hidden behind a helper in
-// another package is still found:
+// Three are interprocedural: they exchange serialized facts across
+// package boundaries through the .vetx files of the unitchecker protocol
+// (see facts.go), so a violation hidden behind a helper in another
+// package is still found:
 //
-//   - clocktaint: a call from a determinism-critical package to any
-//     function that transitively reaches time.Now/Sleep/... or a global
-//     math/rand draw — in any package, at any depth — is flagged. This
-//     closes the gap wallclock (purely local) cannot see.
-//   - rngescape: a *rand.Rand passed to a function whose parameter is —
-//     transitively — handed to another goroutine is flagged at the call
-//     site; parameters that merely retain the rng are recorded as facts.
+//   - clocktaint: wall-clock time and global math/rand are forbidden in
+//     determinism-critical packages, used directly or through a function
+//     that transitively reaches time.Now/Sleep/... or a global draw — in
+//     any package, at any depth; time flows through eventsim.Clock,
+//     randomness through a seeded *rand.Rand. A testing/quick config
+//     without a seeded Rand is flagged in any package.
+//   - rngescape: a *rand.Rand must not cross a goroutine boundary — not
+//     captured by a `go` closure, not passed into par.For-style helpers,
+//     not passed to a function whose parameter transitively reaches one.
 //   - aliasret: fields of map/slice/pointer type in a mutex-guarded
 //     struct are facts; returning such a field, or storing one of its
 //     elements outside the struct (while ranging it, or after a lookup
@@ -107,8 +104,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetMap,
-		WallClock,
-		RngShare,
 		ZeroDefault,
 		FloatEq,
 		ClockTaint,
@@ -163,6 +158,30 @@ func funcPkg(info *types.Info, e ast.Expr) (pkgPath, name string, ok bool) {
 		return "", "", false
 	}
 	return fn.Pkg().Path(), fn.Name(), true
+}
+
+// under is t.Underlying(), except that a type parameter whose type set
+// has a single underlying type (M ~map[K]V, T ~float64) resolves to that
+// type instead of to its constraint interface.
+func under(t types.Type) types.Type {
+	tp, ok := t.(*types.TypeParam)
+	if !ok {
+		return t.Underlying()
+	}
+	var core types.Type
+	iface := tp.Constraint().Underlying().(*types.Interface)
+	for i := 0; i < iface.NumEmbeddeds(); i++ {
+		if u, ok := iface.EmbeddedType(i).(*types.Union); ok {
+			if u.Len() != 1 || core != nil {
+				return t.Underlying()
+			}
+			core = u.Term(0).Type().Underlying()
+		}
+	}
+	if core == nil {
+		return t.Underlying()
+	}
+	return core
 }
 
 // isRandRand reports whether t is *math/rand.Rand (or math/rand/v2).

@@ -16,14 +16,6 @@ func TestDetMap(t *testing.T) {
 	linttest.Run(t, lint.DetMap, "sim", "detmaputil")
 }
 
-func TestWallClock(t *testing.T) {
-	linttest.Run(t, lint.WallClock, "cluster", "eventsim", "detmaputil")
-}
-
-func TestRngShare(t *testing.T) {
-	linttest.Run(t, lint.RngShare, "rngshare")
-}
-
 func TestZeroDefault(t *testing.T) {
 	linttest.Run(t, lint.ZeroDefault, "zerodefault")
 }
@@ -35,13 +27,28 @@ func TestFloatEq(t *testing.T) {
 // The interprocedural analyzers: linttest runs the analyzer over each
 // fixture package's fixture dependencies first, so the wants below
 // assert on diagnostics that only exist because of imported facts.
+// quickcfg holds unseeded testing/quick configs, which clocktaint also
+// owns.
 
 func TestClockTaint(t *testing.T) {
-	linttest.Run(t, lint.ClockTaint, "sched")
+	linttest.Run(t, lint.ClockTaint, "sched", "quickcfg")
 }
 
 func TestRngEscape(t *testing.T) {
 	linttest.Run(t, lint.RngEscape, "rngescape")
+}
+
+// The local shapes the interprocedural analyzers also own: direct
+// wall-clock and global-rand use in critical packages (cluster,
+// eventsim; detmaputil is not critical) for clocktaint, and literal
+// spawn sites for rngescape.
+
+func TestWallClock(t *testing.T) {
+	linttest.Run(t, lint.ClockTaint, "cluster", "eventsim", "detmaputil")
+}
+
+func TestRngShare(t *testing.T) {
+	linttest.Run(t, lint.RngEscape, "rngshare")
 }
 
 func TestAliasRet(t *testing.T) {

@@ -3,51 +3,51 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"path"
 	"strings"
 )
 
-// RngEscape extends RngShare across helper-function boundaries with
-// parameter-level facts.
+// RngEscape flags a *rand.Rand crossing a goroutine boundary, at the
+// spawn site or through any chain of helpers.
 //
-// RngShare sees a *rand.Rand crossing a goroutine boundary only at a
-// literal `go` statement (or a known spawn helper). A helper that does
-// the spawning on the caller's behalf —
+// The repo's bit-identical parallel-vs-serial guarantee rests on one
+// rule: the rng stays on the caller's goroutine; workers receive data,
+// never the rng. *rand.Rand is both unsynchronized (a data race) and
+// order-sensitive (even a synchronized share would make draw order
+// depend on scheduling). Flagged at a spawn site — a `go` statement, a
+// call into an internal par package (par.For worker pools) or a method
+// named Go (errgroup shape) — in every file of every package:
+//
+//   - a *rand.Rand declared outside a func literal handed to the spawn
+//     but referenced inside it (capture);
+//   - a *rand.Rand passed as a direct argument of the spawn.
+//
+// A helper that does the spawning on the caller's behalf —
 //
 //	package rngutil
 //	func Spawn(rng *rand.Rand, out []float64) { go func() { out[0] = rng.Float64() }() }
 //
-// — hides the boundary from every caller. RngEscape records a fact on
-// each *rand.Rand parameter: whether the callee (transitively) hands it
-// to another goroutine, and whether it merely retains it beyond the call
-// (stored in a field, a global, a channel, a composite literal, or
-// returned). Call sites passing an rng into a goroutine-escaping
-// parameter are flagged in every package — the PR 2 rule is "the rng
-// stays on the caller's goroutine", and a helper hop does not change
-// whose goroutine draws.
+// — hides the boundary from every caller, so RngEscape also records a
+// fact on each *rand.Rand parameter that (transitively) reaches a spawn
+// site, and flags non-test call sites passing an rng into such a
+// parameter: a helper hop does not change whose goroutine draws.
 //
-// Retention alone (Stored without Goroutine) is a fact, not a finding:
-// constructors that seed a struct with its owned rng are the repo's
-// sanctioned pattern. The fact still composes — a helper that forwards
-// its parameter into a storing callee is itself marked as storing.
-// Justify an intentional hand-off with //pollux:rngescape-ok (an
-// existing //pollux:rngshare-ok at the escape site is honored too).
+// Per-goroutine rngs derived inside the closure (rand.New(rand.NewSource
+// (seed+i))) are the sanctioned pattern and pass clean, and so does
+// retaining an rng in a struct (the owned-rng constructor pattern).
+// Justify an intentional hand-off with //pollux:rngescape-ok.
 var RngEscape = &Analyzer{
 	Name:      "rngescape",
-	Doc:       "flags a *rand.Rand passed to a function whose parameter transitively reaches another goroutine (cross-package facts; extends rngshare across helper boundaries); retention-only escapes are recorded as facts",
+	Doc:       "flags a *rand.Rand captured by a go-statement closure, passed into goroutine-spawning helpers (par.For, worker pools), or passed to a function whose parameter transitively reaches another goroutine (cross-package facts); derive per-goroutine rngs from seeds instead",
 	Directive: "rngescape-ok",
 	Run:       runRngEscape,
 }
 
-// RngEscapeFact describes what a function does with one *rand.Rand
-// parameter beyond drawing from it on the caller's goroutine.
+// RngEscapeFact marks a *rand.Rand parameter that the function
+// (transitively) hands to a goroutine it spawns. Path is the escape
+// chain, innermost description last, e.g.
+// ["rngutil.Forward2", "rngutil.Spawn", "a closure spawned via a go statement"].
 type RngEscapeFact struct {
-	// Goroutine: the parameter is (transitively) referenced from a
-	// goroutine the callee spawns.
-	Goroutine bool
-	// Stored: the parameter is retained beyond the call.
-	Stored bool
-	// Path is the escape chain, innermost description last, e.g.
-	// ["rngutil.Forward", "rngutil.Spawn", "a go-statement closure"].
 	Path []string
 }
 
@@ -60,6 +60,77 @@ type rngParam struct {
 	index int
 	obj   *types.Var
 	body  *ast.BlockStmt
+}
+
+// walkCalls visits every call in root once: a go statement's call or a
+// spawn-helper call through spawn (with the spawner's name), any other
+// call through plain.
+func walkCalls(info *types.Info, root ast.Node, spawn func(*ast.CallExpr, string), plain func(*ast.CallExpr)) {
+	var goCall *ast.CallExpr
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			goCall = n.Call
+			spawn(n.Call, "go statement")
+		case *ast.CallExpr:
+			if n == goCall {
+				return true
+			}
+			if spawner, ok := spawnHelper(info, n); ok {
+				spawn(n, spawner)
+			} else {
+				plain(n)
+			}
+		}
+		return true
+	})
+}
+
+// spawnHelper reports whether call invokes a goroutine-spawning helper
+// and names it. Helpers: any function in a package whose final path
+// element is "par" (the repo's bounded parallel-for), and any method
+// named Go (the errgroup shape).
+func spawnHelper(info *types.Info, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	if pkg, name, ok := funcPkg(info, sel); ok && path.Base(pkg) == "par" {
+		return "par." + name, true
+	}
+	if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Name() == "Go" {
+		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+			return "(" + sig.Recv().Type().String() + ").Go", true
+		}
+	}
+	return "", false
+}
+
+// spawnEscapes calls escape for each *rand.Rand reaching the goroutine
+// that call spawns: a direct argument, or (captured) an identifier inside
+// a func-literal argument or the called literal that names a variable
+// declared outside the literal.
+func spawnEscapes(info *types.Info, call *ast.CallExpr, escape func(e ast.Expr, captured bool)) {
+	captures := func(fl *ast.FuncLit) {
+		ast.Inspect(fl.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if v, ok := info.Uses[id].(*types.Var); ok && isRandRand(v.Type()) && (v.Pos() < fl.Pos() || v.Pos() > fl.End()) {
+					escape(id, true)
+				}
+			}
+			return true
+		})
+	}
+	for _, arg := range call.Args {
+		if fl, ok := arg.(*ast.FuncLit); ok {
+			captures(fl)
+		} else if isRandRand(info.TypeOf(arg)) {
+			escape(arg, false)
+		}
+	}
+	if fl, ok := call.Fun.(*ast.FuncLit); ok {
+		captures(fl)
+	}
 }
 
 func runRngEscape(pass *Pass) error {
@@ -108,71 +179,81 @@ func runRngEscape(pass *Pass) error {
 		}
 		return nil
 	}
+	// escapingArgs calls fn for each *rand.Rand argument of call whose
+	// parameter escapes to a goroutine and is not justified at the site.
+	escapingArgs := func(call *ast.CallExpr, fn func(arg ast.Expr, callee *types.Func, fact *RngEscapeFact)) {
+		callee := calledFunc(info, call)
+		if callee == nil {
+			return
+		}
+		for i, arg := range call.Args {
+			if !isRandRand(info.TypeOf(arg)) {
+				continue
+			}
+			if fact := calleeFact(callee, i); fact != nil && !pass.exempt(arg.Pos(), "rngescape-ok") {
+				fn(arg, callee, fact)
+			}
+		}
+	}
 
 	for changed := true; changed; {
 		changed = false
 		for _, p := range params {
-			before := local[p.obj]
-			upd := RngEscapeFact{}
-			if before != nil {
-				upd = *before
+			if local[p.obj] != nil {
+				continue
 			}
-			scanRngParam(pass, p, &upd, calleeFact)
-			if before == nil && (upd.Goroutine || upd.Stored) ||
-				before != nil && (upd.Goroutine != before.Goroutine || upd.Stored != before.Stored) {
-				f := upd
-				local[p.obj] = &f
-				pass.ExportParamFact(p.fn, p.index, &f)
+			isP := func(e ast.Expr) bool {
+				id, ok := ast.Unparen(e).(*ast.Ident)
+				return ok && info.Uses[id] == p.obj
+			}
+			var found []string
+			walkCalls(info, p.body, func(call *ast.CallExpr, spawner string) {
+				if spawner == "go statement" {
+					spawner = "a go statement"
+				}
+				spawnEscapes(info, call, func(e ast.Expr, captured bool) {
+					if found == nil && isP(e) && !pass.exempt(e.Pos(), "rngescape-ok") {
+						found = []string{spawner}
+						if captured {
+							found[0] = "a closure spawned via " + spawner
+						}
+					}
+				})
+			}, func(call *ast.CallExpr) {
+				escapingArgs(call, func(arg ast.Expr, callee *types.Func, fact *RngEscapeFact) {
+					if found == nil && isP(arg) {
+						found = append([]string{funcDisplay(callee)}, fact.Path...)
+					}
+				})
+			})
+			if found != nil {
+				local[p.obj] = &RngEscapeFact{Path: found}
+				pass.ExportParamFact(p.fn, p.index, local[p.obj])
 				changed = true
 			}
 		}
 	}
 
-	// Diagnostics: a *rand.Rand argument at a plain call site whose
-	// parameter goroutine-escapes. Literal go statements and known spawn
-	// helpers stay RngShare's findings.
-	skip := map[*ast.CallExpr]bool{}
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				skip[n.Call] = true
-			case *ast.CallExpr:
-				if _, ok := spawnHelper(info, n); ok {
-					skip[n] = true
+		test := pass.isTestFile(f.Pos())
+		walkCalls(info, f, func(call *ast.CallExpr, spawner string) {
+			spawnEscapes(info, call, func(e ast.Expr, captured bool) {
+				switch {
+				case pass.exempt(e.Pos(), "rngescape-ok"):
+				case captured:
+					pass.Reportf(e.Pos(), "*rand.Rand %q captured by a closure spawned via %s: draw order becomes schedule-dependent — draw on the caller's goroutine or derive a goroutine-local rng from a seed (or justify with //pollux:rngescape-ok <reason>)", e.(*ast.Ident).Name, spawner)
+				default:
+					pass.Reportf(e.Pos(), "*rand.Rand passed into %s: the rng must stay on the caller's goroutine — pass a seed and derive a goroutine-local rng (or justify with //pollux:rngescape-ok <reason>)", spawner)
 				}
+			})
+		}, func(call *ast.CallExpr) {
+			if test {
+				return
 			}
-			return true
-		})
-	}
-	for _, f := range pass.Files {
-		if pass.isTestFile(f.Pos()) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || skip[call] {
-				return true
-			}
-			callee := calledFunc(info, call)
-			if callee == nil {
-				return true
-			}
-			for i, arg := range call.Args {
-				if !isRandRand(info.TypeOf(arg)) {
-					continue
-				}
-				fact := calleeFact(callee, i)
-				if fact == nil || !fact.Goroutine {
-					continue
-				}
-				if pass.exempt(arg.Pos(), "rngescape-ok") || pass.exemptQuiet(arg.Pos(), "rngshare-ok") {
-					continue
-				}
+			escapingArgs(call, func(arg ast.Expr, callee *types.Func, fact *RngEscapeFact) {
 				chain := strings.Join(append([]string{funcDisplay(callee)}, fact.Path...), " → ")
 				pass.Reportf(arg.Pos(), "*rand.Rand passed to %s, which hands it to another goroutine (%s): draw order becomes schedule-dependent — draw on the caller's goroutine or pass a seed (or justify with //pollux:rngescape-ok <reason>)", funcDisplay(callee), chain)
-			}
-			return true
+			})
 		})
 	}
 	return nil
@@ -191,154 +272,4 @@ func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// scanRngParam folds p's escapes in its function body into fact.
-func scanRngParam(pass *Pass, p *rngParam, fact *RngEscapeFact, calleeFact func(*types.Func, int) *RngEscapeFact) {
-	info := pass.TypesInfo
-	isP := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && info.Uses[id] == p.obj
-	}
-	// justified reports whether the escape at pos was waved through.
-	justified := func(pos ast.Node) bool {
-		return pass.exempt(pos.Pos(), "rngescape-ok") || pass.exemptQuiet(pos.Pos(), "rngshare-ok")
-	}
-	mark := func(goroutine bool, leaf string, node ast.Node) {
-		if justified(node) {
-			return
-		}
-		if goroutine && !fact.Goroutine {
-			fact.Goroutine = true
-			fact.Path = []string{leaf}
-		}
-		if !goroutine && !fact.Stored {
-			fact.Stored = true
-			if fact.Path == nil {
-				fact.Path = []string{leaf}
-			}
-		}
-	}
-	captures := func(fl *ast.FuncLit) bool {
-		found := false
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && info.Uses[id] == p.obj {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	spawnArgs := func(call *ast.CallExpr, spawner string) {
-		for _, arg := range call.Args {
-			if fl, ok := arg.(*ast.FuncLit); ok {
-				if captures(fl) {
-					mark(true, "a closure spawned via "+spawner, arg)
-				}
-				continue
-			}
-			if isP(arg) {
-				mark(true, spawner, arg)
-			}
-		}
-		if fl, ok := call.Fun.(*ast.FuncLit); ok && captures(fl) {
-			mark(true, "a closure spawned via "+spawner, call.Fun)
-		}
-	}
-
-	ast.Inspect(p.body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			spawnArgs(n.Call, "a go statement")
-		case *ast.CallExpr:
-			if spawner, ok := spawnHelper(info, n); ok {
-				spawnArgs(n, spawner)
-				return true
-			}
-			if isBuiltin(info, n.Fun, "append") {
-				for _, a := range n.Args[1:] {
-					if isP(a) {
-						mark(false, "appended to a slice", a)
-					}
-				}
-				return true
-			}
-			callee := calledFunc(info, n)
-			for i, arg := range n.Args {
-				if !isP(arg) {
-					continue
-				}
-				if callee == nil {
-					continue
-				}
-				if cf := calleeFact(callee, i); cf != nil && (cf.Goroutine || cf.Stored) {
-					if justified(arg) {
-						continue
-					}
-					if cf.Goroutine && !fact.Goroutine {
-						fact.Goroutine = true
-						fact.Path = append([]string{funcDisplay(callee)}, cf.Path...)
-					}
-					if cf.Stored && !fact.Stored {
-						fact.Stored = true
-						if fact.Path == nil {
-							fact.Path = append([]string{funcDisplay(callee)}, cf.Path...)
-						}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, rhs := range n.Rhs {
-				if !isP(rhs) {
-					continue
-				}
-				switch lhs := ast.Unparen(n.Lhs[i]).(type) {
-				case *ast.Ident:
-					// A package-level variable outlives the call; a fresh
-					// local alias does not (conservatively untracked).
-					if v, ok := info.ObjectOf(lhs).(*types.Var); ok && v.Parent() == pass.Pkg.Scope() {
-						mark(false, "assigned to a package variable", rhs)
-					}
-				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-					mark(false, "stored through "+lhsKind(lhs), rhs)
-				}
-			}
-		case *ast.SendStmt:
-			if isP(n.Value) {
-				mark(false, "sent on a channel", n.Value)
-			}
-		case *ast.CompositeLit:
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					elt = kv.Value
-				}
-				if isP(elt) {
-					mark(false, "stored in a composite literal", elt)
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if isP(r) {
-					mark(false, "returned to the caller", r)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// lhsKind names an assignment target shape for escape chains.
-func lhsKind(e ast.Expr) string {
-	switch e.(type) {
-	case *ast.SelectorExpr:
-		return "a field"
-	case *ast.IndexExpr:
-		return "an element"
-	case *ast.StarExpr:
-		return "a pointer"
-	}
-	return "a store"
 }

@@ -1,6 +1,6 @@
-// Package clockutil is a non-critical fixture helper: wallclock does
-// not run here, but clocktaint records function facts that flag the
-// call sites in the critical sched fixture.
+// Package clockutil is a non-critical fixture helper: its direct clock
+// reads are not flagged, but clocktaint records function facts that flag
+// the call sites in the critical sched fixture.
 package clockutil
 
 import "time"

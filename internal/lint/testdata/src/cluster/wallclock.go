@@ -1,5 +1,5 @@
-// Package cluster is a wallclock fixture: its name makes it
-// determinism-critical, so wall-clock time and global math/rand are
+// Package cluster is a clocktaint fixture for direct uses: its name makes
+// it determinism-critical, so wall-clock time and global math/rand are
 // forbidden here.
 package cluster
 
@@ -32,6 +32,6 @@ func allowed(seed int64) float64 {
 }
 
 func justified() time.Time {
-	//pollux:wallclock-ok operator-facing log timestamp, never enters a trace
+	//pollux:clocktaint-ok operator-facing log timestamp, never enters a trace
 	return time.Now()
 }

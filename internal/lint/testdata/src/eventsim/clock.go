@@ -1,4 +1,4 @@
-// Package eventsim is a wallclock fixture. clock.go is the one
+// Package eventsim is a clocktaint fixture. clock.go is the one
 // allowlisted file: the Wall clock implementation itself.
 package eventsim
 

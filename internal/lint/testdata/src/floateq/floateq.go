@@ -18,6 +18,11 @@ func flagged(a, b float64, xs []float64) bool {
 	return xs[0] != b // want `float != comparison`
 }
 
+// A type parameter whose type set is one float type compares like it.
+func flaggedGeneric[T ~float64](a, b T) bool {
+	return a == b // want `float == comparison`
+}
+
 func allowed(a, b float64, f32 float32) bool {
 	// Exact-representable constants: sentinel and exact-gate checks.
 	if a == 0 || b == 0.5 || a == -1 || f32 == 2 {

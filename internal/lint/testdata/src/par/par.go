@@ -1,5 +1,5 @@
 // Package par is a stand-in for the repo's bounded parallel-for: a
-// goroutine-spawning helper the rngshare analyzer knows by package name.
+// goroutine-spawning helper the rngescape analyzer knows by package name.
 package par
 
 // For runs fn(0..n-1) across workers goroutines.

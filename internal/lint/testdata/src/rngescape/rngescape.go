@@ -21,11 +21,12 @@ func callForward(rng *rand.Rand, out []float64) {
 	rngutil.Forward(rng, out) // want `\*rand\.Rand passed to rngutil\.Forward, which hands it to another goroutine \(rngutil\.Forward → rngutil\.Forward2 → rngutil\.Spawn → a closure spawned via a go statement\)`
 }
 
-// Flagged: a same-package helper hides the boundary just as well.
+// Flagged: a same-package helper hides the boundary just as well (and
+// its own go statement is a spawn site).
 
 func spawnLocal(r *rand.Rand) {
 	go func() {
-		_ = r.Int63()
+		_ = r.Int63() // want `\*rand\.Rand "r" captured by a closure spawned via go statement`
 	}()
 }
 
@@ -33,9 +34,9 @@ func callLocal(rng *rand.Rand) {
 	spawnLocal(rng) // want `\*rand\.Rand passed to rngescape\.spawnLocal, which hands it to another goroutine \(rngescape\.spawnLocal → a closure spawned via a go statement\)`
 }
 
-// Allowed: retention without a goroutine is a fact, not a finding — the
-// owned-rng constructor pattern stays clean — and drawing on the
-// caller's goroutine is the sanctioned use.
+// Allowed: retention without a goroutine — the owned-rng constructor
+// pattern — stays clean, and drawing on the caller's goroutine is the
+// sanctioned use.
 
 func buildHolder(rng *rand.Rand) *rngutil.Holder {
 	rngutil.Keep(rng)
@@ -46,21 +47,20 @@ func drawHere(rng *rand.Rand) float64 {
 	return rngutil.Draw(rng)
 }
 
-// Allowed (by division of labor): a literal go statement and a known
-// spawn helper are rngshare's findings, not rngescape's.
+// Flagged once, as spawn sites: a literal go statement and a known spawn
+// helper are reported where the goroutine starts, not again as calls.
 
 func literalGo(rng *rand.Rand, out []float64) {
-	go rngutil.Spawn(rng, out)
+	go rngutil.Spawn(rng, out) // want `\*rand\.Rand passed into go statement`
 }
 
 func viaPar(rng *rand.Rand, out []float64) {
 	par.For(len(out), 2, func(i int) {
-		out[i] = rng.Float64()
+		out[i] = rng.Float64() // want `\*rand\.Rand "rng" captured by a closure spawned via par\.For`
 	})
 }
 
-// Justified: rngescape-ok suppresses, and an existing rngshare-ok at
-// the same site is honored so one reason covers both analyzers.
+// Justified: rngescape-ok suppresses at one hop and at three.
 
 func justified(rng *rand.Rand, out []float64) {
 	//pollux:rngescape-ok worker draws are re-seeded per index downstream
@@ -68,6 +68,6 @@ func justified(rng *rand.Rand, out []float64) {
 }
 
 func shareJustified(rng *rand.Rand, out []float64) {
-	//pollux:rngshare-ok single worker, serial draw order preserved
+	//pollux:rngescape-ok single worker, serial draw order preserved
 	rngutil.Forward(rng, out)
 }

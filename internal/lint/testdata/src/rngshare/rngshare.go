@@ -1,5 +1,5 @@
-// Package rngshare is an rngshare fixture: a *rand.Rand must not cross
-// a goroutine boundary, in any package.
+// Package rngshare is the rngescape fixture for literal spawn sites: a
+// *rand.Rand must not cross a goroutine boundary, in any package.
 package rngshare
 
 import (
@@ -48,7 +48,7 @@ func allowed(seed int64, out []float64) {
 func justified(rng *rand.Rand) {
 	done := make(chan struct{})
 	go func() {
-		_ = rng.Float64() //pollux:rngshare-ok the goroutine is joined before the caller draws again
+		_ = rng.Float64() //pollux:rngescape-ok the goroutine is joined before the caller draws again
 		close(done)
 	}()
 	<-done

@@ -8,7 +8,7 @@ import "math/rand"
 
 var stash *rand.Rand
 
-// Spawn hands the rng to a goroutine it starts: the Goroutine fact.
+// Spawn hands the rng to a goroutine it starts: the fact.
 func Spawn(rng *rand.Rand, out []float64) {
 	go func() {
 		out[0] = rng.Float64()
@@ -25,8 +25,7 @@ func Forward2(rng *rand.Rand, out []float64) {
 	Spawn(rng, out)
 }
 
-// Keep retains the rng past the call (Stored fact) but starts no
-// goroutine: recorded, not reported.
+// Keep retains the rng past the call but starts no goroutine: no fact.
 func Keep(rng *rand.Rand) {
 	stash = rng
 }
@@ -37,7 +36,7 @@ func Draw(rng *rand.Rand) float64 {
 }
 
 // Holder owns an rng seeded by its constructor — the repo's sanctioned
-// pattern: a Stored fact on the parameter, nothing more.
+// pattern: no fact on the parameter.
 type Holder struct{ rng *rand.Rand }
 
 // NewHolder stores the rng in the returned struct.

@@ -1,7 +1,7 @@
 // Package sched is a determinism-critical fixture (critical() matches
 // the final path element): clocktaint flags calls that reach the wall
-// clock only through helpers in other packages — the gap the local
-// wallclock analyzer cannot see.
+// clock only through helpers in other packages — a gap no check of the
+// call site alone can see.
 package sched
 
 import (
@@ -29,11 +29,11 @@ func methodTouch(t *clockutil.Timer) {
 	t.Touch() // want `clockutil\.\(Timer\)\.Touch transitively reaches time\.Now`
 }
 
-// Flagged: same-package helper taint — localStamp's direct time.Now is
-// wallclock's finding, but a *call* to localStamp is clocktaint's.
+// Flagged: same-package helper taint — localStamp's direct time.Now and
+// a *call* to localStamp are both findings.
 
 func localStamp() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want `time.Now in determinism-critical package sched`
 }
 
 func viaLocal() int64 {
@@ -59,10 +59,10 @@ func viaJustified() int64 {
 	return justifiedStamp()
 }
 
-// Justified: an existing wallclock-ok justification is honored quietly
-// — one reason covers both the local and the transitive check.
+// Justified: one clocktaint-ok at a two-package-deep call covers the
+// whole chain below it.
 
 func doubleJustified() int64 {
-	//pollux:wallclock-ok log decoration outside the deterministic core
+	//pollux:clocktaint-ok log decoration outside the deterministic core
 	return clockwrap.Stamp()
 }

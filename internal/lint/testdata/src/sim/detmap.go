@@ -34,6 +34,15 @@ func flagged(m map[string]float64, rng *rand.Rand) float64 {
 	return total
 }
 
+// A type parameter whose type set is one map type ranges like that map.
+func flaggedGeneric[M ~map[string]float64](m M) float64 {
+	var total float64
+	for _, v := range m { // want `range over map in determinism-critical package sim`
+		total += v
+	}
+	return total
+}
+
 func allowed(m map[string]float64, jobs map[int]int) []string {
 	// Keyed writes into another map: each iteration owns its slot.
 	inverted := make(map[float64]string, len(m))

@@ -20,10 +20,13 @@ func sortedTotals() []string {
 	return keys
 }
 
-// Unknown: a typo'd directive name is flagged against the registry.
+// Unknown: a typo'd directive name, or one no analyzer owns, is flagged
+// against the registry.
 //
 //pollux:oder-ok commutative fold // want `unknown directive //pollux:oder-ok`
 func total() int {
+	//pollux:wallclock-ok log timestamp only // want `unknown directive //pollux:wallclock-ok`
+	//pollux:rngshare-ok worker joined before the next draw // want `unknown directive //pollux:rngshare-ok`
 	sum := 0
 	for _, n := range counts {
 		sum += n
