@@ -41,9 +41,12 @@ func BenchmarkGAStep(b *testing.B) {
 
 // BenchmarkGAStepWorkers isolates the fitness fan-out: the same generation
 // under 1, 2, 4, and 8 workers with an artificially expensive fitness (the
-// real one runs golden-section searches on cache misses). The ns/op ratio
-// between workers/1 and workers/N is the scheduler-interval speedup on an
-// N-core host.
+// real one runs golden-section searches on cache misses), at the
+// svc_round_full32 shape, where a generation is large enough to start
+// scorers (minScorerCells). The ns/op ratio between workers/1 and
+// workers/N is the scheduler-interval speedup on an N-core host. A steady
+// generation allocates only what starting its N−1 scorers takes, so
+// allocs/op repeats at a fixed -benchtime Nx and CI gates workers/2's.
 func BenchmarkGAStepWorkers(b *testing.B) {
 	expensive := func(m Matrix) float64 {
 		f := simpleFitness(m)
@@ -55,13 +58,13 @@ func BenchmarkGAStepWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers/"+strconv.Itoa(workers), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			prob := Problem{
-				Capacity:              []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4},
-				Jobs:                  30,
-				Fitness:               expensive,
-				InterferenceAvoidance: true,
+			capacity := make([]int, 32)
+			for n := range capacity {
+				capacity[n] = 4
 			}
+			prob := Problem{Capacity: capacity, Jobs: 96, Fitness: expensive, InterferenceAvoidance: true}
 			g := New(prob, Options{Population: 50, Workers: workers}, rng, nil)
+			g.Run(2) // fill the buffer pool
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g.Step()

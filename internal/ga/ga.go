@@ -13,11 +13,12 @@ package ga
 import (
 	"cmp"
 	"math"
+	mathbits "math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
-
-	"repro/internal/par"
+	"sync"
+	"sync/atomic"
 )
 
 // Matrix is an allocation matrix A: Matrix[j][n] is the number of GPUs on
@@ -87,49 +88,106 @@ func (m Matrix) tally(usage, span []int) {
 	}
 }
 
+// wordBits is the number of cells one mask word covers.
+const wordBits = 32
+
+// A genome is a matrix buffer the GA owns together with the mask of its
+// positive cells, one bit per cell in row-major order: bit i%wordBits of
+// mask[i/wordBits] is set exactly when cell i (row i/nodes, node i%nodes)
+// is positive. Rows are packed across word boundaries, so a 16-node row
+// costs half a word. Every operator that writes a cell keeps the bit, so
+// the occupancy tally visits the one or two nodes a row holds instead of
+// every cell of it.
+type genome struct {
+	m    Matrix
+	mask []uint32
+}
+
+// maskWords is the number of mask words a jobs × nodes matrix takes.
+func maskWords(jobs, nodes int) int { return (jobs*nodes + wordBits - 1) / wordBits }
+
+// mark records whether cell i of a genome, in row-major order, is
+// positive.
+func mark(mask []uint32, i, v int) {
+	w, bit := &mask[i/wordBits], uint32(1)<<(i%wordBits)
+	if v > 0 {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
+}
+
+// copyBits sets bits [lo, hi) of dst to those of src.
+func copyBits(dst, src []uint32, lo, hi int) {
+	for lo < hi {
+		w, b := lo/wordBits, lo%wordBits
+		n := min(wordBits-b, hi-lo)
+		keep := (uint32(1)<<n - 1) << b // n == wordBits: all ones
+		dst[w] = dst[w]&^keep | src[w]&keep
+		lo += n
+	}
+}
+
 // occupancy is what repair reads instead of the matrix's columns: the tally
-// of one row-major pass plus, per node, the rows holding GPUs there in
-// ascending order. Node n's list is rows[n*jobs:][:count[n]], a fixed
-// stride, so the next pass resets every list by clearing the counts.
+// of one pass over the positive cells plus, per node, the rows holding GPUs
+// there in ascending order. Node n's list is rows[n*jobs:][:count[n]], a
+// fixed stride, so the next pass resets every list by clearing the counts.
 // Repair only lowers cells, so a list taken before it stays, in the same
 // order, a superset of the rows still on the node: a reader that filters by
 // the live cell sees exactly what a scan of the column would.
 type occupancy struct {
 	usage, count, span []int
-	rows, cand         []int32 // cand: the candidates of the node in hand
+	rows, cand         []uint32 // cand: the candidates of the node in hand
 }
 
 // newOccupancy cuts the scratch for a jobs × nodes problem from two arrays,
-// so that a GA costs two allocations whatever its shape.
-func newOccupancy(jobs, nodes int) occupancy {
-	ints, rows := make([]int, 2*nodes+jobs), make([]int32, jobs*nodes+jobs)
+// so that a GA costs two allocations whatever its shape. The second array
+// also holds spare mask words, returned zeroed after the scratch.
+func newOccupancy(jobs, nodes, spare int) (occupancy, []uint32) {
+	ints, words := make([]int, 2*nodes+jobs), make([]uint32, jobs*nodes+jobs+spare)
 	return occupancy{
 		usage: ints[:nodes], count: ints[nodes : 2*nodes], span: ints[2*nodes:],
-		rows: rows[:jobs*nodes], cand: rows[jobs*nodes:],
+		rows: words[:jobs*nodes], cand: words[jobs*nodes:][:jobs],
+	}, words[jobs*nodes+jobs:]
+}
+
+// fill sets mask from m's cells, for a matrix that arrives without one.
+func (o *occupancy) fill(mask []uint32, m Matrix) {
+	clear(mask)
+	nodes := len(o.usage)
+	for j, row := range m {
+		for n, v := range row[:nodes] {
+			mark(mask, j*nodes+n, v)
+		}
 	}
 }
 
 // occupants returns node n's list as of the last tally.
-func (o *occupancy) occupants(n int) []int32 {
+func (o *occupancy) occupants(n int) []uint32 {
 	return o.rows[n*len(o.span):][:o.count[n]]
 }
 
-// tally is Matrix.tally into o.usage and o.span, recording the occupants.
-func (o *occupancy) tally(m Matrix) {
-	usage, count, jobs := o.usage, o.count[:len(o.usage)], len(o.span)
+// tally is Matrix.tally into o.usage and o.span, recording the occupants. It
+// reads only the cells mask marks positive, in row-major order, so every
+// list comes out in ascending row order.
+func (o *occupancy) tally(m Matrix, mask []uint32) {
+	usage, count, jobs, nodes := o.usage, o.count[:len(o.usage)], len(o.span), len(o.usage)
 	clear(usage)
 	clear(count)
-	for j, row := range m {
-		span := 0
-		for n, g := range row[:len(usage)] {
-			usage[n] += g
-			if g > 0 {
-				span++
-				o.rows[n*jobs+count[n]] = int32(j)
-				count[n]++
+	clear(o.span)
+	j, rowEnd := 0, nodes // cell rowEnd starts row j+1
+	for w, bits := range mask {
+		for ; bits != 0; bits &= bits - 1 {
+			i := w*wordBits + mathbits.TrailingZeros32(bits)
+			for i >= rowEnd {
+				j, rowEnd = j+1, rowEnd+nodes
 			}
+			n := i - rowEnd + nodes
+			usage[n] += m[j][n]
+			o.span[j]++
+			o.rows[n*jobs+count[n]] = uint32(j)
+			count[n]++
 		}
-		o.span[j] = span
 	}
 }
 
@@ -161,7 +219,9 @@ type Problem struct {
 	// Fitness scores an allocation matrix; higher is better. It is
 	// called only on repaired (feasible) matrices. It must be a pure
 	// function of the matrix and, when Options.Workers > 1, safe to call
-	// from multiple goroutines concurrently.
+	// from multiple goroutines concurrently and while the caller of New or
+	// Step mutates and repairs later offspring on the GA's rng: it may read
+	// the matrix and state nothing writes during the call, never the rng.
 	Fitness func(Matrix) float64
 	// InterferenceAvoidance enforces that at most one distributed job
 	// (a job spanning more than one node) occupies each node (Sec. 4.2.1).
@@ -185,10 +245,15 @@ type Problem struct {
 type Options struct {
 	Population int // default 100
 	// Workers bounds the goroutines evaluating Fitness concurrently;
-	// default GOMAXPROCS. Only fitness evaluation fans out — mutation,
-	// crossover, and repair stay on the caller's goroutine so the single
-	// *rand.Rand is never shared — and every offspring is scored into a
-	// fixed slot, so results are bit-identical to Workers: 1.
+	// default GOMAXPROCS. Only fitness evaluation fans out, and it overlaps
+	// the operators: New and Step start Workers−1 scorers, which score each
+	// member as soon as it is built, while mutation, crossover and repair
+	// stay on the caller's goroutine so the single *rand.Rand is never
+	// shared; the caller scores what is left once it has built them all.
+	// A generation too small to repay the hand-off (minScorerCells) is
+	// scored inline, as at Workers: 1, which starts nothing. Every member
+	// is scored into a fixed slot, so results are bit-identical to
+	// Workers: 1.
 	Workers int
 }
 
@@ -210,19 +275,20 @@ type GA struct {
 	opts Options
 	rng  *rand.Rand
 
-	pop    []Matrix
-	scores []float64
-
-	// Reused generation buffers (see Step): matrices cycle between the
-	// population, the offspring slice, and the free pool instead of being
+	// gen holds every genome the GA owns, 3 × Population of them, with
+	// scores parallel to it: the population (pop, best first after a Step)
+	// and then the offspring slots. Genomes are reused instead of being
 	// reallocated every generation — offspring churn was the dominant
-	// allocation source in scheduling-round profiles.
-	free       []Matrix
-	off        []Matrix
-	offScores  []float64
-	idx        []int
-	next       []Matrix
-	nextScores []float64
+	// allocation source in scheduling-round profiles: selection leaves the
+	// evicted genomes in the offspring slots for the next generation to
+	// overwrite. New sizes every slice, and the mask words, for that many;
+	// the offspring genomes are made in the first Step, each matrix a
+	// separate allocation.
+	gen    []genome
+	scores []float64
+	pop    []genome // gen[:Population]
+	idx    []int    // selection order over gen
+	masks  []uint32 // mask words of the genomes not yet made
 
 	// Repair scratch (see repair), so repairing an offspring allocates
 	// nothing.
@@ -231,6 +297,7 @@ type GA struct {
 	// (not finite, and not read, at N ≤ 1).
 	lnGap float64
 
+	sc    scoring
 	stats Stats
 }
 
@@ -258,144 +325,266 @@ func (g *GA) Stats() Stats { return g.stats }
 // carried-over current allocation beats an all-paused search there).
 func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 	opts.defaults()
-	nodes := len(prob.Capacity)
-	g := &GA{prob: prob, opts: opts, rng: rng, occ: newOccupancy(prob.Jobs, nodes), lnGap: math.Log(1 - 1/float64(nodes))}
-	g.pop = make([]Matrix, 0, opts.Population)
-	seedSlots := opts.Population - 1
-	if opts.Population == 1 {
+	size, nodes := opts.Population, len(prob.Capacity)
+	g := &GA{prob: prob, opts: opts, rng: rng, lnGap: math.Log(1 - 1/float64(nodes))}
+	g.occ, g.masks = newOccupancy(prob.Jobs, nodes, 3*size*maskWords(prob.Jobs, nodes))
+	g.gen, g.scores, g.idx = make([]genome, 3*size), make([]float64, 3*size), make([]int, 3*size)
+	g.pop = g.gen[:size]
+
+	seedSlots := size - 1
+	if size == 1 {
 		seedSlots = 1
 	}
+	g.begin(g.pop, g.scores[:size])
+	i := 0
 	for _, s := range seeds {
-		if len(g.pop) >= seedSlots {
+		if i >= seedSlots {
 			break
 		}
 		if len(s) != prob.Jobs || (prob.Jobs > 0 && len(s[0]) != nodes) {
 			continue
 		}
-		c := s.Clone()
+		c := g.newGenome()
+		c.m.CopyFrom(s)
+		g.occ.fill(c.mask, c.m)
 		g.repair(c)
-		g.pop = append(g.pop, c)
+		g.publish(i, c)
+		i++
 	}
-	if len(g.pop) < opts.Population {
-		g.pop = append(g.pop, NewMatrix(prob.Jobs, nodes))
+	if i < size {
+		g.publish(i, g.newGenome()) // the zero matrix
+		i++
 	}
-	for len(g.pop) < opts.Population {
-		m := NewMatrix(prob.Jobs, nodes)
+	for ; i < size; i++ {
+		c := g.newGenome()
 		// Without nodes (a cluster that lost them all) every member is the
 		// all-paused matrix of zero-width rows.
 		for j := 0; j < prob.Jobs && nodes > 0; j++ {
 			n := rng.Intn(nodes)
 			if cap := prob.Capacity[n]; cap > 0 {
-				m[j][n] = 1 + rng.Intn(cap)
+				c.m[j][n] = 1 + rng.Intn(cap)
+				mark(c.mask, j*nodes+n, 1)
 			}
 		}
-		g.repair(m)
-		g.pop = append(g.pop, m)
+		g.repair(c)
+		g.publish(i, c)
 	}
-	g.scores = make([]float64, len(g.pop))
-	g.evalScores(g.pop, g.scores)
+	g.end()
 	return g
 }
 
-// evalScores fills out[i] = Fitness(ms[i]) for every matrix, fanning the
-// calls out over at most Options.Workers goroutines. Each matrix is scored
-// into its own slot and Fitness is required to be pure, so the result is
-// independent of worker count and interleaving.
-func (g *GA) evalScores(ms []Matrix, out []float64) {
-	g.stats.FitnessCalls += int64(len(ms))
-	g.stats.CellsScored += int64(len(ms)) * int64(g.prob.Jobs) * int64(len(g.prob.Capacity))
-	if g.opts.Workers == 1 {
-		// Inline, so a one-worker generation allocates no closure either.
-		for i, m := range ms {
-			out[i] = g.prob.Fitness(m)
-		}
-		return
+// buf returns c, an evicted genome to overwrite, or a new one when c has
+// none yet (the first Step).
+func (g *GA) buf(c genome) genome {
+	if c.m == nil {
+		c = g.newGenome()
 	}
-	par.For(g.opts.Workers, len(ms), func(i int) {
-		out[i] = g.prob.Fitness(ms[i])
-	})
+	return c
 }
 
-// buf returns a matrix buffer of the problem's shape, reusing an evicted
-// one when available.
-func (g *GA) buf() Matrix {
-	if n := len(g.free); n > 0 {
-		m := g.free[n-1]
-		g.free = g.free[:n-1]
-		return m
-	}
-	return NewMatrix(g.prob.Jobs, len(g.prob.Capacity))
+// newGenome returns a genome of the problem's shape: the zero matrix with
+// an empty mask.
+func (g *GA) newGenome() genome {
+	k := maskWords(g.prob.Jobs, len(g.prob.Capacity))
+	c := genome{m: NewMatrix(g.prob.Jobs, len(g.prob.Capacity)), mask: g.masks[:k:k]}
+	g.masks = g.masks[k:]
+	return c
 }
 
 // Step runs one generation: mutate, crossover, repair, and survivor
-// selection back down to the configured population size. Offspring
-// buffers come from the free pool and evicted members return to it, so a
-// steady-state generation allocates nothing; every reused buffer is fully
-// overwritten (mutation copies the parent first, crossover copies every
-// row), so the generation draws and decides as one that clones every
-// offspring would (stepOracle in the tests).
+// selection back down to the configured population size. Offspring are
+// built into the genomes the last selection evicted, so a steady-state
+// generation allocates nothing but its scorers (see Options); every reused
+// buffer is fully overwritten (mutation copies the parent first, crossover
+// copies every row), so the generation draws and decides as one that
+// clones every offspring would (stepOracle in the tests).
 func (g *GA) Step() {
-	pop := g.pop
-	g.off = g.off[:0]
+	pop, off := g.pop, g.gen[len(g.pop):]
+	g.begin(off, g.scores[len(pop):])
 	// Mutation: each current member yields one mutated offspring.
-	for _, m := range pop {
-		c := g.buf()
-		c.CopyFrom(m)
+	for i, m := range pop {
+		c := g.buf(off[i])
+		c.m.CopyFrom(m.m)
+		copy(c.mask, m.mask)
 		g.mutate(c)
 		g.repair(c)
-		g.off = append(g.off, c)
+		g.publish(i, c)
 	}
 	// Crossover: pair tournament winners to produce the same number of
 	// offspring again.
-	for i := 0; i < len(pop); i++ {
+	for i := range pop {
 		a := pop[g.tournament()]
 		b := pop[g.tournament()]
-		c := g.buf()
+		c := g.buf(off[len(pop)+i])
 		g.crossoverInto(c, a, b)
 		g.repair(c)
-		g.off = append(g.off, c)
+		g.publish(len(pop)+i, c)
 	}
+	g.end()
 
 	// Survivor selection: keep the best Population among old + new. The
 	// candidate order (population, then offspring) and the stable sort
 	// break ties in favour of the incumbents, oldest first.
-	if cap(g.offScores) < len(g.off) {
-		g.offScores = make([]float64, len(g.off))
+	for i := range g.idx {
+		g.idx[i] = i
 	}
-	g.offScores = g.offScores[:len(g.off)]
-	g.evalScores(g.off, g.offScores)
-
-	total := len(pop) + len(g.off)
-	g.idx = g.idx[:0]
-	for i := 0; i < total; i++ {
-		g.idx = append(g.idx, i)
-	}
-	score := func(i int) float64 {
-		if i < len(pop) {
-			return g.scores[i]
+	slices.SortStableFunc(g.idx, func(a, b int) int { return cmp.Compare(g.scores[b], g.scores[a]) })
+	// Put gen in that order, one cycle of the permutation at a time
+	// (gen[k] takes the genome idx[k] names; a placed k is marked -1): the
+	// survivors become pop, best first, and the evicted genomes land in the
+	// offspring slots.
+	for start := range g.idx {
+		if g.idx[start] < 0 {
+			continue
 		}
-		return g.offScores[i-len(pop)]
-	}
-	member := func(i int) Matrix {
-		if i < len(pop) {
-			return pop[i]
+		c, f := g.gen[start], g.scores[start]
+		for k := start; ; {
+			src := g.idx[k]
+			g.idx[k] = -1
+			if src == start {
+				g.gen[k], g.scores[k] = c, f
+				break
+			}
+			g.gen[k], g.scores[k] = g.gen[src], g.scores[src]
+			k = src
 		}
-		return g.off[i-len(pop)]
 	}
-	slices.SortStableFunc(g.idx, func(a, b int) int { return cmp.Compare(score(b), score(a)) })
+}
 
-	keep := min(g.opts.Population, total)
-	g.next = g.next[:0]
-	g.nextScores = g.nextScores[:0]
-	for _, i := range g.idx[:keep] {
-		g.next = append(g.next, member(i))
-		g.nextScores = append(g.nextScores, score(i))
+// scoring scores the members New or Step builds: inline as each is built
+// at Workers 1 or below minScorerCells, and otherwise on Workers−1
+// scorers that overlap the building. Slot i of ms is written once, before
+// ready passes i; a scorer claims a published slot by advancing next, so
+// every slot is scored exactly once, into out[i], whatever the
+// interleaving. A scorer that has caught up with the caller parks on wake;
+// the caller sends a token only when idle says one is parked, so a scorer
+// that keeps up costs it one atomic store and one load per member.
+type scoring struct {
+	ms                []genome
+	out               []float64
+	fit               func(Matrix) float64
+	inline            bool // no scorers: publish scores
+	total             int32
+	ready, next, idle atomic.Int32
+	wake              chan struct{}
+	wg                sync.WaitGroup
+}
+
+// minScorerCells is the least fitness work, in cells scored by one New or
+// Step (members × jobs × nodes), for which scorers start. Below it,
+// starting, feeding and joining them costs more than the overlap saves: a
+// small member is scored in less time than it takes to hand it to another
+// core. A 96 × 32 generation of population 50 scores 307k cells, and one
+// scorer takes a fifth off its time; the GAs of the standard trace and the
+// steady rack GAs of a 256-node service round score under 50k and run
+// faster inline.
+var minScorerCells = 1 << 18
+
+// begin sets up scoring of the len(out) members publish will put into ms
+// and, at Workers > 1 and enough cells, starts the scorers.
+func (g *GA) begin(ms []genome, out []float64) {
+	g.stats.FitnessCalls += int64(len(out))
+	g.stats.CellsScored += int64(len(out)) * int64(g.prob.Jobs) * int64(len(g.prob.Capacity))
+	s := &g.sc
+	scorers := min(g.opts.Workers, len(out)) - 1
+	if len(out)*g.prob.Jobs*len(g.prob.Capacity) < minScorerCells {
+		scorers = 0
 	}
-	for _, i := range g.idx[keep:] {
-		g.free = append(g.free, member(i))
+	s.ms, s.out, s.fit, s.inline = ms, out, g.prob.Fitness, scorers <= 0
+	if s.inline {
+		return
 	}
-	g.pop, g.next = g.next, g.pop[:0]
-	g.scores, g.nextScores = g.nextScores, g.scores[:0]
+	if s.wake == nil {
+		// A token for every scorer there can be, so that end can wake them
+		// all without blocking.
+		s.wake = make(chan struct{}, g.opts.Workers-1)
+	}
+	s.total = int32(len(out))
+	s.ready.Store(0)
+	s.next.Store(0)
+	s.wg.Add(scorers)
+	for range scorers {
+		go s.run()
+	}
+}
+
+// publish puts the built member c into slot i, scoring it inline without
+// scorers and otherwise handing it to them.
+func (g *GA) publish(i int, c genome) {
+	s := &g.sc
+	s.ms[i] = c
+	if s.inline {
+		s.out[i] = s.fit(c.m)
+		return
+	}
+	s.ready.Store(int32(i + 1))
+	if s.idle.Load() > 0 {
+		s.signal()
+	}
+}
+
+// end wakes every parked scorer, scores the slots no scorer has claimed
+// alongside them, and waits for all of them to return. Every slot is
+// published by now, so no scorer parks again.
+func (g *GA) end() {
+	s := &g.sc
+	if s.inline {
+		return
+	}
+	for range cap(s.wake) {
+		s.signal()
+	}
+	for i := s.claim(); i >= 0; i = s.claim() {
+		s.out[i] = s.fit(s.ms[i].m)
+	}
+	s.wg.Wait()
+	for len(s.wake) > 0 {
+		<-s.wake // a token no scorer needed; the next generation starts clean
+	}
+}
+
+// signal hands one parked scorer a token; a full channel already holds one
+// for every scorer there is.
+func (s *scoring) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// run is one scorer: it scores published slots until every slot is
+// claimed.
+func (s *scoring) run() {
+	defer s.wg.Done()
+	for i := s.claim(); i >= 0; i = s.claim() {
+		s.out[i] = s.fit(s.ms[i].m)
+	}
+}
+
+// claim returns the next unscored published slot, or -1 once every slot is
+// claimed. Ahead of the caller it parks until a slot is published: it
+// registers in idle before it looks again, and publish stores ready before
+// it reads idle, so either this look sees the new slot or publish sees the
+// scorer and sends a token. In end every slot is published, so the caller
+// never parks.
+func (s *scoring) claim() int {
+	for {
+		i := s.next.Load()
+		if i >= s.total {
+			return -1
+		}
+		if i < s.ready.Load() {
+			if s.next.CompareAndSwap(i, i+1) {
+				return int(i)
+			}
+			continue
+		}
+		s.idle.Add(1)
+		if i := s.next.Load(); i < s.total && i >= s.ready.Load() {
+			<-s.wake
+		}
+		s.idle.Add(-1)
+	}
 }
 
 // Run executes the given number of generations and returns the best
@@ -412,20 +601,26 @@ func (g *GA) Run(generations int) (Matrix, float64) {
 // recycle evicted members' storage; clone to keep it longer.
 func (g *GA) Best() (Matrix, float64) {
 	bi := 0
-	for i := range g.scores {
+	for i := range g.pop {
 		if g.scores[i] > g.scores[bi] {
 			bi = i
 		}
 	}
-	return g.pop[bi], g.scores[bi]
+	return g.pop[bi].m, g.scores[bi]
 }
 
-// Population returns the current population (borrowed; callers must clone
-// before mutating or holding across a Step call — evicted members'
-// storage is recycled into later offspring). PolluxSched clones it to
-// bootstrap the next interval.
+// Population returns the current population. The slice is the caller's;
+// the matrices are the GA's until the next Step, which recycles evicted
+// members' storage into later offspring. A caller that steps the GA no
+// further may keep them as they are: each is a separate allocation, and
+// nothing writes it again. PolluxSched keeps them to seed the next
+// interval.
 func (g *GA) Population() []Matrix {
-	return g.pop
+	ms := make([]Matrix, len(g.pop))
+	for i, c := range g.pop {
+		ms[i] = c.m
+	}
+	return ms
 }
 
 // mutate applies the paper's mutation: each element with probability 1/N
@@ -434,8 +629,8 @@ func (g *GA) Population() []Matrix {
 // geometric distribution one Bernoulli(1/N) coin per cell would produce
 // (floor(ln U / ln(1-p)) with U uniform in (0,1]): O(jobs) expected draws
 // per offspring where the coins cost jobs × nodes.
-func (g *GA) mutate(m Matrix) {
-	nodes := len(g.prob.Capacity)
+func (g *GA) mutate(c genome) {
+	m, nodes := c.m, len(g.prob.Capacity)
 	total := len(m) * nodes
 	if total == 0 {
 		return
@@ -444,6 +639,7 @@ func (g *GA) mutate(m Matrix) {
 		// p = 1: every cell mutates, no gaps to sample.
 		for j := range m {
 			m[j][0] = g.rng.Intn(g.prob.Capacity[0] + 1)
+			mark(c.mask, j, m[j][0])
 		}
 		return
 	}
@@ -453,20 +649,24 @@ func (g *GA) mutate(m Matrix) {
 		if i >= total {
 			return
 		}
-		n := i % nodes
-		m[i/nodes][n] = g.rng.Intn(g.prob.Capacity[n] + 1)
+		j, n := i/nodes, i%nodes
+		m[j][n] = g.rng.Intn(g.prob.Capacity[n] + 1)
+		mark(c.mask, i, m[j][n])
 	}
 }
 
 // crossoverInto fills c by mixing rows of two parents uniformly at
-// random; every row is overwritten, so c may be a recycled buffer.
-func (g *GA) crossoverInto(c, a, b Matrix) {
-	for j := range c {
+// random; every row and its mask bits are overwritten, so c may be a
+// recycled buffer.
+func (g *GA) crossoverInto(c, a, b genome) {
+	nodes := len(g.prob.Capacity)
+	for j := range c.m {
 		src := a
 		if g.rng.Intn(2) == 1 {
 			src = b
 		}
-		copy(c[j], src[j])
+		copy(c.m[j], src.m[j])
+		copyBits(c.mask, src.mask, j*nodes, (j+1)*nodes)
 	}
 }
 
@@ -487,13 +687,14 @@ func (g *GA) tournament() int {
 }
 
 // repair restores feasibility: per-node GPU capacity first, then (if
-// enabled) the interference-avoidance constraint. One pass over the rows
-// feeds both: capacity repair keeps the spans current as it empties cells.
-func (g *GA) repair(m Matrix) {
-	g.occ.tally(m)
-	g.occ.repairCapacity(m, g.prob.Capacity, g.rng)
+// enabled) the interference-avoidance constraint. One pass over the
+// positive cells feeds both: capacity repair keeps the spans current as it
+// empties cells, and both keep the mask exact.
+func (g *GA) repair(c genome) {
+	g.occ.tally(c.m, c.mask)
+	g.occ.repairCapacity(c.m, c.mask, g.prob.Capacity, g.rng)
 	if g.prob.InterferenceAvoidance {
-		g.occ.repairInterference(m, g.rng, g.prob.DistBlocked, g.prob.ExtraSpan)
+		g.occ.repairInterference(c.m, c.mask, g.rng, g.prob.DistBlocked, g.prob.ExtraSpan)
 	}
 }
 
@@ -503,16 +704,18 @@ func (g *GA) repair(m Matrix) {
 // node) is taken once per node and maintained in place as jobs hit
 // zero, so repair is linear in jobs + excess rather than quadratic.
 func RepairCapacity(m Matrix, capacity []int, rng *rand.Rand) {
-	o := newOccupancy(len(m), len(capacity))
-	o.tally(m)
-	o.repairCapacity(m, capacity, rng)
+	o, mask := newOccupancy(len(m), len(capacity), maskWords(len(m), len(capacity)))
+	o.fill(mask, m)
+	o.tally(m, mask)
+	o.repairCapacity(m, mask, capacity, rng)
 }
 
 // repairCapacity is RepairCapacity given m's tally. Repairing node n
 // writes only column n, so the usage of later nodes stays valid and every
-// occupant listed for n still holds GPUs there; span is kept current as
-// cells reach zero.
-func (o *occupancy) repairCapacity(m Matrix, capacity []int, rng *rand.Rand) {
+// occupant listed for n still holds GPUs there; span and mask are kept
+// current as cells reach zero.
+func (o *occupancy) repairCapacity(m Matrix, mask []uint32, capacity []int, rng *rand.Rand) {
+	nodes := len(o.usage)
 	for n, c := range capacity {
 		over := o.usage[n] - c
 		if over <= 0 {
@@ -530,6 +733,7 @@ func (o *occupancy) repairCapacity(m Matrix, capacity []int, rng *rand.Rand) {
 				cand[i] = cand[len(cand)-1]
 				cand = cand[:len(cand)-1]
 				o.span[j]--
+				mark(mask, int(j)*nodes+n, 0)
 			}
 		}
 	}
@@ -564,15 +768,17 @@ func RepairInterferenceSub(m Matrix, rng *rand.Rand, blocked []bool, extraSpan [
 	if len(m) == 0 {
 		return
 	}
-	o := newOccupancy(len(m), len(m[0]))
-	o.tally(m)
-	o.repairInterference(m, rng, blocked, extraSpan)
+	nodes := len(m[0])
+	o, mask := newOccupancy(len(m), nodes, maskWords(len(m), nodes))
+	o.fill(mask, m)
+	o.tally(m, mask)
+	o.repairInterference(m, mask, rng, blocked, extraSpan)
 }
 
 // repairInterference is RepairInterferenceSub given m's tally, whose spans
-// it widens by extraSpan.
-func (o *occupancy) repairInterference(m Matrix, rng *rand.Rand, blocked []bool, extraSpan []int) {
-	span := o.span
+// it widens by extraSpan; it keeps the mask current as it evicts.
+func (o *occupancy) repairInterference(m Matrix, mask []uint32, rng *rand.Rand, blocked []bool, extraSpan []int) {
+	span, nodes := o.span, len(o.usage)
 	if extraSpan != nil {
 		for j := range span {
 			span[j] += extraSpan[j]
@@ -590,6 +796,7 @@ func (o *occupancy) repairInterference(m Matrix, rng *rand.Rand, blocked []bool,
 				if m[j][n] > 0 && span[j] > 1 {
 					m[j][n] = 0
 					span[j]--
+					mark(mask, int(j)*nodes+n, 0)
 				}
 			}
 			continue
@@ -612,6 +819,7 @@ func (o *occupancy) repairInterference(m Matrix, rng *rand.Rand, blocked []bool,
 			j := dist[i]
 			m[j][n] = 0
 			span[j]--
+			mark(mask, int(j)*nodes+n, 0)
 			dist = append(dist[:i], dist[i+1:]...)
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -342,7 +344,7 @@ func repairCapacityColumns(m Matrix, capacity []int, rng *rand.Rand) {
 func TestRepairCapacityDrawOrderPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const maxJobs, maxNodes = 12, 8
-	shared := newOccupancy(maxJobs, maxNodes)
+	shared, _ := newOccupancy(maxJobs, maxNodes, 0)
 	shared.rows = shared.rows[:cap(shared.rows)] // one array, cut anew per shape
 	for iter := 0; iter < 400; iter++ {
 		jobs, nodes := 1+rng.Intn(maxJobs), 1+rng.Intn(maxNodes)
@@ -392,8 +394,13 @@ func TestRepairCapacityDrawOrderPinned(t *testing.T) {
 		}
 		gotRng, wantRng = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		viaGA, viaFuncs, viaOracles := in.Clone(), in.Clone(), in.Clone()
+		mask := make([]uint32, maskWords(jobs, nodes))
 		for rep := 0; rep < 2; rep++ { // the second call sees its own dirty scratch
-			g.repair(viaGA)
+			g.occ.fill(mask, viaGA)
+			g.repair(genome{viaGA, mask})
+			if want := maskOf(viaGA); !slices.Equal(mask, want) {
+				t.Fatalf("iter %d rep %d: repair left mask %b, cells say %b", iter, rep, mask, want)
+			}
 			RepairCapacity(viaFuncs, capacity, gotRng)
 			repairCapacityColumns(viaOracles, capacity, wantRng)
 			if avoidance {
@@ -459,9 +466,15 @@ func repairInterferenceScan(m Matrix, rng *rand.Rand, blocked []bool, extraSpan 
 }
 
 // TestGARepairAllocatesNothing pins the point of the per-GA scratch:
-// repairing an offspring allocates nothing.
+// repairing an offspring, in a buffer of the GA's own, allocates nothing.
+// The rows are 40 cells wide, so they straddle mask words, and every cell
+// starts positive.
 func TestGARepairAllocatesNothing(t *testing.T) {
-	prob := Problem{Capacity: []int{4, 4, 4, 4}, Jobs: 12, Fitness: simpleFitness, InterferenceAvoidance: true}
+	capacity := make([]int, 40)
+	for n := range capacity {
+		capacity[n] = 4
+	}
+	prob := Problem{Capacity: capacity, Jobs: 12, Fitness: simpleFitness, InterferenceAvoidance: true}
 	g := New(prob, Options{Population: 4, Workers: 1}, rand.New(rand.NewSource(3)), nil)
 	over := NewMatrix(prob.Jobs, len(prob.Capacity))
 	for _, row := range over {
@@ -469,16 +482,123 @@ func TestGARepairAllocatesNothing(t *testing.T) {
 			row[n] = 2
 		}
 	}
-	m := over.Clone()
-	g.repair(m)
+	overMask := maskOf(over)
+	c := g.newGenome()
 	if allocs := testing.AllocsPerRun(50, func() {
-		m.CopyFrom(over)
-		g.repair(m)
+		c.m.CopyFrom(over)
+		copy(c.mask, overMask)
+		g.repair(c)
 	}); allocs != 0 {
 		t.Errorf("GA repair allocates %v times per offspring, want 0", allocs)
 	}
-	if !Feasible(m, prob.Capacity, true) {
-		t.Errorf("repaired matrix infeasible: %v", m)
+	if !Feasible(c.m, prob.Capacity, true) {
+		t.Errorf("repaired matrix infeasible: %v", c.m)
+	}
+	if !slices.Equal(c.mask, maskOf(c.m)) {
+		t.Errorf("repair left mask %b, cells say %b", c.mask, maskOf(c.m))
+	}
+}
+
+// withScorers lets Workers > 1 start scorers on matrices of any size for
+// the rest of the test, however few cells a generation scores.
+func withScorers(t *testing.T) {
+	old := minScorerCells
+	minScorerCells = 0
+	t.Cleanup(func() { minScorerCells = old })
+}
+
+// maskOf is m's positive-cell mask, read off its cells.
+func maskOf(m Matrix) []uint32 {
+	if len(m) == 0 {
+		return nil
+	}
+	nodes := len(m[0])
+	mask := make([]uint32, maskWords(len(m), nodes))
+	for j, row := range m {
+		for n, v := range row {
+			if i := j*nodes + n; v > 0 {
+				mask[i/wordBits] |= 1 << (i % wordBits)
+			}
+		}
+	}
+	return mask
+}
+
+// checkMasks fails unless every member's mask is set exactly where its
+// cells are positive and tallies like the dense Matrix.tally, occupant
+// lists in ascending row order included.
+func checkMasks(t *testing.T, g *GA, when string) {
+	t.Helper()
+	nodes := len(g.prob.Capacity)
+	for i, c := range g.pop {
+		for _, o := range g.gen[len(g.pop):] {
+			if len(o.m) > 0 && len(o.m[0]) > 0 && SameRow(o.m[0], c.m[0]) {
+				t.Fatalf("%s: member %d is also an offspring buffer", when, i)
+			}
+		}
+		if want := maskOf(c.m); !slices.Equal(c.mask, want) {
+			t.Fatalf("%s: member %d mask %b, cells say %b", when, i, c.mask, want)
+		}
+		usage, span := make([]int, nodes), make([]int, g.prob.Jobs)
+		c.m.tally(usage, span)
+		g.occ.tally(c.m, c.mask)
+		if !slices.Equal(g.occ.usage, usage) || !slices.Equal(g.occ.span, span) {
+			t.Fatalf("%s: member %d mask tally usage %v span %v, dense %v %v",
+				when, i, g.occ.usage, g.occ.span, usage, span)
+		}
+		for n := 0; n < nodes; n++ {
+			var rows []uint32
+			for j, row := range c.m {
+				if row[n] > 0 {
+					rows = append(rows, uint32(j))
+				}
+			}
+			if got := g.occ.occupants(n); !slices.Equal(got, rows) {
+				t.Fatalf("%s: member %d node %d occupants %v, column scan %v", when, i, n, got, rows)
+			}
+		}
+	}
+}
+
+// TestGAMasksMatchCells holds every member's positive-cell mask to its
+// cells after New and after every Step: at widths on both sides of each
+// word boundary, with interference avoidance off, on, and under
+// DistBlocked and ExtraSpan, scored inline and by scorers.
+func TestGAMasksMatchCells(t *testing.T) {
+	withScorers(t)
+	for _, nodes := range []int{1, 31, 32, 33, 64, 65, 130} {
+		for _, mode := range []string{"capacity", "avoidance", "sub"} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("nodes=%d/%s/workers=%d", nodes, mode, workers), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(60 + nodes)))
+					const jobs = 9
+					prob := Problem{Capacity: make([]int, nodes), Jobs: jobs, Fitness: simpleFitness, InterferenceAvoidance: mode != "capacity"}
+					for n := range prob.Capacity {
+						prob.Capacity[n] = rng.Intn(5)
+					}
+					if mode == "sub" {
+						prob.DistBlocked, prob.ExtraSpan = make([]bool, nodes), make([]int, jobs)
+						for n := range prob.DistBlocked {
+							prob.DistBlocked[n] = rng.Intn(3) == 0
+						}
+						for j := range prob.ExtraSpan {
+							prob.ExtraSpan[j] = rng.Intn(2)
+						}
+					}
+					seed := NewMatrix(jobs, nodes)
+					for j, row := range seed {
+						row[(j*7)%nodes] = 3
+						row[(j*11+5)%nodes] = 2
+					}
+					g := New(prob, Options{Population: 12, Workers: workers}, rng, []Matrix{seed})
+					checkMasks(t, g, "New")
+					for gen := 0; gen < 8; gen++ {
+						g.Step()
+						checkMasks(t, g, fmt.Sprintf("gen %d", gen))
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -636,25 +756,47 @@ func TestGAWorkersBitIdentical(t *testing.T) {
 	// Concurrent fitness evaluation must not change results: offspring are
 	// scored into fixed slots and the rng never leaves the caller's
 	// goroutine, so any worker count reproduces the serial run exactly.
-	run := func(workers int) (Matrix, float64) {
+	withScorers(t)
+	// The fitness yields on a seeded subset of its calls, so that scorers
+	// finish out of order and the caller often catches up with them.
+	yields := make([]bool, 61)
+	for i, r := 0, rand.New(rand.NewSource(78)); i < len(yields); i++ {
+		yields[i] = r.Intn(3) == 0
+	}
+	var calls atomic.Int64
+	fitness := func(m Matrix) float64 {
+		if yields[calls.Add(1)%int64(len(yields))] {
+			runtime.Gosched()
+		}
+		return simpleFitness(m)
+	}
+	run := func(workers int) *GA {
 		rng := rand.New(rand.NewSource(77))
 		prob := Problem{
 			Capacity:              []int{4, 4, 4, 4},
 			Jobs:                  6,
-			Fitness:               simpleFitness,
+			Fitness:               fitness,
 			InterferenceAvoidance: true,
 		}
 		g := New(prob, Options{Population: 30, Workers: workers}, rng, nil)
-		return g.Run(25)
+		g.Run(25)
+		return g
 	}
-	m1, f1 := run(1)
-	m8, f8 := run(8)
-	if !m1.Equal(m8) {
-		t.Errorf("Workers 1 vs 8 best matrices differ:\n%v\n%v", m1, m8)
-	}
-	//pollux:floateq-ok bit-identical determinism gate: the worker count must not change the result at all
-	if f1 != f8 {
-		t.Errorf("Workers 1 vs 8 fitness differ: %v vs %v", f1, f8)
+	want := run(1)
+	for _, workers := range []int{2, 3, 8} {
+		got := run(workers)
+		for i := range want.pop {
+			if !got.pop[i].m.Equal(want.pop[i].m) {
+				t.Fatalf("Workers 1 vs %d member %d differs:\n%v\n%v", workers, i, want.pop[i].m, got.pop[i].m)
+			}
+			//pollux:floateq-ok bit-identical determinism gate: the worker count must not change the result at all
+			if got.scores[i] != want.scores[i] {
+				t.Fatalf("Workers 1 vs %d member %d fitness differs: %v vs %v", workers, i, want.scores[i], got.scores[i])
+			}
+		}
+		if got.Stats() != want.Stats() {
+			t.Errorf("Workers 1 vs %d stats differ: %+v vs %+v", workers, want.Stats(), got.Stats())
+		}
 	}
 }
 
@@ -819,9 +961,9 @@ func TestRepairInterferenceNoOverEviction(t *testing.T) {
 // buffer-recycling implementation: same seed must yield bit-identical
 // populations, scores, and rng draw order across generations.
 func stepOracle(g *GA) {
-	offspring := make([]Matrix, 0, 2*len(g.pop))
+	offspring := make([]genome, 0, 2*len(g.pop))
 	for _, m := range g.pop {
-		c := m.Clone()
+		c := genome{m.m.Clone(), slices.Clone(m.mask)}
 		g.mutate(c)
 		g.repair(c)
 		offspring = append(offspring, c)
@@ -829,15 +971,17 @@ func stepOracle(g *GA) {
 	for i := 0; i < len(g.pop); i++ {
 		a := g.pop[g.tournament()]
 		b := g.pop[g.tournament()]
-		c := NewMatrix(g.prob.Jobs, len(g.prob.Capacity))
+		c := genome{NewMatrix(g.prob.Jobs, len(g.prob.Capacity)), make([]uint32, maskWords(g.prob.Jobs, len(g.prob.Capacity)))}
 		g.crossoverInto(c, a, b)
 		g.repair(c)
 		offspring = append(offspring, c)
 	}
 	offScores := make([]float64, len(offspring))
-	g.evalScores(offspring, offScores)
+	for i, c := range offspring {
+		offScores[i] = g.prob.Fitness(c.m)
+	}
 	type scored struct {
-		m Matrix
+		m genome
 		f float64
 	}
 	all := make([]scored, 0, len(g.pop)+len(offspring))
@@ -848,7 +992,7 @@ func stepOracle(g *GA) {
 		all = append(all, scored{m, offScores[i]})
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].f > all[j].f })
-	g.pop = make([]Matrix, 0, g.opts.Population)
+	g.pop = make([]genome, 0, g.opts.Population)
 	g.scores = make([]float64, 0, g.opts.Population)
 	for i := 0; i < g.opts.Population && i < len(all); i++ {
 		g.pop = append(g.pop, all[i].m)
@@ -859,32 +1003,51 @@ func stepOracle(g *GA) {
 func TestStepBufferReuseBitIdentical(t *testing.T) {
 	// Every fixed-seed sim baseline depends on the GA trace staying
 	// byte-stable, so the allocation-reuse Step must match the historical
-	// clone-per-offspring implementation generation by generation.
-	newGA := func() *GA {
-		rng := rand.New(rand.NewSource(123))
-		prob := Problem{
-			Capacity:              []int{4, 4, 4, 2},
-			Jobs:                  7,
-			Fitness:               simpleFitness,
-			InterferenceAvoidance: true,
-		}
-		return New(prob, Options{Population: 24}, rng, []Matrix{NewMatrix(7, 4)})
+	// clone-per-offspring implementation generation by generation, with
+	// rows over two mask words wide and with scorers as well.
+	withScorers(t)
+	wide := make([]int, 70)
+	for n := range wide {
+		wide[n] = 1 + n%4
 	}
-	got, want := newGA(), newGA()
-	for gen := 0; gen < 15; gen++ {
-		got.Step()
-		stepOracle(want)
-		if len(got.pop) != len(want.pop) {
-			t.Fatalf("gen %d: population size %d, want %d", gen, len(got.pop), len(want.pop))
-		}
-		for i := range got.pop {
-			if !got.pop[i].Equal(want.pop[i]) {
-				t.Fatalf("gen %d member %d diverges from clone-path oracle:\ngot  %v\nwant %v",
-					gen, i, got.pop[i], want.pop[i])
+	for _, leg := range []struct {
+		capacity []int
+		jobs     int
+		workers  int
+	}{
+		{[]int{4, 4, 4, 2}, 7, 1},
+		{[]int{4, 4, 4, 2}, 7, 4},
+		{wide, 20, 1},
+		{wide, 20, 4},
+	} {
+		newGA := func() *GA {
+			rng := rand.New(rand.NewSource(123))
+			prob := Problem{
+				Capacity:              leg.capacity,
+				Jobs:                  leg.jobs,
+				Fitness:               simpleFitness,
+				InterferenceAvoidance: true,
 			}
-			//pollux:floateq-ok bit-identity gate against the historical implementation
-			if got.scores[i] != want.scores[i] {
-				t.Fatalf("gen %d member %d score %v, want %v", gen, i, got.scores[i], want.scores[i])
+			return New(prob, Options{Population: 24, Workers: leg.workers}, rng, []Matrix{NewMatrix(leg.jobs, len(leg.capacity))})
+		}
+		got, want := newGA(), newGA()
+		for gen := 0; gen < 15; gen++ {
+			got.Step()
+			stepOracle(want)
+			if len(got.pop) != len(want.pop) {
+				t.Fatalf("%d nodes, workers %d, gen %d: population size %d, want %d",
+					len(leg.capacity), leg.workers, gen, len(got.pop), len(want.pop))
+			}
+			for i := range got.pop {
+				if !got.pop[i].m.Equal(want.pop[i].m) {
+					t.Fatalf("%d nodes, workers %d, gen %d member %d diverges from clone-path oracle:\ngot  %v\nwant %v",
+						len(leg.capacity), leg.workers, gen, i, got.pop[i].m, want.pop[i].m)
+				}
+				//pollux:floateq-ok bit-identity gate against the historical implementation
+				if got.scores[i] != want.scores[i] {
+					t.Fatalf("%d nodes, workers %d, gen %d member %d score %v, want %v",
+						len(leg.capacity), leg.workers, gen, i, got.scores[i], want.scores[i])
+				}
 			}
 		}
 	}
@@ -994,7 +1157,7 @@ func TestSparseMutationSameDistribution(t *testing.T) {
 			name   string
 			mutate func(Matrix)
 		}{
-			{"sparse", g.mutate},
+			{"sparse", func(m Matrix) { g.mutate(genome{m, make([]uint32, maskWords(jobs, nodes))}) }},
 			{"dense", func(m Matrix) { mutateDense(m, capacity, denseRng) }},
 		}
 		for _, op := range operators {
@@ -1055,7 +1218,7 @@ func TestSparseMutationSingleNode(t *testing.T) {
 	for j := range m {
 		m[j][0] = -1
 	}
-	g.mutate(m)
+	g.mutate(genome{m, make([]uint32, 5)})
 	for j := range m {
 		if m[j][0] == -1 {
 			t.Errorf("job %d cell not mutated at nodes=1", j)

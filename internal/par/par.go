@@ -1,6 +1,6 @@
 // Package par provides the bounded deterministic parallel-for shared by
-// the GA's concurrent fitness evaluation and the simulator's multi-seed
-// fan-out.
+// the agents' batched refits (agent.RefitAll) and the simulator's
+// multi-seed fan-out (sim.RunSeeds).
 package par
 
 import (

@@ -48,8 +48,12 @@ package sched
 // view's Current[i] and the row kept here are then one slice, and every
 // "did it change" question — here, in runtime.Step, in the ledger — is
 // answered by slice identity (ga.SameRow) before any cell is read. The
-// passes that remain on a steady round are in docs/architecture.md. A
-// skipped round keeps the state it has.
+// population a solve returns is the GA's own matrices: once solveNodes
+// returns nothing steps that GA again, so a whole-view population is kept
+// as it stands, each matrix a separate allocation that pins no other, and
+// like every row it is never written again. The passes that remain on a
+// steady round are in docs/architecture.md. A skipped round keeps the
+// state it has.
 
 import (
 	"slices"
@@ -385,9 +389,7 @@ func (r *round) keep(out, rows ga.Matrix, pop []ga.Matrix, whole bool) {
 	budget := max(1, seedCellBudget/max(1, len(jobs)*len(r.v.Capacity)))
 	var carried []ga.Matrix
 	if whole && len(pop) <= budget {
-		for _, m := range pop {
-			carried = append(carried, m.Clone())
-		}
+		carried = append(carried, pop...) // the GA is done with them
 	} else {
 		carried = append(carried, out)
 		for _, m := range pop {
@@ -460,7 +462,8 @@ type member struct {
 
 // solveNodes runs the node-level GA for the members over node columns
 // [n0, n1) and returns the best member-row matrix and the final
-// population (both borrowed from the GA, best first).
+// population, best first. The GA is dropped on return, so both are the
+// caller's (see Ownership).
 func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize, gens int) (ga.Matrix, []ga.Matrix) {
 	p := r.p
 	extraSpan := make([]int, len(mem))

@@ -32,6 +32,32 @@ func TestPolluxWorkersDeterminism(t *testing.T) {
 	}
 }
 
+// TestPolluxScorersDeterminism is TestPolluxWorkersDeterminism at a shape
+// whose generations score enough cells for the GA to start scorers (96
+// jobs on 32 nodes at population 100), so that the node-level fitness runs
+// while the caller repairs later offspring, as in svc_round_full32.
+func TestPolluxScorersDeterminism(t *testing.T) {
+	run := func(workers int) []ga.Matrix {
+		p := NewPollux(PolluxOptions{Population: 100, Generations: 3, Workers: workers}, 9)
+		var out []ga.Matrix
+		v := viewWith(96, 32, 4)
+		for round := 0; round < 2; round++ {
+			m := p.Schedule(v)
+			out = append(out, m)
+			v.Current = m
+		}
+		return out
+	}
+	serial := run(1)
+	for _, workers := range []int{2, 4} {
+		for i, m := range run(workers) {
+			if !serial[i].Equal(m) {
+				t.Errorf("round %d: Workers 1 vs %d schedules differ", i, workers)
+			}
+		}
+	}
+}
+
 func TestSpeedupTableCachedAcrossRounds(t *testing.T) {
 	v := viewWith(3, 4, 4)
 	p := NewPollux(PolluxOptions{Population: 10, Generations: 5}, 8)
