@@ -8,33 +8,53 @@ import (
 	"repro/internal/detrand"
 )
 
-// BenchmarkGAStep is one steady generation at three shapes: tiny (what
+// BenchmarkGAStep is one steady generation at four shapes: tiny (what
 // the standard 16-node trace mostly schedules, where the fixed cost per
-// offspring is everything), std, and full32 (the svc_round_full32 shape,
-// where the cost per cell is). One goroutine and a counting rng source, so
-// allocs/op and draws/op repeat exactly at a fixed -benchtime Nx and CI
-// gates both: an allocation per offspring or an rng draw per cell coming
-// back moves them.
+// offspring is everything), std, full32 (the svc_round_full32 shape,
+// where the cost per cell is), and one: a single job on 16 nodes, seeded
+// from its own converged population, the median round of sim_pollux_std,
+// where most offspring copy a parent. One goroutine, a counting rng source
+// and a counting fitness, so allocs/op, draws/op and fitness/op repeat
+// exactly at a fixed -benchtime Nx and CI gates all three: an allocation
+// per offspring or an rng draw per cell coming back moves the first two,
+// and a copy of a parent scored again the third.
 func BenchmarkGAStep(b *testing.B) {
 	for _, leg := range []struct {
 		name        string
 		jobs, nodes int
-	}{{"tiny", 2, 16}, {"std", 30, 16}, {"full32", 96, 32}} {
+		converged   bool
+	}{{"tiny", 2, 16, false}, {"std", 30, 16, false}, {"full32", 96, 32, false}, {"one", 1, 16, true}} {
 		b.Run(leg.name, func(b *testing.B) {
 			capacity := make([]int, leg.nodes)
 			for n := range capacity {
 				capacity[n] = 4
 			}
 			src := detrand.NewSource(1)
-			prob := Problem{Capacity: capacity, Jobs: leg.jobs, Fitness: simpleFitness, InterferenceAvoidance: true}
-			g := New(prob, Options{Population: 50, Workers: 1}, rand.New(src), nil)
+			rng := rand.New(src)
+			calls := 0
+			fitness := func(m Matrix) float64 {
+				calls++
+				return simpleFitness(m)
+			}
+			prob := Problem{Capacity: capacity, Jobs: leg.jobs, Fitness: fitness, InterferenceAvoidance: true}
+			opts := Options{Population: 50, Workers: 1}
+			var seeds []Matrix
+			if leg.converged {
+				// A scheduling interval's worth of generations, as the
+				// previous round ran them.
+				prev := New(prob, opts, rng, nil)
+				prev.Run(30)
+				seeds = prev.Population()
+			}
+			g := New(prob, opts, rng, seeds)
 			g.Run(2) // fill the buffer pool
-			start := src.State().Draws
+			start, startCalls := src.State().Draws, calls
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g.Step()
 			}
 			b.ReportMetric(float64(src.State().Draws-start)/float64(b.N), "draws/op")
+			b.ReportMetric(float64(calls-startCalls)/float64(b.N), "fitness/op")
 		})
 	}
 }

@@ -218,7 +218,8 @@ type Problem struct {
 	Jobs int
 	// Fitness scores an allocation matrix; higher is better. It is
 	// called only on repaired (feasible) matrices. It must be a pure
-	// function of the matrix and, when Options.Workers > 1, safe to call
+	// function of the matrix (so a copy of a member keeps its score
+	// uncalled) and, when Options.Workers > 1, safe to call
 	// from multiple goroutines concurrently and while the caller of New or
 	// Step mutates and repairs later offspring on the GA's rng: it may read
 	// the matrix and state nothing writes during the call, never the rng.
@@ -281,14 +282,15 @@ type GA struct {
 	// reallocated every generation — offspring churn was the dominant
 	// allocation source in scheduling-round profiles: selection leaves the
 	// evicted genomes in the offspring slots for the next generation to
-	// overwrite. New sizes every slice, and the mask words, for that many;
+	// overwrite. New sizes gen, scores and the mask words for that many;
 	// the offspring genomes are made in the first Step, each matrix a
 	// separate allocation.
 	gen    []genome
 	scores []float64
 	pop    []genome // gen[:Population]
-	idx    []int    // selection order over gen
+	idx    []int    // the offspring that can survive; scoring's flags before
 	masks  []uint32 // mask words of the genomes not yet made
+	sorted bool     // pop is in selection order: a Step has run
 
 	// Repair scratch (see repair), so repairing an offspring allocates
 	// nothing.
@@ -302,10 +304,12 @@ type GA struct {
 }
 
 // Stats counts fitness work done since the GA was created, including the
-// initial population evaluation. CellsScored weights each call by the
-// matrix area it scored (jobs × nodes): sub-problem evaluations in the
-// hierarchical scheduler are cheap in proportion to their area, so cells —
-// not raw calls — is the unit per-round speedups are measured in.
+// initial population evaluation. FitnessCalls counts members scored, an
+// offspring that took its parent's score (see Step) included. CellsScored
+// weights each member by the matrix area it scored (jobs × nodes):
+// sub-problem evaluations in the hierarchical scheduler are cheap in
+// proportion to their area, so cells — not raw calls — is the unit
+// per-round speedups are measured in.
 type Stats struct {
 	FitnessCalls int64
 	CellsScored  int64
@@ -328,7 +332,8 @@ func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 	size, nodes := opts.Population, len(prob.Capacity)
 	g := &GA{prob: prob, opts: opts, rng: rng, lnGap: math.Log(1 - 1/float64(nodes))}
 	g.occ, g.masks = newOccupancy(prob.Jobs, nodes, 3*size*maskWords(prob.Jobs, nodes))
-	g.gen, g.scores, g.idx = make([]genome, 3*size), make([]float64, 3*size), make([]int, 3*size)
+	g.gen, g.scores, g.idx = make([]genome, 3*size), make([]float64, 3*size), make([]int, 2*size)
+	g.sc.copied = g.idx // free while members are scored
 	g.pop = g.gen[:size]
 
 	seedSlots := size - 1
@@ -348,11 +353,11 @@ func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 		c.m.CopyFrom(s)
 		g.occ.fill(c.mask, c.m)
 		g.repair(c)
-		g.publish(i, c)
+		g.publish(i, c, -1)
 		i++
 	}
 	if i < size {
-		g.publish(i, g.newGenome()) // the zero matrix
+		g.publish(i, g.newGenome(), -1) // the zero matrix
 		i++
 	}
 	for ; i < size; i++ {
@@ -367,7 +372,7 @@ func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 			}
 		}
 		g.repair(c)
-		g.publish(i, c)
+		g.publish(i, c, -1)
 	}
 	g.end()
 	return g
@@ -397,7 +402,9 @@ func (g *GA) newGenome() genome {
 // generation allocates nothing but its scorers (see Options); every reused
 // buffer is fully overwritten (mutation copies the parent first, crossover
 // copies every row), so the generation draws and decides as one that
-// clones every offspring would (stepOracle in the tests).
+// clones, repairs and scores every offspring would (stepOracle in the
+// tests): members are feasible and repairing one changes nothing, so a copy
+// of a parent keeps its score, and one whose cells only fell skips repair.
 func (g *GA) Step() {
 	pop, off := g.pop, g.gen[len(g.pop):]
 	g.begin(off, g.scores[len(pop):])
@@ -406,62 +413,88 @@ func (g *GA) Step() {
 		c := g.buf(off[i])
 		c.m.CopyFrom(m.m)
 		copy(c.mask, m.mask)
-		g.mutate(c)
-		g.repair(c)
-		g.publish(i, c)
+		from := -1
+		if changed, rose := g.mutate(c); !changed {
+			from = i
+		} else if rose {
+			g.repair(c)
+		}
+		g.publish(i, c, from)
 	}
 	// Crossover: pair tournament winners to produce the same number of
 	// offspring again.
 	for i := range pop {
-		a := pop[g.tournament()]
-		b := pop[g.tournament()]
+		a, b := g.tournament(), g.tournament()
 		c := g.buf(off[len(pop)+i])
-		g.crossoverInto(c, a, b)
-		g.repair(c)
-		g.publish(len(pop)+i, c)
+		switch isA, isB := g.crossoverInto(c, pop[a], pop[b]); {
+		case isA:
+			g.publish(len(pop)+i, c, a)
+		case isB:
+			g.publish(len(pop)+i, c, b)
+		default:
+			g.repair(c)
+			g.publish(len(pop)+i, c, -1)
+		}
 	}
 	g.end()
+	g.selectSurvivors()
+}
 
-	// Survivor selection: keep the best Population among old + new. The
-	// candidate order (population, then offspring) and the stable sort
-	// break ties in favour of the incumbents, oldest first.
-	for i := range g.idx {
-		g.idx[i] = i
+// selectSurvivors keeps what a stable sort of all 3 × Population members
+// by score, best first, keeps, in that order. The population is in that
+// order after a Step (the first sorts it); an offspring survives only if
+// it beats the worst incumbent, as ties go to the incumbents, so only those
+// are sorted and merged in from the back, each swapping places with the
+// genome it displaces: the evicted ones end in the offspring slots.
+func (g *GA) selectSurvivors() {
+	size, scores := len(g.pop), g.scores
+	swap := func(a, b int) {
+		g.gen[a], g.gen[b] = g.gen[b], g.gen[a]
+		scores[a], scores[b] = scores[b], scores[a]
 	}
-	slices.SortStableFunc(g.idx, func(a, b int) int { return cmp.Compare(g.scores[b], g.scores[a]) })
-	// Put gen in that order, one cycle of the permutation at a time
-	// (gen[k] takes the genome idx[k] names; a placed k is marked -1): the
-	// survivors become pop, best first, and the evicted genomes land in the
-	// offspring slots.
-	for start := range g.idx {
-		if g.idx[start] < 0 {
-			continue
+	for i := 1; i < size && !g.sorted; i++ {
+		for k := i; k > 0 && cmp.Compare(scores[k], scores[k-1]) > 0; k-- {
+			swap(k, k-1)
 		}
-		c, f := g.gen[start], g.scores[start]
-		for k := start; ; {
-			src := g.idx[k]
-			g.idx[k] = -1
-			if src == start {
-				g.gen[k], g.scores[k] = c, f
-				break
-			}
-			g.gen[k], g.scores[k] = g.gen[src], g.scores[src]
-			k = src
+	}
+	g.sorted = true
+	cand := g.idx[:0]
+	for i := size; i < len(scores); i++ {
+		if cmp.Compare(scores[i], scores[size-1]) > 0 {
+			cand = append(cand, i)
+		}
+	}
+	slices.SortFunc(cand, func(a, b int) int { return cmp.Or(cmp.Compare(scores[b], scores[a]), a-b) })
+	// The t-th best candidate survives if it beats the t-th worst incumbent.
+	s := 0
+	for s < min(len(cand), size) && cmp.Compare(scores[cand[s]], scores[size-1-s]) > 0 {
+		s++
+	}
+	for k, i, j := size-1, size-s-1, s-1; j >= 0; k-- {
+		if i < 0 || cmp.Compare(scores[cand[j]], scores[i]) <= 0 {
+			swap(k, cand[j])
+			j--
+		} else {
+			swap(k, i)
+			i--
 		}
 	}
 }
 
 // scoring scores the members New or Step builds: inline as each is built
 // at Workers 1 or below minScorerCells, and otherwise on Workers−1
-// scorers that overlap the building. Slot i of ms is written once, before
-// ready passes i; a scorer claims a published slot by advancing next, so
-// every slot is scored exactly once, into out[i], whatever the
-// interleaving. A scorer that has caught up with the caller parks on wake;
-// the caller sends a token only when idle says one is parked, so a scorer
-// that keeps up costs it one atomic store and one load per member.
+// scorers that overlap the building. Slot i of ms and copied is written
+// once, before ready passes i; a scorer claims a published slot by
+// advancing next, so every slot is claimed exactly once whatever the
+// interleaving, and scored into out[i] unless copied[i] is 1 (a copy that
+// took its parent's score). A scorer that has caught up with the caller
+// parks on wake; the caller sends a token only when idle says one is
+// parked, so a scorer that keeps up costs it one atomic store and one load
+// per member.
 type scoring struct {
 	ms                []genome
 	out               []float64
+	copied            []int // per slot: GA.idx, which selection reads only later
 	fit               func(Matrix) float64
 	inline            bool // no scorers: publish scores
 	total             int32
@@ -509,12 +542,16 @@ func (g *GA) begin(ms []genome, out []float64) {
 }
 
 // publish puts the built member c into slot i, scoring it inline without
-// scorers and otherwise handing it to them.
-func (g *GA) publish(i int, c genome) {
+// scorers and otherwise handing it to them. A member equal to the one
+// scored at from (an index into scores; -1 for none) takes its score.
+func (g *GA) publish(i int, c genome, from int) {
 	s := &g.sc
-	s.ms[i] = c
+	s.ms[i], s.copied[i] = c, 0
+	if from >= 0 {
+		s.out[i], s.copied[i] = g.scores[from], 1
+	}
 	if s.inline {
-		s.out[i] = s.fit(c.m)
+		s.score(i)
 		return
 	}
 	s.ready.Store(int32(i + 1))
@@ -535,7 +572,7 @@ func (g *GA) end() {
 		s.signal()
 	}
 	for i := s.claim(); i >= 0; i = s.claim() {
-		s.out[i] = s.fit(s.ms[i].m)
+		s.score(i)
 	}
 	s.wg.Wait()
 	for len(s.wake) > 0 {
@@ -557,6 +594,13 @@ func (s *scoring) signal() {
 func (s *scoring) run() {
 	defer s.wg.Done()
 	for i := s.claim(); i >= 0; i = s.claim() {
+		s.score(i)
+	}
+}
+
+// score scores claimed slot i unless its member copied a score.
+func (s *scoring) score(i int) {
+	if s.copied[i] == 0 {
 		s.out[i] = s.fit(s.ms[i].m)
 	}
 }
@@ -628,46 +672,79 @@ func (g *GA) Population() []Matrix {
 // It visits only the mutated cells, drawing the gaps between them from the
 // geometric distribution one Bernoulli(1/N) coin per cell would produce
 // (floor(ln U / ln(1-p)) with U uniform in (0,1]): O(jobs) expected draws
-// per offspring where the coins cost jobs × nodes.
-func (g *GA) mutate(c genome) {
+// per offspring where the coins cost jobs × nodes. It reports whether any
+// cell changed and whether any rose.
+func (g *GA) mutate(c genome) (changed, rose bool) {
 	m, nodes := c.m, len(g.prob.Capacity)
 	total := len(m) * nodes
-	if total == 0 {
-		return
-	}
 	if nodes == 1 {
 		// p = 1: every cell mutates, no gaps to sample.
 		for j := range m {
-			m[j][0] = g.rng.Intn(g.prob.Capacity[0] + 1)
-			mark(c.mask, j, m[j][0])
+			v := g.rng.Intn(g.prob.Capacity[0] + 1)
+			changed, rose = changed || v != m[j][0], rose || v > m[j][0]
+			m[j][0] = v
+			mark(c.mask, j, v)
 		}
-		return
+		return changed, rose
 	}
-	for i := 0; ; i++ {
+	for i := 0; total > 0; i++ {
 		u := 1 - g.rng.Float64() // (0,1], so Log is finite
 		i += int(math.Log(u) / g.lnGap)
 		if i >= total {
-			return
+			break
 		}
 		j, n := i/nodes, i%nodes
-		m[j][n] = g.rng.Intn(g.prob.Capacity[n] + 1)
-		mark(c.mask, i, m[j][n])
+		v := g.rng.Intn(g.prob.Capacity[n] + 1)
+		changed, rose = changed || v != m[j][n], rose || v > m[j][n]
+		m[j][n] = v
+		mark(c.mask, i, v)
 	}
+	return changed, rose
 }
 
 // crossoverInto fills c by mixing rows of two parents uniformly at
 // random; every row and its mask bits are overwritten, so c may be a
-// recycled buffer.
-func (g *GA) crossoverInto(c, a, b genome) {
+// recycled buffer. It reports whether c equals a (every row it took from b
+// equals a's) and whether it equals b.
+func (g *GA) crossoverInto(c, a, b genome) (isA, isB bool) {
 	nodes := len(g.prob.Capacity)
+	isA, isB = true, true
 	for j := range c.m {
 		src := a
 		if g.rng.Intn(2) == 1 {
 			src = b
+			isA = isA && sameRow(a, b, j, nodes)
+		} else {
+			isB = isB && sameRow(a, b, j, nodes)
 		}
 		copy(c.m[j], src.m[j])
 		copyBits(c.mask, src.mask, j*nodes, (j+1)*nodes)
 	}
+	return isA, isB
+}
+
+// sameRow reports whether row j holds equal cells in a and b: one slice,
+// or equal mask bits and then equal positive cells (a cell whose bit is
+// clear is zero, since the GA writes no negative cell).
+func sameRow(a, b genome, j, nodes int) bool {
+	ra, rb, lo := a.m[j], b.m[j], j*nodes
+	if SameRow(ra, rb) {
+		return true
+	}
+	for i, hi := lo, lo+nodes; i < hi; {
+		w, n := i/wordBits, min(wordBits-i%wordBits, hi-i)
+		keep := (uint32(1)<<n - 1) << (i % wordBits)
+		if (a.mask[w]^b.mask[w])&keep != 0 {
+			return false
+		}
+		for bits := a.mask[w] & keep; bits != 0; bits &= bits - 1 {
+			if k := w*wordBits + mathbits.TrailingZeros32(bits) - lo; ra[k] != rb[k] {
+				return false
+			}
+		}
+		i += n
+	}
+	return true
 }
 
 // tournamentSize is how many members compete to become a parent.

@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/detrand"
 	"repro/internal/testutil"
 )
 
@@ -560,36 +562,52 @@ func checkMasks(t *testing.T, g *GA, when string) {
 	}
 }
 
+// shapeNodes and shapeModes are the shapes the mask and repair tests run:
+// widths on both sides of each word boundary, with interference avoidance
+// off, on, and under DistBlocked and ExtraSpan.
+var (
+	shapeNodes = []int{1, 31, 32, 33, 64, 65, 130}
+	shapeModes = []string{"capacity", "avoidance", "sub"}
+)
+
+// shapeProblem builds the problem of one shape, 9 jobs wide, and a seed
+// matrix with two positive cells a row. The rng that drew the problem
+// counts its draws on the returned source; the GA runs on it next.
+func shapeProblem(nodes int, mode string) (Problem, Matrix, *rand.Rand, *detrand.Source) {
+	src := detrand.NewSource(int64(60 + nodes))
+	rng := rand.New(src)
+	const jobs = 9
+	prob := Problem{Capacity: make([]int, nodes), Jobs: jobs, Fitness: simpleFitness, InterferenceAvoidance: mode != "capacity"}
+	for n := range prob.Capacity {
+		prob.Capacity[n] = rng.Intn(5)
+	}
+	if mode == "sub" {
+		prob.DistBlocked, prob.ExtraSpan = make([]bool, nodes), make([]int, jobs)
+		for n := range prob.DistBlocked {
+			prob.DistBlocked[n] = rng.Intn(3) == 0
+		}
+		for j := range prob.ExtraSpan {
+			prob.ExtraSpan[j] = rng.Intn(2)
+		}
+	}
+	seed := NewMatrix(jobs, nodes)
+	for j, row := range seed {
+		row[(j*7)%nodes] = 3
+		row[(j*11+5)%nodes] = 2
+	}
+	return prob, seed, rng, src
+}
+
 // TestGAMasksMatchCells holds every member's positive-cell mask to its
-// cells after New and after every Step: at widths on both sides of each
-// word boundary, with interference avoidance off, on, and under
-// DistBlocked and ExtraSpan, scored inline and by scorers.
+// cells after New and after every Step, at every shape, scored inline and
+// by scorers.
 func TestGAMasksMatchCells(t *testing.T) {
 	withScorers(t)
-	for _, nodes := range []int{1, 31, 32, 33, 64, 65, 130} {
-		for _, mode := range []string{"capacity", "avoidance", "sub"} {
+	for _, nodes := range shapeNodes {
+		for _, mode := range shapeModes {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("nodes=%d/%s/workers=%d", nodes, mode, workers), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(60 + nodes)))
-					const jobs = 9
-					prob := Problem{Capacity: make([]int, nodes), Jobs: jobs, Fitness: simpleFitness, InterferenceAvoidance: mode != "capacity"}
-					for n := range prob.Capacity {
-						prob.Capacity[n] = rng.Intn(5)
-					}
-					if mode == "sub" {
-						prob.DistBlocked, prob.ExtraSpan = make([]bool, nodes), make([]int, jobs)
-						for n := range prob.DistBlocked {
-							prob.DistBlocked[n] = rng.Intn(3) == 0
-						}
-						for j := range prob.ExtraSpan {
-							prob.ExtraSpan[j] = rng.Intn(2)
-						}
-					}
-					seed := NewMatrix(jobs, nodes)
-					for j, row := range seed {
-						row[(j*7)%nodes] = 3
-						row[(j*11+5)%nodes] = 2
-					}
+					prob, seed, rng, _ := shapeProblem(nodes, mode)
 					g := New(prob, Options{Population: 12, Workers: workers}, rng, []Matrix{seed})
 					checkMasks(t, g, "New")
 					for gen := 0; gen < 8; gen++ {
@@ -597,6 +615,105 @@ func TestGAMasksMatchCells(t *testing.T) {
 						checkMasks(t, g, fmt.Sprintf("gen %d", gen))
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestRepairOfMemberIsANoOp pins the premises Step skips work on: every
+// member is feasible, repairing a feasible matrix draws nothing and writes
+// nothing, and lowering cells of a member keeps it feasible (so a mutation
+// offspring whose changed cells all fell needs no repair). It runs at every
+// shape, after New and after every Step, on the GA's own counting rng.
+func TestRepairOfMemberIsANoOp(t *testing.T) {
+	for _, nodes := range shapeNodes {
+		for _, mode := range shapeModes {
+			t.Run(fmt.Sprintf("nodes=%d/%s", nodes, mode), func(t *testing.T) {
+				prob, seed, rng, src := shapeProblem(nodes, mode)
+				lower := rand.New(rand.NewSource(int64(nodes)))
+				g := New(prob, Options{Population: 12, Workers: 1}, rng, []Matrix{seed})
+				noOp := func(when string, i int, c genome) {
+					t.Helper()
+					cp := genome{c.m.Clone(), slices.Clone(c.mask)}
+					draws := src.State().Draws
+					g.repair(cp)
+					if d := src.State().Draws - draws; d != 0 || !cp.m.Equal(c.m) || !slices.Equal(cp.mask, c.mask) {
+						t.Fatalf("%s: repairing member %d drew %d and changed %v into %v", when, i, d, c.m, cp.m)
+					}
+				}
+				for gen := 0; gen <= 8; gen++ {
+					when := fmt.Sprintf("after %d steps", gen)
+					for i, c := range g.pop {
+						noOp(when, i, c)
+						low := genome{c.m.Clone(), slices.Clone(c.mask)}
+						for j, row := range low.m {
+							for n, v := range row {
+								if v > 0 && lower.Intn(2) == 0 {
+									row[n] = lower.Intn(v)
+									mark(low.mask, j*nodes+n, row[n])
+								}
+							}
+						}
+						if !FeasibleSub(low.m, prob.Capacity, prob.InterferenceAvoidance, prob.DistBlocked, prob.ExtraSpan) {
+							t.Fatalf("%s: member %d lowered to %v is infeasible", when, i, low.m)
+						}
+						noOp(when+", lowered", i, low)
+					}
+					g.Step()
+				}
+			})
+		}
+	}
+}
+
+// TestSurvivorSelectionMatchesStableSort holds survivor selection to its
+// definition: the first Population of a stable sort of all 3 × Population
+// members by score, best first, in that order, over generations (only the
+// first finds the population unsorted). Scores are drawn from a handful of
+// values, ±Inf and NaN among them, so most compare equal. Every genome is
+// kept: the evicted ones move to the offspring slots.
+func TestSurvivorSelectionMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	values := []float64{math.Inf(-1), -1, 0, 0.5, 1, 2, math.Inf(1), math.NaN()}
+	for trial := 0; trial < 400; trial++ {
+		size := 1 + rng.Intn(12)
+		g := &GA{gen: make([]genome, 3*size), scores: make([]float64, 3*size), idx: make([]int, 2*size)}
+		g.pop = g.gen[:size]
+		id := 0
+		for i := range g.gen[:size] {
+			g.gen[i], g.scores[i], id = genome{m: Matrix{{id}}}, values[rng.Intn(len(values))], id+1
+		}
+		for gen := 0; gen < 4; gen++ {
+			for i := size; i < 3*size; i++ {
+				g.gen[i], g.scores[i], id = genome{m: Matrix{{id}}}, values[rng.Intn(len(values))], id+1
+			}
+			order := make([]int, 3*size)
+			for i := range order {
+				order[i] = i
+			}
+			slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(g.scores[b], g.scores[a]) })
+			want, wantScores, all := make([]int, size), make([]uint64, size), make([]int, 3*size)
+			for k, i := range order[:size] {
+				want[k], wantScores[k] = g.gen[i].m[0][0], math.Float64bits(g.scores[i])
+			}
+			for i, c := range g.gen {
+				all[i] = c.m[0][0]
+			}
+			g.selectSurvivors()
+			got, gotScores, after := make([]int, size), make([]uint64, size), make([]int, 3*size)
+			for k, c := range g.pop {
+				got[k], gotScores[k] = c.m[0][0], math.Float64bits(g.scores[k])
+			}
+			for i, c := range g.gen {
+				after[i] = c.m[0][0]
+			}
+			if !slices.Equal(got, want) || !slices.Equal(gotScores, wantScores) {
+				t.Fatalf("trial %d gen %d: survivors %v scored %v, stable sort keeps %v", trial, gen, got, g.scores[:size], want)
+			}
+			slices.Sort(all)
+			slices.Sort(after)
+			if !slices.Equal(after, all) {
+				t.Fatalf("trial %d gen %d: genomes %v after selection, %v before", trial, gen, after, all)
 			}
 		}
 	}
@@ -756,6 +873,10 @@ func TestGAWorkersBitIdentical(t *testing.T) {
 	// Concurrent fitness evaluation must not change results: offspring are
 	// scored into fixed slots and the rng never leaves the caller's
 	// goroutine, so any worker count reproduces the serial run exactly.
+	// Nor the work: an offspring that copies a member takes its score on
+	// the caller's goroutine, and no scorer calls Fitness on its slot, so
+	// every worker count makes as many calls as the serial run, fewer than
+	// the members Stats counts.
 	withScorers(t)
 	// The fitness yields on a seeded subset of its calls, so that scorers
 	// finish out of order and the caller often catches up with them.
@@ -770,7 +891,7 @@ func TestGAWorkersBitIdentical(t *testing.T) {
 		}
 		return simpleFitness(m)
 	}
-	run := func(workers int) *GA {
+	run := func(workers int) (*GA, int64) {
 		rng := rand.New(rand.NewSource(77))
 		prob := Problem{
 			Capacity:              []int{4, 4, 4, 4},
@@ -778,13 +899,20 @@ func TestGAWorkersBitIdentical(t *testing.T) {
 			Fitness:               fitness,
 			InterferenceAvoidance: true,
 		}
+		start := calls.Load()
 		g := New(prob, Options{Population: 30, Workers: workers}, rng, nil)
 		g.Run(25)
-		return g
+		return g, calls.Load() - start
 	}
-	want := run(1)
-	for _, workers := range []int{2, 3, 8} {
-		got := run(workers)
+	want, wantCalls := run(1)
+	if n := want.Stats().FitnessCalls; wantCalls >= n {
+		t.Errorf("Workers 1 called Fitness %d times for %d members: no copy kept its parent's score", wantCalls, n)
+	}
+	for _, workers := range []int{2, 3, 4, 8} {
+		got, gotCalls := run(workers)
+		if gotCalls != wantCalls {
+			t.Errorf("Workers %d called Fitness %d times, Workers 1 %d", workers, gotCalls, wantCalls)
+		}
 		for i := range want.pop {
 			if !got.pop[i].m.Equal(want.pop[i].m) {
 				t.Fatalf("Workers 1 vs %d member %d differs:\n%v\n%v", workers, i, want.pop[i].m, got.pop[i].m)
@@ -959,7 +1087,10 @@ func TestRepairInterferenceNoOverEviction(t *testing.T) {
 // stepOracle is the pre-reuse Step (clone-per-offspring, scored structs,
 // fresh slices every generation), kept as the oracle for the
 // buffer-recycling implementation: same seed must yield bit-identical
-// populations, scores, and rng draw order across generations.
+// populations, scores, and rng draw order across generations. It repairs
+// and scores every offspring and stable-sorts all of them with the
+// population: it is the reference the skipped repairs, the copied scores
+// and the merge-based selection of Step are held to.
 func stepOracle(g *GA) {
 	offspring := make([]genome, 0, 2*len(g.pop))
 	for _, m := range g.pop {
@@ -1014,11 +1145,15 @@ func TestStepBufferReuseBitIdentical(t *testing.T) {
 		capacity []int
 		jobs     int
 		workers  int
+		blocked  []bool // with extra, a sub-problem
+		extra    []int
 	}{
-		{[]int{4, 4, 4, 2}, 7, 1},
-		{[]int{4, 4, 4, 2}, 7, 4},
-		{wide, 20, 1},
-		{wide, 20, 4},
+		{[]int{4, 4, 4, 2}, 7, 1, nil, nil},
+		{[]int{4, 4, 4, 2}, 7, 4, nil, nil},
+		{[]int{4, 4, 4, 2}, 7, 1, []bool{false, true, false, false}, []int{0, 1, 0, 0, 0, 1, 0}},
+		{[]int{3}, 5, 1, nil, nil},
+		{wide, 20, 1, nil, nil},
+		{wide, 20, 4, nil, nil},
 	} {
 		newGA := func() *GA {
 			rng := rand.New(rand.NewSource(123))
@@ -1027,6 +1162,8 @@ func TestStepBufferReuseBitIdentical(t *testing.T) {
 				Jobs:                  leg.jobs,
 				Fitness:               simpleFitness,
 				InterferenceAvoidance: true,
+				DistBlocked:           leg.blocked,
+				ExtraSpan:             leg.extra,
 			}
 			return New(prob, Options{Population: 24, Workers: leg.workers}, rng, []Matrix{NewMatrix(leg.jobs, len(leg.capacity))})
 		}

@@ -147,7 +147,9 @@ type RoundStats struct {
 	Skipped bool
 	// FitnessCalls and FitnessCells total the GA fitness work across
 	// every pass of the round (coarse, refinement, and flat); cells are
-	// calls weighted by the scored matrix area (see ga.Stats).
+	// calls weighted by the scored matrix area (see ga.Stats). A call is
+	// a member scored: an offspring that copies a member and takes its
+	// score without calling the fitness still counts.
 	FitnessCalls int64
 	FitnessCells int64
 }

@@ -206,7 +206,7 @@ func (r *Registry) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Sprintf(" %d", b2i(s.RoundStats.Full)))
 	metric("pollux_round_skipped", "gauge", "Whether the latest round skipped GA work on an empty dirty set.",
 		fmt.Sprintf(" %d", b2i(s.RoundStats.Skipped)))
-	metric("pollux_round_fitness_calls", "gauge", "GA fitness calls in the latest round.",
+	metric("pollux_round_fitness_calls", "gauge", "GA members scored in the latest round, a copied score included.",
 		fmt.Sprintf(" %d", s.RoundStats.FitnessCalls))
 	metric("pollux_round_fitness_cells", "gauge", "GA fitness cells scored in the latest round.",
 		fmt.Sprintf(" %d", s.RoundStats.FitnessCells))
