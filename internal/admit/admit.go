@@ -321,6 +321,7 @@ func (f *FrontEnd) Stats() map[string]TenantStats {
 		return nil
 	}
 	out := make(map[string]TenantStats, len(f.stats))
+	//pollux:order-ok keyed copy: each tenant writes only its own entry
 	for name, st := range f.stats {
 		out[name] = *st
 	}

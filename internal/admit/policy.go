@@ -1,6 +1,9 @@
 package admit
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // AlwaysAdmit admits every arrival — the no-op admission policy, and the
 // behavior of a disabled admission stage.
@@ -72,9 +75,7 @@ func NewTenantQuota(quotas map[string]int, defaultQuota int) *TenantQuota {
 		admitted: make(map[string]int),
 		rejected: make(map[string]int),
 	}
-	for tenant, n := range quotas {
-		q.quotas[tenant] = n
-	}
+	maps.Copy(q.quotas, quotas)
 	return q
 }
 

@@ -48,6 +48,7 @@ type FrontEndState struct {
 // sortedCounts flattens a tenant→count map into a tenant-sorted slice.
 func sortedCounts(m map[string]int) []TenantCount {
 	out := make([]TenantCount, 0, len(m))
+	//pollux:order-ok the slice is sorted by tenant right after the loop
 	for tenant, n := range m {
 		out = append(out, TenantCount{Tenant: tenant, Count: n})
 	}
@@ -67,6 +68,7 @@ func (f *FrontEnd) State() *FrontEndState {
 		Admitter:  AdmitterState{Name: f.admitter.Name()},
 	}
 	names := make([]string, 0, len(f.stats))
+	//pollux:order-ok names are sorted right after the loop
 	for name := range f.stats {
 		names = append(names, name)
 	}

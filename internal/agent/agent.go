@@ -181,6 +181,7 @@ func (a *Agent) ForceRefit() {
 // summed in a fixed order and repeated runs produce bit-identical fits.
 func (a *Agent) samplesLocked() []core.Sample {
 	samples := make([]core.Sample, 0, len(a.profile))
+	//pollux:order-ok samples are sorted by their distinct keys right after the loop
 	for k, e := range a.profile {
 		samples = append(samples, core.Sample{
 			Placement: core.Placement{GPUs: k.gpus, Nodes: k.nodes},

@@ -16,9 +16,7 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/ga"
-	"repro/internal/sched"
 )
 
 // State is the placement ledger, the "API server" of the toy cluster: the
@@ -118,6 +116,3 @@ func (s *State) install(ps []*placement, rows ga.Matrix) error {
 	s.usage = usage
 	return nil
 }
-
-// PlacementOf converts a row to the core placement summary.
-func PlacementOf(row []int) core.Placement { return sched.PlacementOf(row) }

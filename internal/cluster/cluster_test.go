@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/eventsim"
 	"repro/internal/ga"
 	"repro/internal/models"
@@ -496,7 +495,7 @@ func TestDoneIsTerminal(t *testing.T) {
 	}
 	step(0, 3)
 	placed := svc.state.Allocation("b")
-	if PlacementOf(placed.Row).GPUs != 2 {
+	if sched.PlacementOf(placed.Row).GPUs != 2 {
 		t.Fatalf("b was placed as %+v", placed)
 	}
 	submit(Report{Job: "b", Done: true})
@@ -509,7 +508,7 @@ func TestDoneIsTerminal(t *testing.T) {
 			}
 		}
 	}
-	if a := svc.state.Allocation("b"); PlacementOf(a.Row).GPUs != 0 || a.Generation != placed.Generation+1 {
+	if a := svc.state.Allocation("b"); sched.PlacementOf(a.Row).GPUs != 0 || a.Generation != placed.Generation+1 {
 		t.Errorf("finished job holds %+v, want no GPUs at generation %d", a, placed.Generation+1)
 	}
 	others := make([]int, 2)
@@ -637,11 +636,5 @@ func TestServiceConcurrentReadersDuringRounds(t *testing.T) {
 	invariants()
 	if st := svc.Status(); st.GPUsUsed != 0 || st.Done != jobs {
 		t.Errorf("after every job finished: %+v", st)
-	}
-}
-
-func TestPlacementOfReExport(t *testing.T) {
-	if PlacementOf([]int{2, 2}) != (core.Placement{GPUs: 4, Nodes: 2}) {
-		t.Error("PlacementOf wrong")
 	}
 }

@@ -46,6 +46,7 @@ func (s *Service) Status() status.Cluster {
 	rounds := fe.Rounds()
 	stats := fe.Stats()
 	names := make([]string, 0, len(stats))
+	//pollux:order-ok names are sorted right after the loop
 	for name := range stats {
 		names = append(names, name)
 	}

@@ -291,7 +291,7 @@ func TestSharedRowsUnderConcurrentReaders(t *testing.T) {
 	held := func(job string) bool {
 		var a Allocation
 		l.svc.GetAllocation(job, &a)
-		return PlacementOf(a.Row).GPUs > 0
+		return sched.PlacementOf(a.Row).GPUs > 0
 	}
 	want := l.svc.Status()
 	running := 0

@@ -117,6 +117,7 @@ func (o Outcome) Record(scale string) results.Record {
 		Notes:    append([]string(nil), o.Notes...),
 	}
 	keys := make([]string, 0, len(o.Values))
+	//pollux:order-ok keys are sorted right after the loop
 	for k := range o.Values {
 		keys = append(keys, k)
 	}
@@ -263,6 +264,7 @@ var headlines = map[string][]string{
 // cmd/pollux-bench's markdown rendering and the root benchmarks.
 func Headlines() map[string][]string {
 	out := make(map[string][]string, len(headlines))
+	//pollux:order-ok keyed copy: each exhibit id writes only its own entry
 	for id, names := range headlines {
 		out[id] = append([]string(nil), names...)
 	}

@@ -85,6 +85,7 @@ func Fairness(sc Scale) Outcome {
 		}
 		avg := metrics.AverageTenants(perRun)
 		names := make([]string, 0, len(avg))
+		//pollux:order-ok names are sorted right after the loop
 		for name := range avg {
 			names = append(names, name)
 		}

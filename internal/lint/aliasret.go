@@ -240,6 +240,34 @@ func rootObject(info *types.Info, e ast.Expr) types.Object {
 	return nil
 }
 
+// rootIdent returns the identifier at the base of a selector/index
+// chain, or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
+	id, ok := fun.(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}
+
 // checkElemStores flags storing an uncopied element of a guarded container
 // — `dst[k] = row` while ranging it, `dst[i] = s.rows[k].row`, or the
 // same through append or a local — into anything not rooted at the guarded

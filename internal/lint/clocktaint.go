@@ -114,29 +114,6 @@ func funcDisplay(fn *types.Func) string {
 }
 
 func runClockTaint(pass *Pass) error {
-	// Function declarations in source order (files then position), the
-	// deterministic spine of the fixpoint: the first tainted use found in
-	// that order names the fact's chain.
-	type fnDecl struct {
-		decl *ast.FuncDecl
-		obj  *types.Func
-	}
-	var fns []fnDecl
-	for _, f := range pass.Files {
-		if pass.isTestFile(f.Pos()) || clockAllowed(pass, f) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				fns = append(fns, fnDecl{fd, obj})
-			}
-		}
-	}
-
 	tainted := map[*types.Func]*ClockTaintFact{}
 	// taintOf returns the chain from fn down to a root: [root] for a root
 	// itself, local fixpoint state or an exported/imported fact otherwise
@@ -173,19 +150,15 @@ func runClockTaint(pass *Pass) error {
 		})
 		return found
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, fd := range fns {
-			if tainted[fd.obj] != nil {
-				continue
-			}
-			if fact := firstTaint(fd.decl.Body); fact != nil {
-				tainted[fd.obj] = fact
-				pass.ExportFuncFact(fd.obj, fact)
-				changed = true
-			}
+	// The first tainted use in source order names a function's chain.
+	fixpoint(pass.funcDecls(func(f *ast.File) bool { return clockAllowed(pass, f) }), func(fd funcDecl) bool {
+		fact := firstTaint(fd.decl.Body)
+		if fact != nil {
+			tainted[fd.obj] = fact
+			pass.ExportFuncFact(fd.obj, fact)
 		}
-	}
+		return fact != nil
+	})
 
 	crit := critical(pass.Pkg.Path())
 	for _, f := range pass.Files {

@@ -2,8 +2,8 @@ package lint
 
 // Directive scanning and staleness. A //pollux:<name> <reason> comment
 // suppresses one analyzer's finding at a site; the registry tracks which
-// directives actually suppressed (or contributed to) something so the
-// driver can report the ones that no longer do. A suppression that has
+// directives actually suppressed (or contributed to) something so Run
+// can report the ones that no longer do. A suppression that has
 // gone dead — the flagged code was refactored away but the annotation
 // stayed — silently widens the trust base, so it is itself a finding.
 
@@ -30,17 +30,17 @@ type directive struct {
 	missingReported bool
 }
 
-// Directives is one compilation unit's directive registry, shared by
+// directives is one compilation unit's directive registry, shared by
 // every analyzer pass over the unit so use is tracked across analyzers.
-type Directives struct {
+type directives struct {
 	fset   *token.FileSet
 	byFile map[string]map[int]*directive // filename → line → directive
 	all    []*directive                  // in file/position order
 }
 
-// ScanDirectives collects every //pollux: comment in files.
-func ScanDirectives(fset *token.FileSet, files []*ast.File) *Directives {
-	ds := &Directives{fset: fset, byFile: map[string]map[int]*directive{}}
+// scanDirectives collects every //pollux: comment in files.
+func scanDirectives(fset *token.FileSet, files []*ast.File) *directives {
+	ds := &directives{fset: fset, byFile: map[string]map[int]*directive{}}
 	for _, f := range files {
 		fname := fset.File(f.Pos()).Name()
 		byLine := ds.byFile[fname]
@@ -69,7 +69,7 @@ func ScanDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 }
 
 // find returns the directive named name on pos's line or the line above.
-func (ds *Directives) find(pos token.Pos, name string) *directive {
+func (ds *directives) find(pos token.Pos, name string) *directive {
 	posn := ds.fset.Position(pos)
 	byLine := ds.byFile[posn.Filename]
 	for _, line := range []int{posn.Line, posn.Line - 1} {
@@ -80,15 +80,15 @@ func (ds *Directives) find(pos token.Pos, name string) *directive {
 	return nil
 }
 
-// StaleDirectives reports directives that did nothing: a name no
-// registered analyzer owns (typo, or an analyzer that was removed), or a
+// staleDirectives reports directives that did nothing: a name no
+// analyzer in All owns (typo, or an analyzer that was removed), or a
 // directive for an analyzer that ran and suppressed no finding through
-// it. Call after every analyzer in ran has completed; registry is the
-// full analyzer registry (names outside ran are skipped, not stale — the
-// analyzer that would consume them was deselected this run).
-func StaleDirectives(ds *Directives, ran, registry []*Analyzer) []Diagnostic {
+// it. Call after every analyzer in ran has completed (names outside ran
+// are skipped, not stale: the analyzer that would consume them did not
+// run over this unit).
+func staleDirectives(ds *directives, ran []*Analyzer) []Diagnostic {
 	known := map[string]string{} // directive → analyzer name
-	for _, a := range registry {
+	for _, a := range All() {
 		if a.Directive != "" {
 			known[a.Directive] = a.Name
 		}
@@ -109,26 +109,19 @@ func StaleDirectives(ds *Directives, ran, registry []*Analyzer) []Diagnostic {
 			}
 			sort.Strings(names)
 			diags = append(diags, Diagnostic{
-				Pos:     d.pos,
-				Message: fmt.Sprintf("unknown directive //%s%s: known directives are %s", directivePrefix, d.name, strings.Join(names, ", ")),
+				Pos:      d.pos,
+				Message:  fmt.Sprintf("unknown directive //%s%s: known directives are %s", directivePrefix, d.name, strings.Join(names, ", ")),
+				Analyzer: "staledirective",
 			})
 		case active[d.name] && !d.used:
 			diags = append(diags, Diagnostic{
-				Pos:     d.pos,
-				Message: fmt.Sprintf("stale //%s%s: it suppresses no %s finding — remove it (or re-justify the code it was written for)", directivePrefix, d.name, known[d.name]),
+				Pos:      d.pos,
+				Message:  fmt.Sprintf("stale //%s%s: it suppresses no %s finding — remove it (or re-justify the code it was written for)", directivePrefix, d.name, known[d.name]),
+				Analyzer: "staledirective",
 			})
 		}
 	}
 	return diags
-}
-
-// dirs returns the pass's directive registry, scanning lazily when the
-// driver supplied none.
-func (p *Pass) dirs() *Directives {
-	if p.Dirs == nil {
-		p.Dirs = ScanDirectives(p.Fset, p.Files)
-	}
-	return p.Dirs
 }
 
 // exempt reports whether the finding at pos is suppressed by a
@@ -137,7 +130,7 @@ func (p *Pass) dirs() *Directives {
 // instead the missing reason is reported, so the tree cannot go clean on
 // bare annotations.
 func (p *Pass) exempt(pos token.Pos, name string) bool {
-	d := p.dirs().find(pos, name)
+	d := p.dirs.find(pos, name)
 	if d == nil {
 		return false
 	}

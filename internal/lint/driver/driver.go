@@ -24,12 +24,14 @@
 // which can never export pollux facts (the analyzers recognize their
 // roots syntactically) and return an empty table immediately.
 //
-// After the per-analyzer passes, the driver reports stale directives:
-// any //pollux: comment naming an unknown directive, or one whose
-// analyzer ran and suppressed nothing through it (group name
-// "staledirective"). Test-augmented units (ImportPath like "p [p.test]")
-// skip this check — most analyzers deliberately ignore _test.go files,
-// so directive use there is not meaningful.
+// The unit is loaded and analyzed by lint.Load and lint.Run, the same
+// calls the fixture runner (internal/lint/linttest) makes. After the
+// per-analyzer passes, Run reports stale directives: any //pollux:
+// comment naming an unknown directive, or one whose analyzer ran and
+// suppressed nothing through it (group name "staledirective").
+// Test-augmented units (ImportPath like "p [p.test]") skip this check —
+// most analyzers deliberately ignore _test.go files, so directive use
+// there is not meaningful.
 package driver
 
 import (
@@ -38,13 +40,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/build"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"go/version"
 	"io"
 	"log"
 	"os"
@@ -228,19 +226,13 @@ func runConfig(cfgFile string, analyzers []*lint.Analyzer, jsonOut bool) {
 		printJSON(fset, cfg.ID, diags)
 		os.Exit(0)
 	}
-	exit := 0
 	for _, d := range diags {
-		for _, diag := range d.diags {
-			fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(diag.Pos), diag.Message)
-			exit = 1
-		}
+		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
 	}
-	os.Exit(exit)
-}
-
-type analyzerDiags struct {
-	name  string
-	diags []lint.Diagnostic
+	if len(diags) > 0 {
+		os.Exit(1)
+	}
+	os.Exit(0)
 }
 
 // importDepFacts decodes every dependency's .vetx fact table into a
@@ -277,19 +269,9 @@ func importDepFacts(cfg *config) (*lint.Facts, error) {
 
 // analyze parses and typechecks the unit (types of dependencies come
 // from the compiler export data the go command lists in cfg) and runs
-// the analyzers over it, sharing one fact store and one directive
-// registry across them. The returned store holds the unit's exported
-// facts for serialization.
-func analyze(fset *token.FileSet, cfg *config, analyzers []*lint.Analyzer) ([]analyzerDiags, *lint.Facts, error) {
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, err
-		}
-		files = append(files, f)
-	}
-
+// the analyzers over it with every dependency's facts installed. The
+// returned store holds the unit's exported facts for serialization.
+func analyze(fset *token.FileSet, cfg *config, analyzers []*lint.Analyzer) ([]lint.Diagnostic, *lint.Facts, error) {
 	compilerImporter := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
 		file, ok := cfg.PackageFile[path]
 		if !ok {
@@ -297,88 +279,37 @@ func analyze(fset *token.FileSet, cfg *config, analyzers []*lint.Analyzer) ([]an
 		}
 		return os.Open(file)
 	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		if importPath == "unsafe" {
-			return types.Unsafe, nil
-		}
+	unit, err := lint.Load(fset, cfg.ImportPath, cfg.GoVersion, cfg.GoFiles, func(importPath string) (*types.Package, error) {
 		path, ok := cfg.ImportMap[importPath]
 		if !ok {
 			return nil, fmt.Errorf("can't resolve import %q", importPath)
 		}
 		return compilerImporter.Import(path)
 	})
-
-	tc := &types.Config{
-		Importer:  imp,
-		Sizes:     types.SizesFor("gc", build.Default.GOARCH),
-		GoVersion: version.Lang(cfg.GoVersion),
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		return nil, nil, err
 	}
-
 	facts, err := importDepFacts(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	dirs := lint.ScanDirectives(fset, files)
-
-	var results []analyzerDiags
-	for _, a := range analyzers {
-		res := analyzerDiags{name: a.Name}
-		pass := &lint.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Facts:     facts,
-			Dirs:      dirs,
-		}
-		pass.Report = func(d lint.Diagnostic) { res.diags = append(res.diags, d) }
-		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
-		}
-		results = append(results, res)
-	}
-
-	// Stale-directive findings ride in their own group. Test-augmented
-	// units re-analyze the base package's files with a different critical()
-	// outcome (the ImportPath gains a " [p.test]" suffix), so every
-	// directive would read unused there — skip those units.
-	if !strings.Contains(cfg.ImportPath, " [") {
-		if stale := lint.StaleDirectives(dirs, analyzers, lint.All()); len(stale) > 0 {
-			results = append(results, analyzerDiags{name: "staledirective", diags: stale})
-		}
-	}
-	return results, facts, nil
+	diags, err := lint.Run(unit, facts, analyzers)
+	return diags, facts, err
 }
 
 // printJSON emits the diagnostic tree go vet -json expects:
 // {"pkgID": {"analyzer": [{"posn": ..., "message": ...}]}}.
-func printJSON(fset *token.FileSet, pkgID string, diags []analyzerDiags) {
+func printJSON(fset *token.FileSet, pkgID string, diags []lint.Diagnostic) {
 	type jsonDiag struct {
 		Posn    string `json:"posn"`
 		Message string `json:"message"`
 	}
 	byAnalyzer := map[string][]jsonDiag{}
 	for _, d := range diags {
-		for _, diag := range d.diags {
-			byAnalyzer[d.name] = append(byAnalyzer[d.name], jsonDiag{
-				Posn:    fset.Position(diag.Pos).String(),
-				Message: diag.Message,
-			})
-		}
+		byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiag{
+			Posn:    fset.Position(d.Pos).String(),
+			Message: d.Message,
+		})
 	}
 	tree := map[string]map[string][]jsonDiag{pkgID: byAnalyzer}
 	data, err := json.MarshalIndent(tree, "", "\t")
@@ -437,7 +368,3 @@ func (versionFlag) Set(s string) error {
 	os.Exit(0)
 	return nil
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -237,21 +237,11 @@ func DecodeFacts(data []byte) (map[string][]Fact, error) {
 	return m, nil
 }
 
-// facts returns the pass's fact store, creating a local-only store on
-// first use when the driver supplied none (fixture runs without
-// dependencies).
-func (p *Pass) facts() *Facts {
-	if p.Facts == nil {
-		p.Facts = NewFacts(p.Pkg.Path())
-	}
-	return p.Facts
-}
-
 // ExportFuncFact attaches fact to fn, which must belong to the current
 // package.
 func (p *Pass) ExportFuncFact(fn *types.Func, fact Fact) {
 	if k, ok := FuncKey(fn); ok {
-		p.facts().Export(k, fact)
+		p.facts.Export(k, fact)
 	}
 }
 
@@ -262,13 +252,13 @@ func (p *Pass) FuncFact(fn *types.Func, out Fact) bool {
 	if !ok || fn.Pkg() == nil {
 		return false
 	}
-	return p.facts().Lookup(fn.Pkg().Path(), k, out)
+	return p.facts.Lookup(fn.Pkg().Path(), k, out)
 }
 
 // ExportParamFact attaches fact to fn's i'th parameter.
 func (p *Pass) ExportParamFact(fn *types.Func, i int, fact Fact) {
 	if k, ok := ParamKey(fn, i); ok {
-		p.facts().Export(k, fact)
+		p.facts.Export(k, fact)
 	}
 }
 
@@ -279,13 +269,13 @@ func (p *Pass) ParamFact(fn *types.Func, i int, out Fact) bool {
 	if !ok || fn.Pkg() == nil {
 		return false
 	}
-	return p.facts().Lookup(fn.Pkg().Path(), k, out)
+	return p.facts.Lookup(fn.Pkg().Path(), k, out)
 }
 
 // ExportFieldFact attaches fact to field fieldName of the current
 // package's named struct type typeName.
 func (p *Pass) ExportFieldFact(typeName, fieldName string, fact Fact) {
-	p.facts().Export(FieldKey(typeName, fieldName), fact)
+	p.facts.Export(FieldKey(typeName, fieldName), fact)
 }
 
 // FieldFact copies the fact of out's type attached to field fieldName of
@@ -294,5 +284,5 @@ func (p *Pass) FieldFact(pkg *types.Package, typeName, fieldName string, out Fac
 	if pkg == nil {
 		return false
 	}
-	return p.facts().Lookup(pkg.Path(), FieldKey(typeName, fieldName), out)
+	return p.facts.Lookup(pkg.Path(), FieldKey(typeName, fieldName), out)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -148,6 +149,41 @@ func TestDecodeFactsVersionMismatch(t *testing.T) {
 	if _, err := DecodeFacts(buf.Bytes()); err == nil {
 		t.Fatal("version mismatch decoded without error")
 	}
+}
+
+// FuzzDecodeFacts feeds DecodeFacts what a dependency's .vetx file can
+// hold: any bytes. It refuses them or returns a table that EncodeFacts
+// writes out again and DecodeFacts reads back unchanged, with each key's
+// facts in the encoder's order (by concrete type; the input may list
+// them in any order). The seed corpus runs on every plain `go test`.
+func FuzzDecodeFacts(f *testing.F) {
+	full, err := EncodeFacts(sampleTable())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add([]byte{})
+	f.Add(full[:len(full)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		table, err := DecodeFacts(data)
+		if err != nil {
+			return
+		}
+		again, err := EncodeFacts(table)
+		if err != nil {
+			t.Fatalf("decoded table does not encode: %v\n%#v", err, table)
+		}
+		back, err := DecodeFacts(again)
+		if err != nil {
+			t.Fatalf("re-encoded table does not decode: %v", err)
+		}
+		for _, fs := range table {
+			sort.Slice(fs, func(i, j int) bool { return fmt.Sprintf("%T", fs[i]) < fmt.Sprintf("%T", fs[j]) })
+		}
+		if !reflect.DeepEqual(back, table) {
+			t.Fatalf("table changed over a round trip:\n%#v\nto\n%#v", table, back)
+		}
+	})
 }
 
 // TestFactsExportReplaces pins the one-fact-per-type-per-key rule the

@@ -10,8 +10,8 @@
 //
 // Three analyzers are package-local:
 //
-//   - detmap: range over a map in a determinism-critical package must be
-//     conservatively order-insensitive or justified //pollux:order-ok.
+//   - detmap: every range over a map in a non-test file of a
+//     determinism-critical package carries //pollux:order-ok <reason>.
 //   - zerodefault: a `if o.X == 0 { o.X = d }` defaults() rewrite of a
 //     numeric option field needs a negative-sentinel or Disable* escape.
 //   - floateq: ==/!= on floats, except exact-representable constants and
@@ -45,15 +45,22 @@
 // where <directive> is the analyzer's directive name (order-ok for
 // detmap, otherwise <name>-ok) and <reason> is mandatory prose recorded
 // for the next reader. A directive with no reason is itself a finding,
-// and so is a stale directive that no longer suppresses anything (the
-// driver checks directive use across the whole analyzer suite).
+// and so is a stale directive that no longer suppresses anything (Run
+// checks directive use across every analyzer it ran over the unit).
+//
+// Run is the one pass loop: the vet driver (internal/lint/driver) and
+// the fixture runner (internal/lint/linttest) both Load a unit and Run
+// the analyzers over it.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"go/version"
 	"path"
 	"strings"
 )
@@ -72,32 +79,95 @@ type Analyzer struct {
 
 // A Diagnostic is one finding at one position.
 type Diagnostic struct {
-	Pos     token.Pos
-	Message string
+	Pos      token.Pos
+	Message  string
+	Analyzer string // set by Run: the reporting analyzer, or "staledirective"
 }
 
-// A Pass carries one typechecked package through one analyzer.
-type Pass struct {
-	Analyzer  *Analyzer
+// A Unit is one parsed and typechecked package.
+type Unit struct {
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Report    func(Diagnostic)
+}
 
-	// Facts is the unit's cross-package fact store (see facts.go). The
-	// driver populates it with every dependency's decoded .vetx table;
-	// nil means a local-only store is created on first use.
-	Facts *Facts
-	// Dirs is the unit's //pollux: directive registry, shared across the
-	// analyzers run over the unit so StaleDirectives sees every use; nil
-	// means the pass scans its own files on first use.
-	Dirs *Directives
+// A Pass carries one unit through one analyzer.
+type Pass struct {
+	*Unit
+	Analyzer *Analyzer
+	Report   func(Diagnostic)
+	facts    *Facts      // the unit's cross-package fact store (facts.go)
+	dirs     *directives // shared by every analyzer over the unit
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
+// Load parses filenames and typechecks them as the package at pkgPath
+// under Go language version goVersion ("" = the toolchain's), resolving
+// imports other than unsafe through imp.
+func Load(fset *token.FileSet, pkgPath, goVersion string, filenames []string, imp func(path string) (*types.Package, error)) (*Unit, error) {
+	u := &Unit{Fset: fset, TypesInfo: &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Instances:  make(map[*ast.Ident]types.Instance),
+		Scopes:     make(map[ast.Node]*types.Scope),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}}
+	for _, name := range filenames {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		u.Files = append(u.Files, f)
+	}
+	tc := &types.Config{
+		Importer:  importerFunc(imp),
+		Sizes:     types.SizesFor("gc", build.Default.GOARCH),
+		GoVersion: version.Lang(goVersion),
+	}
+	var err error
+	u.Pkg, err = tc.Check(pkgPath, fset, u.Files, u.TypesInfo)
+	return u, err
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	return f(path)
+}
+
+// Run runs analyzers over u in order, sharing facts (which the caller
+// has filled with the dependencies' tables; it holds u's exported facts
+// afterwards) and one directive registry, then reports the unit's stale
+// directives. A test-augmented unit (package path "p [p.test]")
+// re-analyzes p's files with a different critical() outcome, so every
+// directive would read unused there: its stale check is skipped.
+func Run(u *Unit, facts *Facts, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var diags []Diagnostic
+	dirs := scanDirectives(u.Fset, u.Files)
+	for _, a := range analyzers {
+		pass := &Pass{Unit: u, Analyzer: a, facts: facts, dirs: dirs}
+		pass.Report = func(d Diagnostic) {
+			d.Analyzer = a.Name
+			diags = append(diags, d)
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
+		}
+	}
+	if !strings.Contains(u.Pkg.Path(), " [") {
+		diags = append(diags, staleDirectives(dirs, analyzers)...)
+	}
+	return diags, nil
 }
 
 // All returns the full analyzer suite in a fixed order.
@@ -138,6 +208,46 @@ func critical(pkgPath string) bool {
 // isTestFile reports whether pos is inside a _test.go file.
 func (p *Pass) isTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.File(pos).Name(), "_test.go")
+}
+
+// A funcDecl is a function declaration with a body and its object.
+type funcDecl struct {
+	decl *ast.FuncDecl
+	obj  *types.Func
+}
+
+// funcDecls returns the function declarations with bodies in the pass's
+// non-test files, except files skip selects, in source order (files,
+// then position): the deterministic spine of every fixpoint.
+func (p *Pass) funcDecls(skip func(*ast.File) bool) []funcDecl {
+	var fns []funcDecl
+	for _, f := range p.Files {
+		if p.isTestFile(f.Pos()) || skip != nil && skip(f) {
+			continue
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				fns = append(fns, funcDecl{fd, p.TypesInfo.Defs[fd.Name].(*types.Func)})
+			}
+		}
+	}
+	return fns
+}
+
+// fixpoint sweeps items in order, calling settle on each one not yet
+// settled, until a sweep settles none. The interprocedural analyzers'
+// facts only grow, so this is their local propagation loop: settle
+// returns true once it has found (and exported) the item's fact.
+func fixpoint[T any](items []T, settle func(T) bool) {
+	done := make([]bool, len(items))
+	for changed := true; changed; {
+		changed = false
+		for i, it := range items {
+			if !done[i] && settle(it) {
+				done[i], changed = true, true
+			}
+		}
+	}
 }
 
 // funcPkg resolves a call or value use of a package-level function and

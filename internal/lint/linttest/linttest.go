@@ -23,21 +23,22 @@
 // fixture can assert on a diagnostic that only exists because of a fact
 // imported from another fixture package.
 //
-// After the analyzer runs, stale-directive findings for the analyzer
-// under test (plus unknown-directive findings) are matched against
-// // want comments too, mirroring the driver's end-of-unit check.
+// A fixture is loaded and analyzed by lint.Load and lint.Run, the calls
+// the driver makes for a go vet unit, so the stale-directive findings
+// for the analyzer under test (plus unknown-directive findings) are
+// matched against // want comments too.
 package linttest
 
 import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -56,68 +57,36 @@ func Run(t *testing.T, a *lint.Analyzer, pkgPaths ...string) {
 	// tables caches each fixture package's exported facts so shared
 	// dependencies are analyzed once per Run.
 	tables := map[string]map[string][]lint.Fact{}
-	var factsFor func(t *testing.T, pkgPath string) map[string][]lint.Fact
-	factsFor = func(t *testing.T, pkgPath string) map[string][]lint.Fact {
+	var analyze func(t *testing.T, pkgPath string) (*fixturePkg, []lint.Diagnostic)
+	analyze = func(t *testing.T, pkgPath string) (*fixturePkg, []lint.Diagnostic) {
 		t.Helper()
-		if tbl, ok := tables[pkgPath]; ok {
-			return tbl
-		}
 		pkg := ld.load(t, pkgPath)
 		facts := lint.NewFacts(pkgPath)
 		for _, dep := range pkg.deps {
-			facts.AddImported(dep, factsFor(t, dep))
+			if _, ok := tables[dep]; !ok {
+				analyze(t, dep) // deps carry no wants
+			}
+			facts.AddImported(dep, tables[dep])
 		}
-		pass := &lint.Pass{
-			Analyzer:  a,
-			Fset:      ld.fset,
-			Files:     pkg.files,
-			Pkg:       pkg.types,
-			TypesInfo: pkg.info,
-			Facts:     facts,
-			Report:    func(lint.Diagnostic) {}, // deps carry no wants
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("analyzer %s failed on dependency %s: %v", a.Name, pkgPath, err)
+		diags, err := lint.Run(pkg.unit, facts, []*lint.Analyzer{a})
+		if err != nil {
+			t.Fatalf("%s: %v", pkgPath, err)
 		}
 		tables[pkgPath] = facts.Exported()
-		return tables[pkgPath]
+		return pkg, diags
 	}
 
 	for _, pkgPath := range pkgPaths {
 		t.Run(a.Name+"/"+pkgPath, func(t *testing.T) {
 			t.Helper()
-			pkg := ld.load(t, pkgPath)
-
-			facts := lint.NewFacts(pkgPath)
-			for _, dep := range pkg.deps {
-				facts.AddImported(dep, factsFor(t, dep))
-			}
-			dirs := lint.ScanDirectives(ld.fset, pkg.files)
-			var diags []lint.Diagnostic
-			pass := &lint.Pass{
-				Analyzer:  a,
-				Fset:      ld.fset,
-				Files:     pkg.files,
-				Pkg:       pkg.types,
-				TypesInfo: pkg.info,
-				Facts:     facts,
-				Dirs:      dirs,
-				Report:    func(d lint.Diagnostic) { diags = append(diags, d) },
-			}
-			if err := a.Run(pass); err != nil {
-				t.Fatalf("analyzer %s failed: %v", a.Name, err)
-			}
-			diags = append(diags, lint.StaleDirectives(dirs, []*lint.Analyzer{a}, lint.All())...)
-			tables[pkgPath] = facts.Exported()
+			pkg, diags := analyze(t, pkgPath)
 			check(t, ld.fset, pkg, diags)
 		})
 	}
 }
 
 type fixturePkg struct {
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
+	unit  *lint.Unit
 	deps  []string                   // fixture-local imports, in first-use order
 	wants map[string]map[int][]*want // filename → line → wants
 }
@@ -202,55 +171,30 @@ func (ld *loader) load(t *testing.T, pkgPath string) *fixturePkg {
 	if err != nil {
 		t.Fatalf("fixture package %q: %v", pkgPath, err)
 	}
-	pkg := &fixturePkg{wants: map[string]map[int][]*want{}}
+	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, filepath.Join(dir, e.Name()))
 		}
-		fname := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(ld.fset, fname, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", fname, err)
-		}
-		pkg.files = append(pkg.files, f)
-		pkg.wants[fname] = parseWants(t, ld.fset, f)
 	}
-	if len(pkg.files) == 0 {
+	if len(names) == 0 {
 		t.Fatalf("fixture package %q has no .go files", pkgPath)
 	}
-
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if path == "unsafe" {
-			return types.Unsafe, nil
+	pkg := &fixturePkg{wants: map[string]map[int][]*want{}}
+	pkg.unit, err = lint.Load(ld.fset, pkgPath, "", names, func(path string) (*types.Package, error) {
+		if _, err := os.Stat(filepath.Join(ld.root, filepath.FromSlash(path))); err != nil {
+			return ld.std.Import(path)
 		}
-		if _, err := os.Stat(filepath.Join(ld.root, filepath.FromSlash(path))); err == nil {
-			dep := ld.load(t, path)
-			seen := false
-			for _, d := range pkg.deps {
-				if d == path {
-					seen = true
-				}
-			}
-			if !seen {
-				pkg.deps = append(pkg.deps, path)
-			}
-			return dep.types, nil
+		if !slices.Contains(pkg.deps, path) {
+			pkg.deps = append(pkg.deps, path)
 		}
-		return ld.std.Import(path)
+		return ld.load(t, path).unit.Pkg, nil
 	})
-	pkg.info = &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	tc := &types.Config{Importer: imp}
-	pkg.types, err = tc.Check(pkgPath, ld.fset, pkg.files, pkg.info)
 	if err != nil {
-		t.Fatalf("typecheck fixture %q: %v", pkgPath, err)
+		t.Fatalf("load fixture %q: %v", pkgPath, err)
+	}
+	for _, f := range pkg.unit.Files {
+		pkg.wants[ld.fset.File(f.Pos()).Name()] = parseWants(t, ld.fset, f)
 	}
 	ld.pkgs[pkgPath] = pkg
 	return pkg
@@ -299,7 +243,3 @@ func splitPatterns(t *testing.T, s string, posn token.Position) []string {
 	}
 	return pats
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

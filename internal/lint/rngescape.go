@@ -137,24 +137,11 @@ func runRngEscape(pass *Pass) error {
 	info := pass.TypesInfo
 
 	var params []*rngParam
-	for _, f := range pass.Files {
-		if pass.isTestFile(f.Pos()) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sig := obj.Type().(*types.Signature)
-			for i := 0; i < sig.Params().Len(); i++ {
-				if isRandRand(sig.Params().At(i).Type()) {
-					params = append(params, &rngParam{fn: obj, index: i, obj: sig.Params().At(i), body: fd.Body})
-				}
+	for _, fd := range pass.funcDecls(nil) {
+		sig := fd.obj.Type().(*types.Signature)
+		for i := 0; i < sig.Params().Len(); i++ {
+			if isRandRand(sig.Params().At(i).Type()) {
+				params = append(params, &rngParam{fn: fd.obj, index: i, obj: sig.Params().At(i), body: fd.decl.Body})
 			}
 		}
 	}
@@ -196,43 +183,37 @@ func runRngEscape(pass *Pass) error {
 		}
 	}
 
-	for changed := true; changed; {
-		changed = false
-		for _, p := range params {
-			if local[p.obj] != nil {
-				continue
-			}
-			isP := func(e ast.Expr) bool {
-				id, ok := ast.Unparen(e).(*ast.Ident)
-				return ok && info.Uses[id] == p.obj
-			}
-			var found []string
-			walkCalls(info, p.body, func(call *ast.CallExpr, spawner string) {
-				if spawner == "go statement" {
-					spawner = "a go statement"
-				}
-				spawnEscapes(info, call, func(e ast.Expr, captured bool) {
-					if found == nil && isP(e) && !pass.exempt(e.Pos(), "rngescape-ok") {
-						found = []string{spawner}
-						if captured {
-							found[0] = "a closure spawned via " + spawner
-						}
-					}
-				})
-			}, func(call *ast.CallExpr) {
-				escapingArgs(call, func(arg ast.Expr, callee *types.Func, fact *RngEscapeFact) {
-					if found == nil && isP(arg) {
-						found = append([]string{funcDisplay(callee)}, fact.Path...)
-					}
-				})
-			})
-			if found != nil {
-				local[p.obj] = &RngEscapeFact{Path: found}
-				pass.ExportParamFact(p.fn, p.index, local[p.obj])
-				changed = true
-			}
+	fixpoint(params, func(p *rngParam) bool {
+		isP := func(e ast.Expr) bool {
+			id, ok := ast.Unparen(e).(*ast.Ident)
+			return ok && info.Uses[id] == p.obj
 		}
-	}
+		var found []string
+		walkCalls(info, p.body, func(call *ast.CallExpr, spawner string) {
+			if spawner == "go statement" {
+				spawner = "a go statement"
+			}
+			spawnEscapes(info, call, func(e ast.Expr, captured bool) {
+				if found == nil && isP(e) && !pass.exempt(e.Pos(), "rngescape-ok") {
+					found = []string{spawner}
+					if captured {
+						found[0] = "a closure spawned via " + spawner
+					}
+				}
+			})
+		}, func(call *ast.CallExpr) {
+			escapingArgs(call, func(arg ast.Expr, callee *types.Func, fact *RngEscapeFact) {
+				if found == nil && isP(arg) {
+					found = append([]string{funcDisplay(callee)}, fact.Path...)
+				}
+			})
+		})
+		if found != nil {
+			local[p.obj] = &RngEscapeFact{Path: found}
+			pass.ExportParamFact(p.fn, p.index, local[p.obj])
+		}
+		return found != nil
+	})
 
 	for _, f := range pass.Files {
 		test := pass.isTestFile(f.Pos())

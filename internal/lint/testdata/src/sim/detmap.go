@@ -1,5 +1,5 @@
 // Package sim is a detmap fixture: its name makes it determinism-
-// critical, so range-over-map sites here must be order-insensitive.
+// critical, so every range-over-map site here needs a justification.
 package sim
 
 import (
@@ -43,67 +43,40 @@ func flaggedGeneric[M ~map[string]float64](m M) float64 {
 	return total
 }
 
-func allowed(m map[string]float64, jobs map[int]int) []string {
+// Bodies whose outcome does not depend on the order are flagged too:
+// the rule asks for a reason at every map range, not a proof.
+func commutative(m map[string]float64, jobs map[int]int) []string {
 	// Keyed writes into another map: each iteration owns its slot.
 	inverted := make(map[float64]string, len(m))
-	for k, v := range m {
+	for k, v := range m { // want `range over map in determinism-critical package sim`
 		inverted[v] = k
 	}
 	// Commutative integer counters.
 	n := 0
-	gpus := 0
-	for _, g := range jobs {
-		n++
-		gpus += g
+	for _, g := range jobs { // want `range over map in determinism-critical package sim`
+		n += g
 	}
 	// delete is keyed and commutative.
-	for id := range jobs {
+	for id := range jobs { // want `range over map in determinism-critical package sim`
 		delete(jobs, id)
 	}
 	// The sortedKeys idiom: append, then sort immediately after.
 	keys := make([]string, 0, len(m))
-	for k := range m {
+	for k := range m { // want `range over map in determinism-critical package sim`
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	// Conditional counting with continue.
-	big := 0
-	for _, v := range m {
-		if v < 1 {
-			continue
-		}
-		big++
-	}
-	// Keyed slice write: index mentions the loop variable.
-	counts := make([]int, 16)
-	for id, g := range jobs {
-		counts[id%16] += g
-	}
-	// Nested loop over a slice: inner body is commutative int adds.
+	// The outer map range carries its reason; the inner slice range
+	// needs none.
 	usage := make([]int, 16)
 	rows := map[string][]int{}
+	//pollux:order-ok integer adds per node commute
 	for _, row := range rows {
 		for n, g := range row {
 			usage[n] += g
 		}
 	}
-	// Field writes through the loop value: each iteration owns its
-	// target struct.
-	type stats struct{ Submitted, Admitted int }
-	perTenant := map[string]*stats{}
-	for name, st := range perTenant {
-		st.Submitted = len(name)
-		st.Admitted += 1
-	}
-	// Locals with pure initializers feeding a keyed write.
-	scaled := make(map[string]float64, len(m))
-	for k, v := range m {
-		double := v * 2
-		scaled[k] = double
-	}
 	_ = n
-	_ = gpus
-	_ = big
 	return keys
 }
 

@@ -3,21 +3,17 @@
 // carry a reason, and actually suppress something.
 package workload
 
-import "sort"
-
 var counts = map[string]int{}
 
-// Stale: the loop was refactored to the sortedKeys idiom, so the
-// directive suppresses nothing — detmap passes the loop before ever
-// consulting it.
-func sortedTotals() []string {
-	var keys []string
+// Stale: the loop was refactored to range a sorted key slice, so the
+// directive over it suppresses nothing.
+func sortedTotals(keys []string) int {
+	sum := 0
 	//pollux:order-ok totals accumulate commutatively // want `stale //pollux:order-ok: it suppresses no detmap finding`
-	for k := range counts {
-		keys = append(keys, k)
+	for _, k := range keys {
+		sum += counts[k]
 	}
-	sort.Strings(keys)
-	return keys
+	return sum
 }
 
 // Unknown: a typo'd directive name, or one no analyzer owns, is flagged
@@ -28,7 +24,7 @@ func total() int {
 	//pollux:wallclock-ok log timestamp only // want `unknown directive //pollux:wallclock-ok`
 	//pollux:rngshare-ok worker joined before the next draw // want `unknown directive //pollux:rngshare-ok`
 	sum := 0
-	for _, n := range counts {
+	for _, n := range counts { // want `range over map in determinism-critical package workload`
 		sum += n
 	}
 	return sum

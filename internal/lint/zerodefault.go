@@ -39,16 +39,9 @@ var ZeroDefault = &Analyzer{
 }
 
 func runZeroDefault(pass *Pass) error {
-	for _, f := range pass.Files {
-		if pass.isTestFile(f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isDefaultsFunc(fd.Name.Name) {
-				continue
-			}
-			checkDefaultsFunc(pass, fd)
+	for _, fd := range pass.funcDecls(nil) {
+		if isDefaultsFunc(fd.decl.Name.Name) {
+			checkDefaultsFunc(pass, fd.decl)
 		}
 	}
 	return nil
@@ -149,6 +142,16 @@ func checkDefaultsFunc(pass *Pass, fd *ast.FuncDecl) {
 	}
 	for _, s := range fd.Body.List {
 		walk(s, false)
+	}
+}
+
+func unlabel(s ast.Stmt) ast.Stmt {
+	for {
+		l, ok := s.(*ast.LabeledStmt)
+		if !ok {
+			return s
+		}
+		s = l.Stmt
 	}
 }
 
