@@ -188,7 +188,7 @@ func BenchmarkValidateEfficiencyOnRealSGD(b *testing.B) {
 
 // BenchmarkSchedSerialVsParallel compares the serial and parallel
 // scheduler paths on the standard 16-node Pollux experiment setup, the
-// companion to BenchmarkEngineTickVsEvent for this layer. The ga/1 vs
+// companion to BenchmarkSimStandardTrace for this layer. The ga/1 vs
 // ga/max ratio is the per-simulation speedup from concurrent GA fitness
 // evaluation; seeds/serial vs seeds/parallel adds the RunSeeds fan-out
 // over 4 seeds (paper-style repeated traces). Outputs are bit-identical
@@ -317,11 +317,9 @@ func BenchmarkReplayRound(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineTickVsEvent compares the fixed-step and discrete-event
-// simulation engines on the standard 16-node trace at a 1-second tick,
-// per policy. The ns/op ratio between the tick and event sub-benchmarks
-// is the engine speedup.
-func BenchmarkEngineTickVsEvent(b *testing.B) {
+// BenchmarkSimStandardTrace runs the simulator on the standard 16-node
+// trace at a 1-second profiling resolution, per policy.
+func BenchmarkSimStandardTrace(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tr := workload.Generate(rng, workload.Options{
 		Jobs: 40, Hours: 2, GPUsPerNode: 4, MaxGPUs: 64,
@@ -337,19 +335,17 @@ func BenchmarkEngineTickVsEvent(b *testing.B) {
 		{"tiresias", func(seed int64) sched.Policy { return sched.NewTiresias() }},
 	}
 	for _, pol := range policies {
-		for _, engine := range []string{sim.EngineTick, sim.EngineEvent} {
-			b.Run(pol.name+"/"+engine, func(b *testing.B) {
-				cfg := sim.Config{
-					Nodes: 16, GPUsPerNode: 4, Tick: 1,
-					UseTunedConfig: true, Seed: 1, Engine: engine,
-				}
-				var res sim.Result
-				for i := 0; i < b.N; i++ {
-					res = sim.NewCluster(tr, pol.make(1), cfg).Run()
-				}
-				b.ReportMetric(res.Summary.AvgJCT, "avgJCT-s")
-				b.ReportMetric(res.AvgGoodput, "goodput-ex/s")
-			})
-		}
+		b.Run(pol.name, func(b *testing.B) {
+			cfg := sim.Config{
+				Nodes: 16, GPUsPerNode: 4, Tick: 1,
+				UseTunedConfig: true, Seed: 1,
+			}
+			var res sim.Result
+			for i := 0; i < b.N; i++ {
+				res = sim.NewCluster(tr, pol.make(1), cfg).Run()
+			}
+			b.ReportMetric(res.Summary.AvgJCT, "avgJCT-s")
+			b.ReportMetric(res.AvgGoodput, "goodput-ex/s")
+		})
 	}
 }

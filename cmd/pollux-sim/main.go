@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pollux-sim [-policy pollux|optimus|tiresias] [-engine event|tick|replay]
+//	pollux-sim [-policy pollux|optimus|tiresias] [-engine event|replay]
 //	           [-jobs 160] [-hours 8] [-nodes 16] [-gpus 4] [-seed 1]
 //	           [-scale quick|full|mega] [-user] [-interference 0.5]
 //	           [-incremental] [-fullevery 10] [-racksize 16]
@@ -67,6 +67,13 @@ import (
 	"repro/internal/workload"
 )
 
+// The -engine values: the simulator's discrete-event engine, and the
+// testbed control path replayed on virtual time.
+const (
+	engineEvent  = "event"
+	engineReplay = "replay"
+)
+
 func main() {
 	policy := flag.String("policy", "pollux", "scheduling policy: pollux, optimus, or tiresias")
 	jobs := flag.Int("jobs", 160, "number of job submissions")
@@ -83,10 +90,10 @@ func main() {
 		"with -incremental: force a full re-optimization every N rounds (0 = default cadence, negative = never)")
 	rackSize := flag.Int("racksize", 0,
 		"Pollux only: nodes per rack for hierarchical rack-then-node GA decomposition (0 = flat); without -incremental every round is a full hierarchical one")
-	engine := flag.String("engine", sim.EngineEvent,
-		"simulation engine: event (discrete-event), tick (fixed-step), or replay (testbed control path on virtual time)")
+	engine := flag.String("engine", engineEvent,
+		"simulation engine: event (discrete-event) or replay (testbed control path on virtual time)")
 	overRPC := flag.Bool("rpc", false, "with -engine replay: drive the agent boundary over a loopback net/rpc socket")
-	tick := flag.Float64("tick", 2, "tick seconds (tick engine step / event engine profiling resolution)")
+	tick := flag.Float64("tick", 2, "profiling resolution in seconds (event engine)")
 	traceFile := flag.String("trace", "", "load a JSON trace (see pollux-trace -o) instead of generating")
 	events := flag.Int("events", 0, "print the last N scheduling events")
 	statusAddr := flag.String("status", "",
@@ -182,10 +189,8 @@ func main() {
 		}
 	}
 
-	const engineReplay = "replay"
-	if *engine != sim.EngineEvent && *engine != sim.EngineTick && *engine != engineReplay {
-		fmt.Fprintf(os.Stderr, "unknown engine %q (want %q, %q, or %q)\n",
-			*engine, sim.EngineEvent, sim.EngineTick, engineReplay)
+	if *engine != engineEvent && *engine != engineReplay {
+		fmt.Fprintf(os.Stderr, "unknown engine %q (want %q or %q)\n", *engine, engineEvent, engineReplay)
 		os.Exit(2)
 	}
 
@@ -245,7 +250,7 @@ func main() {
 	}
 
 	cfg := sim.Config{
-		Nodes: *nodes, GPUsPerNode: *gpus, Tick: *tick, Engine: *engine,
+		Nodes: *nodes, GPUsPerNode: *gpus, Tick: *tick,
 		UseTunedConfig:       !*user,
 		InterferenceSlowdown: *interference,
 		Seed:                 *seed,

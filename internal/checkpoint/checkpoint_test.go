@@ -13,7 +13,7 @@ type payload struct {
 	Rate  float64
 }
 
-func writeSample(t *testing.T) string {
+func writeSample(t testing.TB) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "state.ckpt")
 	if err := Write(path, "test-state", 1, payload{Name: "job-0", Round: 17, Rate: 0.1 + 0.2}); err != nil {

@@ -109,14 +109,6 @@ func (q *Queue) Pop() (Event, bool) {
 	return top, true
 }
 
-// Peek returns the earliest event without removing it.
-func (q *Queue) Peek() (Event, bool) {
-	if len(q.items) == 0 {
-		return Event{}, false
-	}
-	return q.items[0], true
-}
-
 func (q *Queue) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

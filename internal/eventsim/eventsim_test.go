@@ -88,22 +88,6 @@ func TestInsertionOrderIsFinalTieBreak(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotRemove(t *testing.T) {
-	var q Queue
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue reported an event")
-	}
-	q.Push(Event{Time: 2})
-	q.Push(Event{Time: 1})
-	e, ok := q.Peek()
-	if !ok || e.Time != 1 {
-		t.Fatalf("Peek = %+v, %v; want time 1", e, ok)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len after Peek = %d, want 2", q.Len())
-	}
-}
-
 // TestQueueMatchesReferenceSort fuzzes the heap against a stable sort of
 // the same events under the documented ordering.
 func TestQueueMatchesReferenceSort(t *testing.T) {

@@ -12,12 +12,12 @@ import (
 // singleJobCluster builds a cluster holding one running resnet18 job on 4
 // co-located GPUs, for exercising the progress-advance primitives
 // directly.
-func singleJobCluster(engine string) (*Cluster, *jobState) {
+func singleJobCluster() (*Cluster, *jobState) {
 	tr := workload.Trace{Jobs: []workload.Job{{
 		ID: 1, Model: "resnet18", Submit: 0,
 		TunedGPUs: 4, TunedBatch: 512, UserGPUs: 4, UserBatch: 512,
 	}}}
-	cfg := Config{Nodes: 4, GPUsPerNode: 4, Tick: 1, UseTunedConfig: true, Seed: 42, Engine: engine}
+	cfg := Config{Nodes: 4, GPUsPerNode: 4, Tick: 1, UseTunedConfig: true, Seed: 42}
 	c := NewCluster(tr, sched.NewTiresias(), cfg)
 	c.submitArrivals()
 	j := c.jobs[0]
@@ -31,8 +31,8 @@ func singleJobCluster(engine string) (*Cluster, *jobState) {
 // frozen rate — the defining property that lets the event engine skip
 // the time between events.
 func TestClosedFormAdvanceIsAdditive(t *testing.T) {
-	one, jOne := singleJobCluster(EngineEvent)
-	many, jMany := singleJobCluster(EngineEvent)
+	one, jOne := singleJobCluster()
+	many, jMany := singleJobCluster()
 	jOne.freeze(jOne.ClusterBatch(), 0, AgentInterval)
 	jMany.freeze(jMany.ClusterBatch(), 0, AgentInterval)
 	if jOne.rate.good <= 0 {
@@ -58,19 +58,19 @@ func TestClosedFormAdvanceIsAdditive(t *testing.T) {
 }
 
 // TestClosedFormAdvanceMatchesTickAccumulation: over one agent interval
-// the closed-form jump must agree with the tick engine's per-tick
-// accumulation to well under the 5% cross-engine tolerance (the only
-// difference is that the tick engine re-reads the slowly drifting
-// efficiency every second).
+// the closed-form jump must agree with a fixed-step accumulation of
+// Job.Step — one second at a time, re-reading the slowly drifting
+// efficiency at every step — to well under the 5% parity band the replay
+// is held to.
 func TestClosedFormAdvanceMatchesTickAccumulation(t *testing.T) {
-	ev, jEv := singleJobCluster(EngineEvent)
-	tk, jTk := singleJobCluster(EngineTick)
+	ev, jEv := singleJobCluster()
+	tk, jTk := singleJobCluster()
 
 	jEv.freeze(jEv.ClusterBatch(), 0, AgentInterval)
 	jEv.advanceTo(30, ev.cfg.Tick)
 
-	for tk.now = 0; tk.now < 30; tk.now += tk.cfg.Tick {
-		tk.advance(tk.cfg.Tick)
+	for now := 0.0; now < 30; now += tk.cfg.Tick {
+		jTk.Step(jTk.ClusterBatch(), 0, tk.cfg.Tick)
 	}
 
 	if jEv.Progress <= 0 || jTk.Progress <= 0 {
@@ -89,7 +89,7 @@ func TestClosedFormAdvanceMatchesTickAccumulation(t *testing.T) {
 // inside the advanced interval contributes no progress, run time, or GPU
 // time.
 func TestClosedFormAdvanceExcludesRestartPause(t *testing.T) {
-	c, j := singleJobCluster(EngineEvent)
+	c, j := singleJobCluster()
 	j.freeze(j.ClusterBatch(), 0, AgentInterval)
 	good := j.rate.good
 
@@ -104,7 +104,7 @@ func TestClosedFormAdvanceExcludesRestartPause(t *testing.T) {
 	}
 
 	// A pause covering the whole interval freezes the job entirely.
-	c2, j2 := singleJobCluster(EngineEvent)
+	c2, j2 := singleJobCluster()
 	j2.freeze(j2.ClusterBatch(), 0, AgentInterval)
 	j2.RestartUntil = 1000
 	j2.advanceTo(300, c2.cfg.Tick)
@@ -120,7 +120,7 @@ func TestClosedFormAdvanceExcludesRestartPause(t *testing.T) {
 // exactly on the learning-rate decay boundary, so the post-decay rate is
 // computed from the jumped noise scale with no boundary-straddling error.
 func TestEventEngineSnapsDecayBoundaries(t *testing.T) {
-	c, j := singleJobCluster(EngineEvent)
+	c, j := singleJobCluster()
 	j.freeze(j.ClusterBatch(), 0, AgentInterval)
 	if j.rate.good <= 0 {
 		t.Fatal("no rate")
@@ -163,5 +163,39 @@ func TestEventEngineSnapsDecayBoundaries(t *testing.T) {
 	wantT := c.now + (first-j.Progress)/j.rate.good
 	if math.Abs(e.Time-wantT) > 1e-9*math.Max(wantT, 1) {
 		t.Errorf("milestone time %v, want %v", e.Time, wantT)
+	}
+}
+
+// TestEventEngineAdmitsBoundaryAlignedArrival: a job whose submit time
+// coincides exactly with a scheduling instant must be admitted to that
+// round, not deferred a full SchedInterval by the cluster-before-job event
+// ordering.
+func TestEventEngineAdmitsBoundaryAlignedArrival(t *testing.T) {
+	tr := workload.Trace{Jobs: []workload.Job{{
+		ID: 1, Model: "resnet18", Submit: 60, // exactly the 2nd sched round
+		TunedGPUs: 4, TunedBatch: 512, UserGPUs: 4, UserBatch: 512,
+	}}}
+	cfg := Config{
+		Nodes: 4, GPUsPerNode: 4, UseTunedConfig: true,
+		Seed: 1, LogEvents: true,
+	}
+	res := NewCluster(tr, sched.NewTiresias(), cfg).Run()
+	var submitAt, allocAt float64
+	allocAt = -1
+	for _, e := range res.Events {
+		switch e.Kind {
+		case EventSubmit:
+			submitAt = e.Time
+		case EventAllocate:
+			if allocAt < 0 {
+				allocAt = e.Time
+			}
+		}
+	}
+	if submitAt != 60 {
+		t.Fatalf("submit recorded at %v, want 60", submitAt)
+	}
+	if allocAt != 60 {
+		t.Errorf("first allocation at %v, want 60 (same round as the boundary-aligned arrival)", allocAt)
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
@@ -23,13 +22,10 @@ type AutoscaleConfig struct {
 	// RespectExploreCap applies Pollux's 2x-lifetime-max exploration cap
 	// to the node count (part of PolluxAgent's design, not Or et al.'s).
 	RespectExploreCap bool
-	// Tick is the step of the fixed-step engine and the profiling
-	// resolution of the event engine (see sim.Config.Tick).
+	// Tick is the profiling resolution (see sim.Config.Tick).
 	Tick    float64
 	MaxTime float64 // default DefaultMaxTime
 	Seed    int64
-	// Engine selects EngineEvent (default) or EngineTick, as in Config.
-	Engine string
 	// SamplePeriod controls the resolution of the recorded time series;
 	// default 300 s.
 	SamplePeriod float64
@@ -54,12 +50,6 @@ func (c *AutoscaleConfig) defaults() {
 	if c.SamplePeriod <= 0 {
 		c.SamplePeriod = 300
 	}
-	if c.Engine == "" {
-		c.Engine = EngineEvent
-	}
-	if c.Engine != EngineEvent && c.Engine != EngineTick {
-		panic(fmt.Sprintf("sim: unknown engine %q (want %q or %q)", c.Engine, EngineEvent, EngineTick))
-	}
 }
 
 // AutoscalePoint is one sample of the Fig. 10 time series.
@@ -80,11 +70,14 @@ type AutoscaleResult struct {
 
 // RunAutoscale trains one job from the model zoo to completion under the
 // given autoscaler, reproducing the Fig. 10 comparison between
-// goodput-based (Pollux) and throughput-based (Or et al.) scaling. The
-// configured engine selects between the discrete-event loop (default) and
-// the original fixed-step loop.
+// goodput-based (Pollux) and throughput-based (Or et al.) scaling.
 func RunAutoscale(spec *models.Spec, scaler sched.Autoscaler, cfg AutoscaleConfig) AutoscaleResult {
-	return newAutoscaleRun(spec, scaler, cfg).run()
+	r := newAutoscaleRun(spec, scaler, cfg)
+	r.runEvent()
+	if !r.res.Completed {
+		r.res.CompletionTime = r.cfg.MaxTime
+	}
+	return r.res
 }
 
 func newAutoscaleRun(spec *models.Spec, scaler sched.Autoscaler, cfg AutoscaleConfig) *autoscaleRun {
@@ -100,23 +93,10 @@ func newAutoscaleRun(spec *models.Spec, scaler sched.Autoscaler, cfg AutoscaleCo
 	return r
 }
 
-func (r *autoscaleRun) run() AutoscaleResult {
-	if r.cfg.Engine == EngineTick {
-		r.runTick()
-	} else {
-		r.runEvent()
-	}
-	if !r.res.Completed {
-		r.res.CompletionTime = r.cfg.MaxTime
-	}
-	return r.res
-}
-
-// autoscaleRun is what the two single-job loops share: the job, and the
-// nodes it trains on, pays for and waits for. The loops differ only in how
-// time passes between the four things that happen — provisioning
-// completion, agent round, scaling decision, sample — which they run in
-// that order at one instant.
+// autoscaleRun is one single-job run: the job, and the nodes it trains on,
+// pays for and waits for. Four things happen to it — provisioning
+// completion, agent round, scaling decision, sample — in that order at one
+// instant.
 type autoscaleRun struct {
 	cfg    AutoscaleConfig
 	scaler sched.Autoscaler
@@ -207,38 +187,7 @@ func (r *autoscaleRun) sample(now float64) {
 	})
 }
 
-// runTick is the fixed-step loop, kept as the parity oracle for runEvent.
-func (r *autoscaleRun) runTick() {
-	cfg, j := r.cfg, &r.job
-	nextAgent, nextDecision, nextSample := 0.0, 0.0, 0.0
-	for now := 0.0; now < cfg.MaxTime; now += cfg.Tick {
-		r.provisioned(now)
-		if now >= nextAgent {
-			r.agentRound()
-			nextAgent += AgentInterval
-		}
-		if now >= nextDecision {
-			r.decide(now)
-			nextDecision += SchedInterval
-		}
-		if now >= nextSample {
-			r.sample(now)
-			nextSample += cfg.SamplePeriod
-		}
-		// Pay for all held nodes.
-		r.res.CostNodeSeconds += float64(r.paid) * cfg.Tick
-		if now >= j.RestartUntil {
-			j.Step(j.SingleJobBatch(), 0, cfg.Tick)
-			if j.Finished() {
-				r.res.CompletionTime, r.res.Completed = now+cfg.Tick, true
-				return
-			}
-		}
-	}
-}
-
-// Event kinds of runEvent, in intra-instant execution order (matching the
-// fixed-step loop's per-tick sequence).
+// Event kinds of runEvent, in intra-instant execution order.
 const (
 	asProvision = iota // requested nodes join the cluster
 	asAgent            // agent profiling/tuning round

@@ -162,3 +162,52 @@ func TestClampBatch(t *testing.T) {
 		t.Errorf("cluster rule ran a batch below m0 at %d", got)
 	}
 }
+
+// stepScaler asks for the next of a fixed sequence of node counts at each
+// decision.
+type stepScaler struct{ wants []int }
+
+func (s *stepScaler) Name() string { return "step" }
+
+func (s *stepScaler) DesiredNodes(core.Model, int) int {
+	n := s.wants[0]
+	s.wants = s.wants[1:]
+	return n
+}
+
+// TestProvisionedWaitsForLatestRequest: with a provisioning delay longer
+// than the decision interval, two scale-ups overlap, and the second pushes
+// the readiness time out. The first request's due time then promotes
+// nothing; the nodes of both requests join together at the second's.
+func TestProvisionedWaitsForLatestRequest(t *testing.T) {
+	r := newAutoscaleRun(scaledDownImagenet(), &stepScaler{wants: []int{2, 4}}, autoscaleCfg(false))
+	r.provisionDelay = 150 // > SchedInterval: requests overlap
+	if requested, _ := r.decide(0); !requested {
+		t.Fatal("first decision requested no nodes")
+	}
+	if requested, _ := r.decide(SchedInterval); !requested {
+		t.Fatal("second decision requested no nodes")
+	}
+	if r.ready != 1 || r.provisioning != 3 || r.paid != 4 {
+		t.Fatalf("after two requests: ready %d, provisioning %d, paid %d; want 1, 3, 4", r.ready, r.provisioning, r.paid)
+	}
+
+	if r.provisioned(150) {
+		t.Error("nodes joined at the first request's due time, before the second's")
+	}
+	if r.ready != 1 || r.job.Placement.Nodes != 1 {
+		t.Errorf("at t=150: ready %d, placed on %d nodes; want 1", r.ready, r.job.Placement.Nodes)
+	}
+
+	if !r.provisioned(SchedInterval + 150) {
+		t.Fatal("nodes did not join at the second request's due time")
+	}
+	if r.ready != 4 || r.provisioning != 0 || r.job.Placement.Nodes != 4 || r.job.Placement.GPUs != 16 {
+		t.Errorf("at t=210: ready %d, provisioning %d, placement %+v; want both batches placed on 4 nodes",
+			r.ready, r.provisioning, r.job.Placement)
+	}
+	//pollux:floateq-ok both sides add the same three constants; any difference is a real bug
+	if want := SchedInterval + 150 + RestartDelay; r.job.RestartUntil != want {
+		t.Errorf("RestartUntil = %v, want %v", r.job.RestartUntil, want)
+	}
+}

@@ -14,7 +14,7 @@ import (
 // two scheduling rounds, exactly where the service checkpoints — must
 // leave the rest of the simulation bit-identical to an uninterrupted run,
 // under incremental + rack-hierarchical rounds at any fitness worker
-// count and under both engines.
+// count.
 func TestSimCheckpointRoundTripBitIdentical(t *testing.T) {
 	tr := smallOnly(smallTrace(5, 10))
 	if len(tr.Jobs) < 4 {
@@ -24,47 +24,44 @@ func TestSimCheckpointRoundTripBitIdentical(t *testing.T) {
 		Population: 20, Generations: 10,
 		Incremental: true, FullEvery: 3, RackSize: 2,
 	}
-	for _, engine := range []string{EngineEvent, EngineTick} {
-		for _, workers := range []int{1, 4} {
-			o := opts
-			o.Workers = workers
-			t.Run(engine+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
-				cfg := fastCfg(2)
-				cfg.Engine = engine
-				plain := NewCluster(tr, sched.NewPollux(o, 2), cfg).Run()
+	for _, workers := range []int{1, 4} {
+		o := opts
+		o.Workers = workers
+		t.Run("event/workers="+string(rune('0'+workers)), func(t *testing.T) {
+			cfg := fastCfg(2)
+			plain := NewCluster(tr, sched.NewPollux(o, 2), cfg).Run()
 
-				p := sched.NewPollux(o, 2)
-				rounds := 0
-				cfgCk := cfg
-				cfgCk.OnRound = func(now float64) {
-					rounds++
-					if rounds%5 != 0 {
-						return
-					}
-					// Round-trip through real JSON bytes so canonical float
-					// and uint64 encoding is part of what is pinned.
-					raw, err := json.Marshal(p.Snapshot())
-					if err != nil {
-						t.Fatalf("marshal at t=%.0f: %v", now, err)
-					}
-					var snap sched.PolluxSnapshot
-					if err := json.Unmarshal(raw, &snap); err != nil {
-						t.Fatalf("unmarshal at t=%.0f: %v", now, err)
-					}
-					if err := p.Restore(&snap); err != nil {
-						t.Fatalf("restore at t=%.0f: %v", now, err)
-					}
+			p := sched.NewPollux(o, 2)
+			rounds := 0
+			cfgCk := cfg
+			cfgCk.OnRound = func(now float64) {
+				rounds++
+				if rounds%5 != 0 {
+					return
 				}
-				ck := NewCluster(tr, p, cfgCk).Run()
+				// Round-trip through real JSON bytes so canonical float
+				// and uint64 encoding is part of what is pinned.
+				raw, err := json.Marshal(p.Snapshot())
+				if err != nil {
+					t.Fatalf("marshal at t=%.0f: %v", now, err)
+				}
+				var snap sched.PolluxSnapshot
+				if err := json.Unmarshal(raw, &snap); err != nil {
+					t.Fatalf("unmarshal at t=%.0f: %v", now, err)
+				}
+				if err := p.Restore(&snap); err != nil {
+					t.Fatalf("restore at t=%.0f: %v", now, err)
+				}
+			}
+			ck := NewCluster(tr, p, cfgCk).Run()
 
-				if rounds == 0 {
-					t.Fatal("OnRound hook never fired")
-				}
-				if !reflect.DeepEqual(plain, ck) {
-					t.Fatalf("save/restore every 5th round changed the %s run at %d workers:\n%+v\nvs\n%+v",
-						engine, workers, plain.Summary, ck.Summary)
-				}
-			})
-		}
+			if rounds == 0 {
+				t.Fatal("OnRound hook never fired")
+			}
+			if !reflect.DeepEqual(plain, ck) {
+				t.Fatalf("save/restore every 5th round changed the run at %d workers:\n%+v\nvs\n%+v",
+					workers, plain.Summary, ck.Summary)
+			}
+		})
 	}
 }

@@ -41,41 +41,37 @@ func TestClusterAutoscaleCompletesAndSavesCost(t *testing.T) {
 	}
 }
 
+// TestClusterAutoscaleNeverExceedsBounds: after every scheduling round of
+// a whole run, the paid cluster size is within the configured bounds and
+// no job holds GPUs on a node the autoscaler has released.
 func TestClusterAutoscaleNeverExceedsBounds(t *testing.T) {
 	tr := smallOnly(smallTrace(22, 10))
 	cfg := fastCfg(22)
 	cfg.Nodes = 8
 	cfg.Autoscale = &ClusterAutoscaleConfig{MinNodes: 2, MaxNodes: 6}
-	c := NewCluster(tr, fastPollux(22), cfg)
-	nextSched := 0.0
-	nextAgent := 0.0
-	for c.now = 0; c.now < 2*3600; c.now += cfg.Tick {
-		c.submitArrivals()
-		if c.now >= nextAgent {
-			c.agentTick()
-			nextAgent += 30
+	var c *Cluster
+	rounds, grew := 0, false
+	cfg.OnRound = func(now float64) {
+		rounds++
+		total := c.activeNodes + c.provisioning
+		if total < 2 || total > 6 {
+			t.Fatalf("t=%v cluster size %d outside [2, 6]", now, total)
 		}
-		if c.now >= nextSched {
-			c.autoscaleTick()
-			c.scheduleTick()
-			nextSched += 60
-			total := c.activeNodes + c.provisioning
-			if total < 2 || total > 6 {
-				t.Fatalf("t=%v cluster size %d outside [2, 6]", c.now, total)
-			}
-			// Allocations must fit the active capacity.
-			for _, j := range c.active() {
-				for n := c.activeNodes; n < len(j.alloc); n++ {
-					if j.alloc[n] > 0 {
-						t.Fatalf("t=%v job %d allocated on inactive node %d", c.now, j.wj.ID, n)
-					}
+		grew = grew || total > 2
+		for _, j := range c.jobs {
+			for n := c.activeNodes; n < len(j.alloc); n++ {
+				if j.alloc[n] > 0 {
+					t.Fatalf("t=%v job %d allocated on inactive node %d", now, j.wj.ID, n)
 				}
 			}
 		}
-		c.advance(cfg.Tick)
-		if c.allDone() {
-			break
-		}
+	}
+	c = NewCluster(tr, fastPollux(22), cfg)
+	if res := c.Run(); res.Summary.Completed != len(tr.Jobs) {
+		t.Errorf("completed %d of %d jobs", res.Summary.Completed, len(tr.Jobs))
+	}
+	if rounds == 0 || !grew {
+		t.Errorf("%d rounds checked, cluster grew: %v; the run does not cover scaling", rounds, grew)
 	}
 }
 

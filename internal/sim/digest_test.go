@@ -75,8 +75,8 @@ func digestFrontEnd(c *Config) {
 	}
 }
 
-// TestRunDigestsPinned pins whole fixed-seed trajectories of every engine
-// in this package: a job's ground truth (true rate, efficiency, the agent's
+// TestRunDigestsPinned pins whole fixed-seed trajectories of the cluster
+// simulator and of single-job autoscaling: a job's ground truth (true rate, efficiency, the agent's
 // noisy observations) feeds every scheduling decision, so one moved rng
 // draw or one reassociated product anywhere in it changes a finish time in
 // the last digits and therefore a digest. The exhibits carry a 5% band and
@@ -96,15 +96,13 @@ func TestRunDigestsPinned(t *testing.T) {
 			return runDigest(NewCluster(tr, p, cfg).Run())
 		}
 	}
-	autoscale := func(goodput bool, engine string) func() string {
+	autoscale := func(goodput bool) func() string {
 		return func() string {
 			scaler := sched.Autoscaler(sched.NewThroughputAutoscaler(1, 16, 0.9))
 			if goodput {
 				scaler = sched.NewGoodputAutoscaler(1, 16)
 			}
-			cfg := autoscaleCfg(goodput)
-			cfg.Engine = engine
-			return autoscaleDigest(RunAutoscale(scaledDownImagenet(), scaler, cfg))
+			return autoscaleDigest(RunAutoscale(scaledDownImagenet(), scaler, autoscaleCfg(goodput)))
 		}
 	}
 	for _, c := range []struct {
@@ -133,18 +131,8 @@ func TestRunDigestsPinned(t *testing.T) {
 			c.Nodes = 8
 			c.Autoscale = &ClusterAutoscaleConfig{MinNodes: 1, MaxNodes: 8}
 		}), "f04dd20869174875"},
-		{"tick/pollux", cluster(small, fastPollux(1), func(c *Config) {
-			c.Engine = EngineTick
-		}), "1f5f6284fc50b71d"},
-		// The tick engine shares agentTick and Round with the event engine;
-		// this leg was recorded before either stopped fitting models that
-		// Tiresias does not read.
-		{"tick/tiresias", cluster(small, sched.NewTiresias(), func(c *Config) {
-			c.Engine = EngineTick
-		}), "7514d95b84c56c89"},
-		{"autoscale/event/goodput", autoscale(true, EngineEvent), "e16486068a6e421e"},
-		{"autoscale/event/throughput", autoscale(false, EngineEvent), "213273214f48175d"},
-		{"autoscale/tick/goodput", autoscale(true, EngineTick), "6f775a8cae939514"},
+		{"autoscale/event/goodput", autoscale(true), "e16486068a6e421e"},
+		{"autoscale/event/throughput", autoscale(false), "213273214f48175d"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if got := c.run(); got != c.want {

@@ -4,9 +4,9 @@ import "repro/internal/eventsim"
 
 // Event kinds for the cluster event engine, in intra-instant execution
 // order within each eventsim class. At one timestamp the agent round runs
-// before provisioning completion, which runs before the scheduling round
-// (mirroring the tick engine's per-tick sequence); all of those run
-// before any per-job event at the same instant.
+// before provisioning completion, which runs before the scheduling round;
+// all of those run before any per-job event at the same instant, and the
+// two rounds first admit every arrival due by then.
 const (
 	// Cluster-class kinds.
 	evAgent     = iota // agent report/tune round, every AgentInterval
@@ -18,12 +18,13 @@ const (
 	evMilestone // predicted decay-boundary crossing or job finish
 )
 
-// runEvent is the discrete-event engine: the clock jumps between pending
-// events — job arrivals, agent report/tune rounds, scheduling rounds,
-// provisioning completions, restart expiries, and the closed-form
-// predicted progress milestones (learning-rate decay crossings and job
-// finishes) — instead of stepping a fixed tick.
-func (c *Cluster) runEvent() Result {
+// Run executes the simulation to completion (all jobs done or MaxTime) on
+// the discrete-event engine: the clock jumps between pending events — job
+// arrivals, agent report/tune rounds, scheduling rounds, provisioning
+// completions, restart expiries, and the closed-form predicted progress
+// milestones (learning-rate decay crossings and job finishes) — instead of
+// stepping a fixed tick.
+func (c *Cluster) Run() Result {
 	cfg := c.cfg
 	var q eventsim.Queue
 
@@ -55,15 +56,14 @@ func (c *Cluster) runEvent() Result {
 			}
 			// Ties pop in ascending job-ID order (eventsim ordering),
 			// matching submitArrivals' trace order, so the admission
-			// stage sees arrivals identically under both paths.
+			// stage sees arrivals in the same order by either path.
 			c.submitJob(j)
 
 		case evAgent:
 			// Cluster events pop before job events at equal timestamps,
 			// so a job whose submit time coincides exactly with this
-			// round would otherwise miss it and wait a whole interval
-			// (the tick engine admits arrivals first); admit due
-			// arrivals here, leaving their evArrival a no-op.
+			// round would otherwise miss it and wait a whole interval;
+			// admit due arrivals here, leaving their evArrival a no-op.
 			c.submitArrivals()
 			c.advanceAll()
 			c.agentTick()
@@ -120,7 +120,7 @@ func (c *Cluster) runEvent() Result {
 	})
 
 	// Unfinished tail: account running time and cluster cost up to the
-	// horizon, as the tick engine does.
+	// horizon.
 	if !c.allDone() && c.now < cfg.MaxTime {
 		c.integrateCost(cfg.MaxTime)
 		c.now = cfg.MaxTime

@@ -1,10 +1,48 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
+
+// standardTrace is the paper-shaped 16-node evaluation workload.
+func standardTrace() workload.Trace {
+	rng := rand.New(rand.NewSource(1))
+	return workload.Generate(rng, workload.Options{
+		Jobs: 40, Hours: 2, GPUsPerNode: 4, MaxGPUs: 64,
+	})
+}
+
+func parityConfig(seed int64) Config {
+	return Config{
+		Nodes: 16, GPUsPerNode: 4, Tick: 1,
+		UseTunedConfig: true, Seed: seed,
+	}
+}
+
+// paritySeeds are the config and policy seeds the incremental parity check
+// averages over. A single seed is one draw from the spread between two
+// trajectories, not the agreement of two schedulers: per seed, incremental
+// goodput is 8.6% to 17.5% above full on this trace and avg JCT 1.1% below
+// to 4.6% above. Which seeds sit at the edge of a band moves with any
+// change to the fit (EXPERIMENTS.md, "θsys fit in scaled variables and log
+// space"); the mean over four seeds moves far less.
+var paritySeeds = []int64{1, 2, 3, 4}
+
+// parityMeans is the mean over paritySeeds of the metrics parity is judged on.
+type parityMeans struct {
+	jct, goodput, efficiency float64
+}
+
+func (m *parityMeans) add(r Result) {
+	n := float64(len(paritySeeds))
+	m.jct += r.Summary.AvgJCT / n
+	m.goodput += r.AvgGoodput / n
+	m.efficiency += r.Summary.AvgEfficiency / n
+}
 
 // TestIncrementalPolluxParityOnStandardTrace is the end-to-end half of
 // the incremental-scheduling parity criterion: on the standard 16-node
@@ -16,9 +54,8 @@ import (
 // so the comparison is statistical, on the mean over paritySeeds; the bar
 // is 10% — the band the scaled-down exhibits use for JCT-level
 // conclusions. It is one-sided: incremental rounds average higher goodput
-// than full ones on this trace (+8.9% over seeds 1–4 before PR 17's fit,
-// +10.9% with it, at an avg JCT 5.8% and 3.3% longer), and a scheduler is
-// not failed for being better.
+// than full ones on this trace (+13.7% over seeds 1–4, at an avg JCT 0.8%
+// longer), and a scheduler is not failed for being better.
 func TestIncrementalPolluxParityOnStandardTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scheduler comparison")
@@ -28,7 +65,7 @@ func TestIncrementalPolluxParityOnStandardTrace(t *testing.T) {
 	for _, seed := range paritySeeds {
 		run := func(opts sched.PolluxOptions) Result {
 			opts.Population, opts.Generations = 20, 10
-			return NewCluster(tr, sched.NewPollux(opts, seed), parityConfig(EngineTick, seed)).Run()
+			return NewCluster(tr, sched.NewPollux(opts, seed), parityConfig(seed)).Run()
 		}
 		fr, ir := run(sched.PolluxOptions{}), run(sched.PolluxOptions{Incremental: true, RackSize: 4})
 		if fr.Summary.Completed != ir.Summary.Completed {

@@ -71,9 +71,6 @@ func TestPublishedRowsAreNeverWritten(t *testing.T) {
 		{name: "pollux", policy: func() sched.Policy { return fastPollux(1) }},
 		{name: "tiresias", policy: func() sched.Policy { return sched.NewTiresias() }},
 		{name: "optimus", policy: func() sched.Policy { return sched.NewOptimus(4) }},
-		{name: "tick/tiresias", policy: func() sched.Policy { return sched.NewTiresias() }, mod: func(c *Config) {
-			c.Engine = EngineTick
-		}},
 		{name: "autoscale", policy: func() sched.Policy { return fastPollux(1) }, mod: func(c *Config) {
 			c.Nodes = 8
 			c.Autoscale = &ClusterAutoscaleConfig{MinNodes: 1, MaxNodes: 8}
@@ -142,10 +139,8 @@ func TestLiveListMatchesScan(t *testing.T) {
 		mod    func(*Config)
 	}{
 		{"event", small, sched.NewTiresias(), nil},
-		{"tick", small, sched.NewTiresias(), func(c *Config) { c.Engine = EngineTick }},
 		{"frontend", digestTenantTrace(11), sched.NewTiresias(), digestFrontEnd},
 		{"coincident/event", coincident(t, smallOnly(smallTrace(2, 96))), sched.NewOptimus(4), nil},
-		{"coincident/tick", coincident(t, smallOnly(smallTrace(2, 96))), sched.NewOptimus(4), func(c *Config) { c.Engine = EngineTick }},
 		{"autoscale", small, fastPollux(1), func(c *Config) {
 			c.Nodes = 8
 			c.Autoscale = &ClusterAutoscaleConfig{MinNodes: 1, MaxNodes: 8}

@@ -31,17 +31,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Engine selects how the simulation clock advances.
-const (
-	// EngineEvent is the discrete-event engine (the default): the clock
-	// jumps between scheduled events and job progress advances in closed
-	// form between them. See internal/eventsim and engine_event.go.
-	EngineEvent = "event"
-	// EngineTick is the original fixed-step engine, kept as a parity
-	// oracle for the event engine and for tick-resolution studies.
-	EngineTick = "tick"
-)
-
 // The control loop's timing and measurement noise, fixed as the paper fixes
 // them. This is their one declaration: the cluster simulator, RunAutoscale,
 // cluster.Replay with its trainers and the pollux-sched daemon all read it.
@@ -69,16 +58,10 @@ const (
 type Config struct {
 	Nodes       int // number of nodes; default 16
 	GPUsPerNode int // GPUs per node; default 4
-	// Tick is the fixed step of the tick engine and, for the event
-	// engine, the profiling resolution: an advanced segment is weighted
-	// as dt/Tick throughput observations so agents see the same
-	// profile statistics under either engine. Default 1 s.
+	// Tick is the profiling resolution: an advanced segment is weighted
+	// as dt/Tick throughput observations, the count a profiler sampling
+	// once per Tick would record. Default 1 s.
 	Tick float64
-	// Engine selects the simulation engine: EngineEvent (default) or
-	// EngineTick. Both implement the same cluster semantics; the event
-	// engine is an order of magnitude faster because it skips the time
-	// between events.
-	Engine string
 	// InterferenceSlowdown in [0, 1) slows distributed jobs that share a
 	// node with another distributed job (Sec. 5.3.2); 0 disables.
 	InterferenceSlowdown float64
@@ -107,7 +90,7 @@ type Config struct {
 	// priority, internal/admit) that gates arrivals and orders the
 	// scheduler's snapshot; nil disables it, leaving the control loop
 	// bit-identical to a front-end-less build. Invalid policy names panic
-	// in NewCluster, like an invalid Engine.
+	// in NewCluster.
 	FrontEnd *admit.Options
 	// Autoscale enables Sec. 4.2.2 multi-job cluster autoscaling: Nodes
 	// then acts as the maximum cluster size and the active size varies.
@@ -116,10 +99,10 @@ type Config struct {
 	// re-allocations, batch changes, completions) in the Result.
 	LogEvents bool
 	// OnRound, when set, runs after every scheduling round with the
-	// simulation time of the round, under both engines. It exists for
-	// observability (the opt-in pollux-sim status endpoint publishes
-	// from it) and for checkpoint round-trip tests; implementations
-	// observe — they must not mutate the cluster.
+	// simulation time of the round. It exists for observability (the
+	// opt-in pollux-sim status endpoint publishes from it) and for tests
+	// that check a run between rounds; implementations observe — they
+	// must not mutate the cluster.
 	OnRound func(now float64)
 }
 
@@ -132,12 +115,6 @@ func (c *Config) defaults() {
 	}
 	if c.Tick <= 0 {
 		c.Tick = 1
-	}
-	if c.Engine == "" {
-		c.Engine = EngineEvent
-	}
-	if c.Engine != EngineEvent && c.Engine != EngineTick {
-		panic(fmt.Sprintf("sim: unknown engine %q (want %q or %q)", c.Engine, EngineEvent, EngineTick))
 	}
 	if c.MaxTime <= 0 {
 		c.MaxTime = DefaultMaxTime
@@ -188,7 +165,7 @@ func (j *jobState) fixedBatch() (gpus, batch int) {
 	return j.wj.UserGPUs, j.wj.UserBatch
 }
 
-// Result aggregates one run, of any engine.
+// Result aggregates one run, of the simulator or of cluster.Replay.
 type Result struct {
 	Summary metrics.Summary
 	// PerJob finishing records aligned with the trace order.
@@ -370,43 +347,6 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 	return c
 }
 
-// Run executes the simulation to completion (all jobs done or MaxTime)
-// under the configured engine.
-func (c *Cluster) Run() Result {
-	if c.cfg.Engine == EngineTick {
-		return c.runTick()
-	}
-	return c.runEvent()
-}
-
-// runTick is the fixed-step engine: wall-clock advances by cfg.Tick and
-// every job's progress is accumulated tick by tick.
-func (c *Cluster) runTick() Result {
-	cfg := c.cfg
-	nextSched := 0.0
-	nextAgent := 0.0
-	for c.now = 0; c.now < cfg.MaxTime; c.now += cfg.Tick {
-		c.submitArrivals()
-		if c.now >= nextAgent {
-			c.agentTick()
-			nextAgent += AgentInterval
-		}
-		if c.now >= nextSched {
-			if cfg.Autoscale != nil {
-				c.autoscaleTick()
-			}
-			c.scheduleTick()
-			nextSched += SchedInterval
-		}
-		c.nodeSeconds += float64(c.activeNodes+c.provisioning) * cfg.Tick
-		c.advance(cfg.Tick)
-		if c.allDone() {
-			break
-		}
-	}
-	return c.result()
-}
-
 // submitArrivals submits every job due by now that an arrival event has
 // not submitted already.
 func (c *Cluster) submitArrivals() {
@@ -418,8 +358,8 @@ func (c *Cluster) submitArrivals() {
 }
 
 // submitJob runs one arrival through the admission stage. Jobs reach
-// admission in trace order (submit-sorted, ties in stable ID order) under
-// every engine — the same order cluster.Replay presents them — and the
+// admission in trace order (submit-sorted, ties in stable ID order) — the
+// same order cluster.Replay presents them — and the
 // request carries the trace's submit time, not the engine's clock, so
 // admission decisions are bit-identical across deployments. A rejected
 // job is terminal: it never becomes active and never finishes. An
@@ -564,8 +504,7 @@ func (c *Cluster) Round(now float64) *sched.ClusterView {
 
 // Commit installs the rows of the validated allocation matrix that
 // changed on the last Round's jobs — nothing finishes between the two, so
-// they are the live list; interference is recomputed once per round, as
-// the tick engines always have.
+// they are the live list; interference is recomputed once per round.
 func (c *Cluster) Commit(m ga.Matrix, changed []bool) error {
 	for i, j := range c.live {
 		if changed[i] {
@@ -629,23 +568,6 @@ func (c *Cluster) recomputeInterference() {
 				j.slowdown = c.cfg.InterferenceSlowdown
 				break
 			}
-		}
-	}
-}
-
-// advance progresses every running job by dt seconds of training.
-func (c *Cluster) advance(dt float64) {
-	for _, j := range c.active() {
-		if j.Placement.GPUs == 0 || c.now < j.RestartUntil {
-			continue
-		}
-		m := j.ClusterBatch()
-		if m == 0 {
-			continue // cannot run: initial batch does not fit
-		}
-		j.Step(m, j.slowdown, dt)
-		if j.Finished() {
-			c.finishJob(j, c.now+dt)
 		}
 	}
 }

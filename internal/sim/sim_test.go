@@ -3,8 +3,10 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/eventsim"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/sched"
@@ -69,39 +71,37 @@ func TestClusterCompletesSmallTraceAllPolicies(t *testing.T) {
 	}
 }
 
+// TestClusterNeverOversubscribesGPUs: after every scheduling round of a
+// whole run, no node holds more GPUs than it has, summed over every job of
+// the trace, and the cluster's running usage totals agree with that sum.
 func TestClusterNeverOversubscribesGPUs(t *testing.T) {
 	tr := smallOnly(smallTrace(2, 16))
 	cfg := fastCfg(2)
-	c := NewCluster(tr, fastPollux(2), cfg)
-	// Drive the simulation manually, checking the GPU-capacity invariant
-	// at every scheduling application.
-	nextSched := 0.0
-	nextAgent := 0.0
-	for c.now = 0; c.now < 3*3600; c.now += cfg.Tick {
-		c.submitArrivals()
-		if c.now >= nextAgent {
-			c.agentTick()
-			nextAgent += 30
-		}
-		if c.now >= nextSched {
-			c.scheduleTick()
-			nextSched += 60
-			usage := make([]int, cfg.Nodes)
-			for _, j := range c.active() {
-				for n, g := range j.alloc {
-					usage[n] += g
-				}
-			}
-			for n, u := range usage {
-				if u > cfg.GPUsPerNode {
-					t.Fatalf("t=%v node %d oversubscribed: %d > %d", c.now, n, u, cfg.GPUsPerNode)
-				}
+	var c *Cluster
+	rounds := 0
+	cfg.OnRound = func(now float64) {
+		rounds++
+		usage := make([]int, cfg.Nodes)
+		for _, j := range c.jobs {
+			for n, g := range j.alloc {
+				usage[n] += g
 			}
 		}
-		c.advance(cfg.Tick)
-		if c.allDone() {
-			break
+		for n, u := range usage {
+			if u > cfg.GPUsPerNode {
+				t.Fatalf("t=%v node %d oversubscribed: %d > %d", now, n, u, cfg.GPUsPerNode)
+			}
 		}
+		if !slices.Equal(usage, c.usage) {
+			t.Fatalf("t=%v usage totals %v, the jobs' rows sum to %v", now, c.usage, usage)
+		}
+	}
+	c = NewCluster(tr, fastPollux(2), cfg)
+	if res := c.Run(); res.Summary.Completed != len(tr.Jobs) {
+		t.Errorf("completed %d of %d jobs", res.Summary.Completed, len(tr.Jobs))
+	}
+	if rounds == 0 {
+		t.Error("OnRound never fired")
 	}
 }
 
@@ -121,11 +121,21 @@ func TestRestartDelayPausesProgress(t *testing.T) {
 			t.Errorf("job %d restartUntil = %v, want >= now+120", j.wj.ID, j.RestartUntil)
 		}
 	}
+	var q eventsim.Queue
+	c.refreshPredictions(&q)
 	before := make(map[int]float64)
+	running := 0
 	for _, j := range c.active() {
 		before[j.wj.ID] = j.Progress
+		if j.rate.good > 0 {
+			running++
+		}
 	}
-	c.advance(cfg.Tick)
+	if running == 0 {
+		t.Fatal("no job has a training rate: nothing could progress")
+	}
+	c.now += 119
+	c.advanceAll()
 	for _, j := range c.active() {
 		//pollux:floateq-ok progress must be left untouched during the restart pause; any change is a real bug
 		if j.Progress != before[j.wj.ID] {
@@ -259,28 +269,24 @@ func specFor(name string) *models.Spec {
 // must keep: fanning the per-round agent refits over any worker count
 // produces the bit-identical Result — summaries, per-job records, and the
 // full event log — because the noise-scale rng draws stay on the
-// simulation goroutine and fits draw no randomness. Checked on both
-// engines.
+// simulation goroutine and fits draw no randomness.
 func TestRefitWorkersDeterminism(t *testing.T) {
 	tr := smallOnly(smallTrace(3, 14))
 	if len(tr.Jobs) < 4 {
 		t.Skip("trace too small after filtering")
 	}
-	for _, engine := range []string{EngineEvent, EngineTick} {
-		t.Run(engine, func(t *testing.T) {
-			run := func(workers int) Result {
-				cfg := fastCfg(5)
-				cfg.Engine = engine
-				cfg.LogEvents = true
-				cfg.RefitWorkers = workers
-				return NewCluster(tr, fastPollux(5), cfg).Run()
+	t.Run("event", func(t *testing.T) {
+		run := func(workers int) Result {
+			cfg := fastCfg(5)
+			cfg.LogEvents = true
+			cfg.RefitWorkers = workers
+			return NewCluster(tr, fastPollux(5), cfg).Run()
+		}
+		base := run(1)
+		for _, w := range []int{2, 8} {
+			if got := run(w); !reflect.DeepEqual(base, got) {
+				t.Fatalf("RefitWorkers=%d Result differs from RefitWorkers=1", w)
 			}
-			base := run(1)
-			for _, w := range []int{2, 8} {
-				if got := run(w); !reflect.DeepEqual(base, got) {
-					t.Fatalf("RefitWorkers=%d Result differs from RefitWorkers=1", w)
-				}
-			}
-		})
-	}
+		}
+	})
 }

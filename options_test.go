@@ -45,7 +45,6 @@ const optionsBefore = 88
 // caller, and why.
 var callerless = map[string]string{
 	"sched.PolluxOptions.Workers":         "selects the serial reference the bit-identity tests compare against",
-	"sim.AutoscaleConfig.Engine":          "selects the fixed-step reference the parity tests compare against",
 	"sim.AutoscaleConfig.MaxTime":         "the autoscale tests bound a run that does not complete with it",
 	"sim.Config.Autoscale":                "the paper's Sec. 4.2.2 mode; no main reaches it, a later issue gives it a caller or removes it",
 	"sim.ClusterAutoscaleConfig.MinNodes": "reached only through sim.Config.Autoscale",
