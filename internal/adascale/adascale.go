@@ -1,6 +1,5 @@
 // Package adascale implements AdaScale SGD learning-rate scaling (Johnson
-// et al., cited as [25] by the Pollux paper) together with the simple
-// linear and square-root scaling-rule baselines from Sec. 2.2.
+// et al., cited as [25] by the Pollux paper).
 //
 // AdaScale's central quantity is the gain
 //
@@ -36,37 +35,10 @@ func Gain(phi float64, m0, m int) float64 {
 	return (phi/float64(m0) + 1) / (phi/float64(m) + 1)
 }
 
-// GainFromMoments computes the gain directly from the gradient second
-// moments, as in Eqn. 18 of the paper's appendix: r_t =
-// (sigma² + mu²) / ((m0/m)·sigma² + mu²), with sigma² the variance of the
-// batch-mean gradient at batch size m0 and mu² its squared norm.
-func GainFromMoments(sigmaSq, muSq float64, m0, m int) float64 {
-	if m0 <= 0 || m <= 0 {
-		panic(fmt.Sprintf("adascale: non-positive batch size m0=%d m=%d", m0, m))
-	}
-	num := sigmaSq + muSq
-	den := float64(m0)/float64(m)*sigmaSq + muSq
-	if den <= 0 {
-		return float64(m) / float64(m0)
-	}
-	return num / den
-}
-
 // LearningRate returns the AdaScale-adjusted learning rate for base rate
 // eta0: eta = r_t · eta0.
 func LearningRate(eta0, gain float64) float64 {
 	return eta0 * gain
-}
-
-// LinearScale is the linear scaling rule (Goyal et al.): eta scales with
-// m/m0.
-func LinearScale(eta0 float64, m0, m int) float64 {
-	return eta0 * float64(m) / float64(m0)
-}
-
-// SqrtScale is the square-root scaling rule: eta scales with sqrt(m/m0).
-func SqrtScale(eta0 float64, m0, m int) float64 {
-	return eta0 * math.Sqrt(float64(m)/float64(m0))
 }
 
 // Schedule tracks scale-invariant training progress across batch-size
@@ -75,10 +47,9 @@ func SqrtScale(eta0 float64, m0, m int) float64 {
 // the equivalent of sum(r_i) iterations at batch size m0. Pollux uses this
 // to account remaining work consistently while it re-tunes m.
 type Schedule struct {
-	m0        int
-	eta0      float64
-	scaleInv  float64 // accumulated scale-invariant iterations
-	wallIters int64   // actual iterations taken
+	m0       int
+	eta0     float64
+	scaleInv float64 // accumulated scale-invariant iterations
 }
 
 // NewSchedule creates a progress tracker for a job that began at batch
@@ -95,16 +66,9 @@ func NewSchedule(m0 int, eta0 float64) *Schedule {
 func (s *Schedule) Step(phi float64, m int) float64 {
 	r := Gain(phi, s.m0, m)
 	s.scaleInv += r
-	s.wallIters++
 	return LearningRate(s.eta0, r)
 }
 
 // Progress returns the accumulated scale-invariant iteration count (the
 // number of m0-batch iterations' worth of progress made).
 func (s *Schedule) Progress() float64 { return s.scaleInv }
-
-// WallIters returns the number of actual SGD iterations taken.
-func (s *Schedule) WallIters() int64 { return s.wallIters }
-
-// M0 returns the initial batch size the schedule is relative to.
-func (s *Schedule) M0() int { return s.m0 }

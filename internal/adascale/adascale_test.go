@@ -86,6 +86,18 @@ func TestGainBoundsProperty(t *testing.T) {
 	}
 }
 
+// gainFromMoments computes the gain directly from the gradient second
+// moments, as in Eqn. 18 of the paper's appendix: r_t =
+// (sigma² + mu²) / ((m0/m)·sigma² + mu²), with sigma² the variance of the
+// batch-mean gradient at batch size m0 and mu² its squared norm.
+func gainFromMoments(sigmaSq, muSq float64, m0, m int) float64 {
+	den := float64(m0)/float64(m)*sigmaSq + muSq
+	if den <= 0 {
+		return float64(m) / float64(m0)
+	}
+	return (sigmaSq + muSq) / den
+}
+
 // Property: Eqn. 18 (moments form) and Eqn. 19 (noise-scale form) agree
 // when phi = m0·sigma²/mu², as derived in the paper's appendix.
 func TestGainFormEquivalenceProperty(t *testing.T) {
@@ -97,7 +109,7 @@ func TestGainFormEquivalenceProperty(t *testing.T) {
 		muSq := 0.01 + rng.Float64()*10
 		phi := float64(m0) * sigmaSq / muSq
 		a := Gain(phi, m0, m)
-		b := GainFromMoments(sigmaSq, muSq, m0, m)
+		b := gainFromMoments(sigmaSq, muSq, m0, m)
 		return math.Abs(a-b) < 1e-9*math.Max(1, a)
 	}
 	if err := quick.Check(prop, testutil.QuickConfig(300)); err != nil {
@@ -106,23 +118,14 @@ func TestGainFormEquivalenceProperty(t *testing.T) {
 }
 
 func TestGainFromMomentsZeroSignal(t *testing.T) {
-	if g := GainFromMoments(1, 0, 128, 512); g != 4 {
-		t.Errorf("GainFromMoments(mu²=0) = %v, want m/m0 = 4", g)
+	if g := gainFromMoments(1, 0, 128, 512); g != 4 {
+		t.Errorf("gainFromMoments(mu²=0) = %v, want m/m0 = 4", g)
 	}
 }
 
 func TestLearningRateScaling(t *testing.T) {
 	if lr := LearningRate(0.1, 2.5); math.Abs(lr-0.25) > 1e-12 {
 		t.Errorf("LearningRate = %v, want 0.25", lr)
-	}
-}
-
-func TestSimpleScalingRules(t *testing.T) {
-	if lr := LinearScale(0.1, 128, 512); math.Abs(lr-0.4) > 1e-12 {
-		t.Errorf("LinearScale = %v, want 0.4", lr)
-	}
-	if lr := SqrtScale(0.1, 128, 512); math.Abs(lr-0.2) > 1e-12 {
-		t.Errorf("SqrtScale = %v, want 0.2", lr)
 	}
 }
 
@@ -136,7 +139,7 @@ func TestAdaScaleBetweenConstantAndLinearProperty(t *testing.T) {
 		phi := rng.Float64() * 1e4
 		eta0 := 0.001 + rng.Float64()
 		lr := LearningRate(eta0, Gain(phi, m0, m))
-		return lr >= eta0-1e-12 && lr <= LinearScale(eta0, m0, m)+1e-9
+		return lr >= eta0-1e-12 && lr <= eta0*float64(m)/float64(m0)+1e-9
 	}
 	if err := quick.Check(prop, testutil.QuickConfig(300)); err != nil {
 		t.Error(err)
@@ -154,9 +157,6 @@ func TestScheduleAccumulatesProgress(t *testing.T) {
 	}
 	if p := s.Progress(); math.Abs(p-10) > 1e-12 {
 		t.Errorf("progress = %v, want 10", p)
-	}
-	if s.WallIters() != 10 {
-		t.Errorf("wall iters = %d, want 10", s.WallIters())
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package agent implements the PolluxAgent (Sec. 4.1 of the paper): the
-// per-job component that profiles iteration times and gradient statistics
-// during training, fits the system-throughput parameters θsys online, and
-// tunes the job's batch size (and, through AdaScale, its learning rate)
-// for the resources currently allocated to it. At a fixed interval it
-// reports its fitted goodput function to PolluxSched.
+// per-job component that profiles iteration times during training, takes
+// the job's measured gradient noise scale (SetPhi), fits the
+// system-throughput parameters θsys online, and tunes the job's batch
+// size (and, through AdaScale, its learning rate) for the resources
+// currently allocated to it. At a fixed interval it reports its fitted
+// goodput function to PolluxSched.
 package agent
 
 import (
@@ -12,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/gns"
 	"repro/internal/par"
 )
 
@@ -39,8 +39,7 @@ type Agent struct {
 	totalObs   int // observations recorded over the agent's lifetime
 	fitObs     int // totalObs at the last executed (full or warm) fit
 
-	phi     *gns.Tracker
-	lastPhi float64
+	phi float64 // the job's gradient noise scale, as SetPhi last set it
 }
 
 type profileKey struct {
@@ -64,7 +63,6 @@ func New(m0 int, eta0 float64, maxBatchPerGPU, maxBatchGlobal int) *Agent {
 		maxBatchPerGPU: maxBatchPerGPU,
 		maxBatchGlobal: maxBatchGlobal,
 		profile:        make(map[profileKey]*profileEntry),
-		phi:            gns.NewTracker(0.9),
 	}
 }
 
@@ -96,22 +94,13 @@ func (a *Agent) RecordSampleN(pl core.Placement, batch int, tIter float64, n int
 	a.totalObs += n
 }
 
-// ObserveGradients folds one iteration's gradient statistics estimate into
-// the smoothed noise-scale tracker.
-func (a *Agent) ObserveGradients(e gns.Estimate) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.phi.Observe(e)
-	a.lastPhi = a.phi.NoiseScale()
-}
-
-// SetPhi directly sets the smoothed noise scale. The trace-driven
-// simulator uses this to replay measured noise-scale trajectories, as the
-// paper's simulator does (Sec. 5.3).
+// SetPhi sets the job's gradient noise scale φt, which Report returns
+// with θsys. The simulator replays measured noise-scale trajectories
+// through it, as the paper's simulator does (Sec. 5.3).
 func (a *Agent) SetPhi(phi float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.lastPhi = phi
+	a.phi = phi
 }
 
 // refitKind classifies what work a Refit call would do right now.
@@ -168,14 +157,6 @@ func (a *Agent) NeedsRefit() bool {
 	return a.refitKindLocked() != refitNone
 }
 
-// ForceRefit re-estimates θsys even without new configurations, absorbing
-// the averaging of repeated observations.
-func (a *Agent) ForceRefit() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.refitLocked()
-}
-
 // samplesLocked snapshots the profile as per-configuration mean samples.
 // Map iteration order is randomized; the slice is sorted so the loss is
 // summed in a fixed order and repeated runs produce bit-identical fits.
@@ -229,7 +210,7 @@ func (a *Agent) Report() core.Model {
 	}
 	return core.Model{
 		Params:         a.fitted,
-		Phi:            a.lastPhi,
+		Phi:            a.phi,
 		M0:             a.m0,
 		MaxBatchPerGPU: a.maxBatchPerGPU,
 		MaxBatchGlobal: a.maxBatchGlobal,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/gns"
 	"repro/internal/models"
 )
 
@@ -148,17 +147,6 @@ func TestTuneBatchInfeasibleFallsBackToM0(t *testing.T) {
 	}
 }
 
-func TestObserveGradientsFeedsPhi(t *testing.T) {
-	a := newTestAgent()
-	for i := 0; i < 20; i++ {
-		a.ObserveGradients(gns.Estimate{SqNorm: 1, ExampleVar: 500})
-	}
-	m := a.Report()
-	if math.Abs(m.Phi-500) > 50 {
-		t.Errorf("phi = %v, want ~500", m.Phi)
-	}
-}
-
 func TestSetPhiOverrides(t *testing.T) {
 	a := newTestAgent()
 	a.SetPhi(1234)
@@ -182,7 +170,7 @@ func TestConcurrentUse(t *testing.T) {
 					pl.Nodes = 2
 				}
 				a.RecordSample(pl, 128+rng.Intn(512), 0.05+rng.Float64()*0.1)
-				a.ObserveGradients(gns.Estimate{SqNorm: 1, ExampleVar: s.Phi(0.5)})
+				a.SetPhi(s.Phi(0.5))
 			}
 		}(int64(w))
 	}
@@ -233,7 +221,7 @@ func TestRefitAllWorkersDeterminism(t *testing.T) {
 }
 
 // TestWarmRefitConvergence: with the configuration set frozen, repeated
-// noisy observations must keep pulling the fit toward the ForceRefit
+// noisy observations must keep pulling the fit toward the full refit's
 // ground truth through the warm-start path — the regression target is the
 // former permanent skip, which froze θsys at the first full fit until a
 // new configuration appeared.
@@ -267,7 +255,9 @@ func TestWarmRefitConvergence(t *testing.T) {
 			warmRefits++
 		}
 		warm.Refit()
-		force.ForceRefit()
+		force.mu.Lock()
+		force.refitLocked()
+		force.mu.Unlock()
 	}
 	if warmRefits == 0 {
 		t.Fatal("warm-refit path never triggered on re-averaged known configurations")
@@ -291,6 +281,6 @@ func TestWarmRefitConvergence(t *testing.T) {
 	forceErr := core.RMSLE(force.Report().Params, clean)
 	t.Logf("warm refits executed: %d; RMSLE vs truth: warm %.4f, force %.4f", warmRefits, warmErr, forceErr)
 	if warmErr > forceErr*1.25+0.01 {
-		t.Errorf("warm-refit fit RMSLE %.4f too far above ForceRefit ground truth %.4f", warmErr, forceErr)
+		t.Errorf("warm-refit fit RMSLE %.4f too far above the full refit's ground truth %.4f", warmErr, forceErr)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/gns"
 )
 
 // ProfilePoint is one profiled configuration's accumulated observations.
@@ -44,7 +43,6 @@ type Snapshot struct {
 	TotalObs   int
 	FitObs     int
 
-	Phi     gns.TrackerState
 	LastPhi float64
 }
 
@@ -63,8 +61,7 @@ func (a *Agent) Snapshot() *Snapshot {
 		FitConfigs:     a.fitConfigs,
 		TotalObs:       a.totalObs,
 		FitObs:         a.fitObs,
-		Phi:            a.phi.State(),
-		LastPhi:        a.lastPhi,
+		LastPhi:        a.phi,
 	}
 	//pollux:order-ok profile entries are appended in any order, then fully sorted by (GPUs, Nodes, Batch) below
 	for k, e := range a.profile {
@@ -93,10 +90,6 @@ func FromSnapshot(s *Snapshot) (*Agent, error) {
 	if s.M0 <= 0 {
 		return nil, fmt.Errorf("agent: snapshot has non-positive m0 %d", s.M0)
 	}
-	phi, err := gns.RestoreTracker(s.Phi)
-	if err != nil {
-		return nil, err
-	}
 	a := &Agent{
 		m0:             s.M0,
 		eta0:           s.Eta0,
@@ -109,8 +102,7 @@ func FromSnapshot(s *Snapshot) (*Agent, error) {
 		fitConfigs:     s.FitConfigs,
 		totalObs:       s.TotalObs,
 		fitObs:         s.FitObs,
-		phi:            phi,
-		lastPhi:        s.LastPhi,
+		phi:            s.LastPhi,
 	}
 	for _, p := range s.Profile {
 		k := profileKey{p.GPUs, p.Nodes, p.Batch}

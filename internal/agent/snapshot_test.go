@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/gns"
 )
 
 // feedSnap profiles a deterministic batch of observations into an agent.
@@ -17,8 +16,7 @@ func feedSnap(a *Agent, base float64) {
 			a.RecordSample(core.Placement{GPUs: k, Nodes: nodes}, 128*k, base/float64(k)+0.01*float64(rep))
 		}
 	}
-	a.ObserveGradients(gns.Estimate{SqNorm: 2.0 * base, ExampleVar: 40 * base})
-	a.ObserveGradients(gns.Estimate{SqNorm: 1.8 * base, ExampleVar: 42 * base})
+	a.SetPhi(20 + 2*base)
 }
 
 // TestAgentSnapshotRoundTrip: an agent restored from a JSON-serialized
@@ -75,14 +73,8 @@ func TestAgentSnapshotRejectsCorruptState(t *testing.T) {
 	}
 
 	bad2 := *s
-	bad2.Phi.Decay = 1.5
+	bad2.Profile = append(append([]ProfilePoint(nil), s.Profile...), s.Profile[0])
 	if _, err := FromSnapshot(&bad2); err == nil {
-		t.Fatal("snapshot with invalid tracker decay accepted, want loud error")
-	}
-
-	bad3 := *s
-	bad3.Profile = append(append([]ProfilePoint(nil), s.Profile...), s.Profile[0])
-	if _, err := FromSnapshot(&bad3); err == nil {
 		t.Fatal("snapshot with duplicate profile configuration accepted, want loud error")
 	}
 }

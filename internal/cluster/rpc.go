@@ -152,14 +152,6 @@ func (s *Service) SetFrontEnd(fe *admit.FrontEnd) {
 	s.fe = fe
 }
 
-// FrontEnd returns the installed admit front end (nil when none).
-func (s *Service) FrontEnd() *admit.FrontEnd {
-	s.schedMu.Lock()
-	defer s.schedMu.Unlock()
-	//pollux:aliasret-ok the FrontEnd handle is shared by design: SetFrontEnd installs it once before traffic and FrontEnd carries its own internal synchronization
-	return s.fe
-}
-
 // AdmitJob runs one arrival through the admission stage. It holds the
 // scheduling lock, so a decision never interleaves with a round in
 // flight. Callers must present each job exactly once, in nondecreasing

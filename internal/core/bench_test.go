@@ -14,14 +14,6 @@ func benchModel() Model {
 	}
 }
 
-func BenchmarkGoodputEval(b *testing.B) {
-	m := benchModel()
-	pl := Placement{GPUs: 16, Nodes: 4}
-	for i := 0; i < b.N; i++ {
-		m.Goodput(pl, 2048)
-	}
-}
-
 func BenchmarkOptimalBatch(b *testing.B) {
 	m := benchModel()
 	pl := Placement{GPUs: 16, Nodes: 4}

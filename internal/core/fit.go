@@ -102,8 +102,8 @@ const exactFit = 1e-12
 // partials of ln pred reuse: rg = (lo/hi)^g, lnR = ln lo − ln hi and
 // l1p = log1p(rg); they are zero on the tg = 0 and ts = 0 faces.
 //
-// It is the one expression of the fitting loss: RMSLE, RMSLEGrad and
-// rmsleLoss all evaluate it, so they agree bit for bit. Params.TIter keeps
+// It is the one expression of the fitting loss: RMSLE and rmsleLoss both
+// evaluate it, so they agree bit for bit. Params.TIter keeps
 // the math.Pow form (the closed-form exhibits gate exactly on it); the two
 // agree to rounding (TestRMSLEAgreesWithTIter).
 func lnTIter(tg, ts, g float64) (lnPred, rg, lnR, l1p float64) {
@@ -199,48 +199,6 @@ func RMSLE(p Params, samples []Sample) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(samples)))
-}
-
-// RMSLEGrad returns the analytic gradient of RMSLE with respect to the
-// θsys vector (Params.Vector order). At the (measure-zero) kinks of TIter
-// the subgradient 0 is used for the sync parameters, matching the
-// frozen-bounds behaviour, and at an exact fit (RMSLE below exactFit) the
-// gradient is the zero vector.
-//
-// It is self-contained, so one call costs a whole loss evaluation (lnTIter
-// per sample) before the partials, which need no transcendental call of
-// their own. The fit does not pay the evaluation twice: rmsleLoss.Grad
-// finishes these same expressions from what its Value kept. RMSLEGrad stays
-// as the reference the tests hold that objective to, bit for bit.
-func RMSLEGrad(p Params, samples []Sample) []float64 {
-	grad := make([]float64, 7)
-	if len(samples) == 0 {
-		return grad
-	}
-	g := math.Max(p.Gamma, 1)
-	sumSq := 0.0
-	for _, s := range samples {
-		tg := p.TGrad(float64(s.Batch), s.Placement.GPUs)
-		ts := p.TSync(s.Placement)
-		lnPred, rg, lnR, l1p := lnTIter(tg, ts, g)
-		d := lnPred - math.Log(math.Max(s.TIter, predFloor))
-		sumSq += d * d
-		if lnPred <= lnPredFloor {
-			continue
-		}
-		dTg, dTs, dG := lnTIterPartials(tg, ts, g, rg, lnR, l1p)
-		s.accumulate(grad, d, dTg, dTs, dG, p.Gamma < 1)
-	}
-	n := float64(len(samples))
-	rmsle := math.Sqrt(sumSq / n)
-	if rmsle < exactFit {
-		return make([]float64, 7)
-	}
-	inv := 1 / (rmsle * n)
-	for i := range grad {
-		grad[i] *= inv
-	}
-	return grad
 }
 
 // Fit estimates θsys from observed samples by minimizing RMSLE with
@@ -401,13 +359,13 @@ func descend(loss opt.Objective, starts []Params, box opt.Bounds, s [7]float64, 
 // rmsleLoss is the fit's objective (an opt.Objective): RMSLE over a fixed
 // sample set, and its gradient at the point last evaluated. Value keeps
 // each sample's Tgrad, Tsync, ln prediction, log error and lnTIter's
-// by-products; Grad finishes RMSLEGrad's expressions from them, which is
-// why it may only follow a Value — the optimizer asks for gradients nowhere
-// else. An evaluation point then costs two math.Log, one Exp and one Log1p
-// per multi-GPU sample in Value (one Log for a single-GPU sample) and no
-// transcendental call at all where a gradient is taken. Operands and
-// summation order are those of RMSLE and RMSLEGrad, so both results repeat
-// theirs bit for bit.
+// by-products; Grad finishes the analytic gradient of RMSLE from them,
+// which is why it may only follow a Value — the optimizer asks for
+// gradients nowhere else. An evaluation point then costs two math.Log, one
+// Exp and one Log1p per multi-GPU sample in Value (one Log for a single-GPU
+// sample) and no transcendental call at all where a gradient is taken.
+// Operands and summation order are those of RMSLE, so Value repeats it bit
+// for bit; the tests hold Grad to a self-contained gradient the same way.
 type rmsleLoss struct {
 	samples []Sample
 	logObs  []float64 // ln of each observation, constant over the fit
@@ -463,7 +421,11 @@ func (l *rmsleLoss) Value(v []float64) float64 {
 	return l.rmsle
 }
 
-// Grad writes RMSLEGrad at the point of the last Value into grad.
+// Grad writes the gradient of RMSLE with respect to the θsys vector
+// (Params.Vector order) at the point of the last Value into grad. At the
+// (measure-zero) kinks of TIter the subgradient 0 is used for the sync
+// parameters, matching the frozen-bounds behaviour, and at an exact fit
+// (RMSLE below exactFit) the gradient is the zero vector.
 func (l *rmsleLoss) Grad(grad []float64) {
 	for i := range grad {
 		grad[i] = 0

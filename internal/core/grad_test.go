@@ -8,6 +8,46 @@ import (
 	"repro/internal/opt"
 )
 
+// rmsleGrad returns the analytic gradient of RMSLE with respect to the
+// θsys vector (Params.Vector order). At the (measure-zero) kinks of TIter
+// the subgradient 0 is used for the sync parameters, matching the
+// frozen-bounds behaviour, and at an exact fit (RMSLE below exactFit) the
+// gradient is the zero vector.
+//
+// It is self-contained: a whole loss evaluation (lnTIter per sample), then
+// the partials. rmsleLoss.Grad finishes these same expressions from what
+// its Value kept, and the tests hold it to this reference bit for bit.
+func rmsleGrad(p Params, samples []Sample) []float64 {
+	grad := make([]float64, 7)
+	if len(samples) == 0 {
+		return grad
+	}
+	g := math.Max(p.Gamma, 1)
+	sumSq := 0.0
+	for _, s := range samples {
+		tg := p.TGrad(float64(s.Batch), s.Placement.GPUs)
+		ts := p.TSync(s.Placement)
+		lnPred, rg, lnR, l1p := lnTIter(tg, ts, g)
+		d := lnPred - math.Log(math.Max(s.TIter, predFloor))
+		sumSq += d * d
+		if lnPred <= lnPredFloor {
+			continue
+		}
+		dTg, dTs, dG := lnTIterPartials(tg, ts, g, rg, lnR, l1p)
+		s.accumulate(grad, d, dTg, dTs, dG, p.Gamma < 1)
+	}
+	n := float64(len(samples))
+	rmsle := math.Sqrt(sumSq / n)
+	if rmsle < exactFit {
+		return make([]float64, 7)
+	}
+	inv := 1 / (rmsle * n)
+	for i := range grad {
+		grad[i] *= inv
+	}
+	return grad
+}
+
 // numGradRMSLE computes a finite-difference reference gradient. The
 // bounds are wide except γ ≥ 1: TIter clamps γ there, so the reference
 // must use the same one-sided difference the optimizer sees at the bound.
@@ -37,7 +77,7 @@ func TestRMSLEGradMatchesNumerical(t *testing.T) {
 			AlphaSyncNode: 0.2, BetaSyncNode: 0.01, Gamma: 1},
 	}
 	for pi, p := range points {
-		got := RMSLEGrad(p, samples)
+		got := rmsleGrad(p, samples)
 		want := numGradRMSLE(p, samples)
 		for i := range want {
 			diff := math.Abs(got[i] - want[i])
@@ -58,23 +98,23 @@ func TestRMSLEGradSumFaces(t *testing.T) {
 		{Placement: Placement{GPUs: 8, Nodes: 2}, Batch: 512, TIter: 0.4},
 	}
 	onTg := Params{AlphaGrad: 0, BetaGrad: 0, AlphaSyncNode: 0.2, Gamma: 1}
-	if g := RMSLEGrad(onTg, samples); g[0] == 0 || g[1] == 0 {
+	if g := rmsleGrad(onTg, samples); g[0] == 0 || g[1] == 0 {
 		t.Errorf("tg=0 face at γ=1: grad-time gradient = (%v, %v), want nonzero", g[0], g[1])
 	}
 	onTs := Params{AlphaGrad: 0.2, BetaGrad: 0.001, Gamma: 1}
-	if g := RMSLEGrad(onTs, samples); g[4] == 0 {
+	if g := rmsleGrad(onTs, samples); g[4] == 0 {
 		t.Errorf("ts=0 face at γ=1: sync gradient = %v, want nonzero", g[4])
 	}
 }
 
 func TestRMSLEGradZeroCases(t *testing.T) {
-	if g := RMSLEGrad(refParams, nil); len(g) != 7 {
+	if g := rmsleGrad(refParams, nil); len(g) != 7 {
 		t.Fatalf("gradient length = %d, want 7", len(g))
 	}
 	// Exact fit: RMSLE is rounding noise of the log-space evaluation, and the
 	// gradient must be the zero vector, not that noise normalised by itself.
 	samples := genSamples(rand.New(rand.NewSource(2)), refParams, 0, 4, allPlacements)
-	for i, gi := range RMSLEGrad(refParams, samples) {
+	for i, gi := range rmsleGrad(refParams, samples) {
 		if gi != 0 || math.IsNaN(gi) {
 			t.Errorf("coord %d of exact-fit gradient = %v, want 0", i, gi)
 		}
@@ -88,7 +128,7 @@ func TestRMSLEGradSingleGPU(t *testing.T) {
 		{Placement: SingleGPU, Batch: 128, TIter: 0.2},
 		{Placement: SingleGPU, Batch: 256, TIter: 0.35},
 	}
-	g := RMSLEGrad(refParams, samples)
+	g := rmsleGrad(refParams, samples)
 	for _, i := range []int{2, 3, 4, 5} {
 		if g[i] != 0 {
 			t.Errorf("sync coord %d gradient = %v, want 0 for single-GPU samples", i, g[i])
@@ -121,6 +161,20 @@ func TestFitEscapesZeroSyncFace(t *testing.T) {
 	}
 }
 
+// numericLoss is refLoss with a central-difference gradient (opt.NumGrad)
+// inside the box: the fit's objective before the analytic gradient.
+type numericLoss struct {
+	refLoss
+	b opt.Bounds
+}
+
+func (l *numericLoss) Grad(g []float64) {
+	ng, _ := opt.NumGrad(func(v []float64) float64 {
+		return RMSLE(ParamsFromVector(v), l.samples)
+	}, l.x, l.b, 1e-6)
+	copy(g, ng)
+}
+
 // TestFitWithAnalyticGradMatchesNumeric ensures the analytic-gradient fit
 // lands on (essentially) the same optimum as the numerical-gradient path
 // it replaced.
@@ -132,7 +186,6 @@ func TestFitWithAnalyticGradMatchesNumeric(t *testing.T) {
 	analytic := Fit(samples, Params{}, explored)
 
 	bounds := explored.fitBounds()
-	loss := func(v []float64) float64 { return RMSLE(ParamsFromVector(v), samples) }
 	dv := defaultParams(samples).Vector()
 	bounds.Clamp(dv)
 	hv := defaultParams(samples)
@@ -140,7 +193,8 @@ func TestFitWithAnalyticGradMatchesNumeric(t *testing.T) {
 	hv.Gamma = 3
 	h := hv.Vector()
 	bounds.Clamp(h)
-	numeric := opt.MultiStart(loss, [][]float64{dv, h}, bounds, opt.LBFGSBOptions{MaxIter: 150})
+	loss := &numericLoss{refLoss: refLoss{samples: samples}, b: bounds}
+	numeric := opt.MultiStartGrad(loss, [][]float64{dv, h}, bounds, opt.LBFGSBOptions{MaxIter: 150})
 
 	ra, rn := RMSLE(analytic, samples), numeric.F
 	if ra > rn*1.05+1e-6 {

@@ -11,7 +11,7 @@ import (
 )
 
 // refLoss is the closure pair the fit drove L-BFGS with before rmsleLoss
-// fused them — the self-contained RMSLE as the loss and RMSLEGrad from
+// fused them — the self-contained RMSLE as the loss and rmsleGrad from
 // scratch as the gradient — as an opt.Objective. It is the oracle Fit and
 // FitWarm must repeat.
 type refLoss struct {
@@ -27,7 +27,7 @@ func (l *refLoss) Value(v []float64) float64 {
 }
 
 func (l *refLoss) Grad(g []float64) {
-	copy(g, RMSLEGrad(ParamsFromVector(l.x), l.samples))
+	copy(g, rmsleGrad(ParamsFromVector(l.x), l.samples))
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -55,7 +55,7 @@ func jitter(rng *rand.Rand, p Params, frac float64) Params {
 }
 
 // TestRMSLELossMatchesReferenceBitForBit holds the fused objective to RMSLE
-// and RMSLEGrad on every face of the model: single-GPU samples and sync
+// and rmsleGrad on every face of the model: single-GPU samples and sync
 // parameters frozen at zero (ts = 0), tg = 0, γ at and below its clamp, a
 // prediction under the 1e-12 floor, and an exact fit. One loss object
 // visits all the points, so what an earlier Value left behind must not
@@ -111,8 +111,8 @@ func TestRMSLELossMatchesReferenceBitForBit(t *testing.T) {
 				grad[j] = math.NaN() // Grad must overwrite, not add to, the buffer
 			}
 			loss.Grad(grad)
-			if want := RMSLEGrad(p, samples); !sameVector(grad, want) {
-				t.Errorf("seed %d point %d %+v:\n Grad      = %v\n RMSLEGrad = %v", seed, i, p, grad, want)
+			if want := rmsleGrad(p, samples); !sameVector(grad, want) {
+				t.Errorf("seed %d point %d %+v:\n Grad      = %v\n rmsleGrad = %v", seed, i, p, grad, want)
 				ok = false
 			}
 		}

@@ -54,8 +54,8 @@ func TestDriveStopsOnFalse(t *testing.T) {
 	if end != 2 {
 		t.Errorf("Drive returned %v, want 2", end)
 	}
-	if q.Len() != 1 {
-		t.Errorf("queue has %d events left, want 1", q.Len())
+	if len(q.items) != 1 {
+		t.Errorf("queue has %d events left, want 1", len(q.items))
 	}
 }
 

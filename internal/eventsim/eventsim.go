@@ -81,9 +81,6 @@ type Queue struct {
 	seq   uint64
 }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.items) }
-
 // Push inserts an event, stamping it with the next sequence number so
 // otherwise-identical events pop in insertion order.
 func (q *Queue) Push(e Event) {

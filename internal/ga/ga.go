@@ -53,26 +53,6 @@ func (m Matrix) Clone() Matrix {
 	return c
 }
 
-// JobGPUs returns the total GPUs allocated to job j.
-func (m Matrix) JobGPUs(j int) int {
-	sum := 0
-	for _, g := range m[j] {
-		sum += g
-	}
-	return sum
-}
-
-// JobNodes returns the number of nodes on which job j has at least one GPU.
-func (m Matrix) JobNodes(j int) int {
-	n := 0
-	for _, g := range m[j] {
-		if g > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // tally adds every row into usage (per-node GPU totals, one entry per
 // capacity node) and sets span[j] to the number of nodes row j holds GPUs
 // on: the one whole-matrix pass a feasibility check needs, row by row.
@@ -235,7 +215,7 @@ type Problem struct {
 	DistBlocked []bool
 	// ExtraSpan, when non-nil, gives per job the number of nodes it
 	// occupies outside this problem's columns; the interference
-	// constraint sees span = JobNodes + ExtraSpan, so a job with GPUs in
+	// constraint sees span = local span + ExtraSpan, so a job with GPUs in
 	// another rack counts as distributed even when it sits on one local
 	// node. Ignored unless InterferenceAvoidance is set.
 	ExtraSpan []int

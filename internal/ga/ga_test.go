@@ -43,17 +43,28 @@ func TestMatrixCloneIndependent(t *testing.T) {
 	}
 }
 
+// rowGPUs and rowNodes are a row's GPU total and the number of nodes it
+// holds GPUs on.
+func rowGPUs(row []int) int {
+	sum := 0
+	for _, g := range row {
+		sum += g
+	}
+	return sum
+}
+
+func rowNodes(row []int) int {
+	n := 0
+	for _, g := range row {
+		if g > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestMatrixAccessors(t *testing.T) {
 	m := Matrix{{2, 0, 1}, {0, 3, 0}}
-	if g := m.JobGPUs(0); g != 3 {
-		t.Errorf("JobGPUs(0) = %d, want 3", g)
-	}
-	if n := m.JobNodes(0); n != 2 {
-		t.Errorf("JobNodes(0) = %d, want 2", n)
-	}
-	if n := m.JobNodes(1); n != 1 {
-		t.Errorf("JobNodes(1) = %d, want 1", n)
-	}
 	usage, span := make([]int, 3), make([]int, 2)
 	m.tally(usage, span)
 	if want := []int{2, 3, 1}; !slices.Equal(usage, want) {
@@ -218,7 +229,7 @@ func feasibleScan(m Matrix, capacity []int, avoidance bool, blocked []bool, extr
 	for n := range capacity {
 		dist := 0
 		for j := range m {
-			span := m.JobNodes(j)
+			span := rowNodes(m[j])
 			if extraSpan != nil {
 				span += extraSpan[j]
 			}
@@ -437,7 +448,7 @@ func repairInterferenceScan(m Matrix, rng *rand.Rand, blocked []bool, extraSpan 
 	}
 	span := make([]int, len(m))
 	for j := range m {
-		span[j] = m.JobNodes(j)
+		span[j] = rowNodes(m[j])
 		if extraSpan != nil {
 			span[j] += extraSpan[j]
 		}
@@ -724,8 +735,8 @@ func TestSurvivorSelectionMatchesStableSort(t *testing.T) {
 func simpleFitness(m Matrix) float64 {
 	f := 0.0
 	for j := range m {
-		k := float64(m.JobGPUs(j))
-		n := float64(m.JobNodes(j))
+		k := float64(rowGPUs(m[j]))
+		n := float64(rowNodes(m[j]))
 		if k > 0 {
 			f += k / (1 + 0.05*k) * (1 - 0.02*(n-1))
 		}
@@ -753,7 +764,7 @@ func TestGAImprovesFitness(t *testing.T) {
 	// With 16 GPUs and 6 jobs the optimum allocates every GPU.
 	total := 0
 	for j := range best {
-		total += best.JobGPUs(j)
+		total += rowGPUs(best[j])
 	}
 	if total < 14 {
 		t.Errorf("GA left too many GPUs idle: allocated %d of 16", total)
@@ -966,7 +977,7 @@ func TestGARespectsScarcity(t *testing.T) {
 }
 
 // repairInterferenceStable is the pre-incremental RepairInterference
-// (rescan-until-stable, JobNodes recomputed fresh at every node visit),
+// (rescan-until-stable, rowNodes recomputed fresh at every node visit),
 // kept as the oracle for the one-pass implementation: same rng seed must
 // yield the bit-identical repaired matrix, which pins both the eviction
 // decisions and the rng draw order that fixed-seed GA traces depend on.
@@ -980,7 +991,7 @@ func repairInterferenceStable(m Matrix, rng *rand.Rand) {
 		for n := 0; n < nodes; n++ {
 			var dist []int
 			for j := range m {
-				if m[j][n] > 0 && m.JobNodes(j) > 1 {
+				if m[j][n] > 0 && rowNodes(m[j]) > 1 {
 					dist = append(dist, j)
 				}
 			}
@@ -1003,11 +1014,11 @@ func repairInterferenceStable(m Matrix, rng *rand.Rand) {
 func checkNoOverEviction(t *testing.T, before, after Matrix) {
 	t.Helper()
 	for j := range before {
-		if before.JobNodes(j) > 0 && after.JobNodes(j) == 0 {
+		if rowNodes(before[j]) > 0 && rowNodes(after[j]) == 0 {
 			t.Fatalf("job %d over-evicted to zero allocation:\nbefore %v\nafter  %v",
 				j, before[j], after[j])
 		}
-		if before.JobNodes(j) <= 1 {
+		if rowNodes(before[j]) <= 1 {
 			for n := range before[j] {
 				if after[j][n] != before[j][n] {
 					t.Fatalf("single-node job %d modified at node %d: %d -> %d",
@@ -1072,7 +1083,7 @@ func TestRepairInterferenceNoOverEviction(t *testing.T) {
 		for n := 0; n < nodes; n++ {
 			dist := 0
 			for j := range m {
-				if m[j][n] > 0 && m.JobNodes(j) > 1 {
+				if m[j][n] > 0 && rowNodes(m[j]) > 1 {
 					dist++
 				}
 			}

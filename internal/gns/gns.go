@@ -38,18 +38,6 @@ type Estimate struct {
 	ExampleVar float64 // estimate of S = total per-example gradient variance
 }
 
-// NoiseScale returns phi = S/mu². It returns +Inf when the signal
-// vanishes, and 0 for a noiseless gradient.
-func (e Estimate) NoiseScale() float64 {
-	if e.ExampleVar <= 0 {
-		return 0
-	}
-	if e.SqNorm <= 0 {
-		return math.Inf(1)
-	}
-	return e.ExampleVar / e.SqNorm
-}
-
 // errs for estimator misuse.
 var (
 	ErrNeedTwoReplicas = errors.New("gns: replica estimator needs at least two local gradients")
@@ -115,14 +103,6 @@ func NewDiffEstimator(batch int) *DiffEstimator {
 	return &DiffEstimator{batch: batch}
 }
 
-// Reset clears the stored previous gradient, e.g. after the batch size or
-// the model parameters change discontinuously (checkpoint-restart).
-func (d *DiffEstimator) Reset(batch int) {
-	d.prev = nil
-	d.ready = false
-	d.batch = batch
-}
-
 // Update consumes the gradient of the current iteration and, from the
 // second call onward, returns an Estimate.
 func (d *DiffEstimator) Update(grad []float64) (Estimate, error) {
@@ -182,12 +162,6 @@ func (t *Tracker) Observe(e Estimate) {
 	t.weight = t.decay*t.weight + (1 - t.decay)
 }
 
-// Ready reports whether enough observations have accumulated for the EMA
-// to be meaningful (weight covers ~5 effective samples).
-func (t *Tracker) Ready() bool {
-	return t.weight > 1-math.Pow(t.decay, 5)
-}
-
 // NoiseScale returns the smoothed phi estimate. Before any observations it
 // returns 0 (i.e. perfect efficiency is assumed, matching Pollux's
 // optimistic priors).
@@ -204,35 +178,4 @@ func (t *Tracker) NoiseScale() float64 {
 		return math.Inf(1)
 	}
 	return v / n
-}
-
-// TrackerState is the serializable state of a Tracker, used by the
-// scheduler-service checkpoint machinery.
-type TrackerState struct {
-	Decay  float64
-	SqNorm float64
-	ExVar  float64
-	Weight float64
-}
-
-// State returns the tracker's serializable state.
-func (t *Tracker) State() TrackerState {
-	return TrackerState{Decay: t.decay, SqNorm: t.sqNorm, ExVar: t.exVar, Weight: t.weight}
-}
-
-// RestoreTracker rebuilds a Tracker from a State. It validates the decay
-// the same way NewTracker does, so a corrupt snapshot fails loudly.
-func RestoreTracker(st TrackerState) (*Tracker, error) {
-	if st.Decay <= 0 || st.Decay >= 1 {
-		return nil, errors.New("gns: restored decay must be in (0, 1)")
-	}
-	return &Tracker{decay: st.Decay, sqNorm: st.SqNorm, exVar: st.ExVar, weight: st.Weight}, nil
-}
-
-// Stats returns the bias-corrected smoothed (mu², S) pair.
-func (t *Tracker) Stats() Estimate {
-	if t.weight == 0 {
-		return Estimate{}
-	}
-	return Estimate{SqNorm: t.sqNorm / t.weight, ExampleVar: t.exVar / t.weight}
 }

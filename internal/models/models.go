@@ -47,22 +47,6 @@ func (c Category) String() string {
 	}
 }
 
-// GPUHourBounds returns the category's [lo, hi) GPU-time range in hours.
-func (c Category) GPUHourBounds() (lo, hi float64) {
-	switch c {
-	case Small:
-		return 0, 1
-	case Medium:
-		return 1, 10
-	case Large:
-		return 10, 100
-	case XLarge:
-		return 100, 1000
-	default:
-		return 0, 0
-	}
-}
-
 // Decay marks a learning-rate decay milestone: when training progress
 // passes Progress (fraction of total work), the gradient noise scale jumps
 // by Factor. This reproduces the Fig. 2a behaviour where statistical

@@ -24,8 +24,10 @@ func TestZooFractionsSumToOne(t *testing.T) {
 }
 
 func TestZooGPUTimeMatchesCategory(t *testing.T) {
+	// Each category's [lo, hi) GPU-time range in hours (Table 1).
+	bounds := map[Category][2]float64{Small: {0, 1}, Medium: {1, 10}, Large: {10, 100}, XLarge: {100, 1000}}
 	for _, s := range Zoo() {
-		lo, hi := s.Category.GPUHourBounds()
+		lo, hi := bounds[s.Category][0], bounds[s.Category][1]
 		h := s.GPUTimeHours()
 		if h < lo || h >= hi {
 			t.Errorf("%s: GPU-time %.2f h outside %s range [%v, %v)", s.Name, h, s.Category, lo, hi)

@@ -2,13 +2,6 @@ package opt
 
 import "testing"
 
-func BenchmarkGoldenSectionMax(b *testing.B) {
-	f := func(x float64) float64 { return -(x - 1234.5) * (x - 1234.5) }
-	for i := 0; i < b.N; i++ {
-		GoldenSectionMax(f, 0, 1e6, 1e-6)
-	}
-}
-
 func BenchmarkGoldenSectionMaxInt(b *testing.B) {
 	f := func(m int) float64 {
 		d := float64(m - 51234)
@@ -19,15 +12,26 @@ func BenchmarkGoldenSectionMaxInt(b *testing.B) {
 	}
 }
 
-func BenchmarkLBFGSBQuadratic(b *testing.B) {
-	f := func(x []float64) float64 {
-		s := 0.0
-		for i, v := range x {
-			d := v - float64(i)
-			s += d * d
-		}
-		return s
+// quadratic is sum (x_i - i)^2 with its analytic gradient.
+type quadratic struct{ x []float64 }
+
+func (q *quadratic) Value(x []float64) float64 {
+	q.x = append(q.x[:0], x...)
+	s := 0.0
+	for i, v := range x {
+		d := v - float64(i)
+		s += d * d
 	}
+	return s
+}
+
+func (q *quadratic) Grad(g []float64) {
+	for i, v := range q.x {
+		g[i] = 2 * (v - float64(i))
+	}
+}
+
+func BenchmarkLBFGSBQuadratic(b *testing.B) {
 	x0 := make([]float64, 7)
 	bounds := Bounds{Lower: make([]float64, 7), Upper: make([]float64, 7)}
 	for i := range bounds.Upper {
@@ -36,6 +40,6 @@ func BenchmarkLBFGSBQuadratic(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MultiStart(f, [][]float64{x0}, bounds, LBFGSBOptions{MaxIter: 100})
+		LBFGSB(&quadratic{}, x0, bounds, LBFGSBOptions{MaxIter: 100})
 	}
 }

@@ -16,43 +16,6 @@ import (
 // invPhi is 1/phi where phi is the golden ratio.
 const invPhi = 0.6180339887498949
 
-// GoldenSectionMax finds the maximizer of a unimodal function f on the
-// closed interval [lo, hi] to within tol. It returns the argmax and the
-// maximum value. If lo > hi the arguments are swapped. The function f is
-// assumed unimodal on the interval; if it is not, a local maximum is
-// returned.
-func GoldenSectionMax(f func(float64) float64, lo, hi, tol float64) (x, fx float64) {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	a, b := lo, hi
-	c := b - (b-a)*invPhi
-	d := a + (b-a)*invPhi
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc > fd {
-			b, d, fd = d, c, fc
-			c = b - (b-a)*invPhi
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + (b-a)*invPhi
-			fd = f(d)
-		}
-	}
-	x = (a + b) / 2
-	return x, f(x)
-}
-
-// GoldenSectionMin finds the minimizer of a unimodal function f on [lo, hi].
-func GoldenSectionMin(f func(float64) float64, lo, hi, tol float64) (x, fx float64) {
-	x, neg := GoldenSectionMax(func(v float64) float64 { return -f(v) }, lo, hi, tol)
-	return x, -neg
-}
-
 // GoldenSectionMaxInt finds the maximizer of a unimodal function f over the
 // integers in [lo, hi]. It runs a golden-section-style bracketing on the
 // integer lattice and finishes with a local scan, which is exact for

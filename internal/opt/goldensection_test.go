@@ -9,6 +9,34 @@ import (
 	"repro/internal/testutil"
 )
 
+// goldenSectionMax finds the maximizer of a unimodal function f on the
+// closed interval [lo, hi] to within tol. It returns the argmax and the
+// maximum value. If lo > hi the arguments are swapped. The function f is
+// assumed unimodal on the interval; if it is not, a local maximum is
+// returned. It is the continuous reference GoldenSectionMaxInt is held to.
+func goldenSectionMax(f func(float64) float64, lo, hi, tol float64) (x, fx float64) {
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	a, b := lo, hi
+	c := b - (b-a)*invPhi
+	d := a + (b-a)*invPhi
+	fc, fd := f(c), f(d)
+	for b-a > tol {
+		if fc > fd {
+			b, d, fd = d, c, fc
+			c = b - (b-a)*invPhi
+			fc = f(c)
+		} else {
+			a, c, fc = c, d, fd
+			d = a + (b-a)*invPhi
+			fd = f(d)
+		}
+	}
+	x = (a + b) / 2
+	return x, f(x)
+}
+
 func TestGoldenSectionMaxQuadratic(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -29,7 +57,7 @@ func TestGoldenSectionMaxQuadratic(t *testing.T) {
 			f := func(x float64) float64 {
 				return tc.offsetup - tc.scale*(x-tc.peak)*(x-tc.peak)
 			}
-			x, fx := GoldenSectionMax(f, tc.lo, tc.hi, 1e-9)
+			x, fx := goldenSectionMax(f, tc.lo, tc.hi, 1e-9)
 			if math.Abs(x-tc.peak) > tc.wantTol {
 				t.Errorf("argmax = %v, want %v", x, tc.peak)
 			}
@@ -42,7 +70,7 @@ func TestGoldenSectionMaxQuadratic(t *testing.T) {
 
 func TestGoldenSectionMaxSwappedBounds(t *testing.T) {
 	f := func(x float64) float64 { return -(x - 2) * (x - 2) }
-	x, _ := GoldenSectionMax(f, 10, 0, 1e-9)
+	x, _ := goldenSectionMax(f, 10, 0, 1e-9)
 	if math.Abs(x-2) > 1e-5 {
 		t.Errorf("argmax with swapped bounds = %v, want 2", x)
 	}
@@ -51,20 +79,9 @@ func TestGoldenSectionMaxSwappedBounds(t *testing.T) {
 func TestGoldenSectionMaxNonSmooth(t *testing.T) {
 	// Unimodal but non-differentiable at the peak.
 	f := func(x float64) float64 { return -math.Abs(x - 1.25) }
-	x, _ := GoldenSectionMax(f, 0, 4, 1e-9)
+	x, _ := goldenSectionMax(f, 0, 4, 1e-9)
 	if math.Abs(x-1.25) > 1e-5 {
 		t.Errorf("argmax = %v, want 1.25", x)
-	}
-}
-
-func TestGoldenSectionMin(t *testing.T) {
-	f := func(x float64) float64 { return (x - 7) * (x - 7) }
-	x, fx := GoldenSectionMin(f, 0, 20, 1e-9)
-	if math.Abs(x-7) > 1e-5 {
-		t.Errorf("argmin = %v, want 7", x)
-	}
-	if fx > 1e-8 {
-		t.Errorf("min value = %v, want ~0", fx)
 	}
 }
 
@@ -77,7 +94,7 @@ func TestGoldenSectionMaxProperty(t *testing.T) {
 		lo := peak - 1 - rng.Float64()*10
 		hi := peak + 1 + rng.Float64()*10
 		f := func(x float64) float64 { return -(x - peak) * (x - peak) }
-		x, _ := GoldenSectionMax(f, lo, hi, 1e-10)
+		x, _ := goldenSectionMax(f, lo, hi, 1e-10)
 		return math.Abs(x-peak) < 1e-4
 	}
 	if err := quick.Check(prop, testutil.QuickConfig(200)); err != nil {
@@ -148,7 +165,8 @@ func TestGoldenSectionMaxIntProperty(t *testing.T) {
 
 // A goodput-shaped objective: increasing throughput saturating in m times a
 // decreasing efficiency term. Verifies the search handles the actual curve
-// family it is used on.
+// family it is used on, and that the integer search lands next to the
+// continuous maximizer.
 func TestGoldenSectionGoodputShape(t *testing.T) {
 	phi := 1200.0
 	m0 := 128.0
@@ -157,12 +175,15 @@ func TestGoldenSectionGoodputShape(t *testing.T) {
 		eff := (phi + m0) / (phi + m)
 		return throughput * eff
 	}
-	x, _ := GoldenSectionMax(f, m0, 32768, 1e-6)
+	x, _ := goldenSectionMax(f, m0, 32768, 1e-6)
 	// Check it is a true local max vs neighbours.
 	if f(x) < f(x-1) || f(x) < f(x+1) {
 		t.Errorf("x=%v is not a local max: f(x)=%v f(x-1)=%v f(x+1)=%v", x, f(x), f(x-1), f(x+1))
 	}
 	if x <= m0 || x >= 32768 {
 		t.Errorf("expected interior maximum, got %v", x)
+	}
+	if m, _ := GoldenSectionMaxInt(func(m int) float64 { return f(float64(m)) }, int(m0), 32768); math.Abs(float64(m)-x) > 1 {
+		t.Errorf("integer argmax %d is more than one away from the continuous %v", m, x)
 	}
 }

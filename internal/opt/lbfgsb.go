@@ -26,16 +26,6 @@ func (b Bounds) Clamp(x []float64) {
 	}
 }
 
-// contains reports whether x is inside (or on) the box.
-func (b Bounds) contains(x []float64) bool {
-	for i := range x {
-		if x[i] < b.Lower[i] || x[i] > b.Upper[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // LBFGSBOptions configures the box-constrained L-BFGS minimizer.
 type LBFGSBOptions struct {
 	// MaxIter bounds the number of outer iterations. Default 200.
@@ -57,8 +47,6 @@ const (
 	gradTol float64 = 1e-8
 	// funcTol terminates when the relative improvement in f falls below it.
 	funcTol float64 = 1e-12
-	// gradEps is the step of MultiStart's central-difference gradients.
-	gradEps float64 = 1e-6
 )
 
 // Result reports the outcome of a minimization.
@@ -83,17 +71,11 @@ type Objective interface {
 
 // NumGrad computes a central-difference numerical gradient of f at x,
 // respecting the box: coordinates at a bound use a one-sided difference.
-// The returned eval count is the number of calls made to f.
+// x is not modified. The returned eval count is the number of calls made
+// to f.
 func NumGrad(f func([]float64) float64, x []float64, b Bounds, eps float64) (grad []float64, evals int) {
 	grad = make([]float64, len(x))
-	xw := make([]float64, len(x))
-	copy(xw, x)
-	return grad, numGrad(f, xw, b, eps, grad)
-}
-
-// numGrad is NumGrad into the caller's buffer. It perturbs x one coordinate
-// at a time and puts each back before it returns.
-func numGrad(f func([]float64) float64, x []float64, b Bounds, eps float64, grad []float64) (evals int) {
+	x = append([]float64(nil), x...)
 	for i, xi := range x {
 		h := eps * math.Max(1, math.Abs(xi))
 		lo, hi := xi-h, xi+h
@@ -116,26 +98,7 @@ func numGrad(f func([]float64) float64, x []float64, b Bounds, eps float64, grad
 		grad[i] = (fhi - flo) / (hi - lo)
 		evals += 2
 	}
-	return evals
-}
-
-// numeric is the Objective of a plain function: Grad is the central
-// difference of NumGrad, of step gradEps, inside the box, taken at its own
-// copy of the point Value last saw.
-type numeric struct {
-	f         func([]float64) float64
-	b         Bounds
-	x         []float64
-	gradEvals int // calls to f made by Grad
-}
-
-func (o *numeric) Value(x []float64) float64 {
-	o.x = append(o.x[:0], x...)
-	return o.f(x)
-}
-
-func (o *numeric) Grad(g []float64) {
-	o.gradEvals += numGrad(o.f, o.x, o.b, gradEps, g)
+	return grad, evals
 }
 
 // LBFGSB minimizes obj subject to box constraints using a projected L-BFGS
@@ -362,16 +325,6 @@ func axpy(dst, a []float64, scale float64) {
 	for i := range dst {
 		dst[i] += a[i] * scale
 	}
-}
-
-// MultiStart runs LBFGSB on f from each starting point, with
-// central-difference gradients of step gradEps, and returns the best
-// result. Evals counts the gradients' evaluations of f as well.
-func MultiStart(f func([]float64) float64, starts [][]float64, b Bounds, opts LBFGSBOptions) Result {
-	obj := &numeric{f: f, b: b}
-	best := MultiStartGrad(obj, starts, b, opts)
-	best.Evals += obj.gradEvals
-	return best
 }
 
 // MultiStartGrad runs LBFGSB from each starting point and returns the best

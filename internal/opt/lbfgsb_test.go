@@ -19,10 +19,13 @@ func unbounded(n int) Bounds {
 	return Bounds{Lower: lo, Upper: hi}
 }
 
-// minimize runs one LBFGSB descent on f with central-difference gradients,
-// the route MultiStart takes.
+// minimize runs one LBFGSB descent on f with central-difference gradients
+// (NumGrad) inside the box.
 func minimize(f func([]float64) float64, x0 []float64, b Bounds, opts LBFGSBOptions) Result {
-	return LBFGSB(&numeric{f: f, b: b}, x0, b, opts)
+	return LBFGSB(&pairObjective{f: f, grad: func(x []float64) []float64 {
+		g, _ := NumGrad(f, x, b, 1e-6)
+		return g
+	}}, x0, b, opts)
 }
 
 // pairObjective adapts a (value, gradient) pair of closures: the gradient
@@ -39,6 +42,16 @@ func (o *pairObjective) Value(x []float64) float64 {
 }
 
 func (o *pairObjective) Grad(g []float64) { copy(g, o.grad(o.x)) }
+
+// contains reports whether x is inside (or on) the box.
+func (b Bounds) contains(x []float64) bool {
+	for i := range x {
+		if x[i] < b.Lower[i] || x[i] > b.Upper[i] {
+			return false
+		}
+	}
+	return true
+}
 
 func rosenbrock(x []float64) float64 {
 	a, b := x[0], x[1]
@@ -254,8 +267,12 @@ func TestMultiStartPicksBest(t *testing.T) {
 		v := x[0]
 		return 0.1*(v*v-4)*(v*v-4) - v
 	}
+	grad := func(x []float64) []float64 {
+		v := x[0]
+		return []float64{0.4*v*(v*v-4) - 1}
+	}
 	b := Bounds{Lower: []float64{-5}, Upper: []float64{5}}
-	res := MultiStart(f, [][]float64{{-3}, {3}}, b, LBFGSBOptions{})
+	res := MultiStartGrad(&pairObjective{f: f, grad: grad}, [][]float64{{-3}, {3}}, b, LBFGSBOptions{})
 	if res.X[0] < 0 {
 		t.Errorf("multistart picked the wrong well: x = %v", res.X[0])
 	}
@@ -298,7 +315,8 @@ func (o *orderObjective) Grad(g []float64) {
 	o.search = max(o.search, o.since)
 	o.since = 0
 	o.gradAt = append(o.gradAt[:0], o.at...)
-	numGrad(o.f, o.at, o.b, 1e-6, g)
+	ng, _ := NumGrad(o.f, o.at, o.b, 1e-6)
+	copy(g, ng)
 }
 
 // TestLBFGSBGradFollowsValueAtIterate pins the contract LBFGSB owes its
@@ -372,28 +390,20 @@ func (o *rosenObjective) Grad(g []float64) {
 }
 
 // TestLBFGSBIterationsDoNotAllocate: a run allocates its workspace up
-// front, so thirty times the iterations cost no further allocation, with an
-// analytic objective and with the central-difference adapter.
+// front, so thirty times the iterations cost no further allocation.
 func TestLBFGSBIterationsDoNotAllocate(t *testing.T) {
 	x0 := []float64{-1.2, 1}
 	b := unbounded(2)
-	runs := map[string]func(maxIter int) Result{
-		"analytic": func(maxIter int) Result {
-			return LBFGSB(&rosenObjective{}, x0, b, LBFGSBOptions{MaxIter: maxIter})
-		},
-		"numeric": func(maxIter int) Result {
-			return MultiStart(rosenbrock, [][]float64{x0}, b, LBFGSBOptions{MaxIter: maxIter})
-		},
+	run := func(maxIter int) Result {
+		return LBFGSB(&rosenObjective{}, x0, b, LBFGSBOptions{MaxIter: maxIter})
 	}
-	for name, run := range runs {
-		if short, long := run(5), run(150); short.Iters != 5 || long.Iters <= 5*short.Iters {
-			t.Fatalf("%s: %d and %d iterations; the caps do not separate the runs", name, short.Iters, long.Iters)
-		}
-		short := int(testing.AllocsPerRun(20, func() { run(5) }))
-		long := int(testing.AllocsPerRun(20, func() { run(150) }))
-		if short != long {
-			t.Errorf("%s: %d allocations at MaxIter 5, %d at MaxIter 150", name, short, long)
-		}
-		t.Logf("%s: %d allocations per run", name, long)
+	if short, long := run(5), run(150); short.Iters != 5 || long.Iters <= 5*short.Iters {
+		t.Fatalf("%d and %d iterations; the caps do not separate the runs", short.Iters, long.Iters)
 	}
+	short := int(testing.AllocsPerRun(20, func() { run(5) }))
+	long := int(testing.AllocsPerRun(20, func() { run(150) }))
+	if short != long {
+		t.Errorf("%d allocations at MaxIter 5, %d at MaxIter 150", short, long)
+	}
+	t.Logf("%d allocations per run", long)
 }

@@ -164,11 +164,15 @@ func WriteJSON(w io.Writer, rep Report) error {
 	return enc.Encode(rep)
 }
 
-// ReadJSON parses a report written by WriteJSON.
+// ReadJSON parses a report written by WriteJSON. Anything but white space
+// after the report is an error.
 func ReadJSON(r io.Reader) (Report, error) {
 	var rep Report
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rep); err != nil {
+	data, err := io.ReadAll(r)
+	if err == nil {
+		err = json.Unmarshal(data, &rep)
+	}
+	if err != nil {
 		return Report{}, fmt.Errorf("results: parse report: %w", err)
 	}
 	return rep, nil

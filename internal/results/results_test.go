@@ -58,6 +58,15 @@ func TestJSONRoundTrip(t *testing.T) {
 	if got.Records[0].WallClockSec != 12.5 || got.Records[0].Notes[0] != "a note" {
 		t.Errorf("record metadata not preserved: %+v", got.Records[0])
 	}
+
+	// A merge conflict marker after the report is not a report.
+	if err := WriteJSON(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("<<<<<<< HEAD\n")
+	if _, err := ReadJSON(&buf); err == nil {
+		t.Error("report followed by a conflict marker accepted")
+	}
 }
 
 func TestFileRoundTrip(t *testing.T) {

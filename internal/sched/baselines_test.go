@@ -30,7 +30,7 @@ func TestTiresiasAllocatesRequestedGPUs(t *testing.T) {
 	tr := NewTiresias()
 	m := tr.Schedule(v)
 	for j, want := range []int{4, 8, 2} {
-		if got := m.JobGPUs(j); got != want {
+		if got := PlacementOf(m[j]).GPUs; got != want {
 			t.Errorf("job %d got %d GPUs, want exactly %d", j, got, want)
 		}
 	}
@@ -52,14 +52,14 @@ func TestTiresiasPrioritizesLowAttainedService(t *testing.T) {
 	tr := NewTiresias()
 	m := tr.Schedule(v)
 	for _, j := range []int{2, 3, 4} {
-		if m.JobGPUs(j) != 4 {
+		if PlacementOf(m[j]).GPUs != 4 {
 			t.Errorf("fresh job %d not scheduled", j)
 		}
 	}
-	if m.JobGPUs(1) != 4 {
+	if PlacementOf(m[1]).GPUs != 4 {
 		t.Error("middle-queue job should take the last slot")
 	}
-	if m.JobGPUs(0) != 0 {
+	if PlacementOf(m[0]).GPUs != 0 {
 		t.Error("bottom-queue job should be preempted")
 	}
 }
@@ -75,7 +75,7 @@ func TestTiresiasSnapshotOrderWithinQueue(t *testing.T) {
 	v.Jobs[1].Submit = 100
 	tr := NewTiresias()
 	m := tr.Schedule(v)
-	if m.JobGPUs(0) != 4 || m.JobGPUs(1) != 0 {
+	if PlacementOf(m[0]).GPUs != 4 || PlacementOf(m[1]).GPUs != 0 {
 		t.Errorf("first snapshot row should win: %v", m)
 	}
 
@@ -83,7 +83,7 @@ func TestTiresiasSnapshotOrderWithinQueue(t *testing.T) {
 	// first row wins even though it submitted later.
 	v.Jobs[0], v.Jobs[1] = v.Jobs[1], v.Jobs[0]
 	m = tr.Schedule(v)
-	if m.JobGPUs(0) != 4 || m.JobGPUs(1) != 0 {
+	if PlacementOf(m[0]).GPUs != 4 || PlacementOf(m[1]).GPUs != 0 {
 		t.Errorf("reordered snapshot should put the new first row ahead: %v", m)
 	}
 }
@@ -94,10 +94,10 @@ func TestTiresiasBackfills(t *testing.T) {
 	v.Jobs[1].UserGPUs = 2
 	tr := NewTiresias()
 	m := tr.Schedule(v)
-	if m.JobGPUs(0) != 0 {
+	if PlacementOf(m[0]).GPUs != 0 {
 		t.Error("oversized job should be skipped")
 	}
-	if m.JobGPUs(1) != 2 {
+	if PlacementOf(m[1]).GPUs != 2 {
 		t.Error("small job should backfill")
 	}
 }
@@ -118,7 +118,7 @@ func TestBaselinesPublishRowsByTheRowRule(t *testing.T) {
 			first := p.Schedule(v)
 			journal.See(first)
 			for i := range first {
-				if got := first.JobGPUs(i); (i < 2) != (got == 4) || (i >= 2) != (got == 0) {
+				if got := PlacementOf(first[i]).GPUs; (i < 2) != (got == 4) || (i >= 2) != (got == 0) {
 					t.Fatalf("job %d holds %d GPUs, want 4 for jobs 0 and 1 and none for the rest", i, got)
 				}
 				if i > 2 && !ga.SameRow(first[i], first[2]) {
@@ -144,7 +144,7 @@ func TestBaselinesPublishRowsByTheRowRule(t *testing.T) {
 			if !ga.SameRow(moved[1], first[2]) {
 				t.Errorf("the job that lost its GPUs got %v, want the shared zero row", moved[1])
 			}
-			if moved.JobGPUs(2) != 4 || ga.SameRow(moved[2], first[1]) {
+			if PlacementOf(moved[2]).GPUs != 4 || ga.SameRow(moved[2], first[1]) {
 				t.Errorf("the job that started got %v, want a slice of its own with 4 GPUs", moved[2])
 			}
 			journal.See(moved)
@@ -163,8 +163,8 @@ func TestOptimusGivesEveryoneMinimumFirst(t *testing.T) {
 	o := NewOptimus(4)
 	m := o.Schedule(v)
 	for j := range m {
-		if m.JobGPUs(j) < 2 {
-			t.Errorf("job %d got %d GPUs, want >= its minimum 2", j, m.JobGPUs(j))
+		if PlacementOf(m[j]).GPUs < 2 {
+			t.Errorf("job %d got %d GPUs, want >= its minimum 2", j, PlacementOf(m[j]).GPUs)
 		}
 	}
 	if !ga.Feasible(m, v.Capacity, false) {
@@ -183,7 +183,7 @@ func TestOptimusUsesWholeClusterWhenBeneficial(t *testing.T) {
 	m := o.Schedule(v)
 	total := 0
 	for j := range m {
-		total += m.JobGPUs(j)
+		total += PlacementOf(m[j]).GPUs
 	}
 	if total < 14 {
 		t.Errorf("allocated %d of 16 GPUs", total)
@@ -201,7 +201,7 @@ func TestOptimusStopsWhenMoreGPUsHurt(t *testing.T) {
 	o := NewOptimus(4)
 	m := o.Schedule(v)
 	for j := range m {
-		k := m.JobGPUs(j)
+		k := PlacementOf(m[j]).GPUs
 		if k == 0 || k > 8 {
 			t.Errorf("job %d allocated %d GPUs; expected a moderate positive count", j, k)
 		}
@@ -215,9 +215,9 @@ func TestOptimusFavorsScalableJob(t *testing.T) {
 	v.Jobs[1].UserBatch = 128
 	o := NewOptimus(4)
 	m := o.Schedule(v)
-	if m.JobGPUs(0) <= m.JobGPUs(1) {
+	if PlacementOf(m[0]).GPUs <= PlacementOf(m[1]).GPUs {
 		t.Errorf("scalable job got %d GPUs, sync-bound job got %d",
-			m.JobGPUs(0), m.JobGPUs(1))
+			PlacementOf(m[0]).GPUs, PlacementOf(m[1]).GPUs)
 	}
 }
 

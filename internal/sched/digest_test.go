@@ -103,7 +103,7 @@ func churnDigest(opts PolluxOptions) string {
 		cur = map[int][]int{}
 		for i, j := range jobs {
 			cur[j.ID] = out[i]
-			jobs[i].GPUTime += 60 * float64(out.JobGPUs(i))
+			jobs[i].GPUTime += 60 * float64(PlacementOf(out[i]).GPUs)
 		}
 
 		// Churn before the next round.

@@ -271,7 +271,7 @@ func TestHierarchicalScheduleFeasible(t *testing.T) {
 	}
 	total, allocated := 0, 0
 	for j := range m {
-		k := m.JobGPUs(j)
+		k := PlacementOf(m[j]).GPUs
 		total += k
 		if k > 0 {
 			allocated++

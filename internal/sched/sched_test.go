@@ -71,7 +71,7 @@ func TestPackAllRespectsCapacity(t *testing.T) {
 	}
 	total := 0
 	for j := range m {
-		total += m.JobGPUs(j)
+		total += PlacementOf(m[j]).GPUs
 	}
 	if total != 8 {
 		t.Errorf("packed %d GPUs, want 8", total)
@@ -80,10 +80,10 @@ func TestPackAllRespectsCapacity(t *testing.T) {
 
 func TestPackAllSkipsOversized(t *testing.T) {
 	m := new(packer).packAll(&ClusterView{Capacity: []int{2}}, []int{5, 1})
-	if m.JobGPUs(0) != 0 {
+	if PlacementOf(m[0]).GPUs != 0 {
 		t.Errorf("oversized job allocated: %v", m[0])
 	}
-	if m.JobGPUs(1) != 1 {
+	if PlacementOf(m[1]).GPUs != 1 {
 		t.Errorf("small job not allocated: %v", m[1])
 	}
 }
@@ -121,7 +121,7 @@ func TestPolluxAllocatesAllGPUsWhenScarce(t *testing.T) {
 	total := 0
 	allocated := 0
 	for j := range m {
-		k := m.JobGPUs(j)
+		k := PlacementOf(m[j]).GPUs
 		total += k
 		if k > 0 {
 			allocated++
@@ -140,10 +140,10 @@ func TestPolluxRespectsGPUCap(t *testing.T) {
 	v.Jobs[0].GPUCap = 2 // fresh job: exploration cap
 	p := NewPollux(PolluxOptions{Population: 30, Generations: 30}, 2)
 	m := p.Schedule(v)
-	if k := m.JobGPUs(0); k > 2 {
+	if k := PlacementOf(m[0]).GPUs; k > 2 {
 		t.Errorf("allocation %d exceeds exploration cap 2", k)
 	}
-	if k := m.JobGPUs(0); k == 0 {
+	if k := PlacementOf(m[0]).GPUs; k == 0 {
 		t.Error("job left unscheduled despite free GPUs")
 	}
 }
@@ -194,7 +194,7 @@ func TestPolluxJobsWithoutNodes(t *testing.T) {
 		}
 		back := viewWith(3, 4, 4)
 		m := p.Schedule(back)
-		if !ga.Feasible(m, back.Capacity, true) || m.JobGPUs(0)+m.JobGPUs(1)+m.JobGPUs(2) == 0 {
+		if !ga.Feasible(m, back.Capacity, true) || PlacementOf(m[0]).GPUs+PlacementOf(m[1]).GPUs+PlacementOf(m[2]).GPUs == 0 {
 			t.Errorf("%+v: allocation once nodes are back = %v", opts, m)
 		}
 	}

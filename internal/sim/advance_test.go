@@ -143,7 +143,7 @@ func TestEventEngineSnapsDecayBoundaries(t *testing.T) {
 	var q eventsim.Queue
 	j.predict(&q, c.now, AgentInterval, j.wj.ID, evMilestone)
 	if wantT := (first - j.Progress) / j.rate.good; wantT > AgentInterval {
-		if q.Len() != 0 {
+		if _, ok := q.Pop(); ok {
 			t.Errorf("milestone %vs away pushed despite refresh horizon %vs", wantT, AgentInterval)
 		}
 	}

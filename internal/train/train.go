@@ -16,7 +16,6 @@ package train
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
@@ -56,32 +55,6 @@ func SynthesizeLinear(rng *rand.Rand, n, dim int, noise float64) (Dataset, []flo
 	return ds, wTrue
 }
 
-// SynthesizeLogistic generates a binary classification dataset with
-// labels in {-1, +1} from a logistic model with the given margin scale.
-func SynthesizeLogistic(rng *rand.Rand, n, dim int, margin float64) (Dataset, []float64) {
-	wTrue := make([]float64, dim)
-	for i := range wTrue {
-		wTrue[i] = rng.NormFloat64() * margin
-	}
-	ds := Dataset{X: make([][]float64, n), Y: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		x := make([]float64, dim)
-		dot := 0.0
-		for j := range x {
-			x[j] = rng.NormFloat64()
-			dot += x[j] * wTrue[j]
-		}
-		p := 1 / (1 + math.Exp(-dot))
-		if rng.Float64() < p {
-			ds.Y[i] = 1
-		} else {
-			ds.Y[i] = -1
-		}
-		ds.X[i] = x
-	}
-	return ds, wTrue
-}
-
 // Model defines a differentiable per-example loss.
 type Model interface {
 	// Loss evaluates the loss of weights w on one example.
@@ -104,22 +77,6 @@ func (LeastSquares) AddGrad(dst, w, x []float64, y float64) {
 	r := dot(x, w) - y
 	for i := range dst {
 		dst[i] += r * x[i]
-	}
-}
-
-// Logistic is the logistic loss log(1 + exp(-y·x·w)) for y in {-1, +1}.
-type Logistic struct{}
-
-// Loss implements Model.
-func (Logistic) Loss(w, x []float64, y float64) float64 {
-	return math.Log1p(math.Exp(-y * dot(x, w)))
-}
-
-// AddGrad implements Model.
-func (Logistic) AddGrad(dst, w, x []float64, y float64) {
-	s := -y / (1 + math.Exp(y*dot(x, w)))
-	for i := range dst {
-		dst[i] += s * x[i]
 	}
 }
 

@@ -43,25 +43,6 @@ func TestLeastSquaresGradMatchesNumeric(t *testing.T) {
 	}
 }
 
-func TestLogisticGradMatchesNumeric(t *testing.T) {
-	x := []float64{1.5, -0.2}
-	w := []float64{-0.4, 0.9}
-	y := -1.0
-	g := make([]float64, 2)
-	Logistic{}.AddGrad(g, w, x, y)
-	const h = 1e-6
-	for i := range w {
-		wp := append([]float64(nil), w...)
-		wm := append([]float64(nil), w...)
-		wp[i] += h
-		wm[i] -= h
-		num := (Logistic{}.Loss(wp, x, y) - Logistic{}.Loss(wm, x, y)) / (2 * h)
-		if math.Abs(num-g[i]) > 1e-5 {
-			t.Errorf("grad[%d] = %v, numeric %v", i, g[i], num)
-		}
-	}
-}
-
 func TestRunConvergesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds, _ := SynthesizeLinear(rng, 2048, 16, 0.2)
@@ -82,23 +63,6 @@ func TestRunConvergesLinear(t *testing.T) {
 	}
 	if stats.Phi <= 0 {
 		t.Errorf("measured phi = %v, want > 0", stats.Phi)
-	}
-}
-
-func TestRunConvergesLogistic(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ds, _ := SynthesizeLogistic(rng, 2048, 8, 2.0)
-	w0 := make([]float64, 8)
-	_, stats, err := Run(Logistic{}, ds, w0, Config{
-		Replicas: 2, Batch: 32, Eta0: 0.2, UseAdaScale: true,
-		MaxSteps: 1500, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := FullLoss(Logistic{}, w0, ds)
-	if stats.FinalLoss >= start*0.8 {
-		t.Errorf("loss barely moved: %v -> %v", start, stats.FinalLoss)
 	}
 }
 

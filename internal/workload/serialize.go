@@ -23,10 +23,15 @@ func (t Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(traceJSON{Version: traceVersion, Duration: t.Duration, Jobs: t.Jobs})
 }
 
-// ReadJSON parses a trace written by WriteJSON and validates it.
+// ReadJSON parses a trace written by WriteJSON and validates it. Anything
+// but white space after the trace is an error.
 func ReadJSON(r io.Reader) (Trace, error) {
 	var tj traceJSON
-	if err := json.NewDecoder(r).Decode(&tj); err != nil {
+	data, err := io.ReadAll(r)
+	if err == nil {
+		err = json.Unmarshal(data, &tj)
+	}
+	if err != nil {
 		return Trace{}, fmt.Errorf("workload: decode trace: %w", err)
 	}
 	if tj.Version != traceVersion {

@@ -33,8 +33,14 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
+	var valid bytes.Buffer
+	if err := Generate(rand.New(rand.NewSource(1)), Options{Jobs: 2, Hours: 1}).WriteJSON(&valid); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{"not json", valid.String() + `{"version": 1}`} {
+		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
+			t.Errorf("garbage accepted: %q", in)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ type sourceFile struct {
 
 // parseTree parses the non-test Go files under the repo root (the module,
 // examples/ and the nested benchmark/ module), testdata excluded.
-func parseTree(t *testing.T) []sourceFile {
+func parseTree(t *testing.T) (*token.FileSet, []sourceFile) {
 	t.Helper()
 	fset := token.NewFileSet()
 	var files []sourceFile
@@ -107,7 +107,7 @@ func parseTree(t *testing.T) []sourceFile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
+	return fset, files
 }
 
 // typeOf resolves a type expression — T, *T, pkg.T or *pkg.T — as written
@@ -128,7 +128,7 @@ func (sf sourceFile) typeOf(e ast.Expr) structRef {
 }
 
 func TestEveryOptionHasACaller(t *testing.T) {
-	files := parseTree(t)
+	_, files := parseTree(t)
 
 	// The exported fields of every option struct, in declaration order, and
 	// the struct a function of a given name returns first (by name only:
