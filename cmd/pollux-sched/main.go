@@ -188,6 +188,9 @@ func restoreCheckpoint(path string, nodes, gpus int, svc *cluster.Service, pollu
 	if dc.Nodes != nodes || dc.GPUs != gpus {
 		return 0, fmt.Errorf("checkpoint is for a %dx%d cluster, this daemon runs %dx%d", dc.Nodes, dc.GPUs, nodes, gpus)
 	}
+	if dc.Service == nil || dc.Policy == nil {
+		return 0, fmt.Errorf("checkpoint has no service or no policy snapshot")
+	}
 	if err := svc.RestoreSnapshot(dc.Service); err != nil {
 		return 0, err
 	}

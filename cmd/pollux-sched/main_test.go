@@ -109,3 +109,29 @@ func TestRestoreAcceptsVersion1AndWritesVersion2(t *testing.T) {
 		t.Errorf("a version-1 reader given this binary's file: got %v, want a version error", err)
 	}
 }
+
+// TestRestoreRefusesNullSnapshots: a well-formed, checksummed state file
+// whose service or policy snapshot is null is refused with an error, and
+// neither restore runs on it.
+func TestRestoreRefusesNullSnapshots(t *testing.T) {
+	svc, pollux := daemon()
+	for _, c := range []struct {
+		name string
+		dc   daemonCheckpoint
+	}{
+		{"both", daemonCheckpoint{Nodes: 2, GPUs: 4, NextSched: 60}},
+		{"service", daemonCheckpoint{Nodes: 2, GPUs: 4, NextSched: 60, Policy: pollux.Snapshot()}},
+		{"policy", daemonCheckpoint{Nodes: 2, GPUs: 4, NextSched: 60, Service: svc.Snapshot()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sched.ckpt")
+			if err := checkpoint.Write(path, checkpointKind, checkpointVersion, &c.dc); err != nil {
+				t.Fatal(err)
+			}
+			restored, restoredPollux := daemon()
+			if _, err := restoreCheckpoint(path, 2, 4, restored, restoredPollux); err == nil {
+				t.Error("a state file with a null snapshot was restored")
+			}
+		})
+	}
+}

@@ -35,9 +35,9 @@ func main() {
 	goodCfg := base
 	goodCfg.AdaptBatchGoodput = true
 	goodCfg.RespectExploreCap = true
-	good := sim.RunAutoscale(&spec, sched.NewGoodputAutoscaler(1, 16), goodCfg)
+	good := sim.RunAutoscale(&spec, sched.GoodputAutoscaler{}, goodCfg)
 
-	thr := sim.RunAutoscale(&spec, sched.NewThroughputAutoscaler(1, 16, 0.9), base)
+	thr := sim.RunAutoscale(&spec, sched.ThroughputAutoscaler{}, base)
 
 	fmt.Println("autoscaling ImageNet (resnet50, 6 statistical epochs), 4 GPUs/node, 1-16 nodes")
 	fmt.Println()

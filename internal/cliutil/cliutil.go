@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -187,6 +188,9 @@ func (f FrontEnd) Options() (*admit.Options, error) {
 			if err != nil {
 				return nil, fmt.Errorf("cliutil: -quota %s: %v", name, err)
 			}
+			if _, dup := opts.Quotas[name]; dup {
+				return nil, fmt.Errorf("cliutil: -quota %s: tenant given twice", name)
+			}
 			opts.Quotas[name] = n
 		}
 	}
@@ -204,6 +208,9 @@ func (f FrontEnd) TenantSpecs() ([]workload.TenantSpec, error) {
 		fields := strings.Split(strings.TrimSpace(part), ":")
 		if len(fields) < 2 || len(fields) > 3 || fields[0] == "" {
 			return nil, fmt.Errorf("cliutil: -tenants entry %q is not name:jobs[:sloHours]", part)
+		}
+		if slices.ContainsFunc(specs, func(s workload.TenantSpec) bool { return s.Name == fields[0] }) {
+			return nil, fmt.Errorf("cliutil: -tenants %s: tenant given twice", fields[0])
 		}
 		jobs, err := strconv.Atoi(fields[1])
 		if err != nil || jobs <= 0 {

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -125,6 +126,13 @@ func TestFrontEndParseErrors(t *testing.T) {
 		if _, err := fe.TenantSpecs(); err == nil {
 			t.Errorf("TenantSpecs() accepted %+v", fe)
 		}
+	}
+	// A tenant named twice is refused by name, not silently merged.
+	if _, err := (FrontEnd{Quotas: "burst=1,batch=10,batch=2"}).Options(); err == nil || !strings.Contains(err.Error(), "-quota batch") {
+		t.Errorf("duplicate quota: got %v, want an error naming batch", err)
+	}
+	if _, err := (FrontEnd{Tenants: "prod:12:2,batch:3,prod:5"}).TenantSpecs(); err == nil || !strings.Contains(err.Error(), "-tenants prod") {
+		t.Errorf("duplicate tenant: got %v, want an error naming prod", err)
 	}
 }
 

@@ -26,10 +26,10 @@ func Fig10(sc Scale) Outcome {
 	goodCfg := cfg
 	goodCfg.AdaptBatchGoodput = true
 	goodCfg.RespectExploreCap = true
-	good := sim.RunAutoscale(&spec, sched.NewGoodputAutoscaler(1, 16), goodCfg)
+	good := sim.RunAutoscale(&spec, sched.GoodputAutoscaler{}, goodCfg)
 
 	thrCfg := cfg
-	thr := sim.RunAutoscale(&spec, sched.NewThroughputAutoscaler(1, 16, 0.9), thrCfg)
+	thr := sim.RunAutoscale(&spec, sched.ThroughputAutoscaler{}, thrCfg)
 
 	o := Outcome{
 		ID:       "fig10",

@@ -7,10 +7,10 @@ import (
 // Autoscaler decides cluster size for the cloud scenario of Sec. 4.2.2 and
 // Sec. 5.3.3: a single large training job whose node count may change over
 // time. DesiredNodes is consulted at each scheduling interval with the
-// job's currently reported goodput model.
+// job's currently reported goodput model and the run's node bounds, and
+// returns a count within them.
 type Autoscaler interface {
-	Name() string
-	DesiredNodes(model core.Model, gpusPerNode int) int
+	DesiredNodes(model core.Model, gpusPerNode, minNodes, maxNodes int) int
 }
 
 // GoodputAutoscaler is Pollux's cloud auto-scaling policy: it provisions
@@ -19,26 +19,11 @@ type Autoscaler interface {
 // that utility decreases with cluster size. Because speedup depends on
 // statistical efficiency, the desired size grows as the gradient noise
 // scale grows, provisioning GPUs when large batches become effective.
-type GoodputAutoscaler struct {
-	MinNodes, MaxNodes int
-}
-
-// NewGoodputAutoscaler uses sensible defaults when bounds are zero.
-func NewGoodputAutoscaler(minNodes, maxNodes int) *GoodputAutoscaler {
-	if minNodes <= 0 {
-		minNodes = 1
-	}
-	if maxNodes < minNodes {
-		maxNodes = minNodes
-	}
-	return &GoodputAutoscaler{MinNodes: minNodes, MaxNodes: maxNodes}
-}
-
-func (a *GoodputAutoscaler) Name() string { return "pollux-goodput" }
+type GoodputAutoscaler struct{}
 
 // utility computes UTILITY for n nodes: SPEEDUP over the n·gpusPerNode
 // allocation divided by total GPUs (Eqn. 17, single-job form).
-func (a *GoodputAutoscaler) utility(model core.Model, n, gpusPerNode int) float64 {
+func utility(model core.Model, n, gpusPerNode int) float64 {
 	gpus := n * gpusPerNode
 	if gpus == 0 {
 		return 0
@@ -48,23 +33,23 @@ func (a *GoodputAutoscaler) utility(model core.Model, n, gpusPerNode int) float6
 
 // DesiredNodes binary-searches for the cluster size whose utility is
 // closest to utilTarget.
-func (a *GoodputAutoscaler) DesiredNodes(model core.Model, gpusPerNode int) int {
-	lo, hi := a.MinNodes, a.MaxNodes
+func (GoodputAutoscaler) DesiredNodes(model core.Model, gpusPerNode, minNodes, maxNodes int) int {
+	lo, hi := minNodes, maxNodes
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if a.utility(model, mid, gpusPerNode) >= utilTarget {
+		if utility(model, mid, gpusPerNode) >= utilTarget {
 			// Utility still high: can afford more nodes.
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	// lo is the first size with utility < utilTarget (or MaxNodes); compare
+	// lo is the first size with utility < utilTarget (or maxNodes); compare
 	// with its predecessor for the closest fit.
 	best := lo
-	if lo > a.MinNodes {
-		du := diff(a.utility(model, lo, gpusPerNode), utilTarget)
-		dd := diff(a.utility(model, lo-1, gpusPerNode), utilTarget)
+	if lo > minNodes {
+		du := diff(utility(model, lo, gpusPerNode), utilTarget)
+		dd := diff(utility(model, lo-1, gpusPerNode), utilTarget)
 		if dd < du {
 			best = lo - 1
 		}
@@ -85,29 +70,8 @@ func diff(a, b float64) float64 {
 // efficiency at any batch size. Since throughput does not change with
 // training progress, it scales out early and holds the size constant
 // (Fig. 10a). It picks the smallest cluster achieving at least
-// Fraction of the maximum attainable throughput.
-type ThroughputAutoscaler struct {
-	MinNodes, MaxNodes int
-	// Fraction of the max-cluster throughput considered "good enough";
-	// default 0.9.
-	Fraction float64
-}
-
-// NewThroughputAutoscaler applies defaults for zero fields.
-func NewThroughputAutoscaler(minNodes, maxNodes int, fraction float64) *ThroughputAutoscaler {
-	if minNodes <= 0 {
-		minNodes = 1
-	}
-	if maxNodes < minNodes {
-		maxNodes = minNodes
-	}
-	if fraction <= 0 || fraction > 1 {
-		fraction = 0.9
-	}
-	return &ThroughputAutoscaler{MinNodes: minNodes, MaxNodes: maxNodes, Fraction: fraction}
-}
-
-func (a *ThroughputAutoscaler) Name() string { return "or-etal-throughput" }
+// throughputFraction of the maximum attainable throughput.
+type ThroughputAutoscaler struct{}
 
 // bestThroughput is the throughput at n nodes with the
 // throughput-maximizing batch size (ignoring efficiency).
@@ -125,19 +89,19 @@ func bestThroughput(model core.Model, n, gpusPerNode int) float64 {
 	return model.Throughput(pl, m)
 }
 
-// DesiredNodes returns the smallest size reaching Fraction of the
-// max-size throughput.
-func (a *ThroughputAutoscaler) DesiredNodes(model core.Model, gpusPerNode int) int {
-	max := bestThroughput(model, a.MaxNodes, gpusPerNode)
-	if max <= 0 {
-		return a.MinNodes
+// DesiredNodes returns the smallest size reaching throughputFraction of
+// the max-size throughput.
+func (ThroughputAutoscaler) DesiredNodes(model core.Model, gpusPerNode, minNodes, maxNodes int) int {
+	best := bestThroughput(model, maxNodes, gpusPerNode)
+	if best <= 0 {
+		return minNodes
 	}
-	for n := a.MinNodes; n < a.MaxNodes; n++ {
-		if bestThroughput(model, n, gpusPerNode) >= a.Fraction*max {
+	for n := minNodes; n < maxNodes; n++ {
+		if bestThroughput(model, n, gpusPerNode) >= throughputFraction*best {
 			return n
 		}
 	}
-	return a.MaxNodes
+	return maxNodes
 }
 
 // ThroughputOptimalBatch is the batch the Or et al. baseline trains with:

@@ -245,9 +245,9 @@ func TestOptimusRemainingDecreasesWithGPUs(t *testing.T) {
 
 func TestGoodputAutoscalerGrowsWithPhi(t *testing.T) {
 	spec := models.ByName("resnet50")
-	a := NewGoodputAutoscaler(1, 16)
-	early := a.DesiredNodes(spec.GoodputModel(0.05), 4)
-	late := a.DesiredNodes(spec.GoodputModel(0.95), 4)
+	var a GoodputAutoscaler
+	early := a.DesiredNodes(spec.GoodputModel(0.05), 4, 1, 16)
+	late := a.DesiredNodes(spec.GoodputModel(0.95), 4, 1, 16)
 	if late <= early {
 		t.Errorf("desired nodes did not grow with phi: early=%d late=%d", early, late)
 	}
@@ -258,9 +258,9 @@ func TestGoodputAutoscalerGrowsWithPhi(t *testing.T) {
 
 func TestGoodputAutoscalerRespectsBounds(t *testing.T) {
 	spec := models.ByName("resnet50")
-	a := NewGoodputAutoscaler(3, 5)
+	var a GoodputAutoscaler
 	for _, p := range []float64{0, 0.5, 1} {
-		n := a.DesiredNodes(spec.GoodputModel(p), 4)
+		n := a.DesiredNodes(spec.GoodputModel(p), 4, 3, 5)
 		if n < 3 || n > 5 {
 			t.Errorf("nodes = %d at p=%v, want within [3, 5]", n, p)
 		}
@@ -269,15 +269,14 @@ func TestGoodputAutoscalerRespectsBounds(t *testing.T) {
 
 func TestThroughputAutoscalerConstantOverTraining(t *testing.T) {
 	spec := models.ByName("resnet50")
-	a := NewThroughputAutoscaler(1, 16, 0.9)
-	early := a.DesiredNodes(spec.GoodputModel(0.05), 4)
-	late := a.DesiredNodes(spec.GoodputModel(0.95), 4)
+	var a ThroughputAutoscaler
+	early := a.DesiredNodes(spec.GoodputModel(0.05), 4, 1, 16)
+	late := a.DesiredNodes(spec.GoodputModel(0.95), 4, 1, 16)
 	if early != late {
 		t.Errorf("throughput-based scaler changed size: %d -> %d", early, late)
 	}
 	// And it scales out aggressively from the start (Fig. 10a).
-	goodput := NewGoodputAutoscaler(1, 16)
-	if early <= goodput.DesiredNodes(spec.GoodputModel(0.05), 4) {
+	if early <= (GoodputAutoscaler{}).DesiredNodes(spec.GoodputModel(0.05), 4, 1, 16) {
 		t.Errorf("throughput scaler (%d nodes) should exceed goodput scaler early", early)
 	}
 }

@@ -74,10 +74,13 @@ const (
 	// job's weight decays (Eqn. 16): 4 GPU-hours.
 	gpuTimeThres float64 = 4 * 3600
 	// lowUtil and highUtil are the band Sec. 4.2.2 keeps UTILITY (Eqn. 17)
-	// within; both autoscalers steer towards its midpoint, utilTarget.
+	// within; GoodputAutoscaler steers towards its midpoint, utilTarget.
 	lowUtil    float64 = 0.55
 	highUtil   float64 = 0.75
 	utilTarget         = (lowUtil + highUtil) / 2
+	// throughputFraction is the share of the largest cluster's throughput
+	// ThroughputAutoscaler (Or et al.) considers good enough.
+	throughputFraction float64 = 0.9
 )
 
 // Fixed settings of incremental and hierarchical rounds. No caller ever
@@ -359,92 +362,6 @@ func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 func (p *Pollux) addStats(st ga.Stats) {
 	p.lastStats.FitnessCalls += st.FitnessCalls
 	p.lastStats.FitnessCells += st.CellsScored
-}
-
-// ClusterUtility evaluates UTILITY(A) (Eqn. 17) for the cluster reduced
-// to its first `nodes` nodes: a short GA finds a good allocation matrix at
-// that size, and the utility is the sum of job speedups divided by the
-// total GPU count. Used by the Sec. 4.2.2 cloud autoscaling binary search.
-func (p *Pollux) ClusterUtility(v *ClusterView, nodes, generations int) float64 {
-	if nodes <= 0 || len(v.Jobs) == 0 {
-		return 0
-	}
-	if nodes > len(v.Capacity) {
-		nodes = len(v.Capacity)
-	}
-	capacity := v.Capacity[:nodes]
-	totalGPUs := 0
-	for _, c := range capacity {
-		totalGPUs += c
-	}
-	if totalGPUs == 0 {
-		return 0
-	}
-
-	tables := make([]*speedupTable, len(v.Jobs))
-	for i := range v.Jobs {
-		tables[i] = newSpeedupTable(v.Jobs[i].Model, v.Jobs[i].GPUCap, totalGPUs, nodes)
-	}
-	fitness := func(m ga.Matrix) float64 {
-		total := 0.0
-		for i := range m {
-			pl := PlacementOf(m[i])
-			total += tables[i].Speedup(pl.GPUs, pl.Nodes)
-		}
-		return total
-	}
-	g := ga.New(ga.Problem{
-		Capacity:              capacity,
-		Jobs:                  len(v.Jobs),
-		Fitness:               fitness,
-		InterferenceAvoidance: !p.opts.DisableInterferenceAvoidance,
-	}, ga.Options{Population: utilityPopulation(p.opts.Population), Workers: p.opts.Workers}, p.rng, nil)
-	_, best := g.Run(generations)
-	return best / float64(totalGPUs)
-}
-
-// utilityPopulation is the GA population for the short ClusterUtility
-// searches: half the configured population, clamped to at least 1 so a
-// tiny configured search is not silently re-defaulted to 100 inside
-// ga.New.
-func utilityPopulation(configured int) int {
-	return max(1, configured/2)
-}
-
-// DesiredClusterNodes implements the Sec. 4.2.2 cloud autoscaling
-// decision for a multi-job cluster: binary search (assuming UTILITY
-// decreases with size) for the node count whose utility is closest to the
-// midpoint of [lowUtil, highUtil]. The view's Capacity must describe the
-// cluster at its maximum size.
-func (p *Pollux) DesiredClusterNodes(v *ClusterView, minNodes, maxNodes int) int {
-	if maxNodes > len(v.Capacity) {
-		maxNodes = len(v.Capacity)
-	}
-	if minNodes < 1 {
-		minNodes = 1
-	}
-	if len(v.Jobs) == 0 {
-		return minNodes
-	}
-	const searchGens = 10
-	lo, hi := minNodes, maxNodes
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.ClusterUtility(v, mid, searchGens) >= utilTarget {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	best := lo
-	if lo > minNodes {
-		du := diff(p.ClusterUtility(v, lo, searchGens), utilTarget)
-		dd := diff(p.ClusterUtility(v, lo-1, searchGens), utilTarget)
-		if dd < du {
-			best = lo - 1
-		}
-	}
-	return best
 }
 
 // weight implements Eqn. 16: w_j = min(1, thres/gputime)^λ.

@@ -102,26 +102,3 @@ func TestSpeedupTablePrunedForDepartedJobs(t *testing.T) {
 		t.Errorf("cached tables after empty view = %d over %d records, want 0", len(p.Snapshot().Tables), len(p.byID))
 	}
 }
-
-func TestUtilityPopulationClamp(t *testing.T) {
-	cases := []struct{ configured, want int }{
-		{1, 1}, {2, 1}, {3, 1}, {4, 2}, {100, 50},
-	}
-	for _, c := range cases {
-		if got := utilityPopulation(c.configured); got != c.want {
-			t.Errorf("utilityPopulation(%d) = %d, want %d", c.configured, got, c.want)
-		}
-	}
-}
-
-func TestClusterUtilityTinyPopulation(t *testing.T) {
-	// A Population: 1 configuration must stay a 1-member search (the old
-	// code passed 1/2 = 0 to ga.New, which re-defaulted to 100) and still
-	// produce a sane utility.
-	v := viewWith(3, 4, 4)
-	p := NewPollux(PolluxOptions{Population: 1, Generations: 3}, 10)
-	u := p.ClusterUtility(v, 4, 3)
-	if u < 0 || u > 1+1e-9 {
-		t.Errorf("utility = %v, want in [0, 1]", u)
-	}
-}

@@ -151,17 +151,11 @@ func (r *autoscaleRun) agentRound() {
 // the cost of a restart.
 func (r *autoscaleRun) decide(now float64) (requested, released bool) {
 	cfg, ag := r.cfg, r.job.Agent
-	want := r.scaler.DesiredNodes(ag.Report(), cfg.GPUsPerNode)
+	want := r.scaler.DesiredNodes(ag.Report(), cfg.GPUsPerNode, cfg.MinNodes, cfg.MaxNodes)
 	if cfg.RespectExploreCap {
 		if cap := ag.GPUCap() / cfg.GPUsPerNode; want > cap && cap >= cfg.MinNodes {
 			want = cap
 		}
-	}
-	if want < cfg.MinNodes {
-		want = cfg.MinNodes
-	}
-	if want > cfg.MaxNodes {
-		want = cfg.MaxNodes
 	}
 	switch {
 	case want > r.ready+r.provisioning:

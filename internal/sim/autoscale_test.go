@@ -31,7 +31,7 @@ func autoscaleCfg(goodput bool) AutoscaleConfig {
 
 func TestAutoscaleGoodputCompletes(t *testing.T) {
 	spec := scaledDownImagenet()
-	scaler := sched.NewGoodputAutoscaler(1, 16)
+	scaler := sched.GoodputAutoscaler{}
 	res := RunAutoscale(spec, scaler, autoscaleCfg(true))
 	if !res.Completed {
 		t.Fatal("goodput autoscaled training did not complete")
@@ -46,7 +46,7 @@ func TestAutoscaleGoodputCompletes(t *testing.T) {
 
 func TestAutoscaleGoodputRampsUp(t *testing.T) {
 	spec := scaledDownImagenet()
-	scaler := sched.NewGoodputAutoscaler(1, 16)
+	scaler := sched.GoodputAutoscaler{}
 	res := RunAutoscale(spec, scaler, autoscaleCfg(true))
 	if !res.Completed {
 		t.Fatal("did not complete")
@@ -64,7 +64,7 @@ func TestAutoscaleGoodputRampsUp(t *testing.T) {
 
 func TestAutoscaleThroughputJumpsEarly(t *testing.T) {
 	spec := scaledDownImagenet()
-	scaler := sched.NewThroughputAutoscaler(1, 16, 0.9)
+	scaler := sched.ThroughputAutoscaler{}
 	res := RunAutoscale(spec, scaler, autoscaleCfg(false))
 	if !res.Completed {
 		t.Fatal("did not complete")
@@ -84,8 +84,8 @@ func TestAutoscaleGoodputCheaper(t *testing.T) {
 	// The headline Sec. 5.3.3 result: goodput-based autoscaling is
 	// substantially cheaper, at a modest completion-time cost.
 	spec := scaledDownImagenet()
-	good := RunAutoscale(spec, sched.NewGoodputAutoscaler(1, 16), autoscaleCfg(true))
-	thr := RunAutoscale(spec, sched.NewThroughputAutoscaler(1, 16, 0.9), autoscaleCfg(false))
+	good := RunAutoscale(spec, sched.GoodputAutoscaler{}, autoscaleCfg(true))
+	thr := RunAutoscale(spec, sched.ThroughputAutoscaler{}, autoscaleCfg(false))
 	if !good.Completed || !thr.Completed {
 		t.Fatal("runs did not complete")
 	}
@@ -103,8 +103,8 @@ func TestAutoscaleEfficiencyHigherForGoodput(t *testing.T) {
 	// Fig. 10b: Pollux maintains high statistical efficiency; Or et al.
 	// tanks it early with oversized batches.
 	spec := scaledDownImagenet()
-	good := RunAutoscale(spec, sched.NewGoodputAutoscaler(1, 16), autoscaleCfg(true))
-	thr := RunAutoscale(spec, sched.NewThroughputAutoscaler(1, 16, 0.9), autoscaleCfg(false))
+	good := RunAutoscale(spec, sched.GoodputAutoscaler{}, autoscaleCfg(true))
+	thr := RunAutoscale(spec, sched.ThroughputAutoscaler{}, autoscaleCfg(false))
 	avgEff := func(pts []AutoscalePoint) float64 {
 		s := 0.0
 		for _, p := range pts {
@@ -130,7 +130,7 @@ func TestAutoscaleRespectsNodeBounds(t *testing.T) {
 	} {
 		cfg := autoscaleCfg(true)
 		cfg.MinNodes, cfg.MaxNodes = c.cfgMin, c.cfgMax
-		res := RunAutoscale(spec, sched.NewGoodputAutoscaler(c.lo, c.hi), cfg)
+		res := RunAutoscale(spec, sched.GoodputAutoscaler{}, cfg)
 		for _, p := range res.Points {
 			if p.Nodes < c.lo || p.Nodes > c.hi {
 				t.Errorf("MinNodes %d MaxNodes %d: t=%v nodes=%d outside [%d, %d]",
@@ -167,9 +167,7 @@ func TestClampBatch(t *testing.T) {
 // decision.
 type stepScaler struct{ wants []int }
 
-func (s *stepScaler) Name() string { return "step" }
-
-func (s *stepScaler) DesiredNodes(core.Model, int) int {
+func (s *stepScaler) DesiredNodes(core.Model, int, int, int) int {
 	n := s.wants[0]
 	s.wants = s.wants[1:]
 	return n

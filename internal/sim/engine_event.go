@@ -4,14 +4,12 @@ import "repro/internal/eventsim"
 
 // Event kinds for the cluster event engine, in intra-instant execution
 // order within each eventsim class. At one timestamp the agent round runs
-// before provisioning completion, which runs before the scheduling round;
-// all of those run before any per-job event at the same instant, and the
-// two rounds first admit every arrival due by then.
+// before the scheduling round; both run before any per-job event at the
+// same instant, and both first admit every arrival due by then.
 const (
 	// Cluster-class kinds.
-	evAgent     = iota // agent report/tune round, every AgentInterval
-	evProvision        // cluster-autoscale provisioning completion
-	evSched            // autoscale decision + scheduling round, every SchedInterval
+	evAgent = iota // agent report/tune round, every AgentInterval
+	evSched        // scheduling round, every SchedInterval
 	// Job-class kinds.
 	evArrival   // job submission
 	evRestart   // checkpoint-restart delay expiry
@@ -20,8 +18,8 @@ const (
 
 // Run executes the simulation to completion (all jobs done or MaxTime) on
 // the discrete-event engine: the clock jumps between pending events — job
-// arrivals, agent report/tune rounds, scheduling rounds, provisioning
-// completions, restart expiries, and the closed-form predicted progress
+// arrivals, agent report/tune rounds, scheduling rounds, restart
+// expiries, and the closed-form predicted progress
 // milestones (learning-rate decay crossings and job finishes) — instead of
 // stepping a fixed tick.
 func (c *Cluster) Run() Result {
@@ -45,7 +43,6 @@ func (c *Cluster) Run() Result {
 		if e.Time > cfg.MaxTime {
 			return false
 		}
-		c.integrateCost(e.Time)
 		c.now = e.Time
 
 		switch e.Kind {
@@ -72,23 +69,9 @@ func (c *Cluster) Run() Result {
 				Time: c.now + AgentInterval, Class: eventsim.ClassCluster, Kind: evAgent,
 			})
 
-		case evProvision:
-			if c.provisioning > 0 && c.now >= c.provisionAt {
-				c.activeNodes += c.provisioning
-				c.provisioning = 0
-			}
-
 		case evSched:
 			c.submitArrivals()
 			c.advanceAll()
-			if cfg.Autoscale != nil {
-				c.autoscaleTick()
-				if c.provisioning > 0 {
-					q.Push(eventsim.Event{
-						Time: c.provisionAt, Class: eventsim.ClassCluster, Kind: evProvision,
-					})
-				}
-			}
 			c.scheduleTick()
 			c.refreshPredictions(&q)
 			q.Push(eventsim.Event{
@@ -119,24 +102,12 @@ func (c *Cluster) Run() Result {
 		return !c.allDone()
 	})
 
-	// Unfinished tail: account running time and cluster cost up to the
-	// horizon.
+	// Unfinished tail: account running time up to the horizon.
 	if !c.allDone() && c.now < cfg.MaxTime {
-		c.integrateCost(cfg.MaxTime)
 		c.now = cfg.MaxTime
 		c.advanceAll()
 	}
 	return c.result()
-}
-
-// integrateCost accrues the paid cluster size (active plus provisioning
-// nodes) over the interval since the last event.
-func (c *Cluster) integrateCost(t float64) {
-	if t <= c.lastCost {
-		return
-	}
-	c.nodeSeconds += float64(c.activeNodes+c.provisioning) * (t - c.lastCost)
-	c.lastCost = t
 }
 
 // advanceAll brings every active job's training state up to c.now.

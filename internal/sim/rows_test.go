@@ -15,15 +15,15 @@ import (
 
 // rowSpy wraps a policy and journals every row it is shown in view.Current
 // and every row it returns, re-checking all of them at each later round.
-// evicted counts the rows that came back different from what the policy
-// last returned for the job: only a scale-down eviction does that.
+// swapped counts the rows that came back different from what the policy
+// last returned for the job: nothing in the simulator may do that.
 type rowSpy struct {
 	sched.Policy
 	t       *testing.T
 	journal testutil.RowJournal
 	rounds  int
 	last    map[int][]int
-	evicted int
+	swapped int
 }
 
 func (s *rowSpy) Schedule(v *sched.ClusterView) ga.Matrix {
@@ -31,7 +31,7 @@ func (s *rowSpy) Schedule(v *sched.ClusterView) ga.Matrix {
 	s.journal.See(v.Current)
 	for i, j := range v.Jobs {
 		if row, ok := s.last[j.ID]; ok && !ga.SameRow(row, v.Current[i]) {
-			s.evicted++
+			s.swapped++
 		}
 	}
 	m := s.Policy.Schedule(v)
@@ -44,49 +44,23 @@ func (s *rowSpy) Schedule(v *sched.ClusterView) ga.Matrix {
 	return m
 }
 
-// sizingSpy is a rowSpy around Pollux that still drives cluster autoscaling.
-type sizingSpy struct {
-	*rowSpy
-	pollux *sched.Pollux
-}
-
-func (s sizingSpy) DesiredClusterNodes(v *sched.ClusterView, minNodes, maxNodes int) int {
-	return s.pollux.DesiredClusterNodes(v, minNodes, maxNodes)
-}
-
 // TestPublishedRowsAreNeverWritten: the simulator installs the policy's
 // rows by reference and shows them again in the next view, so a row is
-// written by nobody once it has crossed Round or Schedule — a finish, a
-// pause and a scale-down eviction each replace the job's slice. Whole runs
-// of the three policies, and one whose autoscaler releases nodes that jobs
-// still hold GPUs on.
+// written by nobody once it has crossed Round or Schedule — a finish and a
+// pause each replace the job's slice. Whole runs of the three policies.
 func TestPublishedRowsAreNeverWritten(t *testing.T) {
 	small := smallOnly(smallTrace(1, 24))
 	for _, c := range []struct {
-		name     string
-		policy   func() sched.Policy
-		mod      func(*Config)
-		eviction bool
+		name   string
+		policy sched.Policy
 	}{
-		{name: "pollux", policy: func() sched.Policy { return fastPollux(1) }},
-		{name: "tiresias", policy: func() sched.Policy { return sched.NewTiresias() }},
-		{name: "optimus", policy: func() sched.Policy { return sched.NewOptimus(4) }},
-		{name: "autoscale", policy: func() sched.Policy { return fastPollux(1) }, mod: func(c *Config) {
-			c.Nodes = 8
-			c.Autoscale = &ClusterAutoscaleConfig{MinNodes: 1, MaxNodes: 8}
-		}, eviction: true},
+		{"pollux", fastPollux(1)},
+		{"tiresias", sched.NewTiresias()},
+		{"optimus", sched.NewOptimus(4)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := fastCfg(1)
-			if c.mod != nil {
-				c.mod(&cfg)
-			}
-			spy := &rowSpy{Policy: c.policy(), t: t}
-			policy := sched.Policy(spy)
-			if pollux, ok := spy.Policy.(*sched.Pollux); ok && cfg.Autoscale != nil {
-				policy = sizingSpy{spy, pollux}
-			}
-			res := NewCluster(small, policy, cfg).Run()
+			spy := &rowSpy{Policy: c.policy, t: t}
+			res := NewCluster(small, spy, fastCfg(1)).Run()
 			spy.journal.Check(t, "end of run")
 			if res.Summary.Completed != len(small.Jobs) {
 				t.Errorf("completed %d of %d jobs", res.Summary.Completed, len(small.Jobs))
@@ -94,11 +68,8 @@ func TestPublishedRowsAreNeverWritten(t *testing.T) {
 			if spy.journal.Len() < len(small.Jobs) {
 				t.Errorf("journaled %d rows over %d rounds: the spy saw too little", spy.journal.Len(), spy.rounds)
 			}
-			if c.eviction && spy.evicted == 0 {
-				t.Error("no scale-down evicted a placed job: the run does not cover the eviction")
-			}
-			if !c.eviction && spy.evicted > 0 {
-				t.Errorf("%d rows differ from what the policy last returned, with no autoscaler to evict them", spy.evicted)
+			if spy.swapped > 0 {
+				t.Errorf("%d rows differ from what the policy last returned", spy.swapped)
 			}
 		})
 	}
@@ -141,10 +112,6 @@ func TestLiveListMatchesScan(t *testing.T) {
 		{"event", small, sched.NewTiresias(), nil},
 		{"frontend", digestTenantTrace(11), sched.NewTiresias(), digestFrontEnd},
 		{"coincident/event", coincident(t, smallOnly(smallTrace(2, 96))), sched.NewOptimus(4), nil},
-		{"autoscale", small, fastPollux(1), func(c *Config) {
-			c.Nodes = 8
-			c.Autoscale = &ClusterAutoscaleConfig{MinNodes: 1, MaxNodes: 8}
-		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := fastCfg(1)

@@ -45,7 +45,7 @@ const (
 	// allocation changes (Sec. 5.3).
 	RestartDelay float64 = 30
 	// ProvisionDelay is how long newly requested cloud nodes take to join
-	// under either autoscaling mode; releases are immediate.
+	// an autoscaled run; releases are immediate.
 	ProvisionDelay float64 = 60
 	// DefaultMaxTime is the horizon of a run that sets no MaxTime: 14 days.
 	DefaultMaxTime float64 = 14 * 24 * 3600
@@ -92,9 +92,6 @@ type Config struct {
 	// bit-identical to a front-end-less build. Invalid policy names panic
 	// in NewCluster.
 	FrontEnd *admit.Options
-	// Autoscale enables Sec. 4.2.2 multi-job cluster autoscaling: Nodes
-	// then acts as the maximum cluster size and the active size varies.
-	Autoscale *ClusterAutoscaleConfig
 	// LogEvents records a structured event log (submissions,
 	// re-allocations, batch changes, completions) in the Result.
 	LogEvents bool
@@ -121,12 +118,6 @@ func (c *Config) defaults() {
 	}
 	if c.RefitWorkers <= 0 {
 		c.RefitWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.Autoscale != nil {
-		// Resolved on a copy: the caller's struct may configure clusters of
-		// other sizes, concurrently (RunSeedsFull).
-		as := c.Autoscale.resolved(c.Nodes)
-		c.Autoscale = &as
 	}
 }
 
@@ -174,10 +165,6 @@ type Result struct {
 	// job-running time, for the Sec. 5.2.1 relative comparisons.
 	AvgThroughput float64
 	AvgGoodput    float64
-	// CostNodeSeconds integrates the paid cluster size over the run
-	// (meaningful under cluster autoscaling; otherwise nodes x makespan).
-	// The replay testbed has a fixed cluster and leaves it zero.
-	CostNodeSeconds float64
 	// PerModel breaks JCT statistics down by zoo model, mirroring the
 	// paper's per-category discussion (Small/Medium/Large/XLarge map
 	// onto models one-to-one except the two Small workloads).
@@ -205,8 +192,8 @@ type Outcome struct {
 }
 
 // Summarize builds a run's Result from its jobs' outcomes, in trace order,
-// and the front end's counters (nil without one). CostNodeSeconds and
-// Events are the engine's to fill in.
+// and the front end's counters (nil without one). Events are the engine's
+// to fill in.
 func Summarize(outcomes []Outcome, fe *admit.FrontEnd) Result {
 	var res Result
 	var effSum, runSum, tputSum, goodSum float64
@@ -255,14 +242,6 @@ type Cluster struct {
 	// restartDelay is RestartDelay; a field so a test can lengthen the pause.
 	restartDelay float64
 
-	// Cluster autoscaling state (Sec. 4.2.2). With autoscaling disabled,
-	// activeNodes stays at cfg.Nodes.
-	activeNodes  int
-	provisioning int
-	provisionAt  float64
-	nodeSeconds  float64
-	lastCost     float64 // event engine: time nodeSeconds was integrated to
-
 	// arrivals is jobs by submit time (stable; jobs itself for a
 	// submit-sorted trace) and next the cursor submitArrivals has reached.
 	// live holds the admitted, unfinished jobs in trace order; a finish
@@ -281,13 +260,11 @@ type Cluster struct {
 	// view is the one snapshot Round refills, from viewJobs and viewRows:
 	// a front end swaps slices of its own into the view it is handed, so
 	// the buffers are kept here and the view is never read back. capacity
-	// was built for capNodes active nodes and is replaced, not rewritten,
-	// when that changes.
+	// is every node's GPU count, built once.
 	view     sched.ClusterView
 	viewJobs []sched.JobView
 	viewRows ga.Matrix
 	capacity []int
-	capNodes int
 
 	// Scratch: distributed jobs per node (recomputeInterference), and the
 	// running jobs with their agents (agentTick).
@@ -307,11 +284,12 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 		panic(fmt.Sprintf("sim: %v", err))
 	}
 	c := &Cluster{
-		cfg: cfg, policy: policy, fe: fe, restartDelay: RestartDelay, activeNodes: cfg.Nodes,
+		cfg: cfg, policy: policy, fe: fe, restartDelay: RestartDelay,
 		zero: make([]int, cfg.Nodes), usage: make([]int, cfg.Nodes), distJobs: make([]int, cfg.Nodes),
+		capacity: make([]int, cfg.Nodes),
 	}
-	if cfg.Autoscale != nil {
-		c.activeNodes = cfg.Autoscale.MinNodes
+	for n := range c.capacity {
+		c.capacity[n] = cfg.GPUsPerNode
 	}
 	zoo := models.Index()
 	for _, wj := range trace.Jobs {
@@ -464,16 +442,10 @@ func (c *Cluster) scheduleTick() {
 // job's reported goodput model, fixed configuration, attained service,
 // and current allocation row, in submission order. It refills the one
 // view the cluster keeps, so a steady round allocates nothing: the rows
-// are the jobs' own (see jobState.alloc), the capacity slice changes only
-// with the cluster size, and the usage totals are the cluster's, which
-// Step copies before it subtracts.
+// are the jobs' own (see jobState.alloc), the capacity slice is built once,
+// and the usage totals are the cluster's, which Step copies before it
+// subtracts.
 func (c *Cluster) Round(now float64) *sched.ClusterView {
-	if c.capacity == nil || c.capNodes != c.activeNodes {
-		c.capacity, c.capNodes = make([]int, c.cfg.Nodes), c.activeNodes
-		for n := 0; n < c.activeNodes && n < len(c.capacity); n++ {
-			c.capacity[n] = c.cfg.GPUsPerNode
-		}
-	}
 	readsModel := c.policy.ReadsModel()
 	jobs, rows := c.viewJobs[:0], c.viewRows[:0]
 	for _, j := range c.active() {
@@ -593,7 +565,6 @@ func (c *Cluster) result() Result {
 		outcomes[i] = Outcome{Trace: j.wj, Finish: j.finish, Rejected: j.rejected, Job: &j.Job}
 	}
 	res := Summarize(outcomes, c.fe)
-	res.CostNodeSeconds = c.nodeSeconds
 	res.Events = c.events
 	return res
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/eventsim"
 	"repro/internal/metrics"
 	"repro/internal/models"
@@ -231,22 +232,64 @@ func TestRunSeedsAverages(t *testing.T) {
 // in seed order, so concurrent fan-out reproduces the serial result
 // exactly — every float64 included.
 func TestRunSeedsParallelMatchesSerial(t *testing.T) {
-	gen := func(rng *rand.Rand) workload.Trace {
-		return smallOnly(workload.Generate(rng, workload.Options{Jobs: 8, Hours: 0.25}))
-	}
-	run := func(parallel int) metrics.Summary {
-		cfg := fastCfg(0)
-		cfg.Parallel = parallel
-		return RunSeeds([]int64{1, 2, 3}, gen, fastPollux, cfg)
-	}
-	serial := run(1)
-	parallel := run(4)
-	if serial != parallel {
-		t.Errorf("parallel RunSeeds diverged from serial:\n%+v\n%+v", parallel, serial)
-	}
-	if serial.AvgJCT <= 0 {
-		t.Errorf("AvgJCT = %v, want > 0", serial.AvgJCT)
-	}
+	seeds := []int64{1, 2, 3}
+	t.Run("pollux", func(t *testing.T) {
+		gen := func(rng *rand.Rand) workload.Trace {
+			return smallOnly(workload.Generate(rng, workload.Options{Jobs: 8, Hours: 0.25}))
+		}
+		run := func(parallel int) metrics.Summary {
+			cfg := fastCfg(0)
+			cfg.Parallel = parallel
+			return RunSeeds(seeds, gen, fastPollux, cfg)
+		}
+		serial := run(1)
+		parallel := run(4)
+		if serial != parallel {
+			t.Errorf("parallel RunSeeds diverged from serial:\n%+v\n%+v", parallel, serial)
+		}
+		if serial.AvgJCT <= 0 {
+			t.Errorf("AvgJCT = %v, want > 0", serial.AvgJCT)
+		}
+	})
+	// Every seed's cluster builds its front end from the one *admit.Options
+	// the caller shares, quota map included, so nothing may write through
+	// it. Not skipped under -short: the race job is what sees a concurrent
+	// write.
+	t.Run("frontend", func(t *testing.T) {
+		gen := func(rng *rand.Rand) workload.Trace {
+			return smallOnly(workload.Generate(rng, workload.Options{
+				Hours:   0.25,
+				Tenants: []workload.TenantSpec{{Name: "prod", Jobs: 6, SLOHours: 1}, {Name: "batch", Jobs: 8}},
+			}))
+		}
+		opts := &admit.Options{Admission: admit.AdmitQuota, Quotas: map[string]int{"batch": 2}, Priority: admit.PrioritySLO}
+		run := func(parallel int) []Result {
+			cfg := fastCfg(0)
+			cfg.FrontEnd = opts
+			cfg.Parallel = parallel
+			return RunSeedsFull(seeds, gen, func(int64) sched.Policy { return sched.NewTiresias() }, cfg)
+		}
+		serial := run(1)
+		parallel := run(2)
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Error("parallel RunSeedsFull diverged from serial under a shared front end")
+		}
+		rejected := 0
+		for _, res := range serial {
+			for _, d := range res.Admissions {
+				if !d.Admitted {
+					rejected++
+				}
+			}
+		}
+		if rejected == 0 {
+			t.Error("the quota rejected nothing: the front end is not exercised")
+		}
+		want := admit.Options{Admission: admit.AdmitQuota, Quotas: map[string]int{"batch": 2}, Priority: admit.PrioritySLO}
+		if !reflect.DeepEqual(*opts, want) {
+			t.Errorf("caller's front-end options were written: %+v", *opts)
+		}
+	})
 }
 
 func TestJobStateProgressAccounting(t *testing.T) {

@@ -30,7 +30,6 @@ var optionStructs = []structRef{
 	{"repro/internal/ga", "Options"},
 	{"repro/internal/sim", "Config"},
 	{"repro/internal/sim", "AutoscaleConfig"},
-	{"repro/internal/sim", "ClusterAutoscaleConfig"},
 	{"repro/internal/cluster", "ReplayConfig"},
 	{"repro/internal/cluster", "Trainer"},
 	{"repro/internal/opt", "LBFGSBOptions"},
@@ -44,17 +43,14 @@ const optionsBefore = 88
 // callerless lists the fields that stay exported without an outside
 // caller, and why.
 var callerless = map[string]string{
-	"sched.PolluxOptions.Workers":         "selects the serial reference the bit-identity tests compare against",
-	"sim.AutoscaleConfig.MaxTime":         "the autoscale tests bound a run that does not complete with it",
-	"sim.Config.Autoscale":                "the paper's Sec. 4.2.2 mode; no main reaches it, a later issue gives it a caller or removes it",
-	"sim.ClusterAutoscaleConfig.MinNodes": "reached only through sim.Config.Autoscale",
-	"sim.ClusterAutoscaleConfig.MaxNodes": "reached only through sim.Config.Autoscale",
-	"cluster.Trainer.DisableCompression":  "the unpaced clock the trainer tests run Trainer.Run under",
-	"cluster.Trainer.FixedBatch":          "per-job trace value; cluster.Replay, in package, is the caller",
-	"cluster.Trainer.UserGPUs":            "per-job trace value; cluster.Replay, in package, is the caller",
-	"cluster.Trainer.UserBatch":           "per-job trace value; cluster.Replay, in package, is the caller",
-	"cluster.Trainer.Tenant":              "per-job trace value; cluster.Replay, in package, is the caller",
-	"cluster.Trainer.Deadline":            "per-job trace value; cluster.Replay, in package, is the caller",
+	"sched.PolluxOptions.Workers":        "selects the serial reference the bit-identity tests compare against",
+	"sim.AutoscaleConfig.MaxTime":        "the autoscale tests bound a run that does not complete with it",
+	"cluster.Trainer.DisableCompression": "the unpaced clock the trainer tests run Trainer.Run under",
+	"cluster.Trainer.FixedBatch":         "per-job trace value; cluster.Replay, in package, is the caller",
+	"cluster.Trainer.UserGPUs":           "per-job trace value; cluster.Replay, in package, is the caller",
+	"cluster.Trainer.UserBatch":          "per-job trace value; cluster.Replay, in package, is the caller",
+	"cluster.Trainer.Tenant":             "per-job trace value; cluster.Replay, in package, is the caller",
+	"cluster.Trainer.Deadline":           "per-job trace value; cluster.Replay, in package, is the caller",
 }
 
 // sourceFile is one parsed non-test Go file and what its package names
