@@ -36,6 +36,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -85,14 +86,8 @@ func main() {
 		"simulated seconds between checkpoint writes (with -checkpoint)")
 	restore := flag.Bool("restore", false, "restore state from the -checkpoint file before serving")
 	flag.Parse()
-	if *compression <= 0 {
-		log.Fatal("pollux-sched: -compression must be positive")
-	}
-	if *restore && *ckptPath == "" {
-		log.Fatal("pollux-sched: -restore needs -checkpoint to name the state file")
-	}
-	if *ckptPath != "" && *ckptInterval <= 0 {
-		log.Fatal("pollux-sched: -checkpoint-interval must be positive")
+	if err := checkFlags(*nodes, *gpus, *compression, *ckptPath, *ckptInterval, *restore); err != nil {
+		log.Fatalf("pollux-sched: %v", err)
 	}
 
 	capacity := make([]int, *nodes)
@@ -175,6 +170,25 @@ func main() {
 			st := svc.Status()
 			log.Printf("t=%.0fs scheduled %d jobs; GPUs in use %d/%d %v", now, n, st.GPUsUsed, st.GPUsTotal, st.Usage)
 		})
+}
+
+// checkFlags refuses flag values the daemon cannot serve with, naming the
+// flag: a cluster without nodes or GPUs, a pace that is not positive, and
+// checkpointing without a file or an interval.
+func checkFlags(nodes, gpus int, compression float64, ckptPath string, ckptInterval float64, restore bool) error {
+	switch {
+	case nodes <= 0:
+		return fmt.Errorf("-nodes must be positive, got %d", nodes)
+	case gpus <= 0:
+		return fmt.Errorf("-gpus must be positive, got %d", gpus)
+	case compression <= 0:
+		return errors.New("-compression must be positive")
+	case restore && ckptPath == "":
+		return errors.New("-restore needs -checkpoint to name the state file")
+	case ckptPath != "" && ckptInterval <= 0:
+		return errors.New("-checkpoint-interval must be positive")
+	}
+	return nil
 }
 
 // restoreCheckpoint loads the state file, of the current format version

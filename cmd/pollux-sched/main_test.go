@@ -84,8 +84,8 @@ func TestRestoreAcceptsVersion1AndWritesVersion2(t *testing.T) {
 	held := 0
 	for _, name := range names {
 		var want, got cluster.Allocation
-		svc.GetAllocation(name, &want)
-		restored.GetAllocation(name, &got)
+		svc.GetAllocation(cluster.AllocQuery{Job: name, Have: -1}, &want)
+		restored.GetAllocation(cluster.AllocQuery{Job: name, Have: -1}, &got)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: restored daemon allocates %+v, original %+v", name, got, want)
 		}
@@ -133,5 +133,50 @@ func TestRestoreRefusesNullSnapshots(t *testing.T) {
 				t.Error("a state file with a null snapshot was restored")
 			}
 		})
+	}
+}
+
+// TestCheckFlagsNamesTheFlag: a cluster shape with no usable GPUs, a pace
+// that is not positive and an incomplete checkpoint setting are each
+// refused with an error that names the flag, before main sizes anything
+// by them (-nodes -1 used to panic in makeslice); the defaults pass.
+func TestCheckFlagsNamesTheFlag(t *testing.T) {
+	type flags struct {
+		nodes, gpus  int
+		compression  float64
+		ckptPath     string
+		ckptInterval float64
+		restore      bool
+	}
+	defaults := flags{nodes: 4, gpus: 4, compression: 300, ckptInterval: 600}
+	check := func(f flags) error {
+		return checkFlags(f.nodes, f.gpus, f.compression, f.ckptPath, f.ckptInterval, f.restore)
+	}
+	if err := check(defaults); err != nil {
+		t.Fatalf("the default flags are refused: %v", err)
+	}
+	withCkpt := defaults
+	withCkpt.ckptPath, withCkpt.restore = "sched.ckpt", true
+	if err := check(withCkpt); err != nil {
+		t.Fatalf("-checkpoint with -restore is refused: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*flags)
+		want string
+	}{
+		{"nodes -1", func(f *flags) { f.nodes = -1 }, "-nodes"},
+		{"nodes 0", func(f *flags) { f.nodes = 0 }, "-nodes"},
+		{"gpus -2", func(f *flags) { f.gpus = -2 }, "-gpus"},
+		{"gpus 0", func(f *flags) { f.gpus = 0 }, "-gpus"},
+		{"compression 0", func(f *flags) { f.compression = 0 }, "-compression"},
+		{"restore without checkpoint", func(f *flags) { f.restore = true }, "-restore"},
+		{"checkpoint interval 0", func(f *flags) { f.ckptPath, f.ckptInterval = "sched.ckpt", 0 }, "-checkpoint-interval"},
+	} {
+		f := defaults
+		c.edit(&f)
+		if err := check(f); err == nil || !strings.HasPrefix(err.Error(), c.want+" ") {
+			t.Errorf("%s: got %v, want an error naming %s", c.name, err, c.want)
+		}
 	}
 }

@@ -129,6 +129,54 @@ func TestReplayCheckpointMismatchFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestResumedTrainerTicksOnItsPlacement: a trainer snapshot holds no
+// placement, so a trainer resumed while it held GPUs must fetch its row on
+// its first poll, whatever generation it last saw, and run that tick on
+// the GPUs the ledger holds for it.
+func TestResumedTrainerTicksOnItsPlacement(t *testing.T) {
+	tr := smallTrace(3, 10)
+	if len(tr.Jobs) < 3 {
+		t.Skip("trace too small after filtering")
+	}
+	ck, err := ReplayToCheckpoint(tr, checkpointPolicy(3), smallReplayCfg(3), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newReplayRun(tr, checkpointPolicy(3), ck.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	if err := r.svc.RestoreSnapshot(ck.Service); err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for i, ts := range ck.Tasks {
+		trainer := r.tasks[i].tr
+		if ts.Trainer == nil || ts.Finished {
+			continue
+		}
+		want := r.svc.state.Allocation(trainer.Job, -1)
+		pl := sched.PlacementOf(want.Row)
+		if pl.GPUs == 0 {
+			continue
+		}
+		held++
+		if err := trainer.restore(r.trans, ts.Trainer); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trainer.tick(); err != nil {
+			t.Fatal(err)
+		}
+		if got := trainer.job.Placement; got != pl {
+			t.Errorf("%s (last saw generation %d, ledger at %d) ticked on %+v, want %+v", trainer.Job, ts.Trainer.LastGen, want.Generation, got, pl)
+		}
+	}
+	if held == 0 {
+		t.Fatal("no live trainer held GPUs at the cut; the test checks nothing")
+	}
+}
+
 // TestServiceSnapshotShapeMismatchFailsLoudly: restoring a service
 // snapshot into a service whose cluster has a different shape fails
 // loudly — the direct restore-into-mismatched-cluster check under the
@@ -184,6 +232,7 @@ func TestRestoreSnapshotRejectsCorruptSnapshots(t *testing.T) {
 		}, "twice"},
 		{"report under another name", func(s *ServiceSnapshot) { s.Jobs[1].Report.Job = "c" }, "registered as"},
 		{"jobs and order misaligned", func(s *ServiceSnapshot) { s.Order = s.Order[:1] }, "misaligned"},
+		{"held row at generation 0", func(s *ServiceSnapshot) { s.Jobs[0].Generation = 0 }, "at generation 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -57,15 +57,23 @@ func NewState(capacity []int) *State {
 	}
 }
 
-// Allocation returns a copy of the job's row and its generation; a job
-// the ledger has never held a row for reads as all zeros at generation 0.
-func (s *State) Allocation(job string) Allocation {
+// Allocation returns the job's generation and, when the caller's have is
+// another generation, a copy of its row; a poll at the current generation
+// gets a nil row, since the row it holds has not changed. A job the ledger
+// has never held a row for is all zeros at generation 0, so a caller that
+// holds nothing yet polls with have 0. have -1 always gets the row.
+func (s *State) Allocation(job string, have int) Allocation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var a Allocation
+	row := s.zero
 	if p := s.rows[job]; p != nil && p.row != nil {
-		return Allocation{Row: slices.Clone(p.row), Generation: p.gen}
+		row, a.Generation = p.row, p.gen
 	}
-	return Allocation{Row: slices.Clone(s.zero)}
+	if have != a.Generation {
+		a.Row = slices.Clone(row)
+	}
+	return a
 }
 
 // at returns the job's ledger entry, which holds no row until one is

@@ -60,7 +60,7 @@ func TestLedgerInstallReplacesAndReleases(t *testing.T) {
 	if err := bind(s, "c", []int{1, 1}); err == nil {
 		t.Error("oversubscription not rejected")
 	}
-	if a := s.Allocation("c"); a.Generation != 0 || a.Row[1] != 0 {
+	if a := s.Allocation("c", -1); a.Generation != 0 || a.Row[1] != 0 {
 		t.Errorf("refused install left %+v behind", a)
 	}
 	// Rebinding a replaces the old row, not adds to it.
@@ -77,7 +77,7 @@ func TestLedgerInstallReplacesAndReleases(t *testing.T) {
 	if u := usageOf(s); u[0] != 2 || u[1] != 2 {
 		t.Errorf("usage after release = %v, want [2 2]", u)
 	}
-	if a := s.Allocation("a"); a.Generation != 3 {
+	if a := s.Allocation("a", -1); a.Generation != 3 {
 		t.Errorf("generation = %d after three installs, want 3", a.Generation)
 	}
 }
@@ -95,9 +95,51 @@ func TestLedgerRejectsMalformedRows(t *testing.T) {
 func TestAllocationIsCopy(t *testing.T) {
 	s := NewState([]int{4})
 	bind(s, "a", []int{2})
-	s.Allocation("a").Row[0] = 99
-	if again := s.Allocation("a"); again.Row[0] != 2 {
+	s.Allocation("a", -1).Row[0] = 99
+	if again := s.Allocation("a", -1); again.Row[0] != 2 {
 		t.Error("Allocation leaked internal state")
+	}
+}
+
+// TestAllocationPollCarriesOnlyAChangedRow: a poll at the job's generation
+// gets that generation and no row; a poll at any other generation, -1
+// included, gets a copy of the row. A job the ledger never held a row for
+// is the all-zero row at generation 0, so a poll with Have 0 gets no row.
+func TestAllocationPollCarriesOnlyAChangedRow(t *testing.T) {
+	svc := NewService(NewState([]int{4, 4}))
+	poll := func(job string, have int) Allocation {
+		t.Helper()
+		var a Allocation
+		if err := svc.GetAllocation(AllocQuery{Job: job, Have: have}, &a); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	if a := poll("never", 0); a.Row != nil || a.Generation != 0 {
+		t.Errorf("never-placed job polled at 0: %+v, want no row at generation 0", a)
+	}
+	if a := poll("never", -1); !slices.Equal(a.Row, []int{0, 0}) || a.Generation != 0 {
+		t.Errorf("never-placed job polled at -1: %+v, want the zero row at generation 0", a)
+	}
+	if err := bind(svc.state, "a", []int{2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bind(svc.state, "a", []int{3, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if a := poll("a", 2); a.Row != nil || a.Generation != 2 {
+		t.Errorf("poll at the ledger's generation: %+v, want no row at generation 2", a)
+	}
+	for _, have := range []int{-1, 0, 1, 3} {
+		a := poll("a", have)
+		if !slices.Equal(a.Row, []int{3, 0}) || a.Generation != 2 {
+			t.Errorf("poll at %d: %+v, want row [3 0] at generation 2", have, a)
+			continue
+		}
+		a.Row[0] = 99 // a copy: the caller may write it
+	}
+	if a := poll("a", -1); a.Row[0] != 3 {
+		t.Errorf("writing a poll's row reached the ledger: %v", a.Row)
 	}
 }
 
@@ -126,7 +168,7 @@ func TestInstallValidatesAgainstWholeLedger(t *testing.T) {
 	if err := install(s, []string{"a", "b"}, ga.Matrix{{9, 9}, {0, 2}}, []bool{false, true}); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := s.Allocation("a"), s.Allocation("b"); a.Row[0] != 3 || a.Generation != 1 || b.Row[0] != 0 || b.Generation != 2 {
+	if a, b := s.Allocation("a", -1), s.Allocation("b", -1); a.Row[0] != 3 || a.Generation != 1 || b.Row[0] != 0 || b.Generation != 2 {
 		t.Errorf("after a partial install a = %+v, b = %+v", a, b)
 	}
 }
@@ -156,7 +198,7 @@ func TestServiceReportAllocateRoundTrip(t *testing.T) {
 		t.Fatalf("scheduled %d jobs, want 1", n)
 	}
 	var alloc Allocation
-	if err := svc.GetAllocation("job-0", &alloc); err != nil {
+	if err := svc.GetAllocation(AllocQuery{Job: "job-0", Have: -1}, &alloc); err != nil {
 		t.Fatal(err)
 	}
 	pl := sched.PlacementOf(alloc.Row)
@@ -175,7 +217,7 @@ func TestServiceReportAllocateRoundTrip(t *testing.T) {
 	if err := svc.SubmitReport(rep, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	done := state.Allocation("job-0")
+	done := state.Allocation("job-0", -1)
 	if sched.PlacementOf(done.Row).GPUs != 0 {
 		t.Error("done job still placed")
 	}
@@ -227,6 +269,14 @@ func TestRPCOverRealSocket(t *testing.T) {
 	}
 	if sched.PlacementOf(alloc.Row).GPUs == 0 {
 		t.Error("no GPUs allocated over RPC")
+	}
+	// A poll at the generation the caller holds comes back without a row.
+	again, err := client.PollAllocation("rpc-job", alloc.Generation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Row != nil || again.Generation != alloc.Generation {
+		t.Errorf("unchanged poll over RPC: %+v, want no row at generation %d", again, alloc.Generation)
 	}
 }
 
@@ -393,13 +443,13 @@ func TestPublishedRowsAreNeverWritten(t *testing.T) {
 
 	// The copies: a trainer and a policy may write what they were given.
 	name := l.live[0].Job
-	want := l.svc.state.Allocation(name)
+	want := l.svc.state.Allocation(name, -1)
 	view := l.svc.Round(l.now)
-	got := l.svc.state.Allocation(name)
+	got := l.svc.state.Allocation(name, -1)
 	for n := range got.Row {
 		got.Row[n], view.Capacity[n], view.Usage[n] = 99, 99, 99
 	}
-	if a := l.svc.state.Allocation(name); !slices.Equal(a.Row, want.Row) {
+	if a := l.svc.state.Allocation(name, -1); !slices.Equal(a.Row, want.Row) {
 		t.Errorf("row = %v after writing to GetAllocation's reply, want %v", a.Row, want.Row)
 	}
 	if again := l.svc.Round(l.now); again.Capacity[0] != 4 || !slices.Equal(again.Usage, usageOf(l.svc.state)) || slices.Contains(again.Usage, 99) {
@@ -431,7 +481,7 @@ func TestServiceStatusCounts(t *testing.T) {
 		held, usage := 0, 0
 		for _, name := range names {
 			var a Allocation
-			svc.GetAllocation(name, &a)
+			svc.GetAllocation(AllocQuery{Job: name, Have: -1}, &a)
 			held += sched.PlacementOf(a.Row).GPUs
 		}
 		for _, u := range st.Usage {
@@ -494,7 +544,7 @@ func TestDoneIsTerminal(t *testing.T) {
 		}
 	}
 	step(0, 3)
-	placed := svc.state.Allocation("b")
+	placed := svc.state.Allocation("b", -1)
 	if sched.PlacementOf(placed.Row).GPUs != 2 {
 		t.Fatalf("b was placed as %+v", placed)
 	}
@@ -508,12 +558,12 @@ func TestDoneIsTerminal(t *testing.T) {
 			}
 		}
 	}
-	if a := svc.state.Allocation("b"); sched.PlacementOf(a.Row).GPUs != 0 || a.Generation != placed.Generation+1 {
+	if a := svc.state.Allocation("b", -1); sched.PlacementOf(a.Row).GPUs != 0 || a.Generation != placed.Generation+1 {
 		t.Errorf("finished job holds %+v, want no GPUs at generation %d", a, placed.Generation+1)
 	}
 	others := make([]int, 2)
 	for _, name := range []string{"a", "c"} {
-		for n, g := range svc.state.Allocation(name).Row {
+		for n, g := range svc.state.Allocation(name, -1).Row {
 			others[n] += g
 		}
 	}
@@ -541,7 +591,7 @@ func TestCommitDropsJobDoneMidRound(t *testing.T) {
 	if _, err := svc.ScheduleOnce(finishesMidRound{sched.NewTiresias(), svc, "a"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if a := svc.state.Allocation("a"); a.Row[0] != 0 || a.Generation != 1 {
+	if a := svc.state.Allocation("a", -1); a.Row[0] != 0 || a.Generation != 1 {
 		t.Errorf("job done mid-round holds %+v, want no GPUs at generation 1", a)
 	}
 	if st := svc.Status(); st.GPUsUsed != 2 || st.Running != 1 || st.Done != 1 {
@@ -605,7 +655,7 @@ func TestServiceConcurrentReadersDuringRounds(t *testing.T) {
 			default:
 			}
 			var a Allocation
-			svc.GetAllocation(name(i%jobs), &a)
+			svc.GetAllocation(AllocQuery{Job: name(i % jobs), Have: -1}, &a)
 			if len(a.Row) != len(capacity) {
 				t.Errorf("allocation row has %d nodes", len(a.Row))
 			}

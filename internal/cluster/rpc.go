@@ -46,9 +46,18 @@ type Report struct {
 	Done     bool
 }
 
-// Allocation is the scheduler's reply to a poll: the job's current
-// per-node GPU assignment and a generation counter that increments on
-// every change (so trainers can detect reallocation and checkpoint).
+// AllocQuery is an allocation poll: the job and the generation of the row
+// the caller already holds (0 for none yet, -1 to ask for the row
+// whatever the generation).
+type AllocQuery struct {
+	Job  string
+	Have int
+}
+
+// Allocation is the scheduler's reply to a poll: a generation counter that
+// increments on every change of the job's per-node GPU assignment (so
+// trainers can detect reallocation and checkpoint), and that assignment
+// when it is not the one the poll said it held; Row is nil otherwise.
 type Allocation struct {
 	Row        []int
 	Generation int
@@ -192,9 +201,10 @@ func (s *Service) SubmitReport(r Report, _ *struct{}) error {
 	return nil
 }
 
-// GetAllocation returns the job's current allocation.
-func (s *Service) GetAllocation(job string, reply *Allocation) error {
-	*reply = s.state.Allocation(job)
+// GetAllocation answers an allocation poll: the job's current generation,
+// with a copy of its row only when that is not the generation q.Have.
+func (s *Service) GetAllocation(q AllocQuery, reply *Allocation) error {
+	*reply = s.state.Allocation(q.Job, q.Have)
 	return nil
 }
 
@@ -340,11 +350,17 @@ func (c *Client) SubmitReport(r Report) error {
 	return c.c.Call("PolluxSched.SubmitReport", r, &struct{}{})
 }
 
-// GetAllocation polls the job's allocation.
-func (c *Client) GetAllocation(job string) (Allocation, error) {
+// PollAllocation polls the job's allocation; the reply carries a row only
+// when the job's generation is not have.
+func (c *Client) PollAllocation(job string, have int) (Allocation, error) {
 	var a Allocation
-	err := c.c.Call("PolluxSched.GetAllocation", job, &a)
+	err := c.c.Call("PolluxSched.GetAllocation", AllocQuery{Job: job, Have: have}, &a)
 	return a, err
+}
+
+// GetAllocation fetches the job's allocation, row included.
+func (c *Client) GetAllocation(job string) (Allocation, error) {
+	return c.PollAllocation(job, -1)
 }
 
 // Close closes the underlying connection.

@@ -74,8 +74,9 @@ func (s *Service) Snapshot() *ServiceSnapshot {
 // with the same capacity and whose front end was rebuilt from the same
 // admit.Options. Every check runs before anything is replaced: a
 // cluster-shape or front-end mismatch, a misaligned or repeated job name,
-// a row of the wrong length and rows that oversubscribe a node each fail
-// with their own error and leave the service as it was.
+// a row of the wrong length or below generation 1 and rows that
+// oversubscribe a node each fail with their own error and leave the
+// service as it was.
 func (s *Service) RestoreSnapshot(snap *ServiceSnapshot) error {
 	s.schedMu.Lock()
 	defer s.schedMu.Unlock()
@@ -115,6 +116,11 @@ func (s *Service) RestoreSnapshot(snap *ServiceSnapshot) error {
 			live = append(live, j)
 		}
 		if js.HasAlloc {
+			// Generation 0 is the all-zero row of a job the ledger never
+			// held a row for; a poll at 0 would never fetch this one.
+			if js.Generation < 1 {
+				return fmt.Errorf("cluster: snapshot row of %q is at generation %d; an installed row is at 1 or later", name, js.Generation)
+			}
 			held = append(held, j.p)
 			rows = append(rows, slices.Clone(js.Row)) // the ledger keeps the slice
 		}
@@ -203,7 +209,9 @@ func (t *Trainer) restore(tr Transport, snap *TrainerSnapshot) error {
 	t.src = detrand.Restore(snap.RNG)
 	t.simNow = snap.SimNow
 	t.nextReport = snap.NextReport
-	t.lastGen = snap.LastGen
+	// The snapshot holds no placement: the trainer starts from the zero
+	// row at generation 0 and its first tick fetches the ledger's row.
+	t.have, t.lastGen = 0, snap.LastGen
 	t.mu.Lock()
 	t.job = sim.NewJob(t.Spec, rand.New(t.src))
 	t.job.Agent = ag

@@ -143,7 +143,7 @@ func steadyDigest(t *testing.T, nodes, jobs, rounds int, seed int64) string {
 		l.schedule(t)
 		for _, rep := range l.live {
 			var a Allocation
-			l.svc.GetAllocation(rep.Job, &a)
+			l.svc.GetAllocation(AllocQuery{Job: rep.Job, Have: -1}, &a)
 			h.Write([]byte(rep.Job))
 			put(int64(a.Generation))
 			for _, g := range a.Row {
@@ -231,6 +231,31 @@ func BenchmarkServiceSubmitReport(b *testing.B) {
 	}
 }
 
+// BenchmarkServicePoll times a trainer's allocation poll between two
+// rounds, at the generation of the row it already holds, which is most
+// polls (a trainer polls twelve times a round): one lookup by name and the
+// generation back, no row. CI gates its allocs/op at 0; a poll that copies
+// an unchanged row is 1.
+func BenchmarkServicePoll(b *testing.B) {
+	l := newSteadyLoad(b, 64, 1280, 1)
+	have := make([]AllocQuery, len(l.live))
+	for i, rep := range l.live {
+		var a Allocation
+		if err := l.svc.GetAllocation(AllocQuery{Job: rep.Job, Have: -1}, &a); err != nil {
+			b.Fatal(err)
+		}
+		have[i] = AllocQuery{Job: rep.Job, Have: a.Generation}
+	}
+	var a Allocation
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.svc.GetAllocation(have[i%len(have)], &a); err != nil || a.Row != nil {
+			b.Fatalf("poll at the held generation: %+v, %v", a, err)
+		}
+	}
+}
+
 // TestSharedRowsUnderConcurrentReaders runs allocation polls, service
 // snapshots and status reads against 50 churning rounds whose views share
 // the ledger's rows (under -race in CI). The readers touch rows only under
@@ -258,7 +283,7 @@ func TestSharedRowsUnderConcurrentReaders(t *testing.T) {
 	}
 	reader(func(i int) { // trainers polling, finished jobs included
 		var a Allocation
-		l.svc.GetAllocation(fmt.Sprintf("job-%06d", i%(jobs+rounds)), &a)
+		l.svc.GetAllocation(AllocQuery{Job: fmt.Sprintf("job-%06d", i%(jobs+rounds)), Have: -1}, &a)
 		if len(a.Row) != nodes {
 			t.Errorf("allocation row has %d nodes", len(a.Row))
 		}
@@ -290,7 +315,7 @@ func TestSharedRowsUnderConcurrentReaders(t *testing.T) {
 	// service counts what the saved one did.
 	held := func(job string) bool {
 		var a Allocation
-		l.svc.GetAllocation(job, &a)
+		l.svc.GetAllocation(AllocQuery{Job: job, Have: -1}, &a)
 		return sched.PlacementOf(a.Row).GPUs > 0
 	}
 	want := l.svc.Status()

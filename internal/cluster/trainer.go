@@ -22,7 +22,7 @@ const trainerTick = 5.0
 // can drive the identical control path in process.
 type Transport interface {
 	SubmitReport(r Report) error
-	GetAllocation(job string) (Allocation, error)
+	PollAllocation(job string, have int) (Allocation, error)
 }
 
 // Local is the in-process Transport: direct method calls on the Service,
@@ -33,10 +33,11 @@ type Local struct{ Svc *Service }
 // SubmitReport delivers an agent report.
 func (l Local) SubmitReport(r Report) error { return l.Svc.SubmitReport(r, &struct{}{}) }
 
-// GetAllocation polls the job's allocation.
-func (l Local) GetAllocation(job string) (Allocation, error) {
+// PollAllocation polls the job's allocation; the reply carries a row only
+// when the job's generation is not have.
+func (l Local) PollAllocation(job string, have int) (Allocation, error) {
 	var a Allocation
-	err := l.Svc.GetAllocation(job, &a)
+	err := l.Svc.GetAllocation(AllocQuery{Job: job, Have: have}, &a)
 	return a, err
 }
 
@@ -94,11 +95,15 @@ type Trainer struct {
 	// rng is backed by src, a counting source whose (seed, draws) state
 	// makes the trainer checkpointable without changing a single draw. The
 	// job's RestartUntil is on the trainer's own clock, like simNow.
+	// have is the generation of the row job.Placement was taken from (0,
+	// the all-zero row, until a poll brings another); lastGen is the last
+	// generation the restart check saw, which a restore carries over.
 	transport  Transport
 	submit     float64
 	src        *detrand.Source
 	simNow     float64
 	nextReport float64
+	have       int
 	lastGen    int
 }
 
@@ -154,7 +159,7 @@ func (t *Trainer) begin(tr Transport, submit float64) error {
 		t.job.Batch = t.FixedBatch
 	}
 	t.mu.Unlock()
-	t.lastGen = -1
+	t.have, t.lastGen = 0, -1
 	t.simNow = 0
 	t.nextReport = 0
 	return t.report(false)
@@ -180,19 +185,22 @@ func (t *Trainer) report(done bool) error {
 	})
 }
 
-// tick runs one control-loop step: poll the allocation, detect
-// re-allocation and charge the checkpoint-restart pause (sim.RestartDelay),
-// advance one trainerTick of training, and report/re-tune every
-// sim.AgentInterval.
+// tick runs one control-loop step: poll the allocation (the reply carries
+// a row only when its generation differs from have), detect re-allocation
+// and charge the checkpoint-restart pause (sim.RestartDelay), advance one
+// trainerTick of training, and report/re-tune every sim.AgentInterval.
 // It returns whether the job completed (the final Done report included).
 func (t *Trainer) tick() (bool, error) {
-	alloc, err := t.transport.GetAllocation(t.Job)
+	alloc, err := t.transport.PollAllocation(t.Job, t.have)
 	if err != nil {
 		return false, err
 	}
-	pl := sched.PlacementOf(alloc.Row)
 	t.mu.Lock()
-	t.job.Placement = pl
+	if alloc.Generation != t.have {
+		t.have = alloc.Generation
+		t.job.Placement = sched.PlacementOf(alloc.Row)
+	}
+	pl := t.job.Placement
 	if alloc.Generation != t.lastGen {
 		t.lastGen = alloc.Generation
 		if pl.GPUs > 0 {
