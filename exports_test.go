@@ -108,14 +108,23 @@ func satisfiesInterface(recv types.Type, method string, byName map[string][]*typ
 	return false
 }
 
-func TestEveryExportedFuncHasACaller(t *testing.T) {
+// checkModule type-checks the non-test files parseTree finds and returns
+// the checker, whose info covers all of them, and their package paths in
+// order.
+func checkModule(t *testing.T) (*moduleChecker, []string) {
+	t.Helper()
 	fset, parsed := parseTree(t)
 	c := &moduleChecker{
 		fset:  fset,
 		files: map[string][]*ast.File{},
 		pkgs:  map[string]*types.Package{},
 		std:   importer.Default(),
-		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
+		info: &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 	}
 	var paths []string
 	for _, sf := range parsed {
@@ -130,6 +139,12 @@ func TestEveryExportedFuncHasACaller(t *testing.T) {
 			t.Fatalf("type-check %s: %v", p, err)
 		}
 	}
+	return c, paths
+}
+
+func TestEveryExportedFuncHasACaller(t *testing.T) {
+	c, paths := checkModule(t)
+	fset := c.fset
 
 	used := map[*types.Func]bool{}
 	for _, obj := range c.info.Uses {

@@ -3,6 +3,8 @@ package sched
 import (
 	"strconv"
 	"testing"
+
+	"repro/internal/ga"
 )
 
 func BenchmarkPolluxScheduleInterval(b *testing.B) {
@@ -87,13 +89,53 @@ func BenchmarkPolluxScheduleIncremental(b *testing.B) {
 	}
 }
 
+// BenchmarkTiresiasSchedule times one Tiresias round on two shapes: small,
+// 20 jobs on 16 nodes, and diurnal-peak, the peak of sim_tiresias_diurnal's
+// 64-node day (diurnalPeakView), where most jobs are queued jobs that do not
+// fit. CI gates diurnal-peak's allocs/op exactly (bench/baselines/gobench.json,
+// at -benchtime 20x): nothing moves, so the round allocates its matrix of
+// row headers and nothing else, and an allocation per job, or a scratch
+// matrix, coming back moves it.
 func BenchmarkTiresiasSchedule(b *testing.B) {
-	v := viewWith(20, 16, 4)
-	t := NewTiresias()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Schedule(v)
+	for _, leg := range []struct {
+		name string
+		view func() *ClusterView
+	}{
+		{"small", func() *ClusterView { return viewWith(20, 16, 4) }},
+		{"diurnal-peak", diurnalPeakView},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			v := leg.view()
+			t := NewTiresias()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Schedule(v)
+			}
+		})
 	}
+}
+
+// diurnalPeakView is the steady round at the peak of a 64-node diurnal
+// day, the shape BenchmarkSimRoundSteady drives through the simulator: 190
+// live jobs on 64 four-GPU nodes asking for several times the cluster, in
+// three attained-service queues. Its Current is the last round's result,
+// so a running job holds a row of its own and every queued job the one
+// zero slice the backend shares.
+func diurnalPeakView() *ClusterView {
+	const jobs, nodes = 190, 64
+	sizes := []int{1, 2, 4, 1, 8, 2, 16, 4}
+	zero := make([]int, nodes)
+	v := &ClusterView{Capacity: make([]int, nodes), Jobs: make([]JobView, jobs), Current: make(ga.Matrix, jobs)}
+	for n := range v.Capacity {
+		v.Capacity[n] = 4
+	}
+	for i := range v.Jobs {
+		v.Jobs[i] = JobView{ID: i, Submit: float64(60 * i), UserGPUs: sizes[i%len(sizes)], GPUTime: float64(i*7919%48) * 900}
+		v.Current[i] = zero
+	}
+	v.Current = NewTiresias().Schedule(v)
+	return v
 }
 
 func BenchmarkOptimusSchedule(b *testing.B) {

@@ -628,10 +628,10 @@ func (r *round) solveRacks() ga.Matrix {
 		// densely onto the rack's freest nodes.
 		seedCur := make(ga.Matrix, len(mem))
 		seedPack := ga.NewMatrix(len(mem), n1-n0)
-		free := append([]int(nil), r.residual[n0:n1]...)
+		p.seed.reset(r.residual[n0:n1])
 		for mi, c := range mem {
 			seedCur[mi] = c.cur
-			packJob(seedPack[mi], free, coarse[c.si][rk])
+			p.seed.take(seedPack[mi], coarse[c.si][rk])
 		}
 		best, _ := r.solveNodes(mem, n0, n1, []ga.Matrix{seedCur, seedPack}, refinePop, refineGens)
 		for mi, c := range mem {

@@ -133,6 +133,9 @@ type Pollux struct {
 	sinceFull int
 	// lastStats describes the most recent Schedule call (see RoundStats).
 	lastStats RoundStats
+	// seed packs each rack's dense seed in a rack round, reset to the
+	// rack's residual capacity; scratch, kept from round to round.
+	seed packer
 }
 
 // RoundStats summarizes the work done by one Schedule call; experiments

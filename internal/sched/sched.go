@@ -11,6 +11,7 @@ package sched
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/core"
@@ -116,36 +117,6 @@ func PlacementOf(row []int) core.Placement {
 	return core.Placement{GPUs: k, Nodes: n}
 }
 
-// packJob places g GPUs for one job onto the nodes with the most free
-// GPUs, minimizing the number of nodes spanned (the co-location preference
-// shared by all three schedulers). It adds the placement to row (the
-// job's all-zero row of the matrix being built) and takes it from free;
-// when fewer than g GPUs are free in total it touches neither and
-// reports false.
-func packJob(row, free []int, g int) bool {
-	total := 0
-	for _, f := range free {
-		total += f
-	}
-	if g <= 0 || total < g {
-		return false
-	}
-	// Repeatedly take from the node with the most free GPUs.
-	for g > 0 {
-		best := 0
-		for n, f := range free {
-			if f > free[best] {
-				best = n
-			}
-		}
-		take := min(free[best], g)
-		row[best] += take
-		free[best] -= take
-		g -= take
-	}
-	return true
-}
-
 // packer builds a baseline policy's matrix under the row rule of
 // round.compose (incremental.go, Ownership): the row published for a job is
 // the view's current row when the packing reproduces it, one fresh slice
@@ -153,33 +124,134 @@ func packJob(row, free []int, g int) bool {
 // GPUs. So a steady job costs the round no allocation and runtime.Step
 // answers "did it change" by slice identity. The scratch lives on the
 // policy value, which makes Schedule as non-reentrant as Pollux's.
+//
+// A job is packed onto the nodes with the most free GPUs, lowest index on
+// a tie, which spans the fewest nodes (the co-location preference shared
+// by all three schedulers). The free nodes are kept bucketed by free
+// count, so taking a node costs a word scan of one level, and a job costs
+// time in the nodes it takes, not in the cluster: a job that does not fit
+// is refused by the running total at once.
 type packer struct {
 	free  []int // GPUs still unclaimed per node
-	row   []int // the row being packed; never published
-	zero  []int // published for jobs left without GPUs; never written
-	order []int // packAll's job order
+	total int   // sum of free
+	// level holds one bitset of nodes per free count f >= 1, words uint64s
+	// each, at level[(f-1)*words:]; count[f-1] is its population and top
+	// the highest f that may be populated.
+	level []uint64
+	count []int
+	words int
+	top   int
+
+	row  []int // the row being packed; never published
+	took []int // the nodes take wrote to row since the last place
+	zero []int // published for jobs left without GPUs; never written
+	// seenZero is the last view row found all zero. Rows are never written
+	// once handed out (ClusterView.Current), so it is all zero still, and a
+	// queued job whose row is it or zero costs a pointer compare.
+	seenZero []int
+	order    []int // the job order of packAll and Tiresias.Schedule
 }
 
-// reset starts a matrix on a cluster of the given capacity.
+// reset starts a matrix on a cluster of the given free capacity.
 func (p *packer) reset(capacity []int) {
-	if len(p.zero) != len(capacity) {
-		p.free, p.row, p.zero = make([]int, len(capacity)), make([]int, len(capacity)), make([]int, len(capacity))
+	p.free = append(p.free[:0], capacity...)
+	p.took = p.took[:0]
+	p.total, p.top, p.words = 0, 0, (len(capacity)+63)/64
+	for _, f := range capacity {
+		p.total += f
+		p.top = max(p.top, f)
 	}
-	copy(p.free, capacity)
+	p.level = resize(p.level, p.top*p.words)
+	clear(p.level)
+	p.count = resize(p.count, p.top)
+	clear(p.count)
+	for node, f := range capacity {
+		if f > 0 {
+			p.level[(f-1)*p.words+node/64] |= 1 << (node % 64)
+			p.count[f-1]++
+		}
+	}
 }
 
-// place packs g GPUs for job i of the view with packJob and returns the
-// row to publish for it.
-func (p *packer) place(v *ClusterView, i, g int) []int {
-	clear(p.row)
-	packed := packJob(p.row, p.free, g)
-	if i < len(v.Current) && slices.Equal(v.Current[i], p.row) {
-		return v.Current[i]
+// take adds g GPUs to row (all zero on the nodes with free GPUs) from the
+// nodes with the most free GPUs and takes them from free. When fewer than
+// g are free in total, or g <= 0, it touches neither and reports false.
+func (p *packer) take(row []int, g int) bool {
+	if g <= 0 || p.total < g {
+		return false
 	}
-	if !packed {
+	p.total -= g
+	for g > 0 {
+		for p.count[p.top-1] == 0 {
+			p.top--
+		}
+		f := p.top
+		lv := p.level[(f-1)*p.words : f*p.words]
+		w := 0
+		for lv[w] == 0 {
+			w++
+		}
+		node := w*64 + bits.TrailingZeros64(lv[w])
+		lv[w] &^= 1 << (node % 64)
+		p.count[f-1]--
+		t := min(f, g)
+		if rest := f - t; rest > 0 {
+			p.level[(rest-1)*p.words+w] |= 1 << (node % 64)
+			p.count[rest-1]++
+		}
+		row[node] += t
+		p.free[node] -= t
+		p.took = append(p.took, node)
+		g -= t
+	}
+	return true
+}
+
+// place packs g GPUs for job i of the view and returns the row to publish
+// for it.
+func (p *packer) place(v *ClusterView, i, g int) []int {
+	if n := len(p.free); len(p.row) != n {
+		p.row, p.zero, p.seenZero = make([]int, n), make([]int, n), nil
+	}
+	if !p.take(p.row, g) {
+		return p.queued(v, i)
+	}
+	var out []int
+	if i < len(v.Current) && slices.Equal(v.Current[i], p.row) {
+		out = v.Current[i]
+	} else {
+		out = slices.Clone(p.row)
+	}
+	for _, n := range p.took {
+		p.row[n] = 0
+	}
+	p.took = p.took[:0]
+	return out
+}
+
+// queued returns the row to publish for job i of the view when it gets no
+// GPUs: its current row when that is all zero, the shared zero row when not.
+func (p *packer) queued(v *ClusterView, i int) []int {
+	if i >= len(v.Current) || len(v.Current[i]) != len(p.zero) {
 		return p.zero
 	}
-	return slices.Clone(p.row)
+	cur := v.Current[i]
+	if ga.SameRow(cur, p.zero) || ga.SameRow(cur, p.seenZero) {
+		return cur
+	}
+	for _, g := range cur {
+		if g != 0 {
+			return p.zero
+		}
+	}
+	p.seenZero = cur
+	return cur
+}
+
+// resize returns s at length n, on its own array when that is large
+// enough; the cells hold whatever they held.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // packAll builds an allocation matrix by packing per-job GPU counts in

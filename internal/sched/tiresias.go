@@ -15,7 +15,9 @@ type Tiresias struct {
 	// defaults are 1 and 10 GPU-hours, giving three queues.
 	QueueThresholds []float64
 
-	pack packer
+	pack  packer
+	queue []int // per view job: its queue
+	start []int // per queue: where its jobs start in pack.order
 }
 
 // NewTiresias creates the baseline with the default queue discretization.
@@ -40,19 +42,35 @@ func (t *Tiresias) queueOf(attained float64) int {
 // Schedule allocates user-requested GPU counts in discretized-LAS order.
 func (t *Tiresias) Schedule(v *ClusterView) ga.Matrix {
 	t.pack.reset(v.Capacity)
-	m := make(ga.Matrix, len(v.Jobs))
 	// Queue by queue, and within a queue in snapshot order, which is
 	// submission order in every deployment (traces are submit-sorted and
 	// the testbed registers trainers as they arrive) — unless an admit
 	// front end reordered the snapshot, in which case its priority (e.g.
-	// earliest SLO deadline first) decides within-queue order. A job that
-	// does not fit is skipped, so smaller jobs backfill.
-	for q := 0; q <= len(t.QueueThresholds); q++ {
-		for i := range v.Jobs {
-			if t.queueOf(v.Jobs[i].GPUTime) == q {
-				m[i] = t.pack.place(v, i, v.Jobs[i].UserGPUs)
-			}
-		}
+	// earliest SLO deadline first) decides within-queue order. One pass
+	// files each job under its queue, a second lays the queues out in
+	// order (a stable counting sort). A job that does not fit is skipped,
+	// so smaller jobs backfill.
+	n := len(v.Jobs)
+	t.queue = resize(t.queue, n)
+	t.start = resize(t.start, len(t.QueueThresholds)+2)
+	clear(t.start)
+	for i := range v.Jobs {
+		q := t.queueOf(v.Jobs[i].GPUTime)
+		t.queue[i] = q
+		t.start[q+1]++
+	}
+	for q := 1; q < len(t.start); q++ {
+		t.start[q] += t.start[q-1]
+	}
+	order := resize(t.pack.order, n)
+	for i, q := range t.queue {
+		order[t.start[q]] = i
+		t.start[q]++
+	}
+	t.pack.order = order
+	m := make(ga.Matrix, n)
+	for _, i := range order {
+		m[i] = t.pack.place(v, i, v.Jobs[i].UserGPUs)
 	}
 	return m
 }

@@ -126,15 +126,18 @@ func (c *Config) defaults() {
 // its Job's placement was derived from.
 type jobState struct {
 	Job
-	wj       workload.Job
-	idx      int // position in Cluster.jobs, the trace order
-	useTuned bool
+	// wj is the job's entry in the trace the cluster was built from. No
+	// caller writes a trace once a run has it, and every caller keeps it,
+	// so pointing at the entry saves a copy of the trace per cluster.
+	wj  *workload.Job
+	idx int // position in Cluster.jobs, the trace order
 
 	// alloc is the committed row itself: the slice the policy returned, or
 	// the cluster's zero row while the job holds nothing. It is never
 	// written; setRow replaces it.
 	alloc []int
 
+	useTuned  bool
 	submitted bool
 	rejected  bool // turned away by the admission stage; implies done
 	done      bool
@@ -292,7 +295,8 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 		c.capacity[n] = cfg.GPUsPerNode
 	}
 	zoo := models.Index()
-	for _, wj := range trace.Jobs {
+	for i := range trace.Jobs {
+		wj := &trace.Jobs[i]
 		spec := zoo[wj.Model]
 		if spec == nil {
 			continue
@@ -562,7 +566,7 @@ func (c *Cluster) finishJob(j *jobState, t float64) {
 func (c *Cluster) result() Result {
 	outcomes := make([]Outcome, len(c.jobs))
 	for i, j := range c.jobs {
-		outcomes[i] = Outcome{Trace: j.wj, Finish: j.finish, Rejected: j.rejected, Job: &j.Job}
+		outcomes[i] = Outcome{Trace: *j.wj, Finish: j.finish, Rejected: j.rejected, Job: &j.Job}
 	}
 	res := Summarize(outcomes, c.fe)
 	res.Events = c.events

@@ -119,10 +119,6 @@ type Config struct {
 	MaxSteps   int
 	TargetLoss float64
 	EvalEvery  int
-	// Momentum applies heavy-ball momentum to the averaged gradient
-	// (0 disables). WeightDecay adds L2 regularization.
-	Momentum    float64
-	WeightDecay float64
 	// GNSDecay smooths the measured noise scale (default 0.98).
 	GNSDecay float64
 	Seed     int64
@@ -215,7 +211,6 @@ func Run(model Model, ds Dataset, w0 []float64, cfg Config) ([]float64, Stats, e
 	for r := range locals {
 		locals[r] = make([]float64, dim)
 	}
-	velocity := make([]float64, dim)
 
 	for step := 0; step < cfg.MaxSteps; step++ {
 		// Each replica computes its local mini-batch gradient.
@@ -269,8 +264,7 @@ func Run(model Model, ds Dataset, w0 []float64, cfg Config) ([]float64, Stats, e
 			}
 		}
 
-		// AdaScale learning rate and SGD update (heavy-ball momentum and
-		// L2 weight decay when configured).
+		// AdaScale learning rate and plain SGD update.
 		phi := tracker.NoiseScale()
 		lr := cfg.Eta0
 		if cfg.UseAdaScale {
@@ -279,12 +273,7 @@ func Run(model Model, ds Dataset, w0 []float64, cfg Config) ([]float64, Stats, e
 			sched.Step(0, cfg.Batch)
 		}
 		for i := range w {
-			g := avg[i] + cfg.WeightDecay*w[i]
-			if cfg.Momentum > 0 {
-				velocity[i] = cfg.Momentum*velocity[i] + g
-				g = velocity[i]
-			}
-			w[i] -= lr * g
+			w[i] -= lr * avg[i]
 		}
 		stats.Steps++
 		stats.ExamplesProcessed += int64(cfg.Batch)

@@ -184,42 +184,3 @@ func TestEfficiencyPredictsExamplesToTarget(t *testing.T) {
 			actual, predicted, phi, ratio)
 	}
 }
-
-func TestRunWithMomentumConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	ds, _ := SynthesizeLinear(rng, 2048, 16, 0.2)
-	noiseFloor := 0.2 * 0.2 / 2
-	_, stats, err := Run(LeastSquares{}, ds, make([]float64, 16), Config{
-		Replicas: 4, Batch: 64, Eta0: 0.01, UseAdaScale: true,
-		Momentum: 0.9, TargetLoss: noiseFloor * 1.3, MaxSteps: 5000, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.ReachedTarget {
-		t.Errorf("momentum run did not converge: final loss %v", stats.FinalLoss)
-	}
-}
-
-func TestRunWithWeightDecayShrinksNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	ds, _ := SynthesizeLinear(rng, 1024, 8, 0.2)
-	norm := func(decay float64) float64 {
-		w, _, err := Run(LeastSquares{}, ds, make([]float64, 8), Config{
-			Replicas: 2, Batch: 32, Eta0: 0.05,
-			WeightDecay: decay, MaxSteps: 800, Seed: 15,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := 0.0
-		for _, v := range w {
-			s += v * v
-		}
-		return s
-	}
-	plain, decayed := norm(0), norm(0.1)
-	if decayed >= plain {
-		t.Errorf("weight decay did not shrink weights: %v vs %v", decayed, plain)
-	}
-}

@@ -4,13 +4,16 @@
 // non-test file of the module, benchmark/ or examples/ sets from outside
 // the declaring package; such a value is a constant and belongs next to
 // the code that reads it (docs/architecture.md, "Where a run's parameters
-// come from").
+// come from"). It also fails on an exported field of any other exported
+// struct under internal/ that no such file writes at all, in its package or
+// outside it: only a test sets it, so the program reads it as zero.
 package repro
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -51,6 +54,8 @@ var callerless = map[string]string{
 	"cluster.Trainer.UserBatch":          "per-job trace value; cluster.Replay, in package, is the caller",
 	"cluster.Trainer.Tenant":             "per-job trace value; cluster.Replay, in package, is the caller",
 	"cluster.Trainer.Deadline":           "per-job trace value; cluster.Replay, in package, is the caller",
+	"eventsim.Wall.NowFn":                "test hook: the paced-clock tests read a fake clock through it; nil is time.Now",
+	"eventsim.Wall.SleepFn":              "test hook: the paced-clock tests record the sleeps through it; nil is time.Sleep",
 }
 
 // sourceFile is one parsed non-test Go file and what its package names
@@ -256,11 +261,118 @@ func TestEveryOptionHasACaller(t *testing.T) {
 			isField[id] = true
 		}
 	}
-	for id := range callerless {
-		if !isField[id] {
-			t.Errorf("callerless names %s, which is not a field of an option struct", id)
+
+	// Every other exported struct under internal/: an exported field that
+	// no non-test file writes, anywhere, is read as its zero value only.
+	c, paths := checkModule(t)
+	written := writtenFields(c, paths)
+	others, otherFields := 0, 0
+	for _, p := range paths {
+		if !strings.HasPrefix(p, "repro/internal/") || testSupport[p] {
+			continue
+		}
+		scope := c.pkgs[p].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || isOption[structRef{p, name}] {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			others++
+			for i := range st.NumFields() {
+				fv := st.Field(i)
+				if !fv.Exported() {
+					continue
+				}
+				otherFields++
+				id := path.Base(p) + "." + name + "." + fv.Name()
+				_, allowed := callerless[id]
+				switch {
+				case !written[fv] && !allowed:
+					t.Errorf("%s (%s) is written by no non-test file: delete it, or give it a reason in callerless",
+						id, c.fset.Position(fv.Pos()))
+				case written[fv] && allowed:
+					t.Errorf("%s is written now: drop it from callerless", id)
+				}
+				isField[id] = true
+			}
 		}
 	}
-	t.Logf("option count: %d exported fields over the %d option structs (%d before ISSUE 23)",
-		total, len(optionStructs), optionsBefore)
+
+	for id := range callerless {
+		if !isField[id] {
+			t.Errorf("callerless names %s, which is not an exported field of an exported struct under internal/", id)
+		}
+	}
+	t.Logf("option count: %d exported fields over the %d option structs (%d before their callerless fields became constants); %d exported fields over %d other exported structs",
+		total, len(optionStructs), optionsBefore, otherFields, others)
+}
+
+// writtenFields returns the struct fields the type-checked non-test files
+// write: assigned (as the root of the left-hand side, so an element or a
+// cell of the field counts), incremented, named in a keyed struct literal,
+// implied by a positional one, or passed by address.
+func writtenFields(c *moduleChecker, paths []string) map[*types.Var]bool {
+	written := map[*types.Var]bool{}
+	field := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+				continue
+			case *ast.IndexExpr:
+				e = x.X
+				continue
+			case *ast.StarExpr:
+				e = x.X
+				continue
+			case *ast.SelectorExpr:
+				if sel := c.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					written[sel.Obj().(*types.Var).Origin()] = true
+				}
+			}
+			return
+		}
+	}
+	for _, p := range paths {
+		for _, f := range c.files[p] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						field(lhs)
+					}
+				case *ast.IncDecStmt:
+					field(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						field(n.X)
+					}
+				case *ast.CompositeLit:
+					typ := c.info.Types[n].Type
+					if ptr, ok := typ.(*types.Pointer); ok {
+						typ = ptr.Elem() // an element of []*T{{...}}
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if v, ok := c.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								written[v.Origin()] = true
+							}
+						} else if i < st.NumFields() {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return written
 }
