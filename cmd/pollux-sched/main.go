@@ -42,10 +42,12 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/eventsim"
+	"repro/internal/ga"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/status"
@@ -87,7 +89,8 @@ func main() {
 	restore := flag.Bool("restore", false, "restore state from the -checkpoint file before serving")
 	flag.Parse()
 	if err := checkFlags(*nodes, *gpus, *compression, *ckptPath, *ckptInterval, *restore); err != nil {
-		log.Fatalf("pollux-sched: %v", err)
+		fmt.Fprintf(os.Stderr, "pollux-sched: %v\n", err)
+		os.Exit(2)
 	}
 
 	capacity := make([]int, *nodes)
@@ -173,14 +176,17 @@ func main() {
 }
 
 // checkFlags refuses flag values the daemon cannot serve with, naming the
-// flag: a cluster without nodes or GPUs, a pace that is not positive, and
-// checkpointing without a file or an interval.
+// flag: a cluster without nodes or GPUs, nodes with more GPUs than the
+// scheduler's GA can hold (ga.MaxCapacity), a pace that is not positive,
+// and checkpointing without a file or an interval.
 func checkFlags(nodes, gpus int, compression float64, ckptPath string, ckptInterval float64, restore bool) error {
 	switch {
 	case nodes <= 0:
 		return fmt.Errorf("-nodes must be positive, got %d", nodes)
 	case gpus <= 0:
 		return fmt.Errorf("-gpus must be positive, got %d", gpus)
+	case gpus > ga.MaxCapacity:
+		return fmt.Errorf("-gpus must be at most %d, got %d", ga.MaxCapacity, gpus)
 	case compression <= 0:
 		return errors.New("-compression must be positive")
 	case restore && ckptPath == "":

@@ -136,10 +136,11 @@ func TestRestoreRefusesNullSnapshots(t *testing.T) {
 	}
 }
 
-// TestCheckFlagsNamesTheFlag: a cluster shape with no usable GPUs, a pace
-// that is not positive and an incomplete checkpoint setting are each
-// refused with an error that names the flag, before main sizes anything
-// by them (-nodes -1 used to panic in makeslice); the defaults pass.
+// TestCheckFlagsNamesTheFlag: a cluster shape with no usable GPUs or with
+// more GPUs a node than a GA cell holds (ga.MaxCapacity), a pace that is
+// not positive and an incomplete checkpoint setting are each refused with
+// an error that names the flag, before main sizes anything by them (-nodes
+// -1 used to panic in makeslice); the defaults pass.
 func TestCheckFlagsNamesTheFlag(t *testing.T) {
 	type flags struct {
 		nodes, gpus  int
@@ -169,6 +170,7 @@ func TestCheckFlagsNamesTheFlag(t *testing.T) {
 		{"nodes 0", func(f *flags) { f.nodes = 0 }, "-nodes"},
 		{"gpus -2", func(f *flags) { f.gpus = -2 }, "-gpus"},
 		{"gpus 0", func(f *flags) { f.gpus = 0 }, "-gpus"},
+		{"gpus above a GA cell", func(f *flags) { f.gpus = 65536 }, "-gpus"},
 		{"compression 0", func(f *flags) { f.compression = 0 }, "-compression"},
 		{"restore without checkpoint", func(f *flags) { f.restore = true }, "-restore"},
 		{"checkpoint interval 0", func(f *flags) { f.ckptPath, f.ckptInterval = "sched.ckpt", 0 }, "-checkpoint-interval"},

@@ -60,6 +60,7 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
+	"repro/internal/ga"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -159,6 +160,10 @@ func main() {
 		if !explicit["tick"] {
 			*tick = sc.Tick
 		}
+	}
+	if err := checkShape(*nodes, *gpus, *rackSize); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var trace workload.Trace
@@ -288,6 +293,25 @@ func main() {
 	}
 	res := sim.NewCluster(trace, p, cfg).Run()
 	printRun(header, res, *events)
+}
+
+// checkShape refuses a cluster shape the simulation would not run as
+// printed, naming the flag: no nodes or no GPUs (the simulator would
+// substitute its default cluster), and nodes or racks holding more GPUs
+// than a cell of Pollux's GA can (ga.MaxCapacity; the rack-level GA of
+// -racksize sees a rack as one node).
+func checkShape(nodes, gpus, rackSize int) error {
+	switch {
+	case nodes <= 0:
+		return fmt.Errorf("-nodes must be positive, got %d", nodes)
+	case gpus <= 0:
+		return fmt.Errorf("-gpus must be positive, got %d", gpus)
+	case gpus > ga.MaxCapacity:
+		return fmt.Errorf("-gpus must be at most %d, got %d", ga.MaxCapacity, gpus)
+	case rackSize > 0 && min(rackSize, nodes) > ga.MaxCapacity/gpus:
+		return fmt.Errorf("-racksize must hold at most %d GPUs a rack, got %d nodes of %d", ga.MaxCapacity, min(rackSize, nodes), gpus)
+	}
+	return nil
 }
 
 // printRun prints one run of any engine: header, summary row, per-model and

@@ -59,6 +59,31 @@ func BenchmarkGAStep(b *testing.B) {
 	}
 }
 
+// BenchmarkGANew builds the GA of one svc_round_full32 round: 96 jobs on 32
+// nodes, population 50, seeded with a population carried from a previous
+// GA as PolluxSched seeds it, Workers 1. A GA's allocations do not depend
+// on its population size (its genomes are cut from one array), and CI
+// gates allocs/op exactly, so an allocation per genome or per seed coming
+// back into New fails there.
+func BenchmarkGANew(b *testing.B) {
+	b.Run("full32", func(b *testing.B) {
+		capacity := make([]int, 32)
+		for n := range capacity {
+			capacity[n] = 4
+		}
+		rng := rand.New(rand.NewSource(1))
+		prob := Problem{Capacity: capacity, Jobs: 96, Fitness: simpleFitness, InterferenceAvoidance: true}
+		opts := Options{Population: 50, Workers: 1}
+		prev := New(prob, opts, rng, nil)
+		prev.Run(2)
+		seeds := prev.Population()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			New(prob, opts, rng, seeds)
+		}
+	})
+}
+
 // BenchmarkGAStepWorkers isolates the fitness fan-out: the same generation
 // under 1, 2, 4, and 8 workers with an artificially expensive fitness (the
 // real one runs golden-section searches on cache misses), at the

@@ -12,6 +12,7 @@ package ga
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	mathbits "math/bits"
 	"math/rand"
@@ -35,21 +36,15 @@ func NewMatrix(jobs, nodes int) Matrix {
 	return m
 }
 
-// CopyFrom overwrites m's entries with o's. The shapes must match; it is
-// the allocation-free counterpart of Clone for reused buffers.
-func (m Matrix) CopyFrom(o Matrix) {
-	for j := range m {
-		copy(m[j], o[j])
-	}
-}
-
 // Clone deep-copies the matrix.
 func (m Matrix) Clone() Matrix {
 	if len(m) == 0 {
 		return Matrix{}
 	}
 	c := NewMatrix(len(m), len(m[0]))
-	c.CopyFrom(m)
+	for j := range c {
+		copy(c[j], m[j])
+	}
 	return c
 }
 
@@ -68,19 +63,25 @@ func (m Matrix) tally(usage, span []int) {
 	}
 }
 
+// MaxCapacity is the most GPUs a node of a Problem may have: a genome
+// keeps each cell in a uint16.
+const MaxCapacity = math.MaxUint16
+
 // wordBits is the number of cells one mask word covers.
 const wordBits = 32
 
-// A genome is a matrix buffer the GA owns together with the mask of its
-// positive cells, one bit per cell in row-major order: bit i%wordBits of
-// mask[i/wordBits] is set exactly when cell i (row i/nodes, node i%nodes)
-// is positive. Rows are packed across word boundaries, so a 16-node row
-// costs half a word. Every operator that writes a cell keeps the bit, so
-// the occupancy tally visits the one or two nodes a row holds instead of
-// every cell of it.
+// A genome is an allocation matrix as the GA keeps it: its cells as uint16
+// (a cell holds at most MaxCapacity), row-major (cell j*nodes+n is row j,
+// node n), with the mask of its positive cells: bit i%wordBits of
+// mask[i/wordBits] is set exactly when cell i is positive. Rows are packed
+// across word boundaries, so a 16-node row costs half a word. Every
+// operator that writes a cell keeps the bit, so the occupancy tally visits
+// the one or two nodes a row holds instead of every cell of it, and a dense
+// Matrix is built from the set bits only where a caller reads one (see
+// scratch and GA.Population).
 type genome struct {
-	m    Matrix
-	mask []uint32
+	cells []uint16
+	mask  []uint32
 }
 
 // maskWords is the number of mask words a jobs × nodes matrix takes.
@@ -108,6 +109,89 @@ func copyBits(dst, src []uint32, lo, hi int) {
 	}
 }
 
+// load sets c to the first nodes columns of m, which has c's rows, and
+// reports whether every one of those cells fits a genome (0 ≤ v ≤
+// MaxCapacity); a cell that does not loads as zero.
+func (c genome) load(m Matrix, nodes int) bool {
+	clear(c.mask)
+	ok := true
+	for j, row := range m {
+		cells := c.cells[j*nodes:][:nodes]
+		for n, v := range row[:nodes] {
+			cells[n] = 0
+			if v < 0 || v > MaxCapacity {
+				ok = false
+			} else if v > 0 {
+				cells[n] = uint16(v)
+				mark(c.mask, j*nodes+n, v)
+			}
+		}
+	}
+	return ok
+}
+
+// spread writes c's positive cells into flat, the row-major cells of a
+// dense matrix of c's shape, and leaves the others as they are.
+func (c genome) spread(flat []int) {
+	for w, bits := range c.mask {
+		for ; bits != 0; bits &= bits - 1 {
+			i := w*wordBits + mathbits.TrailingZeros32(bits)
+			flat[i] = int(c.cells[i])
+		}
+	}
+}
+
+// newMatrices returns count zero jobs × nodes matrices cut from one array
+// of cells and one of rows, together with the cells, row-major and matrix
+// after matrix. No row can grow into another.
+func newMatrices(count, jobs, nodes int) ([]Matrix, []int) {
+	flat, rows, ms := make([]int, count*jobs*nodes), make([][]int, count*jobs), make([]Matrix, count)
+	for k := range ms {
+		ms[k] = rows[k*jobs:][:jobs:jobs]
+		for j := range ms[k] {
+			i := (k*jobs + j) * nodes
+			ms[k][j] = flat[i : i+nodes : i+nodes]
+		}
+	}
+	return ms, flat
+}
+
+// scratch is the dense Matrix a scorer hands Fitness: load writes a
+// genome's cells into it over what the previous load wrote. set is the
+// mask of the cells the last load made positive, so a load writes only
+// the cells positive before or after it and skips every mask word that is
+// zero on both sides.
+type scratch struct {
+	m    Matrix
+	flat []int // m's cells, row-major
+	set  []uint32
+}
+
+func newScratch(jobs, nodes int) scratch {
+	ms, flat := newMatrices(1, jobs, nodes)
+	return scratch{m: ms[0], flat: flat, set: make([]uint32, maskWords(jobs, nodes))}
+}
+
+// load makes the scratch equal c and returns its matrix.
+func (s *scratch) load(c genome) Matrix {
+	for w, now := range c.mask {
+		was := s.set[w]
+		if was|now == 0 {
+			continue
+		}
+		base := w * wordBits
+		for bits := was &^ now; bits != 0; bits &= bits - 1 {
+			s.flat[base+mathbits.TrailingZeros32(bits)] = 0
+		}
+		for bits := now; bits != 0; bits &= bits - 1 {
+			i := base + mathbits.TrailingZeros32(bits)
+			s.flat[i] = int(c.cells[i])
+		}
+		s.set[w] = now
+	}
+	return s.m
+}
+
 // occupancy is what repair reads instead of the matrix's columns: the tally
 // of one pass over the positive cells plus, per node, the rows holding GPUs
 // there in ascending order. Node n's list is rows[n*jobs:][:count[n]], a
@@ -131,26 +215,15 @@ func newOccupancy(jobs, nodes, spare int) (occupancy, []uint32) {
 	}, words[jobs*nodes+jobs:]
 }
 
-// fill sets mask from m's cells, for a matrix that arrives without one.
-func (o *occupancy) fill(mask []uint32, m Matrix) {
-	clear(mask)
-	nodes := len(o.usage)
-	for j, row := range m {
-		for n, v := range row[:nodes] {
-			mark(mask, j*nodes+n, v)
-		}
-	}
-}
-
 // occupants returns node n's list as of the last tally.
 func (o *occupancy) occupants(n int) []uint32 {
 	return o.rows[n*len(o.span):][:o.count[n]]
 }
 
-// tally is Matrix.tally into o.usage and o.span, recording the occupants. It
-// reads only the cells mask marks positive, in row-major order, so every
-// list comes out in ascending row order.
-func (o *occupancy) tally(m Matrix, mask []uint32) {
+// tally is Matrix.tally of a genome into o.usage and o.span, recording the
+// occupants. It reads only the cells mask marks positive, in row-major
+// order, so every list comes out in ascending row order.
+func (o *occupancy) tally(cells []uint16, mask []uint32) {
 	usage, count, jobs, nodes := o.usage, o.count[:len(o.usage)], len(o.span), len(o.usage)
 	clear(usage)
 	clear(count)
@@ -163,7 +236,7 @@ func (o *occupancy) tally(m Matrix, mask []uint32) {
 				j, rowEnd = j+1, rowEnd+nodes
 			}
 			n := i - rowEnd + nodes
-			usage[n] += m[j][n]
+			usage[n] += int(cells[i])
 			o.span[j]++
 			o.rows[n*jobs+count[n]] = uint32(j)
 			count[n]++
@@ -197,12 +270,15 @@ type Problem struct {
 	// Jobs is the number of rows in each allocation matrix.
 	Jobs int
 	// Fitness scores an allocation matrix; higher is better. It is
-	// called only on repaired (feasible) matrices. It must be a pure
-	// function of the matrix (so a copy of a member keeps its score
-	// uncalled) and, when Options.Workers > 1, safe to call
-	// from multiple goroutines concurrently and while the caller of New or
-	// Step mutates and repairs later offspring on the GA's rng: it may read
-	// the matrix and state nothing writes during the call, never the rng.
+	// called only on repaired (feasible) matrices. The matrix is the
+	// calling scorer's scratch, loaded with the member being scored: it is
+	// valid only during the call, and Fitness must neither write it nor
+	// keep it. It must be a pure function of the matrix (so a copy of a
+	// member keeps its score uncalled) and, when Options.Workers > 1, safe
+	// to call from multiple goroutines concurrently and while the caller of
+	// New or Step mutates and repairs later offspring on the GA's rng: it
+	// may read the matrix and state nothing writes during the call, never
+	// the rng.
 	Fitness func(Matrix) float64
 	// InterferenceAvoidance enforces that at most one distributed job
 	// (a job spanning more than one node) occupies each node (Sec. 4.2.1).
@@ -262,14 +338,13 @@ type GA struct {
 	// reallocated every generation — offspring churn was the dominant
 	// allocation source in scheduling-round profiles: selection leaves the
 	// evicted genomes in the offspring slots for the next generation to
-	// overwrite. New sizes gen, scores and the mask words for that many;
-	// the offspring genomes are made in the first Step, each matrix a
-	// separate allocation.
+	// overwrite. New cuts the cells of every genome from one array and the
+	// mask words from the occupancy's, so a GA's genomes cost one
+	// allocation whatever their number.
 	gen    []genome
 	scores []float64
 	pop    []genome // gen[:Population]
 	idx    []int    // the offspring that can survive; scoring's flags before
-	masks  []uint32 // mask words of the genomes not yet made
 	sorted bool     // pop is in selection order: a Step has run
 
 	// Repair scratch (see repair), so repairing an offspring allocates
@@ -300,20 +375,35 @@ func (g *GA) Stats() Stats { return g.stats }
 
 // New creates a GA for the problem, seeded from the given matrices (the
 // population carried over from the previous scheduling interval; may be
-// nil or partial). Seeds with the wrong shape are ignored; the rest of
-// the population is filled with repaired random matrices and the zero
-// matrix (all jobs paused), which is always feasible. One slot is
-// reserved for the zero matrix even when the seeds alone would fill the
-// population, so "pause everything" is always representable — except at
-// Population 1, where the only slot goes to the first valid seed (a
-// carried-over current allocation beats an all-paused search there).
+// nil or partial). Seeds with the wrong shape (a row count other than
+// Jobs, or any row of a width other than the node count) or with a cell
+// outside [0, MaxCapacity] are ignored; the rest of the population is
+// filled with repaired random matrices and the zero matrix (all jobs
+// paused), which is always feasible. One slot is reserved for the zero
+// matrix even when the seeds alone would fill the population, so "pause
+// everything" is always representable — except at Population 1, where the
+// only slot goes to the first valid seed (a carried-over current
+// allocation beats an all-paused search there). A node capacity above
+// MaxCapacity is a programming error and panics.
 func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 	opts.defaults()
-	size, nodes := opts.Population, len(prob.Capacity)
+	size, jobs, nodes := opts.Population, prob.Jobs, len(prob.Capacity)
+	for n, c := range prob.Capacity {
+		if c > MaxCapacity {
+			panic(fmt.Sprintf("ga: node %d has capacity %d, above MaxCapacity %d", n, c, MaxCapacity))
+		}
+	}
 	g := &GA{prob: prob, opts: opts, rng: rng, lnGap: math.Log(1 - 1/float64(nodes))}
-	g.occ, g.masks = newOccupancy(prob.Jobs, nodes, 3*size*maskWords(prob.Jobs, nodes))
+	words, cells := maskWords(jobs, nodes), jobs*nodes
+	var masks []uint32
+	g.occ, masks = newOccupancy(jobs, nodes, 3*size*words)
 	g.gen, g.scores, g.idx = make([]genome, 3*size), make([]float64, 3*size), make([]int, 2*size)
+	pool := make([]uint16, 3*size*cells)
+	for i := range g.gen {
+		g.gen[i] = genome{cells: pool[i*cells:][:cells:cells], mask: masks[i*words:][:words:words]}
+	}
 	g.sc.copied = g.idx // free while members are scored
+	g.sc.scratch = []scratch{newScratch(jobs, nodes)}
 	g.pop = g.gen[:size]
 
 	seedSlots := size - 1
@@ -326,28 +416,31 @@ func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 		if i >= seedSlots {
 			break
 		}
-		if len(s) != prob.Jobs || (prob.Jobs > 0 && len(s[0]) != nodes) {
+		if len(s) != jobs || slices.ContainsFunc(s, func(row []int) bool { return len(row) != nodes }) {
 			continue
 		}
-		c := g.newGenome()
-		c.m.CopyFrom(s)
-		g.occ.fill(c.mask, c.m)
+		c := g.pop[i]
+		if !c.load(s, nodes) {
+			clear(c.cells)
+			clear(c.mask)
+			continue
+		}
 		g.repair(c)
 		g.publish(i, c, -1)
 		i++
 	}
 	if i < size {
-		g.publish(i, g.newGenome(), -1) // the zero matrix
+		g.publish(i, g.pop[i], -1) // the zero matrix
 		i++
 	}
 	for ; i < size; i++ {
-		c := g.newGenome()
+		c := g.pop[i]
 		// Without nodes (a cluster that lost them all) every member is the
 		// all-paused matrix of zero-width rows.
-		for j := 0; j < prob.Jobs && nodes > 0; j++ {
+		for j := 0; j < jobs && nodes > 0; j++ {
 			n := rng.Intn(nodes)
 			if cap := prob.Capacity[n]; cap > 0 {
-				c.m[j][n] = 1 + rng.Intn(cap)
+				c.cells[j*nodes+n] = uint16(1 + rng.Intn(cap))
 				mark(c.mask, j*nodes+n, 1)
 			}
 		}
@@ -358,29 +451,11 @@ func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 	return g
 }
 
-// buf returns c, an evicted genome to overwrite, or a new one when c has
-// none yet (the first Step).
-func (g *GA) buf(c genome) genome {
-	if c.m == nil {
-		c = g.newGenome()
-	}
-	return c
-}
-
-// newGenome returns a genome of the problem's shape: the zero matrix with
-// an empty mask.
-func (g *GA) newGenome() genome {
-	k := maskWords(g.prob.Jobs, len(g.prob.Capacity))
-	c := genome{m: NewMatrix(g.prob.Jobs, len(g.prob.Capacity)), mask: g.masks[:k:k]}
-	g.masks = g.masks[k:]
-	return c
-}
-
 // Step runs one generation: mutate, crossover, repair, and survivor
 // selection back down to the configured population size. Offspring are
 // built into the genomes the last selection evicted, so a steady-state
 // generation allocates nothing but its scorers (see Options); every reused
-// buffer is fully overwritten (mutation copies the parent first, crossover
+// genome is fully overwritten (mutation copies the parent first, crossover
 // copies every row), so the generation draws and decides as one that
 // clones, repairs and scores every offspring would (stepOracle in the
 // tests): members are feasible and repairing one changes nothing, so a copy
@@ -390,8 +465,8 @@ func (g *GA) Step() {
 	g.begin(off, g.scores[len(pop):])
 	// Mutation: each current member yields one mutated offspring.
 	for i, m := range pop {
-		c := g.buf(off[i])
-		c.m.CopyFrom(m.m)
+		c := off[i]
+		copy(c.cells, m.cells)
 		copy(c.mask, m.mask)
 		from := -1
 		if changed, rose := g.mutate(c); !changed {
@@ -405,7 +480,7 @@ func (g *GA) Step() {
 	// offspring again.
 	for i := range pop {
 		a, b := g.tournament(), g.tournament()
-		c := g.buf(off[len(pop)+i])
+		c := off[len(pop)+i]
 		switch isA, isB := g.crossoverInto(c, pop[a], pop[b]); {
 		case isA:
 			g.publish(len(pop)+i, c, a)
@@ -470,12 +545,14 @@ func (g *GA) selectSurvivors() {
 // took its parent's score). A scorer that has caught up with the caller
 // parks on wake; the caller sends a token only when idle says one is
 // parked, so a scorer that keeps up costs it one atomic store and one load
-// per member.
+// per member. Each scores into its own scratch matrix: scratch[0] is the
+// caller's, scratch[k] scorer k's.
 type scoring struct {
 	ms                []genome
 	out               []float64
 	copied            []int // per slot: GA.idx, which selection reads only later
 	fit               func(Matrix) float64
+	scratch           []scratch
 	inline            bool // no scorers: publish scores
 	total             int32
 	ready, next, idle atomic.Int32
@@ -512,12 +589,15 @@ func (g *GA) begin(ms []genome, out []float64) {
 		// all without blocking.
 		s.wake = make(chan struct{}, g.opts.Workers-1)
 	}
+	for len(s.scratch) <= scorers {
+		s.scratch = append(s.scratch, newScratch(g.prob.Jobs, len(g.prob.Capacity)))
+	}
 	s.total = int32(len(out))
 	s.ready.Store(0)
 	s.next.Store(0)
 	s.wg.Add(scorers)
-	for range scorers {
-		go s.run()
+	for k := 1; k <= scorers; k++ {
+		go s.run(&s.scratch[k])
 	}
 }
 
@@ -531,7 +611,7 @@ func (g *GA) publish(i int, c genome, from int) {
 		s.out[i], s.copied[i] = g.scores[from], 1
 	}
 	if s.inline {
-		s.score(i)
+		s.score(i, &s.scratch[0])
 		return
 	}
 	s.ready.Store(int32(i + 1))
@@ -552,7 +632,7 @@ func (g *GA) end() {
 		s.signal()
 	}
 	for i := s.claim(); i >= 0; i = s.claim() {
-		s.score(i)
+		s.score(i, &s.scratch[0])
 	}
 	s.wg.Wait()
 	for len(s.wake) > 0 {
@@ -569,19 +649,19 @@ func (s *scoring) signal() {
 	}
 }
 
-// run is one scorer: it scores published slots until every slot is
-// claimed.
-func (s *scoring) run() {
+// run is one scorer: it scores published slots into its scratch until
+// every slot is claimed.
+func (s *scoring) run(sc *scratch) {
 	defer s.wg.Done()
 	for i := s.claim(); i >= 0; i = s.claim() {
-		s.score(i)
+		s.score(i, sc)
 	}
 }
 
-// score scores claimed slot i unless its member copied a score.
-func (s *scoring) score(i int) {
+// score scores claimed slot i on sc unless its member copied a score.
+func (s *scoring) score(i int, sc *scratch) {
 	if s.copied[i] == 0 {
-		s.out[i] = s.fit(s.ms[i].m)
+		s.out[i] = s.fit(sc.load(s.ms[i]))
 	}
 }
 
@@ -620,9 +700,8 @@ func (g *GA) Run(generations int) (Matrix, float64) {
 	return g.Best()
 }
 
-// Best returns the highest-fitness member of the current population. The
-// matrix is borrowed: it is valid until the next Step call, which may
-// recycle evicted members' storage; clone to keep it longer.
+// Best returns the highest-fitness member of the current population as a
+// matrix of its own: the caller's to keep or write.
 func (g *GA) Best() (Matrix, float64) {
 	bi := 0
 	for i := range g.pop {
@@ -630,19 +709,22 @@ func (g *GA) Best() (Matrix, float64) {
 			bi = i
 		}
 	}
-	return g.pop[bi].m, g.scores[bi]
+	return g.matrices(g.pop[bi : bi+1])[0], g.scores[bi]
 }
 
-// Population returns the current population. The slice is the caller's;
-// the matrices are the GA's until the next Step, which recycles evicted
-// members' storage into later offspring. A caller that steps the GA no
-// further may keep them as they are: each is a separate allocation, and
-// nothing writes it again. PolluxSched keeps them to seed the next
-// interval.
+// Population returns the current population, best first after a Step, as
+// matrices of the caller's own: writing one changes neither the GA nor
+// another. PolluxSched keeps them to seed the next interval.
 func (g *GA) Population() []Matrix {
-	ms := make([]Matrix, len(g.pop))
-	for i, c := range g.pop {
-		ms[i] = c.m
+	return g.matrices(g.pop)
+}
+
+// matrices builds a dense matrix of each genome, all cut from one array.
+func (g *GA) matrices(cs []genome) []Matrix {
+	nodes := len(g.prob.Capacity)
+	ms, flat := newMatrices(len(cs), g.prob.Jobs, nodes)
+	for k, c := range cs {
+		c.spread(flat[k*g.prob.Jobs*nodes:])
 	}
 	return ms
 }
@@ -655,28 +737,26 @@ func (g *GA) Population() []Matrix {
 // per offspring where the coins cost jobs × nodes. It reports whether any
 // cell changed and whether any rose.
 func (g *GA) mutate(c genome) (changed, rose bool) {
-	m, nodes := c.m, len(g.prob.Capacity)
-	total := len(m) * nodes
+	cells, nodes := c.cells, len(g.prob.Capacity)
 	if nodes == 1 {
 		// p = 1: every cell mutates, no gaps to sample.
-		for j := range m {
+		for j, old := range cells {
 			v := g.rng.Intn(g.prob.Capacity[0] + 1)
-			changed, rose = changed || v != m[j][0], rose || v > m[j][0]
-			m[j][0] = v
+			changed, rose = changed || v != int(old), rose || v > int(old)
+			cells[j] = uint16(v)
 			mark(c.mask, j, v)
 		}
 		return changed, rose
 	}
-	for i := 0; total > 0; i++ {
+	for i := 0; len(cells) > 0; i++ {
 		u := 1 - g.rng.Float64() // (0,1], so Log is finite
 		i += int(math.Log(u) / g.lnGap)
-		if i >= total {
+		if i >= len(cells) {
 			break
 		}
-		j, n := i/nodes, i%nodes
-		v := g.rng.Intn(g.prob.Capacity[n] + 1)
-		changed, rose = changed || v != m[j][n], rose || v > m[j][n]
-		m[j][n] = v
+		v, old := g.rng.Intn(g.prob.Capacity[i%nodes]+1), int(cells[i])
+		changed, rose = changed || v != old, rose || v > old
+		cells[i] = uint16(v)
 		mark(c.mask, i, v)
 	}
 	return changed, rose
@@ -684,12 +764,12 @@ func (g *GA) mutate(c genome) (changed, rose bool) {
 
 // crossoverInto fills c by mixing rows of two parents uniformly at
 // random; every row and its mask bits are overwritten, so c may be a
-// recycled buffer. It reports whether c equals a (every row it took from b
+// recycled genome. It reports whether c equals a (every row it took from b
 // equals a's) and whether it equals b.
 func (g *GA) crossoverInto(c, a, b genome) (isA, isB bool) {
 	nodes := len(g.prob.Capacity)
 	isA, isB = true, true
-	for j := range c.m {
+	for j := range g.prob.Jobs {
 		src := a
 		if g.rng.Intn(2) == 1 {
 			src = b
@@ -697,28 +777,28 @@ func (g *GA) crossoverInto(c, a, b genome) (isA, isB bool) {
 		} else {
 			isB = isB && sameRow(a, b, j, nodes)
 		}
-		copy(c.m[j], src.m[j])
-		copyBits(c.mask, src.mask, j*nodes, (j+1)*nodes)
+		lo, hi := j*nodes, (j+1)*nodes
+		copy(c.cells[lo:hi], src.cells[lo:hi])
+		copyBits(c.mask, src.mask, lo, hi)
 	}
 	return isA, isB
 }
 
-// sameRow reports whether row j holds equal cells in a and b: one slice,
+// sameRow reports whether row j holds equal cells in a and b: one genome,
 // or equal mask bits and then equal positive cells (a cell whose bit is
-// clear is zero, since the GA writes no negative cell).
+// clear is zero).
 func sameRow(a, b genome, j, nodes int) bool {
-	ra, rb, lo := a.m[j], b.m[j], j*nodes
-	if SameRow(ra, rb) {
+	if len(a.cells) > 0 && &a.cells[0] == &b.cells[0] {
 		return true
 	}
-	for i, hi := lo, lo+nodes; i < hi; {
+	for i, hi := j*nodes, (j+1)*nodes; i < hi; {
 		w, n := i/wordBits, min(wordBits-i%wordBits, hi-i)
 		keep := (uint32(1)<<n - 1) << (i % wordBits)
 		if (a.mask[w]^b.mask[w])&keep != 0 {
 			return false
 		}
 		for bits := a.mask[w] & keep; bits != 0; bits &= bits - 1 {
-			if k := w*wordBits + mathbits.TrailingZeros32(bits) - lo; ra[k] != rb[k] {
+			if k := w*wordBits + mathbits.TrailingZeros32(bits); a.cells[k] != b.cells[k] {
 				return false
 			}
 		}
@@ -748,10 +828,28 @@ func (g *GA) tournament() int {
 // positive cells feeds both: capacity repair keeps the spans current as it
 // empties cells, and both keep the mask exact.
 func (g *GA) repair(c genome) {
-	g.occ.tally(c.m, c.mask)
-	g.occ.repairCapacity(c.m, c.mask, g.prob.Capacity, g.rng)
+	g.occ.tally(c.cells, c.mask)
+	g.occ.repairCapacity(c, g.prob.Capacity, g.rng)
 	if g.prob.InterferenceAvoidance {
-		g.occ.repairInterference(c.m, c.mask, g.rng, g.prob.DistBlocked, g.prob.ExtraSpan)
+		g.occ.repairInterference(c, g.rng, g.prob.DistBlocked, g.prob.ExtraSpan)
+	}
+}
+
+// repairMatrix is how the exported repairs reach the GA's: it loads m's
+// first nodes columns into a genome of their own, tallies it, hands it to
+// do and writes its cells back. A cell outside [0, MaxCapacity] panics.
+func repairMatrix(m Matrix, nodes int, do func(*occupancy, genome)) {
+	o, mask := newOccupancy(len(m), nodes, maskWords(len(m), nodes))
+	c := genome{cells: make([]uint16, len(m)*nodes), mask: mask}
+	if !c.load(m, nodes) {
+		panic(fmt.Sprintf("ga: a matrix cell lies outside [0, %d]", MaxCapacity))
+	}
+	o.tally(c.cells, c.mask)
+	do(&o, c)
+	for j, row := range m {
+		for n := range row[:nodes] {
+			row[n] = int(c.cells[j*nodes+n])
+		}
 	}
 }
 
@@ -759,22 +857,20 @@ func (g *GA) repair(c genome) {
 // columns until every node's allocation fits its GPU capacity, as in the
 // paper's repair operation. The candidate set (jobs with GPUs on the
 // node) is taken once per node and maintained in place as jobs hit
-// zero, so repair is linear in jobs + excess rather than quadratic.
+// zero, so repair is linear in jobs + excess rather than quadratic. Every
+// cell must lie in [0, MaxCapacity].
 func RepairCapacity(m Matrix, capacity []int, rng *rand.Rand) {
-	o, mask := newOccupancy(len(m), len(capacity), maskWords(len(m), len(capacity)))
-	o.fill(mask, m)
-	o.tally(m, mask)
-	o.repairCapacity(m, mask, capacity, rng)
+	repairMatrix(m, len(capacity), func(o *occupancy, c genome) { o.repairCapacity(c, capacity, rng) })
 }
 
-// repairCapacity is RepairCapacity given m's tally. Repairing node n
+// repairCapacity is RepairCapacity given c's tally. Repairing node n
 // writes only column n, so the usage of later nodes stays valid and every
 // occupant listed for n still holds GPUs there; span and mask are kept
 // current as cells reach zero.
-func (o *occupancy) repairCapacity(m Matrix, mask []uint32, capacity []int, rng *rand.Rand) {
+func (o *occupancy) repairCapacity(c genome, capacity []int, rng *rand.Rand) {
 	nodes := len(o.usage)
-	for n, c := range capacity {
-		over := o.usage[n] - c
+	for n, cap := range capacity {
+		over := o.usage[n] - cap
 		if over <= 0 {
 			continue
 		}
@@ -785,12 +881,13 @@ func (o *occupancy) repairCapacity(m Matrix, mask []uint32, capacity []int, rng 
 			// Shed one GPU from a random job still on this node.
 			i := rng.Intn(len(cand))
 			j := cand[i]
-			m[j][n]--
-			if m[j][n] == 0 {
+			k := int(j)*nodes + n
+			c.cells[k]--
+			if c.cells[k] == 0 {
 				cand[i] = cand[len(cand)-1]
 				cand = cand[:len(cand)-1]
 				o.span[j]--
-				mark(mask, int(j)*nodes+n, 0)
+				mark(c.mask, k, 0)
 			}
 		}
 	}
@@ -808,7 +905,7 @@ func (o *occupancy) repairCapacity(m Matrix, mask []uint32, capacity []int, rng 
 // pass suffices (see "One-pass interference repair" in
 // docs/architecture.md). The rng is drawn only where a node must choose
 // whom to evict, in the order the rescan-until-stable oracle in the tests
-// draws.
+// draws. Every cell must lie in [0, MaxCapacity].
 func RepairInterference(m Matrix, rng *rand.Rand) {
 	RepairInterferenceSub(m, rng, nil, nil)
 }
@@ -825,23 +922,25 @@ func RepairInterferenceSub(m Matrix, rng *rand.Rand, blocked []bool, extraSpan [
 	if len(m) == 0 {
 		return
 	}
-	nodes := len(m[0])
-	o, mask := newOccupancy(len(m), nodes, maskWords(len(m), nodes))
-	o.fill(mask, m)
-	o.tally(m, mask)
-	o.repairInterference(m, mask, rng, blocked, extraSpan)
+	repairMatrix(m, len(m[0]), func(o *occupancy, c genome) { o.repairInterference(c, rng, blocked, extraSpan) })
 }
 
-// repairInterference is RepairInterferenceSub given m's tally, whose spans
+// repairInterference is RepairInterferenceSub given c's tally, whose spans
 // it widens by extraSpan; it keeps the mask current as it evicts.
-func (o *occupancy) repairInterference(m Matrix, mask []uint32, rng *rand.Rand, blocked []bool, extraSpan []int) {
+func (o *occupancy) repairInterference(c genome, rng *rand.Rand, blocked []bool, extraSpan []int) {
 	span, nodes := o.span, len(o.usage)
 	if extraSpan != nil {
 		for j := range span {
 			span[j] += extraSpan[j]
 		}
 	}
-	for n, c := range o.count {
+	evict := func(j uint32, n int) {
+		k := int(j)*nodes + n
+		c.cells[k] = 0
+		span[j]--
+		mark(c.mask, k, 0)
+	}
+	for n, count := range o.count {
 		occupants := o.occupants(n)
 		if blocked != nil && blocked[n] {
 			// The outside distributed job keeps the node; every
@@ -850,20 +949,18 @@ func (o *occupancy) repairInterference(m Matrix, mask []uint32, rng *rand.Rand, 
 			// and the rng is untouched. Evicting j changes only j's own
 			// span, so one pass with live span checks suffices.
 			for _, j := range occupants {
-				if m[j][n] > 0 && span[j] > 1 {
-					m[j][n] = 0
-					span[j]--
-					mark(mask, int(j)*nodes+n, 0)
+				if c.cells[int(j)*nodes+n] > 0 && span[j] > 1 {
+					evict(j, n)
 				}
 			}
 			continue
 		}
-		if c < 2 {
+		if count < 2 {
 			continue // nobody to share the node with
 		}
 		dist := o.cand[:0]
 		for _, j := range occupants {
-			if m[j][n] > 0 && span[j] > 1 {
+			if c.cells[int(j)*nodes+n] > 0 && span[j] > 1 {
 				dist = append(dist, j)
 			}
 		}
@@ -873,10 +970,7 @@ func (o *occupancy) repairInterference(m Matrix, mask []uint32, rng *rand.Rand, 
 			// the list was filtered by the live counts and an eviction
 			// shrinks only the evicted job's own span.
 			i := rng.Intn(len(dist))
-			j := dist[i]
-			m[j][n] = 0
-			span[j]--
-			mark(mask, int(j)*nodes+n, 0)
+			evict(dist[i], n)
 			dist = append(dist[:i], dist[i+1:]...)
 		}
 	}

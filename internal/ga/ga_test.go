@@ -2,12 +2,16 @@ package ga
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -407,12 +411,12 @@ func TestRepairCapacityDrawOrderPinned(t *testing.T) {
 		}
 		gotRng, wantRng = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		viaGA, viaFuncs, viaOracles := in.Clone(), in.Clone(), in.Clone()
-		mask := make([]uint32, maskWords(jobs, nodes))
 		for rep := 0; rep < 2; rep++ { // the second call sees its own dirty scratch
-			g.occ.fill(mask, viaGA)
-			g.repair(genome{viaGA, mask})
-			if want := maskOf(viaGA); !slices.Equal(mask, want) {
-				t.Fatalf("iter %d rep %d: repair left mask %b, cells say %b", iter, rep, mask, want)
+			c := genomeOf(viaGA)
+			g.repair(c)
+			viaGA = cellsMatrix(c, jobs, nodes)
+			if want := maskOf(viaGA); !slices.Equal(c.mask, want) {
+				t.Fatalf("iter %d rep %d: repair left mask %b, cells say %b", iter, rep, c.mask, want)
 			}
 			RepairCapacity(viaFuncs, capacity, gotRng)
 			repairCapacityColumns(viaOracles, capacity, wantRng)
@@ -495,20 +499,20 @@ func TestGARepairAllocatesNothing(t *testing.T) {
 			row[n] = 2
 		}
 	}
-	overMask := maskOf(over)
-	c := g.newGenome()
+	overGenome, c := genomeOf(over), genomeOf(over)
 	if allocs := testing.AllocsPerRun(50, func() {
-		c.m.CopyFrom(over)
-		copy(c.mask, overMask)
+		copy(c.cells, overGenome.cells)
+		copy(c.mask, overGenome.mask)
 		g.repair(c)
 	}); allocs != 0 {
 		t.Errorf("GA repair allocates %v times per offspring, want 0", allocs)
 	}
-	if !Feasible(c.m, prob.Capacity, true) {
-		t.Errorf("repaired matrix infeasible: %v", c.m)
+	m := cellsMatrix(c, prob.Jobs, len(prob.Capacity))
+	if !Feasible(m, prob.Capacity, true) {
+		t.Errorf("repaired matrix infeasible: %v", m)
 	}
-	if !slices.Equal(c.mask, maskOf(c.m)) {
-		t.Errorf("repair left mask %b, cells say %b", c.mask, maskOf(c.m))
+	if !slices.Equal(c.mask, maskOf(m)) {
+		t.Errorf("repair left mask %b, cells say %b", c.mask, maskOf(m))
 	}
 }
 
@@ -537,6 +541,36 @@ func maskOf(m Matrix) []uint32 {
 	return mask
 }
 
+// genomeOf loads m into a genome of its own.
+func genomeOf(m Matrix) genome {
+	nodes := 0
+	if len(m) > 0 {
+		nodes = len(m[0])
+	}
+	c := genome{make([]uint16, len(m)*nodes), make([]uint32, maskWords(len(m), nodes))}
+	if !c.load(m, nodes) {
+		panic(fmt.Sprintf("matrix %v does not fit a genome", m))
+	}
+	return c
+}
+
+// cloneGenome deep-copies c.
+func cloneGenome(c genome) genome {
+	return genome{slices.Clone(c.cells), slices.Clone(c.mask)}
+}
+
+// cellsMatrix is c as a dense jobs × nodes matrix, read off its cells
+// whatever its mask says.
+func cellsMatrix(c genome, jobs, nodes int) Matrix {
+	m := NewMatrix(jobs, nodes)
+	for j, row := range m {
+		for n := range row {
+			row[n] = int(c.cells[j*nodes+n])
+		}
+	}
+	return m
+}
+
 // checkMasks fails unless every member's mask is set exactly where its
 // cells are positive and tallies like the dense Matrix.tally, occupant
 // lists in ascending row order included.
@@ -545,23 +579,24 @@ func checkMasks(t *testing.T, g *GA, when string) {
 	nodes := len(g.prob.Capacity)
 	for i, c := range g.pop {
 		for _, o := range g.gen[len(g.pop):] {
-			if len(o.m) > 0 && len(o.m[0]) > 0 && SameRow(o.m[0], c.m[0]) {
-				t.Fatalf("%s: member %d is also an offspring buffer", when, i)
+			if len(o.cells) > 0 && &o.cells[0] == &c.cells[0] {
+				t.Fatalf("%s: member %d is also an offspring genome", when, i)
 			}
 		}
-		if want := maskOf(c.m); !slices.Equal(c.mask, want) {
+		m := cellsMatrix(c, g.prob.Jobs, nodes)
+		if want := maskOf(m); !slices.Equal(c.mask, want) {
 			t.Fatalf("%s: member %d mask %b, cells say %b", when, i, c.mask, want)
 		}
 		usage, span := make([]int, nodes), make([]int, g.prob.Jobs)
-		c.m.tally(usage, span)
-		g.occ.tally(c.m, c.mask)
+		m.tally(usage, span)
+		g.occ.tally(c.cells, c.mask)
 		if !slices.Equal(g.occ.usage, usage) || !slices.Equal(g.occ.span, span) {
 			t.Fatalf("%s: member %d mask tally usage %v span %v, dense %v %v",
 				when, i, g.occ.usage, g.occ.span, usage, span)
 		}
 		for n := 0; n < nodes; n++ {
 			var rows []uint32
-			for j, row := range c.m {
+			for j, row := range m {
 				if row[n] > 0 {
 					rows = append(rows, uint32(j))
 				}
@@ -643,30 +678,29 @@ func TestRepairOfMemberIsANoOp(t *testing.T) {
 				prob, seed, rng, src := shapeProblem(nodes, mode)
 				lower := rand.New(rand.NewSource(int64(nodes)))
 				g := New(prob, Options{Population: 12, Workers: 1}, rng, []Matrix{seed})
+				dense := func(c genome) Matrix { return cellsMatrix(c, prob.Jobs, nodes) }
 				noOp := func(when string, i int, c genome) {
 					t.Helper()
-					cp := genome{c.m.Clone(), slices.Clone(c.mask)}
+					cp := cloneGenome(c)
 					draws := src.State().Draws
 					g.repair(cp)
-					if d := src.State().Draws - draws; d != 0 || !cp.m.Equal(c.m) || !slices.Equal(cp.mask, c.mask) {
-						t.Fatalf("%s: repairing member %d drew %d and changed %v into %v", when, i, d, c.m, cp.m)
+					if d := src.State().Draws - draws; d != 0 || !slices.Equal(cp.cells, c.cells) || !slices.Equal(cp.mask, c.mask) {
+						t.Fatalf("%s: repairing member %d drew %d and changed %v into %v", when, i, d, dense(c), dense(cp))
 					}
 				}
 				for gen := 0; gen <= 8; gen++ {
 					when := fmt.Sprintf("after %d steps", gen)
 					for i, c := range g.pop {
 						noOp(when, i, c)
-						low := genome{c.m.Clone(), slices.Clone(c.mask)}
-						for j, row := range low.m {
-							for n, v := range row {
-								if v > 0 && lower.Intn(2) == 0 {
-									row[n] = lower.Intn(v)
-									mark(low.mask, j*nodes+n, row[n])
-								}
+						low := cloneGenome(c)
+						for k, v := range low.cells {
+							if v > 0 && lower.Intn(2) == 0 {
+								low.cells[k] = uint16(lower.Intn(int(v)))
+								mark(low.mask, k, int(low.cells[k]))
 							}
 						}
-						if !FeasibleSub(low.m, prob.Capacity, prob.InterferenceAvoidance, prob.DistBlocked, prob.ExtraSpan) {
-							t.Fatalf("%s: member %d lowered to %v is infeasible", when, i, low.m)
+						if !FeasibleSub(dense(low), prob.Capacity, prob.InterferenceAvoidance, prob.DistBlocked, prob.ExtraSpan) {
+							t.Fatalf("%s: member %d lowered to %v is infeasible", when, i, dense(low))
 						}
 						noOp(when+", lowered", i, low)
 					}
@@ -692,11 +726,11 @@ func TestSurvivorSelectionMatchesStableSort(t *testing.T) {
 		g.pop = g.gen[:size]
 		id := 0
 		for i := range g.gen[:size] {
-			g.gen[i], g.scores[i], id = genome{m: Matrix{{id}}}, values[rng.Intn(len(values))], id+1
+			g.gen[i], g.scores[i], id = genome{cells: []uint16{uint16(id)}}, values[rng.Intn(len(values))], id+1
 		}
 		for gen := 0; gen < 4; gen++ {
 			for i := size; i < 3*size; i++ {
-				g.gen[i], g.scores[i], id = genome{m: Matrix{{id}}}, values[rng.Intn(len(values))], id+1
+				g.gen[i], g.scores[i], id = genome{cells: []uint16{uint16(id)}}, values[rng.Intn(len(values))], id+1
 			}
 			order := make([]int, 3*size)
 			for i := range order {
@@ -705,18 +739,18 @@ func TestSurvivorSelectionMatchesStableSort(t *testing.T) {
 			slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(g.scores[b], g.scores[a]) })
 			want, wantScores, all := make([]int, size), make([]uint64, size), make([]int, 3*size)
 			for k, i := range order[:size] {
-				want[k], wantScores[k] = g.gen[i].m[0][0], math.Float64bits(g.scores[i])
+				want[k], wantScores[k] = int(g.gen[i].cells[0]), math.Float64bits(g.scores[i])
 			}
 			for i, c := range g.gen {
-				all[i] = c.m[0][0]
+				all[i] = int(c.cells[0])
 			}
 			g.selectSurvivors()
 			got, gotScores, after := make([]int, size), make([]uint64, size), make([]int, 3*size)
 			for k, c := range g.pop {
-				got[k], gotScores[k] = c.m[0][0], math.Float64bits(g.scores[k])
+				got[k], gotScores[k] = int(c.cells[0]), math.Float64bits(g.scores[k])
 			}
 			for i, c := range g.gen {
-				after[i] = c.m[0][0]
+				after[i] = int(c.cells[0])
 			}
 			if !slices.Equal(got, want) || !slices.Equal(gotScores, wantScores) {
 				t.Fatalf("trial %d gen %d: survivors %v scored %v, stable sort keeps %v", trial, gen, got, g.scores[:size], want)
@@ -813,6 +847,150 @@ func TestGASeedsWrongShapeIgnored(t *testing.T) {
 	for _, m := range g.Population() {
 		if len(m) != 2 || len(m[0]) != 2 {
 			t.Fatalf("population contains wrong-shape matrix: %v", m)
+		}
+	}
+}
+
+// TestGASeedsWithABadRowIgnored: New ignores a seed when any row, not only
+// the first, has the wrong width, or when a cell does not fit a genome. A
+// short row used to be copied truncated and a long one cut; in a genome's
+// row-major cells a long row would spill into the next job's. At
+// Population 1 the slot goes to the first valid seed, so the GA holds the
+// zero matrix when the seed is ignored and the seed itself otherwise.
+func TestGASeedsWithABadRowIgnored(t *testing.T) {
+	prob := Problem{Capacity: []int{4, 4}, Jobs: 3, Fitness: simpleFitness}
+	good := Matrix{{1, 0}, {0, 1}, {1, 0}}
+	g := New(prob, Options{Population: 1, Workers: 1}, rand.New(rand.NewSource(15)), []Matrix{good})
+	if got := g.Population()[0]; !got.Equal(good) {
+		t.Fatalf("a valid seed is not kept: %v", got)
+	}
+	for _, c := range []struct {
+		name string
+		seed Matrix
+	}{
+		{"short third row", Matrix{{1, 0}, {0, 1}, {1}}},
+		{"long third row", Matrix{{1, 0}, {0, 1}, {1, 0, 2}}},
+		{"negative cell", Matrix{{1, 0}, {0, -1}, {1, 0}}},
+		{"cell above MaxCapacity", Matrix{{1, 0}, {0, MaxCapacity + 1}, {1, 0}}},
+	} {
+		g := New(prob, Options{Population: 1, Workers: 1}, rand.New(rand.NewSource(15)), []Matrix{c.seed})
+		if got := g.Population()[0]; !got.Equal(NewMatrix(3, 2)) {
+			t.Errorf("%s: seed %v taken as %v, want it ignored", c.name, c.seed, got)
+		}
+	}
+}
+
+// TestNewRefusesCapacityOverMaxCapacity: a node a genome cell cannot hold
+// is a programming error, named in the panic.
+func TestNewRefusesCapacityOverMaxCapacity(t *testing.T) {
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "MaxCapacity") {
+			t.Errorf("New panicked with %q, want a message naming MaxCapacity", msg)
+		}
+	}()
+	New(Problem{Capacity: []int{4, MaxCapacity + 1}, Jobs: 2, Fitness: simpleFitness}, Options{Population: 2, Workers: 1}, rand.New(rand.NewSource(1)), nil)
+}
+
+// hashScore is a fitness that tells matrices apart: a hash of every cell,
+// in row-major order, exact in a float64.
+func hashScore(m Matrix) float64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, row := range m {
+		for _, v := range row {
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
+			h.Write(b[:])
+		}
+	}
+	return float64(h.Sum64() >> 11)
+}
+
+// TestFitnessSeesTheMemberItScores holds the scorers' scratch matrices to
+// the genomes they stand for: under a fitness that hashes every cell, each
+// genome the GA holds after a Step (the population and the evicted ones,
+// each with the score it was given) must carry the hash of its own cells
+// as its score, inline and on a scorer. The test also requires that some
+// member was scored right after one with more positive cells on the same
+// scratch, so a load that left the previous member's cells behind is seen.
+func TestFitnessSeesTheMemberItScores(t *testing.T) {
+	withScorers(t)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var mu sync.Mutex
+			positive := map[*int]int{} // per scratch, by its first cell: the last load's positive cells
+			shrank := 0
+			fitness := func(m Matrix) float64 {
+				n := 0
+				for _, row := range m {
+					n += rowNodes(row)
+				}
+				mu.Lock()
+				if prev, ok := positive[&m[0][0]]; ok && n < prev {
+					shrank++
+				}
+				positive[&m[0][0]] = n
+				mu.Unlock()
+				return hashScore(m)
+			}
+			prob, seed, rng, _ := shapeProblem(33, "avoidance")
+			prob.Fitness = fitness
+			g := New(prob, Options{Population: 12, Workers: workers}, rng, []Matrix{seed})
+			check := func(when string, genomes int) {
+				t.Helper()
+				for i, c := range g.gen[:genomes] {
+					m := cellsMatrix(c, prob.Jobs, len(prob.Capacity))
+					if got, want := math.Float64bits(g.scores[i]), math.Float64bits(hashScore(m)); got != want {
+						t.Fatalf("%s: genome %d scored %x, its cells hash to %x:\n%v", when, i, got, want, m)
+					}
+				}
+			}
+			check("New", len(g.pop))
+			for gen := 0; gen < 10; gen++ {
+				g.Step()
+				check(fmt.Sprintf("gen %d", gen), len(g.gen))
+			}
+			if shrank == 0 {
+				t.Error("no member was scored right after one with more positive cells on the same scratch")
+			}
+		})
+	}
+}
+
+// TestBestAndPopulationAreTheCallers: the matrices Best and Population
+// return are built for the caller. Writing every cell of one changes
+// neither another returned matrix nor the GA: it steps on as a twin from
+// the same seed that nobody wrote into.
+func TestBestAndPopulationAreTheCallers(t *testing.T) {
+	newGA := func() *GA {
+		prob, seed, rng, _ := shapeProblem(33, "avoidance")
+		return New(prob, Options{Population: 12, Workers: 1}, rng, []Matrix{seed})
+	}
+	g, twin := newGA(), newGA()
+	for gen := 0; gen < 4; gen++ {
+		pop, want := g.Population(), twin.Population()
+		best, _ := g.Best()
+		wantBest, _ := twin.Best()
+		for _, m := range []Matrix{pop[0], best} {
+			for _, row := range m {
+				for n := range row {
+					row[n] = 7
+				}
+			}
+		}
+		for i := 1; i < len(pop); i++ {
+			if !pop[i].Equal(want[i]) {
+				t.Fatalf("gen %d: writing member 0 and the best changed member %d to %v", gen, i, pop[i])
+			}
+		}
+		if again, _ := g.Best(); !again.Equal(wantBest) {
+			t.Fatalf("gen %d: writing returned matrices changed the best to %v", gen, again)
+		}
+		g.Step()
+		twin.Step()
+		for i, m := range g.Population() {
+			if !m.Equal(twin.Population()[i]) || math.Float64bits(g.scores[i]) != math.Float64bits(twin.scores[i]) {
+				t.Fatalf("gen %d: member %d is %v after a Step, its twin %v", gen, i, m, twin.Population()[i])
+			}
 		}
 	}
 }
@@ -925,8 +1103,8 @@ func TestGAWorkersBitIdentical(t *testing.T) {
 			t.Errorf("Workers %d called Fitness %d times, Workers 1 %d", workers, gotCalls, wantCalls)
 		}
 		for i := range want.pop {
-			if !got.pop[i].m.Equal(want.pop[i].m) {
-				t.Fatalf("Workers 1 vs %d member %d differs:\n%v\n%v", workers, i, want.pop[i].m, got.pop[i].m)
+			if !slices.Equal(got.pop[i].cells, want.pop[i].cells) {
+				t.Fatalf("Workers 1 vs %d member %d differs:\n%v\n%v", workers, i, want.Population()[i], got.Population()[i])
 			}
 			//pollux:floateq-ok bit-identical determinism gate: the worker count must not change the result at all
 			if got.scores[i] != want.scores[i] {
@@ -1104,8 +1282,9 @@ func TestRepairInterferenceNoOverEviction(t *testing.T) {
 // and the merge-based selection of Step are held to.
 func stepOracle(g *GA) {
 	offspring := make([]genome, 0, 2*len(g.pop))
+	jobs, nodes := g.prob.Jobs, len(g.prob.Capacity)
 	for _, m := range g.pop {
-		c := genome{m.m.Clone(), slices.Clone(m.mask)}
+		c := cloneGenome(m)
 		g.mutate(c)
 		g.repair(c)
 		offspring = append(offspring, c)
@@ -1113,14 +1292,14 @@ func stepOracle(g *GA) {
 	for i := 0; i < len(g.pop); i++ {
 		a := g.pop[g.tournament()]
 		b := g.pop[g.tournament()]
-		c := genome{NewMatrix(g.prob.Jobs, len(g.prob.Capacity)), make([]uint32, maskWords(g.prob.Jobs, len(g.prob.Capacity)))}
+		c := genome{make([]uint16, jobs*nodes), make([]uint32, maskWords(jobs, nodes))}
 		g.crossoverInto(c, a, b)
 		g.repair(c)
 		offspring = append(offspring, c)
 	}
 	offScores := make([]float64, len(offspring))
 	for i, c := range offspring {
-		offScores[i] = g.prob.Fitness(c.m)
+		offScores[i] = g.prob.Fitness(cellsMatrix(c, jobs, nodes))
 	}
 	type scored struct {
 		m genome
@@ -1187,9 +1366,9 @@ func TestStepBufferReuseBitIdentical(t *testing.T) {
 					len(leg.capacity), leg.workers, gen, len(got.pop), len(want.pop))
 			}
 			for i := range got.pop {
-				if !got.pop[i].m.Equal(want.pop[i].m) {
+				if !slices.Equal(got.pop[i].cells, want.pop[i].cells) || !slices.Equal(got.pop[i].mask, want.pop[i].mask) {
 					t.Fatalf("%d nodes, workers %d, gen %d member %d diverges from clone-path oracle:\ngot  %v\nwant %v",
-						len(leg.capacity), leg.workers, gen, i, got.pop[i].m, want.pop[i].m)
+						len(leg.capacity), leg.workers, gen, i, got.Population()[i], want.Population()[i])
 				}
 				//pollux:floateq-ok bit-identity gate against the historical implementation
 				if got.scores[i] != want.scores[i] {
@@ -1305,7 +1484,7 @@ func TestSparseMutationSameDistribution(t *testing.T) {
 			name   string
 			mutate func(Matrix)
 		}{
-			{"sparse", func(m Matrix) { g.mutate(genome{m, make([]uint32, maskWords(jobs, nodes))}) }},
+			{"sparse", func(m Matrix) { mutateSentinel(g, m) }},
 			{"dense", func(m Matrix) { mutateDense(m, capacity, denseRng) }},
 		}
 		for _, op := range operators {
@@ -1356,6 +1535,27 @@ func TestSparseMutationSameDistribution(t *testing.T) {
 	}
 }
 
+// mutateSentinel runs g.mutate on m, whose cells are -1 (a sentinel no
+// draw produces) or in [0, MaxCapacity): a genome keeps -1 as
+// MaxCapacity, which no capacity under it can draw either.
+func mutateSentinel(g *GA, m Matrix) {
+	nodes := len(m[0])
+	c := genome{make([]uint16, len(m)*nodes), make([]uint32, maskWords(len(m), nodes))}
+	for j, row := range m {
+		for n, v := range row {
+			c.cells[j*nodes+n] = uint16(v) // -1 wraps to MaxCapacity
+		}
+	}
+	g.mutate(c)
+	for j, row := range m {
+		for n := range row {
+			if row[n] = int(c.cells[j*nodes+n]); row[n] == MaxCapacity {
+				row[n] = -1
+			}
+		}
+	}
+}
+
 func TestSparseMutationSingleNode(t *testing.T) {
 	// p = 1/N = 1 at a single node: every cell must mutate, as in the
 	// dense scan.
@@ -1366,7 +1566,7 @@ func TestSparseMutationSingleNode(t *testing.T) {
 	for j := range m {
 		m[j][0] = -1
 	}
-	g.mutate(genome{m, make([]uint32, 5)})
+	mutateSentinel(g, m)
 	for j := range m {
 		if m[j][0] == -1 {
 			t.Errorf("job %d cell not mutated at nodes=1", j)

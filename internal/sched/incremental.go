@@ -48,10 +48,10 @@ package sched
 // view's Current[i] and the row kept here are then one slice, and every
 // "did it change" question — here, in runtime.Step, in the ledger — is
 // answered by slice identity (ga.SameRow) before any cell is read. The
-// population a solve returns is the GA's own matrices: once solveNodes
-// returns nothing steps that GA again, so a whole-view population is kept
-// as it stands, each matrix a separate allocation that pins no other, and
-// like every row it is never written again. The passes that remain on a
+// population a flat solve builds (ga.GA.Population) is the caller's, its
+// matrices cut from one array: a whole-view population is kept as it
+// stands or not at all, so no kept matrix pins a dropped one, and like
+// every row it is never written again. The passes that remain on a
 // steady round are in docs/architecture.md. A skipped round keeps the
 // state it has.
 
@@ -347,7 +347,9 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 			seeds = append(seeds, r.cur)
 		}
 		seeds = append(seeds, r.subSeeds()...)
-		rows, pop = r.solveNodes(mem, 0, nodes, seeds, p.opts.Population, p.opts.Generations)
+		g := r.solveNodes(mem, 0, nodes, seeds, p.opts.Population, p.opts.Generations)
+		rows, _ = g.Best()
+		pop = g.Population()
 	}
 
 	// The composition is feasible when the clean rows do not clash among
@@ -365,7 +367,7 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 // compose builds a full matrix of row headers around one solver result
 // (see Ownership above): a clean job's row is the view's, a sub job's is
 // its current row when the solver reproduced it and else a copy of the
-// solver's, which borrows its rows from the GA.
+// solver's, so that no committed row pins the solver's whole matrix.
 func (r *round) compose(subRows ga.Matrix) ga.Matrix {
 	m := make(ga.Matrix, len(r.v.Jobs))
 	copy(m, r.v.Current)
@@ -461,10 +463,11 @@ type member struct {
 }
 
 // solveNodes runs the node-level GA for the members over node columns
-// [n0, n1) and returns the best member-row matrix and the final
-// population, best first. The GA is dropped on return, so both are the
-// caller's (see Ownership).
-func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize, gens int) (ga.Matrix, []ga.Matrix) {
+// [n0, n1) and returns it after the last generation. The caller builds
+// what it reads of it: the best member-row matrix, and the final
+// population (best first) where it carries one; both are the caller's (see
+// Ownership).
+func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize, gens int) *ga.GA {
 	p := r.p
 	extraSpan := make([]int, len(mem))
 	for mi := range mem {
@@ -495,9 +498,11 @@ func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize,
 		DistBlocked:           r.blocked[n0:n1],
 		ExtraSpan:             extraSpan,
 	}, ga.Options{Population: popSize, Workers: p.opts.Workers}, p.rng, seeds)
-	best, _ := g.Run(gens)
+	for range gens {
+		g.Step()
+	}
 	p.addStats(g.Stats())
-	return best, g.Population()
+	return g
 }
 
 // solveRacks is the two-level solve: a coarse GA assigns each sub job GPU
@@ -633,7 +638,7 @@ func (r *round) solveRacks() ga.Matrix {
 			seedCur[mi] = c.cur
 			p.seed.take(seedPack[mi], coarse[c.si][rk])
 		}
-		best, _ := r.solveNodes(mem, n0, n1, []ga.Matrix{seedCur, seedPack}, refinePop, refineGens)
+		best, _ := r.solveNodes(mem, n0, n1, []ga.Matrix{seedCur, seedPack}, refinePop, refineGens).Best()
 		for mi, c := range mem {
 			copy(rows[c.si][n0:n1], best[mi])
 		}
