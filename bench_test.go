@@ -20,6 +20,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -188,58 +189,53 @@ func BenchmarkValidateEfficiencyOnRealSGD(b *testing.B) {
 
 // BenchmarkSchedSerialVsParallel compares the serial and parallel
 // scheduler paths on the standard 16-node Pollux experiment setup, the
-// companion to BenchmarkSimStandardTrace for this layer. The ga/1 vs
-// ga/max ratio is the per-simulation speedup from concurrent GA fitness
-// evaluation; seeds/serial vs seeds/parallel adds the RunSeeds fan-out
-// over 4 seeds (paper-style repeated traces). Outputs are bit-identical
-// across all variants — the reported avgJCT-s metric makes that visible —
-// so on a >= 4-core host the ratios are pure wall-clock speedup.
+// companion to BenchmarkSimStandardTrace for this layer. Each leg sets
+// GOMAXPROCS, the one bound on the program's parallelism. ga/1 vs ga/max
+// is the per-simulation speedup (at this shape the GAs score under
+// minScorerCells, so it is the agent refits' fan-out, as in
+// BenchmarkAgentTickRefitWorkers); seeds/serial vs seeds/parallel adds the
+// RunSeeds fan-out over 4 seeds (paper-style repeated traces). Outputs are
+// bit-identical across all variants — the reported avgJCT-s metric makes
+// that visible — so on a >= 4-core host the ratios are pure wall-clock
+// speedup.
 func BenchmarkSchedSerialVsParallel(b *testing.B) {
-	gaWorkers := runtime.GOMAXPROCS(0)
+	maxProcs := runtime.GOMAXPROCS(0)
 	genTrace := func(rng *rand.Rand) workload.Trace {
 		return workload.Generate(rng, workload.Options{
 			Jobs: 40, Hours: 2, GPUsPerNode: 4, MaxGPUs: 64,
 		})
 	}
-	mkPollux := func(workers int) func(seed int64) sched.Policy {
-		return func(seed int64) sched.Policy {
-			return sched.NewPollux(sched.PolluxOptions{
-				Population: 20, Generations: 10, Workers: workers,
-			}, seed)
-		}
+	newPollux := func(seed int64) sched.Policy {
+		return sched.NewPollux(sched.PolluxOptions{Population: 20, Generations: 10}, seed)
 	}
 	cfg := sim.Config{Nodes: 16, GPUsPerNode: 4, Tick: 1, UseTunedConfig: true}
 
-	single := []struct {
-		name    string
-		workers int
-	}{{"ga/1", 1}, {"ga/max", gaWorkers}}
-	for _, s := range single {
-		b.Run(s.name, func(b *testing.B) {
+	for _, leg := range []struct {
+		name  string
+		procs int
+	}{{"ga/1", 1}, {"ga/max", maxProcs}} {
+		b.Run(leg.name, func(b *testing.B) {
+			testutil.SetProcs(b, leg.procs)
 			rng := rand.New(rand.NewSource(1))
 			tr := genTrace(rng)
 			c := cfg
 			c.Seed = 1
 			var res sim.Result
 			for i := 0; i < b.N; i++ {
-				res = sim.NewCluster(tr, mkPollux(s.workers)(1), c).Run()
+				res = sim.NewCluster(tr, newPollux(1), c).Run()
 			}
 			b.ReportMetric(res.Summary.AvgJCT, "avgJCT-s")
 		})
 	}
-
-	multi := []struct {
-		name     string
-		parallel int
-		workers  int
-	}{{"seeds/serial", 1, 1}, {"seeds/parallel", runtime.GOMAXPROCS(0), gaWorkers}}
-	for _, m := range multi {
-		b.Run(m.name, func(b *testing.B) {
-			c := cfg
-			c.Parallel = m.parallel
+	for _, leg := range []struct {
+		name  string
+		procs int
+	}{{"seeds/serial", 1}, {"seeds/parallel", maxProcs}} {
+		b.Run(leg.name, func(b *testing.B) {
+			testutil.SetProcs(b, leg.procs)
 			var sum metrics.Summary
 			for i := 0; i < b.N; i++ {
-				sum = sim.RunSeeds([]int64{1, 2, 3, 4}, genTrace, mkPollux(m.workers), c)
+				sum = sim.RunSeeds([]int64{1, 2, 3, 4}, genTrace, newPollux, cfg)
 			}
 			b.ReportMetric(sum.AvgJCT, "avgJCT-s")
 		})
@@ -248,10 +244,12 @@ func BenchmarkSchedSerialVsParallel(b *testing.B) {
 
 // BenchmarkAgentTickRefitWorkers isolates the per-round agent-refit
 // fan-out of the two-phase agentTick: the same 16-node Pollux simulation
-// with the L-BFGS refits serial (workers/1) vs fanned over all cores
-// (workers/max). Refits were ~44% of diurnal64 CPU, so on an N-core host
-// the ratio approaches the per-simulation ceiling of Amdahl's law for
-// that fraction; the reported avgJCT-s metric is identical across worker
+// at GOMAXPROCS 1 (workers/1, refits serial) vs the host's (workers/max,
+// refits fanned over all cores). Its GAs score under minScorerCells, so
+// they run inline on both legs and the refits are what the legs change.
+// Refits were ~44% of diurnal64 CPU, so on an N-core host the ratio
+// approaches the per-simulation ceiling of Amdahl's law for that
+// fraction; the reported avgJCT-s metric is identical across worker
 // counts, which is the determinism guarantee (rng draws stay on the
 // simulation goroutine; fits draw no randomness).
 func BenchmarkAgentTickRefitWorkers(b *testing.B) {
@@ -260,14 +258,15 @@ func BenchmarkAgentTickRefitWorkers(b *testing.B) {
 		Jobs: 40, Hours: 2, GPUsPerNode: 4, MaxGPUs: 64,
 	})
 	cases := []struct {
-		name    string
-		workers int
+		name  string
+		procs int
 	}{{"workers/1", 1}, {"workers/max", runtime.GOMAXPROCS(0)}}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			testutil.SetProcs(b, c.procs)
 			cfg := sim.Config{
 				Nodes: 16, GPUsPerNode: 4, Tick: 1,
-				UseTunedConfig: true, Seed: 1, RefitWorkers: c.workers,
+				UseTunedConfig: true, Seed: 1,
 			}
 			var res sim.Result
 			for i := 0; i < b.N; i++ {

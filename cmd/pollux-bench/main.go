@@ -8,8 +8,7 @@
 //
 //	pollux-bench [-scale quick|full|mega] [-exhibits all|table2,fig7,...]
 //	             [-json out.json] [-md out.md]
-//	             [-baseline bench/baselines/quick.json] [-update-baseline]
-//	             [-parallel n] [-refitworkers n] [-quiet]
+//	             [-baseline bench/baselines/quick.json] [-update-baseline] [-quiet]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-gobench bench-output.txt]
 //
@@ -22,10 +21,11 @@
 //
 // Quick scale finishes in a couple of minutes; full scale approximates
 // the paper's 160-job / 64-GPU / 8-seed setup. Seeds are simulated
-// concurrently (up to -parallel at a time, default GOMAXPROCS) and the
-// Pollux GA evaluates fitness on a worker pool; results are bit-identical
-// at any parallelism, which is why the quick-scale baseline under
-// bench/baselines/ can act as a deterministic regression gate:
+// concurrently (up to GOMAXPROCS at a time, which bounds the run's
+// parallelism; GOMAXPROCS=1 runs it serially) and the Pollux GA evaluates
+// fitness on a worker pool; results are bit-identical at any parallelism,
+// which is why the quick-scale baseline under bench/baselines/ can act as
+// a deterministic regression gate:
 //
 //	pollux-bench -baseline bench/baselines/quick.json
 //
@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pollux-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var sweep cliutil.Sweep
-	sweep.Register(fs, "quick", true)
+	sweep.Register(fs, "quick")
 	var prof cliutil.Profile
 	prof.Register(fs)
 	exhibits := fs.String("exhibits", "all", "comma-separated exhibit ids, or 'all'")

@@ -43,9 +43,12 @@
 // path (internal/cluster: Service, agent reports, scheduling rounds) on
 // virtual time instead of the simulator's in-memory jobs; add -rpc to
 // drive the agent boundary over a real loopback net/rpc socket. Replay
-// trainers step at a fixed 5 s tick and refit inline, so -tick and
-// -refitworkers do not apply; -interference and -events are rejected
-// (the testbed path has no interference injection or event log).
+// trainers step at a fixed 5 s tick and refit inline, so -tick does not
+// apply; -interference and -events are rejected (the testbed path has no
+// interference injection or event log).
+//
+// GOMAXPROCS bounds the run's parallelism: the GA's fitness scorers and
+// the agents' per-round refits. Results are bit-identical at any value.
 package main
 
 import (
@@ -100,7 +103,7 @@ func main() {
 	statusAddr := flag.String("status", "",
 		"serve /status (JSON) and /metrics (Prometheus text) on this address while the simulation runs")
 	var sweep cliutil.Sweep
-	sweep.Register(flag.CommandLine, "", false) // -scale preset + -refitworkers
+	sweep.Register(flag.CommandLine, "")
 	var fe cliutil.FrontEnd
 	fe.Register(flag.CommandLine)
 	var prof cliutil.Profile
@@ -262,7 +265,6 @@ func main() {
 		LogEvents:            *events > 0,
 		FrontEnd:             feOpts,
 	}
-	sweep.ApplyConfig(&cfg)
 	if *statusAddr != "" {
 		// Opt-in observability for long simulations: the registry only
 		// reads policy state the round already produced, so serving it

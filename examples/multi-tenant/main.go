@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"repro/internal/admit"
-	"repro/internal/cliutil"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -29,8 +28,6 @@ import (
 )
 
 func main() {
-	var sweep cliutil.Sweep
-	sweep.Register(flag.CommandLine, "", false)
 	flag.Parse()
 
 	const (
@@ -60,7 +57,6 @@ func main() {
 			Priority:  admit.PrioritySLO,
 		},
 	}
-	sweep.ApplyConfig(&cfg)
 	policy := sched.NewPollux(sched.PolluxOptions{Population: 30, Generations: 15}, seed)
 	res := sim.NewCluster(trace, policy, cfg).Run()
 

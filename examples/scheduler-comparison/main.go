@@ -10,8 +10,8 @@
 //
 // The default shape (40 jobs over 2 h on 8 nodes) finishes in seconds;
 // pass -scale quick or -scale full to run the shared experiment presets
-// instead (internal/cliutil), and -refitworkers to bound refit
-// concurrency. Results are identical at any worker count.
+// instead (internal/cliutil). GOMAXPROCS bounds the GA's and the refits'
+// parallelism; results are identical at any value.
 package main
 
 import (
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var sweep cliutil.Sweep
-	sweep.Register(flag.CommandLine, "", false)
+	sweep.Register(flag.CommandLine, "")
 	flag.Parse()
 
 	// The example's own shape, overridden by -scale when given.
@@ -69,7 +69,6 @@ func main() {
 			Nodes: nodes, GPUsPerNode: gpus, Tick: tick,
 			UseTunedConfig: true, Seed: seed,
 		}
-		sweep.ApplyConfig(&cfg)
 		res := sim.NewCluster(trace, pol.p, cfg).Run()
 		s := res.Summary
 		if pol.label == "Pollux" {

@@ -6,33 +6,18 @@
 // semantics — bulk-synchronous averaging with barrier behaviour — that the
 // training substrate (internal/train) builds on.
 //
-// Two Reducer implementations are provided:
-//
-//   - Ring: the bandwidth-optimal ring all-reduce (reduce-scatter followed
-//     by all-gather, 2(K-1) steps over K chunks);
-//   - CentralServer: a parameter-server-style central aggregator.
-//
-// Both average the K replicas' vectors element-wise and deliver the same
-// result to every replica.
+// Ring is the bandwidth-optimal ring all-reduce (reduce-scatter followed
+// by all-gather, 2(K-1) steps over K chunks): it averages the K replicas'
+// vectors element-wise and delivers the same result to every replica. The
+// package's tests hold it to a parameter-server-style central aggregator.
 package allreduce
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Reducer synchronizes gradient vectors across a fixed group of replicas.
-// AllReduce must be called concurrently by every rank in [0, K); each call
-// blocks until the group's average is available and then overwrites data
-// with it. Vectors must have equal lengths across ranks.
-type Reducer interface {
-	// Ranks returns the group size K.
-	Ranks() int
-	// AllReduce averages data across the group in place.
-	AllReduce(rank int, data []float64) error
-}
-
-// Ring is a channel-based ring all-reduce.
+// Ring is a channel-based ring all-reduce. AllReduce must be called
+// concurrently by every rank in [0, K); each call blocks until the group's
+// average is available and then overwrites data with it. Vectors must have
+// equal lengths across ranks.
 type Ring struct {
 	k int
 	// links[i] carries chunks from rank i to rank (i+1) mod k.
@@ -50,9 +35,6 @@ func NewRing(k int) *Ring {
 	}
 	return &Ring{k: k, links: links}
 }
-
-// Ranks returns the group size.
-func (r *Ring) Ranks() int { return r.k }
 
 // AllReduce performs the ring algorithm: the vector is split into K
 // chunks; in the reduce-scatter phase each rank accumulates one chunk's
@@ -122,71 +104,4 @@ func chunkBounds(n, k int) []int {
 
 func mod(a, m int) int {
 	return ((a % m) + m) % m
-}
-
-// CentralServer is a parameter-server-style aggregator: every rank pushes
-// its vector, a barrier fires once all K have arrived, the average is
-// computed once, and all ranks pull the result.
-type CentralServer struct {
-	k int
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	sum    []float64
-	pushed int
-	round  int
-	avg    []float64
-}
-
-// NewCentralServer creates a server for k replicas.
-func NewCentralServer(k int) *CentralServer {
-	if k < 1 {
-		panic("allreduce: group size must be >= 1")
-	}
-	s := &CentralServer{k: k}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// Ranks returns the group size.
-func (s *CentralServer) Ranks() int { return s.k }
-
-// AllReduce pushes the rank's vector and blocks until the round's average
-// is ready, then copies it into data.
-func (s *CentralServer) AllReduce(rank int, data []float64) error {
-	if rank < 0 || rank >= s.k {
-		return fmt.Errorf("allreduce: rank %d out of range [0, %d)", rank, s.k)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	myRound := s.round
-	if s.sum == nil {
-		s.sum = make([]float64, len(data))
-	}
-	if len(s.sum) != len(data) {
-		return fmt.Errorf("allreduce: vector length %d != %d", len(data), len(s.sum))
-	}
-	for i, v := range data {
-		s.sum[i] += v
-	}
-	s.pushed++
-	if s.pushed == s.k {
-		avg := make([]float64, len(s.sum))
-		inv := 1 / float64(s.k)
-		for i, v := range s.sum {
-			avg[i] = v * inv
-		}
-		s.avg = avg
-		s.sum = nil
-		s.pushed = 0
-		s.round++
-		s.cond.Broadcast()
-	} else {
-		for s.round == myRound {
-			s.cond.Wait()
-		}
-	}
-	copy(data, s.avg)
-	return nil
 }

@@ -1,6 +1,7 @@
 package allreduce
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,11 +11,11 @@ import (
 	"repro/internal/testutil"
 )
 
-// runGroup executes one all-reduce across k goroutines and returns each
-// rank's resulting vector.
-func runGroup(t *testing.T, r Reducer, vectors [][]float64) [][]float64 {
+// runGroup executes one all-reduce across one goroutine per vector and
+// returns each rank's resulting vector.
+func runGroup(t *testing.T, allReduce func(rank int, data []float64) error, vectors [][]float64) [][]float64 {
 	t.Helper()
-	k := r.Ranks()
+	k := len(vectors)
 	out := make([][]float64, k)
 	var wg sync.WaitGroup
 	errs := make([]error, k)
@@ -24,7 +25,7 @@ func runGroup(t *testing.T, r Reducer, vectors [][]float64) [][]float64 {
 			defer wg.Done()
 			data := make([]float64, len(vectors[rank]))
 			copy(data, vectors[rank])
-			errs[rank] = r.AllReduce(rank, data)
+			errs[rank] = allReduce(rank, data)
 			out[rank] = data
 		}(rank)
 	}
@@ -77,7 +78,7 @@ func TestRingAveragesKnownVectors(t *testing.T) {
 		{5, 6, 7, 8},
 		{9, 10, 11, 12},
 	}
-	results := runGroup(t, NewRing(3), vectors)
+	results := runGroup(t, NewRing(3).AllReduce, vectors)
 	expectAverage(t, vectors, results)
 }
 
@@ -102,7 +103,7 @@ func TestRingRankOutOfRange(t *testing.T) {
 func TestRingVectorShorterThanGroup(t *testing.T) {
 	// dim < K exercises empty chunks.
 	vectors := randVectors(rand.New(rand.NewSource(3)), 5, 3)
-	results := runGroup(t, NewRing(5), vectors)
+	results := runGroup(t, NewRing(5).AllReduce, vectors)
 	expectAverage(t, vectors, results)
 }
 
@@ -111,7 +112,7 @@ func TestRingRepeatedRounds(t *testing.T) {
 	r := NewRing(4)
 	for round := 0; round < 10; round++ {
 		vectors := randVectors(rng, 4, 17)
-		results := runGroup(t, r, vectors)
+		results := runGroup(t, r.AllReduce, vectors)
 		expectAverage(t, vectors, results)
 	}
 }
@@ -165,7 +166,7 @@ func TestRingProperty(t *testing.T) {
 
 func TestCentralServerAverages(t *testing.T) {
 	vectors := randVectors(rand.New(rand.NewSource(5)), 6, 33)
-	results := runGroup(t, NewCentralServer(6), vectors)
+	results := runGroup(t, NewCentralServer(6).AllReduce, vectors)
 	expectAverage(t, vectors, results)
 }
 
@@ -174,7 +175,7 @@ func TestCentralServerRepeatedRounds(t *testing.T) {
 	s := NewCentralServer(3)
 	for round := 0; round < 20; round++ {
 		vectors := randVectors(rng, 3, 8)
-		results := runGroup(t, s, vectors)
+		results := runGroup(t, s.AllReduce, vectors)
 		expectAverage(t, vectors, results)
 	}
 }
@@ -189,8 +190,8 @@ func TestCentralServerRankOutOfRange(t *testing.T) {
 func TestRingMatchesCentralServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vectors := randVectors(rng, 4, 29)
-	ring := runGroup(t, NewRing(4), vectors)
-	central := runGroup(t, NewCentralServer(4), vectors)
+	ring := runGroup(t, NewRing(4).AllReduce, vectors)
+	central := runGroup(t, NewCentralServer(4).AllReduce, vectors)
 	for i := range ring[0] {
 		if math.Abs(ring[0][i]-central[0][i]) > 1e-9 {
 			t.Fatalf("elem %d: ring %v vs central %v", i, ring[0][i], central[0][i])
@@ -250,4 +251,69 @@ func BenchmarkCentralServerAllReduce8x4096(b *testing.B) {
 		}
 		wg.Wait()
 	}
+}
+
+// CentralServer is the reference the ring is held to: a
+// parameter-server-style aggregator where every rank pushes its vector, a
+// barrier fires once all K have arrived, the average is computed once, and
+// all ranks pull the result.
+type CentralServer struct {
+	k int
+
+	mu     sync.Mutex
+	cond   *sync.Cond
+	sum    []float64
+	pushed int
+	round  int
+	avg    []float64
+}
+
+// NewCentralServer creates a server for k replicas.
+func NewCentralServer(k int) *CentralServer {
+	if k < 1 {
+		panic("allreduce: group size must be >= 1")
+	}
+	s := &CentralServer{k: k}
+	s.cond = sync.NewCond(&s.mu)
+	return s
+}
+
+// AllReduce pushes the rank's vector and blocks until the round's average
+// is ready, then copies it into data.
+func (s *CentralServer) AllReduce(rank int, data []float64) error {
+	if rank < 0 || rank >= s.k {
+		return fmt.Errorf("allreduce: rank %d out of range [0, %d)", rank, s.k)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+
+	myRound := s.round
+	if s.sum == nil {
+		s.sum = make([]float64, len(data))
+	}
+	if len(s.sum) != len(data) {
+		return fmt.Errorf("allreduce: vector length %d != %d", len(data), len(s.sum))
+	}
+	for i, v := range data {
+		s.sum[i] += v
+	}
+	s.pushed++
+	if s.pushed == s.k {
+		avg := make([]float64, len(s.sum))
+		inv := 1 / float64(s.k)
+		for i, v := range s.sum {
+			avg[i] = v * inv
+		}
+		s.avg = avg
+		s.sum = nil
+		s.pushed = 0
+		s.round++
+		s.cond.Broadcast()
+	} else {
+		for s.round == myRound {
+			s.cond.Wait()
+		}
+	}
+	copy(data, s.avg)
+	return nil
 }

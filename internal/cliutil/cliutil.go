@@ -1,8 +1,9 @@
 // Package cliutil deduplicates the flag and configuration plumbing
 // shared by the pollux command-line tools (cmd/pollux-bench,
-// cmd/pollux-sim): the quick/full scale presets and the concurrency
-// knobs, which previously were copied flag declarations that drifted
-// whenever a new knob landed in only one tool.
+// cmd/pollux-sim) and the examples: the quick/full/mega scale presets,
+// profiling, and the multi-tenant front end, which previously were
+// copied flag declarations that drifted whenever a new knob landed in
+// only one tool.
 package cliutil
 
 import (
@@ -17,65 +18,29 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Sweep holds the shared knobs. Register it on a FlagSet, Parse, then
-// apply it to an experiments.Scale (bench sweeps) or a sim.Config
-// (single simulations).
+// Sweep holds the -scale preset name. Register it on a FlagSet, Parse,
+// then resolve it with Scale.
 type Sweep struct {
-	ScaleName    string
-	Parallel     int
-	RefitWorkers int
+	ScaleName string
 }
 
-// Register declares the shared flags. scaleDefault is the -scale default
-// ("quick" for pollux-bench; "" for pollux-sim, where an empty scale
-// means "use the explicit -jobs/-nodes/... flags"). withParallel also
-// declares -parallel, which only makes sense for multi-seed sweeps.
-func (s *Sweep) Register(fs *flag.FlagSet, scaleDefault string, withParallel bool) {
+// Register declares -scale. scaleDefault is its default ("quick" for
+// pollux-bench; "" for pollux-sim and the scheduler-comparison example,
+// where an empty scale means "use the explicit shape").
+func (s *Sweep) Register(fs *flag.FlagSet, scaleDefault string) {
 	usage := "experiment scale preset: quick, full, or mega"
 	if scaleDefault == "" {
 		usage += " (empty: use the explicit shape flags)"
 	}
 	fs.StringVar(&s.ScaleName, "scale", scaleDefault, usage)
-	if withParallel {
-		fs.IntVar(&s.Parallel, "parallel", 0,
-			"max per-seed simulations in flight (0 keeps the scale's default, GOMAXPROCS; 1 forces serial)")
-	}
-	fs.IntVar(&s.RefitWorkers, "refitworkers", 0,
-		"max agent refits in flight per report round (0 defaults to GOMAXPROCS; 1 forces serial; results are identical either way)")
 }
 
-// Scale resolves the named preset with the concurrency overrides applied.
+// Scale resolves the named preset.
 func (s Sweep) Scale() (experiments.Scale, error) {
-	sc, err := experiments.ScaleByName(s.ScaleName)
-	if err != nil {
-		return Scale{}, err
-	}
-	if s.Parallel > 0 {
-		sc.Parallel = s.Parallel
-	}
-	if s.RefitWorkers > 0 {
-		sc.RefitWorkers = s.RefitWorkers
-	}
-	return sc, nil
-}
-
-// Scale aliases experiments.Scale so callers of Sweep.Scale need not
-// import experiments just for the zero value.
-type Scale = experiments.Scale
-
-// ApplyConfig copies the concurrency knobs onto a single-simulation
-// config.
-func (s Sweep) ApplyConfig(cfg *sim.Config) {
-	if s.Parallel > 0 {
-		cfg.Parallel = s.Parallel
-	}
-	if s.RefitWorkers > 0 {
-		cfg.RefitWorkers = s.RefitWorkers
-	}
+	return experiments.ScaleByName(s.ScaleName)
 }
 
 // Profile holds the shared -cpuprofile/-memprofile flags, so hotpath

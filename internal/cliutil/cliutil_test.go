@@ -2,20 +2,20 @@ package cliutil
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 )
 
 func TestSweepRegisterAndScale(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	var s Sweep
-	s.Register(fs, "quick", true)
-	if err := fs.Parse([]string{"-scale", "full", "-parallel", "3", "-refitworkers", "2"}); err != nil {
+	s.Register(fs, "quick")
+	if err := fs.Parse([]string{"-scale", "full"}); err != nil {
 		t.Fatal(err)
 	}
 	sc, err := s.Scale()
@@ -25,41 +25,28 @@ func TestSweepRegisterAndScale(t *testing.T) {
 	if sc.Jobs != experiments.FullScale().Jobs {
 		t.Errorf("scale not resolved to full: %+v", sc)
 	}
-	if sc.Parallel != 3 || sc.RefitWorkers != 2 {
-		t.Errorf("concurrency overrides not applied: %+v", sc)
-	}
 }
 
+// TestSweepWithoutParallelFlag: GOMAXPROCS is the one bound on a run's
+// parallelism, so Sweep registers -scale and no worker-count flag.
 func TestSweepWithoutParallelFlag(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	var s Sweep
-	s.Register(fs, "", false)
-	if fs.Lookup("parallel") != nil {
-		t.Error("-parallel registered despite withParallel=false")
+	s.Register(fs, "")
+	for _, name := range []string{"parallel", "refitworkers"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("-%s registered", name)
+		}
 	}
-	if fs.Lookup("refitworkers") == nil || fs.Lookup("scale") == nil {
-		t.Error("shared flags missing")
-	}
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
+	if err := fs.Parse([]string{"-parallel", "2"}); err == nil {
+		t.Error("-parallel parsed")
 	}
 	if s.ScaleName != "" {
 		t.Errorf("default scale = %q, want empty", s.ScaleName)
 	}
 	if _, err := s.Scale(); err == nil {
 		t.Error("empty scale name resolved without error")
-	}
-}
-
-func TestApplyConfig(t *testing.T) {
-	cfg := sim.Config{Parallel: 7, RefitWorkers: 7}
-	Sweep{}.ApplyConfig(&cfg)
-	if cfg.Parallel != 7 || cfg.RefitWorkers != 7 {
-		t.Errorf("zero sweep overwrote config: %+v", cfg)
-	}
-	Sweep{Parallel: 2, RefitWorkers: 3}.ApplyConfig(&cfg)
-	if cfg.Parallel != 2 || cfg.RefitWorkers != 3 {
-		t.Errorf("overrides not applied: %+v", cfg)
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 	"repro/internal/models"
 	"repro/internal/sched"
 	"repro/internal/status"
+	"repro/internal/testutil"
 )
 
 // megaOptions are the mega preset's incremental rack rounds, the options
-// benchmark/svcload.go runs svc_round_inc256 under, on one goroutine so
-// that allocation counts repeat.
-var megaOptions = sched.PolluxOptions{Population: 20, Generations: 10, Incremental: true, FullEvery: -1, RackSize: 16, Workers: 1}
+// benchmark/svcload.go runs svc_round_inc256 under.
+var megaOptions = sched.PolluxOptions{Population: 20, Generations: 10, Incremental: true, FullEvery: -1, RackSize: 16}
 
 // steadyLoad is the svc_round_inc256 workload of benchmark/svcload.go at a
 // chosen size: a Service holding a steady population of live jobs,
@@ -195,10 +195,12 @@ func TestSteadyServiceDigestPinned(t *testing.T) {
 // between rounds, every live job re-reporting, is outside the timer. A
 // steady round re-places a few dozen jobs, so its allocations are the
 // view, row headers, a handful of per-job slices and the sub-problem GAs.
-// CI gates allocs/op exactly (bench/baselines/gobench.json, at -benchtime
-// 20x): one whole-matrix allocation, or one allocation per job or per
+// It runs at GOMAXPROCS 1, so the GAs start no scorers and allocs/op
+// repeats: CI gates it exactly (bench/baselines/gobench.json, at -benchtime
+// 20x), and one whole-matrix allocation, or one allocation per job or per
 // report, coming back moves it.
 func BenchmarkServiceRoundSteady(b *testing.B) {
+	testutil.SetProcs(b, 1)
 	l := newSteadyLoad(b, 64, 1280, 1)
 	for i := 0; i < 10; i++ { // reach the steady state
 		l.churn(b)

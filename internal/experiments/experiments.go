@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -159,14 +158,6 @@ type Scale struct {
 	MegaNodes   []int
 	MegaJobs    int
 	MegaSimJobs int
-	// Parallel bounds concurrent per-seed simulations (sim.Config.Parallel);
-	// 0 or 1 is serial. Per-seed runs are deterministic, so results do
-	// not depend on this.
-	Parallel int
-	// RefitWorkers bounds concurrent agent refits within one report round
-	// (sim.Config.RefitWorkers); 0 defaults to GOMAXPROCS, 1 is serial.
-	// Refits are deterministic, so results do not depend on this.
-	RefitWorkers int
 }
 
 // QuickScale finishes in seconds on the event engine; used by
@@ -183,7 +174,6 @@ func QuickScale() Scale {
 		MegaNodes:       []int{32, 64},
 		MegaJobs:        192,
 		MegaSimJobs:     40,
-		Parallel:        runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -204,7 +194,6 @@ func FullScale() Scale {
 		MegaNodes:   []int{512, 1024},
 		MegaJobs:    10240,
 		MegaSimJobs: 2000,
-		Parallel:    runtime.GOMAXPROCS(0),
 	}
 }
 

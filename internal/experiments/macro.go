@@ -62,7 +62,6 @@ func (sc Scale) simConfig() sim.Config {
 	return sim.Config{
 		Nodes: sc.Nodes, GPUsPerNode: sc.GPUsPerNode,
 		Tick: sc.Tick, UseTunedConfig: true,
-		Parallel: sc.Parallel, RefitWorkers: sc.RefitWorkers,
 	}
 }
 

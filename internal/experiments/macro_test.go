@@ -23,7 +23,6 @@ func shortScale() Scale {
 		PolluxPop: 10, PolluxGens: 5,
 		AutoscaleEpochs: 2,
 		Days:            0.25,
-		Parallel:        2,
 	}
 }
 

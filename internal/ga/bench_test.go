@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/detrand"
+	"repro/internal/testutil"
 )
 
 // BenchmarkGAStep is one steady generation at four shapes: tiny (what
@@ -13,11 +14,11 @@ import (
 // offspring is everything), std, full32 (the svc_round_full32 shape,
 // where the cost per cell is), and one: a single job on 16 nodes, seeded
 // from its own converged population, the median round of sim_pollux_std,
-// where most offspring copy a parent. One goroutine, a counting rng source
-// and a counting fitness, so allocs/op, draws/op and fitness/op repeat
-// exactly at a fixed -benchtime Nx and CI gates all three: an allocation
-// per offspring or an rng draw per cell coming back moves the first two,
-// and a copy of a parent scored again the third.
+// where most offspring copy a parent. GOMAXPROCS 1 (no scorers), a
+// counting rng source and a counting fitness, so allocs/op, draws/op and
+// fitness/op repeat exactly at a fixed -benchtime Nx and CI gates all
+// three: an allocation per offspring or an rng draw per cell coming back
+// moves the first two, and a copy of a parent scored again the third.
 func BenchmarkGAStep(b *testing.B) {
 	for _, leg := range []struct {
 		name        string
@@ -25,6 +26,7 @@ func BenchmarkGAStep(b *testing.B) {
 		converged   bool
 	}{{"tiny", 2, 16, false}, {"std", 30, 16, false}, {"full32", 96, 32, false}, {"one", 1, 16, true}} {
 		b.Run(leg.name, func(b *testing.B) {
+			testutil.SetProcs(b, 1) // here, not in the parent: testing resets GOMAXPROCS per leg
 			capacity := make([]int, leg.nodes)
 			for n := range capacity {
 				capacity[n] = 4
@@ -37,7 +39,7 @@ func BenchmarkGAStep(b *testing.B) {
 				return simpleFitness(m)
 			}
 			prob := Problem{Capacity: capacity, Jobs: leg.jobs, Fitness: fitness, InterferenceAvoidance: true}
-			opts := Options{Population: 50, Workers: 1}
+			opts := Options{Population: 50}
 			var seeds []Matrix
 			if leg.converged {
 				// A scheduling interval's worth of generations, as the
@@ -61,19 +63,20 @@ func BenchmarkGAStep(b *testing.B) {
 
 // BenchmarkGANew builds the GA of one svc_round_full32 round: 96 jobs on 32
 // nodes, population 50, seeded with a population carried from a previous
-// GA as PolluxSched seeds it, Workers 1. A GA's allocations do not depend
+// GA as PolluxSched seeds it, at GOMAXPROCS 1. A GA's allocations do not depend
 // on its population size (its genomes are cut from one array), and CI
 // gates allocs/op exactly, so an allocation per genome or per seed coming
 // back into New fails there.
 func BenchmarkGANew(b *testing.B) {
 	b.Run("full32", func(b *testing.B) {
+		testutil.SetProcs(b, 1)
 		capacity := make([]int, 32)
 		for n := range capacity {
 			capacity[n] = 4
 		}
 		rng := rand.New(rand.NewSource(1))
 		prob := Problem{Capacity: capacity, Jobs: 96, Fitness: simpleFitness, InterferenceAvoidance: true}
-		opts := Options{Population: 50, Workers: 1}
+		opts := Options{Population: 50}
 		prev := New(prob, opts, rng, nil)
 		prev.Run(2)
 		seeds := prev.Population()
@@ -85,13 +88,15 @@ func BenchmarkGANew(b *testing.B) {
 }
 
 // BenchmarkGAStepWorkers isolates the fitness fan-out: the same generation
-// under 1, 2, 4, and 8 workers with an artificially expensive fitness (the
+// at GOMAXPROCS 1, 2, 4, and 8 with an artificially expensive fitness (the
 // real one runs golden-section searches on cache misses), at the
 // svc_round_full32 shape, where a generation is large enough to start
 // scorers (minScorerCells). The ns/op ratio between workers/1 and
 // workers/N is the scheduler-interval speedup on an N-core host. A steady
 // generation allocates only what starting its N−1 scorers takes, so
-// allocs/op repeats at a fixed -benchtime Nx and CI gates workers/2's.
+// allocs/op repeats at a fixed -benchtime Nx and CI gates workers/2's:
+// its 1 is also the evidence that New reads the worker count from
+// GOMAXPROCS, where a GA that started no scorer would read 0.
 func BenchmarkGAStepWorkers(b *testing.B) {
 	expensive := func(m Matrix) float64 {
 		f := simpleFitness(m)
@@ -102,13 +107,14 @@ func BenchmarkGAStepWorkers(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers/"+strconv.Itoa(workers), func(b *testing.B) {
+			testutil.SetProcs(b, workers)
 			rng := rand.New(rand.NewSource(1))
 			capacity := make([]int, 32)
 			for n := range capacity {
 				capacity[n] = 4
 			}
 			prob := Problem{Capacity: capacity, Jobs: 96, Fitness: expensive, InterferenceAvoidance: true}
-			g := New(prob, Options{Population: 50, Workers: workers}, rng, nil)
+			g := New(prob, Options{Population: 50}, rng, nil)
 			g.Run(2) // fill the buffer pool
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -274,7 +274,7 @@ type Problem struct {
 	// calling scorer's scratch, loaded with the member being scored: it is
 	// valid only during the call, and Fitness must neither write it nor
 	// keep it. It must be a pure function of the matrix (so a copy of a
-	// member keeps its score uncalled) and, when Options.Workers > 1, safe
+	// member keeps its score uncalled) and, when GOMAXPROCS > 1, safe
 	// to call from multiple goroutines concurrently and while the caller of
 	// New or Step mutates and repairs later offspring on the GA's rng: it
 	// may read the matrix and state nothing writes during the call, never
@@ -301,36 +301,30 @@ type Problem struct {
 // generations per 60 s scheduling interval.
 type Options struct {
 	Population int // default 100
-	// Workers bounds the goroutines evaluating Fitness concurrently;
-	// default GOMAXPROCS. Only fitness evaluation fans out, and it overlaps
-	// the operators: New and Step start Workers−1 scorers, which score each
-	// member as soon as it is built, while mutation, crossover and repair
-	// stay on the caller's goroutine so the single *rand.Rand is never
-	// shared; the caller scores what is left once it has built them all.
-	// A generation too small to repay the hand-off (minScorerCells) is
-	// scored inline, as at Workers: 1, which starts nothing. Every member
-	// is scored into a fixed slot, so results are bit-identical to
-	// Workers: 1.
-	Workers int
 }
 
 func (o *Options) defaults() {
 	if o.Population <= 0 {
 		o.Population = 100
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 }
 
 // GA is the evolving population for one Problem. A GA is not safe for
 // concurrent use, but it internally fans fitness evaluation out over
-// Options.Workers goroutines (see Options); all stochastic operators run
-// on the caller's goroutine.
+// GOMAXPROCS goroutines, read once by New. Only fitness evaluation fans
+// out, and it overlaps the operators: New and Step start workers−1
+// scorers, which score each member as soon as it is built, while
+// mutation, crossover and repair stay on the caller's goroutine so the
+// single *rand.Rand is never shared; the caller scores what is left once
+// it has built them all. A generation too small to repay the hand-off
+// (minScorerCells) is scored inline, as at GOMAXPROCS 1, which starts
+// nothing. Every member is scored into a fixed slot, so results are
+// bit-identical at any GOMAXPROCS.
 type GA struct {
-	prob Problem
-	opts Options
-	rng  *rand.Rand
+	prob    Problem
+	opts    Options
+	rng     *rand.Rand
+	workers int // GOMAXPROCS when New ran
 
 	// gen holds every genome the GA owns, 3 × Population of them, with
 	// scores parallel to it: the population (pop, best first after a Step)
@@ -393,7 +387,7 @@ func New(prob Problem, opts Options, rng *rand.Rand, seeds []Matrix) *GA {
 			panic(fmt.Sprintf("ga: node %d has capacity %d, above MaxCapacity %d", n, c, MaxCapacity))
 		}
 	}
-	g := &GA{prob: prob, opts: opts, rng: rng, lnGap: math.Log(1 - 1/float64(nodes))}
+	g := &GA{prob: prob, opts: opts, rng: rng, workers: runtime.GOMAXPROCS(0), lnGap: math.Log(1 - 1/float64(nodes))}
 	words, cells := maskWords(jobs, nodes), jobs*nodes
 	var masks []uint32
 	g.occ, masks = newOccupancy(jobs, nodes, 3*size*words)
@@ -537,7 +531,7 @@ func (g *GA) selectSurvivors() {
 }
 
 // scoring scores the members New or Step builds: inline as each is built
-// at Workers 1 or below minScorerCells, and otherwise on Workers−1
+// at GOMAXPROCS 1 or below minScorerCells, and otherwise on workers−1
 // scorers that overlap the building. Slot i of ms and copied is written
 // once, before ready passes i; a scorer claims a published slot by
 // advancing next, so every slot is claimed exactly once whatever the
@@ -571,12 +565,12 @@ type scoring struct {
 var minScorerCells = 1 << 18
 
 // begin sets up scoring of the len(out) members publish will put into ms
-// and, at Workers > 1 and enough cells, starts the scorers.
+// and, at GOMAXPROCS > 1 and enough cells, starts the scorers.
 func (g *GA) begin(ms []genome, out []float64) {
 	g.stats.FitnessCalls += int64(len(out))
 	g.stats.CellsScored += int64(len(out)) * int64(g.prob.Jobs) * int64(len(g.prob.Capacity))
 	s := &g.sc
-	scorers := min(g.opts.Workers, len(out)) - 1
+	scorers := min(g.workers, len(out)) - 1
 	if len(out)*g.prob.Jobs*len(g.prob.Capacity) < minScorerCells {
 		scorers = 0
 	}
@@ -587,7 +581,7 @@ func (g *GA) begin(ms []genome, out []float64) {
 	if s.wake == nil {
 		// A token for every scorer there can be, so that end can wake them
 		// all without blocking.
-		s.wake = make(chan struct{}, g.opts.Workers-1)
+		s.wake = make(chan struct{}, g.workers-1)
 	}
 	for len(s.scratch) <= scorers {
 		s.scratch = append(s.scratch, newScratch(g.prob.Jobs, len(g.prob.Capacity)))

@@ -492,7 +492,7 @@ func TestGARepairAllocatesNothing(t *testing.T) {
 		capacity[n] = 4
 	}
 	prob := Problem{Capacity: capacity, Jobs: 12, Fitness: simpleFitness, InterferenceAvoidance: true}
-	g := New(prob, Options{Population: 4, Workers: 1}, rand.New(rand.NewSource(3)), nil)
+	g := New(prob, Options{Population: 4}, rand.New(rand.NewSource(3)), nil)
 	over := NewMatrix(prob.Jobs, len(prob.Capacity))
 	for _, row := range over {
 		for n := range row {
@@ -516,7 +516,7 @@ func TestGARepairAllocatesNothing(t *testing.T) {
 	}
 }
 
-// withScorers lets Workers > 1 start scorers on matrices of any size for
+// withScorers lets GOMAXPROCS > 1 start scorers on matrices of any size for
 // the rest of the test, however few cells a generation scores.
 func withScorers(t *testing.T) {
 	old := minScorerCells
@@ -653,8 +653,9 @@ func TestGAMasksMatchCells(t *testing.T) {
 		for _, mode := range shapeModes {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("nodes=%d/%s/workers=%d", nodes, mode, workers), func(t *testing.T) {
+					testutil.SetProcs(t, workers)
 					prob, seed, rng, _ := shapeProblem(nodes, mode)
-					g := New(prob, Options{Population: 12, Workers: workers}, rng, []Matrix{seed})
+					g := New(prob, Options{Population: 12}, rng, []Matrix{seed})
 					checkMasks(t, g, "New")
 					for gen := 0; gen < 8; gen++ {
 						g.Step()
@@ -677,7 +678,7 @@ func TestRepairOfMemberIsANoOp(t *testing.T) {
 			t.Run(fmt.Sprintf("nodes=%d/%s", nodes, mode), func(t *testing.T) {
 				prob, seed, rng, src := shapeProblem(nodes, mode)
 				lower := rand.New(rand.NewSource(int64(nodes)))
-				g := New(prob, Options{Population: 12, Workers: 1}, rng, []Matrix{seed})
+				g := New(prob, Options{Population: 12}, rng, []Matrix{seed})
 				dense := func(c genome) Matrix { return cellsMatrix(c, prob.Jobs, nodes) }
 				noOp := func(when string, i int, c genome) {
 					t.Helper()
@@ -860,7 +861,7 @@ func TestGASeedsWrongShapeIgnored(t *testing.T) {
 func TestGASeedsWithABadRowIgnored(t *testing.T) {
 	prob := Problem{Capacity: []int{4, 4}, Jobs: 3, Fitness: simpleFitness}
 	good := Matrix{{1, 0}, {0, 1}, {1, 0}}
-	g := New(prob, Options{Population: 1, Workers: 1}, rand.New(rand.NewSource(15)), []Matrix{good})
+	g := New(prob, Options{Population: 1}, rand.New(rand.NewSource(15)), []Matrix{good})
 	if got := g.Population()[0]; !got.Equal(good) {
 		t.Fatalf("a valid seed is not kept: %v", got)
 	}
@@ -873,7 +874,7 @@ func TestGASeedsWithABadRowIgnored(t *testing.T) {
 		{"negative cell", Matrix{{1, 0}, {0, -1}, {1, 0}}},
 		{"cell above MaxCapacity", Matrix{{1, 0}, {0, MaxCapacity + 1}, {1, 0}}},
 	} {
-		g := New(prob, Options{Population: 1, Workers: 1}, rand.New(rand.NewSource(15)), []Matrix{c.seed})
+		g := New(prob, Options{Population: 1}, rand.New(rand.NewSource(15)), []Matrix{c.seed})
 		if got := g.Population()[0]; !got.Equal(NewMatrix(3, 2)) {
 			t.Errorf("%s: seed %v taken as %v, want it ignored", c.name, c.seed, got)
 		}
@@ -888,7 +889,7 @@ func TestNewRefusesCapacityOverMaxCapacity(t *testing.T) {
 			t.Errorf("New panicked with %q, want a message naming MaxCapacity", msg)
 		}
 	}()
-	New(Problem{Capacity: []int{4, MaxCapacity + 1}, Jobs: 2, Fitness: simpleFitness}, Options{Population: 2, Workers: 1}, rand.New(rand.NewSource(1)), nil)
+	New(Problem{Capacity: []int{4, MaxCapacity + 1}, Jobs: 2, Fitness: simpleFitness}, Options{Population: 2}, rand.New(rand.NewSource(1)), nil)
 }
 
 // hashScore is a fitness that tells matrices apart: a hash of every cell,
@@ -934,7 +935,8 @@ func TestFitnessSeesTheMemberItScores(t *testing.T) {
 			}
 			prob, seed, rng, _ := shapeProblem(33, "avoidance")
 			prob.Fitness = fitness
-			g := New(prob, Options{Population: 12, Workers: workers}, rng, []Matrix{seed})
+			testutil.SetProcs(t, workers)
+			g := New(prob, Options{Population: 12}, rng, []Matrix{seed})
 			check := func(when string, genomes int) {
 				t.Helper()
 				for i, c := range g.gen[:genomes] {
@@ -963,7 +965,7 @@ func TestFitnessSeesTheMemberItScores(t *testing.T) {
 func TestBestAndPopulationAreTheCallers(t *testing.T) {
 	newGA := func() *GA {
 		prob, seed, rng, _ := shapeProblem(33, "avoidance")
-		return New(prob, Options{Population: 12, Workers: 1}, rng, []Matrix{seed})
+		return New(prob, Options{Population: 12}, rng, []Matrix{seed})
 	}
 	g, twin := newGA(), newGA()
 	for gen := 0; gen < 4; gen++ {
@@ -1065,7 +1067,8 @@ func TestGAWorkersBitIdentical(t *testing.T) {
 	// Nor the work: an offspring that copies a member takes its score on
 	// the caller's goroutine, and no scorer calls Fitness on its slot, so
 	// every worker count makes as many calls as the serial run, fewer than
-	// the members Stats counts.
+	// the members Stats counts. The worker count is GOMAXPROCS, which run
+	// sets before New reads it.
 	withScorers(t)
 	// The fitness yields on a seeded subset of its calls, so that scorers
 	// finish out of order and the caller often catches up with them.
@@ -1089,30 +1092,31 @@ func TestGAWorkersBitIdentical(t *testing.T) {
 			InterferenceAvoidance: true,
 		}
 		start := calls.Load()
-		g := New(prob, Options{Population: 30, Workers: workers}, rng, nil)
+		testutil.SetProcs(t, workers)
+		g := New(prob, Options{Population: 30}, rng, nil)
 		g.Run(25)
 		return g, calls.Load() - start
 	}
 	want, wantCalls := run(1)
 	if n := want.Stats().FitnessCalls; wantCalls >= n {
-		t.Errorf("Workers 1 called Fitness %d times for %d members: no copy kept its parent's score", wantCalls, n)
+		t.Errorf("GOMAXPROCS 1 called Fitness %d times for %d members: no copy kept its parent's score", wantCalls, n)
 	}
 	for _, workers := range []int{2, 3, 4, 8} {
 		got, gotCalls := run(workers)
 		if gotCalls != wantCalls {
-			t.Errorf("Workers %d called Fitness %d times, Workers 1 %d", workers, gotCalls, wantCalls)
+			t.Errorf("GOMAXPROCS %d called Fitness %d times, GOMAXPROCS 1 %d", workers, gotCalls, wantCalls)
 		}
 		for i := range want.pop {
 			if !slices.Equal(got.pop[i].cells, want.pop[i].cells) {
-				t.Fatalf("Workers 1 vs %d member %d differs:\n%v\n%v", workers, i, want.Population()[i], got.Population()[i])
+				t.Fatalf("GOMAXPROCS 1 vs %d member %d differs:\n%v\n%v", workers, i, want.Population()[i], got.Population()[i])
 			}
 			//pollux:floateq-ok bit-identical determinism gate: the worker count must not change the result at all
 			if got.scores[i] != want.scores[i] {
-				t.Fatalf("Workers 1 vs %d member %d fitness differs: %v vs %v", workers, i, want.scores[i], got.scores[i])
+				t.Fatalf("GOMAXPROCS 1 vs %d member %d fitness differs: %v vs %v", workers, i, want.scores[i], got.scores[i])
 			}
 		}
 		if got.Stats() != want.Stats() {
-			t.Errorf("Workers 1 vs %d stats differ: %+v vs %+v", workers, want.Stats(), got.Stats())
+			t.Errorf("GOMAXPROCS 1 vs %d stats differ: %+v vs %+v", workers, want.Stats(), got.Stats())
 		}
 	}
 }
@@ -1355,8 +1359,9 @@ func TestStepBufferReuseBitIdentical(t *testing.T) {
 				DistBlocked:           leg.blocked,
 				ExtraSpan:             leg.extra,
 			}
-			return New(prob, Options{Population: 24, Workers: leg.workers}, rng, []Matrix{NewMatrix(leg.jobs, len(leg.capacity))})
+			return New(prob, Options{Population: 24}, rng, []Matrix{NewMatrix(leg.jobs, len(leg.capacity))})
 		}
+		testutil.SetProcs(t, leg.workers)
 		got, want := newGA(), newGA()
 		for gen := 0; gen < 15; gen++ {
 			got.Step()
@@ -1478,7 +1483,7 @@ func TestSparseMutationSameDistribution(t *testing.T) {
 		nodes := len(capacity)
 		prob := Problem{Capacity: capacity, Jobs: jobs, Fitness: simpleFitness}
 		// Population 1 is the zero matrix alone: New draws nothing.
-		g := New(prob, Options{Population: 1, Workers: 1}, rand.New(rand.NewSource(55)), nil)
+		g := New(prob, Options{Population: 1}, rand.New(rand.NewSource(55)), nil)
 		denseRng := rand.New(rand.NewSource(55))
 		operators := []struct {
 			name   string
@@ -1561,7 +1566,7 @@ func TestSparseMutationSingleNode(t *testing.T) {
 	// dense scan.
 	rng := rand.New(rand.NewSource(56))
 	prob := Problem{Capacity: []int{50}, Jobs: 5, Fitness: simpleFitness}
-	g := New(prob, Options{Population: 1, Workers: 1}, rng, nil)
+	g := New(prob, Options{Population: 1}, rng, nil)
 	m := NewMatrix(5, 1)
 	for j := range m {
 		m[j][0] = -1
@@ -1600,7 +1605,7 @@ func TestSparseMutationGAFeasibleAndImproves(t *testing.T) {
 // generations run on it.
 func TestNewWithoutNodes(t *testing.T) {
 	prob := Problem{Jobs: 3, Fitness: simpleFitness, InterferenceAvoidance: true}
-	g := New(prob, Options{Population: 6, Workers: 1}, rand.New(rand.NewSource(59)), nil)
+	g := New(prob, Options{Population: 6}, rand.New(rand.NewSource(59)), nil)
 	best, f := g.Run(3)
 	if len(g.Population()) != 6 {
 		t.Fatalf("population size = %d, want 6", len(g.Population()))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ga"
+	"repro/internal/testutil"
 )
 
 func BenchmarkPolluxScheduleInterval(b *testing.B) {
@@ -18,19 +19,18 @@ func BenchmarkPolluxScheduleInterval(b *testing.B) {
 	}
 }
 
-// BenchmarkPolluxScheduleWorkers sweeps the GA fitness worker count over
-// one scheduling interval. On an N-core host the workers/1-to-workers/N
-// ns/op ratio is the per-interval speedup; outputs are bit-identical
-// across the sweep (TestPolluxWorkersDeterminism).
+// BenchmarkPolluxScheduleWorkers sweeps the GA fitness worker count
+// (GOMAXPROCS) over one scheduling interval. On an N-core host the
+// workers/1-to-workers/N ns/op ratio is the per-interval speedup; outputs
+// are bit-identical across the sweep (TestPolluxWorkersDeterminism).
 func BenchmarkPolluxScheduleWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers/"+strconv.Itoa(workers), func(b *testing.B) {
+			testutil.SetProcs(b, workers)
 			v := viewWith(20, 16, 4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := NewPollux(PolluxOptions{
-					Population: 50, Generations: 30, Workers: workers,
-				}, int64(i))
+				p := NewPollux(PolluxOptions{Population: 50, Generations: 30}, int64(i))
 				p.Schedule(v)
 			}
 		})

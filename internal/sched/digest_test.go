@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ga"
 	"repro/internal/models"
+	"repro/internal/testutil"
 )
 
 // Digests of churnDigest. The GA's choices hang on float comparisons and
@@ -142,8 +143,8 @@ func churnDigest(opts PolluxOptions) string {
 }
 
 // TestScheduleDigestPinned holds the three scheduler configurations to
-// their recorded allocation trajectories (see the digests), at one and at
-// four fitness workers.
+// their recorded allocation trajectories (see the digests), at GOMAXPROCS
+// one and four.
 func TestScheduleDigestPinned(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -155,9 +156,8 @@ func TestScheduleDigestPinned(t *testing.T) {
 		{"incremental+racks", PolluxOptions{Population: 24, Generations: 12, Lambda: 0.5, Incremental: true, RackSize: 4}, digestIncRack},
 	} {
 		for _, workers := range []int{1, 4} {
-			opts := c.opts
-			opts.Workers = workers
-			if got := churnDigest(opts); got != c.want {
+			testutil.SetProcs(t, workers)
+			if got := churnDigest(c.opts); got != c.want {
 				t.Errorf("%s, %d workers: digest %s, want %s", c.name, workers, got, c.want)
 			}
 		}

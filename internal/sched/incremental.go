@@ -347,9 +347,13 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 			seeds = append(seeds, r.cur)
 		}
 		seeds = append(seeds, r.subSeeds()...)
-		g := r.solveNodes(mem, 0, nodes, seeds, p.opts.Population, p.opts.Generations)
-		rows, _ = g.Best()
-		pop = g.Population()
+		// Generations is at least 1, so the GA has stepped and its
+		// population is best first: pop[0] is the member Best would build
+		// again. Sharing it as rows leaves the round bit-identical: compose
+		// copies every row it keeps from it, and keep skips the members
+		// equal to it.
+		pop = r.solveNodes(mem, 0, nodes, seeds, p.opts.Population, p.opts.Generations).Population()
+		rows = pop[0]
 	}
 
 	// The composition is feasible when the clean rows do not clash among
@@ -497,7 +501,7 @@ func (r *round) solveNodes(mem []member, n0, n1 int, seeds []ga.Matrix, popSize,
 		InterferenceAvoidance: !p.opts.DisableInterferenceAvoidance,
 		DistBlocked:           r.blocked[n0:n1],
 		ExtraSpan:             extraSpan,
-	}, ga.Options{Population: popSize, Workers: p.opts.Workers}, p.rng, seeds)
+	}, ga.Options{Population: popSize}, p.rng, seeds)
 	for range gens {
 		g.Step()
 	}
@@ -581,7 +585,7 @@ func (r *round) solveRacks() ga.Matrix {
 		Capacity: rackCap,
 		Jobs:     len(sub),
 		Fitness:  coarseFitness,
-	}, ga.Options{Population: p.opts.Population, Workers: p.opts.Workers}, p.rng, []ga.Matrix{curCoarse})
+	}, ga.Options{Population: p.opts.Population}, p.rng, []ga.Matrix{curCoarse})
 	coarse, _ := cg.Run(p.opts.Generations)
 	p.addStats(cg.Stats())
 

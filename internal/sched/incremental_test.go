@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ga"
 	"repro/internal/models"
+	"repro/internal/testutil"
 )
 
 // incOpts are the incremental-mode GA settings shared by these tests:
@@ -135,11 +136,12 @@ func TestIncrementalChurnArrivalsAndDepartures(t *testing.T) {
 // TestIncrementalDeterministicAcrossWorkers pins the repo-wide
 // determinism contract on the new paths: the same seed produces
 // bit-identical allocation trajectories regardless of the fitness worker
-// count, through full, incremental, and hierarchical rounds with churn.
+// count (GOMAXPROCS), through full, incremental, and hierarchical rounds
+// with churn.
 func TestIncrementalDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []ga.Matrix {
+		testutil.SetProcs(t, workers)
 		opts := incOpts()
-		opts.Workers = workers
 		opts.RackSize = 2 // 4 nodes = 2 racks: hierarchy on
 		p := NewPollux(opts, 13)
 		v := viewWith(5, 4, 4)

@@ -106,6 +106,7 @@ func churnRun(t *testing.T, p *Pollux, rounds int, journal *testutil.RowJournal)
 func TestPublishedRowsAreNeverWritten(t *testing.T) {
 	for _, mode := range snapshotModes {
 		t.Run(mode.name, func(t *testing.T) {
+			testutil.SetProcs(t, mode.procs)
 			const rounds = 11 // the first, then ten that depend on kept state
 			copying, sharing := NewPollux(mode.opts, 29), NewPollux(mode.opts, 29)
 			wantM, wantS := churnRun(t, copying, rounds, nil)

@@ -25,10 +25,6 @@ type PolluxOptions struct {
 	// DisableInterferenceAvoidance turns off the Sec. 4.2.1 constraint
 	// (used by the Fig. 9 ablation).
 	DisableInterferenceAvoidance bool
-	// Workers bounds the goroutines used for concurrent GA fitness
-	// evaluation; default GOMAXPROCS. Results are bit-identical across
-	// worker counts (see ga.Options.Workers).
-	Workers int
 
 	// Incremental enables dirty-set scheduling rounds: only jobs whose
 	// fitted model, phase, or demand changed since the last committed

@@ -4,15 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/ga"
+	"repro/internal/testutil"
 )
 
 // TestPolluxWorkersDeterminism is the contract the parallel GA must keep:
-// for a fixed seed, Workers: 1 and Workers: 8 produce identical Schedule
-// output, including across intervals with population carry-over and warm
-// speedup caches.
+// for a fixed seed, GOMAXPROCS 1 and 8 produce identical Schedule output,
+// including across intervals with population carry-over and warm speedup
+// caches.
 func TestPolluxWorkersDeterminism(t *testing.T) {
 	run := func(workers int) []ga.Matrix {
-		p := NewPollux(PolluxOptions{Population: 20, Generations: 10, Workers: workers}, 7)
+		testutil.SetProcs(t, workers)
+		p := NewPollux(PolluxOptions{Population: 20, Generations: 10}, 7)
 		var out []ga.Matrix
 		v := viewWith(6, 4, 4)
 		for round := 0; round < 3; round++ {
@@ -26,7 +28,7 @@ func TestPolluxWorkersDeterminism(t *testing.T) {
 	parallel := run(8)
 	for i := range serial {
 		if !serial[i].Equal(parallel[i]) {
-			t.Errorf("round %d: Workers 1 vs 8 schedules differ:\n%v\n%v",
+			t.Errorf("round %d: GOMAXPROCS 1 vs 8 schedules differ:\n%v\n%v",
 				i, serial[i], parallel[i])
 		}
 	}
@@ -38,7 +40,8 @@ func TestPolluxWorkersDeterminism(t *testing.T) {
 // while the caller repairs later offspring, as in svc_round_full32.
 func TestPolluxScorersDeterminism(t *testing.T) {
 	run := func(workers int) []ga.Matrix {
-		p := NewPollux(PolluxOptions{Population: 100, Generations: 3, Workers: workers}, 9)
+		testutil.SetProcs(t, workers)
+		p := NewPollux(PolluxOptions{Population: 100, Generations: 3}, 9)
 		var out []ga.Matrix
 		v := viewWith(96, 32, 4)
 		for round := 0; round < 2; round++ {
@@ -52,7 +55,7 @@ func TestPolluxScorersDeterminism(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		for i, m := range run(workers) {
 			if !serial[i].Equal(m) {
-				t.Errorf("round %d: Workers 1 vs %d schedules differ", i, workers)
+				t.Errorf("round %d: GOMAXPROCS 1 vs %d schedules differ", i, workers)
 			}
 		}
 	}

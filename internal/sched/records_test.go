@@ -93,8 +93,8 @@ func TestRecordLookupMatchesIDMap(t *testing.T) {
 		}
 	}
 	for _, opts := range []PolluxOptions{
-		{Population: 12, Generations: 6, Incremental: true, FullEvery: -1, Workers: 1},
-		{Population: 12, Generations: 6, Incremental: true, FullEvery: -1, RackSize: 4, Workers: 1},
+		{Population: 12, Generations: 6, Incremental: true, FullEvery: -1},
+		{Population: 12, Generations: 6, Incremental: true, FullEvery: -1, RackSize: 4},
 	} {
 		t.Run(fmt.Sprintf("racksize=%d", opts.RackSize), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))

@@ -55,7 +55,7 @@ func (s *sharedRows) Schedule(v *sched.ClusterView) ga.Matrix {
 // converged again, because a clean job's row comes back as the view's.
 func TestServiceRowsConvergeToOneSlice(t *testing.T) {
 	const nodes, nJobs, rounds, restoreAt = 16, 60, 24, 12
-	opts := sched.PolluxOptions{Population: 10, Generations: 5, Incremental: true, FullEvery: -1, RackSize: 4, Workers: 1}
+	opts := sched.PolluxOptions{Population: 10, Generations: 5, Incremental: true, FullEvery: -1, RackSize: 4}
 	capacity := make([]int, nodes)
 	for n := range capacity {
 		capacity[n] = 4

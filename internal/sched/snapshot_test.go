@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // runRounds runs n rounds against v, feeding each committed matrix back
@@ -34,16 +36,18 @@ func cloneView(v *ClusterView) *ClusterView {
 
 // snapshotModes are the option sets the round-trip is pinned under: the
 // default full re-optimization, incremental dirty-set rounds, and the
-// rack-hierarchical path, each at serial and parallel fitness workers.
+// rack-hierarchical path, each at serial and parallel fitness workers
+// (GOMAXPROCS procs).
 var snapshotModes = []struct {
-	name string
-	opts PolluxOptions
+	name  string
+	opts  PolluxOptions
+	procs int
 }{
-	{"flat", PolluxOptions{Population: 20, Generations: 10}},
-	{"incremental", PolluxOptions{Population: 20, Generations: 10, Incremental: true, FullEvery: 3}},
-	{"incremental-rack", PolluxOptions{Population: 20, Generations: 10, Incremental: true, FullEvery: 3, RackSize: 2}},
-	{"flat-parallel", PolluxOptions{Population: 20, Generations: 10, Workers: 4}},
-	{"incremental-rack-parallel", PolluxOptions{Population: 20, Generations: 10, Incremental: true, FullEvery: 3, RackSize: 2, Workers: 4}},
+	{"flat", PolluxOptions{Population: 20, Generations: 10}, 1},
+	{"incremental", PolluxOptions{Population: 20, Generations: 10, Incremental: true, FullEvery: 3}, 1},
+	{"incremental-rack", PolluxOptions{Population: 20, Generations: 10, Incremental: true, FullEvery: 3, RackSize: 2}, 1},
+	{"flat-parallel", PolluxOptions{Population: 20, Generations: 10}, 4},
+	{"incremental-rack-parallel", PolluxOptions{Population: 20, Generations: 10, Incremental: true, FullEvery: 3, RackSize: 2}, 4},
 }
 
 // TestSnapshotRoundTripBitIdentical is the scheduler-level checkpoint
@@ -54,6 +58,7 @@ var snapshotModes = []struct {
 func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	for _, mode := range snapshotModes {
 		t.Run(mode.name, func(t *testing.T) {
+			testutil.SetProcs(t, mode.procs)
 			const warm, tail = 4, 4
 			v := viewWith(6, 8, 4)
 			p := NewPollux(mode.opts, 17)

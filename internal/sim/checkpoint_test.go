@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/testutil"
 )
 
 // TestSimCheckpointRoundTripBitIdentical is the sim-engine half of the
@@ -25,13 +26,12 @@ func TestSimCheckpointRoundTripBitIdentical(t *testing.T) {
 		Incremental: true, FullEvery: 3, RackSize: 2,
 	}
 	for _, workers := range []int{1, 4} {
-		o := opts
-		o.Workers = workers
 		t.Run("event/workers="+string(rune('0'+workers)), func(t *testing.T) {
+			testutil.SetProcs(t, workers)
 			cfg := fastCfg(2)
-			plain := NewCluster(tr, sched.NewPollux(o, 2), cfg).Run()
+			plain := NewCluster(tr, sched.NewPollux(opts, 2), cfg).Run()
 
-			p := sched.NewPollux(o, 2)
+			p := sched.NewPollux(opts, 2)
 			rounds := 0
 			cfgCk := cfg
 			cfgCk.OnRound = func(now float64) {

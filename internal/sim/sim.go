@@ -74,18 +74,6 @@ type Config struct {
 	// MaxTime caps the simulation (default DefaultMaxTime).
 	MaxTime float64
 	Seed    int64
-	// Parallel bounds how many seeds RunSeeds simulates concurrently
-	// (each seed owns a fresh rng, trace, and policy, so seeds are
-	// independent); 0 or 1 runs them serially. Results are identical
-	// either way: every seed's run is deterministic and summaries are
-	// reduced in seed order.
-	Parallel int
-	// RefitWorkers bounds how many agent refits (core.Fit L-BFGS runs)
-	// execute concurrently within one report round; 0 defaults to
-	// GOMAXPROCS and 1 runs them serially. The noise-scale rng draws stay
-	// on the simulation goroutine and fits draw no randomness, so traces
-	// are bit-identical at any worker count.
-	RefitWorkers int
 	// FrontEnd configures the multi-tenant serving front end (admission +
 	// priority, internal/admit) that gates arrivals and orders the
 	// scheduler's snapshot; nil disables it, leaving the control loop
@@ -115,9 +103,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxTime <= 0 {
 		c.MaxTime = DefaultMaxTime
-	}
-	if c.RefitWorkers <= 0 {
-		c.RefitWorkers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -244,6 +229,12 @@ type Cluster struct {
 	fe     *admit.FrontEnd // nil when cfg.FrontEnd is nil
 	// restartDelay is RestartDelay; a field so a test can lengthen the pause.
 	restartDelay float64
+	// refitWorkers bounds the agent refits (core.Fit L-BFGS runs) one
+	// report round runs at once: GOMAXPROCS, or what RunSeedsFull leaves
+	// each of its concurrent seeds. The noise-scale rng draws stay on the
+	// simulation goroutine and fits draw no randomness, so traces are
+	// bit-identical at any count.
+	refitWorkers int
 
 	// arrivals is jobs by submit time (stable; jobs itself for a
 	// submit-sorted trace) and next the cursor submitArrivals has reached.
@@ -287,7 +278,7 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 		panic(fmt.Sprintf("sim: %v", err))
 	}
 	c := &Cluster{
-		cfg: cfg, policy: policy, fe: fe, restartDelay: RestartDelay,
+		cfg: cfg, policy: policy, fe: fe, restartDelay: RestartDelay, refitWorkers: runtime.GOMAXPROCS(0),
 		zero: make([]int, cfg.Nodes), usage: make([]int, cfg.Nodes), distJobs: make([]int, cfg.Nodes),
 		capacity: make([]int, cfg.Nodes),
 	}
@@ -389,7 +380,7 @@ func (c *Cluster) active() []*jobState {
 //     goroutine in job order (the draw order is load-bearing for
 //     reproducibility) while the running jobs are collected;
 //  2. parallel: the L-BFGS refits of the agents that need one fan out
-//     over cfg.RefitWorkers goroutines (agent.RefitAll); fits touch no
+//     over refitWorkers goroutines (agent.RefitAll); fits touch no
 //     rng and no shared state, so results are bit-identical to serial;
 //  3. serial: batch re-tuning and event records, again in job order.
 //
@@ -412,7 +403,7 @@ func (c *Cluster) agentTick() {
 	for _, j := range run {
 		agents = append(agents, j.Agent)
 	}
-	agent.RefitAll(agents, c.cfg.RefitWorkers)
+	agent.RefitAll(agents, c.refitWorkers)
 	clear(agents) // the scratch keeps no agent past its job's finish
 	c.agents = agents[:0]
 	if !c.policy.AdaptsBatchSize() {
@@ -575,10 +566,11 @@ func (c *Cluster) result() Result {
 
 // RunSeeds runs the same trace parameters across several seeds (fresh
 // traces and policies per seed, as in Sec. 5.3) and averages summaries.
-// newPolicy must return a fresh policy for each seed. When cfg.Parallel
-// is above 1, that many seeds are simulated concurrently; every seed's
-// run is deterministic and results land in per-seed slots reduced in
-// seed order, so the average is identical to a serial run.
+// newPolicy must return a fresh policy for each seed. Up to GOMAXPROCS
+// seeds are simulated concurrently (each seed owns a fresh rng, trace and
+// policy, so seeds are independent); every seed's run is deterministic
+// and results land in per-seed slots reduced in seed order, so the
+// average is identical to a serial run.
 func RunSeeds(seeds []int64, genTrace func(rng *rand.Rand) workload.Trace,
 	newPolicy func(seed int64) sched.Policy, cfg Config) metrics.Summary {
 	full := RunSeedsFull(seeds, genTrace, newPolicy, cfg)
@@ -598,27 +590,28 @@ func RunSeeds(seeds []int64, genTrace func(rng *rand.Rand) workload.Trace,
 
 // RunSeedsFull is RunSeeds without the reduction: it returns every
 // seed's full Result in seed order, for callers that need more than the
-// averaged summary (per-tenant breakdowns, admission logs). Parallelism
-// follows the same Config.Parallel contract as RunSeeds.
+// averaged summary (per-tenant breakdowns, admission logs). Seeds fan out
+// as in RunSeeds.
 func RunSeedsFull(seeds []int64, genTrace func(rng *rand.Rand) workload.Trace,
 	newPolicy func(seed int64) sched.Policy, cfg Config) []Result {
 	// Concurrent seeds already saturate the cores; letting each seed's
-	// cluster also default RefitWorkers to GOMAXPROCS would run up to
-	// seeds x cores L-BFGS fits at once for no added throughput. Split
-	// the budget: an unset knob gets the cores left per concurrent seed.
-	// An explicit value is respected, and results are identical either
-	// way — worker counts never change traces.
-	if inFlight := min(cfg.Parallel, len(seeds)); inFlight > 1 && cfg.RefitWorkers == 0 {
-		cfg.RefitWorkers = max(1, runtime.GOMAXPROCS(0)/inFlight)
-	}
+	// cluster also run GOMAXPROCS refits would run up to seeds x cores
+	// L-BFGS fits at once for no added throughput. Split the budget: each
+	// cluster gets the cores left per concurrent seed, at least one since
+	// inFlight ≤ procs. Worker counts never change traces.
+	procs := runtime.GOMAXPROCS(0)
+	inFlight := max(1, min(procs, len(seeds)))
+	refitWorkers := procs / inFlight
 	out := make([]Result, len(seeds))
-	par.For(cfg.Parallel, len(seeds), func(i int) {
+	par.For(inFlight, len(seeds), func(i int) {
 		seed := seeds[i]
 		rng := rand.New(rand.NewSource(seed))
 		trace := genTrace(rng)
 		c := cfg
 		c.Seed = seed
-		out[i] = NewCluster(trace, newPolicy(seed), c).Run()
+		cl := NewCluster(trace, newPolicy(seed), c)
+		cl.refitWorkers = refitWorkers
+		out[i] = cl.Run()
 	})
 	return out
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/sched"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -227,20 +228,20 @@ func TestRunSeedsAverages(t *testing.T) {
 	}
 }
 
-// TestRunSeedsParallelMatchesSerial pins the Config.Parallel contract:
-// per-seed runs are independent and deterministic, and summaries reduce
-// in seed order, so concurrent fan-out reproduces the serial result
-// exactly — every float64 included.
+// TestRunSeedsParallelMatchesSerial pins the multi-seed fan-out's
+// contract: per-seed runs are independent and deterministic, and summaries
+// reduce in seed order, so concurrent fan-out (up to GOMAXPROCS seeds)
+// reproduces the serial run at GOMAXPROCS 1 exactly — every float64
+// included.
 func TestRunSeedsParallelMatchesSerial(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	t.Run("pollux", func(t *testing.T) {
 		gen := func(rng *rand.Rand) workload.Trace {
 			return smallOnly(workload.Generate(rng, workload.Options{Jobs: 8, Hours: 0.25}))
 		}
-		run := func(parallel int) metrics.Summary {
-			cfg := fastCfg(0)
-			cfg.Parallel = parallel
-			return RunSeeds(seeds, gen, fastPollux, cfg)
+		run := func(procs int) metrics.Summary {
+			testutil.SetProcs(t, procs)
+			return RunSeeds(seeds, gen, fastPollux, fastCfg(0))
 		}
 		serial := run(1)
 		parallel := run(4)
@@ -263,10 +264,10 @@ func TestRunSeedsParallelMatchesSerial(t *testing.T) {
 			}))
 		}
 		opts := &admit.Options{Admission: admit.AdmitQuota, Quotas: map[string]int{"batch": 2}, Priority: admit.PrioritySLO}
-		run := func(parallel int) []Result {
+		run := func(procs int) []Result {
+			testutil.SetProcs(t, procs)
 			cfg := fastCfg(0)
 			cfg.FrontEnd = opts
-			cfg.Parallel = parallel
 			return RunSeedsFull(seeds, gen, func(int64) sched.Policy { return sched.NewTiresias() }, cfg)
 		}
 		serial := run(1)
@@ -322,13 +323,14 @@ func TestRefitWorkersDeterminism(t *testing.T) {
 		run := func(workers int) Result {
 			cfg := fastCfg(5)
 			cfg.LogEvents = true
-			cfg.RefitWorkers = workers
-			return NewCluster(tr, fastPollux(5), cfg).Run()
+			c := NewCluster(tr, fastPollux(5), cfg)
+			c.refitWorkers = workers
+			return c.Run()
 		}
 		base := run(1)
 		for _, w := range []int{2, 8} {
 			if got := run(w); !reflect.DeepEqual(base, got) {
-				t.Fatalf("RefitWorkers=%d Result differs from RefitWorkers=1", w)
+				t.Fatalf("refitWorkers=%d Result differs from refitWorkers=1", w)
 			}
 		}
 	})

@@ -110,9 +110,6 @@ type Config struct {
 	// UseAdaScale scales the learning rate by the measured gain; when
 	// false the base rate is used unchanged.
 	UseAdaScale bool
-	// Sync selects the synchronization collective: "ring" (default) or
-	// "server".
-	Sync string
 	// MaxSteps bounds the run (default 10000). TargetLoss, when > 0,
 	// stops as soon as the full-data loss reaches it (checked every
 	// EvalEvery steps, default 20).
@@ -139,9 +136,6 @@ func (c *Config) defaults() error {
 	}
 	if c.Eta0 <= 0 {
 		c.Eta0 = 0.1
-	}
-	if c.Sync == "" {
-		c.Sync = "ring"
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 10000
@@ -187,15 +181,7 @@ func Run(model Model, ds Dataset, w0 []float64, cfg Config) ([]float64, Stats, e
 
 	k := cfg.Replicas
 	perReplica := cfg.Batch / k
-	var reducer allreduce.Reducer
-	switch cfg.Sync {
-	case "ring":
-		reducer = allreduce.NewRing(k)
-	case "server":
-		reducer = allreduce.NewCentralServer(k)
-	default:
-		return nil, Stats{}, fmt.Errorf("train: unknown sync %q", cfg.Sync)
-	}
+	ring := allreduce.NewRing(k)
 
 	rngs := make([]*rand.Rand, k)
 	for r := range rngs {
@@ -253,7 +239,7 @@ func Run(model Model, ds Dataset, w0 []float64, cfg Config) ([]float64, Stats, e
 				swg.Add(1)
 				go func(r int) {
 					defer swg.Done()
-					reducer.AllReduce(r, locals[r])
+					ring.AllReduce(r, locals[r])
 				}(r)
 			}
 			swg.Wait()

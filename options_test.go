@@ -46,7 +46,6 @@ const optionsBefore = 88
 // callerless lists the fields that stay exported without an outside
 // caller, and why.
 var callerless = map[string]string{
-	"sched.PolluxOptions.Workers":        "selects the serial reference the bit-identity tests compare against",
 	"sim.AutoscaleConfig.MaxTime":        "the autoscale tests bound a run that does not complete with it",
 	"cluster.Trainer.DisableCompression": "the unpaced clock the trainer tests run Trainer.Run under",
 	"cluster.Trainer.FixedBatch":         "per-job trace value; cluster.Replay, in package, is the caller",
