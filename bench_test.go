@@ -1,13 +1,14 @@
 // Package repro's root benchmarks regenerate every table and figure of
-// the Pollux paper's evaluation (Sec. 5), one benchmark per exhibit.
+// the Pollux paper's evaluation (Sec. 5), one BenchmarkExhibits/<id> per
+// exhibit, and time the simulator and the replay on the standard trace.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench BenchmarkExhibits -benchmem
 //
-// Each benchmark runs its experiment at quick scale (see
-// internal/experiments.QuickScale), logs the regenerated rows, and
-// reports headline numbers as custom benchmark metrics. For paper-scale
-// runs use `go run ./cmd/pollux-bench -scale full`. Paper-vs-measured
-// results are recorded in EXPERIMENTS.md.
+// Each exhibit runs at quick scale (see internal/experiments.QuickScale),
+// logs the regenerated rows, and reports its headline metrics as custom
+// benchmark metrics. For paper-scale runs use
+// `go run ./cmd/pollux-bench -scale full`, which also checks the paper's
+// claims. Paper-vs-measured results are recorded in EXPERIMENTS.md.
 package repro
 
 import (
@@ -24,182 +25,39 @@ import (
 	"repro/internal/workload"
 )
 
-// runExperiment executes one experiment per benchmark iteration and logs
-// the regenerated table once.
-func runExperiment(b *testing.B, id string, metrics map[string]string) experiments.Outcome {
-	b.Helper()
+// BenchmarkExhibits regenerates every exhibit of the registry at quick
+// scale, one sub-benchmark per id: each logs its table once and reports
+// the exhibit's headline metrics (experiments.Headlines), named as the
+// exhibit emits them.
+func BenchmarkExhibits(b *testing.B) {
 	sc := experiments.QuickScale()
-	var out experiments.Outcome
-	for i := 0; i < b.N; i++ {
-		o, err := experiments.Run(id, sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = o
+	headlines := experiments.Headlines()
+	for _, id := range experiments.All() {
+		b.Run(id, func(b *testing.B) {
+			var o experiments.Outcome
+			for i := 0; i < b.N; i++ {
+				var err error
+				if o, err = experiments.Run(id, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Log("\n" + o.String())
+			for _, name := range headlines[id] {
+				b.ReportMetric(o.Values[name], name)
+			}
+		})
 	}
-	b.Log("\n" + out.String())
-	for key, unit := range metrics {
-		if v, ok := out.Values[key]; ok {
-			b.ReportMetric(v, unit)
-		}
-	}
-	return out
 }
 
-// BenchmarkFig1aThroughputVsGPUs regenerates Fig. 1a: throughput vs GPUs
-// for batch sizes 512 and 2048 (ResNet-18/CIFAR-10).
-func BenchmarkFig1aThroughputVsGPUs(b *testing.B) {
-	runExperiment(b, "fig1a", map[string]string{
-		"scaling512":  "x-scaling@512",
-		"scaling2048": "x-scaling@2048",
-	})
-}
-
-// BenchmarkFig1bBestBatchSize regenerates Fig. 1b: the goodput-optimal
-// batch size by GPU count for the first vs second half of training.
-func BenchmarkFig1bBestBatchSize(b *testing.B) {
-	runExperiment(b, "fig1b", map[string]string{
-		"first/16":  "batch@16gpu-early",
-		"second/16": "batch@16gpu-late",
-	})
-}
-
-// BenchmarkFig2aEfficiencyVsProgress regenerates Fig. 2a: statistical
-// efficiency over training for small vs large batch sizes (ResNet-50).
-func BenchmarkFig2aEfficiencyVsProgress(b *testing.B) {
-	runExperiment(b, "fig2a", map[string]string{
-		"e8000/0.0": "eff@8000-start",
-		"e8000/1.0": "eff@8000-end",
-	})
-}
-
-// BenchmarkFig2bEfficiencyPrediction regenerates Fig. 2b: Eqn.-7-predicted
-// vs actual efficiency across batch sizes, with phi measured by the
-// gradient-noise-scale estimators.
-func BenchmarkFig2bEfficiencyPrediction(b *testing.B) {
-	runExperiment(b, "fig2b", map[string]string{
-		"maxAbsErr": "max-abs-err",
-	})
-}
-
-// BenchmarkFig3ThroughputModelFit regenerates Fig. 3: the throughput model
-// fit (RMSLE/L-BFGS) against ground truth vs node count and batch size.
-func BenchmarkFig3ThroughputModelFit(b *testing.B) {
-	runExperiment(b, "fig3", map[string]string{
-		"meanRelErr": "mean-rel-err",
-		"rmsle":      "rmsle",
-	})
-}
-
-// BenchmarkFig6WorkloadDiurnal regenerates Fig. 6: submissions per hour of
-// the synthetic workload (hour-4 peak at ~3x hour 1).
-func BenchmarkFig6WorkloadDiurnal(b *testing.B) {
-	runExperiment(b, "fig6", map[string]string{
-		"peakRatio": "peak/hour1",
-	})
-}
-
-// BenchmarkTable2SchedulerComparison regenerates Table 2: avg/p99 JCT and
-// makespan for Pollux vs Optimus+Oracle vs Tiresias+TunedJobs on
-// ideally-tuned jobs, plus the Sec. 5.2.1 efficiency comparison.
-func BenchmarkTable2SchedulerComparison(b *testing.B) {
-	runExperiment(b, "table2", map[string]string{
-		"reductionVsOptimus":  "jct-reduction-vs-optimus",
-		"reductionVsTiresias": "jct-reduction-vs-tiresias",
-	})
-}
-
-// BenchmarkFig7RealisticJobs regenerates Fig. 7: normalized avg JCT as the
-// share of user-configured jobs grows 0% -> 100%.
-func BenchmarkFig7RealisticJobs(b *testing.B) {
-	runExperiment(b, "fig7", map[string]string{
-		// Keys must match the factory names ("Tiresias+TunedJobs", not
-		// "Tiresias") or runExperiment silently reports nothing.
-		"Tiresias+TunedJobs/100": "tiresias-norm@100%",
-		"Optimus+Oracle/100":     "optimus-norm@100%",
-	})
-}
-
-// BenchmarkFig8LoadSensitivity regenerates Fig. 8: avg JCT under 0.5x-2x
-// job load for all three schedulers.
-func BenchmarkFig8LoadSensitivity(b *testing.B) {
-	runExperiment(b, "fig8", map[string]string{
-		"Pollux/degradation":             "pollux-2x/0.5x",
-		"Tiresias+TunedJobs/degradation": "tiresias-2x/0.5x",
-	})
-}
-
-// BenchmarkTable3JobWeights regenerates Table 3: the λ job-weight decay
-// ablation (Eqn. 16) on Pollux JCT percentiles.
-func BenchmarkTable3JobWeights(b *testing.B) {
-	runExperiment(b, "table3", map[string]string{
-		"p50/0.5": "p50@lambda0.5",
-		"avg/0.5": "avg@lambda0.5",
-	})
-}
-
-// BenchmarkFig9Interference regenerates Fig. 9: avg JCT under injected
-// network interference with avoidance enabled vs disabled.
-func BenchmarkFig9Interference(b *testing.B) {
-	runExperiment(b, "fig9", map[string]string{
-		"on/0.50":  "avoid-on@50%",
-		"off/0.50": "avoid-off@50%",
-	})
-}
-
-// BenchmarkFig10Autoscaling regenerates Fig. 10: goodput-based vs
-// throughput-based cloud autoscaling for ImageNet training.
-func BenchmarkFig10Autoscaling(b *testing.B) {
-	runExperiment(b, "fig10", map[string]string{
-		"costRatio": "cost-ratio",
-		"timeRatio": "time-ratio",
-	})
-}
-
-// BenchmarkDiurnal64Cluster regenerates the diurnal64 extension exhibit:
-// a 64-node cluster under a one-day (quick scale) diurnal-Poisson trace,
-// Pollux vs Tiresias+TunedJobs.
-func BenchmarkDiurnal64Cluster(b *testing.B) {
-	runExperiment(b, "diurnal64", map[string]string{
-		"Pollux/avgJCT":             "pollux-avgJCT-s",
-		"Tiresias+TunedJobs/avgJCT": "tiresias-avgJCT-s",
-	})
-}
-
-// BenchmarkFairnessMultiTenant regenerates the fairness extension
-// exhibit: three tenants behind the quota+SLO serving front end
-// (internal/admit) on one contended cluster, Pollux vs
-// Tiresias+TunedJobs.
-func BenchmarkFairnessMultiTenant(b *testing.B) {
-	runExperiment(b, "fairness", map[string]string{
-		"Pollux/prod/avgJCT":             "pollux-prod-avgJCT-s",
-		"Tiresias+TunedJobs/prod/avgJCT": "tiresias-prod-avgJCT-s",
-		"Pollux/batch/rejected":          "batch-rejected-jobs",
-	})
-}
-
-// BenchmarkValidateEfficiencyOnRealSGD is an extension exhibit: the
-// Eqn. 7 efficiency model checked against real data-parallel SGD runs
-// (internal/train) rather than the scripted model zoo.
-func BenchmarkValidateEfficiencyOnRealSGD(b *testing.B) {
-	runExperiment(b, "validate", map[string]string{
-		"worstOff": "worst-actual/pred",
-	})
-}
-
-// BenchmarkSchedSerialVsParallel compares the serial and parallel
-// scheduler paths on the standard 16-node Pollux experiment setup, the
-// companion to BenchmarkSimStandardTrace for this layer. Each leg sets
-// GOMAXPROCS, the one bound on the program's parallelism. ga/1 vs ga/max
-// is the per-simulation speedup (at this shape the GAs score under
-// minScorerCells, so it is the agent refits' fan-out, as in
-// BenchmarkAgentTickRefitWorkers); seeds/serial vs seeds/parallel adds the
-// RunSeeds fan-out over 4 seeds (paper-style repeated traces). Outputs are
-// bit-identical across all variants — the reported avgJCT-s metric makes
-// that visible — so on a >= 4-core host the ratios are pure wall-clock
-// speedup.
+// BenchmarkSchedSerialVsParallel measures the RunSeeds fan-out over 4
+// seeds (paper-style repeated traces) of the standard 16-node Pollux
+// experiment setup: seeds/serial runs at GOMAXPROCS 1, seeds/parallel at
+// the host's, GOMAXPROCS being the one bound on the program's
+// parallelism. The per-simulation speedup, the agent refits' fan-out, is
+// BenchmarkAgentTickRefitWorkers. Outputs are bit-identical across both
+// legs — the reported avgJCT-s metric makes that visible — so on a
+// >= 4-core host the ratio is pure wall-clock speedup.
 func BenchmarkSchedSerialVsParallel(b *testing.B) {
-	maxProcs := runtime.GOMAXPROCS(0)
 	genTrace := func(rng *rand.Rand) workload.Trace {
 		return workload.Generate(rng, workload.Options{
 			Jobs: 40, Hours: 2, GPUsPerNode: 4, MaxGPUs: 64,
@@ -209,28 +67,10 @@ func BenchmarkSchedSerialVsParallel(b *testing.B) {
 		return sched.NewPollux(sched.PolluxOptions{Population: 20, Generations: 10}, seed)
 	}
 	cfg := sim.Config{Nodes: 16, GPUsPerNode: 4, Tick: 1, UseTunedConfig: true}
-
 	for _, leg := range []struct {
 		name  string
 		procs int
-	}{{"ga/1", 1}, {"ga/max", maxProcs}} {
-		b.Run(leg.name, func(b *testing.B) {
-			testutil.SetProcs(b, leg.procs)
-			rng := rand.New(rand.NewSource(1))
-			tr := genTrace(rng)
-			c := cfg
-			c.Seed = 1
-			var res sim.Result
-			for i := 0; i < b.N; i++ {
-				res = sim.NewCluster(tr, newPollux(1), c).Run()
-			}
-			b.ReportMetric(res.Summary.AvgJCT, "avgJCT-s")
-		})
-	}
-	for _, leg := range []struct {
-		name  string
-		procs int
-	}{{"seeds/serial", 1}, {"seeds/parallel", maxProcs}} {
+	}{{"seeds/serial", 1}, {"seeds/parallel", runtime.GOMAXPROCS(0)}} {
 		b.Run(leg.name, func(b *testing.B) {
 			testutil.SetProcs(b, leg.procs)
 			var sum metrics.Summary

@@ -34,6 +34,12 @@
 // exhibits, small relative bands for simulation-backed ones). After an
 // intentional change, refresh with -update-baseline; a run filtered by
 // -exhibits merges into the existing baseline instead of truncating it.
+//
+// Every sweep also evaluates the paper's claims about each exhibit it ran
+// (the claim column of internal/experiments' exhibit table, e.g. Fig. 9's
+// "off/0.50 > on/0.50"). A broken claim exits 1 naming the claim and the
+// values it read, before any baseline gate; under -update-baseline the
+// baseline is then left as it was, so a refresh cannot drop a claim.
 package main
 
 import (
@@ -93,6 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	var report results.Report
+	var broken []string // the paper's claims this sweep's exhibits break
 	subset := false
 	if *gobench != "" {
 		// Gate mode for Go benchmark output: the report comes from a
@@ -133,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, id := range ids {
 			start := time.Now()
-			o, err := experiments.Run(id, sc)
+			o, err := runExhibit(id, sc)
 			if err != nil {
 				fmt.Fprintln(stderr, "pollux-bench:", err)
 				return 1
@@ -142,6 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rec := o.Record(sweep.ScaleName)
 			rec.WallClockSec = elapsed.Seconds()
 			report.Records = append(report.Records, rec)
+			broken = append(broken, experiments.BrokenClaims(rec)...)
 			if !*quiet {
 				fmt.Fprint(stdout, o)
 				fmt.Fprintf(stdout, "(%s in %s, scale=%s)\n\n", id, elapsed.Round(time.Millisecond), sweep.ScaleName)
@@ -165,6 +173,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "pollux-bench: write -md:", err)
 			return 1
 		}
+	}
+
+	// A broken claim fails the run before the baseline gate, and an
+	// -update-baseline run then writes nothing: a refresh cannot drop one.
+	if len(broken) > 0 {
+		for _, b := range broken {
+			fmt.Fprintln(stderr, "pollux-bench: claim broken:", b)
+		}
+		fmt.Fprintf(stderr, "pollux-bench: %d claim(s) broken (see above); no baseline was compared or written\n", len(broken))
+		return 1
 	}
 
 	switch {
@@ -217,6 +235,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	return 0
 }
+
+// runExhibit runs one exhibit of the sweep; tests replace it to break a
+// claim without changing an exhibit.
+var runExhibit = experiments.Run
 
 // resolveExhibits parses the -exhibits filter against the registry,
 // preserving the registry's paper order; subset reports whether the run

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/results"
 )
 
@@ -124,6 +125,44 @@ func TestUpdateBaselineRoundTrip(t *testing.T) {
 	}
 	if _, ok := rep.Find("fig1a"); !ok {
 		t.Error("filtered -update-baseline truncated other exhibits")
+	}
+}
+
+// TestBrokenClaimFailsTheRun breaks one of Fig. 1a's claims by doctoring
+// the exhibit's outcome: the run exits 1 naming the claim and its values,
+// with and without -update-baseline, and the update leaves the baseline
+// byte-identical.
+func TestBrokenClaimFailsTheRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "base.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-exhibits", "fig1a", "-quiet", "-baseline", path, "-update-baseline"}, &out, &errb); code != 0 {
+		t.Fatalf("seed update failed: %d %s", code, errb.String())
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(orig func(string, experiments.Scale) (experiments.Outcome, error)) { runExhibit = orig }(runExhibit)
+	runExhibit = func(id string, sc experiments.Scale) (experiments.Outcome, error) {
+		o, err := experiments.Run(id, sc)
+		o.Values["scaling2048"] = 1 // below scaling512
+		return o, err
+	}
+	for _, update := range []bool{false, true} {
+		args := []string{"-exhibits", "fig1a", "-quiet", "-baseline", path}
+		if update {
+			args = append(args, "-update-baseline")
+		}
+		errb.Reset()
+		if code := run(args, &out, &errb); code != 1 {
+			t.Errorf("update=%v: exit %d, want 1 (stderr: %s)", update, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), `claim broken: fig1a: "scaling2048 > scaling512" does not hold: scaling2048=1 scaling512=`) {
+			t.Errorf("update=%v: claim not named:\n%s", update, errb.String())
+		}
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+		t.Error("-update-baseline with a broken claim rewrote the baseline")
 	}
 }
 

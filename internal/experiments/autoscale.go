@@ -32,7 +32,6 @@ func Fig10(sc Scale) Outcome {
 	thr := sim.RunAutoscale(&spec, sched.ThroughputAutoscaler{}, thrCfg)
 
 	o := Outcome{
-		ID:       "fig10",
 		Title:    "Autoscaling ImageNet: goodput-based (Pollux) vs throughput-based (Or et al.)",
 		Header:   []string{"time (s)", "nodes (Pollux)", "eff (Pollux)", "nodes (Or et al.)", "eff (Or et al.)"},
 		Policies: []string{"GoodputAutoscaler", "ThroughputAutoscaler"},

@@ -41,7 +41,6 @@ func Diurnal64(sc Scale) Outcome {
 	}
 
 	o := Outcome{
-		ID:    "diurnal64",
 		Title: fmt.Sprintf("64-node cluster, %.1f-day diurnal Poisson trace (~%d jobs)", days, expJobs),
 		Header: []string{
 			"policy", "avg JCT", "p99 JCT", "makespan", "goodput (ex/s)", "completed",

@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the Pollux
 // paper's evaluation (Sec. 5). Each experiment returns an Outcome with the
 // same rows/series the paper reports; cmd/pollux-bench prints them and the
-// repository-root benchmarks run them at reduced scale.
+// repository-root benchmarks run them at reduced scale. The exhibit table
+// (exhibits.go) registers each one with its headline metrics and the
+// paper's claims about it.
 //
 // Absolute numbers differ from the paper — the substrate here is the
 // simulator over the synthetic model zoo, not the authors' 64-GPU
@@ -20,7 +22,7 @@ import (
 
 // Outcome is one regenerated table or figure.
 type Outcome struct {
-	ID     string // e.g. "table2", "fig7"
+	ID     string // the exhibit's id, e.g. "table2"; Run sets it
 	Title  string
 	Header []string
 	Rows   [][]string
@@ -222,92 +224,4 @@ func ScaleByName(name string) (Scale, error) {
 		return MegaScale(), nil
 	}
 	return Scale{}, fmt.Errorf("unknown scale %q (want quick, full, or mega)", name)
-}
-
-// headlines selects, per exhibit, the few metrics that summarize its
-// reproduction claim — the rows worth a markdown table or a benchmark
-// metric, as opposed to the full per-cell series kept in the baselines.
-var headlines = map[string][]string{
-	"fig1a":  {"scaling512", "scaling2048"},
-	"fig1b":  {"first/16", "second/16"},
-	"fig2a":  {"e8000/0.0", "e8000/1.0"},
-	"fig2b":  {"phiMeasured", "phiTrue", "maxAbsErr"},
-	"fig3":   {"meanRelErr", "rmsle"},
-	"fig6":   {"peakRatio"},
-	"table2": {"Pollux/avgJCT", "Optimus+Oracle/avgJCT", "Tiresias+TunedJobs/avgJCT", "reductionVsOptimus", "reductionVsTiresias", "Pollux/eff", "Tiresias+TunedJobs/eff"},
-	"fig7":   {"Pollux/abs/0", "Pollux/abs/100", "Optimus+Oracle/100", "Tiresias+TunedJobs/100"},
-	"fig8":   {"Pollux/degradation", "Optimus+Oracle/degradation", "Tiresias+TunedJobs/degradation"},
-	"table3": {"avg/0.5", "p50/0.5", "p99/0.5"},
-	"fig9":   {"on/0.50", "off/0.50"},
-	"fig10":  {"costRatio", "timeRatio", "pollux/avgEff", "oretal/avgEff"},
-	"diurnal64": {"Pollux/avgJCT", "Tiresias+TunedJobs/avgJCT", "Pollux/p99JCT", "Tiresias+TunedJobs/p99JCT",
-		"Pollux/goodput", "Tiresias+TunedJobs/goodput", "Pollux/completed", "Tiresias+TunedJobs/completed"},
-	"fairness": {"Pollux/prod/avgJCT", "Tiresias+TunedJobs/prod/avgJCT", "Pollux/prod/sloMet",
-		"Pollux/batch/rejected", "Pollux/burst/rejected", "Pollux/prod/queueDepth"},
-	"replayparity": {"Pollux/dJCT", "Pollux/dGoodput", "Optimus+Oracle/dJCT", "Tiresias+TunedJobs/dJCT"},
-	"validate":     {"worstOff"},
-	"mega":         {"reductionAtLargestN", "sim/p99JCT", "sim/goodput", "sim/completed"},
-}
-
-// Headlines returns the exhibit-id → headline-metric registry shared by
-// cmd/pollux-bench's markdown rendering and the root benchmarks.
-func Headlines() map[string][]string {
-	out := make(map[string][]string, len(headlines))
-	//pollux:order-ok keyed copy: each exhibit id writes only its own entry
-	for id, names := range headlines {
-		out[id] = append([]string(nil), names...)
-	}
-	return out
-}
-
-// All returns every experiment id in paper order.
-func All() []string {
-	return []string{
-		"fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig6",
-		"table2", "fig7", "fig8", "table3", "fig9", "fig10",
-		"diurnal64", "fairness", "replayparity", "validate",
-		"mega",
-	}
-}
-
-// Run dispatches one experiment by id.
-func Run(id string, sc Scale) (Outcome, error) {
-	switch id {
-	case "fig1a":
-		return Fig1a(), nil
-	case "fig1b":
-		return Fig1b(), nil
-	case "fig2a":
-		return Fig2a(), nil
-	case "fig2b":
-		return Fig2b(), nil
-	case "fig3":
-		return Fig3(), nil
-	case "fig6":
-		return Fig6(), nil
-	case "table2":
-		return Table2(sc), nil
-	case "fig7":
-		return Fig7(sc), nil
-	case "fig8":
-		return Fig8(sc), nil
-	case "table3":
-		return Table3(sc), nil
-	case "fig9":
-		return Fig9(sc), nil
-	case "fig10":
-		return Fig10(sc), nil
-	case "diurnal64":
-		return Diurnal64(sc), nil
-	case "fairness":
-		return Fairness(sc), nil
-	case "replayparity":
-		return ReplayParity(sc)
-	case "validate":
-		return Validate(sc), nil
-	case "mega":
-		return Mega(sc), nil
-	default:
-		return Outcome{}, fmt.Errorf("unknown experiment %q (have %v)", id, All())
-	}
 }

@@ -56,7 +56,6 @@ func Fairness(sc Scale) Outcome {
 	}
 
 	o := Outcome{
-		ID: "fairness",
 		Title: fmt.Sprintf("Multi-tenant fairness under admission control (%d prod / %d batch / %d burst jobs)",
 			prodJobs, batchJobs, burstJobs),
 		Header: []string{

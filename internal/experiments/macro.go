@@ -71,7 +71,6 @@ func (sc Scale) simConfig() sim.Config {
 // throughput/goodput comparisons.
 func Table2(sc Scale) Outcome {
 	o := Outcome{
-		ID:       "table2",
 		Title:    "Scheduler comparison on ideally-tuned jobs",
 		Header:   []string{"policy", "avg JCT", "p99 JCT", "makespan", "stat.eff", "tput (ex/s)", "goodput (ex/s)"},
 		Policies: sc.policyNames(),
@@ -112,7 +111,6 @@ func Table2(sc Scale) Outcome {
 // realistically (user-)configured jobs grows from 0% to 100%.
 func Fig7(sc Scale) Outcome {
 	o := Outcome{
-		ID:       "fig7",
 		Title:    "Normalized avg JCT vs ratio of user-configured jobs",
 		Header:   []string{"user-configured", "Pollux", "Optimus+Oracle", "Tiresias"},
 		Policies: sc.policyNames(),
@@ -152,7 +150,6 @@ func Fig7(sc Scale) Outcome {
 // Fig8 reproduces Fig. 8: average JCT under increasing job load.
 func Fig8(sc Scale) Outcome {
 	o := Outcome{
-		ID:       "fig8",
 		Title:    "Avg JCT vs relative job load",
 		Header:   []string{"load", "Pollux", "Optimus+Oracle", "Tiresias+TunedJobs"},
 		Policies: sc.policyNames(),
@@ -182,7 +179,6 @@ func Fig8(sc Scale) Outcome {
 // (Eqn. 16) on Pollux JCT percentiles, relative to λ = 0.
 func Table3(sc Scale) Outcome {
 	o := Outcome{
-		ID:       "table3",
 		Title:    "Job-weight decay λ (relative to λ=0)",
 		Header:   []string{"lambda", "avg JCT", "p50 JCT", "p99 JCT"},
 		Policies: []string{"Pollux"},
@@ -218,7 +214,6 @@ func Table3(sc Scale) Outcome {
 // disabled.
 func Fig9(sc Scale) Outcome {
 	o := Outcome{
-		ID:       "fig9",
 		Title:    "Interference slowdown: avoidance enabled vs disabled",
 		Header:   []string{"slowdown", "avoid on (norm)", "avoid off (norm)"},
 		Policies: []string{"Pollux"},

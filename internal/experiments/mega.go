@@ -64,7 +64,6 @@ func Mega(sc Scale) Outcome {
 	}
 
 	o := Outcome{
-		ID: "mega",
 		Title: fmt.Sprintf("incremental + hierarchical rounds at scale (%d jobs, up to %d nodes)",
 			jobs, nodesList[len(nodesList)-1]),
 		Header:   []string{"nodes", "GPUs", "full cells", "inc cells/round", "reduction", "full ms", "inc ms/round"},

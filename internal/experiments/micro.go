@@ -22,7 +22,6 @@ func packed(gpus, perNode int) core.Placement {
 func Fig1a() Outcome {
 	spec := models.ByName("resnet18")
 	o := Outcome{
-		ID:     "fig1a",
 		Title:  "Throughput vs GPUs by batch size (ResNet-18/CIFAR-10)",
 		Header: []string{"gpus", "imgs/s @512", "imgs/s @2048"},
 	}
@@ -51,7 +50,6 @@ func Fig1a() Outcome {
 func Fig1b() Outcome {
 	spec := models.ByName("resnet18")
 	o := Outcome{
-		ID:     "fig1b",
 		Title:  "Best batch size vs GPUs by training stage (ResNet-18/CIFAR-10)",
 		Header: []string{"gpus", "best batch (first half)", "best batch (second half)"},
 	}
@@ -76,7 +74,6 @@ func Fig1b() Outcome {
 func Fig2a() Outcome {
 	spec := models.ByName("resnet50")
 	o := Outcome{
-		ID:     "fig2a",
 		Title:  "Statistical efficiency vs progress (ResNet-50/ImageNet)",
 		Header: []string{"progress", "eff @m=800", "eff @m=8000"},
 	}
@@ -130,7 +127,6 @@ func Fig2b() Outcome {
 	phiMeasured := tr.NoiseScale()
 
 	o := Outcome{
-		ID:     "fig2b",
 		Title:  "Actual vs Eqn.7-predicted efficiency across batch sizes (ResNet-50)",
 		Header: []string{"batch", "actual", "predicted"},
 	}
@@ -176,7 +172,6 @@ func Fig3() Outcome {
 	fit := core.Fit(samples, core.Params{}, core.Exploration{MaxGPUs: 32, MaxNodes: 8})
 
 	o := Outcome{
-		ID:     "fig3",
 		Title:  "Throughput model fit (ResNet-50): actual vs model",
 		Header: []string{"sweep", "x", "actual imgs/s", "model imgs/s"},
 		// The fit itself is deterministic, but optimizer tweaks (warm
@@ -224,7 +219,6 @@ func Fig6() Outcome {
 	tr := workload.Generate(rng, workload.Options{Jobs: 4000})
 	counts := tr.HourlyCounts()
 	o := Outcome{
-		ID:     "fig6",
 		Title:  "Job submissions per hour (diurnal pattern)",
 		Header: []string{"hour", "submissions", "histogram"},
 	}

@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"path/filepath"
-	"testing"
-
-	"repro/internal/results"
-)
+import "testing"
 
 // TestOutcomeRecord pins the Outcome → results.Record conversion: metric
 // sorting, units, default and per-metric tolerance bands, and metadata.
@@ -45,64 +40,6 @@ func TestOutcomeRecord(t *testing.T) {
 	}
 	if len(r.Notes) != 1 {
 		t.Errorf("notes lost: %+v", r.Notes)
-	}
-}
-
-// TestHeadlinesCoverEveryExhibit keeps the headline registry in sync with
-// the exhibit registry, and its metric names in sync with what the
-// exhibits actually emit: the cheap closed-form exhibits are re-run, the
-// sim-backed ones are cross-checked against the checked-in quick
-// baseline. A dead name would silently vanish from -md tables (the
-// fig7 benchmark had exactly this bug with a renamed policy key).
-func TestHeadlinesCoverEveryExhibit(t *testing.T) {
-	h := Headlines()
-	for _, id := range All() {
-		if len(h[id]) == 0 {
-			t.Errorf("exhibit %s has no headline metrics", id)
-		}
-	}
-	for id := range h {
-		found := false
-		for _, known := range All() {
-			if id == known {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("headline entry %s is not a registered exhibit", id)
-		}
-	}
-	cheap := map[string]bool{}
-	for _, id := range []string{"fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig6"} {
-		cheap[id] = true
-		o, err := Run(id, QuickScale())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range h[id] {
-			if _, ok := o.Values[name]; !ok {
-				t.Errorf("%s: headline metric %q not emitted", id, name)
-			}
-		}
-	}
-	base, err := results.ReadFile(filepath.Join("..", "..", "bench", "baselines", "quick.json"))
-	if err != nil {
-		t.Fatalf("read quick baseline: %v", err)
-	}
-	for _, id := range All() {
-		if cheap[id] {
-			continue
-		}
-		rec, ok := base.Find(id)
-		if !ok {
-			t.Errorf("%s: not in the quick baseline", id)
-			continue
-		}
-		for _, name := range h[id] {
-			if _, ok := rec.Metric(name); !ok {
-				t.Errorf("%s: headline metric %q not in the baseline (dead name?)", id, name)
-			}
-		}
 	}
 }
 

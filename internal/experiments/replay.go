@@ -20,7 +20,6 @@ import (
 // by TestReplayVsSimParity is 5% on the standard 16-node trace.
 func ReplayParity(sc Scale) (Outcome, error) {
 	o := Outcome{
-		ID:    "replayparity",
 		Title: fmt.Sprintf("Simulator vs testbed-replay parity (%d nodes x %d GPUs)", sc.Nodes, sc.GPUsPerNode),
 		Header: []string{"policy", "sim JCT", "replay JCT", "dJCT",
 			"sim goodput", "replay goodput", "dGoodput"},

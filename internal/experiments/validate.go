@@ -37,7 +37,6 @@ func Validate(sc Scale) Outcome {
 	}
 
 	o := Outcome{
-		ID:     "validate",
 		Title:  "Eqn. 7 vs real data-parallel SGD (least squares, extension)",
 		Header: []string{"batch", "examples to target", "actual ratio", "Eqn.7 predicted", "phi measured"},
 		Seeds:  []int64{sc.Seeds[0]},
