@@ -54,7 +54,8 @@ func BenchmarkExhibits(b *testing.B) {
 // experiment setup: seeds/serial runs at GOMAXPROCS 1, seeds/parallel at
 // the host's, GOMAXPROCS being the one bound on the program's
 // parallelism. The per-simulation speedup, the agent refits' fan-out, is
-// BenchmarkAgentTickRefitWorkers. Outputs are bit-identical across both
+// BenchmarkAgentTickRefitWorkers/workers/1 against
+// BenchmarkSimStandardTrace/pollux. Outputs are bit-identical across both
 // legs — the reported avgJCT-s metric makes that visible — so on a
 // >= 4-core host the ratio is pure wall-clock speedup.
 func BenchmarkSchedSerialVsParallel(b *testing.B) {
@@ -83,39 +84,35 @@ func BenchmarkSchedSerialVsParallel(b *testing.B) {
 }
 
 // BenchmarkAgentTickRefitWorkers isolates the per-round agent-refit
-// fan-out of the two-phase agentTick: the same 16-node Pollux simulation
-// at GOMAXPROCS 1 (workers/1, refits serial) vs the host's (workers/max,
-// refits fanned over all cores). Its GAs score under minScorerCells, so
-// they run inline on both legs and the refits are what the legs change.
-// Refits were ~44% of diurnal64 CPU, so on an N-core host the ratio
-// approaches the per-simulation ceiling of Amdahl's law for that
-// fraction; the reported avgJCT-s metric is identical across worker
-// counts, which is the determinism guarantee (rng draws stay on the
-// simulation goroutine; fits draw no randomness).
+// fan-out of the two-phase agentTick. Its one leg, workers/1, runs the
+// standard 16-node Pollux simulation at GOMAXPROCS 1, refits serial; the
+// max leg, refits fanned over all cores, is BenchmarkSimStandardTrace/pollux,
+// the same simulation (trace, seed, policy, cluster) at the host's
+// GOMAXPROCS. Its GAs score under minScorerCells, so they run inline on
+// both and the refits are what the two change. Refits were ~44% of
+// diurnal64 CPU, so on an N-core host the ratio approaches the
+// per-simulation ceiling of Amdahl's law for that fraction; the reported
+// avgJCT-s metric is identical across the two, which is the determinism
+// guarantee (rng draws stay on the simulation goroutine; fits draw no
+// randomness).
 func BenchmarkAgentTickRefitWorkers(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tr := workload.Generate(rng, workload.Options{
 		Jobs: 40, Hours: 2, GPUsPerNode: 4, MaxGPUs: 64,
 	})
-	cases := []struct {
-		name  string
-		procs int
-	}{{"workers/1", 1}, {"workers/max", runtime.GOMAXPROCS(0)}}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			testutil.SetProcs(b, c.procs)
-			cfg := sim.Config{
-				Nodes: 16, GPUsPerNode: 4, Tick: 1,
-				UseTunedConfig: true, Seed: 1,
-			}
-			var res sim.Result
-			for i := 0; i < b.N; i++ {
-				pol := sched.NewPollux(sched.PolluxOptions{Population: 20, Generations: 10}, 1)
-				res = sim.NewCluster(tr, pol, cfg).Run()
-			}
-			b.ReportMetric(res.Summary.AvgJCT, "avgJCT-s")
-		})
-	}
+	b.Run("workers/1", func(b *testing.B) {
+		testutil.SetProcs(b, 1)
+		cfg := sim.Config{
+			Nodes: 16, GPUsPerNode: 4, Tick: 1,
+			UseTunedConfig: true, Seed: 1,
+		}
+		var res sim.Result
+		for i := 0; i < b.N; i++ {
+			pol := sched.NewPollux(sched.PolluxOptions{Population: 20, Generations: 10}, 1)
+			res = sim.NewCluster(tr, pol, cfg).Run()
+		}
+		b.ReportMetric(res.Summary.AvgJCT, "avgJCT-s")
+	})
 }
 
 // BenchmarkReplayRound measures the unified testbed runtime: the

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/eventsim"
 	"repro/internal/ga"
 	"repro/internal/models"
@@ -686,5 +687,137 @@ func TestServiceConcurrentReadersDuringRounds(t *testing.T) {
 	invariants()
 	if st := svc.Status(); st.GPUsUsed != 0 || st.Done != jobs {
 		t.Errorf("after every job finished: %+v", st)
+	}
+}
+
+// firstGetsAGPU is the policy of TestServiceRefillsOneView's front-end
+// round: it records the job order it is shown and gives the job it is
+// shown first one GPU on node 0, leaving every other row as it is.
+type firstGetsAGPU struct {
+	shown []sched.JobView
+}
+
+func (p *firstGetsAGPU) Name() string          { return "first-gets-a-gpu" }
+func (p *firstGetsAGPU) AdaptsBatchSize() bool { return false }
+func (p *firstGetsAGPU) ReadsModel() bool      { return false }
+
+func (p *firstGetsAGPU) Schedule(v *sched.ClusterView) ga.Matrix {
+	p.shown = v.Jobs
+	m := slices.Clone(v.Current)
+	m[0] = make([]int, len(v.Capacity))
+	m[0][0] = 1
+	return m
+}
+
+// TestServiceRefillsOneView: Service.Round refills one view and its
+// buffers rather than building a view per round. Two consecutive rounds
+// return the same view over the same backing arrays; a report that
+// arrives between Round and Commit changes the job's entry but not the
+// view, whose entries are copies; and a front end that permutes the view
+// for the policy swaps in slices of its own, so the next round still sees
+// every job, in registration order, with the row the ledger holds for it.
+// A reporter re-reports the other jobs throughout, so that under -race the
+// view's reads outside the ledger's lock meet the entries' writes under it.
+func TestServiceRefillsOneView(t *testing.T) {
+	const nodes, jobs = 4, 12
+	svc := NewService(NewState([]int{4, 4, 4, 4}))
+	reports := make([]Report, jobs)
+	for i := range reports {
+		// Later jobs are due sooner, so the SLO stage reverses the view.
+		reports[i] = Report{Job: fmt.Sprintf("job-%02d", i), Phi: 1, GPUCap: 8, Deadline: float64(1000 - 10*i)}
+		if err := svc.SubmitReport(reports[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r := reports[1+n%(jobs-1)] // every job but job-00
+			r.GPUTime = float64(n)
+			if err := svc.SubmitReport(r, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	v := svc.Round(0)
+	if len(v.Jobs) != jobs || len(v.Current) != jobs || len(v.Capacity) != nodes || len(v.Usage) != nodes {
+		t.Fatalf("round of %d jobs: %d jobs, %d rows, %d capacities, %d usage totals", jobs, len(v.Jobs), len(v.Current), len(v.Capacity), len(v.Usage))
+	}
+	arrays := []any{&v.Jobs[0], &v.Current[0], &v.Capacity[0], &v.Usage[0]}
+	shown := slices.Clone(v.Jobs)
+	refit := reports[0]
+	refit.Phi = 2
+	if err := svc.SubmitReport(refit, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(v.Jobs, shown) {
+		t.Error("a report between Round and Commit changed the view")
+	}
+	if err := svc.Commit(v.Current, make([]bool, jobs)); err != nil {
+		t.Fatal(err)
+	}
+
+	again := svc.Round(60)
+	if again != v {
+		t.Error("the next Round returned another view")
+	}
+	for i, a := range []any{&again.Jobs[0], &again.Current[0], &again.Capacity[0], &again.Usage[0]} {
+		if a != arrays[i] {
+			t.Errorf("the next Round's %s is on another array", []string{"Jobs", "Current", "Capacity", "Usage"}[i])
+		}
+	}
+	if phi := again.Jobs[0].Model.Phi; phi != 2 {
+		t.Errorf("the next Round shows job-00 at phi %v, want the refit's 2", phi)
+	}
+	if err := svc.Commit(again.Current, make([]bool, jobs)); err != nil {
+		t.Fatal(err)
+	}
+
+	fe, err := admit.New(&admit.Options{Priority: admit.PrioritySLO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.SetFrontEnd(fe)
+	policy := &firstGetsAGPU{}
+	if n, err := svc.ScheduleOnce(policy, 120); err != nil || n != jobs {
+		t.Fatalf("front-end round: scheduled %d of %d jobs: %v", n, jobs, err)
+	}
+	for i, j := range policy.shown {
+		if j.ID != jobs-1-i {
+			t.Fatalf("the policy was shown job %d at %d, want the SLO order %d", j.ID, i, jobs-1-i)
+		}
+	}
+	if &policy.shown[0] == arrays[0] {
+		t.Error("the front end permuted the service's own Jobs buffer")
+	}
+	after := svc.Round(180)
+	if &after.Jobs[0] != arrays[0] {
+		t.Error("the round after the front end's is on another Jobs array")
+	}
+	for i, j := range after.Jobs {
+		want := make([]int, nodes)
+		if i == jobs-1 {
+			want[0] = 1 // the job the SLO stage put first
+		}
+		if j.ID != i || !slices.Equal(after.Current[i], want) {
+			t.Errorf("after the front-end round, position %d shows job %d with %v, want job %d with %v", i, j.ID, after.Current[i], i, want)
+		}
+	}
+	if !slices.Equal(after.Usage, []int{1, 0, 0, 0}) {
+		t.Errorf("usage after the front-end round = %v, want [1 0 0 0]", after.Usage)
 	}
 }

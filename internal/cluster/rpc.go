@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
-	"slices"
 	"sync"
 
 	"repro/internal/admit"
@@ -135,6 +134,16 @@ type Service struct {
 	live  []*job
 	round int
 
+	// view is the one snapshot Round refills, from the buffers below, as
+	// sim.Cluster.Round does: a front end swaps slices of its own into the
+	// view it is handed (see runtime.Backend), so the buffers are kept here
+	// and the view is never read back. Round writes them under state.mu and
+	// the policy reads them outside it, until the next Round.
+	view               sched.ClusterView
+	viewJobs           []sched.JobView
+	viewRows           ga.Matrix
+	viewCap, viewUsage []int
+
 	// schedMu serializes scheduling rounds: Round and Commit communicate
 	// through live and round, so overlapping ScheduleOnce calls must not
 	// interleave (reports keep flowing under state.mu while a round runs).
@@ -222,22 +231,19 @@ func (s *Service) ScheduleOnce(policy sched.Policy, now float64) (int, error) {
 // unfinished job's goodput function and accounting in registration order,
 // plus the rows the ledger holds for them and its usage totals, all under
 // one hold of the lock so no report or placement can change between two
-// reads. It is one pass over the live list, which it compacts on the way:
-// a JobView copy per job, because reports keep flowing into the entries
-// while the policy reads the view, and a row header. view.Current is not a
-// copy: each row is the ledger's own slice (the shared zero row for a job
-// it holds nothing for), which stays valid outside the lock because
-// installed rows are never written.
+// reads. It is one pass over the live list, which it compacts on the way,
+// and it refills the one view the service keeps, so a steady round
+// allocates nothing here: a JobView copy per job into the service's own
+// buffer, because reports keep flowing into the entries while the policy
+// reads the view, and a row header. view.Current is not a copy: each row
+// is the ledger's own slice (the shared zero row for a job it holds
+// nothing for), which stays valid outside the lock because installed rows
+// are never written. Capacity and Usage are copies too, so a policy that
+// writes them changes neither the ledger nor the next view.
 func (s *Service) Round(now float64) *sched.ClusterView {
 	s.state.mu.Lock()
 	defer s.state.mu.Unlock()
-	view := &sched.ClusterView{
-		Now:      now,
-		Capacity: slices.Clone(s.state.capacity),
-		Usage:    slices.Clone(s.state.usage),
-		Jobs:     make([]sched.JobView, 0, len(s.live)),
-		Current:  make(ga.Matrix, 0, len(s.live)),
-	}
+	jobs, rows := s.viewJobs[:0], s.viewRows[:0]
 	n := 0
 	for _, j := range s.live {
 		if j.done {
@@ -245,16 +251,20 @@ func (s *Service) Round(now float64) *sched.ClusterView {
 		}
 		s.live[n] = j
 		n++
-		view.Jobs = append(view.Jobs, j.view)
+		jobs = append(jobs, j.view)
 		row := j.p.row
 		if row == nil {
 			row = s.state.zero
 		}
 		//pollux:aliasret-ok rows are immutable once installed: install replaces a job's slice and never writes one, so the view may read this row after the lock is released
-		view.Current = append(view.Current, row)
+		rows = append(rows, row)
 	}
 	s.live, s.round = s.live[:n], n
-	return view
+	s.viewJobs, s.viewRows = jobs, rows
+	s.viewCap = append(s.viewCap[:0], s.state.capacity...)
+	s.viewUsage = append(s.viewUsage[:0], s.state.usage...)
+	s.view = sched.ClusterView{Now: now, Capacity: s.viewCap, Usage: s.viewUsage, Jobs: jobs, Current: rows}
+	return &s.view
 }
 
 // Commit installs the validated allocation matrix for the last Round's

@@ -195,11 +195,13 @@ func TestSteadyServiceDigestPinned(t *testing.T) {
 // commit) at 64 nodes × 1280 jobs under the mega preset; the traffic
 // between rounds, every live job re-reporting, is outside the timer. A
 // steady round re-places a few dozen jobs, so its allocations are the
-// view, row headers, a handful of per-job slices and the sub-problem GAs.
-// It runs at GOMAXPROCS 1, so the GAs start no scorers and allocs/op
-// repeats: CI gates it exactly (bench/baselines/gobench.json, at -benchtime
-// 20x), and one whole-matrix allocation, or one allocation per job or per
-// report, coming back moves it. A collection inside a timed round adds
+// composed result's row headers, the re-placed rows and the sub-problem
+// GAs; the view and the scheduler's per-job slices are refilled, not
+// allocated. It runs at GOMAXPROCS 1, so the GAs start no scorers and
+// allocs/op and B/op repeat: CI gates both exactly
+// (bench/baselines/gobench.json, at -benchtime 20x), and one whole-matrix
+// or whole-view allocation, or one allocation per job or per report,
+// coming back moves them. A collection inside a timed round adds
 // the runtime's own objects to it, enough to tip the mean over the gate,
 // so each round starts from one run while the timer is stopped.
 func BenchmarkServiceRoundSteady(b *testing.B) {

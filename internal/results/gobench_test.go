@@ -13,6 +13,7 @@ BenchmarkPolluxScheduleIncremental/full-8         	       2	 555514208 ns/op	  4
 BenchmarkPolluxScheduleIncremental/incremental-8  	       2	  55824410 ns/op	   7714560 cells/round
 BenchmarkReplayRound/local	       1	1200000 ns/op	 83.5 us/round	 3600 avgJCT-s
 BenchmarkFitWarmTail-2          	      20	   3729690 ns/op	    7536 B/op	      10 allocs/op
+BenchmarkServiceRoundSteady-2   	      20	   1885620 ns/op	  103242 B/op	      44 allocs/op
 PASS
 ok  	repro/internal/sched	4.765s
 `
@@ -25,8 +26,8 @@ func TestParseGoBench(t *testing.T) {
 	if rep.Scale != GoBenchScale {
 		t.Errorf("scale = %q, want %q", rep.Scale, GoBenchScale)
 	}
-	if len(rep.Records) != 4 {
-		t.Fatalf("%d records, want 4: %+v", len(rep.Records), rep.Records)
+	if len(rep.Records) != 5 {
+		t.Fatalf("%d records, want 5: %+v", len(rep.Records), rep.Records)
 	}
 	full := rep.Records[0]
 	if full.Exhibit != "BenchmarkPolluxScheduleIncremental/full" {
@@ -59,6 +60,10 @@ func TestParseGoBench(t *testing.T) {
 	}
 	if b, ok := fit.Metric("B/op"); !ok || !b.Volatile {
 		t.Errorf("B/op = %+v, want volatile", b)
+	}
+	// The steady service round's byte count repeats, so it gates too.
+	if b, ok := rep.Records[4].Metric("B/op"); !ok || b.Volatile || b.Value != 103242 {
+		t.Errorf("%s B/op = %+v, want deterministic 103242", rep.Records[4].Exhibit, b)
 	}
 }
 

@@ -41,9 +41,12 @@ package sched
 // are shared, not copied. The matrix a round returns is composed of row
 // headers (round.compose): a clean job's row is the view's own slice, a
 // re-placed job's row is the view's slice again when the solver reproduced
-// it and one fresh slice of its own otherwise, so no surviving row pins a
-// solver's backing array. That same matrix is the committed state,
-// incState.rows and the champion seed prevPop[0]. With a backend that
+// it and otherwise a slice of its own (the rack solve's row, adopted, or a
+// copy of the flat solve's), so no surviving row pins a solver's backing
+// array. The seeds a round hands the GA are row headers over the kept
+// matrices' rows, and a job without a row reads one zero row. That same
+// matrix is the committed state, incState.rows and the champion seed
+// prevPop[0]. With a backend that
 // installs rows by reference (cluster.State) the ledger's row, the next
 // view's Current[i] and the row kept here are then one slice, and every
 // "did it change" question — here, in runtime.Step, in the ledger — is
@@ -97,12 +100,12 @@ type incState struct {
 const seedCellBudget = 16 << 20
 
 // allJobs is the dirty set of a full round: every view index.
-func allJobs(n int) []int {
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+func (r *round) allJobs() []int {
+	r.all = resize(r.all, len(r.v.Jobs))
+	for i := range r.all {
+		r.all[i] = i
 	}
-	return all
+	return r.all
 }
 
 // sigOf is the job's change signature; differs compares a kept one with
@@ -132,10 +135,12 @@ func (r *round) dirtySet() []int {
 	if !p.opts.Incremental || st == nil || !slices.Equal(st.cap, v.Capacity) ||
 		len(v.Current) != len(jobs) ||
 		(p.opts.FullEvery > 0 && p.sinceFull >= p.opts.FullEvery) {
-		return allJobs(len(jobs))
+		return r.allJobs()
 	}
-	dirty := make([]bool, len(jobs))
-	affected := make([]bool, len(v.Capacity))
+	r.dirty, r.affected = resize(r.dirty, len(jobs)), resize(r.affected, len(v.Capacity))
+	dirty, affected := r.dirty, r.affected
+	clear(dirty)
+	clear(affected)
 	anyChange := false
 	markRow := func(row []int) {
 		for n, g := range row {
@@ -170,7 +175,7 @@ func (r *round) dirtySet() []int {
 	if !anyChange {
 		return []int{}
 	}
-	sub := make([]int, 0, len(jobs))
+	sub := r.picked[:0]
 	queued := 0
 	for i := range jobs {
 		if !dirty[i] {
@@ -194,14 +199,18 @@ func (r *round) dirtySet() []int {
 			sub = append(sub, i)
 		}
 	}
+	r.picked = sub
 	if 4*len(sub) > 3*len(jobs) {
-		return allJobs(len(jobs))
+		return r.allJobs()
 	}
 	return sub
 }
 
 // round is the data of one Schedule call: newRound fills what dirtySet
-// reads, solve the rest for the jobs it re-places.
+// reads, solve the rest for the jobs it re-places. Pollux keeps one round
+// and refills it, so its O(jobs) slices are allocated once, not per call;
+// release drops what they point at when the call ends, so between calls
+// they pin no record, table or row.
 type round struct {
 	p *Pollux
 	v *ClusterView
@@ -225,6 +234,17 @@ type round struct {
 	// distributed job sits there (Sec. 4.2.1 then forbids a second one).
 	residual []int
 	blocked  []bool
+	// zero is the all-zero row every sub job without one shares: in cur,
+	// in seeds and in the rows of a rack solve. Like every row it is never
+	// written, so it is kept while the node count stays.
+	zero []int
+
+	// Buffers behind the slices above and below (all, picked: the dirty
+	// sets dirtySet returns; dirty, affected, inSub: its and solve's flags;
+	// mem: the members of one node-level solve).
+	all, picked            []int
+	dirty, affected, inSub []bool
+	mem                    []member
 }
 
 // newRound finds each job's record and summarizes the view's current rows,
@@ -232,8 +252,17 @@ type round struct {
 // repeats the last one's order, so the record is looked for right after
 // the previous job's, and by ID only where it is not there: after a
 // departure, at an arrival, under a front end that reorders.
+//
+// The records are filled into the array the scheduler let go in the last
+// keep, never into p.recs, which this reads.
 func (p *Pollux) newRound(v *ClusterView) *round {
-	r := &round{p: p, v: v, recs: make([]*jobRec, len(v.Jobs)), seen: make([]bool, len(p.recs))}
+	r := &p.buf
+	r.p, r.v = p, v
+	r.recs, r.seen = resize(r.recs, len(v.Jobs)), resize(r.seen, len(p.recs))
+	clear(r.seen)
+	if len(r.zero) != len(v.Capacity) {
+		r.zero = make([]int, len(v.Capacity))
+	}
 	next := 0
 	for i := range v.Jobs {
 		id := v.Jobs[i].ID
@@ -258,6 +287,16 @@ func (p *Pollux) newRound(v *ClusterView) *round {
 	return r
 }
 
+// release ends the call: the round's pointers to the view, records,
+// tables and rows go, its arrays stay for the next call.
+func (r *round) release() {
+	clear(r.recs[:cap(r.recs)])
+	clear(r.cur[:cap(r.cur)])
+	clear(r.tables[:cap(r.tables)])
+	clear(r.mem[:cap(r.mem)])
+	r.v = nil
+}
+
 // price fetches what the fitness functions read about the sub jobs: the
 // current row, the speedup table, the Eqn. 16 weight. The weight sum is
 // over all jobs and accumulated in job order in its own loop, matching the
@@ -272,14 +311,11 @@ func (r *round) price(sub []int) {
 		r.sumW = 1
 	}
 	r.sub = sub
-	r.cur = make(ga.Matrix, len(sub))
-	r.tables = make([]*speedupTable, len(sub))
-	r.weights = make([]float64, len(sub))
-	r.running = make([]bool, len(sub))
-	zero := make([]int, len(v.Capacity))
+	r.cur, r.tables = resize(r.cur, len(sub)), resize(r.tables, len(sub))
+	r.weights, r.running = resize(r.weights, len(sub)), resize(r.running, len(sub))
 	maxK := v.TotalGPUs()
 	for si, i := range sub {
-		r.cur[si] = zero
+		r.cur[si] = r.zero
 		if i < len(v.Current) {
 			r.cur[si] = v.Current[i]
 		}
@@ -301,7 +337,9 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 	p, v := r.p, r.v
 	jobs := v.Jobs
 	nodes := len(v.Capacity)
-	inSub := make([]bool, len(jobs))
+	r.inSub = resize(r.inSub, len(jobs))
+	inSub := r.inSub
+	clear(inSub)
 	for _, i := range sub {
 		inSub[i] = true
 	}
@@ -309,8 +347,9 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 	// clash: the clean rows alone overdraw a node, or two distributed ones
 	// share one, so no choice of sub rows makes the round feasible.
 	avoid, clash := !p.opts.DisableInterferenceAvoidance, false
-	r.residual = append([]int(nil), v.Capacity...)
-	r.blocked = make([]bool, nodes)
+	r.residual = append(r.residual[:0], v.Capacity...)
+	r.blocked = resize(r.blocked, nodes)
+	clear(r.blocked)
 	for i := range jobs {
 		if inSub[i] || r.recs[i].placed.Nodes == 0 {
 			continue // a row with no positive cell leaves every node as it is
@@ -335,10 +374,11 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 	if racks {
 		rows = r.solveRacks()
 	} else {
-		mem := make([]member, len(sub))
+		mem := resize(r.mem, len(sub))
 		for si := range mem {
 			mem[si] = member{si: si, cur: r.cur[si]}
 		}
+		r.mem = mem
 		// Always seed the currently applied allocation when there is one:
 		// keeping everything in place must be representable so restarts
 		// stay justified.
@@ -363,22 +403,31 @@ func (r *round) solve(sub []int, racks bool) ga.Matrix {
 	if !whole && (clash || !ga.FeasibleSub(rows, r.residual, avoid, r.blocked, nil)) {
 		return nil
 	}
-	out := r.compose(rows)
+	out := r.compose(rows, racks)
 	r.keep(out, rows, pop, whole)
 	return out
 }
 
 // compose builds a full matrix of row headers around one solver result
 // (see Ownership above): a clean job's row is the view's, a sub job's is
-// its current row when the solver reproduced it and else a copy of the
-// solver's, so that no committed row pins the solver's whole matrix.
-func (r *round) compose(subRows ga.Matrix) ga.Matrix {
+// its current row when the solver reproduced it and else the solver's.
+// With adopt the solver's row is taken as it is, which suits a solve that
+// gives every row a slice of its own (solveRacks); otherwise it is copied,
+// so that no committed row pins the solver's whole matrix. The flat solve's
+// rows are GA.Population()'s, one array for all members, so one adopted
+// row would pin all of them for as long as it stays installed: adopting
+// them read 14.2 MB of live heap on svc_round_full32 against 4.3 MB
+// copying.
+func (r *round) compose(subRows ga.Matrix, adopt bool) ga.Matrix {
 	m := make(ga.Matrix, len(r.v.Jobs))
 	copy(m, r.v.Current)
 	for si, i := range r.sub {
 		m[i] = r.cur[si]
 		if !slices.Equal(subRows[si], m[i]) {
-			m[i] = slices.Clone(subRows[si])
+			m[i] = subRows[si]
+			if !adopt {
+				m[i] = slices.Clone(m[i])
+			}
 		}
 	}
 	return m
@@ -403,20 +452,22 @@ func (r *round) keep(out, rows ga.Matrix, pop []ga.Matrix, whole bool) {
 				break
 			}
 			if !m.Equal(rows) { // the champion is already carried
-				carried = append(carried, r.compose(m))
+				carried = append(carried, r.compose(m, false))
 			}
 		}
 	}
 	// The view's records become the scheduler's, in the view's order: the
 	// departed ones leave the ID map and the arrivals join it.
-	old := p.recs
-	p.prevPop, p.recs = carried, r.recs
+	old, recs := p.recs, r.recs
+	p.prevPop, p.recs = carried, recs
 	for pi, live := range r.seen {
 		if !live {
 			delete(p.byID, old[pi].id)
 		}
 	}
-	for i, rec := range r.recs {
+	clear(old)
+	r.recs = old[:0] // the next round fills this array
+	for i, rec := range recs {
 		if rec.pos < 0 {
 			p.byID[rec.id] = rec
 		}
@@ -427,29 +478,36 @@ func (r *round) keep(out, rows ga.Matrix, pop []ga.Matrix, whole bool) {
 	}
 	// A job outside sub has the signature and the row it had.
 	for _, i := range r.sub {
-		r.recs[i].sig, r.recs[i].placed = sigOf(&jobs[i]), PlacementOf(out[i])
+		recs[i].sig, recs[i].placed = sigOf(&jobs[i]), PlacementOf(out[i])
 	}
-	p.inc = &incState{rows: out, cap: append([]int(nil), r.v.Capacity...)}
+	if p.inc == nil {
+		p.inc = &incState{}
+	}
+	p.inc.rows, p.inc.cap = out, append(p.inc.cap[:0], r.v.Capacity...)
 }
 
 // subSeeds projects the carried population onto the sub jobs' rows by
 // job ID, so seeds survive arrivals, departures, and sparse or reordered
-// IDs; jobs the carried population does not know start with zero rows.
+// IDs; jobs the carried population does not know start with the zero row.
+// A seed is row headers over the carried matrices' own rows, which ga.New
+// reads once and never writes.
 func (r *round) subSeeds() []ga.Matrix {
 	p := r.p
 	if p.prevPop == nil {
 		return nil
 	}
-	nodes := len(r.v.Capacity)
-	seeds := make([]ga.Matrix, 0, len(p.prevPop))
-	for _, prev := range p.prevPop {
-		m := ga.NewMatrix(len(r.sub), nodes)
+	nodes, n := len(r.v.Capacity), len(r.sub)
+	seeds := make([]ga.Matrix, len(p.prevPop))
+	headers := make(ga.Matrix, len(p.prevPop)*n)
+	for k, prev := range p.prevPop {
+		m := headers[k*n : (k+1)*n : (k+1)*n]
 		for si, i := range r.sub {
+			m[si] = r.zero
 			if pi := r.recs[i].pos; pi >= 0 && pi < len(prev) && len(prev[pi]) == nodes {
-				copy(m[si], prev[pi])
+				m[si] = prev[pi]
 			}
 		}
-		seeds = append(seeds, m)
+		seeds[k] = m
 	}
 	return seeds
 }
@@ -603,13 +661,21 @@ func (r *round) solveRacks() ga.Matrix {
 		}
 	}
 
-	rows := ga.NewMatrix(len(sub), nodes)
+	// Each job the coarse pass gives GPUs gets a row of its own, which
+	// compose adopts; the others share the zero row.
+	rows := make(ga.Matrix, len(sub))
+	for si := range sub {
+		rows[si] = r.zero
+		if totalK[si] > 0 {
+			rows[si] = make([]int, nodes)
+		}
+	}
 	p.lastStats.Racks = 0
 	for rk := 0; rk < racks; rk++ {
 		n0 := rk * size
 		n1 := min(n0+size, nodes)
 		// The rack's members are the jobs the coarse pass gave GPUs here.
-		var mem []member
+		mem := r.mem[:0]
 		for si := range sub {
 			local := coarse[si][rk]
 			if local <= 0 {
@@ -630,6 +696,7 @@ func (r *round) solveRacks() ga.Matrix {
 			}
 			mem = append(mem, c)
 		}
+		r.mem = mem
 		if len(mem) == 0 {
 			continue
 		}

@@ -132,6 +132,8 @@ type Pollux struct {
 	// seed packs each rack's dense seed in a rack round, reset to the
 	// rack's residual capacity; scratch, kept from round to round.
 	seed packer
+	// buf is the one round every Schedule call refills (see newRound).
+	buf round
 }
 
 // RoundStats summarizes the work done by one Schedule call; experiments
@@ -204,6 +206,9 @@ type speedupTable struct {
 	// depend on how many racks are crossed, only whether more than one is.
 	rackCells  []uint64
 	rackParams core.RackParams
+	// rackSpare is the array of a layer reset dropped, for ensureRack to
+	// reuse; nil otherwise.
+	rackSpare []uint64
 }
 
 // unsetCell marks a cell not yet computed. Speedups are finite and
@@ -211,7 +216,7 @@ type speedupTable struct {
 var unsetCell = math.Float64bits(-1)
 
 func newSpeedupTable(model core.Model, gpuCap, maxK, nodes int) *speedupTable {
-	t := &speedupTable{model: model, gpuCap: gpuCap, nodes: nodes, maxK: maxK}
+	t := &speedupTable{gpuCap: gpuCap, nodes: nodes, maxK: maxK}
 	t.kCap = min(maxK, gpuCap)
 	if t.kCap < 0 {
 		t.kCap = 0
@@ -223,13 +228,25 @@ func newSpeedupTable(model core.Model, gpuCap, maxK, nodes int) *speedupTable {
 		total += min(k, nodes) + 1
 	}
 	t.cells = make([]uint64, total)
+	t.reset(model)
+	return t
+}
+
+// reset makes t the table newSpeedupTable would build for the model at
+// t's dimensions, in place: every cell unset, the denominator the model's,
+// and no cross-rack layer. The layer's array stays in rackSpare for
+// ensureRack to fill again, so a refit job costs no allocation.
+func (t *speedupTable) reset(model core.Model) {
+	t.model, t.denom = model, 0
 	for i := range t.cells {
 		t.cells[i] = unsetCell
 	}
 	if _, d, ok := model.OptimalBatch(core.SingleGPU); ok {
 		t.denom = d
 	}
-	return t
+	if t.rackCells != nil {
+		t.rackSpare, t.rackCells, t.rackParams = t.rackCells, nil, core.RackParams{}
+	}
 }
 
 // ensureRack allocates the cross-rack layer and the derived rack-aware
@@ -242,7 +259,10 @@ func (t *speedupTable) ensureRack() {
 		return
 	}
 	t.rackParams = core.DeriveRackParams(t.model.Params, rackPenalty)
-	t.rackCells = make([]uint64, len(t.cells))
+	t.rackCells, t.rackSpare = t.rackSpare, nil
+	if t.rackCells == nil {
+		t.rackCells = make([]uint64, len(t.cells))
+	}
 	for i := range t.rackCells {
 		t.rackCells[i] = unsetCell
 	}
@@ -293,19 +313,22 @@ func (t *speedupTable) SpeedupRack(k, n, racks int) float64 {
 // cachedTable returns the job's cross-round speedup table, reusing the
 // one its record holds (with every cell already computed for the
 // placements the GA visited) when the job's reported model, exploration
-// cap, and table dimensions are unchanged. Any change — an agent refit, a
-// noise-scale update, a new cluster size — produces a model or dimension
-// mismatch and rebuilds the table from scratch. Phi is part of the model,
-// so a job actively making progress (whose noise scale moves every agent
-// round) rebuilds each interval; the cache pays off for paused and queued
-// jobs — exactly the rows that pile up when the cluster is backlogged,
-// which is when the GA is most expensive. Only a round that re-places the
-// job asks: the table is a pure function of its arguments, so when it is
-// built changes no value.
+// cap, and table dimensions are unchanged. A changed model — an agent
+// refit, a noise-scale update — resets the table in place, and a change of
+// dimensions (exploration cap, cluster size) builds a new one; either way
+// every cell is recomputed from the current model. Phi is part of the
+// model, so a job actively making progress (whose noise scale moves every
+// agent round) resets each interval; the cache pays off for paused and
+// queued jobs — exactly the rows that pile up when the cluster is
+// backlogged, which is when the GA is most expensive. Only a round that
+// re-places the job asks: the table is a pure function of its arguments,
+// so when it is built changes no value.
 func (rec *jobRec) cachedTable(j *JobView, maxK, nodes int) *speedupTable {
-	if t := rec.table; t == nil ||
-		t.model != j.Model || t.gpuCap != j.GPUCap || t.maxK != maxK || t.nodes != nodes {
+	switch t := rec.table; {
+	case t == nil || t.gpuCap != j.GPUCap || t.maxK != maxK || t.nodes != nodes:
 		rec.table = newSpeedupTable(j.Model, j.GPUCap, maxK, nodes)
+	case t.model != j.Model:
+		t.reset(j.Model)
 	}
 	return rec.table
 }
@@ -324,6 +347,7 @@ func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 	}
 
 	r := p.newRound(v)
+	defer r.release()
 	sub := r.dirtySet()
 	var out ga.Matrix
 	if len(sub) == 0 {
@@ -339,7 +363,7 @@ func (p *Pollux) Schedule(v *ClusterView) ga.Matrix {
 		// every job, then to a single rack, whose result is repaired GA
 		// output and needs no check.
 		if out == nil && len(sub) < nJobs {
-			sub = allJobs(nJobs)
+			sub = r.allJobs()
 			out = r.solve(sub, racks)
 		}
 		if out == nil {

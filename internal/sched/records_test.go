@@ -129,7 +129,7 @@ func TestRecordLookupMatchesIDMap(t *testing.T) {
 				if widen {
 					r := s.newRound(v)
 					r.price(r.dirtySet())
-					out = r.solve(allJobs(len(jobs)), opts.RackSize > 0)
+					out = r.solve(r.allJobs(), opts.RackSize > 0)
 				} else {
 					out = s.Schedule(v)
 				}
