@@ -156,7 +156,7 @@ func TestResumedTrainerTicksOnItsPlacement(t *testing.T) {
 		if ts.Trainer == nil || ts.Finished {
 			continue
 		}
-		want := r.svc.state.Allocation(trainer.Job, -1)
+		want := allocOf(r.svc, trainer.Job)
 		pl := sched.PlacementOf(want.Row)
 		if pl.GPUs == 0 {
 			continue

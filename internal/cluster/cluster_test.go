@@ -17,87 +17,44 @@ import (
 	"repro/internal/testutil"
 )
 
-// install calls the ledger's install under its lock, as Commit does, for
-// the named jobs flagged in changed (all of them when it is nil).
-func install(s *State, jobs []string, m ga.Matrix, changed []bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(jobs) != len(m) {
-		return fmt.Errorf("%d jobs but %d rows", len(jobs), len(m))
-	}
-	var ps []*placement
-	var rows ga.Matrix
-	for i, job := range jobs {
-		if changed == nil || changed[i] {
-			ps, rows = append(ps, s.at(job)), append(rows, m[i])
+// bind installs one job's row through the service's Commit, as a round
+// that changes only that row would, registering the job first if the
+// service has not heard of it.
+func bind(svc *Service, job string, row []int) error {
+	if svc.jobs[job] == nil {
+		if err := svc.SubmitReport(Report{Job: job}, nil); err != nil {
+			return err
 		}
 	}
-	return s.install(ps, rows)
+	v := svc.Round(0)
+	m, changed := slices.Clone(v.Current), make([]bool, len(v.Current))
+	for i, jv := range v.Jobs {
+		if jv.ID == svc.jobs[job].view.ID {
+			m[i], changed[i] = row, true
+		}
+	}
+	return svc.Commit(m, changed)
 }
 
-// bind installs one job's row.
-func bind(s *State, job string, row []int) error {
-	return install(s, []string{job}, ga.Matrix{row}, nil)
+// allocOf polls the job's row whatever the generation, as GetAllocation's
+// Have -1 asks.
+func allocOf(svc *Service, job string) Allocation {
+	var a Allocation
+	svc.GetAllocation(AllocQuery{Job: job, Have: -1}, &a) //nolint:errcheck // a poll never fails
+	return a
 }
 
-func usageOf(s *State) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return slices.Clone(s.usage)
-}
-
-func TestLedgerInstallReplacesAndReleases(t *testing.T) {
-	s := NewState([]int{4, 4})
-	if err := bind(s, "a", []int{2, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bind(s, "b", []int{2, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if u := usageOf(s); u[0] != 4 || u[1] != 2 {
-		t.Errorf("usage = %v, want [4 2]", u)
-	}
-	// Over capacity on node 0, and refused whole: c gets no entry.
-	if err := bind(s, "c", []int{1, 1}); err == nil {
-		t.Error("oversubscription not rejected")
-	}
-	if a := s.Allocation("c", -1); a.Generation != 0 || a.Row[1] != 0 {
-		t.Errorf("refused install left %+v behind", a)
-	}
-	// Rebinding a replaces the old row, not adds to it.
-	if err := bind(s, "a", []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if u := usageOf(s); u[0] != 2 || u[1] != 3 {
-		t.Errorf("usage after rebind = %v, want [2 3]", u)
-	}
-	// An all-zero row gives the GPUs back and still counts as a change.
-	if err := bind(s, "a", []int{0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if u := usageOf(s); u[0] != 2 || u[1] != 2 {
-		t.Errorf("usage after release = %v, want [2 2]", u)
-	}
-	if a := s.Allocation("a", -1); a.Generation != 3 {
-		t.Errorf("generation = %d after three installs, want 3", a.Generation)
-	}
-}
-
-func TestLedgerRejectsMalformedRows(t *testing.T) {
-	s := NewState([]int{4})
-	if err := bind(s, "a", []int{1, 1}); err == nil {
-		t.Error("wrong-shape allocation accepted")
-	}
-	if err := bind(s, "a", []int{-1}); err == nil {
-		t.Error("negative allocation accepted")
-	}
+func usageOf(svc *Service) []int {
+	svc.state.mu.Lock()
+	defer svc.state.mu.Unlock()
+	return slices.Clone(svc.state.ledger.Usage())
 }
 
 func TestAllocationIsCopy(t *testing.T) {
-	s := NewState([]int{4})
-	bind(s, "a", []int{2})
-	s.Allocation("a", -1).Row[0] = 99
-	if again := s.Allocation("a", -1); again.Row[0] != 2 {
+	svc := NewService(NewState([]int{4}))
+	bind(svc, "a", []int{2})
+	allocOf(svc, "a").Row[0] = 99
+	if again := allocOf(svc, "a"); again.Row[0] != 2 {
 		t.Error("Allocation leaked internal state")
 	}
 }
@@ -106,6 +63,8 @@ func TestAllocationIsCopy(t *testing.T) {
 // gets that generation and no row; a poll at any other generation, -1
 // included, gets a copy of the row. A job the ledger never held a row for
 // is the all-zero row at generation 0, so a poll with Have 0 gets no row.
+// Only an installed row moves a generation: not a refused install, and
+// not another job's.
 func TestAllocationPollCarriesOnlyAChangedRow(t *testing.T) {
 	svc := NewService(NewState([]int{4, 4}))
 	poll := func(job string, have int) Allocation {
@@ -122,11 +81,20 @@ func TestAllocationPollCarriesOnlyAChangedRow(t *testing.T) {
 	if a := poll("never", -1); !slices.Equal(a.Row, []int{0, 0}) || a.Generation != 0 {
 		t.Errorf("never-placed job polled at -1: %+v, want the zero row at generation 0", a)
 	}
-	if err := bind(svc.state, "a", []int{2, 1}); err != nil {
+	if err := svc.SubmitReport(Report{Job: "b"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := bind(svc.state, "a", []int{3, 0}); err != nil {
+	if err := bind(svc, "a", []int{2, 1}); err != nil {
 		t.Fatal(err)
+	}
+	if err := bind(svc, "a", []int{3, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bind(svc, "a", []int{5, 0}); err == nil {
+		t.Error("oversubscribing row installed")
+	}
+	if a := poll("b", -1); !slices.Equal(a.Row, []int{0, 0}) || a.Generation != 0 {
+		t.Errorf("b, never placed, after a's installs: %+v, want the zero row at generation 0", a)
 	}
 	if a := poll("a", 2); a.Row != nil || a.Generation != 2 {
 		t.Errorf("poll at the ledger's generation: %+v, want no row at generation 2", a)
@@ -141,36 +109,6 @@ func TestAllocationPollCarriesOnlyAChangedRow(t *testing.T) {
 	}
 	if a := poll("a", -1); a.Row[0] != 3 {
 		t.Errorf("writing a poll's row reached the ledger: %v", a.Row)
-	}
-}
-
-func TestInstallValidatesAgainstWholeLedger(t *testing.T) {
-	s := NewState([]int{4, 4})
-	m := ga.Matrix{{3, 0}, {3, 0}} // node 0 oversubscribed in aggregate
-	if err := install(s, []string{"a", "b"}, m, nil); err == nil {
-		t.Error("aggregate oversubscription accepted")
-	}
-	ok := ga.Matrix{{3, 0}, {1, 2}}
-	if err := install(s, []string{"a", "b"}, ok, nil); err != nil {
-		t.Fatal(err)
-	}
-	// A job outside the matrix holds node 1's last two GPUs: a matrix
-	// that fits on its own but not beside that row is refused.
-	if err := bind(s, "outside", []int{0, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := install(s, []string{"a", "b"}, ga.Matrix{{3, 0}, {1, 3}}, nil); err == nil {
-		t.Error("matrix oversubscribing a node used by a job outside it accepted")
-	}
-	if u := usageOf(s); u[0] != 4 || u[1] != 4 {
-		t.Errorf("usage = %v after a refused install, want [4 4]", u)
-	}
-	// Only flagged rows are rebound and only their generations advance.
-	if err := install(s, []string{"a", "b"}, ga.Matrix{{9, 9}, {0, 2}}, []bool{false, true}); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := s.Allocation("a", -1), s.Allocation("b", -1); a.Row[0] != 3 || a.Generation != 1 || b.Row[0] != 0 || b.Generation != 2 {
-		t.Errorf("after a partial install a = %+v, b = %+v", a, b)
 	}
 }
 
@@ -218,7 +156,7 @@ func TestServiceReportAllocateRoundTrip(t *testing.T) {
 	if err := svc.SubmitReport(rep, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	done := state.Allocation("job-0", -1)
+	done := allocOf(svc, "job-0")
 	if sched.PlacementOf(done.Row).GPUs != 0 {
 		t.Error("done job still placed")
 	}
@@ -375,11 +313,11 @@ func TestPublishedRowsAreNeverWritten(t *testing.T) {
 	var journal testutil.RowJournal
 	policy := &journaling{Policy: l.pollux, journal: &journal}
 	l.policy = policy
-	ledgerRow := func(name string) []int {
+	ledgerRow := func(name string) []int { // nil until the first install
 		l.svc.state.mu.Lock()
 		defer l.svc.state.mu.Unlock()
-		if p := l.svc.state.rows[name]; p != nil {
-			return p.row
+		if j := l.svc.jobs[name]; j != nil && j.gen > 0 {
+			return l.svc.state.ledger.Row(j.view.ID)
 		}
 		return nil
 	}
@@ -411,7 +349,7 @@ func TestPublishedRowsAreNeverWritten(t *testing.T) {
 			policy.Policy = l.pollux
 		}
 		done := l.churn(t)
-		if row := ledgerRow(done); !ga.SameRow(row, l.svc.state.zero) {
+		if row := ledgerRow(done); !ga.SameRow(row, l.svc.state.ledger.Zero()) {
 			t.Errorf("round %d: finished job %s holds %v, not the ledger's zero row", r, done, row)
 		}
 		before := make(ga.Matrix, len(l.live))
@@ -421,7 +359,7 @@ func TestPublishedRowsAreNeverWritten(t *testing.T) {
 		l.schedule(t)
 		for i, rep := range l.live { // live is the round's job order
 			switch {
-			case before[i] == nil && !ga.SameRow(policy.view.Current[i], l.svc.state.zero):
+			case before[i] == nil && !ga.SameRow(policy.view.Current[i], l.svc.state.ledger.Zero()):
 				t.Errorf("round %d: arrival %s was shown %v, not the ledger's zero row", r, rep.Job, policy.view.Current[i])
 			case before[i] != nil && !ga.SameRow(policy.view.Current[i], before[i]):
 				t.Errorf("round %d: %s was shown a copy of its ledger row", r, rep.Job)
@@ -432,8 +370,8 @@ func TestPublishedRowsAreNeverWritten(t *testing.T) {
 		}
 		journal.See(before)
 		l.svc.state.mu.Lock()
-		for _, p := range l.svc.state.rows {
-			journal.See([][]int{p.row})
+		for _, j := range l.svc.order {
+			journal.See([][]int{l.svc.state.ledger.Row(j.view.ID)})
 		}
 		l.svc.state.mu.Unlock()
 		journal.Check(t, fmt.Sprintf("round %d", r))
@@ -444,16 +382,16 @@ func TestPublishedRowsAreNeverWritten(t *testing.T) {
 
 	// The copies: a trainer and a policy may write what they were given.
 	name := l.live[0].Job
-	want := l.svc.state.Allocation(name, -1)
+	want := allocOf(l.svc, name)
 	view := l.svc.Round(l.now)
-	got := l.svc.state.Allocation(name, -1)
+	got := allocOf(l.svc, name)
 	for n := range got.Row {
 		got.Row[n], view.Capacity[n], view.Usage[n] = 99, 99, 99
 	}
-	if a := l.svc.state.Allocation(name, -1); !slices.Equal(a.Row, want.Row) {
+	if a := allocOf(l.svc, name); !slices.Equal(a.Row, want.Row) {
 		t.Errorf("row = %v after writing to GetAllocation's reply, want %v", a.Row, want.Row)
 	}
-	if again := l.svc.Round(l.now); again.Capacity[0] != 4 || !slices.Equal(again.Usage, usageOf(l.svc.state)) || slices.Contains(again.Usage, 99) {
+	if again := l.svc.Round(l.now); again.Capacity[0] != 4 || !slices.Equal(again.Usage, usageOf(l.svc)) || slices.Contains(again.Usage, 99) {
 		t.Errorf("Round after writing to the view's copies: capacity %v usage %v", again.Capacity, again.Usage)
 	}
 }
@@ -545,7 +483,7 @@ func TestDoneIsTerminal(t *testing.T) {
 		}
 	}
 	step(0, 3)
-	placed := svc.state.Allocation("b", -1)
+	placed := allocOf(svc, "b")
 	if sched.PlacementOf(placed.Row).GPUs != 2 {
 		t.Fatalf("b was placed as %+v", placed)
 	}
@@ -559,22 +497,22 @@ func TestDoneIsTerminal(t *testing.T) {
 			}
 		}
 	}
-	if a := svc.state.Allocation("b", -1); sched.PlacementOf(a.Row).GPUs != 0 || a.Generation != placed.Generation+1 {
+	if a := allocOf(svc, "b"); sched.PlacementOf(a.Row).GPUs != 0 || a.Generation != placed.Generation+1 {
 		t.Errorf("finished job holds %+v, want no GPUs at generation %d", a, placed.Generation+1)
 	}
 	others := make([]int, 2)
 	for _, name := range []string{"a", "c"} {
-		for n, g := range svc.state.Allocation(name, -1).Row {
+		for n, g := range allocOf(svc, name).Row {
 			others[n] += g
 		}
 	}
-	if u := usageOf(svc.state); !slices.Equal(u, others) {
+	if u := usageOf(svc); !slices.Equal(u, others) {
 		t.Errorf("usage = %v, the other jobs hold %v", u, others)
 	}
 	if st := svc.Status(); st.Done != 1 || st.Running != 2 || st.GPUsUsed != 4 {
 		t.Errorf("status: %+v", st)
 	}
-	if snap := svc.Snapshot(); !snap.Jobs[1].Report.Done || !ga.SameRow(svc.jobs["b"].p.row, svc.state.zero) {
+	if snap := svc.Snapshot(); !snap.Jobs[1].Report.Done || !ga.SameRow(svc.state.ledger.Row(svc.jobs["b"].view.ID), svc.state.ledger.Zero()) {
 		t.Errorf("the stale report replaced the Done one: %+v", snap.Jobs[1])
 	}
 }
@@ -592,7 +530,7 @@ func TestCommitDropsJobDoneMidRound(t *testing.T) {
 	if _, err := svc.ScheduleOnce(finishesMidRound{sched.NewTiresias(), svc, "a"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if a := svc.state.Allocation("a", -1); a.Row[0] != 0 || a.Generation != 1 {
+	if a := allocOf(svc, "a"); a.Row[0] != 0 || a.Generation != 1 {
 		t.Errorf("job done mid-round holds %+v, want no GPUs at generation 1", a)
 	}
 	if st := svc.Status(); st.GPUsUsed != 2 || st.Running != 1 || st.Done != 1 {
@@ -618,20 +556,14 @@ func TestServiceConcurrentReadersDuringRounds(t *testing.T) {
 	invariants := func() {
 		svc.state.mu.Lock()
 		defer svc.state.mu.Unlock()
-		sum := make([]int, len(capacity))
-		for job, p := range svc.state.rows {
-			held := sched.PlacementOf(p.row).GPUs
-			if svc.jobs[job].done && held != 0 {
-				t.Errorf("done job %s holds %d GPUs", job, held)
-			}
-			for n, g := range p.row {
-				sum[n] += g
+		l := svc.state.ledger
+		for _, j := range svc.order {
+			if held := sched.PlacementOf(l.Row(j.view.ID)).GPUs; j.done && held != 0 {
+				t.Errorf("done job %s holds %d GPUs", j.name, held)
 			}
 		}
-		for n, c := range capacity {
-			if sum[n] != svc.state.usage[n] || sum[n] > c {
-				t.Errorf("node %d: rows sum to %d, usage total %d, capacity %d", n, sum[n], svc.state.usage[n], c)
-			}
+		if err := testutil.CheckLedger(l.Capacity(), l.Usage(), l.Row, len(svc.order)); err != nil {
+			t.Error(err)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 
 	"repro/internal/admit"
@@ -62,14 +63,16 @@ type Allocation struct {
 	Generation int
 }
 
-// job is one registered job's entry: its latest report, held as the
-// scheduler input a round copies out (view.ID is the registration index),
-// and its entry in the ledger. A report is stored in no other form;
-// Snapshot converts back.
+// job is one registered job's entry: its name, its latest report, held as
+// the scheduler input a round copies out (view.ID is the registration
+// index and the job's ledger slot), and the generation of its row, which
+// counts the row's installs so a polling trainer detects a re-allocation.
+// A report is stored in no other form; Snapshot converts back.
 type job struct {
+	name string
 	view sched.JobView
 	done bool
-	p    *placement
+	gen  int
 }
 
 // set stores a report in the entry as the scheduler reads it; the ID stays.
@@ -96,7 +99,7 @@ func (j *job) set(r *Report) {
 func (j *job) report() Report {
 	v := &j.view
 	r := Report{
-		Job:            j.p.job,
+		Job:            j.name,
 		Phi:            v.Model.Phi,
 		M0:             v.Model.M0,
 		MaxBatchPerGPU: v.Model.MaxBatchPerGPU,
@@ -133,6 +136,10 @@ type Service struct {
 	// (set by Round, read by Commit; see runtime.Step).
 	live  []*job
 	round int
+	// slots and rows are the Install that Commit makes, kept between
+	// rounds.
+	slots []int
+	rows  ga.Matrix
 
 	// view is the one snapshot Round refills, from the buffers below, as
 	// sim.Cluster.Round does: a front end swaps slices of its own into the
@@ -193,8 +200,8 @@ func (s *Service) SubmitReport(r Report, _ *struct{}) error {
 	j := s.jobs[r.Job]
 	switch {
 	case j == nil:
-		j = &job{p: s.state.at(r.Job)}
-		j.view.ID = len(s.order)
+		j = &job{name: r.Job}
+		j.view.ID = s.state.ledger.Add()
 		s.jobs[r.Job] = j
 		s.order = append(s.order, j)
 		s.live = append(s.live, j)
@@ -205,15 +212,26 @@ func (s *Service) SubmitReport(r Report, _ *struct{}) error {
 	if r.Done {
 		// A finished job gives its GPUs back: an all-zero row, whose new
 		// generation tells a still-polling trainer.
-		return s.state.install([]*placement{j.p}, ga.Matrix{s.state.zero})
+		s.state.ledger.Install([]int{j.view.ID}, ga.Matrix{s.state.ledger.Zero()}) //nolint:errcheck // a release always fits
+		j.gen++
 	}
 	return nil
 }
 
 // GetAllocation answers an allocation poll: the job's current generation,
-// with a copy of its row only when that is not the generation q.Have.
+// with a copy of its row only when that is not the generation q.Have. A
+// job never installed, or never heard of, is all zeros at generation 0.
 func (s *Service) GetAllocation(q AllocQuery, reply *Allocation) error {
-	*reply = s.state.Allocation(q.Job, q.Have)
+	s.state.mu.Lock()
+	defer s.state.mu.Unlock()
+	*reply = Allocation{}
+	row := s.state.ledger.Zero()
+	if j := s.jobs[q.Job]; j != nil {
+		row, reply.Generation = s.state.ledger.Row(j.view.ID), j.gen
+	}
+	if q.Have != reply.Generation {
+		reply.Row = slices.Clone(row)
+	}
 	return nil
 }
 
@@ -252,23 +270,18 @@ func (s *Service) Round(now float64) *sched.ClusterView {
 		s.live[n] = j
 		n++
 		jobs = append(jobs, j.view)
-		row := j.p.row
-		if row == nil {
-			row = s.state.zero
-		}
-		//pollux:aliasret-ok rows are immutable once installed: install replaces a job's slice and never writes one, so the view may read this row after the lock is released
-		rows = append(rows, row)
+		rows = append(rows, s.state.ledger.Row(j.view.ID))
 	}
 	s.live, s.round = s.live[:n], n
 	s.viewJobs, s.viewRows = jobs, rows
-	s.viewCap = append(s.viewCap[:0], s.state.capacity...)
-	s.viewUsage = append(s.viewUsage[:0], s.state.usage...)
+	s.viewCap = append(s.viewCap[:0], s.state.ledger.Capacity()...)
+	s.viewUsage = append(s.viewUsage[:0], s.state.ledger.Usage()...)
 	s.view = sched.ClusterView{Now: now, Capacity: s.viewCap, Usage: s.viewUsage, Jobs: jobs, Current: rows}
 	return &s.view
 }
 
-// Commit installs the validated allocation matrix for the last Round's
-// jobs in the ledger, which rebinds the rows that changed and bumps their
+// Commit installs the rows of the validated allocation matrix that
+// changed for the last Round's jobs in the ledger and then bumps their
 // generations, so trainers detect the re-allocation and checkpoint. A
 // job that reported Done while the policy was optimizing already gave
 // its GPUs back in SubmitReport; its row is dropped here rather than
@@ -282,19 +295,20 @@ func (s *Service) Commit(m ga.Matrix, changed []bool) error {
 	if len(m) != s.round || len(changed) != s.round {
 		return fmt.Errorf("cluster: %d rows and %d flags for a round of %d jobs", len(m), len(changed), s.round)
 	}
-	n := 0
-	for _, c := range changed {
-		if c {
-			n++
-		}
-	}
-	ps, rows := make([]*placement, 0, n), make(ga.Matrix, 0, n)
+	slots, rows := s.slots[:0], s.rows[:0]
 	for i, j := range s.live[:s.round] {
 		if changed[i] && !j.done {
-			ps, rows = append(ps, j.p), append(rows, m[i])
+			slots, rows = append(slots, j.view.ID), append(rows, m[i])
 		}
 	}
-	return s.state.install(ps, rows)
+	s.slots, s.rows = slots, rows
+	if err := s.state.ledger.Install(slots, rows); err != nil {
+		return err
+	}
+	for _, slot := range slots {
+		s.order[slot].gen++
+	}
+	return nil
 }
 
 // RunRounds drives scheduling rounds every sim.SchedInterval simulated

@@ -20,6 +20,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/detrand"
 	"repro/internal/ga"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -54,17 +55,15 @@ func (s *Service) Snapshot() *ServiceSnapshot {
 	defer s.state.mu.Unlock()
 
 	snap := &ServiceSnapshot{
-		Capacity: slices.Clone(s.state.capacity),
+		Capacity: slices.Clone(s.state.ledger.Capacity()),
 		FrontEnd: s.fe.State(),
 	}
 	for _, j := range s.order {
 		js := JobSnapshot{Report: j.report()}
-		if j.p.row != nil {
-			js.HasAlloc = true
-			js.Row = slices.Clone(j.p.row)
-			js.Generation = j.p.gen
+		if j.gen > 0 {
+			js.HasAlloc, js.Row, js.Generation = true, slices.Clone(s.state.ledger.Row(j.view.ID)), j.gen
 		}
-		snap.Order = append(snap.Order, j.p.job)
+		snap.Order = append(snap.Order, j.name)
 		snap.Jobs = append(snap.Jobs, js)
 	}
 	return snap
@@ -82,23 +81,24 @@ func (s *Service) RestoreSnapshot(snap *ServiceSnapshot) error {
 	defer s.schedMu.Unlock()
 	s.state.mu.Lock()
 	defer s.state.mu.Unlock()
-	if len(s.state.capacity) != len(snap.Capacity) {
-		return fmt.Errorf("cluster: snapshot has %d nodes, service has %d", len(snap.Capacity), len(s.state.capacity))
+	capacity := s.state.ledger.Capacity()
+	if len(capacity) != len(snap.Capacity) {
+		return fmt.Errorf("cluster: snapshot has %d nodes, service has %d", len(snap.Capacity), len(capacity))
 	}
-	if !slices.Equal(s.state.capacity, snap.Capacity) {
-		return fmt.Errorf("cluster: snapshot capacity %v does not match service capacity %v", snap.Capacity, s.state.capacity)
+	if !slices.Equal(capacity, snap.Capacity) {
+		return fmt.Errorf("cluster: snapshot capacity %v does not match service capacity %v", snap.Capacity, capacity)
 	}
 	if len(snap.Jobs) != len(snap.Order) {
 		return fmt.Errorf("cluster: snapshot misaligned: %d jobs for %d order entries", len(snap.Jobs), len(snap.Order))
 	}
 	// The registry and a ledger of its own are built beside the ones in
-	// service, and the rows go through the install Commit uses, so a
+	// service, and the rows go through the Install Commit uses, so a
 	// snapshot that does not fit is refused before anything changes.
-	ledger := NewState(snap.Capacity)
+	ledger := runtime.NewLedger(snap.Capacity)
 	jobs := make(map[string]*job, len(snap.Jobs))
 	order := make([]*job, len(snap.Jobs))
 	var live []*job
-	var held []*placement // entries with a ledger row, and those rows
+	var slots []int // the jobs with a ledger row, and those rows
 	var rows ga.Matrix
 	for i, name := range snap.Order {
 		js := &snap.Jobs[i]
@@ -108,8 +108,8 @@ func (s *Service) RestoreSnapshot(snap *ServiceSnapshot) error {
 		if jobs[name] != nil {
 			return fmt.Errorf("cluster: snapshot registers job %q twice", name)
 		}
-		j := &job{p: ledger.at(name)}
-		j.view.ID = i
+		j := &job{name: name}
+		j.view.ID = ledger.Add()
 		j.set(&js.Report)
 		jobs[name], order[i] = j, j
 		if !j.done {
@@ -121,22 +121,21 @@ func (s *Service) RestoreSnapshot(snap *ServiceSnapshot) error {
 			if js.Generation < 1 {
 				return fmt.Errorf("cluster: snapshot row of %q is at generation %d; an installed row is at 1 or later", name, js.Generation)
 			}
-			held = append(held, j.p)
+			if n := slices.IndexFunc(js.Row, func(g int) bool { return g < 0 }); n >= 0 {
+				return fmt.Errorf("cluster: snapshot row of %q has %d GPUs on node %d", name, js.Row[n], n)
+			}
+			j.gen = js.Generation
+			slots = append(slots, j.view.ID)
 			rows = append(rows, slices.Clone(js.Row)) // the ledger keeps the slice
 		}
 	}
-	if err := ledger.install(held, rows); err != nil {
+	if err := ledger.Install(slots, rows); err != nil {
 		return fmt.Errorf("cluster: snapshot rows do not fit: %w", err)
 	}
 	if err := s.fe.RestoreState(snap.FrontEnd); err != nil {
 		return err
 	}
-	for i, j := range order {
-		if snap.Jobs[i].HasAlloc { // the install counted one change
-			j.p.gen = snap.Jobs[i].Generation
-		}
-	}
-	s.state.usage, s.state.rows = ledger.usage, ledger.rows
+	s.state.ledger = ledger
 	s.jobs, s.order, s.live, s.round = jobs, order, live, 0
 	return nil
 }

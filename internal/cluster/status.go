@@ -20,18 +20,18 @@ import (
 func (s *Service) Status() status.Cluster {
 	s.state.mu.Lock()
 	st := status.Cluster{
-		Nodes: len(s.state.capacity),
-		Usage: slices.Clone(s.state.usage),
+		Nodes: len(s.state.ledger.Capacity()),
+		Usage: slices.Clone(s.state.ledger.Usage()),
 		Jobs:  len(s.order),
 	}
-	for n, c := range s.state.capacity {
+	for n, c := range s.state.ledger.Capacity() {
 		st.GPUsTotal += c
-		st.GPUsUsed += s.state.usage[n]
+		st.GPUsUsed += st.Usage[n]
 	}
 	for _, j := range s.live {
 		switch {
 		case j.done: // until the next round drops it
-		case sched.PlacementOf(j.p.row).GPUs > 0:
+		case sched.PlacementOf(s.state.ledger.Row(j.view.ID)).GPUs > 0:
 			st.Running++
 		default:
 			st.Pending++

@@ -8,11 +8,12 @@
 // placements in effect, and commit the changed rows with
 // checkpoint-restart accounting. Only the snapshot and commit ends differ
 // per deployment, so they are the Backend interface; everything between
-// them lives here, once.
+// them lives here, once, and so does the Ledger both backends commit into.
 package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/admit"
 	"repro/internal/ga"
@@ -27,14 +28,15 @@ import (
 // backend puts in view.Current, and a row of the matrix Commit receives,
 // is never written again by anyone — backend, Step or policy — so all
 // three may hold the same slice and "unchanged" is slice identity. Both
-// backends (the service's ledger, the simulator's job states) store the
-// committed slice itself and hand that slice out next round.
+// backends keep their rows in a Ledger, which stores the committed slice
+// itself and hands that slice out next round.
 type Backend interface {
 	// Round snapshots the scheduler inputs at simulated time now:
-	// per-node capacity, the active jobs in a deterministic order, and
-	// the allocation matrix currently in effect (rows aligned with
-	// Jobs, never nil for an active job, each valid for the cluster on
-	// its own). A backend that tracks per-node usage sets view.Usage.
+	// per-node capacity, the active jobs in a deterministic order, the
+	// allocation matrix currently in effect (rows aligned with Jobs,
+	// never nil for an active job, each valid for the cluster on its
+	// own) and, in view.Usage, the per-node sum of every row the backend
+	// holds: its Ledger's usage totals.
 	//
 	// The view is valid until the next Round: a backend may refill and
 	// return one ClusterView every time (the simulator does), so Step and
@@ -64,14 +66,16 @@ type Backend interface {
 //
 // The diff comes first and tests slice identity before cells, so a row
 // the policy handed back costs nothing. Validation then reads only the
-// changed rows: with view.Usage the capacity check is usage minus the
-// changed current rows plus the changed new ones, which accepts and
-// refuses what CheckCapacity over the whole matrix would; a backend
-// without usage totals gets that whole-matrix pass.
+// changed rows: the capacity check is view.Usage minus the changed
+// current rows plus the changed new ones, which accepts and refuses what
+// CheckCapacity over the whole matrix would.
 func Step(b Backend, fe *admit.FrontEnd, policy sched.Policy, now float64) (int, error) {
 	view := b.Round(now)
 	if len(view.Jobs) == 0 {
 		return 0, nil
+	}
+	if len(view.Usage) != len(view.Capacity) {
+		return 0, fmt.Errorf("runtime: view has %d usage totals for %d nodes", len(view.Usage), len(view.Capacity))
 	}
 	// The priority stage permutes the snapshot the policy sees; the
 	// matrix is un-permuted before commit so backends always receive rows
@@ -86,20 +90,15 @@ func Step(b Backend, fe *admit.FrontEnd, policy sched.Policy, now float64) (int,
 	for i := range m {
 		changed[i] = !ga.EqualRows(view.Current[i], m[i])
 	}
-	usage := make([]int, len(view.Capacity))
-	pick := []bool(nil) // without usage totals every row is read
-	if view.Usage != nil {
-		pick = changed
-		copy(usage, view.Usage)
-		for i, row := range view.Current {
-			if changed[i] {
-				for n, g := range row {
-					usage[n] -= g
-				}
+	usage := slices.Clone(view.Usage)
+	for i, row := range view.Current {
+		if changed[i] {
+			for n, g := range row {
+				usage[n] -= g
 			}
 		}
 	}
-	if err := checkRows(view.Capacity, usage, m, pick); err != nil {
+	if err := checkRows(view.Capacity, usage, m, changed, nil); err != nil {
 		return 0, fmt.Errorf("runtime: policy %s: %w", policy.Name(), err)
 	}
 	if perm != nil {
@@ -125,23 +124,28 @@ func Step(b Backend, fe *admit.FrontEnd, policy sched.Policy, now float64) (int,
 // CheckCapacity verifies, in one pass over the rows, that each has one
 // non-negative entry per node and that together they oversubscribe none.
 func CheckCapacity(capacity []int, m ga.Matrix) error {
-	return checkRows(capacity, make([]int, len(capacity)), m, nil)
+	return checkRows(capacity, make([]int, len(capacity)), m, nil, nil)
 }
 
 // checkRows adds the rows of m flagged in pick (every row when pick is
 // nil) to usage, refusing one that has not exactly one non-negative entry
 // per node, and then refuses any node whose usage exceeds its capacity.
-func checkRows(capacity, usage []int, m ga.Matrix, pick []bool) error {
+// An error names row i as slots[i], or as i when slots is nil.
+func checkRows(capacity, usage []int, m ga.Matrix, pick []bool, slots []int) error {
 	for i, row := range m {
 		if pick != nil && !pick[i] {
 			continue
 		}
+		at := i
+		if slots != nil {
+			at = slots[i]
+		}
 		if len(row) != len(capacity) {
-			return fmt.Errorf("row %d has %d nodes, cluster has %d", i, len(row), len(capacity))
+			return fmt.Errorf("row %d has %d nodes, cluster has %d", at, len(row), len(capacity))
 		}
 		for n, g := range row {
 			if g < 0 {
-				return fmt.Errorf("row %d node %d negative: %d", i, n, g)
+				return fmt.Errorf("row %d node %d negative: %d", at, n, g)
 			}
 			usage[n] += g
 		}
@@ -151,5 +155,66 @@ func checkRows(capacity, usage []int, m ga.Matrix, pick []bool) error {
 			return fmt.Errorf("node %d oversubscribed: %d > %d", n, usage[n], c)
 		}
 	}
+	return nil
+}
+
+// Ledger is the placement ledger both backends commit into: per-node
+// capacity and usage totals, the zero row every slot without GPUs shares,
+// and one row per slot, a job's dense index in its backend (the simulator's
+// trace position, the service's registration order). Rows are immutable
+// (see Backend), so the accessors hand out the ledger's own slices, which
+// no caller writes. A Ledger has no lock; the service guards it with its own.
+type Ledger struct {
+	capacity, usage, zero []int
+	scratch               []int // Install's usage totals, checked before they are kept
+	rows                  [][]int
+}
+
+// NewLedger returns a ledger with no slot over the per-node capacities.
+func NewLedger(capacity []int) *Ledger {
+	n := len(capacity)
+	return &Ledger{capacity: slices.Clone(capacity), usage: make([]int, n), zero: make([]int, n), scratch: make([]int, n)}
+}
+
+// Add opens the next slot (0, 1, 2, ... in turn), holding the zero row.
+func (l *Ledger) Add() int {
+	l.rows = append(l.rows, l.zero)
+	return len(l.rows) - 1
+}
+
+// Row returns the slot's row.
+func (l *Ledger) Row(slot int) []int { return l.rows[slot] }
+
+// Zero returns the all-zero row.
+func (l *Ledger) Zero() []int { return l.zero }
+
+// Capacity returns the per-node GPU counts.
+func (l *Ledger) Capacity() []int { return l.capacity }
+
+// Usage returns the per-node sum of every slot's row.
+func (l *Ledger) Usage() []int { return l.usage }
+
+// Install is the one write path for rows: it gives slots[i], each slot
+// given once, the slice rows[i], which the caller never writes again. The
+// check is Step's: the new rows must fit into the usage totals less the
+// slots' current rows, and an error names a row by its slot. A refused
+// install changes nothing.
+func (l *Ledger) Install(slots []int, rows ga.Matrix) error {
+	if len(slots) != len(rows) {
+		return fmt.Errorf("runtime: %d slots but %d rows", len(slots), len(rows))
+	}
+	copy(l.scratch, l.usage)
+	for _, s := range slots {
+		for n, g := range l.rows[s] {
+			l.scratch[n] -= g
+		}
+	}
+	if err := checkRows(l.capacity, l.scratch, rows, nil, slots); err != nil {
+		return err
+	}
+	for i, s := range slots {
+		l.rows[s] = rows[i]
+	}
+	copy(l.usage, l.scratch)
 	return nil
 }

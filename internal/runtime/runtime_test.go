@@ -36,8 +36,15 @@ func (p fixedPolicy) AdaptsBatchSize() bool                 { return false }
 func (p fixedPolicy) ReadsModel() bool                      { return false }
 func (p fixedPolicy) Schedule(*sched.ClusterView) ga.Matrix { return p.m }
 
+// view is a two-node round of the given jobs on the current rows, with
+// their usage totals, as a backend's ledger keeps them.
 func view(jobs int, current ga.Matrix) *sched.ClusterView {
-	v := &sched.ClusterView{Capacity: []int{4, 4}, Current: current}
+	v := &sched.ClusterView{Capacity: []int{4, 4}, Current: current, Usage: make([]int, 2)}
+	for _, row := range current {
+		for n, g := range row {
+			v.Usage[n] += g
+		}
+	}
 	for i := 0; i < jobs; i++ {
 		v.Jobs = append(v.Jobs, sched.JobView{ID: i})
 	}
@@ -58,6 +65,20 @@ func TestStepCommitsDiffedRows(t *testing.T) {
 	}
 	if b.changed[0] || !b.changed[1] {
 		t.Errorf("changed = %v, want [false true]", b.changed)
+	}
+}
+
+// TestStepRequiresUsage: a view without a usage total per node is refused
+// before the policy runs.
+func TestStepRequiresUsage(t *testing.T) {
+	v := view(1, ga.Matrix{{0, 0}})
+	v.Usage = nil
+	b := &fakeBackend{view: v}
+	if _, err := Step(b, nil, fixedPolicy{nil}, 0); err == nil || !strings.Contains(err.Error(), "usage totals") {
+		t.Fatalf("err = %v, want a missing-usage error", err)
+	}
+	if b.committed != nil {
+		t.Error("Commit called for a view without usage totals")
 	}
 }
 
@@ -269,67 +290,73 @@ func TestCheckCapacityMatchesOracle(t *testing.T) {
 	}
 }
 
+// deltaCase draws a cluster, a valid current allocation with its usage
+// totals, and a proposal that mixes every way a row can come back: the
+// current row's own slice, an equal copy, a new row, a prefix of the
+// current row (its first cell, not its length), a negative cell, another
+// job's current row, a slice proposed for an earlier job too, and a row
+// that fits only if the unchanged rows are left out of the sum.
+func deltaCase(rng *rand.Rand) (capacity []int, current ga.Matrix, usage []int, proposed ga.Matrix) {
+	nodes, jobs := 1+rng.Intn(5), 1+rng.Intn(6)
+	capacity, free := make([]int, nodes), make([]int, nodes)
+	for n := range capacity {
+		capacity[n] = rng.Intn(7)
+		free[n] = capacity[n]
+	}
+	current, usage = ga.NewMatrix(jobs, nodes), make([]int, nodes)
+	for _, row := range current {
+		for n := range row {
+			if rng.Intn(3) == 0 {
+				row[n] = rng.Intn(free[n] + 1)
+				free[n] -= row[n]
+				usage[n] += row[n]
+			}
+		}
+	}
+	proposed = make(ga.Matrix, jobs)
+	for i := range proposed {
+		switch kind := rng.Intn(12); {
+		case kind < 4:
+			proposed[i] = current[i]
+		case kind == 4:
+			proposed[i] = append([]int(nil), current[i]...)
+		case kind == 5:
+			proposed[i] = make([]int, nodes)
+			for n := range proposed[i] {
+				proposed[i][n] = rng.Intn(3)
+			}
+		case kind == 6:
+			proposed[i] = current[i][:rng.Intn(nodes)]
+		case kind == 7:
+			proposed[i] = append([]int(nil), current[i]...)
+			proposed[i][rng.Intn(nodes)] = -1 - rng.Intn(2)
+		case kind == 8:
+			proposed[i] = current[rng.Intn(jobs)]
+		case kind == 9 && i > 0:
+			proposed[i] = proposed[rng.Intn(i)]
+		default: // one GPU more than the other jobs leave on a node
+			proposed[i] = make([]int, nodes)
+			n := rng.Intn(nodes)
+			proposed[i][n] = free[n] + current[i][n] + 1
+		}
+	}
+	return capacity, current, usage, proposed
+}
+
 // TestStepDeltaValidationMatchesCheckCapacity: given the view's usage
 // totals Step validates only the rows that changed, and must accept and
 // refuse exactly what CheckCapacity over the whole proposed matrix does,
 // with the same error, and flag exactly the rows whose cells differ. The
-// current allocation is valid, as a backend's is; the proposal mixes every
-// way a row can come back: the view's own slice, an equal copy, a new row,
-// a prefix of the current row (its first cell, not its length), a
-// negative cell, another job's current row, a slice returned for an
-// earlier job too, and a row that fits only if the unchanged rows are
-// left out of the sum.
+// current allocation is valid, as a backend's is; the proposal is
+// deltaCase's.
 func TestStepDeltaValidationMatchesCheckCapacity(t *testing.T) {
 	refusals, acceptances := 0, 0
 	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nodes, jobs := 1+rng.Intn(5), 1+rng.Intn(6)
-		capacity, free := make([]int, nodes), make([]int, nodes)
-		for n := range capacity {
-			capacity[n] = rng.Intn(7)
-			free[n] = capacity[n]
-		}
-		current, usage := ga.NewMatrix(jobs, nodes), make([]int, nodes)
-		for _, row := range current {
-			for n := range row {
-				if rng.Intn(3) == 0 {
-					row[n] = rng.Intn(free[n] + 1)
-					free[n] -= row[n]
-					usage[n] += row[n]
-				}
-			}
-		}
-		proposed := make(ga.Matrix, jobs)
-		for i := range proposed {
-			switch kind := rng.Intn(12); {
-			case kind < 4:
-				proposed[i] = current[i]
-			case kind == 4:
-				proposed[i] = append([]int(nil), current[i]...)
-			case kind == 5:
-				proposed[i] = make([]int, nodes)
-				for n := range proposed[i] {
-					proposed[i][n] = rng.Intn(3)
-				}
-			case kind == 6:
-				proposed[i] = current[i][:rng.Intn(nodes)]
-			case kind == 7:
-				proposed[i] = append([]int(nil), current[i]...)
-				proposed[i][rng.Intn(nodes)] = -1 - rng.Intn(2)
-			case kind == 8:
-				proposed[i] = current[rng.Intn(jobs)]
-			case kind == 9 && i > 0:
-				proposed[i] = proposed[rng.Intn(i)]
-			default: // one GPU more than the other jobs leave on a node
-				proposed[i] = make([]int, nodes)
-				n := rng.Intn(nodes)
-				proposed[i][n] = free[n] + current[i][n] + 1
-			}
-		}
-
+		capacity, current, usage, proposed := deltaCase(rand.New(rand.NewSource(seed)))
+		jobs := len(current)
 		want := CheckCapacity(capacity, proposed)
-		v := view(jobs, current)
-		v.Capacity, v.Usage = capacity, slices.Clone(usage)
+		v := view(jobs, nil)
+		v.Capacity, v.Current, v.Usage = capacity, current, slices.Clone(usage)
 		b := &fakeBackend{view: v}
 		_, err := Step(b, nil, fixedPolicy{proposed}, 0)
 		if want != nil {
@@ -346,6 +373,148 @@ func TestStepDeltaValidationMatchesCheckCapacity(t *testing.T) {
 			}
 		}
 		return slices.Equal(v.Usage, usage) // the view's totals are not Step's scratch
+	}
+	if err := quick.Check(prop, testutil.QuickConfig(3000)); err != nil {
+		t.Error(err)
+	}
+	if refusals < 300 || acceptances < 300 {
+		t.Errorf("%d refusals and %d acceptances: the cases do not cover both sides", refusals, acceptances)
+	}
+}
+
+// install installs the given slots' rows and fails the test on a refusal.
+func install(t *testing.T, l *Ledger, slots []int, rows ga.Matrix) {
+	t.Helper()
+	if err := l.Install(slots, rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLedgerInstallReplacesAndReleases(t *testing.T) {
+	l := NewLedger([]int{4, 4})
+	a, b, c := l.Add(), l.Add(), l.Add()
+	install(t, l, []int{a}, ga.Matrix{{2, 0}})
+	install(t, l, []int{b}, ga.Matrix{{2, 2}})
+	if u := l.Usage(); u[0] != 4 || u[1] != 2 {
+		t.Errorf("usage = %v, want [4 2]", u)
+	}
+	// Over capacity on node 0, and refused whole: c keeps the zero row.
+	if err := l.Install([]int{c}, ga.Matrix{{1, 1}}); err == nil {
+		t.Error("oversubscription not rejected")
+	}
+	if !ga.SameRow(l.Row(c), l.Zero()) {
+		t.Errorf("refused install left %v behind", l.Row(c))
+	}
+	// Rebinding a replaces the old row, not adds to it.
+	install(t, l, []int{a}, ga.Matrix{{0, 1}})
+	if u := l.Usage(); u[0] != 2 || u[1] != 3 {
+		t.Errorf("usage after rebind = %v, want [2 3]", u)
+	}
+	// An all-zero row gives the GPUs back.
+	release := []int{0, 0}
+	install(t, l, []int{a}, ga.Matrix{release})
+	if u := l.Usage(); u[0] != 2 || u[1] != 2 {
+		t.Errorf("usage after release = %v, want [2 2]", u)
+	}
+	if !ga.SameRow(l.Row(a), release) {
+		t.Errorf("a holds %v, not the slice it was given", l.Row(a))
+	}
+}
+
+func TestLedgerRejectsMalformedRows(t *testing.T) {
+	l := NewLedger([]int{4})
+	a := l.Add()
+	if err := l.Install([]int{a}, ga.Matrix{{1, 1}}); err == nil {
+		t.Error("wrong-shape allocation accepted")
+	}
+	if err := l.Install([]int{a}, ga.Matrix{{-1}}); err == nil {
+		t.Error("negative allocation accepted")
+	}
+	if err := l.Install([]int{a}, ga.Matrix{{1}, {1}}); err == nil {
+		t.Error("two rows for one slot accepted")
+	}
+}
+
+func TestInstallValidatesAgainstWholeLedger(t *testing.T) {
+	l := NewLedger([]int{4, 4})
+	a, b, outside := l.Add(), l.Add(), l.Add()
+	m := ga.Matrix{{3, 0}, {3, 0}} // node 0 oversubscribed in aggregate
+	if err := l.Install([]int{a, b}, m); err == nil {
+		t.Error("aggregate oversubscription accepted")
+	}
+	ok := ga.Matrix{{3, 0}, {1, 2}}
+	install(t, l, []int{a, b}, ok)
+	// A slot outside the install holds node 1's last two GPUs: rows that
+	// fit on their own but not beside that row are refused.
+	install(t, l, []int{outside}, ga.Matrix{{0, 2}})
+	if err := l.Install([]int{a, b}, ga.Matrix{{3, 0}, {1, 3}}); err == nil {
+		t.Error("rows oversubscribing a node used by a slot outside them accepted")
+	}
+	if u := l.Usage(); u[0] != 4 || u[1] != 4 {
+		t.Errorf("usage = %v after a refused install, want [4 4]", u)
+	}
+	// Only the given slots are rebound.
+	install(t, l, []int{b}, ga.Matrix{{0, 2}})
+	if !ga.SameRow(l.Row(a), ok[0]) || !slices.Equal(l.Row(b), []int{0, 2}) {
+		t.Errorf("after a partial install a = %v, b = %v", l.Row(a), l.Row(b))
+	}
+}
+
+// TestInstallMatchesCheckCapacity: Install accepts exactly when
+// CheckCapacity accepts the whole matrix the install would leave, with the
+// same error. An accepted install keeps the slices it was given and moves
+// the usage totals to that matrix's column sums; a refused one leaves the
+// usage totals and every row as they were, by slice identity. The ledger
+// holds deltaCase's current allocation, and every slot whose proposed row
+// is not its own current slice is installed, in slot order, as the
+// backends install.
+func TestInstallMatchesCheckCapacity(t *testing.T) {
+	refusals, acceptances := 0, 0
+	prop := func(seed int64) bool {
+		capacity, current, usage, proposed := deltaCase(rand.New(rand.NewSource(seed)))
+		l := NewLedger(capacity)
+		var all, slots []int
+		var rows ga.Matrix
+		after := slices.Clone(current)
+		for i := range current {
+			all = append(all, l.Add())
+			if !ga.SameRow(proposed[i], current[i]) {
+				slots, rows, after[i] = append(slots, i), append(rows, proposed[i]), proposed[i]
+			}
+		}
+		if l.Install(all, current) != nil || !slices.Equal(l.Usage(), usage) {
+			return false
+		}
+		held, totals := l.Usage(), slices.Clone(l.Usage())
+		want := CheckCapacity(capacity, after)
+		err := l.Install(slots, rows)
+		if want != nil {
+			refusals++
+			if err == nil || err.Error() != want.Error() || !ga.SameRow(l.Usage(), held) || !slices.Equal(held, totals) {
+				return false
+			}
+			after = current
+		} else {
+			acceptances++
+			if err != nil || CheckCapacity(capacity, after) != nil {
+				return false
+			}
+			for n := range totals {
+				totals[n] = 0
+				for _, row := range after {
+					totals[n] += row[n]
+				}
+			}
+			if !slices.Equal(l.Usage(), totals) {
+				return false
+			}
+		}
+		for i := range after {
+			if !ga.SameRow(l.Row(i), after[i]) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, testutil.QuickConfig(3000)); err != nil {
 		t.Error(err)

@@ -69,9 +69,8 @@ type ClusterView struct {
 	// them, keep them and return them, and must never write one. The
 	// backend in turn never writes a row after handing it out.
 	Current ga.Matrix
-	// Usage is the per-node sum of Current's rows when the backend keeps
-	// that total anyway (the service's ledger and the simulator do); nil
-	// otherwise. With it runtime.Step validates a result from the changed
+	// Usage is the per-node sum of Current's rows: the backend's ledger
+	// totals, with which runtime.Step validates a result from the changed
 	// rows alone. Read-only, like the rows.
 	Usage []int
 }

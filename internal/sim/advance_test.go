@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/eventsim"
+	"repro/internal/ga"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -21,8 +22,10 @@ func singleJobCluster() (*Cluster, *jobState) {
 	c := NewCluster(tr, sched.NewTiresias(), cfg)
 	c.submitArrivals()
 	j := c.jobs[0]
-	c.setRow(j, []int{4, 0, 0, 0})
-	j.Placement = sched.PlacementOf(j.alloc)
+	if err := c.ledger.Install([]int{j.idx}, ga.Matrix{{4, 0, 0, 0}}); err != nil {
+		panic(err)
+	}
+	j.Placement = sched.PlacementOf(c.ledger.Row(j.idx))
 	return c, j
 }
 

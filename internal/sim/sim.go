@@ -106,21 +106,16 @@ func (c *Config) defaults() {
 	}
 }
 
-// jobState is the cluster simulator's holder of one job: the trace entry,
-// where it stands with admission and the scheduler, and the allocation row
-// its Job's placement was derived from.
+// jobState is the cluster simulator's holder of one job: the trace entry
+// and where it stands with admission and the scheduler. Its allocation row
+// is slot idx of the cluster's ledger.
 type jobState struct {
 	Job
 	// wj is the job's entry in the trace the cluster was built from. No
 	// caller writes a trace once a run has it, and every caller keeps it,
 	// so pointing at the entry saves a copy of the trace per cluster.
 	wj  *workload.Job
-	idx int // position in Cluster.jobs, the trace order
-
-	// alloc is the committed row itself: the slice the policy returned, or
-	// the cluster's zero row while the job holds nothing. It is never
-	// written; setRow replaces it.
-	alloc []int
+	idx int // position in Cluster.jobs, the trace order, and ledger slot
 
 	useTuned  bool
 	submitted bool
@@ -247,18 +242,19 @@ type Cluster struct {
 	stale     bool
 	remaining int
 
-	// zero is the row every job without GPUs shares, and usage the per-node
-	// sum of the live jobs' rows, kept current by setRow.
-	zero, usage []int
+	// ledger holds every job's committed row, slot idx: the slice the
+	// policy returned, or the ledger's zero row while the job holds nothing.
+	ledger *rounds.Ledger
 
 	// view is the one snapshot Round refills, from viewJobs and viewRows:
 	// a front end swaps slices of its own into the view it is handed, so
-	// the buffers are kept here and the view is never read back. capacity
-	// is every node's GPU count, built once.
+	// the buffers are kept here and the view is never read back. slots and
+	// rows are the Install that Commit makes.
 	view     sched.ClusterView
 	viewJobs []sched.JobView
 	viewRows ga.Matrix
-	capacity []int
+	slots    []int
+	rows     ga.Matrix
 
 	// Scratch: distributed jobs per node (recomputeInterference), and the
 	// running jobs with their agents (agentTick).
@@ -277,13 +273,13 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 	if err != nil {
 		panic(fmt.Sprintf("sim: %v", err))
 	}
+	capacity := make([]int, cfg.Nodes)
+	for n := range capacity {
+		capacity[n] = cfg.GPUsPerNode
+	}
 	c := &Cluster{
 		cfg: cfg, policy: policy, fe: fe, restartDelay: RestartDelay, refitWorkers: runtime.GOMAXPROCS(0),
-		zero: make([]int, cfg.Nodes), usage: make([]int, cfg.Nodes), distJobs: make([]int, cfg.Nodes),
-		capacity: make([]int, cfg.Nodes),
-	}
-	for n := range c.capacity {
-		c.capacity[n] = cfg.GPUsPerNode
+		ledger: rounds.NewLedger(capacity), distJobs: make([]int, cfg.Nodes),
 	}
 	zoo := models.Index()
 	for i := range trace.Jobs {
@@ -301,9 +297,8 @@ func NewCluster(trace workload.Trace, policy sched.Policy, cfg Config) *Cluster 
 			// admission (submitJob).
 			Job:      Job{Spec: spec, Batch: spec.M0, rng: rng},
 			wj:       wj,
-			idx:      len(c.jobs),
+			idx:      c.ledger.Add(),
 			useTuned: useTuned,
-			alloc:    c.zero,
 		}
 		if !policy.AdaptsBatchSize() {
 			_, js.Batch = js.fixedBatch()
@@ -436,15 +431,14 @@ func (c *Cluster) scheduleTick() {
 // Round snapshots the scheduler inputs for runtime.Step: every active
 // job's reported goodput model, fixed configuration, attained service,
 // and current allocation row, in submission order. It refills the one
-// view the cluster keeps, so a steady round allocates nothing: the rows
-// are the jobs' own (see jobState.alloc), the capacity slice is built once,
-// and the usage totals are the cluster's, which Step copies before it
-// subtracts.
+// view the cluster keeps, so a steady round allocates nothing: the rows,
+// the capacity and the usage totals are the ledger's own, which Step
+// copies before it subtracts.
 func (c *Cluster) Round(now float64) *sched.ClusterView {
 	readsModel := c.policy.ReadsModel()
 	jobs, rows := c.viewJobs[:0], c.viewRows[:0]
 	for _, j := range c.active() {
-		rows = append(rows, j.alloc)
+		rows = append(rows, c.ledger.Row(j.idx))
 		gpus, batch := j.fixedBatch()
 		var model core.Model // zero for a policy that reads none: no fit behind it
 		if readsModel {
@@ -465,49 +459,39 @@ func (c *Cluster) Round(now float64) *sched.ClusterView {
 		})
 	}
 	c.viewJobs, c.viewRows = jobs, rows
-	c.view = sched.ClusterView{Now: now, Capacity: c.capacity, Jobs: jobs, Current: rows, Usage: c.usage}
+	c.view = sched.ClusterView{Now: now, Capacity: c.ledger.Capacity(), Jobs: jobs, Current: rows, Usage: c.ledger.Usage()}
 	return &c.view
 }
 
 // Commit installs the rows of the validated allocation matrix that
 // changed on the last Round's jobs — nothing finishes between the two, so
-// they are the live list; interference is recomputed once per round.
+// they are the live list — in the ledger, by reference, and only then
+// charges restarts; interference is recomputed once per round.
 func (c *Cluster) Commit(m ga.Matrix, changed []bool) error {
+	slots, rows := c.slots[:0], c.rows[:0]
 	for i, j := range c.live {
 		if changed[i] {
-			c.applyAlloc(j, m[i])
+			slots, rows = append(slots, j.idx), append(rows, m[i])
+		}
+	}
+	c.slots, c.rows = slots, rows
+	if err := c.ledger.Install(slots, rows); err != nil {
+		return err
+	}
+	for k, slot := range slots {
+		j := c.jobs[slot]
+		j.Placement = sched.PlacementOf(rows[k])
+		c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventAllocate, Placement: j.Placement})
+		if j.Placement.GPUs > 0 {
+			j.RestartUntil = c.now + c.restartDelay
+			// Re-clamp the batch: the new placement may not fit the old one.
+			if c.policy.AdaptsBatchSize() {
+				j.Batch, _ = j.Agent.TuneBatch(j.Placement)
+			}
 		}
 	}
 	c.recomputeInterference()
 	return nil
-}
-
-// setRow is the one write path for allocation rows: it replaces the job's
-// slice and moves the usage totals. The old slice is left as it was, since
-// the view, the policy and the front end may still hold it.
-func (c *Cluster) setRow(j *jobState, row []int) {
-	for n, g := range j.alloc {
-		c.usage[n] -= g
-	}
-	for n, g := range row {
-		c.usage[n] += g
-	}
-	j.alloc = row
-}
-
-// applyAlloc installs a changed allocation row on a job, by reference, and
-// charges the checkpoint-restart delay.
-func (c *Cluster) applyAlloc(j *jobState, row []int) {
-	c.setRow(j, row)
-	j.Placement = sched.PlacementOf(row)
-	c.record(Event{Time: c.now, Job: j.wj.ID, Kind: EventAllocate, Placement: j.Placement})
-	if j.Placement.GPUs > 0 {
-		j.RestartUntil = c.now + c.restartDelay
-		// Re-clamp the batch: the new placement may not fit the old one.
-		if c.policy.AdaptsBatchSize() {
-			j.Batch, _ = j.Agent.TuneBatch(j.Placement)
-		}
-	}
 }
 
 // recomputeInterference marks distributed jobs sharing a node with another
@@ -520,7 +504,7 @@ func (c *Cluster) recomputeInterference() {
 		if j.Placement.Nodes <= 1 {
 			continue
 		}
-		for n, g := range j.alloc {
+		for n, g := range c.ledger.Row(j.idx) {
 			if g > 0 {
 				c.distJobs[n]++
 			}
@@ -530,7 +514,7 @@ func (c *Cluster) recomputeInterference() {
 		if j.Placement.Nodes <= 1 {
 			continue
 		}
-		for n, g := range j.alloc {
+		for n, g := range c.ledger.Row(j.idx) {
 			if g > 0 && c.distJobs[n] > 1 {
 				j.slowdown = c.cfg.InterferenceSlowdown
 				break
@@ -548,7 +532,7 @@ func (c *Cluster) finishJob(j *jobState, t float64) {
 	c.remaining--
 	c.stale = true
 	c.record(Event{Time: j.finish, Job: j.wj.ID, Kind: EventFinish})
-	c.setRow(j, c.zero)
+	c.ledger.Install([]int{j.idx}, ga.Matrix{c.ledger.Zero()}) //nolint:errcheck // a release always fits
 	j.Placement = core.Placement{}
 	j.rate = jobRate{}
 	j.Agent = nil

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/admit"
@@ -83,19 +82,8 @@ func TestClusterNeverOversubscribesGPUs(t *testing.T) {
 	rounds := 0
 	cfg.OnRound = func(now float64) {
 		rounds++
-		usage := make([]int, cfg.Nodes)
-		for _, j := range c.jobs {
-			for n, g := range j.alloc {
-				usage[n] += g
-			}
-		}
-		for n, u := range usage {
-			if u > cfg.GPUsPerNode {
-				t.Fatalf("t=%v node %d oversubscribed: %d > %d", now, n, u, cfg.GPUsPerNode)
-			}
-		}
-		if !slices.Equal(usage, c.usage) {
-			t.Fatalf("t=%v usage totals %v, the jobs' rows sum to %v", now, c.usage, usage)
+		if err := testutil.CheckLedger(c.ledger.Capacity(), c.ledger.Usage(), c.ledger.Row, len(c.jobs)); err != nil {
+			t.Fatalf("t=%v: %v", now, err)
 		}
 	}
 	c = NewCluster(tr, fastPollux(2), cfg)

@@ -1,6 +1,7 @@
 package testutil
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -45,3 +46,28 @@ func (j *RowJournal) Check(t testing.TB, when string) {
 
 // Len is the number of distinct rows journaled.
 func (j *RowJournal) Len() int { return len(j.rows) }
+
+// CheckLedger checks a runtime.Ledger's capacity, usage totals and rows
+// (this package cannot import runtime, whose tests import it) over slots 0
+// to slots-1: every row has a cell per node, the rows sum to the usage
+// totals, and no node holds more GPUs than it has.
+func CheckLedger(capacity, usage []int, row func(slot int) []int, slots int) error {
+	sum := make([]int, len(capacity))
+	for s := 0; s < slots; s++ {
+		if len(row(s)) != len(capacity) {
+			return fmt.Errorf("slot %d has %d nodes, cluster has %d", s, len(row(s)), len(capacity))
+		}
+		for n, g := range row(s) {
+			sum[n] += g
+		}
+	}
+	if !slices.Equal(sum, usage) {
+		return fmt.Errorf("usage totals %v, the rows sum to %v", usage, sum)
+	}
+	for n, c := range capacity {
+		if sum[n] > c {
+			return fmt.Errorf("node %d oversubscribed: %d > %d", n, sum[n], c)
+		}
+	}
+	return nil
+}
